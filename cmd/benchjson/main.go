@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,7 +72,12 @@ type Delta struct {
 // Report is the emitted document.
 type Report struct {
 	// Context echoes the non-benchmark header lines go test prints
-	// (goos, goarch, pkg, cpu).
+	// (goos, goarch, pkg, cpu) plus "gomaxprocs": the core count the
+	// benchmarks ran with, recovered from the -GOMAXPROCS suffix
+	// stripped off their names (go test omits the suffix exactly when
+	// GOMAXPROCS is 1; a -cpu list yields e.g. "1,2,4"). Without it a
+	// flat BenchmarkSweepWorkers row cannot tell a one-core runner from
+	// a scaling bug.
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks holds one entry per benchmark line, in input order.
 	Benchmarks []Benchmark `json:"benchmarks"`
@@ -103,10 +109,27 @@ func parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	if procs := procsSeen(rep.Benchmarks); procs != "" {
+		rep.Context["gomaxprocs"] = procs
+	}
 	if len(rep.Context) == 0 {
 		rep.Context = nil
 	}
 	return rep, nil
+}
+
+// procsSeen lists the distinct GOMAXPROCS values of the parsed lines in
+// order of first appearance, comma-separated. A line without a suffix
+// ran at GOMAXPROCS=1.
+func procsSeen(bs []Benchmark) string {
+	var seen []string
+	for _, b := range bs {
+		p := strconv.Itoa(max(b.Gomaxprocs, 1))
+		if !slices.Contains(seen, p) {
+			seen = append(seen, p)
+		}
+	}
+	return strings.Join(seen, ",")
 }
 
 // parseBenchLine parses one result line of the form

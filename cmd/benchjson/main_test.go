@@ -51,6 +51,25 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestContextGomaxprocs: the core count stripped off the benchmark names
+// is kept in the report's context; go test prints no suffix at
+// GOMAXPROCS=1, and a -cpu list runs each benchmark at several counts.
+func TestContextGomaxprocs(t *testing.T) {
+	for in, want := range map[string]string{
+		sample:                    "8",
+		"BenchmarkX 5 10 ns/op\n": "1",
+		"BenchmarkX 5 10 ns/op\nBenchmarkX-2 5 10 ns/op\nBenchmarkX-4 5 9 ns/op\nBenchmarkY-2 5 10 ns/op\n": "1,2,4",
+	} {
+		rep, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Context["gomaxprocs"]; got != want {
+			t.Errorf("context.gomaxprocs = %q, want %q for\n%s", got, want, in)
+		}
+	}
+}
+
 func TestParseIgnoresGarbage(t *testing.T) {
 	rep, err := parse(strings.NewReader("hello\nBenchmarkBad oops\nBenchmarkOK-2 5 10 ns/op\n"))
 	if err != nil {

@@ -233,9 +233,6 @@ func (p *Pacemaker) onQC(qc *msg.QC) {
 	if v < p.qcDone.Bound() || p.qcDone.Has(v) {
 		return
 	}
-	if p.suite.VerifyAggregate(p.stmt.Vote(v, &qc.BlockHash), qc.Agg, p.cfg.Base.Quorum()) != nil {
-		return
-	}
 	p.qcDone.Set(v)
 	next := v + 1
 	if !next.Initial() && next > p.view {

@@ -426,17 +426,10 @@ func (p *Pacemaker) onEC(w types.View) {
 // QCs (lines 44-49) and the success criterion (§4)
 // ---------------------------------------------------------------------------
 
-// onQC implements lines 44-49 plus success-criterion accounting. QCs
-// routed up from the view core are already verified; re-verification here
-// keeps Handle safe for directly injected certificates, skipped for views
-// whose QC was already accepted.
+// onQC implements lines 44-49 plus success-criterion accounting. The QC
+// was verified by this node's engine (the pacemaker.Driver contract).
 func (p *Pacemaker) onQC(qc *msg.QC) {
 	v := qc.V
-	if !p.credited.Has(v) && !p.qcDone.Has(v) {
-		if p.suite.VerifyAggregate(p.stmt.Vote(v, &qc.BlockHash), qc.Agg, p.cfg.Base.Quorum()) != nil {
-			return
-		}
-	}
 	p.creditQC(v)
 	if v < p.view || p.qcDone.Has(v) {
 		return

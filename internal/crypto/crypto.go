@@ -113,17 +113,19 @@ type Suite interface {
 	N() int
 }
 
-// aggregate is the shared combine logic used by both suites.
-func aggregate(s Suite, data []byte, sigs []Signature) (Aggregate, error) {
-	sorted := append([]Signature(nil), sigs...)
+// aggregate is the shared combine logic used by both suites. sorted is
+// the caller's private copy of the signatures (sorted here in place) and
+// slots the empty destination for the component list. Every component is
+// verified even though protocol callers verified each signature as it
+// arrived: that check is what makes the result a certificate for ANY
+// caller (internal/adversary included), so SimSuite may seal it as
+// verified at construction.
+func aggregate(s Suite, data []byte, sorted []Signature, slots [][]byte) (Aggregate, error) {
 	// slices.SortFunc rather than sort.Slice: the non-capturing
 	// comparison keeps the certificate-assembly path free of closure
 	// allocations.
 	slices.SortFunc(sorted, func(a, b Signature) int { return cmp.Compare(a.Signer, b.Signer) })
-	agg := Aggregate{
-		Signers: make([]types.NodeID, 0, len(sorted)),
-		Bytes:   make([][]byte, 0, len(sorted)),
-	}
+	agg := Aggregate{Signers: make([]types.NodeID, 0, len(sorted)), Bytes: slots}
 	for i, sig := range sorted {
 		if i > 0 && sig.Signer == sorted[i-1].Signer {
 			return Aggregate{}, fmt.Errorf("%w: %v", ErrDuplicateSigner, sig.Signer)
@@ -180,46 +182,47 @@ type SimSuite struct {
 	// vbuf is the verification scratch: recomputed MACs are compared
 	// against the candidate and never escape.
 	vbuf []byte
-	// verified memoizes (statement, certificate) pairs that have passed a
-	// full component-wise check, so re-verifying a broadcast certificate
-	// at each of n recipients costs one memcmp instead of 2f+1 keyed
-	// HMACs — at n=4096 the difference between O(n) and O(n²) MACs per
-	// certified view. The map key is backing-array identity (a fast
-	// index; Truncate shares its parent's arrays, hence the length in
-	// the key), but a hit only counts after the entry's deep copy of the
-	// statement, signer list and MAC bytes compares equal to the
-	// candidate — so a tampered or re-bound certificate, however it
-	// aliases a verified one, falls through to the full check. This
-	// shortcut is for the in-process simulation only; Ed25519Suite
-	// performs every check.
-	verified map[aggKey]*verifiedCert
+	// sorted is Aggregate's sort scratch (the suite is single-threaded).
+	sorted []Signature
+	// sealed records, by identity, the certificates this suite has fully
+	// checked — each one Aggregate built or VerifyAggregate passed
+	// component by component — so the n recipients of a broadcast
+	// certificate pay O(1) in κ each, not 2f+1 keyed HMACs. The key is
+	// the backing arrays of the signer and component lists plus their
+	// length (a Truncate view shares its parent's arrays); the entry holds
+	// the bound statement and a private copy of the component slice
+	// headers, never the MAC bytes. A hit needs an equal statement, an
+	// equal key and the same (pointer, length) in every slot: whatever was
+	// re-assembled, re-bound, re-sliced or had a slot swapped falls through
+	// to the full check. Assumed: a sent message's signature bytes live in
+	// the suite's append-only arena and are never written after Sign —
+	// flipping bytes of a shared message in place is simulator corruption,
+	// outside the §2 adversary. No size threshold: a hit is cheaper than
+	// one HMAC at every n. Simulation only; Ed25519Suite checks everything.
+	sealed map[aggKey]sealedCert
 }
 
-// aggKey indexes an aggregate by the identity of its backing arrays plus
-// its length (a Truncate view shares pointers with its parent).
+// aggKey is the identity of an aggregate: its backing arrays and length.
 type aggKey struct {
 	signers *types.NodeID
 	bytes   *[]byte
 	n       int
 }
 
-// verifiedCert is a deep copy of a fully verified (statement,
-// certificate) pair; cache hits require byte equality with it.
-type verifiedCert struct {
-	stmt    []byte
-	signers []types.NodeID
-	macs    [][]byte
+// sealedCert is what a sealed certificate was checked against.
+type sealedCert struct {
+	stmt  [64]byte // the bound statement, inline (the protocols' longest is 53 bytes)
+	nstmt int
+	slots [][]byte // private copy of the component slice headers
 }
 
-func (c *verifiedCert) matches(data []byte, agg Aggregate) bool {
-	if !bytes.Equal(c.stmt, data) || !slices.Equal(c.signers, agg.Signers) {
+func (c *sealedCert) holds(data []byte, agg Aggregate) bool {
+	if !bytes.Equal(c.stmt[:c.nstmt], data) {
 		return false
 	}
-	if len(c.macs) != len(agg.Bytes) {
-		return false
-	}
-	for i, m := range c.macs {
-		if !bytes.Equal(m, agg.Bytes[i]) {
+	slots := agg.Bytes[:len(c.slots)] // one bounds check for the loop
+	for i, m := range c.slots {
+		if b := slots[i]; len(b) != len(m) || len(m) == 0 || &b[0] != &m[0] {
 			return false
 		}
 	}
@@ -267,7 +270,7 @@ func (s *SimSuite) Reset(n int, seed int64) {
 		s.macs[i] = nil
 	}
 	s.sigs = nil
-	clear(s.verified)
+	clear(s.sealed)
 }
 
 // N implements Suite.
@@ -326,64 +329,60 @@ func (s *SimSuite) Verify(data []byte, sig Signature) error {
 	return nil
 }
 
-// Aggregate implements Suite.
+// Aggregate implements Suite. The result is sealed: aggregate has just
+// verified every component, so no recipient re-MACs an honestly
+// assembled certificate. The component list and the seal's private copy
+// of it share one allocation.
 func (s *SimSuite) Aggregate(data []byte, sigs []Signature) (Aggregate, error) {
-	return aggregate(s, data, sigs)
+	n := len(sigs)
+	s.sorted = append(s.sorted[:0], sigs...)
+	slots := make([][]byte, 2*n)
+	agg, err := aggregate(s, data, s.sorted, slots[:0:n])
+	if err == nil {
+		s.seal(data, agg, slots[n:])
+	}
+	return agg, err
 }
 
-// maxVerifiedCerts bounds the memo cache; on overflow the cache flushes
-// wholesale (a backstop — runs produce far fewer distinct certificates).
-const maxVerifiedCerts = 1 << 14
+// maxSealedCerts bounds the seal map; on overflow it flushes wholesale.
+// Only certificates still in flight are looked up again, and one that
+// loses its seal costs its next recipient one full check. Measured: no
+// re-check at all on fixed-delay runs even at a bound of 4, and 0.1% of
+// verifications on the chaos sweep (pre-GST traffic held back) at 64,
+// where an entry and the arrays it pins cost ~5 KB at n=61.
+const maxSealedCerts = 64
 
-// VerifyAggregate implements Suite.
+// VerifyAggregate implements Suite. Only a well-shaped aggregate — at
+// threshold, one component per signer — can hit a seal.
 func (s *SimSuite) VerifyAggregate(data []byte, agg Aggregate, threshold int) error {
-	if agg.Count() < threshold {
-		return fmt.Errorf("%w: have %d, need %d", ErrThreshold, agg.Count(), threshold)
-	}
-	k, keyed := s.key(agg)
-	if keyed {
-		if c, hit := s.verified[k]; hit && c.matches(data, agg) {
+	if n := len(agg.Signers); n > 0 && n >= threshold && n == len(agg.Bytes) {
+		k := aggKey{signers: &agg.Signers[0], bytes: &agg.Bytes[0], n: n}
+		if c, hit := s.sealed[k]; hit && c.holds(data, agg) {
 			return nil
 		}
 	}
 	if err := verifyAggregate(s, data, agg, threshold); err != nil {
 		return err
 	}
-	if keyed {
-		s.memoize(k, data, agg)
-	}
+	s.seal(data, agg, make([][]byte, len(agg.Bytes)))
 	return nil
 }
 
-// memoMinN disables memoization for small suites: the cache's deep
-// copies cost more allocations than the saved HMACs are worth below it
-// (and the small-n benchmark baselines stay comparable), while the
-// massive-n runs — where re-verifying a broadcast certificate at every
-// recipient is the dominant cost — sit far above it.
-const memoMinN = 64
-
-func (s *SimSuite) key(agg Aggregate) (aggKey, bool) {
-	if len(s.keys) < memoMinN || len(agg.Signers) == 0 || len(agg.Bytes) == 0 {
-		return aggKey{}, false
+// seal records a fully checked (statement, certificate) pair; slots
+// receives the private copy of the component slice headers.
+func (s *SimSuite) seal(data []byte, agg Aggregate, slots [][]byte) {
+	c := sealedCert{nstmt: len(data), slots: slots}
+	if len(slots) == 0 || len(data) > len(c.stmt) {
+		return
 	}
-	return aggKey{signers: &agg.Signers[0], bytes: &agg.Bytes[0], n: len(agg.Signers)}, true
-}
-
-func (s *SimSuite) memoize(k aggKey, data []byte, agg Aggregate) {
-	if s.verified == nil {
-		s.verified = make(map[aggKey]*verifiedCert)
-	} else if len(s.verified) >= maxVerifiedCerts {
-		clear(s.verified)
+	if s.sealed == nil {
+		s.sealed = make(map[aggKey]sealedCert, maxSealedCerts)
+	} else if len(s.sealed) >= maxSealedCerts {
+		clear(s.sealed)
 	}
-	c := &verifiedCert{
-		stmt:    append([]byte(nil), data...),
-		signers: append([]types.NodeID(nil), agg.Signers...),
-		macs:    make([][]byte, len(agg.Bytes)),
-	}
-	for i, m := range agg.Bytes {
-		c.macs[i] = append([]byte(nil), m...)
-	}
-	s.verified[k] = c
+	copy(c.stmt[:], data)
+	copy(slots, agg.Bytes)
+	s.sealed[aggKey{signers: &agg.Signers[0], bytes: &agg.Bytes[0], n: len(slots)}] = c
 }
 
 // ---------------------------------------------------------------------------
@@ -451,7 +450,7 @@ func (s *Ed25519Suite) Verify(data []byte, sig Signature) error {
 
 // Aggregate implements Suite.
 func (s *Ed25519Suite) Aggregate(data []byte, sigs []Signature) (Aggregate, error) {
-	return aggregate(s, data, sigs)
+	return aggregate(s, data, append([]Signature(nil), sigs...), make([][]byte, 0, len(sigs)))
 }
 
 // VerifyAggregate implements Suite.

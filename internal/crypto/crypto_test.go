@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -251,51 +252,106 @@ func TestSimSuiteSteadyStateAllocs(t *testing.T) {
 	if verifyAllocs != 0 {
 		t.Fatalf("Verify allocates %.3f/op in steady state", verifyAllocs)
 	}
+	// Certificates: assembly allocates the signer list and one array for
+	// the component list plus the seal's private copy of it; re-verifying
+	// a sealed certificate allocates nothing.
+	sigs := []Signature{s.SignerFor(2).Sign(data), sig, s.SignerFor(0).Sign(data)}
+	var agg Aggregate
+	aggAllocs := testing.AllocsPerRun(1000, func() {
+		var err error
+		if agg, err = s.Aggregate(data, sigs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if aggAllocs > 2 {
+		t.Fatalf("Aggregate allocates %.3f/op in steady state, want ≤ 2", aggAllocs)
+	}
+	hitAllocs := testing.AllocsPerRun(1000, func() {
+		if err := s.VerifyAggregate(data, agg, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hitAllocs != 0 {
+		t.Fatalf("VerifyAggregate of a sealed certificate allocates %.3f/op", hitAllocs)
+	}
 }
 
-// TestVerifiedAggregateMemo pins the SimSuite memo-cache semantics: a
-// re-verified certificate hits, but any content drift — tampered MAC,
-// re-bound statement — falls through to the full check and fails.
+// TestVerifiedAggregateMemo pins the SimSuite seal semantics at a small
+// and a large n (one path at every size): a sealed certificate hits, but
+// whatever was swapped, re-bound, re-sliced, re-assembled or outlived its
+// keys falls through to the full check and is rejected.
 func TestVerifiedAggregateMemo(t *testing.T) {
-	s := NewSimSuite(memoMinN, 1) // memoization is off below memoMinN
-	data := Statement("memo", 7, nil)
-	var sigs []Signature
-	for i := 0; i < 3; i++ {
-		sigs = append(sigs, s.SignerFor(types.NodeID(i)).Sign(data))
+	flipped := func(b []byte) []byte {
+		c := append([]byte(nil), b...)
+		c[0] ^= 1
+		return c
 	}
-	agg, err := s.Aggregate(data, sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // populate, then hit
-		if err := s.VerifyAggregate(data, agg, 3); err != nil {
-			t.Fatalf("round %d: %v", i, err)
+	for _, n := range []int{4, 64} {
+		q := n - (n-1)/3
+		data, other := Statement("memo", 7, nil), Statement("memo", 8, nil)
+		// Each case gets a fresh suite and sealed certificate and returns a
+		// verification that must fail.
+		cases := map[string]func(s *SimSuite, agg Aggregate) error{
+			"slot replaced by a flipped copy": func(s *SimSuite, agg Aggregate) error {
+				agg.Bytes[q-1] = flipped(agg.Bytes[q-1]) // same backing arrays, same key
+				return s.VerifyAggregate(data, agg, q)
+			},
+			"slots swapped": func(s *SimSuite, agg Aggregate) error {
+				agg.Bytes[0], agg.Bytes[1] = agg.Bytes[1], agg.Bytes[0]
+				return s.VerifyAggregate(data, agg, q)
+			},
+			"re-bound statement": func(s *SimSuite, agg Aggregate) error {
+				return s.VerifyAggregate(other, agg, q)
+			},
+			"raised threshold": func(s *SimSuite, agg Aggregate) error {
+				return s.VerifyAggregate(data, agg, q+1)
+			},
+			"Truncate alias below threshold": func(s *SimSuite, agg Aggregate) error {
+				return s.VerifyAggregate(data, agg.Truncate(q-1), q)
+			},
+			"more components than signers": func(s *SimSuite, agg Aggregate) error {
+				short := agg.Truncate(q - 1)
+				if err := s.VerifyAggregate(data, short, q-1); err != nil { // seals the alias
+					t.Fatalf("truncated certificate rejected: %v", err)
+				}
+				return s.VerifyAggregate(data, Aggregate{Signers: short.Signers, Bytes: agg.Bytes}, q-1)
+			},
+			"fewer components than signers": func(s *SimSuite, agg Aggregate) error {
+				return s.VerifyAggregate(data, Aggregate{Signers: agg.Signers, Bytes: agg.Bytes[:q-1]}, q-1)
+			},
+			"re-assembly with one forged component": func(s *SimSuite, agg Aggregate) error {
+				re := agg.Clone()
+				re.Bytes[q-1][0] ^= 1
+				return s.VerifyAggregate(data, re, q)
+			},
+			"stale certificate after Reset": func(s *SimSuite, agg Aggregate) error {
+				s.Reset(n, 2) // drops the seals and re-keys
+				return s.VerifyAggregate(data, agg, q)
+			},
 		}
-	}
-	// Tamper one component in place: same backing arrays, same key.
-	saved := agg.Bytes[0]
-	agg.Bytes[0] = append([]byte(nil), saved...)
-	agg.Bytes[0][0] ^= 1
-	if err := s.VerifyAggregate(data, agg, 3); err == nil {
-		t.Fatal("tampered aggregate accepted via memo cache")
-	}
-	agg.Bytes[0] = saved
-	// Re-bind the verified certificate to a different statement.
-	other := Statement("memo", 8, nil)
-	if err := s.VerifyAggregate(other, agg, 3); err == nil {
-		t.Fatal("re-bound aggregate accepted via memo cache")
-	}
-	// Threshold still enforced on hits.
-	if err := s.VerifyAggregate(data, agg, 4); err == nil {
-		t.Fatal("threshold ignored on memo hit")
-	}
-	if err := s.VerifyAggregate(data, agg, 3); err != nil {
-		t.Fatalf("valid aggregate rejected after misses: %v", err)
-	}
-	// Reset drops the cache and re-keys: the old certificate no longer
-	// verifies at all.
-	s.Reset(4, 2)
-	if err := s.VerifyAggregate(data, agg, 3); err == nil {
-		t.Fatal("stale certificate accepted after Reset")
+		for name, attack := range cases {
+			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
+				s := NewSimSuite(n, 1)
+				sigs := make([]Signature, q)
+				for i := range sigs {
+					sigs[i] = s.SignerFor(types.NodeID(q - 1 - i)).Sign(data)
+				}
+				agg, err := s.Aggregate(data, sigs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ { // sealed at construction: hits
+					if err := s.VerifyAggregate(data, agg, q); err != nil {
+						t.Fatalf("round %d: %v", i, err)
+					}
+				}
+				if err := s.VerifyAggregate(data, agg.Clone(), q); err != nil {
+					t.Fatalf("honest re-assembly rejected: %v", err)
+				}
+				if attack(s, agg) == nil {
+					t.Fatal("accepted")
+				}
+			})
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"lumiere/internal/nettcp"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
+	"lumiere/internal/workload"
 )
 
 // This file implements the wall-clock counterpart of the simulated
@@ -262,24 +263,27 @@ func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
 	}
 
 	injected := 0
-	stop := make(chan struct{})
 	workloadDone := make(chan struct{})
 	if e.SMR && e.Rate > 0 {
 		go func() {
 			defer close(workloadDone)
-			tick := time.NewTicker(time.Second / time.Duration(e.Rate))
-			defer tick.Stop()
-			i := 0
+			// Open loop on workload.Pacer's absolute due times: after a
+			// late wake-up the commands that fell due meanwhile follow
+			// at once (a time.Ticker drops them), and there is no period
+			// to underflow at high rates.
+			pacer := workload.NewPacer(int64(e.Rate))
+			t0 := time.Now()
+			end := t0.Add(e.Duration)
 			for {
-				select {
-				case <-tick.C:
-					cmd := fmt.Sprintf("SET key%d value%d", i%64, i)
-					if nodes[i%len(nodes)].Submit([]byte(cmd)) == nil {
-						injected++
-					}
-					i++
-				case <-stop:
+				due := t0.Add(time.Duration(pacer.NextAtNs()))
+				if due.After(end) || time.Now().After(end) {
 					return
+				}
+				time.Sleep(time.Until(due))
+				i := int(pacer.Take())
+				cmd := fmt.Sprintf("SET key%d value%d", i%64, i)
+				if nodes[i%len(nodes)].Submit([]byte(cmd)) == nil {
+					injected++
 				}
 			}
 		}()
@@ -288,7 +292,6 @@ func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
 	}
 
 	time.Sleep(e.Duration)
-	close(stop)
 	<-workloadDone
 	elapsed := time.Since(start)
 

@@ -57,6 +57,34 @@ func TestClusterExperimentSMR(t *testing.T) {
 	}
 }
 
+// TestClusterInjectorDeliversRate: the injector is open-loop on absolute
+// due times, so it delivers the requested load (a ticker-paced injector
+// dropped 6–9% of 500 cmd/s) and has no period to underflow at rates
+// above 10⁹/s.
+func TestClusterInjectorDeliversRate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	e := ClusterExperiment{F: 1, Seed: 11, SMR: true, Rate: 500, Duration: 2 * time.Second}
+	res, err := RunCluster(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := e.Rate * int(e.Duration/time.Second)
+	if res.Injected*100 < want*99 || res.Injected > want {
+		t.Fatalf("injected %d commands, want 99–100%% of Rate × Duration = %d", res.Injected, want)
+	}
+	if res.Committed == 0 {
+		t.Fatal("no node committed any block")
+	}
+	e.Rate, e.Duration = 2_000_000_000, 20*time.Millisecond
+	if res, err = RunCluster(e); err != nil {
+		t.Fatalf("rate above 1e9/s: %v", err)
+	} else if res.Injected == 0 {
+		t.Fatal("rate above 1e9/s: injected no commands")
+	}
+}
+
 // TestClusterChaosLoss runs the loopback cluster under pre-GST loss and
 // checks the cluster still decides after GST — the socket-level clamp
 // releasing "lost" messages at GST+Δ.

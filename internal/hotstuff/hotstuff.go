@@ -285,7 +285,7 @@ func (c *Core) handleBlockResp(m *msg.BlockResp) {
 	}
 	c.blocks[m.Cert.BlockHash] = b
 	delete(c.fetchAsked, m.Cert.BlockHash)
-	c.observeQC(m.Cert)
+	c.acceptQC(m.Cert)
 	c.retryPending()
 }
 
@@ -310,7 +310,7 @@ func (c *Core) handleProposal(from types.NodeID, p *msg.Proposal) {
 		c.blocks[p.Hash] = block
 		c.retryPending()
 	}
-	c.observeQC(p.Justify)
+	c.acceptQC(p.Justify)
 	if p.V < c.view {
 		return
 	}
@@ -381,22 +381,34 @@ func (c *Core) handleVote(from types.NodeID, v *msg.Vote) {
 	c.ep.Broadcast(qc)
 }
 
+// verifyQC establishes that (qc.V, qc.BlockHash) is certified. A QC naming
+// a pair already in qcByHash — genesis, or a QC that was broadcast before
+// the next proposal carried it as Justify — is not checked again: a second
+// certificate for an established fact carries no information, whatever
+// its Agg bytes.
 func (c *Core) verifyQC(qc *msg.QC) bool {
-	if qc.V == types.NoView && qc.BlockHash == GenesisHash {
+	if known, ok := c.qcByHash[qc.BlockHash]; ok && known.V == qc.V {
 		return true
 	}
 	return c.suite.VerifyAggregate(c.stmt.Vote(qc.V, &qc.BlockHash), qc.Agg, c.cfg.Base.Quorum()) == nil
 }
 
-// observeQC updates highQC/lockedQC and runs the three-chain commit rule.
-// QCs for views below the pruning bound stay forgotten: they cannot raise
-// highQC, and commits for stragglers are retried via pendingCommit on
-// block arrival, so a re-delivered ancient certificate is inert.
+// observeQC handles a QC that arrives on its own.
 func (c *Core) observeQC(qc *msg.QC) {
-	if qc.V >= 0 && (qc.V < c.seenQC.Bound() || c.seenQC.Has(qc.V)) {
-		return
+	if c.verifyQC(qc) {
+		c.acceptQC(qc)
 	}
-	if !c.verifyQC(qc) {
+}
+
+// acceptQC takes a QC its caller has verified — this node's one check of
+// it, which the pacemaker relies on — once per view: it updates
+// highQC/lockedQC, runs the three-chain commit rule and routes the QC to
+// the pacemaker. QCs for views below the pruning bound stay forgotten:
+// they cannot raise highQC, and commits for stragglers are retried via
+// pendingCommit on block arrival, so a re-delivered ancient certificate
+// is inert.
+func (c *Core) acceptQC(qc *msg.QC) {
+	if qc.V >= 0 && (qc.V < c.seenQC.Bound() || c.seenQC.Has(qc.V)) {
 		return
 	}
 	if qc.V >= 0 {

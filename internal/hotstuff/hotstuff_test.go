@@ -48,6 +48,23 @@ func newRig(t *testing.T, f int, delay time.Duration, twoPhase bool) *rig {
 	return r
 }
 
+// qcFor certifies block b with the rig's keys (a fresh suite on the
+// rig's seed), signed by the first 2f+1 processors.
+func (r *rig) qcFor(t *testing.T, b *Block) *msg.QC {
+	t.Helper()
+	suite := crypto.NewSimSuite(r.cfg.N, 2)
+	h := b.HashOf()
+	var sigs []crypto.Signature
+	for i := 0; i < r.cfg.Quorum(); i++ {
+		sigs = append(sigs, suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(b.View, h)))
+	}
+	agg, err := suite.Aggregate(msg.VoteStatement(b.View, h), sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &msg.QC{V: b.View, BlockHash: h, Agg: agg}
+}
+
 func (r *rig) start() {
 	for _, c := range r.cores {
 		c.EnterView(0)
@@ -162,19 +179,7 @@ func TestPendingExecDefersUntilAncestorArrives(t *testing.T) {
 	core := r.cores[0]
 	// Build a private 3-chain b0←b1←b2 of consecutive views with a QC
 	// for b2, but withhold b0 from the core.
-	suite := crypto.NewSimSuite(r.cfg.N, 2)
-	qcFor := func(b *Block) *msg.QC {
-		h := b.HashOf()
-		var sigs []crypto.Signature
-		for i := 0; i < r.cfg.Quorum(); i++ {
-			sigs = append(sigs, suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(b.View, h)))
-		}
-		agg, err := suite.Aggregate(msg.VoteStatement(b.View, h), sigs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &msg.QC{V: b.View, BlockHash: h, Agg: agg}
-	}
+	qcFor := func(b *Block) *msg.QC { return r.qcFor(t, b) }
 	b0 := &Block{View: 0, Parent: GenesisHash, Cmds: []Command{{ID: 7, Payload: []byte("SET x 1")}}}
 	b1 := &Block{View: 1, Parent: b0.HashOf()}
 	b2 := &Block{View: 2, Parent: b1.HashOf()}
@@ -233,12 +238,94 @@ func TestMempoolDedupeAndDrainOnCommit(t *testing.T) {
 	}
 }
 
+// TestForgedQCRejected: the engine is the node's only verifier of QCs, so
+// a forged one must stop here — highQC does not move and the pacemaker's
+// onQC never runs.
 func TestForgedQCRejected(t *testing.T) {
 	r := newRig(t, 1, time.Millisecond, false)
 	core := r.cores[0]
+	routed := 0
+	core.onQC = func(*msg.QC) { routed++ }
 	var h Hash
 	core.observeQC(&msg.QC{V: 3, BlockHash: h}) // empty aggregate
-	if core.HighView() >= 0 {
-		t.Fatal("unverifiable QC accepted")
+	// A full-size certificate with one component flipped, off the network.
+	b := &Block{View: 0, Parent: GenesisHash}
+	valid := r.qcFor(t, b)
+	forged := &msg.QC{V: 0, BlockHash: valid.BlockHash, Agg: valid.Agg.Clone()}
+	forged.Agg.Bytes[0][0] ^= 1
+	core.Handle(1, forged)
+	core.Handle(1, &msg.BlockResp{Block: b.Encode(), Cert: forged, FromRaw: 1})
+	if core.HighView() >= 0 || routed != 0 {
+		t.Fatalf("forged QC accepted: highView=%d, routed to pacemaker %d times", core.HighView(), routed)
+	}
+	core.Handle(1, valid)
+	if core.HighView() != 0 || routed != 1 {
+		t.Fatalf("valid QC: highView=%d, routed %d times, want 0 and 1", core.HighView(), routed)
+	}
+}
+
+// TestKnownJustifyNotRechecked: once (view, hash) is certified locally — the
+// QC was broadcast before the next proposal carried it — a proposal naming
+// it as Justify is processed identically whatever its Agg bytes, and the
+// second certificate changes no state: the original QC stays in place.
+func TestKnownJustifyNotRechecked(t *testing.T) {
+	type outcome struct {
+		voted, stored, sameHigh, sameKnown bool
+		high, locked                       types.View
+		blocks, committed                  int
+	}
+	run := func(agg func(valid crypto.Aggregate) crypto.Aggregate) outcome {
+		r := newRig(t, 1, time.Millisecond, false)
+		r.start()
+		r.sched.RunFor(100 * time.Millisecond)
+		core := r.cores[1]
+		hq := core.highQC
+		if hq.V < 1 || core.qcByHash[hq.BlockHash] != hq {
+			t.Fatalf("no certified high QC to extend (view %d)", hq.V)
+		}
+		v := core.view + 1
+		lead := types.NodeID(v % types.View(r.cfg.N))
+		core.EnterView(v)
+		block := &Block{View: v, Parent: hq.BlockHash}
+		core.handleProposal(lead, &msg.Proposal{
+			V: v, Leader: lead, Block: block.Encode(), Hash: block.HashOf(),
+			Justify: &msg.QC{V: hq.V, BlockHash: hq.BlockHash, Agg: agg(hq.Agg)},
+		})
+		_, stored := core.proposals[v]
+		return outcome{
+			voted: core.voted.Has(v), stored: stored,
+			sameHigh: core.highQC == hq, sameKnown: core.qcByHash[hq.BlockHash] == hq,
+			high: core.highQC.V, locked: core.lockedQC.V,
+			blocks: len(core.blocks), committed: core.CommittedCount(),
+		}
+	}
+	want := run(func(valid crypto.Aggregate) crypto.Aggregate { return valid })
+	if !want.voted || !want.stored || !want.sameHigh || !want.sameKnown {
+		t.Fatalf("proposal with the valid known Justify: %+v", want)
+	}
+	for name, agg := range map[string]func(crypto.Aggregate) crypto.Aggregate{
+		"re-assembled": func(valid crypto.Aggregate) crypto.Aggregate { return valid.Clone() },
+		"forged component": func(valid crypto.Aggregate) crypto.Aggregate {
+			c := valid.Clone()
+			c.Bytes[0][0] ^= 1
+			return c
+		},
+		"empty": func(crypto.Aggregate) crypto.Aggregate { return crypto.Aggregate{} },
+	} {
+		if got := run(agg); got != want {
+			t.Errorf("%s Agg: %+v, want %+v", name, got, want)
+		}
+	}
+	// The shortcut is for known facts only: the same bytes on a
+	// (view, hash) this node has not seen certified are rejected.
+	r := newRig(t, 1, time.Millisecond, false)
+	core := r.cores[1]
+	core.EnterView(1)
+	b0 := &Block{View: 0, Parent: GenesisHash}
+	b1 := &Block{View: 1, Parent: b0.HashOf()}
+	core.handleProposal(1, &msg.Proposal{V: 1, Leader: 1, Block: b1.Encode(), Hash: b1.HashOf(),
+		Justify: &msg.QC{V: 0, BlockHash: b0.HashOf()}})
+	if _, stored := core.proposals[1]; stored || core.voted.Has(1) {
+		t.Fatal("proposal with an uncertified, unverifiable Justify accepted")
 	}
 }

@@ -14,7 +14,10 @@ import (
 	"lumiere/internal/types"
 )
 
-// Driver is the underlying protocol as seen by a pacemaker.
+// Driver is the underlying protocol as seen by a pacemaker, and the
+// node's only verifier of QCs: it checks each one once and reports it
+// through its onQC callback, so a *msg.QC reaching Pacemaker.Handle was
+// verified by this node's engine and pacemakers do not verify it again.
 type Driver interface {
 	// EnterView informs the underlying protocol that this processor is
 	// now in view v. Followers use this to vote on buffered proposals.
@@ -46,9 +49,9 @@ type Pacemaker interface {
 	// CurrentEpoch returns the epoch this processor is in (NoEpoch for
 	// protocols without epochs, before entering any epoch).
 	CurrentEpoch() types.Epoch
-	// Handle processes a view-synchronization message or an observed
-	// QC. Replicas route every QC they see (standalone or embedded in
-	// proposals) here.
+	// Handle processes a view-synchronization message from the network,
+	// or a QC this node's engine has verified (see Driver): QCs never
+	// come here straight from the network.
 	Handle(from types.NodeID, m msg.Message)
 	// Leader returns the leader of view v under this protocol's
 	// schedule.

@@ -71,8 +71,8 @@ type Core struct {
 var _ pacemaker.Driver = (*Core)(nil)
 
 // New creates a Core. leader is the pacemaker's schedule; onQC routes
-// every newly observed QC back to the pacemaker (may be nil); obs receives
-// QC events (may be nil).
+// every newly observed QC, verified, back to the pacemaker (may be nil);
+// obs receives QC events (may be nil).
 func New(cfg types.Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
 	leader func(types.View) types.NodeID, onQC func(*msg.QC), obs QCObserver) *Core {
 	return &Core{
@@ -185,7 +185,8 @@ func (c *Core) handleVote(from types.NodeID, v *msg.Vote) {
 	c.ep.Broadcast(qc)
 }
 
-// observeQC registers a (verified) QC exactly once and routes it upward.
+// observeQC verifies a QC — the node's one check of it, which the
+// pacemaker relies on — registers it exactly once and routes it upward.
 // Views below the pruning bound stay forgotten: a QC that old cannot
 // advance the pacemaker, so it is treated as already seen.
 func (c *Core) observeQC(qc *msg.QC) {

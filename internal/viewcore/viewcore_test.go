@@ -189,3 +189,35 @@ func TestStaleViewProposalIgnored(t *testing.T) {
 		t.Fatal("stale proposal caused activity")
 	}
 }
+
+// TestForgedQCFromNetworkDropped: the engine is the node's only verifier
+// of QCs, so a forged one — on its own or as a proposal's Justify — must
+// stop here: the pacemaker's onQC never runs for it.
+func TestForgedQCFromNetworkDropped(t *testing.T) {
+	r := newRig(t, 1, time.Millisecond)
+	suite := crypto.NewSimSuite(r.cfg.N, 2) // the rig's keys
+	var hash [32]byte
+	stmt := msg.VoteStatement(0, hash)
+	var sigs []crypto.Signature
+	for i := 0; i < r.cfg.Quorum(); i++ {
+		sigs = append(sigs, suite.SignerFor(types.NodeID(i)).Sign(stmt))
+	}
+	agg, err := suite.Aggregate(stmt, sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := agg.Clone()
+	forged.Bytes[0][0] ^= 1
+	r.enterAll(0)
+	r.cores[1].Handle(0, &msg.QC{V: 0, BlockHash: hash, Agg: forged})
+	r.cores[1].Handle(1, &msg.Proposal{V: 1, Leader: 1, Justify: &msg.QC{V: 0, BlockHash: hash, Agg: forged}})
+	r.cores[1].Handle(0, &msg.QC{V: 0, BlockHash: hash, Agg: agg.Truncate(r.cfg.Quorum() - 1)})
+	if len(r.qcs[1]) != 0 {
+		t.Fatalf("forged QC reached the pacemaker: %v", r.qcs[1])
+	}
+	r.cores[1].Handle(0, &msg.QC{V: 0, BlockHash: hash, Agg: agg})
+	r.cores[1].Handle(0, &msg.QC{V: 0, BlockHash: hash, Agg: agg})
+	if len(r.qcs[1]) != 1 || r.qcs[1][0] != 0 {
+		t.Fatalf("pacemaker saw %v, want the valid QC for view 0 once", r.qcs[1])
+	}
+}
