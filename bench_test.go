@@ -37,7 +37,7 @@ func benchWorstCase(b *testing.B, p harness.Protocol, f int) {
 	var msgs int64
 	var lat time.Duration
 	for i := 0; i < b.N; i++ {
-		r := harness.WorstCase(p, f, benchSeed)
+		r := harness.WorstCase(p, f, benchSeed, harness.SweepOptions{})
 		msgs, lat = r.Msgs, r.Latency
 	}
 	b.ReportMetric(float64(msgs), "msgs/window")
@@ -428,7 +428,7 @@ func BenchmarkSMREndToEnd(b *testing.B) {
 // byte-identical determinism surface).
 func table1EventualRender(workers int) (string, time.Duration) {
 	start := time.Now()
-	comm, lat := lumiere.Table1EventualOpts(1, []int{0, 1}, benchSeed, lumiere.SweepOptions{Workers: workers})
+	comm, lat := lumiere.Table1Eventual(1, []int{0, 1}, benchSeed, lumiere.SweepOptions{Workers: workers})
 	return comm.Render() + lat.Render(), time.Since(start)
 }
 

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"lumiere"
@@ -44,7 +45,6 @@ func realMain() int {
 		csvDir     = flag.String("csv", "", "directory for CSV output (optional)")
 		workers    = flag.Int("workers", runtime.NumCPU(), "sweep worker-pool size")
 		progress   = flag.Bool("progress", false, "print per-cell sweep progress to stderr")
-		sendlog    = flag.Bool("sendlog", false, "retain full per-send record logs (debugging; large memory)")
 		chaos      = flag.Bool("chaos", false, "run only the chaos suite: fault-condition table + chaos conformance sweep")
 		attack     = flag.Bool("attack", false, "run only the attack suite: adaptive-strategy table + word-complexity tables")
 		smr        = flag.Bool("smr", false, "run only the SMR suite: throughput/commit-latency table + throughput under attack")
@@ -58,6 +58,27 @@ func realMain() int {
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof)")
 	)
 	flag.Parse()
+
+	// Reject flag combinations that would otherwise be silently ignored:
+	// the suites are exclusive (only the first would run), and -frontier
+	// is written by the red-team suite alone.
+	var suites []string
+	for _, s := range []struct {
+		name string
+		on   bool
+	}{{"-wan", *wan}, {"-redteam", *redteam}, {"-smr", *smr}, {"-chaos", *chaos}, {"-attack", *attack}} {
+		if s.on {
+			suites = append(suites, s.name)
+		}
+	}
+	if len(suites) > 1 {
+		fmt.Fprintf(os.Stderr, "%s are exclusive: pick one suite\n", strings.Join(suites, " and "))
+		return 2
+	}
+	if *frontier != "" && !*redteam {
+		fmt.Fprintln(os.Stderr, "-frontier needs -redteam: only the red-team suite writes a frontier artifact")
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -115,7 +136,7 @@ func realMain() int {
 		}
 	}
 
-	opts := lumiere.SweepOptions{Workers: *workers, KeepSendLog: *sendlog}
+	opts := lumiere.SweepOptions{Workers: *workers}
 	if *progress {
 		opts.Progress = func(done, total int, cell *lumiere.SweepCell) {
 			fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-28s %8v\n", done, total, cell.Scenario.Name, cell.Elapsed.Round(time.Millisecond))
@@ -145,7 +166,7 @@ func realMain() int {
 		if *full {
 			wanF = 2
 		}
-		emit("wan_topology", lumiere.TopologyTableOpts(wanF, *seed, opts))
+		emit("wan_topology", lumiere.TopologyTable(wanF, *seed, opts))
 		drift := lumiere.RunDriftSweep(wanF, lumiere.DriftPPMAxis, *seed, opts)
 		emit("wan_drift", drift.Table())
 		if !drift.InModelClean() {
@@ -189,8 +210,8 @@ func realMain() int {
 		if *full {
 			smrF = 3
 		}
-		emit("smr_throughput", lumiere.ThroughputTableOpts(smrF, *seed, opts))
-		emit("smr_throughput_attack", lumiere.ThroughputUnderAttackTableOpts(smrF, *seed, opts))
+		emit("smr_throughput", lumiere.ThroughputTable(smrF, *seed, opts))
+		emit("smr_throughput_attack", lumiere.ThroughputUnderAttackTable(smrF, *seed, opts))
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Second))
 		return 0
 	}
@@ -202,7 +223,7 @@ func realMain() int {
 			chaosF = 5
 			cells = 48
 		}
-		emit("chaos_table", lumiere.ChaosTableOpts(chaosF, *seed, opts))
+		emit("chaos_table", lumiere.ChaosTable(chaosF, *seed, opts))
 		rep := lumiere.RunChaosSweep(cells, *seed, opts)
 		emit("chaos_conformance", rep.Table())
 		if !rep.Conformant() {
@@ -235,20 +256,20 @@ func realMain() int {
 	}
 	fmt.Printf("regenerating the paper's evaluation (seed %d, %d workers)\n\n", *seed, *workers)
 
-	comm, lat := lumiere.Table1WorstCaseOpts(fs, *seed, opts)
+	comm, lat := lumiere.Table1WorstCase(fs, *seed, opts)
 	emit("table1_worst_comm", comm)
 	emit("table1_worst_latency", lat)
 
-	evComm, evLat := lumiere.Table1EventualOpts(evF, fas, *seed, opts)
+	evComm, evLat := lumiere.Table1Eventual(evF, fas, *seed, opts)
 	emit("table1_eventual_comm", evComm)
 	emit("table1_eventual_latency", evLat)
 
-	scaling := lumiere.EventualScalingDataOpts(fs, 1, *seed, opts)
+	scaling := lumiere.EventualScalingData(fs, 1, *seed, opts)
 	emit("eventual_scaling", lumiere.EventualScalingTableF(scaling, fs, 1))
 	fmt.Println(lumiere.EventualScalingPlot(scaling))
-	emit("figure1_stalls", lumiere.Figure1TableOpts(fs, *seed, opts))
-	emit("responsiveness", lumiere.ResponsivenessTableOpts(3, *seed, opts))
-	emit("heavy_syncs", lumiere.HeavySyncTableOpts(3, *seed, opts))
+	emit("figure1_stalls", lumiere.Figure1Table(fs, *seed, opts))
+	emit("responsiveness", lumiere.ResponsivenessTable(3, *seed, opts))
+	emit("heavy_syncs", lumiere.HeavySyncTable(3, *seed, opts))
 
 	if *full && len(largeNs) > 0 {
 		emit("largen_words", lumiere.LargeNWordsTable(largeNs, *seed, opts))

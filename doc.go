@@ -62,7 +62,12 @@
 // protocol × every strategy), EventualWordsTable (words vs f_a) and
 // WordScalingTable (words vs n) — exhibit the paper's headline claim
 // that Lumiere's eventual word count is linear in the number of actual
-// faults rather than in n.
+// faults rather than in n. Every table driver takes the sweep options
+// last (the zero value runs on all CPUs) and renders byte-identically at
+// every worker count:
+//
+//	t := lumiere.AttackTable(1, 42, lumiere.SweepOptions{Workers: 4})
+//	fmt.Print(t.Render())
 //
 // # Adversarial search and the worst-case frontier
 //

@@ -28,14 +28,14 @@ func TestArenaReuseDeterminism(t *testing.T) {
 	workers := []int{1, 3}
 	render := map[string]func(opts SweepOptions) string{
 		"table1-eventual": func(opts SweepOptions) string {
-			comm, lat := Table1EventualOpts(1, []int{0, 1}, seed, opts)
+			comm, lat := Table1Eventual(1, []int{0, 1}, seed, opts)
 			return comm.Render() + lat.Render()
 		},
 		"chaos": func(opts SweepOptions) string {
-			return ChaosTableOpts(1, seed, opts).Render()
+			return ChaosTable(1, seed, opts).Render()
 		},
 		"attack": func(opts SweepOptions) string {
-			return AttackTableOpts(1, seed, opts).Render()
+			return AttackTable(1, seed, opts).Render()
 		},
 	}
 	for name, fn := range render {

@@ -236,25 +236,13 @@ func (r *AttackReport) AllDecided() bool {
 // pure function of the simulated executions, so it is byte-identical at
 // every worker count.
 func (r *AttackReport) Table() *Table {
-	delta := AttackDelta
-	t := &Table{Title: "Attack table: view-sync latency after GST (in Δ) and total honest words under adaptive strategies"}
-	t.Header = []string{"protocol"}
-	for _, spec := range AttackSpecs() {
-		t.Header = append(t.Header, spec.Name)
-	}
-	stride := len(AttackSpecs())
-	for pi, p := range AllProtocols {
-		row := []string{string(p)}
-		for si := 0; si < stride; si++ {
-			c := &r.Cells[pi*stride+si]
-			if !c.Decided {
-				row = append(row, "stalled")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2fΔ %dw", float64(c.SyncLatency)/float64(delta), c.TotalWords))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	specs := AttackSpecs()
+	cols := axisLabels(specs, func(spec adversary.AttackSpec) string { return spec.Name })
+	t := gridTable("Attack table: view-sync latency after GST (in Δ) and total honest words under adaptive strategies",
+		"protocol", AllProtocols, cols, func(row, col int) string {
+			c := cellAt(r.Cells, len(specs), row, col)
+			return orStalled(c.Decided, "%.2fΔ %dw", float64(c.SyncLatency)/float64(AttackDelta), c.TotalWords)
+		})
 	t.AddNote("strategies: vote-then-silence desync, next-f-leaders omission, honest-till-GST straddle, leader-slot darkness + sync spam")
 	t.AddNote("words charge honest sends only (msg.Words per message); W_GST windows are in AttackCell.WindowWords")
 	return t
@@ -279,13 +267,8 @@ func measureAttack(res *Result) AttackCell {
 	return cell
 }
 
-// Attack runs one attack strategy (by index into AttackSpecs) for one
-// protocol and size.
-func Attack(p Protocol, f, si int, seed int64) AttackCell {
-	return AttackIn(nil, p, f, si, seed)
-}
-
-// AttackIn is Attack inside an execution arena (see ChaosIn): repeated
+// AttackIn runs one attack strategy (by index into AttackSpecs) for one
+// protocol and size inside an execution arena (see ChaosIn): repeated
 // cells amortize their setup through the arena. A nil arena runs
 // standalone.
 func AttackIn(a *Arena, p Protocol, f, si int, seed int64) AttackCell {
@@ -298,20 +281,11 @@ func AttackIn(a *Arena, p Protocol, f, si int, seed int64) AttackCell {
 // every worker count.
 func AttackSweep(f int, seed int64, opts SweepOptions) *AttackReport {
 	specs := AttackSpecs()
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(specs))
-	for _, p := range AllProtocols {
-		for _, spec := range specs {
-			scenarios = append(scenarios, attackScenario(p, f, spec, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	sr := Sweep(scenarios, opts)
-
-	rep := &AttackReport{Workers: sr.Workers, Elapsed: sr.Elapsed}
-	for i := range sr.Cells {
-		cell := measureAttack(sr.Cells[i].Result)
-		cell.Seed = sr.Cells[i].Scenario.Seed
-		rep.Cells = append(rep.Cells, cell)
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(specs)}, seed, opts,
+		func(row, col, _ int) Scenario { return attackScenario(AllProtocols[row], f, specs[col], 0) })
+	rep := &AttackReport{Workers: g.Workers, Elapsed: g.Elapsed}
+	for i := range g.Cells {
+		rep.Cells = append(rep.Cells, measureAttack(g.Cells[i].Result))
 	}
 	return rep
 }
@@ -319,12 +293,7 @@ func AttackSweep(f int, seed int64, opts SweepOptions) *AttackReport {
 // AttackTable renders the attack comparison: every protocol's post-GST
 // view-synchronization latency and words under the four adaptive
 // strategies.
-func AttackTable(f int, seed int64) *Table {
-	return AttackTableOpts(f, seed, SweepOptions{})
-}
-
-// AttackTableOpts is AttackTable with explicit sweep options.
-func AttackTableOpts(f int, seed int64, opts SweepOptions) *Table {
+func AttackTable(f int, seed int64, opts SweepOptions) *Table {
 	return AttackSweep(f, seed, opts).Table()
 }
 
@@ -332,37 +301,15 @@ func AttackTableOpts(f int, seed int64, opts SweepOptions) *Table {
 // Word-complexity scaling (the eventual linear-in-f_a claim, in words)
 // ---------------------------------------------------------------------------
 
-// wordsTable runs the AllProtocols × axis matrix (protocols outer,
-// per-cell derived seeds) on the sweep engine and renders the maximum
+// wordsTable runs the AllProtocols × axis grid and renders the maximum
 // honest words per decision window, one column per axis value.
-func wordsTable(title string, axis []int, col func(v int) string, scenario func(p Protocol, v int) Scenario, seed int64, opts SweepOptions) *Table {
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(axis))
-	for _, p := range AllProtocols {
-		for _, v := range axis {
-			scenarios = append(scenarios, scenario(p, v))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
-	t := &Table{Title: title}
-	t.Header = []string{"protocol"}
-	for _, v := range axis {
-		t.Header = append(t.Header, col(v))
-	}
-	for pi, p := range AllProtocols {
-		row := []string{string(p)}
-		for vi := range axis {
-			r := measureEventual(results[pi*len(axis)+vi])
-			if r.Decisions == 0 {
-				row = append(row, "stalled")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.0f", r.MaxWords))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+func wordsTable(title string, axis []int, label func(v int) string, scenario func(p Protocol, v int) Scenario, seed int64, opts SweepOptions) *Table {
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(axis)}, seed, opts,
+		func(row, col, _ int) Scenario { return scenario(AllProtocols[row], axis[col]) })
+	return gridTable(title, "protocol", AllProtocols, axisLabels(axis, label), func(row, col int) string {
+		r := measureEventual(g.result(row, col))
+		return orStalled(r.Decisions > 0, "%.0f", r.MaxWords)
+	})
 }
 
 // EventualWordsTable regenerates the eventual worst-case communication
@@ -373,8 +320,7 @@ func wordsTable(title string, axis []int, col func(v int) string, scenario func(
 func EventualWordsTable(f int, fas []int, seed int64, opts SweepOptions) *Table {
 	t := wordsTable(
 		fmt.Sprintf("Eventual worst-case communication in words, n=%d: max words between consecutive decisions", 3*f+1),
-		fas,
-		func(fa int) string { return fmt.Sprintf("fa=%d", fa) },
+		fas, faLabel,
 		func(p Protocol, fa int) Scenario { return eventualScenario(p, f, fa, 0) },
 		seed, opts)
 	t.AddNote("paper: Lumiere/Fever O(n·f_a+n) words — growing with actual faults; LP22/NK20 O(n²) regardless of f_a")
@@ -383,14 +329,13 @@ func EventualWordsTable(f int, fas []int, seed int64, opts SweepOptions) *Table 
 
 // WordScalingTable sweeps n at fixed f_a and reports the maximum words
 // per decision window: the word-complexity counterpart of
-// EventualScaling. Lumiere's and Fever's rows grow ~linearly in n,
+// EventualScalingTable. Lumiere's and Fever's rows grow ~linearly in n,
 // LP22's and NK20's quadratically — the scenario family where eventual
 // word counts track actual faults rather than system size.
 func WordScalingTable(fs []int, fa int, seed int64, opts SweepOptions) *Table {
 	t := wordsTable(
 		fmt.Sprintf("Eventual word-complexity scaling (f_a=%d): max words between consecutive decisions", fa),
-		fs,
-		func(f int) string { return fmt.Sprintf("n=%d", 3*f+1) },
+		fs, nLabel,
 		func(p Protocol, f int) Scenario { return eventualScenario(p, f, fa, 0) },
 		seed, opts)
 	t.AddNote("divide a row by n: ~flat for Lumiere/Fever (words linear in n), growing for LP22/NK20 (quadratic)")
@@ -454,34 +399,15 @@ func LargeNScenario(p Protocol, n int, seed int64) Scenario {
 // synchronization — skipping it would skip the very window the table
 // exists to measure.
 func LargeNWordsTable(ns []int, seed int64, opts SweepOptions) *Table {
-	scenarios := make([]Scenario, 0, len(LargeNProtocols)*len(ns))
-	for _, p := range LargeNProtocols {
-		for _, n := range ns {
-			scenarios = append(scenarios, LargeNScenario(p, n, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
-	t := &Table{Title: "Massive-n word-complexity scaling: max honest words between consecutive decisions / n (f_a=1)"}
-	t.Header = []string{"protocol"}
-	for _, n := range ns {
-		t.Header = append(t.Header, fmt.Sprintf("n=%d", n))
-	}
-	for pi, p := range LargeNProtocols {
-		row := []string{string(p)}
-		for ni := range ns {
-			res := results[pi*len(ns)+ni]
-			warm := types.Time(0).Add(res.Scenario.Duration / 4)
-			stats := res.Collector.Stats(warm, 0)
-			if res.Aborted || stats.Count == 0 {
-				row = append(row, "stalled")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.1f", stats.MaxWords/float64(res.Cfg.N)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	g := sweepGrid(gridShape{rows: len(LargeNProtocols), cols: len(ns)}, seed, opts,
+		func(row, col, _ int) Scenario { return LargeNScenario(LargeNProtocols[row], ns[col], 0) })
+	t := gridTable("Massive-n word-complexity scaling: max honest words between consecutive decisions / n (f_a=1)",
+		"protocol", LargeNProtocols, axisLabels(ns, func(n int) string { return fmt.Sprintf("n=%d", n) }),
+		func(row, col int) string {
+			res := g.result(row, col)
+			stats := res.Collector.Stats(types.Time(0).Add(res.Scenario.Duration/4), 0)
+			return orStalled(!res.Aborted && stats.Count > 0, "%.1f", stats.MaxWords/float64(res.Cfg.N))
+		})
 	t.AddNote("~flat row: worst window O(n) words (Lumiere); ~4n row: worst window Θ(n²) words (LP22's epoch sync)")
 	return t
 }

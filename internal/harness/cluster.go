@@ -89,38 +89,24 @@ func (e ClusterExperiment) withDefaults() ClusterExperiment {
 }
 
 // LinkPolicy composes the experiment's chaos axes into the link policy
-// each node's socket-level conditioner applies, exactly as
-// Scenario.linkPolicy composes for the simulated network (innermost to
-// outermost: reorder → duplicate → loss → partition), over a zero-delay
-// base: on a real network the wire supplies δ itself. Nil when no axis
+// each node's socket-level conditioner applies: Scenario.linkPolicy's
+// chain (reorder → duplicate → loss → partition) over a zero-delay base,
+// since on a real network the wire supplies δ itself. Nil when no axis
 // is set.
 func (e ClusterExperiment) LinkPolicy() network.LinkPolicy {
-	var link network.LinkPolicy = network.DelayLink{P: network.Fixed{D: 0}}
-	conditioned := false
-	if e.ReorderJitter > 0 {
-		link = adversary.Reordering{Base: link, Jitter: e.ReorderJitter}
-		conditioned = true
-	}
-	if e.Duplication > 0 {
-		link = adversary.Duplicating{Base: link, P: e.Duplication, Jitter: e.Delta / 2}
-		conditioned = true
-	}
-	if e.Loss > 0 {
-		link = adversary.Lossy{Base: link, P: e.Loss, Until: types.Time(0).Add(e.LossUntil)}
-		conditioned = true
-	}
-	if len(e.Partitions) > 0 {
-		heal := types.Time(0).Add(e.GST)
-		if e.PartitionHeal > 0 {
-			heal = types.Time(0).Add(e.PartitionHeal)
-		}
-		link = adversary.NewPartition(link, e.N, heal, e.Partitions...)
-		conditioned = true
-	}
-	if !conditioned {
+	if e.ReorderJitter <= 0 && e.Duplication <= 0 && e.Loss <= 0 && len(e.Partitions) == 0 {
 		return nil
 	}
-	return link
+	s := Scenario{
+		Delta:         e.Delta,
+		Loss:          e.Loss,
+		LossUntil:     e.LossUntil,
+		Duplication:   e.Duplication,
+		ReorderJitter: e.ReorderJitter,
+		Partitions:    e.Partitions,
+		PartitionHeal: e.PartitionHeal,
+	}
+	return s.linkPolicy(types.Config{N: e.N}, types.Time(0).Add(e.GST), network.Fixed{})
 }
 
 // ClusterResult carries everything measured about one wall-clock

@@ -14,9 +14,9 @@ import (
 // of the paper (see DESIGN.md §4 for the experiment index and
 // EXPERIMENTS.md for paper-vs-measured records). Every experiment is
 // split into a scenario builder and a pure measure over the resulting
-// *Result, so the table drivers can flatten their full protocol × size
-// matrices into a single Sweep (sweep.go) and fan the executions across
-// the worker pool; per-cell seeds are derived with DeriveSeed, making the
+// *Result, so each table driver runs its full protocol × axis grid as a
+// single Sweep (sweepGrid in sweep.go) fanned across the worker pool;
+// sweepGrid derives the per-cell seeds with DeriveSeed, making the
 // rendered tables byte-identical at any worker count.
 
 // DefaultFs is the fault-tolerance sweep used by the scaling experiments
@@ -93,29 +93,25 @@ var worstStrategies = []worstStrategy{
 // The strategies are independent executions, so they run as a small
 // sweep; all use the same seed (the strategy, not the randomness, is the
 // variable).
-func WorstCase(p Protocol, f int, seed int64) WorstCaseResult {
-	return WorstCaseOpts(p, f, seed, SweepOptions{})
-}
-
-// WorstCaseOpts is WorstCase with explicit sweep options.
-func WorstCaseOpts(p Protocol, f int, seed int64, opts SweepOptions) WorstCaseResult {
+func WorstCase(p Protocol, f int, seed int64, opts SweepOptions) WorstCaseResult {
 	scenarios := make([]Scenario, len(worstStrategies))
 	for i, st := range worstStrategies {
 		scenarios[i] = st.scenario(p, f, seed)
 	}
 	opts.KeepSeeds = true
-	return reduceWorstCase(Sweep(scenarios, opts).Results())
+	sr := Sweep(scenarios, opts)
+	return reduceWorstCase(func(i int) *Result { return sr.Cells[i].Result })
 }
 
-// reduceWorstCase combines one result per strategy (in worstStrategies
-// order) into the strategy maximum.
-func reduceWorstCase(results []*Result) WorstCaseResult {
+// reduceWorstCase combines one result per strategy (result(i) ran
+// worstStrategies[i]) into the strategy maximum.
+func reduceWorstCase(result func(strategy int) *Result) WorstCaseResult {
 	var out WorstCaseResult
 	var maxLat time.Duration
 	var first WorstCaseResult
-	for i, res := range results {
-		c := worstStrategies[i].measure(res)
-		c.Strategy = worstStrategies[i].name
+	for i, st := range worstStrategies {
+		c := st.measure(result(i))
+		c.Strategy = st.name
 		if i == 0 {
 			first = c
 		}
@@ -275,56 +271,44 @@ func measureWorstCase(res *Result) WorstCaseResult {
 }
 
 // Table1WorstCase regenerates the "Worst-case Communication" and
-// "Worst-case Latency" rows of Table 1 as an empirical n-sweep.
-func Table1WorstCase(fs []int, seed int64) (*Table, *Table) {
-	return Table1WorstCaseOpts(fs, seed, SweepOptions{})
-}
-
-// Table1WorstCaseOpts is Table1WorstCase with explicit sweep options: the
-// full protocol × f × strategy matrix is flattened into one sweep, so
-// every execution runs on the worker pool. Cell (protocol, f) gets the
-// seed DeriveSeed(seed, cell index); all of a cell's strategies share it.
-func Table1WorstCaseOpts(fs []int, seed int64, opts SweepOptions) (*Table, *Table) {
-	nStrat := len(worstStrategies)
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(fs)*nStrat)
-	for pi, p := range AllProtocols {
-		for fi, f := range fs {
-			cellSeed := DeriveSeed(seed, pi*len(fs)+fi)
-			for _, st := range worstStrategies {
-				scenarios = append(scenarios, st.scenario(p, f, cellSeed))
-			}
-		}
+// "Worst-case Latency" rows of Table 1 as an empirical n-sweep: the
+// protocol × f × strategy grid runs as one sweep, and all of a cell's
+// strategies share the cell's seed (the strategy, not the randomness, is
+// the variable).
+func Table1WorstCase(fs []int, seed int64, opts SweepOptions) (*Table, *Table) {
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(fs), runs: len(worstStrategies), sharedSeed: true}, seed, opts,
+		func(row, col, run int) Scenario { return worstStrategies[run].scenario(AllProtocols[row], fs[col], 0) })
+	worst := func(row, col int) WorstCaseResult {
+		return reduceWorstCase(func(run int) *Result { return g.cell(row, col, run).Result })
 	}
-	opts.KeepSeeds = true
-	results := Sweep(scenarios, opts).Results()
-
-	comm := &Table{Title: "Table 1 (worst-case communication): messages from GST+Δ to first honest-leader decision"}
-	lat := &Table{Title: "Table 1 (worst-case latency): GST to first honest-leader decision"}
-	header := []string{"protocol"}
-	for _, f := range fs {
-		header = append(header, fmt.Sprintf("n=%d", 3*f+1))
-	}
-	comm.Header, lat.Header = header, header
-	for pi, p := range AllProtocols {
-		crow := []string{string(p)}
-		lrow := []string{string(p)}
-		for fi := range fs {
-			base := (pi*len(fs) + fi) * nStrat
-			r := reduceWorstCase(results[base : base+nStrat])
-			if !r.Decided {
-				crow = append(crow, "stalled")
-				lrow = append(lrow, "stalled")
-				continue
-			}
-			crow = append(crow, fmt.Sprintf("%d", r.Msgs))
-			lrow = append(lrow, fmt.Sprintf("%.2fΔ", float64(r.Latency)/float64(50*time.Millisecond)))
-		}
-		comm.Rows = append(comm.Rows, crow)
-		lat.Rows = append(lat.Rows, lrow)
-	}
+	cols := axisLabels(fs, nLabel)
+	comm := gridTable("Table 1 (worst-case communication): messages from GST+Δ to first honest-leader decision",
+		"protocol", AllProtocols, cols, func(row, col int) string {
+			r := worst(row, col)
+			return orStalled(r.Decided, "%d", r.Msgs)
+		})
+	lat := gridTable("Table 1 (worst-case latency): GST to first honest-leader decision",
+		"protocol", AllProtocols, cols, func(row, col int) string {
+			r := worst(row, col)
+			return orStalled(r.Decided, "%.2fΔ", float64(r.Latency)/float64(50*time.Millisecond))
+		})
 	comm.AddNote("paper: Cogsworth O(n³), NK20/LP22/Fever/Lumiere O(n²)")
 	lat.AddNote("paper: Cogsworth O(n²Δ), NK20/LP22/Lumiere O(nΔ), Fever O(f_aΔ+δ)")
 	return comm, lat
+}
+
+// nLabel and faLabel head the columns of the n-sweep (axis value f,
+// n = 3f+1) and f_a-sweep tables.
+func nLabel(f int) string   { return fmt.Sprintf("n=%d", 3*f+1) }
+func faLabel(fa int) string { return fmt.Sprintf("fa=%d", fa) }
+
+// orStalled renders a table cell: the formatted measure, or "stalled"
+// when the run never produced it.
+func orStalled(ok bool, format string, args ...any) string {
+	if !ok {
+		return "stalled"
+	}
+	return fmt.Sprintf(format, args...)
 }
 
 // EventualResult is one protocol point of the steady-state experiments.
@@ -389,103 +373,47 @@ func Eventual(p Protocol, f, fa int, seed int64) EventualResult {
 // Table1Eventual regenerates the "Eventual Worst-case Communication" and
 // "Eventual Worst-case Latency" rows of Table 1 as an f_a-sweep at fixed
 // n = 3f+1.
-func Table1Eventual(f int, fas []int, seed int64) (*Table, *Table) {
-	return Table1EventualOpts(f, fas, seed, SweepOptions{})
-}
-
-// Table1EventualOpts is Table1Eventual with explicit sweep options.
-func Table1EventualOpts(f int, fas []int, seed int64, opts SweepOptions) (*Table, *Table) {
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(fas))
-	for _, p := range AllProtocols {
-		for _, fa := range fas {
-			scenarios = append(scenarios, eventualScenario(p, f, fa, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
-	comm := &Table{Title: fmt.Sprintf("Table 1 (eventual worst-case communication), n=%d: max messages between consecutive decisions", 3*f+1)}
-	lat := &Table{Title: fmt.Sprintf("Table 1 (eventual worst-case latency), n=%d: max gap between consecutive decisions (in Δ)", 3*f+1)}
-	header := []string{"protocol"}
-	for _, fa := range fas {
-		header = append(header, fmt.Sprintf("fa=%d", fa))
-	}
-	comm.Header, lat.Header = header, header
-	delta := 50 * time.Millisecond
-	for pi, p := range AllProtocols {
-		crow := []string{string(p)}
-		lrow := []string{string(p)}
-		for fi := range fas {
-			r := measureEventual(results[pi*len(fas)+fi])
-			if r.Decisions == 0 {
-				crow = append(crow, "stalled")
-				lrow = append(lrow, "stalled")
-				continue
-			}
-			crow = append(crow, fmt.Sprintf("%.0f", r.MaxMsgs))
-			lrow = append(lrow, fmt.Sprintf("%.2fΔ", float64(r.MaxGap)/float64(delta)))
-		}
-		comm.Rows = append(comm.Rows, crow)
-		lat.Rows = append(lat.Rows, lrow)
-	}
+func Table1Eventual(f int, fas []int, seed int64, opts SweepOptions) (*Table, *Table) {
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(fas)}, seed, opts,
+		func(row, col, _ int) Scenario { return eventualScenario(AllProtocols[row], f, fas[col], 0) })
+	cols := axisLabels(fas, faLabel)
+	comm := gridTable(fmt.Sprintf("Table 1 (eventual worst-case communication), n=%d: max messages between consecutive decisions", 3*f+1),
+		"protocol", AllProtocols, cols, func(row, col int) string {
+			r := measureEventual(g.result(row, col))
+			return orStalled(r.Decisions > 0, "%.0f", r.MaxMsgs)
+		})
+	lat := gridTable(fmt.Sprintf("Table 1 (eventual worst-case latency), n=%d: max gap between consecutive decisions (in Δ)", 3*f+1),
+		"protocol", AllProtocols, cols, func(row, col int) string {
+			r := measureEventual(g.result(row, col))
+			return orStalled(r.Decisions > 0, "%.2fΔ", float64(r.MaxGap)/float64(50*time.Millisecond))
+		})
 	comm.AddNote("paper: Cogsworth O(n+n·f_a²), NK20 O(n²), LP22 O(n²), Fever/Lumiere O(n·f_a+n)")
 	lat.AddNote("paper: Cogsworth O(f_a²Δ+δ), NK20/LP22 O(nΔ), Fever/Lumiere O(f_aΔ+δ)")
 	return comm, lat
 }
 
-// EventualScalingData runs the n-sweep at fixed f_a for every protocol.
-func EventualScalingData(fs []int, fa int, seed int64) map[Protocol][]EventualResult {
-	return EventualScalingDataOpts(fs, fa, seed, SweepOptions{})
-}
-
-// EventualScalingDataOpts is EventualScalingData with explicit sweep
-// options: the protocol × f matrix runs as one sweep with per-cell
-// derived seeds, so the data (and any table rendered from it) is
-// byte-identical at every worker count.
-func EventualScalingDataOpts(fs []int, fa int, seed int64, opts SweepOptions) map[Protocol][]EventualResult {
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(fs))
-	for _, p := range AllProtocols {
-		for _, f := range fs {
-			scenarios = append(scenarios, eventualScenario(p, f, fa, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
+// EventualScalingData runs the n-sweep at fixed f_a for every protocol —
+// the per-decision communication scaling (Lumiere/Fever O(n) vs LP22/NK20
+// O(n²)) that EventualScalingTable and EventualScalingPlot render.
+func EventualScalingData(fs []int, fa int, seed int64, opts SweepOptions) map[Protocol][]EventualResult {
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(fs)}, seed, opts,
+		func(row, col, _ int) Scenario { return eventualScenario(AllProtocols[row], fs[col], fa, 0) })
 	out := make(map[Protocol][]EventualResult, len(AllProtocols))
-	for pi, p := range AllProtocols {
-		for fi := range fs {
-			out[p] = append(out[p], measureEventual(results[pi*len(fs)+fi]))
+	for row, p := range AllProtocols {
+		for col := range fs {
+			out[p] = append(out[p], measureEventual(g.result(row, col)))
 		}
 	}
 	return out
 }
 
-// EventualScaling sweeps n at fixed small f_a to expose the per-decision
-// communication scaling (Lumiere/Fever O(n) vs LP22/NK20 O(n²)).
-func EventualScaling(fs []int, fa int, seed int64) *Table {
-	return EventualScalingTable(EventualScalingData(fs, fa, seed), fs, fa)
-}
-
 // EventualScalingTable formats pre-computed sweep data.
 func EventualScalingTable(data map[Protocol][]EventualResult, fs []int, fa int) *Table {
-	t := &Table{Title: fmt.Sprintf("Eventual communication scaling (f_a=%d): max messages between consecutive decisions", fa)}
-	t.Header = []string{"protocol"}
-	for _, f := range fs {
-		t.Header = append(t.Header, fmt.Sprintf("n=%d", 3*f+1))
-	}
-	for _, p := range AllProtocols {
-		row := []string{string(p)}
-		for _, r := range data[p] {
-			if r.Decisions == 0 {
-				row = append(row, "stalled")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.0f", r.MaxMsgs))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	return gridTable(fmt.Sprintf("Eventual communication scaling (f_a=%d): max messages between consecutive decisions", fa),
+		"protocol", AllProtocols, axisLabels(fs, nLabel), func(row, col int) string {
+			r := data[AllProtocols[row]][col]
+			return orStalled(r.Decisions > 0, "%.0f", r.MaxMsgs)
+		})
 }
 
 // EventualScalingPlot renders the sweep as a log-scale ASCII chart, the
@@ -571,38 +499,14 @@ var figure1Protocols = []Protocol{ProtoLP22, ProtoNK20, ProtoFever, ProtoBasic, 
 
 // Figure1Table renders the Figure 1 comparison as an n-sweep: the stall
 // caused by one Byzantine processor, in units of each protocol's Γ.
-func Figure1Table(fs []int, seed int64) *Table {
-	return Figure1TableOpts(fs, seed, SweepOptions{})
-}
-
-// Figure1TableOpts is Figure1Table with explicit sweep options.
-func Figure1TableOpts(fs []int, seed int64, opts SweepOptions) *Table {
-	scenarios := make([]Scenario, 0, len(figure1Protocols)*len(fs))
-	for _, p := range figure1Protocols {
-		for _, f := range fs {
-			scenarios = append(scenarios, figure1Scenario(p, f, 0, false))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
-	t := &Table{Title: "Figure 1: max stall caused by a single Byzantine leader after fast QCs (in units of Γ)"}
-	t.Header = []string{"protocol"}
-	for _, f := range fs {
-		t.Header = append(t.Header, fmt.Sprintf("n=%d", 3*f+1))
-	}
-	for pi, p := range figure1Protocols {
-		row := []string{string(p)}
-		for fi := range fs {
-			r := measureFigure1(results[pi*len(fs)+fi])
-			if r.Decisions == 0 {
-				row = append(row, "stalled")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2fΓ", r.StallGammas))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+func Figure1Table(fs []int, seed int64, opts SweepOptions) *Table {
+	g := sweepGrid(gridShape{rows: len(figure1Protocols), cols: len(fs)}, seed, opts,
+		func(row, col, _ int) Scenario { return figure1Scenario(figure1Protocols[row], fs[col], 0, false) })
+	t := gridTable("Figure 1: max stall caused by a single Byzantine leader after fast QCs (in units of Γ)",
+		"protocol", figure1Protocols, axisLabels(fs, nLabel), func(row, col int) string {
+			r := measureFigure1(g.result(row, col))
+			return orStalled(r.Decisions > 0, "%.2fΓ", r.StallGammas)
+		})
 	t.AddNote("paper (Fig. 1): LP22's stall grows to almost (f+1)Γ = O(nΔ); Lumiere/Fever stay O(Γ) = O(Δ) per faulty leader")
 	return t
 }
@@ -654,37 +558,15 @@ func SmoothResponsiveness(p Protocol, f int, deltas []time.Duration, seed int64)
 	return out
 }
 
-// ResponsivenessTable renders the δ-sweep for several protocols.
-func ResponsivenessTable(f int, seed int64) *Table {
-	return ResponsivenessTableOpts(f, seed, SweepOptions{})
-}
-
-// ResponsivenessTableOpts is ResponsivenessTable with explicit sweep
-// options.
-func ResponsivenessTableOpts(f int, seed int64, opts SweepOptions) *Table {
+// ResponsivenessTable renders the δ-sweep for every protocol.
+func ResponsivenessTable(f int, seed int64, opts SweepOptions) *Table {
 	deltas := []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(deltas))
-	for _, p := range AllProtocols {
-		for _, d := range deltas {
-			scenarios = append(scenarios, responsivenessScenario(p, f, d, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
-	t := &Table{Title: fmt.Sprintf("Smooth optimistic responsiveness (f_a=0, n=%d, Δ=100ms): mean decision gap vs actual delay δ", 3*f+1)}
-	t.Header = []string{"protocol"}
-	for _, d := range deltas {
-		t.Header = append(t.Header, d.String())
-	}
-	for pi, p := range AllProtocols {
-		row := []string{string(p)}
-		for di := range deltas {
-			pt := measureResponsiveness(results[pi*len(deltas)+di])
-			row = append(row, pt.MeanGap.Round(time.Millisecond/10).String())
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(deltas)}, seed, opts,
+		func(row, col, _ int) Scenario { return responsivenessScenario(AllProtocols[row], f, deltas[col], 0) })
+	t := gridTable(fmt.Sprintf("Smooth optimistic responsiveness (f_a=0, n=%d, Δ=100ms): mean decision gap vs actual delay δ", 3*f+1),
+		"protocol", AllProtocols, axisLabels(deltas, time.Duration.String), func(row, col int) string {
+			return measureResponsiveness(g.result(row, col)).MeanGap.Round(time.Millisecond / 10).String()
+		})
 	t.AddNote("responsive protocols track ~3δ (x=3 network round-trips); clock-driven entry pins the gap near Γ")
 	return t
 }
@@ -738,31 +620,23 @@ func HeavySyncCount(p Protocol, f, fa int, dur time.Duration, seed int64) (heavy
 // heavySyncProtocols is the heavy-sync comparison set.
 var heavySyncProtocols = []Protocol{ProtoLP22, ProtoBasic, ProtoLumiere}
 
-// HeavySyncTable renders the heavy-synchronization comparison.
-func HeavySyncTable(f int, seed int64) *Table {
-	return HeavySyncTableOpts(f, seed, SweepOptions{})
-}
-
-// HeavySyncTableOpts is HeavySyncTable with explicit sweep options.
-func HeavySyncTableOpts(f int, seed int64, opts SweepOptions) *Table {
+// HeavySyncTable renders the heavy-synchronization comparison: per fault
+// mix f_a ∈ {0, 1}, a heavy-sync count column and an epochs column.
+func HeavySyncTable(f int, seed int64, opts SweepOptions) *Table {
 	fas := []int{0, 1}
-	scenarios := make([]Scenario, 0, len(heavySyncProtocols)*len(fas))
-	for _, p := range heavySyncProtocols {
-		for _, fa := range fas {
-			scenarios = append(scenarios, heavySyncScenario(p, f, fa, 240*time.Second, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
-	t := &Table{Title: fmt.Sprintf("Heavy (Θ(n²)) epoch synchronizations after warmup, n=%d, 240s run", 3*f+1)}
-	t.Header = []string{"protocol", "fa=0 heavy", "fa=0 epochs", "fa=1 heavy", "fa=1 epochs"}
-	for pi, p := range heavySyncProtocols {
-		h0, e0 := measureHeavySync(results[pi*len(fas)+0])
-		h1, e1 := measureHeavySync(results[pi*len(fas)+1])
-		t.AddRow(string(p), fmt.Sprintf("%d", h0), fmt.Sprintf("%.0f", e0),
-			fmt.Sprintf("%d", h1), fmt.Sprintf("%.0f", e1))
-	}
+	g := sweepGrid(gridShape{rows: len(heavySyncProtocols), cols: len(fas)}, seed, opts,
+		func(row, col, _ int) Scenario {
+			return heavySyncScenario(heavySyncProtocols[row], f, fas[col], 240*time.Second, 0)
+		})
+	t := gridTable(fmt.Sprintf("Heavy (Θ(n²)) epoch synchronizations after warmup, n=%d, 240s run", 3*f+1),
+		"protocol", heavySyncProtocols, []string{"fa=0 heavy", "fa=0 epochs", "fa=1 heavy", "fa=1 epochs"},
+		func(row, col int) string {
+			heavy, epochs := measureHeavySync(g.result(row, col/2))
+			if col%2 == 0 {
+				return fmt.Sprintf("%d", heavy)
+			}
+			return fmt.Sprintf("%.0f", epochs)
+		})
 	t.AddNote("paper: Lumiere performs an expected constant number of heavy syncs after GST; LP22/Basic one per epoch")
 	return t
 }
@@ -858,13 +732,8 @@ func measureChaos(res *Result) ChaosResult {
 	return out
 }
 
-// Chaos runs one chaos condition (by index into chaosConditions) for
-// one protocol and size.
-func Chaos(p Protocol, f, ci int, seed int64) ChaosResult {
-	return ChaosIn(nil, p, f, ci, seed)
-}
-
-// ChaosIn is Chaos inside an execution arena: callers measuring many
+// ChaosIn runs one chaos condition (by index into chaosConditions) for
+// one protocol and size inside an execution arena: callers measuring many
 // cells back to back (BenchmarkChaosTable) amortize the per-cell setup
 // by threading one arena through. A nil arena runs standalone.
 func ChaosIn(a *Arena, p Protocol, f, ci int, seed int64) ChaosResult {
@@ -876,52 +745,21 @@ func ChaosIn(a *Arena, p Protocol, f, ci int, seed int64) ChaosResult {
 // ChaosConditionNames lists the chaos table's conditions in column
 // order.
 func ChaosConditionNames() []string {
-	out := make([]string, len(chaosConditions))
-	for i, c := range chaosConditions {
-		out[i] = c.name
-	}
-	return out
+	return axisLabels(chaosConditions, func(c chaosCondition) string { return c.name })
 }
 
 // ChaosTable renders the chaos comparison: every protocol's
 // view-synchronization latency (first honest-leader decision after GST,
 // in Δ) under partitions healing at GST, pre-GST loss, duplication with
 // reordering, and crash-recovery churn.
-func ChaosTable(f int, seed int64) *Table {
-	return ChaosTableOpts(f, seed, SweepOptions{})
-}
-
-// ChaosTableOpts is ChaosTable with explicit sweep options: the
-// protocol × condition matrix runs as one sweep with per-cell derived
-// seeds, byte-identical at every worker count.
-func ChaosTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(chaosConditions))
-	for _, p := range AllProtocols {
-		for ci := range chaosConditions {
-			scenarios = append(scenarios, chaosScenario(p, f, ci, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	results := Sweep(scenarios, opts).Results()
-
-	delta := 50 * time.Millisecond
-	t := &Table{Title: fmt.Sprintf("Chaos: view-synchronization latency after GST (in Δ), n=%d, GST=2s", 3*f+1)}
-	t.Header = []string{"protocol"}
-	for _, c := range chaosConditions {
-		t.Header = append(t.Header, c.name)
-	}
-	for pi, p := range AllProtocols {
-		row := []string{string(p)}
-		for ci := range chaosConditions {
-			r := measureChaos(results[pi*len(chaosConditions)+ci])
-			if !r.Decided {
-				row = append(row, "stalled")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2fΔ", float64(r.SyncLatency)/float64(delta)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+func ChaosTable(f int, seed int64, opts SweepOptions) *Table {
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(chaosConditions)}, seed, opts,
+		func(row, col, _ int) Scenario { return chaosScenario(AllProtocols[row], f, col, 0) })
+	t := gridTable(fmt.Sprintf("Chaos: view-synchronization latency after GST (in Δ), n=%d, GST=2s", 3*f+1),
+		"protocol", AllProtocols, ChaosConditionNames(), func(row, col int) string {
+			r := measureChaos(g.result(row, col))
+			return orStalled(r.Decided, "%.2fΔ", float64(r.SyncLatency)/float64(50*time.Millisecond))
+		})
 	t.AddNote("conditions heal at GST: partition (f+1 isolated), 40%% pre-GST loss, 33%% duplication + Δ reorder jitter, f-node crash-recovery churn")
 	t.AddNote("the §2 clamp floods withheld pre-GST traffic back at GST+Δ; latency is the first honest-leader decision after GST")
 	return t

@@ -1,0 +1,116 @@
+package harness
+
+import (
+	"flag"
+	"os"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// testdata/tables.golden pins the rendering of every table the drivers
+// produce, at seed 42 and f = 1: a driver refactor that moves a seed, a
+// flat index or a format verb shows up as a diff here instead of only in
+// EXPERIMENTS.md. `go test ./internal/harness -run 'Golden|ThroughputTable' -update`
+// rewrites the file.
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/tables.golden from the current renderings")
+
+const (
+	goldenPath = "testdata/tables.golden"
+	goldenSeed = 42
+)
+
+// goldenMu serializes access to the golden file: the tables are checked
+// from parallel tests, and -update rewrites it one section at a time.
+var goldenMu sync.Mutex
+
+// readGolden parses the golden file into its "### name" sections.
+func readGolden() (map[string]string, error) {
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		return nil, err
+	}
+	sections := map[string]string{}
+	var name string
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "### "); ok {
+			name = strings.TrimSuffix(rest, "\n")
+			continue
+		}
+		sections[name] += line
+	}
+	return sections, nil
+}
+
+// checkGolden compares one rendering against its golden section (or,
+// under -update, replaces the section).
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	goldenMu.Lock()
+	defer goldenMu.Unlock()
+	sections, err := readGolden()
+	if *updateGolden {
+		if sections == nil {
+			sections = map[string]string{}
+		}
+		sections[name] = got
+		names := make([]string, 0, len(sections))
+		for n := range sections {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		var b strings.Builder
+		for _, n := range names {
+			b.WriteString("### " + n + "\n" + sections[n])
+		}
+		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, ok := sections[name]; !ok {
+		t.Fatalf("%s: no section %q (run with -update)", goldenPath, name)
+	} else if got != want {
+		t.Fatalf("%s differs from %s:\n--- want ---\n%s\n--- got ---\n%s", name, goldenPath, want, got)
+	}
+}
+
+// TestTablesGolden renders every table driver except ThroughputTable
+// (35 s; TestThroughputTableWorkerIndependence checks the rendering it
+// already produces) and compares against the golden file.
+func TestTablesGolden(t *testing.T) {
+	skipInShort(t)
+	t.Parallel()
+	fs, fas := []int{1}, []int{0, 1}
+	opts := SweepOptions{}
+	pair := func(a, b *Table) string { return a.Render() + b.Render() }
+	tables := []struct {
+		name   string
+		render func() string
+	}{
+		{"Table1WorstCase", func() string { return pair(Table1WorstCase(fs, goldenSeed, opts)) }},
+		{"Table1Eventual", func() string { return pair(Table1Eventual(1, fas, goldenSeed, opts)) }},
+		{"EventualScalingTable", func() string {
+			return EventualScalingTable(EventualScalingData(fs, 1, goldenSeed, opts), fs, 1).Render()
+		}},
+		{"Figure1Table", func() string { return Figure1Table(fs, goldenSeed, opts).Render() }},
+		{"ResponsivenessTable", func() string { return ResponsivenessTable(1, goldenSeed, opts).Render() }},
+		{"HeavySyncTable", func() string { return HeavySyncTable(1, goldenSeed, opts).Render() }},
+		{"ChaosTable", func() string { return ChaosTable(1, goldenSeed, opts).Render() }},
+		{"EventualWordsTable", func() string { return EventualWordsTable(1, fas, goldenSeed, opts).Render() }},
+		{"WordScalingTable", func() string { return WordScalingTable(fs, 1, goldenSeed, opts).Render() }},
+		{"LargeNWordsTable", func() string { return LargeNWordsTable([]int{16}, goldenSeed, opts).Render() }},
+		{"AttackTable", func() string { return AttackTable(1, goldenSeed, opts).Render() }},
+		{"TopologyTable", func() string { return TopologyTable(1, goldenSeed, opts).Render() }},
+		{"DriftToleranceTable", func() string { return DriftToleranceTable(1, goldenSeed, opts).Render() }},
+		{"ThroughputUnderAttackTable", func() string { return ThroughputUnderAttackTable(1, goldenSeed, opts).Render() }},
+	}
+	for _, tc := range tables {
+		checkGolden(t, tc.name, tc.render())
+	}
+}

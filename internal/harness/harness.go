@@ -152,11 +152,6 @@ type Scenario struct {
 	// TraceLimit enables event tracing, keeping at most this many
 	// events (0 disables tracing).
 	TraceLimit int
-	// KeepSendLog retains the full per-send record log in the metrics
-	// Collector (Collector.Sends). Default executions aggregate online
-	// and keep no per-send state, so sweeps run in memory proportional
-	// to distinct network-activity instants rather than total sends.
-	KeepSendLog bool
 	// SparseMetrics caps the metrics Collector's cumulative send series
 	// (metrics.WithSparse) for massive-n cells: totals stay exact,
 	// time-windowed queries become approximate at the coalesced
@@ -493,9 +488,6 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		}
 	}
 	copts := []metrics.Option{metrics.WithEpochWords(accountingEpochLen(s, cfg))}
-	if s.KeepSendLog {
-		copts = append(copts, metrics.WithSendLog())
-	}
 	if s.SparseMetrics > 0 {
 		copts = append(copts, metrics.WithSparse(s.SparseMetrics))
 	}

@@ -68,8 +68,8 @@ func TestSweepTableOutputDeterministic(t *testing.T) {
 	fas := []int{0, 1}
 	render := func(workers int) string {
 		opts := SweepOptions{Workers: workers}
-		c1, l1 := Table1EventualOpts(1, fas, 7, opts)
-		sc := EventualScalingDataOpts(fs, 1, 7, opts)
+		c1, l1 := Table1Eventual(1, fas, 7, opts)
+		sc := EventualScalingData(fs, 1, 7, opts)
 		return c1.Render() + l1.Render() + EventualScalingTable(sc, fs, 1).Render()
 	}
 	serial := render(1)
@@ -172,5 +172,67 @@ func TestDeriveSeedStable(t *testing.T) {
 			t.Fatalf("collision at index %d", i)
 		}
 		seen[s] = true
+	}
+}
+
+// TestSweepGrid pins the grid driver every table runs on, with a fake
+// 2 × 3 × 2 grid of 1-second scenarios: rows outermost and runs innermost
+// in the flat order, per-run derived seeds by default, one shared seed per
+// cell in sharedSeed mode, and identical results at any worker count.
+func TestSweepGrid(t *testing.T) {
+	t.Parallel()
+	const rows, cols, runs, seed = 2, 3, 2, 99
+	name := func(row, col, run int) string { return fmt.Sprintf("r%d-c%d-u%d", row, col, run) }
+	for _, shared := range []bool{false, true} {
+		shape := gridShape{rows: rows, cols: cols, runs: runs, sharedSeed: shared}
+		var want string
+		for _, workers := range []int{1, 4} {
+			g := sweepGrid(shape, seed, SweepOptions{Workers: workers}, func(row, col, run int) Scenario {
+				return Scenario{Name: name(row, col, run), F: 1, Delta: testDelta, Duration: time.Second, Seed: -1}
+			})
+			if len(g.Cells) != rows*cols*runs {
+				t.Fatalf("shared=%v: %d cells, want %d", shared, len(g.Cells), rows*cols*runs)
+			}
+			for row := 0; row < rows; row++ {
+				for col := 0; col < cols; col++ {
+					for run := 0; run < runs; run++ {
+						c := g.cell(row, col, run)
+						flat := (row*cols+col)*runs + run
+						if c.Index != flat || c.Scenario.Name != name(row, col, run) {
+							t.Fatalf("shared=%v: cell(%d,%d,%d) is flat %d %q, want flat %d", shared, row, col, run, c.Index, c.Scenario.Name, flat)
+						}
+						wantSeed := DeriveSeed(seed, flat)
+						if shared {
+							wantSeed = DeriveSeed(seed, row*cols+col)
+						}
+						if c.Scenario.Seed != wantSeed || c.Result.Scenario.Seed != wantSeed {
+							t.Fatalf("shared=%v: cell(%d,%d,%d) seed %d, want %d", shared, row, col, run, c.Scenario.Seed, wantSeed)
+						}
+					}
+				}
+			}
+			if g.result(1, 2) != g.cell(1, 2, 0).Result {
+				t.Fatalf("shared=%v: result(row, col) is not run 0", shared)
+			}
+			if got := sweepFingerprint(t, g.SweepResult); want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("shared=%v workers=%d diverged:\n%s\nvs workers=1:\n%s", shared, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestGridTable pins the table builder: corner, one row per name, cells
+// addressed (row, col), and cellAt's row-major indexing.
+func TestGridTable(t *testing.T) {
+	t.Parallel()
+	flat := []int{0, 1, 2, 3, 4, 5}
+	tb := gridTable("t", "protocol", []Protocol{ProtoLumiere, ProtoLP22}, []string{"a", "b", "c"}, func(row, col int) string {
+		return fmt.Sprint(*cellAt(flat, 3, row, col))
+	})
+	want := "== t ==\nprotocol  a  b  c\n--------  -  -  -\nlumiere   0  1  2\nlp22      3  4  5\n"
+	if got := tb.Render(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -85,10 +85,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -125,24 +125,34 @@ func measureThroughput(res *Result) ThroughputCell {
 // (seed, cell index), so the report is byte-identical at every worker
 // count.
 func ThroughputSweep(f int, seed int64, opts SweepOptions) *ThroughputReport {
-	scenarios := make([]Scenario, 0, len(AllProtocols)*len(ThroughputLoads)*len(ThroughputBatches))
-	for _, p := range AllProtocols {
-		for _, load := range ThroughputLoads {
-			for _, batch := range ThroughputBatches {
-				scenarios = append(scenarios, throughputScenario(p, f, load, batch, 0))
-			}
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	sr := Sweep(scenarios, opts)
-
-	rep := &ThroughputReport{Workers: sr.Workers, Elapsed: sr.Elapsed}
-	for i := range sr.Cells {
-		cell := measureThroughput(sr.Cells[i].Result)
-		cell.Seed = sr.Cells[i].Scenario.Seed
-		rep.Cells = append(rep.Cells, cell)
+	axis := throughputAxis()
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(axis)}, seed, opts,
+		func(row, col, _ int) Scenario {
+			return throughputScenario(AllProtocols[row], f, axis[col].load, axis[col].batch, 0)
+		})
+	rep := &ThroughputReport{Workers: g.Workers, Elapsed: g.Elapsed}
+	for i := range g.Cells {
+		rep.Cells = append(rep.Cells, measureThroughput(g.Cells[i].Result))
 	}
 	return rep
+}
+
+// loadBatch is one column of the throughput table.
+type loadBatch struct {
+	load  int64
+	batch int
+}
+
+// throughputAxis is the throughput table's column axis: ThroughputLoads ×
+// ThroughputBatches, loads outer.
+func throughputAxis() []loadBatch {
+	var out []loadBatch
+	for _, load := range ThroughputLoads {
+		for _, batch := range ThroughputBatches {
+			out = append(out, loadBatch{load, batch})
+		}
+	}
+	return out
 }
 
 // Table renders the report: one row per protocol, one column per load ×
@@ -150,26 +160,12 @@ func ThroughputSweep(f int, seed int64, opts SweepOptions) *ThroughputReport {
 // the simulated executions, so it is byte-identical at every worker
 // count.
 func (r *ThroughputReport) Table() *Table {
-	t := &Table{Title: "SMR throughput: committed commands/sec and commit latency (p50/p99) by offered load and batch size"}
-	t.Header = []string{"protocol"}
-	for _, load := range ThroughputLoads {
-		for _, batch := range ThroughputBatches {
-			t.Header = append(t.Header, fmt.Sprintf("%d/s b=%d", load, batch))
-		}
-	}
-	stride := len(ThroughputLoads) * len(ThroughputBatches)
-	for pi, p := range AllProtocols {
-		row := []string{string(p)}
-		for ci := 0; ci < stride; ci++ {
-			c := &r.Cells[pi*stride+ci]
-			if c.Committed == 0 {
-				row = append(row, "stalled")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.0f/s %s/%s", c.PerSec, shortDur(c.P50), shortDur(c.P99)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	cols := axisLabels(throughputAxis(), func(c loadBatch) string { return fmt.Sprintf("%d/s b=%d", c.load, c.batch) })
+	t := gridTable("SMR throughput: committed commands/sec and commit latency (p50/p99) by offered load and batch size",
+		"protocol", AllProtocols, cols, func(row, col int) string {
+			c := cellAt(r.Cells, len(cols), row, col)
+			return orStalled(c.Committed > 0, "%.0f/s %s/%s", c.PerSec, shortDur(c.P50), shortDur(c.P99))
+		})
 	t.AddNote("open loop: %d logical clients, %dB payload/cmd, Δ=50ms δ=5ms, stats after %s warmup", ThroughputClients, ThroughputPayloadPad, throughputWarmup)
 	t.AddNote("latency is submit→first commit at any honest replica; words/cmd in ThroughputCell.WordsPerCmd")
 	return t
@@ -188,12 +184,7 @@ func shortDur(d time.Duration) string {
 }
 
 // ThroughputTable regenerates the throughput comparison.
-func ThroughputTable(f int, seed int64) *Table {
-	return ThroughputTableOpts(f, seed, SweepOptions{})
-}
-
-// ThroughputTableOpts is ThroughputTable with explicit sweep options.
-func ThroughputTableOpts(f int, seed int64, opts SweepOptions) *Table {
+func ThroughputTable(f int, seed int64, opts SweepOptions) *Table {
 	return ThroughputSweep(f, seed, opts).Table()
 }
 
@@ -247,20 +238,13 @@ func ThroughputUnderAttackSweep(f int, attack string, seed int64, opts SweepOpti
 	if attack == "" {
 		attack = adversary.AttackViewDesync
 	}
-	scenarios := make([]Scenario, 0, 2*len(AllProtocols))
-	for _, p := range AllProtocols {
-		scenarios = append(scenarios, throughputAttackScenario(p, f, "", 0))
-		scenarios = append(scenarios, throughputAttackScenario(p, f, attack, 0))
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	sr := Sweep(scenarios, opts)
-
-	rep := &ThroughputUnderAttackReport{Workers: sr.Workers, Elapsed: sr.Elapsed}
-	for pi, p := range AllProtocols {
-		clean := measureThroughput(sr.Cells[2*pi].Result)
-		clean.Seed = sr.Cells[2*pi].Scenario.Seed
-		attacked := measureThroughput(sr.Cells[2*pi+1].Result)
-		attacked.Seed = sr.Cells[2*pi+1].Scenario.Seed
+	sides := []string{"", attack} // the unattacked control, then the attack
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(sides)}, seed, opts,
+		func(row, col, _ int) Scenario { return throughputAttackScenario(AllProtocols[row], f, sides[col], 0) })
+	rep := &ThroughputUnderAttackReport{Workers: g.Workers, Elapsed: g.Elapsed}
+	for row, p := range AllProtocols {
+		clean := measureThroughput(g.result(row, 0))
+		attacked := measureThroughput(g.result(row, 1))
 		rep.Cells = append(rep.Cells, ThroughputAttackCell{
 			Protocol: p,
 			Attack:   attack,
@@ -306,12 +290,6 @@ func (r *ThroughputUnderAttackReport) Table() *Table {
 
 // ThroughputUnderAttackTable regenerates the under-attack comparison
 // with the view-desync strategy.
-func ThroughputUnderAttackTable(f int, seed int64) *Table {
-	return ThroughputUnderAttackTableOpts(f, seed, SweepOptions{})
-}
-
-// ThroughputUnderAttackTableOpts is ThroughputUnderAttackTable with
-// explicit sweep options.
-func ThroughputUnderAttackTableOpts(f int, seed int64, opts SweepOptions) *Table {
+func ThroughputUnderAttackTable(f int, seed int64, opts SweepOptions) *Table {
 	return ThroughputUnderAttackSweep(f, adversary.AttackViewDesync, seed, opts).Table()
 }

@@ -67,14 +67,16 @@ func TestThroughputSanityCell(t *testing.T) {
 // TestThroughputTableWorkerIndependence renders the throughput table at
 // workers=1 and workers=4 and requires the renderings byte-identical:
 // commit-latency recording, the workload engine's arena reuse and the
-// word accounting must all be deterministic per cell seed.
+// word accounting must all be deterministic per cell seed. The rendering
+// is also this table's entry in testdata/tables.golden (TestTablesGolden
+// skips it: 35 s a render).
 func TestThroughputTableWorkerIndependence(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	const seed = 42
+	const seed = goldenSeed
 	var want string
 	for _, w := range []int{1, 4} {
-		got := ThroughputTableOpts(1, seed, SweepOptions{Workers: w}).Render()
+		got := ThroughputTable(1, seed, SweepOptions{Workers: w}).Render()
 		if want == "" {
 			want = got
 			continue
@@ -86,6 +88,7 @@ func TestThroughputTableWorkerIndependence(t *testing.T) {
 	if !strings.Contains(want, "lumiere") || !strings.Contains(want, "6000/s b=256") {
 		t.Fatalf("table missing expected axes:\n%s", want)
 	}
+	checkGolden(t, "ThroughputTable", want)
 }
 
 // TestThroughputAttackTableWorkerIndependence is the same byte-identity
@@ -97,7 +100,7 @@ func TestThroughputAttackTableWorkerIndependence(t *testing.T) {
 	const seed = 42
 	var want string
 	for _, w := range []int{1, 3} {
-		got := ThroughputUnderAttackTableOpts(1, seed, SweepOptions{Workers: w}).Render()
+		got := ThroughputUnderAttackTable(1, seed, SweepOptions{Workers: w}).Render()
 		if want == "" {
 			want = got
 			continue

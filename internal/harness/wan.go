@@ -183,8 +183,13 @@ type WANCell struct {
 // an arena (benchmark entry point; SMR fields stay zero): the preset
 // topology as the delay model with pre-GST chaos riding on it.
 func WANSyncIn(a *Arena, preset string, p Protocol, f int, seed int64) WANCell {
-	res := RunIn(a, wanSyncScenario(preset, p, f, seed))
-	cell := WANCell{Preset: preset, Protocol: p, Seed: seed}
+	return measureWANSync(preset, RunIn(a, wanSyncScenario(preset, p, f, seed)))
+}
+
+// measureWANSync extracts the view-synchronization half of a WAN cell
+// from a finished sync run.
+func measureWANSync(preset string, res *Result) WANCell {
+	cell := WANCell{Preset: preset, Protocol: res.Scenario.Protocol, Seed: res.Scenario.Seed}
 	if w, lat, ok := res.Collector.WordsWindowAfter(res.GST); ok {
 		cell.Decided = true
 		cell.SyncLatency = lat
@@ -207,33 +212,23 @@ type WANReport struct {
 // seeds derive from (seed, cell index), so the report is byte-identical
 // at every worker count.
 func WANSweep(f int, seed int64, opts SweepOptions) *WANReport {
-	scenarios := make([]Scenario, 0, 2*len(WANPresets)*len(WANProtocols))
-	for _, preset := range WANPresets {
-		for _, p := range WANProtocols {
-			scenarios = append(scenarios, wanSyncScenario(preset, p, f, 0))
-			scenarios = append(scenarios, wanSMRScenario(preset, p, f, 0))
+	g := sweepGrid(gridShape{rows: len(WANPresets), cols: len(WANProtocols), runs: 2}, seed, opts,
+		func(row, col, run int) Scenario {
+			if run == 0 {
+				return wanSyncScenario(WANPresets[row], WANProtocols[col], f, 0)
+			}
+			return wanSMRScenario(WANPresets[row], WANProtocols[col], f, 0)
+		})
+	rep := &WANReport{Workers: g.Workers, Elapsed: g.Elapsed}
+	for row, preset := range WANPresets {
+		for col := range WANProtocols {
+			cell := measureWANSync(preset, g.cell(row, col, 0).Result)
+			smr := g.cell(row, col, 1).Result
+			cell.Committed = smr.Collector.CommitCount()
+			st := smr.Collector.CommitLatencyStats(smr.GST.Add(wanSMRWarmup))
+			cell.PerSec, cell.P99 = st.PerSec, st.P99
+			rep.Cells = append(rep.Cells, cell)
 		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	sr := Sweep(scenarios, opts)
-
-	rep := &WANReport{Workers: sr.Workers, Elapsed: sr.Elapsed}
-	for i := 0; i+1 < len(sr.Cells); i += 2 {
-		syncRes, smrRes := sr.Cells[i].Result, sr.Cells[i+1].Result
-		cell := WANCell{
-			Preset:   WANPresets[(i/2)/len(WANProtocols)],
-			Protocol: syncRes.Scenario.Protocol,
-			Seed:     sr.Cells[i].Scenario.Seed,
-		}
-		if w, lat, ok := syncRes.Collector.WordsWindowAfter(syncRes.GST); ok {
-			cell.Decided = true
-			cell.SyncLatency = lat
-			cell.WindowWords = w
-		}
-		cell.Committed = smrRes.Collector.CommitCount()
-		st := smrRes.Collector.CommitLatencyStats(smrRes.GST.Add(wanSMRWarmup))
-		cell.PerSec, cell.P99 = st.PerSec, st.P99
-		rep.Cells = append(rep.Cells, cell)
 	}
 	return rep
 }
@@ -243,41 +238,32 @@ func WANSweep(f int, seed int64, opts SweepOptions) *WANReport {
 // latency. The rendering is a pure function of the simulated
 // executions, so it is byte-identical at every worker count.
 func (r *WANReport) Table() *Table {
-	delta := AttackDelta
-	t := &Table{Title: "WAN degradation: view-sync latency after GST (in Δ), W_GST words, and p99 SMR commit latency by topology"}
-	t.Header = []string{"topology"}
+	var cols []string
 	for _, p := range WANProtocols {
-		t.Header = append(t.Header, string(p)+" sync", string(p)+" W_GST", string(p)+" p99")
+		cols = append(cols, string(p)+" sync", string(p)+" W_GST", string(p)+" p99")
 	}
-	for qi, preset := range WANPresets {
-		row := []string{preset}
-		for pi := range WANProtocols {
-			c := &r.Cells[qi*len(WANProtocols)+pi]
-			if !c.Decided {
-				row = append(row, "stalled", "-")
-			} else {
-				row = append(row, fmt.Sprintf("%.2fΔ", float64(c.SyncLatency)/float64(delta)), fmt.Sprintf("%dw", c.WindowWords))
+	t := gridTable("WAN degradation: view-sync latency after GST (in Δ), W_GST words, and p99 SMR commit latency by topology",
+		"topology", WANPresets, cols, func(row, col int) string {
+			c := cellAt(r.Cells, len(WANProtocols), row, col/3)
+			switch col % 3 {
+			case 0:
+				return orStalled(c.Decided, "%.2fΔ", float64(c.SyncLatency)/float64(AttackDelta))
+			case 1:
+				if !c.Decided {
+					return "-"
+				}
+				return fmt.Sprintf("%dw", c.WindowWords)
+			default:
+				return orStalled(c.Committed > 0, "%s", shortDur(c.P99))
 			}
-			if c.Committed == 0 {
-				row = append(row, "stalled")
-			} else {
-				row = append(row, shortDur(c.P99))
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
+		})
 	t.AddNote("presets: single region (control), 3-region WAN, hub-and-spoke, degraded region (0.8Δ straggler ingest)")
 	t.AddNote("sync/W_GST from a pre-GST-chaos run (GST=2s); p99 from an SMR run at %d cmd/s, batch %d, stats after %s warmup", wanSMRLoad, wanSMRBatch, wanSMRWarmup)
 	return t
 }
 
 // TopologyTable regenerates the WAN degradation comparison.
-func TopologyTable(f int, seed int64) *Table {
-	return TopologyTableOpts(f, seed, SweepOptions{})
-}
-
-// TopologyTableOpts is TopologyTable with explicit sweep options.
-func TopologyTableOpts(f int, seed int64, opts SweepOptions) *Table {
+func TopologyTable(f int, seed int64, opts SweepOptions) *Table {
 	return WANSweep(f, seed, opts).Table()
 }
 
@@ -358,22 +344,15 @@ type DriftReport struct {
 // engine. Cell seeds derive from (seed, cell index), so the report is
 // byte-identical at every worker count.
 func DriftSweep(f int, ppms []int64, seed int64, opts SweepOptions) *DriftReport {
-	scenarios := make([]Scenario, 0, len(WANProtocols)*len(ppms))
-	for _, p := range WANProtocols {
-		for _, ppm := range ppms {
-			scenarios = append(scenarios, driftScenario(p, f, ppm, 0))
-		}
-	}
-	opts.BaseSeed, opts.KeepSeeds = seed, false
-	sr := Sweep(scenarios, opts)
-
-	rep := &DriftReport{Axis: ppms, Workers: sr.Workers, Elapsed: sr.Elapsed}
-	for i := range sr.Cells {
-		res := sr.Cells[i].Result
+	g := sweepGrid(gridShape{rows: len(WANProtocols), cols: len(ppms)}, seed, opts,
+		func(row, col, _ int) Scenario { return driftScenario(WANProtocols[row], f, ppms[col], 0) })
+	rep := &DriftReport{Axis: ppms, Workers: g.Workers, Elapsed: g.Elapsed}
+	for i := range g.Cells {
+		res := g.Cells[i].Result
 		cell := DriftCell{
 			Protocol: res.Scenario.Protocol,
 			PPM:      res.Scenario.DriftPPM[0],
-			Seed:     sr.Cells[i].Scenario.Seed,
+			Seed:     res.Scenario.Seed,
 			InModel:  !res.Scenario.UncheckedWAN,
 			Problems: ConformanceReport(res),
 		}
@@ -404,34 +383,19 @@ func (r *DriftReport) InModelClean() bool {
 // flagged in the header row per protocol Γ implicitly (the boundary
 // differs per protocol; InModel is per cell).
 func (r *DriftReport) Table() *Table {
-	delta := AttackDelta
-	t := &Table{Title: "Clock-drift tolerance: view-sync latency after GST (in Δ) and conformance as hardware clocks drift"}
-	t.Header = []string{"protocol"}
-	for _, ppm := range r.Axis {
-		t.Header = append(t.Header, fmt.Sprintf("±%dppm", ppm))
-	}
-	stride := len(r.Axis)
-	for pi, p := range WANProtocols {
-		row := []string{string(p)}
-		for ci := 0; ci < stride; ci++ {
-			c := &r.Cells[pi*stride+ci]
-			var cell string
-			switch {
-			case !c.Decided:
-				cell = "stalled"
-			default:
-				cell = fmt.Sprintf("%.2fΔ", float64(c.SyncLatency)/float64(delta))
-			}
+	cols := axisLabels(r.Axis, func(ppm int64) string { return fmt.Sprintf("±%dppm", ppm) })
+	t := gridTable("Clock-drift tolerance: view-sync latency after GST (in Δ) and conformance as hardware clocks drift",
+		"protocol", WANProtocols, cols, func(row, col int) string {
+			c := cellAt(r.Cells, len(r.Axis), row, col)
+			cell := orStalled(c.Decided, "%.2fΔ", float64(c.SyncLatency)/float64(AttackDelta))
 			switch {
 			case len(c.Problems) > 0:
 				cell += fmt.Sprintf(" %d✗", len(c.Problems))
 			case !c.InModel:
 				cell += " *"
 			}
-			row = append(row, cell)
-		}
-		t.Rows = append(t.Rows, row)
-	}
+			return cell
+		})
 	t.AddNote("nodes alternate ±ppm (pairwise rate spread 2·ppm), skews fanned over [−Δ/2, Δ/2]")
 	t.AddNote("* = past the in-model tolerance |ppm|·Γ ≤ Δ·10⁶ (run under UncheckedWAN); N✗ = N broken conformance obligations")
 	return t
@@ -439,12 +403,6 @@ func (r *DriftReport) Table() *Table {
 
 // DriftToleranceTable regenerates the drift-tolerance comparison over
 // DriftPPMAxis.
-func DriftToleranceTable(f int, seed int64) *Table {
-	return DriftToleranceTableOpts(f, seed, SweepOptions{})
-}
-
-// DriftToleranceTableOpts is DriftToleranceTable with explicit sweep
-// options.
-func DriftToleranceTableOpts(f int, seed int64, opts SweepOptions) *Table {
+func DriftToleranceTable(f int, seed int64, opts SweepOptions) *Table {
 	return DriftSweep(f, DriftPPMAxis, seed, opts).Table()
 }

@@ -58,8 +58,8 @@ func TestTopologyTableDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full WAN sweeps")
 	}
-	a := TopologyTableOpts(1, 424242, SweepOptions{Workers: 1}).Render()
-	b := TopologyTableOpts(1, 424242, SweepOptions{Workers: 4}).Render()
+	a := TopologyTable(1, 424242, SweepOptions{Workers: 1}).Render()
+	b := TopologyTable(1, 424242, SweepOptions{Workers: 4}).Render()
 	if a != b {
 		t.Fatalf("WAN table differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", a, b)
 	}

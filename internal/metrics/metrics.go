@@ -7,11 +7,9 @@
 // The Collector aggregates online: per-kind counters, a compressed
 // cumulative send series (one point per distinct timestamp, so an n-node
 // broadcast costs one entry, not n), and per-epoch-view last-send times
-// for heavy-sync detection. The full per-send record log is opt-in via
-// WithSendLog; default executions run without it, so memory scales with
-// distinct network-activity instants rather than with total sends. All
-// window queries (W_T, per-decision intervals, heavy syncs) are exact —
-// they produce byte-identical results to the old log-backed collector.
+// for heavy-sync detection. No per-send state is kept, so memory scales
+// with distinct network-activity instants rather than with total sends.
+// All window queries (W_T, per-decision intervals, heavy syncs) are exact.
 package metrics
 
 import (
@@ -24,15 +22,6 @@ import (
 	"lumiere/internal/network"
 	"lumiere/internal/types"
 )
-
-// SendRecord is one point-to-point transmission by an honest processor.
-// Records are only retained under WithSendLog.
-type SendRecord struct {
-	At   types.Time
-	From types.NodeID
-	Kind msg.Kind
-	View types.View
-}
 
 // Decision is the paper's consensus-decision event: an honest lead(v)
 // produced a QC for view v.
@@ -52,13 +41,6 @@ type sendPoint struct {
 
 // Option configures a Collector.
 type Option func(*Collector)
-
-// WithSendLog retains the full per-send record log (Sends). Default
-// collectors aggregate online and keep no per-send state; enable this
-// only for debugging or offline analysis of individual transmissions.
-func WithSendLog() Option {
-	return func(c *Collector) { c.keepLog = true }
-}
 
 // WithEpochWords enables the per-epoch cumulative word series: every
 // honest send is charged msg.Words to the epoch View()/viewsPerEpoch of
@@ -102,9 +84,7 @@ func WithSparse(maxPoints int) Option {
 // execution. It is safe for concurrent use (the TCP runtime delivers from
 // multiple goroutines); under the simulator the mutex is uncontended.
 type Collector struct {
-	mu      sync.Mutex
-	keepLog bool
-	sends   []SendRecord // WithSendLog only
+	mu sync.Mutex
 
 	// Streaming aggregates.
 	points      []sendPoint // per-distinct-timestamp honest send counts and words
@@ -174,8 +154,6 @@ func (c *Collector) Reset(honest func(types.NodeID) bool, opts ...Option) {
 		honest = func(types.NodeID) bool { return true }
 	}
 	c.honest = honest
-	c.keepLog = false
-	c.sends = c.sends[:0]
 	c.points = c.points[:0]
 	c.prefix = c.prefix[:0]
 	c.prefixW = c.prefixW[:0]
@@ -209,7 +187,6 @@ func (c *Collector) Snapshot() *Collector {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := &Collector{
-		keepLog:     c.keepLog,
 		pointsDirty: c.pointsDirty,
 		pointsInOrd: c.pointsInOrd,
 		maxPoints:   c.maxPoints,
@@ -223,9 +200,6 @@ func (c *Collector) Snapshot() *Collector {
 		honest:      c.honest,
 		byKind:      make(map[msg.Kind]int64, len(c.byKind)),
 		epochLast:   make(map[types.View]types.Time, len(c.epochLast)),
-	}
-	if c.sends != nil {
-		out.sends = append([]SendRecord(nil), c.sends...)
 	}
 	if c.points != nil {
 		out.points = append([]sendPoint(nil), c.points...)
@@ -296,9 +270,6 @@ func (c *Collector) OnSend(from, _ types.NodeID, m msg.Message, at types.Time, h
 		}
 	}
 	c.pointsDirty = true
-	if c.keepLog {
-		c.sends = append(c.sends, SendRecord{At: at, From: from, Kind: kind, View: m.View()})
-	}
 }
 
 // OnDeliver implements network.Observer.
@@ -490,17 +461,6 @@ func (c *Collector) Decisions() []Decision {
 	defer c.mu.Unlock()
 	c.sortDecisionsLocked()
 	return append([]Decision(nil), c.decisions...)
-}
-
-// Sends returns a copy of the honest send log, in time order. It returns
-// nil unless the Collector was built WithSendLog.
-func (c *Collector) Sends() []SendRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.keepLog {
-		return nil
-	}
-	return append([]SendRecord(nil), c.sends...)
 }
 
 // sendsBetween counts honest sends and their words with At in (a, b]

@@ -150,29 +150,6 @@ func TestNilHonestFunc(t *testing.T) {
 	_ = time.Second
 }
 
-func TestSendLogOptIn(t *testing.T) {
-	c := newTestCollector()
-	fill(c)
-	if got := c.Sends(); got != nil {
-		t.Fatalf("default collector retained a send log: %d records", len(got))
-	}
-	logged := NewCollector(func(id types.NodeID) bool { return id != 9 }, WithSendLog())
-	fill(logged)
-	sends := logged.Sends()
-	if len(sends) != 10 {
-		t.Fatalf("WithSendLog kept %d records, want 10", len(sends))
-	}
-	if sends[0].At != 1 || sends[0].Kind != msg.KindView {
-		t.Fatalf("first record = %+v", sends[0])
-	}
-	// The streaming aggregates must not depend on the log.
-	a, _, _ := c.WindowAfter(0)
-	b, _, _ := logged.WindowAfter(0)
-	if a != b {
-		t.Fatalf("window differs with/without log: %d vs %d", a, b)
-	}
-}
-
 // TestOutOfOrderSends pins exactness when OnSend observes timestamps out
 // of order (possible under the TCP runtime): window counts must match a
 // sorted log.
@@ -325,7 +302,7 @@ func querySurface(c *Collector) string {
 		c.HonestSends(), c.ByzantineSends(), c.KappaBytes(), c.WordsTotal(),
 		c.KindCount(msg.KindView), c.DecisionCount(), c.Decisions(),
 		c.WordsBetween(0, 100), c.WordsByEpoch(), c.HeavySyncViews(0),
-		c.Intervals(0, 0), c.Stats(0, 1), m, lat, ok, w, c.Sends(),
+		c.Intervals(0, 0), c.Stats(0, 1), m, lat, ok, w,
 		c.CommitCount(), c.CommitLatencyStats(0),
 	)
 }
@@ -334,7 +311,7 @@ func querySurface(c *Collector) string {
 // collector must answer every query exactly as a fresh one, including
 // when options change across the reset.
 func TestCollectorResetEquivalence(t *testing.T) {
-	dirty := NewCollector(nil, WithSendLog(), WithEpochWords(2))
+	dirty := NewCollector(nil, WithEpochWords(2))
 	fill(dirty)
 	honest := func(id types.NodeID) bool { return id != 9 }
 	dirty.Reset(honest, WithEpochWords(3))
@@ -346,10 +323,6 @@ func TestCollectorResetEquivalence(t *testing.T) {
 	fill(fresh)
 	if got, want := querySurface(dirty), querySurface(fresh); got != want {
 		t.Fatalf("refilled reset != fresh:\nreset: %s\nfresh: %s", got, want)
-	}
-	// The send log must be off after a reset without WithSendLog.
-	if dirty.Sends() != nil {
-		t.Fatal("send log survived reset")
 	}
 }
 
@@ -373,23 +346,6 @@ func TestCollectorSnapshotIndependence(t *testing.T) {
 	c.Reset(nil)
 	if got := querySurface(snap); got != want {
 		t.Fatalf("snapshot moved after original reset:\nsnap: %s\nwant: %s", got, want)
-	}
-}
-
-// TestCollectorSnapshotWithSendLog verifies the opt-in send log survives
-// into snapshots as an independent copy.
-func TestCollectorSnapshotWithSendLog(t *testing.T) {
-	c := NewCollector(nil, WithSendLog())
-	fill(c)
-	snap := c.Snapshot()
-	orig := c.Sends()
-	got := snap.Sends()
-	if len(got) != len(orig) {
-		t.Fatalf("snapshot log has %d records, want %d", len(got), len(orig))
-	}
-	c.Reset(nil, WithSendLog())
-	if len(snap.Sends()) != len(orig) {
-		t.Fatal("snapshot log shrank after original reset")
 	}
 }
 

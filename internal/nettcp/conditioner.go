@@ -15,7 +15,8 @@ import (
 // links, reorder jitter) decide, per outbound envelope, whether the
 // transport enqueues it now, later, twice, or not at all.
 //
-// The §2 partial-synchrony clamp is honored on the release side: an
+// The §2 partial-synchrony clamp (network.Clamp, the same value the
+// simulated network resolves through) is honored on the release side: an
 // envelope sent at local time t is handed to the write loop no later
 // than max(GST, t) + Δ — a pre-GST "drop" becomes a release exactly at
 // that bound (model-faithful loss), and a post-GST drop is a true
@@ -36,20 +37,16 @@ import (
 // wall-clock scheduling makes conditioned TCP runs non-reproducible by
 // nature (unlike the simulator's).
 type Conditioner struct {
-	link   network.LinkPolicy
-	gst    types.Time
-	delta  time.Duration
-	now    func() types.Time
-	budget network.OmissionBudget
+	link network.LinkPolicy
+	now  func() types.Time
 
-	mu          sync.Mutex
-	rng         *rand.Rand
-	down        bool
-	proc        []time.Duration
-	omitted     int64
-	omittedFrom map[types.NodeID]bool
-	timers      map[*time.Timer]struct{}
-	stopped     bool
+	mu      sync.Mutex
+	clamp   network.Clamp
+	rng     *rand.Rand
+	down    bool
+	proc    []time.Duration
+	timers  map[*time.Timer]struct{}
+	stopped bool
 }
 
 // NewConditioner builds a conditioner applying link under the clamp
@@ -60,14 +57,11 @@ type Conditioner struct {
 func NewConditioner(link network.LinkPolicy, gst time.Duration, delta time.Duration,
 	budget network.OmissionBudget, now func() types.Time, seed int64) *Conditioner {
 	return &Conditioner{
-		link:        link,
-		gst:         types.Time(0).Add(gst),
-		delta:       delta,
-		now:         now,
-		budget:      budget,
-		rng:         rand.New(rand.NewSource(seed)),
-		omittedFrom: make(map[types.NodeID]bool),
-		timers:      make(map[*time.Timer]struct{}),
+		link:   link,
+		now:    now,
+		clamp:  network.Clamp{GST: types.Time(0).Add(gst), Delta: delta, Budget: budget},
+		rng:    rand.New(rand.NewSource(seed)),
+		timers: make(map[*time.Timer]struct{}),
 	}
 }
 
@@ -103,7 +97,7 @@ func (c *Conditioner) procDelay(to types.NodeID) time.Duration {
 func (c *Conditioner) Omitted() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.omitted
+	return c.clamp.Omitted()
 }
 
 func (c *Conditioner) isDown() bool {
@@ -112,28 +106,11 @@ func (c *Conditioner) isDown() bool {
 	return c.down
 }
 
-// allowOmission charges one post-GST omission by from against the
-// budget; callers hold c.mu.
-func (c *Conditioner) allowOmission(from types.NodeID) bool {
-	if c.omitted >= int64(c.budget.MaxMessages) {
-		return false
-	}
-	if !c.omittedFrom[from] {
-		if c.budget.MaxSenders > 0 && len(c.omittedFrom) >= c.budget.MaxSenders {
-			return false
-		}
-		c.omittedFrom[from] = true
-	}
-	c.omitted++
-	return true
-}
-
 // apply runs one outbound envelope through the policy and realizes the
-// verdict against the peer queue: enqueue now, enqueue at the clamped
+// clamped verdict against the peer queue: enqueue now, enqueue at the
 // release time, duplicate, or omit.
 func (c *Conditioner) apply(t *Transport, p *peer, to types.NodeID, env envelope) {
-	at := c.now()
-	bound := types.MaxTime(c.gst, at).Add(c.delta)
+	now := c.now()
 	c.mu.Lock()
 	if c.down {
 		c.mu.Unlock()
@@ -145,55 +122,35 @@ func (c *Conditioner) apply(t *Transport, p *peer, to types.NodeID, env envelope
 	proc := c.procDelay(to)
 	var v network.Verdict
 	if c.link != nil {
-		v = c.link.Link(t.self, to, env.Msg, at, c.rng)
+		v = c.link.Link(t.self, to, env.Msg, now, c.rng)
 	}
-	if v.Drop {
-		if at >= c.gst && c.allowOmission(t.self) {
-			c.mu.Unlock()
-			p.condDrops.Add(1)
-			return
-		}
-		c.mu.Unlock()
-		// Pre-GST "loss" (or an unfunded post-GST drop) degrades to the
-		// worst release the model permits: the clamp bound.
-		p.delayed.Add(1)
-		c.release(t, p, env, bound.Sub(at)+proc)
+	at, dupAt, copies := c.clamp.Resolve(v, t.self, now)
+	c.mu.Unlock()
+	if copies == 0 {
+		p.condDrops.Add(1)
 		return
 	}
-	c.mu.Unlock()
-	delay := v.Delay
-	if delay < 0 {
-		delay = 0
-	}
-	release := types.MinTime(at.Add(delay), bound)
-	if d := release.Sub(at) + proc; d > 0 {
+	if c.release(t, p, env, at.Sub(now)+proc) {
 		p.delayed.Add(1)
-		c.release(t, p, env, d)
-	} else {
-		t.enqueue(p, env)
 	}
-	if v.Dup {
-		dupDelay := v.DupDelay
-		if dupDelay < 0 {
-			dupDelay = 0
-		}
+	if copies == 2 {
 		p.duplicates.Add(1)
-		dupRelease := types.MinTime(at.Add(dupDelay), bound)
-		if d := dupRelease.Sub(at) + proc; d > 0 {
-			c.release(t, p, env, d)
-		} else {
-			t.enqueue(p, env)
-		}
+		c.release(t, p, env, dupAt.Sub(now)+proc)
 	}
 }
 
-// release enqueues env after d, tracking the timer so Close can cancel
-// pending releases.
-func (c *Conditioner) release(t *Transport, p *peer, env envelope, d time.Duration) {
+// release enqueues env after d — immediately when d is not positive —
+// tracking the timer so Close can cancel pending releases, and reports
+// whether the envelope was deferred.
+func (c *Conditioner) release(t *Transport, p *peer, env envelope, d time.Duration) bool {
+	if d <= 0 {
+		t.enqueue(p, env)
+		return false
+	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.stopped {
-		c.mu.Unlock()
-		return
+		return true
 	}
 	var tm *time.Timer
 	tm = time.AfterFunc(d, func() {
@@ -207,7 +164,7 @@ func (c *Conditioner) release(t *Transport, p *peer, env envelope, d time.Durati
 		t.enqueue(p, env)
 	})
 	c.timers[tm] = struct{}{}
-	c.mu.Unlock()
+	return true
 }
 
 // stop cancels all pending releases (called by Transport.Close).

@@ -135,6 +135,68 @@ type OmissionBudget struct {
 	MaxSenders int
 }
 
+// Clamp is the §2 model as a value: it turns a link's Verdict into the
+// delivery schedule the model permits and keeps the omission budget's
+// ledger. The simulated Net and the TCP runtime's socket-level
+// conditioner both resolve every transmission through one, so the clamp
+// bound, the drop-degrades-to-bound rule and the budget charge exist
+// once. A Clamp is not safe for concurrent use.
+type Clamp struct {
+	// GST and Delta are the model's stabilization time and bound Δ.
+	GST   types.Time
+	Delta time.Duration
+	// Budget authorizes true post-GST omission (zero: none).
+	Budget OmissionBudget
+
+	omitted int64
+	charged []bool // senders charged against Budget.MaxSenders; grows on demand
+	senders int
+}
+
+// Omitted returns the number of post-GST omissions granted so far.
+func (c *Clamp) Omitted() int64 { return c.omitted }
+
+// Resolve clamps one transmission sent by from at time now: copies is 0
+// (a granted post-GST omission), 1, or 2 (with a network duplicate at
+// dupAt), and every copy lands in [now, max(GST, now)+Δ]. A drop is a
+// true omission only post-GST while the budget funds it; a pre-GST
+// "loss" or an unfunded post-GST drop degrades to the worst delay the
+// model permits, delivery exactly at the bound.
+func (c *Clamp) Resolve(v Verdict, from types.NodeID, now types.Time) (at, dupAt types.Time, copies int) {
+	bound := types.MaxTime(c.GST, now).Add(c.Delta)
+	if v.Drop {
+		if now >= c.GST && c.allowOmission(from) {
+			return 0, 0, 0
+		}
+		return bound, 0, 1
+	}
+	at = types.MinTime(now.Add(max(v.Delay, 0)), bound)
+	if v.Dup {
+		return at, types.MinTime(now.Add(max(v.DupDelay, 0)), bound), 2
+	}
+	return at, 0, 1
+}
+
+// allowOmission charges one post-GST omission by from against the
+// budget, reporting whether it was granted.
+func (c *Clamp) allowOmission(from types.NodeID) bool {
+	if c.omitted >= int64(c.Budget.MaxMessages) {
+		return false
+	}
+	for int(from) >= len(c.charged) {
+		c.charged = append(c.charged, false)
+	}
+	if !c.charged[from] {
+		if c.Budget.MaxSenders > 0 && c.senders >= c.Budget.MaxSenders {
+			return false
+		}
+		c.charged[from] = true
+		c.senders++
+	}
+	c.omitted++
+	return true
+}
+
 // ---------------------------------------------------------------------------
 // Standard delay policies
 // ---------------------------------------------------------------------------
@@ -226,18 +288,13 @@ func (p Phased) Delay(from, to types.NodeID, m msg.Message, at types.Time, rng *
 type Net struct {
 	sched     *sim.Scheduler
 	cfg       types.Config
-	gst       types.Time
+	clamp     Clamp // the §2 model: GST, Δ and the omission ledger
 	link      LinkPolicy
 	handlers  []Handler
 	honest    []bool
 	killed    []bool
 	observers []Observer
 	stopped   bool
-
-	budget      OmissionBudget
-	omitted     int64
-	omittedFrom []bool // senders already charged against MaxSenders
-	omitSenders int
 
 	// procDelay is the per-recipient straggler model: node i ingests
 	// every network message procDelay[i] after its clamped delivery
@@ -277,14 +334,13 @@ func NewNetLink(sched *sim.Scheduler, cfg types.Config, gst types.Time, link Lin
 		honest[i] = true
 	}
 	n := &Net{
-		sched:       sched,
-		cfg:         cfg,
-		gst:         gst,
-		link:        link,
-		handlers:    make([]Handler, cfg.N),
-		honest:      honest,
-		killed:      make([]bool, cfg.N),
-		omittedFrom: make([]bool, cfg.N),
+		sched:    sched,
+		cfg:      cfg,
+		clamp:    Clamp{GST: gst, Delta: cfg.Delta},
+		link:     link,
+		handlers: make([]Handler, cfg.N),
+		honest:   honest,
+		killed:   make([]bool, cfg.N),
 	}
 	sched.SetSink(n.deliverPayload)
 	return n
@@ -302,28 +358,23 @@ func (n *Net) Reset(cfg types.Config, gst types.Time, link LinkPolicy) {
 	if link == nil {
 		link = DelayLink{P: Fixed{D: cfg.Delta / 10}}
 	}
-	n.cfg, n.gst, n.link = cfg, gst, link
+	n.cfg, n.link = cfg, link
+	n.clamp = Clamp{GST: gst, Delta: cfg.Delta, charged: n.clamp.charged[:0]}
 	if cap(n.handlers) < cfg.N {
 		n.handlers = make([]Handler, cfg.N)
 		n.honest = make([]bool, cfg.N)
 		n.killed = make([]bool, cfg.N)
-		n.omittedFrom = make([]bool, cfg.N)
 	}
 	n.handlers = n.handlers[:cfg.N]
 	n.honest = n.honest[:cfg.N]
 	n.killed = n.killed[:cfg.N]
-	n.omittedFrom = n.omittedFrom[:cfg.N]
 	for i := range n.handlers {
 		n.handlers[i] = nil
 		n.honest[i] = true
 		n.killed[i] = false
-		n.omittedFrom[i] = false
 	}
 	n.observers = n.observers[:0]
 	n.stopped = false
-	n.budget = OmissionBudget{}
-	n.omitted = 0
-	n.omitSenders = 0
 	n.perRecipient = false
 	n.procDelay = nil
 }
@@ -354,7 +405,7 @@ func (n *Net) deliverPayload(from, to types.NodeID, m any) {
 }
 
 // GST returns the network's global stabilization time.
-func (n *Net) GST() types.Time { return n.gst }
+func (n *Net) GST() types.Time { return n.clamp.GST }
 
 // Attach registers the handler for a node and returns its endpoint.
 func (n *Net) Attach(id types.NodeID, h Handler) Endpoint {
@@ -394,38 +445,11 @@ func (n *Net) Revive(id types.NodeID) { n.killed[id] = false }
 // SetOmissionBudget authorizes true post-GST omission (see
 // OmissionBudget). Call before the execution starts; the budget is
 // consumed as drops are granted.
-func (n *Net) SetOmissionBudget(b OmissionBudget) { n.budget = b }
+func (n *Net) SetOmissionBudget(b OmissionBudget) { n.clamp.Budget = b }
 
 // Omitted returns the number of post-GST omissions charged against the
 // budget so far.
-func (n *Net) Omitted() int64 { return n.omitted }
-
-// allowOmission charges one post-GST omission by from against the
-// budget, reporting whether it was granted.
-func (n *Net) allowOmission(from types.NodeID) bool {
-	if n.omitted >= int64(n.budget.MaxMessages) {
-		return false
-	}
-	if !n.omittedFrom[from] {
-		if n.budget.MaxSenders > 0 && n.omitSenders >= n.budget.MaxSenders {
-			return false
-		}
-		n.omittedFrom[from] = true
-		n.omitSenders++
-	}
-	n.omitted++
-	return true
-}
-
-// clampDelivery converts a requested delay into the actual delivery
-// time: within [sendAt, max(GST, sendAt)+Δ], per §2.
-func (n *Net) clampDelivery(sendAt types.Time, req time.Duration) types.Time {
-	if req < 0 {
-		req = 0
-	}
-	bound := types.MaxTime(n.gst, sendAt).Add(n.cfg.Delta)
-	return types.MinTime(sendAt.Add(req), bound)
-}
+func (n *Net) Omitted() int64 { return n.clamp.Omitted() }
 
 func (n *Net) send(from, to types.NodeID, m msg.Message) {
 	if n.stopped || n.killed[from] {
@@ -464,53 +488,29 @@ func (n *Net) broadcast(from types.NodeID, m msg.Message) {
 			mc.Add(tid, now)
 			continue
 		}
-		d := n.resolve(now, from, tid, m)
-		if d.copies == 0 {
+		at, dupAt, copies := n.resolve(now, from, tid, m)
+		if copies == 0 {
 			continue
 		}
-		mc.Add(tid, d.at)
-		if d.copies == 2 {
-			mc.Add(tid, d.dupAt)
+		mc.Add(tid, at)
+		if copies == 2 {
+			mc.Add(tid, dupAt)
 		}
 	}
 	mc.Commit()
 }
 
-// delivery is a resolved link verdict: the clamped schedule for one
-// transmission's copies. copies is 0 (granted omission), 1, or 2 (with
-// a network duplicate at dupAt).
-type delivery struct {
-	at     types.Time
-	dupAt  types.Time
-	copies int
-}
-
 // resolve runs the send-time half of one point-to-point transmission —
 // OnSend observation plus the link policy's verdict — and clamps the
-// outcome to the §2 model: delivery (and any duplicate) lands in
-// [now, max(GST, now)+Δ], and drops are granted as true omissions only
-// post-GST under the omission budget.
-func (n *Net) resolve(now types.Time, from, to types.NodeID, m msg.Message) delivery {
+// outcome to the §2 model (see Clamp.Resolve for at, dupAt and copies).
+// The recipient's straggler lag is added outside the clamp.
+func (n *Net) resolve(now types.Time, from, to types.NodeID, m msg.Message) (at, dupAt types.Time, copies int) {
 	n.observeSend(from, to, m, now)
-	var proc time.Duration
+	at, dupAt, copies = n.clamp.Resolve(n.link.Link(from, to, m, now, n.sched.Rand()), from, now)
 	if n.procDelay != nil {
-		proc = n.procDelay[to] // straggler lag, applied outside the clamp
+		at, dupAt = at.Add(n.procDelay[to]), dupAt.Add(n.procDelay[to])
 	}
-	v := n.link.Link(from, to, m, now, n.sched.Rand())
-	if v.Drop {
-		if now >= n.gst && n.allowOmission(from) {
-			return delivery{} // granted: a true post-GST omission
-		}
-		// Pre-GST "loss" (or an unfunded post-GST drop) degrades to
-		// the worst delay the model permits: delivery at the bound.
-		return delivery{at: types.MaxTime(n.gst, now).Add(n.cfg.Delta).Add(proc), copies: 1}
-	}
-	d := delivery{at: n.clampDelivery(now, v.Delay).Add(proc), copies: 1}
-	if v.Dup {
-		d.dupAt = n.clampDelivery(now, v.DupDelay).Add(proc)
-		d.copies = 2
-	}
-	return d
+	return at, dupAt, copies
 }
 
 // sendTo schedules one point-to-point transmission (shared by send and
@@ -521,13 +521,13 @@ func (n *Net) sendTo(now types.Time, from, to types.NodeID, m msg.Message) {
 		n.sched.SendAt(now, from, to, m)
 		return
 	}
-	d := n.resolve(now, from, to, m)
-	if d.copies == 0 {
+	at, dupAt, copies := n.resolve(now, from, to, m)
+	if copies == 0 {
 		return
 	}
-	n.sched.SendAt(d.at, from, to, m)
-	if d.copies == 2 {
-		n.sched.SendAt(d.dupAt, from, to, m)
+	n.sched.SendAt(at, from, to, m)
+	if copies == 2 {
+		n.sched.SendAt(dupAt, from, to, m)
 	}
 }
 

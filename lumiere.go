@@ -283,11 +283,8 @@ func RunWANSweep(f int, seed int64, opts SweepOptions) *WANReport {
 // per deployment preset (single region → degraded WAN), columns per
 // protocol with post-GST sync latency, honest words, and p99 commit
 // latency. Byte-identical at every worker count.
-func TopologyTable(f int, seed int64) *Table { return harness.TopologyTable(f, seed) }
-
-// TopologyTableOpts is TopologyTable with explicit sweep options.
-func TopologyTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.TopologyTableOpts(f, seed, opts)
+func TopologyTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.TopologyTable(f, seed, opts)
 }
 
 // DriftPPMAxis is the default drift-magnitude axis of the tolerance
@@ -306,12 +303,8 @@ func RunDriftSweep(f int, ppms []int64, seed int64, opts SweepOptions) *DriftRep
 // per drift magnitude, in-model cells asserted violation-free and
 // beyond-tolerance cells reported as a degradation regression table.
 // Byte-identical at every worker count.
-func DriftToleranceTable(f int, seed int64) *Table { return harness.DriftToleranceTable(f, seed) }
-
-// DriftToleranceTableOpts is DriftToleranceTable with explicit sweep
-// options.
-func DriftToleranceTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.DriftToleranceTableOpts(f, seed, opts)
+func DriftToleranceTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.DriftToleranceTable(f, seed, opts)
 }
 
 // RedTeam runs the adversarial search: for every protocol × objective,
@@ -342,78 +335,47 @@ func ReadFrontier(path string) (*Frontier, error) { return redteam.ReadFrontier(
 // ---------------------------------------------------------------------------
 
 // Table1WorstCase regenerates Table 1's worst-case communication and
-// latency rows as empirical n-sweeps.
-func Table1WorstCase(fs []int, seed int64) (comm, latency *Table) {
-	return harness.Table1WorstCase(fs, seed)
-}
-
-// Table1WorstCaseOpts is Table1WorstCase with explicit sweep options
-// (worker count, progress callback).
-func Table1WorstCaseOpts(fs []int, seed int64, opts SweepOptions) (comm, latency *Table) {
-	return harness.Table1WorstCaseOpts(fs, seed, opts)
+// latency rows as empirical n-sweeps. Like every table driver it takes
+// the sweep options (worker count, progress callback) last; the zero
+// value runs on all CPUs.
+func Table1WorstCase(fs []int, seed int64, opts SweepOptions) (comm, latency *Table) {
+	return harness.Table1WorstCase(fs, seed, opts)
 }
 
 // Table1Eventual regenerates Table 1's eventual worst-case rows as
 // f_a-sweeps at n = 3f+1.
-func Table1Eventual(f int, fas []int, seed int64) (comm, latency *Table) {
-	return harness.Table1Eventual(f, fas, seed)
-}
-
-// Table1EventualOpts is Table1Eventual with explicit sweep options.
-func Table1EventualOpts(f int, fas []int, seed int64, opts SweepOptions) (comm, latency *Table) {
-	return harness.Table1EventualOpts(f, fas, seed, opts)
-}
-
-// EventualScaling sweeps n at fixed f_a to expose per-decision message
-// scaling.
-func EventualScaling(fs []int, fa int, seed int64) *Table {
-	return harness.EventualScaling(fs, fa, seed)
+func Table1Eventual(f int, fas []int, seed int64, opts SweepOptions) (comm, latency *Table) {
+	return harness.Table1Eventual(f, fas, seed, opts)
 }
 
 // Figure1Table regenerates Figure 1: the stall a single Byzantine leader
 // causes after a burst of fast QCs, per protocol and size.
-func Figure1Table(fs []int, seed int64) *Table { return harness.Figure1Table(fs, seed) }
-
-// Figure1TableOpts is Figure1Table with explicit sweep options.
-func Figure1TableOpts(fs []int, seed int64, opts SweepOptions) *Table {
-	return harness.Figure1TableOpts(fs, seed, opts)
+func Figure1Table(fs []int, seed int64, opts SweepOptions) *Table {
+	return harness.Figure1Table(fs, seed, opts)
 }
 
 // ResponsivenessTable sweeps the actual network delay δ at f_a = 0.
-func ResponsivenessTable(f int, seed int64) *Table { return harness.ResponsivenessTable(f, seed) }
-
-// ResponsivenessTableOpts is ResponsivenessTable with explicit sweep
-// options.
-func ResponsivenessTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.ResponsivenessTableOpts(f, seed, opts)
+func ResponsivenessTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.ResponsivenessTable(f, seed, opts)
 }
 
 // HeavySyncTable counts Θ(n²) epoch synchronizations after warmup.
-func HeavySyncTable(f int, seed int64) *Table { return harness.HeavySyncTable(f, seed) }
-
-// HeavySyncTableOpts is HeavySyncTable with explicit sweep options.
-func HeavySyncTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.HeavySyncTableOpts(f, seed, opts)
+func HeavySyncTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.HeavySyncTable(f, seed, opts)
 }
 
 // ChaosTable compares every protocol's view-synchronization latency
 // after GST under partitions healing at GST, pre-GST loss, duplication
 // with reordering, and crash-recovery churn.
-func ChaosTable(f int, seed int64) *Table { return harness.ChaosTable(f, seed) }
-
-// ChaosTableOpts is ChaosTable with explicit sweep options.
-func ChaosTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.ChaosTableOpts(f, seed, opts)
+func ChaosTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.ChaosTable(f, seed, opts)
 }
 
 // AttackTable compares every protocol under the four adaptive attack
 // strategies: post-GST view-synchronization latency (in Δ) and W_GST in
 // words per cell.
-func AttackTable(f int, seed int64) *Table { return harness.AttackTable(f, seed) }
-
-// AttackTableOpts is AttackTable with explicit sweep options.
-func AttackTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.AttackTableOpts(f, seed, opts)
+func AttackTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.AttackTable(f, seed, opts)
 }
 
 // EventualWordsTable reports the maximum honest words between
@@ -463,15 +425,10 @@ func AdversarialSuccess(f int, seed int64) harness.EventualResult {
 const DefaultDelta = 100 * time.Millisecond
 
 // EventualScalingData runs the n-sweep at fixed f_a for every protocol
-// (raw data for custom rendering).
-func EventualScalingData(fs []int, fa int, seed int64) map[Protocol][]harness.EventualResult {
-	return harness.EventualScalingData(fs, fa, seed)
-}
-
-// EventualScalingDataOpts is EventualScalingData with explicit sweep
-// options.
-func EventualScalingDataOpts(fs []int, fa int, seed int64, opts SweepOptions) map[Protocol][]harness.EventualResult {
-	return harness.EventualScalingDataOpts(fs, fa, seed, opts)
+// (raw data for EventualScalingTableF, EventualScalingPlot or custom
+// rendering).
+func EventualScalingData(fs []int, fa int, seed int64, opts SweepOptions) map[Protocol][]harness.EventualResult {
+	return harness.EventualScalingData(fs, fa, seed, opts)
 }
 
 // EventualScalingTableF formats pre-computed scaling data.
@@ -522,22 +479,13 @@ func RunThroughputUnderAttackSweep(f int, attack string, seed int64, opts SweepO
 // ThroughputTable compares every protocol's committed commands/sec and
 // commit latency (p50/p99) across offered loads and batch sizes, open
 // loop at 10⁶ logical clients. Byte-identical at every worker count.
-func ThroughputTable(f int, seed int64) *Table { return harness.ThroughputTable(f, seed) }
-
-// ThroughputTableOpts is ThroughputTable with explicit sweep options.
-func ThroughputTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.ThroughputTableOpts(f, seed, opts)
+func ThroughputTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.ThroughputTable(f, seed, opts)
 }
 
 // ThroughputUnderAttackTable reports what the view-desync attack does to
 // each protocol's commit latency at a fixed offered load: clean vs
 // attacked throughput, p99, and the p99 blowup factor.
-func ThroughputUnderAttackTable(f int, seed int64) *Table {
-	return harness.ThroughputUnderAttackTable(f, seed)
-}
-
-// ThroughputUnderAttackTableOpts is ThroughputUnderAttackTable with
-// explicit sweep options.
-func ThroughputUnderAttackTableOpts(f int, seed int64, opts SweepOptions) *Table {
-	return harness.ThroughputUnderAttackTableOpts(f, seed, opts)
+func ThroughputUnderAttackTable(f int, seed int64, opts SweepOptions) *Table {
+	return harness.ThroughputUnderAttackTable(f, seed, opts)
 }
