@@ -8,7 +8,8 @@
 // Absolute values are simulator-relative; the shapes (scaling exponents,
 // who wins, crossovers) are the reproduction targets recorded in
 // EXPERIMENTS.md. cmd/lumiere-bench renders the same experiments as
-// paper-style tables.
+// paper-style tables. These benchmarks are for measuring by hand; the
+// repository's perf gate is benchmark/ (BENCHMARK.json).
 package lumiere_test
 
 import (
@@ -157,9 +158,8 @@ func BenchmarkHeavySyncCount(b *testing.B) {
 // BenchmarkChaosTable regenerates the chaos comparison cell by cell:
 // per (condition, protocol) view-synchronization latency after GST
 // under partition-heal-at-GST, pre-GST loss, duplication + reorder
-// jitter, and crash-recovery churn. The cond/proto sub-benchmark path
-// segments give BENCH_sweep.json structured chaos rows (cmd/benchjson
-// parses key=value segments into Params).
+// jitter, and crash-recovery churn, one cond=/proto= sub-benchmark per
+// cell.
 func BenchmarkChaosTable(b *testing.B) {
 	for ci, cond := range harness.ChaosConditionNames() {
 		ci, cond := ci, cond
@@ -190,9 +190,7 @@ func BenchmarkChaosTable(b *testing.B) {
 // by cell: per (strategy, protocol) post-GST view-synchronization
 // latency and W_GST in words under the vote-then-silence desync,
 // next-leader omission, GST-straddle and complexity-saturation
-// strategies. The attack/proto path segments give BENCH_sweep.json
-// structured rows (cmd/benchjson parses key=value segments into
-// Params).
+// strategies, one attack=/proto= sub-benchmark per cell.
 func BenchmarkAttackTable(b *testing.B) {
 	for si, spec := range harness.AttackSpecs() {
 		si, name := si, spec.Name
@@ -223,9 +221,8 @@ func BenchmarkAttackTable(b *testing.B) {
 // cell by cell: per (deployment preset, protocol) post-GST
 // view-synchronization latency and W_GST in words with the preset's
 // regional link matrix as the delay model (pre-GST chaos riding on it).
-// The preset/proto path segments give BENCH_sweep.json structured rows,
-// and allocs_per_op puts the topology LinkPolicy's zero-allocation
-// verdict path under the benchjson -baseline regression gate.
+// One preset=/proto= sub-benchmark per cell; -benchmem's allocs/op
+// covers the topology LinkPolicy's zero-allocation verdict path.
 func BenchmarkTopologyTable(b *testing.B) {
 	for _, preset := range harness.WANPresets {
 		preset := preset
@@ -256,10 +253,8 @@ func BenchmarkTopologyTable(b *testing.B) {
 // per (protocol, n): the LargeNWordsTable scenario cut to 30 simulated
 // seconds — long enough for several LP22 epoch boundaries at these
 // sizes — reporting the worst post-warmup decision window in words/n.
-// The n=proto path segments give BENCH_sweep.json structured rows, and
-// allocs_per_op puts the multicast-broadcast + bitset-quorum memory
-// behavior at four-digit n under the benchjson -baseline regression
-// gate.
+// One proto=/n= sub-benchmark per cell; -benchmem's allocs/op covers
+// the multicast-broadcast + bitset-quorum memory behavior at these n.
 func BenchmarkLargeNWords(b *testing.B) {
 	for _, p := range []harness.Protocol{harness.ProtoLP22, harness.ProtoLumiere} {
 		for _, n := range []int{128, 256} {
@@ -288,9 +283,8 @@ func BenchmarkLargeNWords(b *testing.B) {
 // throughput table: an open-loop population (10⁶ logical clients, 64B
 // payload pad) offering load commands/sec into chained HotStuff at
 // batch 256, reporting committed-command throughput, p99 commit latency
-// and words per committed command. The proto/load path segments give
-// BENCH_sweep.json structured rows, and allocs_per_op puts the
-// allocation-free injection path under the benchjson -baseline gate.
+// and words per committed command, one proto=/load= sub-benchmark per
+// cell; -benchmem's allocs/op covers the allocation-free injection path.
 func BenchmarkThroughputTable(b *testing.B) {
 	for _, p := range []harness.Protocol{harness.ProtoLumiere, harness.ProtoCogsworth, harness.ProtoLP22} {
 		for _, load := range []int64{300, 1500} {
@@ -337,12 +331,10 @@ func BenchmarkThroughputTable(b *testing.B) {
 
 // BenchmarkRedTeamGrid regenerates the adversarial-search smoke cells:
 // a full grid search over redteam.SmokeSpace(1) maximizing post-GST
-// view-synchronization latency, per protocol. The proto= path segments
-// give BENCH_sweep.json structured rows, and allocs_per_op puts the
-// search engine's evaluation path (candidate legalization, scenario
-// construction, arena-backed sweep, cache bookkeeping) under the
-// benchjson -baseline regression gate. Workers is pinned to 1 so the
-// allocation count stays deterministic.
+// view-synchronization latency, per protocol. -benchmem's allocs/op
+// covers the search engine's evaluation path (candidate legalization,
+// scenario construction, arena-backed sweep, cache bookkeeping); Workers
+// is pinned to 1 so the allocation count stays deterministic.
 func BenchmarkRedTeamGrid(b *testing.B) {
 	for _, p := range []harness.Protocol{harness.ProtoLP22, harness.ProtoLumiere} {
 		p := p

@@ -14,122 +14,50 @@
 package cogsworth
 
 import (
-	"fmt"
 	"time"
 
+	"lumiere/internal/baseline"
 	"lumiere/internal/clock"
 	"lumiere/internal/crypto"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/pacemaker"
-	"lumiere/internal/quorum"
 	"lumiere/internal/trace"
 	"lumiere/internal/types"
 )
 
-// Config parameterizes Cogsworth.
-type Config struct {
-	// Base is the execution-model configuration.
-	Base types.Config
-	// ViewTimeout overrides the per-view progress timeout ((x+1)Δ).
-	ViewTimeout time.Duration
-	// RetryTimeout overrides the per-aggregator relay timeout (4Δ).
-	RetryTimeout time.Duration
-}
+// Gamma returns Cogsworth's per-view progress timeout (x+1)Δ, the
+// protocol's view duration for scenario sizing.
+func Gamma(cfg types.Config) time.Duration { return time.Duration(cfg.X+1) * cfg.Delta }
 
-func (c Config) viewTimeout() time.Duration {
-	if c.ViewTimeout > 0 {
-		return c.ViewTimeout
-	}
-	return time.Duration(c.Base.X+1) * c.Base.Delta
-}
-
-func (c Config) retryTimeout() time.Duration {
-	if c.RetryTimeout > 0 {
-		return c.RetryTimeout
-	}
-	return 4 * c.Base.Delta
-}
+// retryTimeout is the per-aggregator relay timeout, 4Δ.
+func retryTimeout(cfg types.Config) time.Duration { return 4 * cfg.Delta }
 
 // Pacemaker is one processor's Cogsworth instance.
 type Pacemaker struct {
-	cfg    Config
-	id     types.NodeID
-	ep     network.Endpoint
-	rt     clock.Runtime
-	suite  crypto.Suite
-	signer crypto.Signer
-	// stmt is the statement scratch: sign/verify statements are
-	// rebuilt in place, keeping the message hot paths free of
-	// per-call statement allocations.
-	stmt   msg.StmtScratch
-	driver pacemaker.Driver
-	obs    pacemaker.Observer
-	tr     *trace.Tracer
+	baseline.Node
 
-	view        types.View
 	viewCancel  func()
 	retryCancel func()
 	syncTarget  types.View // view currently being wished for (0 = none)
 	attempt     int
-
-	wishes quorum.VoteSets
-	tcSent quorum.Flags
-	tcSeen quorum.Flags
-	qcDone quorum.Flags
 }
 
 var _ pacemaker.Pacemaker = (*Pacemaker)(nil)
 
 // New creates a Cogsworth pacemaker.
-func New(cfg Config, ep network.Endpoint, rt clock.Runtime,
+func New(cfg types.Config, ep network.Endpoint, rt clock.Runtime,
 	suite crypto.Suite, driver pacemaker.Driver, obs pacemaker.Observer, tr *trace.Tracer) *Pacemaker {
-	if err := cfg.Base.Validate(); err != nil {
-		panic(fmt.Sprintf("cogsworth: invalid config: %v", err))
-	}
-	if obs == nil {
-		obs = pacemaker.NopObserver{}
-	}
-	if driver == nil {
-		driver = pacemaker.NopDriver{}
-	}
-	p := &Pacemaker{
-		cfg:    cfg,
-		id:     ep.ID(),
-		ep:     ep,
-		rt:     rt,
-		suite:  suite,
-		signer: suite.SignerFor(ep.ID()),
-		driver: driver,
-		obs:    obs,
-		tr:     tr,
-		view:   types.NoView,
-	}
-	p.wishes.Reset(cfg.Base.N)
-	return p
+	return &Pacemaker{Node: baseline.NewNode(cfg, ep, rt, suite, driver, obs, tr)}
 }
 
 // Start boots the protocol in view 0.
 func (p *Pacemaker) Start() { p.enterView(0) }
 
-// CurrentView implements pacemaker.Pacemaker.
-func (p *Pacemaker) CurrentView() types.View { return p.view }
-
-// CurrentEpoch implements pacemaker.Pacemaker; Cogsworth has no epochs.
-func (p *Pacemaker) CurrentEpoch() types.Epoch { return 0 }
-
-// Leader implements pacemaker.Pacemaker: round robin.
-func (p *Pacemaker) Leader(v types.View) types.NodeID {
-	if v < 0 {
-		return types.NoNode
-	}
-	return types.NodeID(v % types.View(p.cfg.Base.N))
-}
-
 // aggregator returns the k-th aggregation leader for view w: the relay
 // sequence starts at lead(w) and walks the ring.
 func (p *Pacemaker) aggregator(w types.View, k int) types.NodeID {
-	return types.NodeID((int(p.Leader(w)) + k) % p.cfg.Base.N)
+	return types.NodeID((int(p.Leader(w)) + k) % p.Cfg.N)
 }
 
 // Handle implements pacemaker.Pacemaker.
@@ -140,25 +68,20 @@ func (p *Pacemaker) Handle(from types.NodeID, m msg.Message) {
 	case *msg.TC:
 		p.onTC(mm)
 	case *msg.QC:
-		p.onQC(mm)
+		// Responsive entry into the next view.
+		p.enterView(mm.V + 1)
 	}
 }
 
 func (p *Pacemaker) enterView(w types.View) {
-	if w <= p.view {
+	if w <= p.CurrentView() {
 		return
 	}
 	p.cancelTimers()
-	p.view = w
 	p.syncTarget = 0
-	p.tr.Emit(p.rt.Now(), p.id, trace.EnterView, w, "")
-	p.obs.OnEnterView(w, p.rt.Now())
-	p.driver.EnterView(w)
-	if p.Leader(w) == p.id {
-		p.driver.LeaderStart(w, types.TimeInf)
-	}
-	p.viewCancel = p.rt.After(p.cfg.viewTimeout(), func() { p.onViewTimeout(w) })
-	p.prune()
+	p.Advance(w, p.Leader(w) == p.ID)
+	p.viewCancel = p.RT.After(Gamma(p.Cfg), func() { p.onViewTimeout(w) })
+	p.Certs.Forget(w - 1)
 }
 
 func (p *Pacemaker) cancelTimers() {
@@ -174,14 +97,10 @@ func (p *Pacemaker) cancelTimers() {
 
 // onViewTimeout begins the wish relay for the next view.
 func (p *Pacemaker) onViewTimeout(w types.View) {
-	if p.view != w {
+	if p.CurrentView() != w {
 		return
 	}
-	p.beginSync(w + 1)
-}
-
-func (p *Pacemaker) beginSync(target types.View) {
-	p.syncTarget = target
+	p.syncTarget = w + 1
 	p.attempt = 0
 	p.sendWish()
 }
@@ -190,74 +109,48 @@ func (p *Pacemaker) beginSync(target types.View) {
 // aggregation leader and arms the relay retry.
 func (p *Pacemaker) sendWish() {
 	target := p.syncTarget
-	if target <= p.view || target == 0 {
+	if target <= p.CurrentView() || target == 0 {
 		return
 	}
 	agg := p.aggregator(target, p.attempt)
-	p.tr.Emitf(p.rt.Now(), p.id, trace.SendView, target, "wish attempt %d -> %v", p.attempt, agg)
-	p.ep.Send(agg, &msg.Wish{V: target, Sig: p.signer.Sign(p.stmt.Wish(target))})
+	p.Tr.Emitf(p.RT.Now(), p.ID, trace.SendView, target, "wish attempt %d -> %v", p.attempt, agg)
+	p.EP.Send(agg, &msg.Wish{V: target, Sig: p.Signer.Sign(p.Stmt.Wish(target))})
 	attempt := p.attempt
-	p.retryCancel = p.rt.After(p.cfg.retryTimeout(), func() {
-		if p.syncTarget != target || p.view >= target || p.attempt != attempt {
+	p.retryCancel = p.RT.After(retryTimeout(p.Cfg), func() {
+		if p.syncTarget != target || p.CurrentView() >= target || p.attempt != attempt {
 			return
 		}
 		p.attempt++
-		if p.attempt >= p.cfg.Base.N {
+		if p.attempt >= p.Cfg.N {
 			p.attempt = 0 // wrap: keep trying around the ring
 		}
 		p.sendWish()
 	})
 }
 
-// onWish aggregates wishes addressed to this processor.
+// onWish aggregates wishes addressed to this processor: any processor a
+// wish reaches acts as aggregator for it.
 func (p *Pacemaker) onWish(from types.NodeID, w *msg.Wish) {
 	t := w.V
-	if t <= p.view || p.tcSent.Has(t) {
+	if t <= p.CurrentView() {
 		return
 	}
-	if w.Sig.Signer != from || p.suite.Verify(p.stmt.Wish(t), w.Sig) != nil {
+	tc, ok := p.Certs.Collect(from, t, w.Sig, p.Stmt.Wish(t), p.Cfg.Majority())
+	if !ok {
 		return
 	}
-	sigs := p.wishes.Get(t)
-	sigs.Add(w.Sig)
-	if sigs.Count() < p.cfg.Base.Majority() {
-		return
-	}
-	agg, err := p.suite.Aggregate(p.stmt.Wish(t), sigs.Sigs())
-	if err != nil {
-		return
-	}
-	p.tcSent.Set(t)
-	p.tr.Emit(p.rt.Now(), p.id, trace.SeeTC, t, "aggregated")
-	p.ep.Broadcast(&msg.TC{V: t, Agg: agg})
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.SeeTC, t, "aggregated")
+	p.EP.Broadcast(&msg.TC{V: t, Agg: tc})
 }
 
+// onTC synchronizes into the view a valid TC names.
 func (p *Pacemaker) onTC(tc *msg.TC) {
 	t := tc.V
-	if t <= p.view || p.tcSeen.Has(t) {
+	if t <= p.CurrentView() {
 		return
 	}
-	if p.suite.VerifyAggregate(p.stmt.Wish(t), tc.Agg, p.cfg.Base.Majority()) != nil {
+	if p.Suite.VerifyAggregate(p.Stmt.Wish(t), tc.Agg, p.Cfg.Majority()) != nil {
 		return
 	}
-	p.tcSeen.Set(t)
 	p.enterView(t)
-}
-
-// onQC implements responsive entry into the next view.
-func (p *Pacemaker) onQC(qc *msg.QC) {
-	v := qc.V
-	if v < p.view || p.qcDone.Has(v) {
-		return
-	}
-	p.qcDone.Set(v)
-	p.enterView(v + 1)
-}
-
-func (p *Pacemaker) prune() {
-	low := p.view - 1
-	p.wishes.DropBelow(low)
-	p.tcSent.ForgetBelow(low)
-	p.tcSeen.ForgetBelow(low)
-	p.qcDone.ForgetBelow(low)
 }

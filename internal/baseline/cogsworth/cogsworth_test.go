@@ -2,74 +2,24 @@ package cogsworth
 
 import (
 	"testing"
-	"time"
 
-	"lumiere/internal/crypto"
+	"lumiere/internal/baseline/baselinetest"
 	"lumiere/internal/msg"
-	"lumiere/internal/network"
-	"lumiere/internal/pacemaker"
-	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
-type fakeEP struct {
-	id     types.NodeID
-	bcasts []msg.Message
-	sends  []sent
-}
-
-type sent struct {
-	to types.NodeID
-	m  msg.Message
-}
-
-func (f *fakeEP) ID() types.NodeID                    { return f.id }
-func (f *fakeEP) Send(to types.NodeID, m msg.Message) { f.sends = append(f.sends, sent{to, m}) }
-func (f *fakeEP) Broadcast(m msg.Message)             { f.bcasts = append(f.bcasts, m) }
-
-var _ network.Endpoint = (*fakeEP)(nil)
-
-type recDriver struct {
-	entered []types.View
-	started []types.View
-}
-
-func (r *recDriver) EnterView(v types.View)                 { r.entered = append(r.entered, v) }
-func (r *recDriver) LeaderStart(v types.View, _ types.Time) { r.started = append(r.started, v) }
-
-var _ pacemaker.Driver = (*recDriver)(nil)
-
 type unit struct {
-	sched *sim.Scheduler
-	suite *crypto.SimSuite
-	ep    *fakeEP
-	drv   *recDriver
-	pm    *Pacemaker
-	cfg   Config
+	*baselinetest.Unit
+	pm *Pacemaker
 }
 
 func newUnit(id types.NodeID) *unit {
-	u := &unit{sched: sim.New(1)}
-	u.suite = crypto.NewSimSuite(4, 5)
-	u.ep = &fakeEP{id: id}
-	u.drv = &recDriver{}
-	u.cfg = Config{Base: types.NewConfig(1, 100*time.Millisecond)}
-	u.pm = New(u.cfg, u.ep, u.sched, u.suite, u.drv, nil, nil)
-	return u
+	u := baselinetest.NewUnit(id, 0)
+	return &unit{u, New(u.Cfg, u.EP, u.Sched, u.Suite, u.Drv, nil, nil)}
 }
 
 func (u *unit) wishFrom(from types.NodeID, v types.View) *msg.Wish {
-	return &msg.Wish{V: v, Sig: u.suite.SignerFor(from).Sign(msg.WishStatement(v))}
-}
-
-func (u *unit) qcFor(v types.View) *msg.QC {
-	var h [32]byte
-	var sigs []crypto.Signature
-	for i := 0; i < 3; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(v, h)))
-	}
-	agg, _ := u.suite.Aggregate(msg.VoteStatement(v, h), sigs)
-	return &msg.QC{V: v, BlockHash: h, Agg: agg}
+	return &msg.Wish{V: v, Sig: u.Sign(from, msg.WishStatement(v))}
 }
 
 // TestTimeoutSendsWishToAggregator: on view expiry, a wish for the next
@@ -80,18 +30,18 @@ func TestTimeoutSendsWishToAggregator(t *testing.T) {
 	if u.pm.CurrentView() != 0 {
 		t.Fatal("did not start in view 0")
 	}
-	u.sched.RunFor(u.cfg.viewTimeout())
-	if len(u.ep.sends) != 1 {
-		t.Fatalf("sends = %d", len(u.ep.sends))
+	u.Sched.RunFor(Gamma(u.Cfg))
+	if len(u.EP.Sends) != 1 {
+		t.Fatalf("sends = %d", len(u.EP.Sends))
 	}
-	if u.ep.sends[0].to != 1 || u.ep.sends[0].m.View() != 1 {
-		t.Fatalf("wish = %+v, want view-1 wish to p1", u.ep.sends[0])
+	if u.EP.Sends[0].To != 1 || u.EP.Sends[0].M.View() != 1 {
+		t.Fatalf("wish = %+v, want view-1 wish to p1", u.EP.Sends[0])
 	}
 	// Aggregator p1 is silent: after the retry timeout the wish goes
 	// to p2.
-	u.sched.RunFor(u.cfg.retryTimeout())
-	if len(u.ep.sends) != 2 || u.ep.sends[1].to != 2 {
-		t.Fatalf("relay = %+v", u.ep.sends)
+	u.Sched.RunFor(retryTimeout(u.Cfg))
+	if len(u.EP.Sends) != 2 || u.EP.Sends[1].To != 2 {
+		t.Fatalf("relay = %+v", u.EP.Sends)
 	}
 }
 
@@ -100,12 +50,12 @@ func TestAggregatorFormsTC(t *testing.T) {
 	u := newUnit(1) // p1 = lead(1), the first aggregator for view 1
 	u.pm.Start()
 	u.pm.Handle(2, u.wishFrom(2, 1))
-	if len(u.ep.bcasts) != 0 {
+	if len(u.EP.Bcasts) != 0 {
 		t.Fatal("TC below threshold")
 	}
 	u.pm.Handle(3, u.wishFrom(3, 1))
-	if len(u.ep.bcasts) != 1 || u.ep.bcasts[0].Kind() != msg.KindTC {
-		t.Fatalf("bcasts = %v", u.ep.bcasts)
+	if len(u.EP.Bcasts) != 1 || u.EP.Bcasts[0].Kind() != msg.KindTC {
+		t.Fatalf("bcasts = %v", u.EP.Bcasts)
 	}
 }
 
@@ -113,12 +63,7 @@ func TestAggregatorFormsTC(t *testing.T) {
 func TestTCEntersView(t *testing.T) {
 	u := newUnit(3)
 	u.pm.Start()
-	var sigs []crypto.Signature
-	for i := 0; i < 2; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.WishStatement(5)))
-	}
-	agg, _ := u.suite.Aggregate(msg.WishStatement(5), sigs)
-	u.pm.Handle(0, &msg.TC{V: 5, Agg: agg})
+	u.pm.Handle(0, &msg.TC{V: 5, Agg: u.Cert(msg.WishStatement(5), 2)})
 	if u.pm.CurrentView() != 5 {
 		t.Fatalf("view = %v, want 5", u.pm.CurrentView())
 	}
@@ -129,12 +74,12 @@ func TestTCEntersView(t *testing.T) {
 func TestQCResponsiveEntry(t *testing.T) {
 	u := newUnit(1)
 	u.pm.Start()
-	u.pm.Handle(0, u.qcFor(0))
+	u.pm.Handle(0, u.QC(0))
 	if u.pm.CurrentView() != 1 {
 		t.Fatalf("view = %v, want 1", u.pm.CurrentView())
 	}
-	if len(u.drv.started) == 0 || u.drv.started[len(u.drv.started)-1] != 1 {
-		t.Fatalf("leader start = %v", u.drv.started)
+	if len(u.Drv.Started) == 0 || u.Drv.Started[len(u.Drv.Started)-1] != 1 {
+		t.Fatalf("leader start = %v", u.Drv.Started)
 	}
 }
 
@@ -142,14 +87,14 @@ func TestQCResponsiveEntry(t *testing.T) {
 func TestEntryCancelsWishRelay(t *testing.T) {
 	u := newUnit(3)
 	u.pm.Start()
-	u.sched.RunFor(u.cfg.viewTimeout()) // begin sync for view 1
-	before := len(u.ep.sends)
-	u.pm.Handle(0, u.qcFor(0)) // enter view 1 responsively
-	u.sched.RunFor(3 * u.cfg.retryTimeout())
+	u.Sched.RunFor(Gamma(u.Cfg)) // begin sync for view 1
+	before := len(u.EP.Sends)
+	u.pm.Handle(0, u.QC(0)) // enter view 1 responsively
+	u.Sched.RunFor(3 * retryTimeout(u.Cfg))
 	// No further wishes for view 1; a new timeout cycle for view 2 may
 	// begin (that is correct behavior), so only count view-1 wishes.
-	for _, s := range u.ep.sends[before:] {
-		if s.m.Kind() == msg.KindWish && s.m.View() == 1 {
+	for _, s := range u.EP.Sends[before:] {
+		if s.M.Kind() == msg.KindWish && s.M.View() == 1 {
 			t.Fatal("wish relay continued after entering the view")
 		}
 	}

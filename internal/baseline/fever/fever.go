@@ -13,97 +13,40 @@
 package fever
 
 import (
-	"fmt"
 	"time"
 
+	"lumiere/internal/baseline"
 	"lumiere/internal/clock"
 	"lumiere/internal/crypto"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/pacemaker"
-	"lumiere/internal/quorum"
 	"lumiere/internal/trace"
 	"lumiere/internal/types"
 )
 
-// Config parameterizes Fever.
-type Config struct {
-	// Base is the execution-model configuration.
-	Base types.Config
-	// GammaOverride overrides Γ = 2(x+1)Δ (§3.3).
-	GammaOverride time.Duration
-}
-
-// Gamma returns the view duration Γ = 2(x+1)Δ unless overridden.
-func (c Config) Gamma() time.Duration {
-	if c.GammaOverride > 0 {
-		return c.GammaOverride
-	}
-	return 2 * time.Duration(c.Base.X+1) * c.Base.Delta
-}
+// Gamma returns Fever's view duration Γ = 2(x+1)Δ (§3.3).
+func Gamma(cfg types.Config) time.Duration { return 2 * time.Duration(cfg.X+1) * cfg.Delta }
 
 // Pacemaker is one processor's Fever instance.
 type Pacemaker struct {
-	cfg    Config
-	id     types.NodeID
-	ep     network.Endpoint
-	rt     clock.Runtime
+	baseline.Node
 	clk    *clock.Clock
 	ticker *clock.Ticker
-	suite  crypto.Suite
-	signer crypto.Signer
-	// stmt is the statement scratch: sign/verify statements are
-	// rebuilt in place, keeping the message hot paths free of
-	// per-call statement allocations.
-	stmt   msg.StmtScratch
-	driver pacemaker.Driver
-	obs    pacemaker.Observer
-	tr     *trace.Tracer
-
-	gamma time.Duration
-	view  types.View
-
-	sentView quorum.Flags
-	viewMsgs quorum.VoteSets
-	vcFormed quorum.Flags
-	vcSeen   quorum.Flags
-	qcDone   quorum.Flags
+	gamma  time.Duration
 }
 
 var _ pacemaker.Pacemaker = (*Pacemaker)(nil)
 
 // New creates a Fever pacemaker.
-func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
+func New(cfg types.Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 	suite crypto.Suite, driver pacemaker.Driver, obs pacemaker.Observer, tr *trace.Tracer) *Pacemaker {
-	if err := cfg.Base.Validate(); err != nil {
-		panic(fmt.Sprintf("fever: invalid config: %v", err))
+	return &Pacemaker{
+		Node:  baseline.NewNode(cfg, ep, rt, suite, driver, obs, tr),
+		clk:   clk,
+		gamma: Gamma(cfg),
 	}
-	if obs == nil {
-		obs = pacemaker.NopObserver{}
-	}
-	if driver == nil {
-		driver = pacemaker.NopDriver{}
-	}
-	p := &Pacemaker{
-		cfg:    cfg,
-		id:     ep.ID(),
-		ep:     ep,
-		rt:     rt,
-		clk:    clk,
-		suite:  suite,
-		signer: suite.SignerFor(ep.ID()),
-		driver: driver,
-		obs:    obs,
-		tr:     tr,
-		gamma:  cfg.Gamma(),
-		view:   types.NoView,
-	}
-	p.viewMsgs.Reset(cfg.Base.N)
-	return p
 }
-
-// Gamma returns the view duration Γ in effect.
-func (p *Pacemaker) Gamma() time.Duration { return p.gamma }
 
 // Start boots the protocol. The clock's initial value encodes the model's
 // bounded initial skew.
@@ -112,18 +55,12 @@ func (p *Pacemaker) Start() {
 	p.ticker.StartInclusive()
 }
 
-// CurrentView implements pacemaker.Pacemaker.
-func (p *Pacemaker) CurrentView() types.View { return p.view }
-
-// CurrentEpoch implements pacemaker.Pacemaker; Fever has no epochs.
-func (p *Pacemaker) CurrentEpoch() types.Epoch { return 0 }
-
 // Leader implements pacemaker.Pacemaker: lead(v) = ⌊v/2⌋ mod n (§3.3).
 func (p *Pacemaker) Leader(v types.View) types.NodeID {
 	if v < 0 {
 		return types.NoNode
 	}
-	return types.NodeID((v / 2) % types.View(p.cfg.Base.N))
+	return types.NodeID((v / 2) % types.View(p.Cfg.N))
 }
 
 func (p *Pacemaker) clockTime(v types.View) types.Time {
@@ -144,114 +81,71 @@ func (p *Pacemaker) Handle(from types.NodeID, m msg.Message) {
 
 // onBoundary implements "if v is initial, p enters view v when lc = c_v".
 func (p *Pacemaker) onBoundary(w types.View) {
-	if !w.Initial() || w <= p.view {
-		return
+	if w.Initial() && w > p.CurrentView() {
+		p.enterView(w)
 	}
-	p.enterView(w)
 }
 
+// enterView enters w > view. An initial view starts with a view message
+// to its leader, who starts driving it once it holds the VC; the leader
+// of a non-initial view starts at once.
 func (p *Pacemaker) enterView(w types.View) {
-	if w <= p.view {
-		return
-	}
-	p.view = w
-	p.tr.Emit(p.rt.Now(), p.id, trace.EnterView, w, "")
-	p.obs.OnEnterView(w, p.rt.Now())
-	p.driver.EnterView(w)
+	p.Advance(w, !w.Initial() && p.Leader(w) == p.ID)
 	if w.Initial() {
-		p.sendViewMsg(w)
-		p.maybeLeaderStart(w)
-	} else if p.Leader(w) == p.id {
-		p.driver.LeaderStart(w, types.TimeInf)
+		p.Tr.Emit(p.RT.Now(), p.ID, trace.SendView, w, "")
+		p.EP.Send(p.Leader(w), &msg.ViewMsg{V: w, Sig: p.Signer.Sign(p.Stmt.View(w))})
+		if p.Leader(w) == p.ID && p.Certs.Formed(w) {
+			p.Driver.LeaderStart(w, types.TimeInf)
+		}
 	}
-	p.prune()
-}
-
-func (p *Pacemaker) sendViewMsg(w types.View) {
-	if p.sentView.Has(w) {
-		return
-	}
-	p.sentView.Set(w)
-	p.tr.Emit(p.rt.Now(), p.id, trace.SendView, w, "")
-	p.ep.Send(p.Leader(w), &msg.ViewMsg{V: w, Sig: p.signer.Sign(p.stmt.View(w))})
+	p.Certs.Forget(w - 2)
 }
 
 func (p *Pacemaker) onViewMsg(from types.NodeID, vm *msg.ViewMsg) {
 	w := vm.V
-	if !w.Initial() || p.Leader(w) != p.id || w < p.view || p.vcFormed.Has(w) {
+	if !w.Initial() || p.Leader(w) != p.ID || w < p.CurrentView() {
 		return
 	}
-	if vm.Sig.Signer != from || p.suite.Verify(p.stmt.View(w), vm.Sig) != nil {
+	vc, ok := p.Certs.Collect(from, w, vm.Sig, p.Stmt.View(w), p.Cfg.Majority())
+	if !ok {
 		return
 	}
-	sigs := p.viewMsgs.Get(w)
-	sigs.Add(vm.Sig)
-	if sigs.Count() < p.cfg.Base.Majority() {
-		return
-	}
-	agg, err := p.suite.Aggregate(p.stmt.View(w), sigs.Sigs())
-	if err != nil {
-		return
-	}
-	p.vcFormed.Set(w)
-	p.tr.Emit(p.rt.Now(), p.id, trace.FormVC, w, "")
-	p.ep.Broadcast(&msg.VC{V: w, Agg: agg})
-	p.maybeLeaderStart(w)
-}
-
-func (p *Pacemaker) maybeLeaderStart(w types.View) {
-	if p.Leader(w) == p.id && p.view == w && p.vcFormed.Has(w) {
-		p.driver.LeaderStart(w, types.TimeInf)
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.FormVC, w, "")
+	p.EP.Broadcast(&msg.VC{V: w, Agg: vc})
+	if p.CurrentView() == w {
+		p.Driver.LeaderStart(w, types.TimeInf)
 	}
 }
 
 // onVC implements the bump rule: a VC for view v with lc < c_v bumps the
-// clock to c_v; the landing enters the view via the clock trigger.
+// clock to c_v; the landing enters the view via the clock trigger. A VC
+// that cannot bump — a replay included — is dropped unverified.
 func (p *Pacemaker) onVC(vc *msg.VC) {
 	w := vc.V
-	// Views below the pruning bound stay forgotten: the clock is already
-	// at or past c_view > c_w, so the bump such an old VC could trigger
-	// is a no-op.
-	if !w.Initial() || w < p.vcSeen.Bound() || p.vcSeen.Has(w) {
+	target := p.clockTime(w)
+	if !w.Initial() || p.clk.Read() >= target {
 		return
 	}
-	if p.suite.VerifyAggregate(p.stmt.View(w), vc.Agg, p.cfg.Base.Majority()) != nil {
+	if p.Suite.VerifyAggregate(p.Stmt.View(w), vc.Agg, p.Cfg.Majority()) != nil {
 		return
 	}
-	p.vcSeen.Set(w)
-	if target := p.clockTime(w); p.clk.BumpTo(target) {
-		p.tr.Emit(p.rt.Now(), p.id, trace.Bump, w, "vc")
-		p.ticker.Jumped(target)
-	}
+	p.bump(w, target, "vc")
 }
 
 // onQC implements the bump rule for QCs and non-initial view entry.
 func (p *Pacemaker) onQC(qc *msg.QC) {
-	v := qc.V
-	// As in onVC, views below the pruning bound are treated as done:
-	// neither the view entry nor the bump they gate can still fire.
-	if v < p.qcDone.Bound() || p.qcDone.Has(v) {
-		return
-	}
-	p.qcDone.Set(v)
-	next := v + 1
-	if !next.Initial() && next > p.view {
+	next := qc.V + 1
+	if !next.Initial() && next > p.CurrentView() {
 		p.enterView(next)
-		if p.Leader(next) == p.id {
-			p.driver.LeaderStart(next, types.TimeInf)
-		}
 	}
-	if target := p.clockTime(next); p.clk.BumpTo(target) {
-		p.tr.Emit(p.rt.Now(), p.id, trace.Bump, next, "qc")
-		p.ticker.Jumped(target)
-	}
+	p.bump(next, p.clockTime(next), "qc")
 }
 
-func (p *Pacemaker) prune() {
-	low := p.view - 2
-	p.sentView.ForgetBelow(low)
-	p.vcFormed.ForgetBelow(low)
-	p.vcSeen.ForgetBelow(low)
-	p.qcDone.ForgetBelow(low)
-	p.viewMsgs.DropBelow(low)
+// bump moves the clock forward to c_w = target; a clock already there or
+// past it stays put, so replayed certificates change nothing.
+func (p *Pacemaker) bump(w types.View, target types.Time, cause string) {
+	if p.clk.BumpTo(target) {
+		p.Tr.Emit(p.RT.Now(), p.ID, trace.Bump, w, cause)
+		p.ticker.Jumped(target)
+	}
 }

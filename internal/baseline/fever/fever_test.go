@@ -4,88 +4,33 @@ import (
 	"testing"
 	"time"
 
-	"lumiere/internal/clock"
-	"lumiere/internal/crypto"
+	"lumiere/internal/baseline/baselinetest"
 	"lumiere/internal/msg"
-	"lumiere/internal/network"
-	"lumiere/internal/pacemaker"
-	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
-type fakeEP struct {
-	id     types.NodeID
-	bcasts []msg.Message
-	sends  []sent
-}
-
-type sent struct {
-	to types.NodeID
-	m  msg.Message
-}
-
-func (f *fakeEP) ID() types.NodeID                    { return f.id }
-func (f *fakeEP) Send(to types.NodeID, m msg.Message) { f.sends = append(f.sends, sent{to, m}) }
-func (f *fakeEP) Broadcast(m msg.Message)             { f.bcasts = append(f.bcasts, m) }
-
-var _ network.Endpoint = (*fakeEP)(nil)
-
-type recDriver struct {
-	entered []types.View
-	started []types.View
-}
-
-func (r *recDriver) EnterView(v types.View)                 { r.entered = append(r.entered, v) }
-func (r *recDriver) LeaderStart(v types.View, _ types.Time) { r.started = append(r.started, v) }
-
-var _ pacemaker.Driver = (*recDriver)(nil)
-
 type unit struct {
-	sched *sim.Scheduler
-	suite *crypto.SimSuite
-	ep    *fakeEP
-	clk   *clock.Clock
-	drv   *recDriver
-	pm    *Pacemaker
+	*baselinetest.Unit
+	pm *Pacemaker
 }
 
 func newUnit(id types.NodeID, initial types.Time) *unit {
-	u := &unit{sched: sim.New(1)}
-	u.suite = crypto.NewSimSuite(4, 5)
-	u.ep = &fakeEP{id: id}
-	u.clk = clock.New(u.sched, initial)
-	u.drv = &recDriver{}
-	u.pm = New(Config{Base: types.NewConfig(1, 100*time.Millisecond)}, u.ep, u.sched, u.clk, u.suite, u.drv, nil, nil)
-	return u
+	u := baselinetest.NewUnit(id, initial)
+	return &unit{u, New(u.Cfg, u.EP, u.Sched, u.Clk, u.Suite, u.Drv, nil, nil)}
 }
 
 func (u *unit) viewMsgFrom(from types.NodeID, v types.View) *msg.ViewMsg {
-	return &msg.ViewMsg{V: v, Sig: u.suite.SignerFor(from).Sign(msg.ViewStatement(v))}
+	return &msg.ViewMsg{V: v, Sig: u.Sign(from, msg.ViewStatement(v))}
 }
 
 func (u *unit) vcFor(v types.View) *msg.VC {
-	var sigs []crypto.Signature
-	for i := 0; i < 2; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.ViewStatement(v)))
-	}
-	agg, _ := u.suite.Aggregate(msg.ViewStatement(v), sigs)
-	return &msg.VC{V: v, Agg: agg}
-}
-
-func (u *unit) qcFor(v types.View) *msg.QC {
-	var h [32]byte
-	var sigs []crypto.Signature
-	for i := 0; i < 3; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(v, h)))
-	}
-	agg, _ := u.suite.Aggregate(msg.VoteStatement(v, h), sigs)
-	return &msg.QC{V: v, BlockHash: h, Agg: agg}
+	return &msg.VC{V: v, Agg: u.Cert(msg.ViewStatement(v), 2)}
 }
 
 func TestGamma(t *testing.T) {
-	c := Config{Base: types.NewConfig(1, 100*time.Millisecond)}
-	if c.Gamma() != 800*time.Millisecond {
-		t.Fatalf("Γ = %v, want 2(x+1)Δ = 800ms", c.Gamma())
+	c := types.NewConfig(1, 100*time.Millisecond)
+	if Gamma(c) != 800*time.Millisecond {
+		t.Fatalf("Γ = %v, want 2(x+1)Δ = 800ms", Gamma(c))
 	}
 }
 
@@ -94,14 +39,14 @@ func TestGamma(t *testing.T) {
 func TestClockEntryAndViewMsg(t *testing.T) {
 	u := newUnit(3, 0)
 	u.pm.Start()
-	u.sched.RunUntil(0)
+	u.Sched.RunUntil(0)
 	if u.pm.CurrentView() != 0 {
 		t.Fatalf("view = %v, want 0 at lc = c_0", u.pm.CurrentView())
 	}
-	if len(u.ep.sends) != 1 || u.ep.sends[0].to != 0 || u.ep.sends[0].m.Kind() != msg.KindView {
-		t.Fatalf("sends = %+v", u.ep.sends)
+	if len(u.EP.Sends) != 1 || u.EP.Sends[0].To != 0 || u.EP.Sends[0].M.Kind() != msg.KindView {
+		t.Fatalf("sends = %+v", u.EP.Sends)
 	}
-	u.sched.RunFor(2 * u.pm.Gamma())
+	u.Sched.RunFor(2 * Gamma(u.Cfg))
 	if u.pm.CurrentView() != 2 {
 		t.Fatalf("view = %v, want 2 (odd views are not clock-entered)", u.pm.CurrentView())
 	}
@@ -112,7 +57,7 @@ func TestClockEntryAndViewMsg(t *testing.T) {
 func TestInitialSkewRespected(t *testing.T) {
 	u := newUnit(3, types.Time(800*time.Millisecond)) // c_1
 	u.pm.Start()
-	u.sched.RunFor(800 * time.Millisecond) // reach c_2
+	u.Sched.RunFor(800 * time.Millisecond) // reach c_2
 	if u.pm.CurrentView() != 2 {
 		t.Fatalf("view = %v, want 2", u.pm.CurrentView())
 	}
@@ -123,11 +68,11 @@ func TestInitialSkewRespected(t *testing.T) {
 func TestLeaderVC(t *testing.T) {
 	u := newUnit(0, 0)
 	u.pm.Start()
-	u.sched.RunUntil(0) // enter view 0 (p0 leads 0,1)
+	u.Sched.RunUntil(0) // enter view 0 (p0 leads 0,1)
 	u.pm.Handle(1, u.viewMsgFrom(1, 0))
 	u.pm.Handle(2, u.viewMsgFrom(2, 0))
 	var vcs int
-	for _, m := range u.ep.bcasts {
+	for _, m := range u.EP.Bcasts {
 		if m.Kind() == msg.KindVC {
 			vcs++
 		}
@@ -135,8 +80,8 @@ func TestLeaderVC(t *testing.T) {
 	if vcs != 1 {
 		t.Fatalf("VC broadcasts = %d", vcs)
 	}
-	if len(u.drv.started) != 1 || u.drv.started[0] != 0 {
-		t.Fatalf("started = %v", u.drv.started)
+	if len(u.Drv.Started) != 1 || u.Drv.Started[0] != 0 {
+		t.Fatalf("started = %v", u.Drv.Started)
 	}
 }
 
@@ -145,13 +90,13 @@ func TestLeaderVC(t *testing.T) {
 func TestVCBumpsIntoView(t *testing.T) {
 	u := newUnit(3, 0)
 	u.pm.Start()
-	u.sched.RunUntil(0)
+	u.Sched.RunUntil(0)
 	u.pm.Handle(0, u.vcFor(4))
 	if u.pm.CurrentView() != 4 {
 		t.Fatalf("view = %v, want 4", u.pm.CurrentView())
 	}
-	if u.clk.Read() != types.Time(4)*types.Time(u.pm.Gamma()) {
-		t.Fatalf("lc = %v, want c_4", u.clk.Read())
+	if u.Clk.Read() != types.Time(4)*types.Time(Gamma(u.Cfg)) {
+		t.Fatalf("lc = %v, want c_4", u.Clk.Read())
 	}
 }
 
@@ -160,17 +105,17 @@ func TestVCBumpsIntoView(t *testing.T) {
 func TestQCEntersOddViewAndBumps(t *testing.T) {
 	u := newUnit(3, 0)
 	u.pm.Start()
-	u.sched.RunUntil(0)
-	u.pm.Handle(0, u.qcFor(0))
+	u.Sched.RunUntil(0)
+	u.pm.Handle(0, u.QC(0))
 	if u.pm.CurrentView() != 1 {
 		t.Fatalf("view = %v, want 1", u.pm.CurrentView())
 	}
-	if u.clk.Read() != types.Time(u.pm.Gamma()) {
-		t.Fatalf("lc = %v, want c_1", u.clk.Read())
+	if u.Clk.Read() != types.Time(Gamma(u.Cfg)) {
+		t.Fatalf("lc = %v, want c_1", u.Clk.Read())
 	}
 	// QC for the odd view bumps to the next even boundary, entering it
 	// via the clock trigger.
-	u.pm.Handle(0, u.qcFor(1))
+	u.pm.Handle(0, u.QC(1))
 	if u.pm.CurrentView() != 2 {
 		t.Fatalf("view = %v, want 2", u.pm.CurrentView())
 	}
@@ -180,11 +125,11 @@ func TestQCEntersOddViewAndBumps(t *testing.T) {
 func TestBumpNeverBackwards(t *testing.T) {
 	u := newUnit(3, 0)
 	u.pm.Start()
-	u.pm.Handle(0, u.qcFor(9))
-	lc := u.clk.Read()
+	u.pm.Handle(0, u.QC(9))
+	lc := u.Clk.Read()
 	u.pm.Handle(0, u.vcFor(2))
-	u.pm.Handle(0, u.qcFor(3))
-	if u.clk.Read() != lc {
+	u.pm.Handle(0, u.QC(3))
+	if u.Clk.Read() != lc {
 		t.Fatal("stale certificate moved the clock")
 	}
 }
@@ -197,7 +142,7 @@ func TestBadVCRejected(t *testing.T) {
 	vc.Agg.Bytes[0] = append([]byte(nil), vc.Agg.Bytes[0]...)
 	vc.Agg.Bytes[0][0] ^= 1
 	u.pm.Handle(0, vc)
-	if u.clk.Read() != 0 {
+	if u.Clk.Read() != 0 {
 		t.Fatal("tampered VC bumped the clock")
 	}
 }

@@ -4,86 +4,33 @@ import (
 	"testing"
 	"time"
 
-	"lumiere/internal/clock"
-	"lumiere/internal/crypto"
+	"lumiere/internal/baseline"
+	"lumiere/internal/baseline/baselinetest"
 	"lumiere/internal/msg"
-	"lumiere/internal/network"
-	"lumiere/internal/pacemaker"
-	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
-type fakeEP struct {
-	id     types.NodeID
-	bcasts []msg.Message
-	sends  []msg.Message
-}
-
-func (f *fakeEP) ID() types.NodeID                   { return f.id }
-func (f *fakeEP) Send(_ types.NodeID, m msg.Message) { f.sends = append(f.sends, m) }
-func (f *fakeEP) Broadcast(m msg.Message)            { f.bcasts = append(f.bcasts, m) }
-func (f *fakeEP) countBcast(k msg.Kind) (n int) {
-	for _, m := range f.bcasts {
-		if m.Kind() == k {
-			n++
-		}
-	}
-	return n
-}
-
-var _ network.Endpoint = (*fakeEP)(nil)
-
-type recDriver struct {
-	entered []types.View
-	started []types.View
-}
-
-func (r *recDriver) EnterView(v types.View)                 { r.entered = append(r.entered, v) }
-func (r *recDriver) LeaderStart(v types.View, _ types.Time) { r.started = append(r.started, v) }
-
-var _ pacemaker.Driver = (*recDriver)(nil)
-
 type unit struct {
-	sched *sim.Scheduler
-	suite *crypto.SimSuite
-	ep    *fakeEP
-	clk   *clock.Clock
-	drv   *recDriver
-	pm    *Pacemaker
+	*baselinetest.Unit
+	pm *baseline.EpochSync
 }
 
 func newUnit(id types.NodeID) *unit {
-	u := &unit{sched: sim.New(1)}
-	u.suite = crypto.NewSimSuite(4, 5)
-	u.ep = &fakeEP{id: id}
-	u.clk = clock.New(u.sched, 0)
-	u.drv = &recDriver{}
-	cfg := Config{Base: types.NewConfig(1, 100*time.Millisecond)}
-	u.pm = New(cfg, u.ep, u.sched, u.clk, u.suite, u.drv, nil, nil)
-	return u
+	u := baselinetest.NewUnit(id, 0)
+	return &unit{u, New(u.Cfg, u.EP, u.Sched, u.Clk, u.Suite, u.Drv, nil, nil)}
 }
 
 func (u *unit) epochViewFrom(from types.NodeID, v types.View) *msg.EpochViewMsg {
-	return &msg.EpochViewMsg{V: v, Sig: u.suite.SignerFor(from).Sign(msg.EpochViewStatement(v))}
-}
-
-func (u *unit) qcFor(v types.View) *msg.QC {
-	var h [32]byte
-	var sigs []crypto.Signature
-	for i := 0; i < 3; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(v, h)))
-	}
-	agg, _ := u.suite.Aggregate(msg.VoteStatement(v, h), sigs)
-	return &msg.QC{V: v, BlockHash: h, Agg: agg}
+	return &msg.EpochViewMsg{V: v, Sig: u.Sign(from, msg.EpochViewStatement(v))}
 }
 
 func TestGeometry(t *testing.T) {
-	c := Config{Base: types.NewConfig(3, 100*time.Millisecond)}
-	if c.Gamma() != 400*time.Millisecond {
-		t.Fatalf("Γ = %v, want (x+1)Δ = 400ms", c.Gamma())
+	c := types.NewConfig(3, 100*time.Millisecond)
+	if Gamma(c) != 400*time.Millisecond {
+		t.Fatalf("Γ = %v, want (x+1)Δ = 400ms", Gamma(c))
 	}
-	if c.EpochLen() != 4 {
-		t.Fatalf("epoch = %d, want f+1", c.EpochLen())
+	if baseline.EpochLen(c) != 4 {
+		t.Fatalf("epoch = %d, want f+1", baseline.EpochLen(c))
 	}
 }
 
@@ -92,10 +39,10 @@ func TestGeometry(t *testing.T) {
 func TestBootImmediateHeavySync(t *testing.T) {
 	u := newUnit(0)
 	u.pm.Start()
-	if !u.clk.Paused() {
+	if !u.Clk.Paused() {
 		t.Fatal("not paused at boot")
 	}
-	if u.ep.countBcast(msg.KindEpochView) != 1 {
+	if u.EP.CountBcast(msg.KindEpochView) != 1 {
 		t.Fatal("epoch-view not sent immediately")
 	}
 }
@@ -108,14 +55,14 @@ func TestECAssemblyBroadcastsAndEnters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
-	if u.ep.countBcast(msg.KindEC) != 1 {
+	if u.EP.CountBcast(msg.KindEC) != 1 {
 		t.Fatal("EC not re-broadcast")
 	}
-	if u.pm.CurrentView() != 0 || u.pm.CurrentEpoch() != 0 || u.clk.Paused() {
-		t.Fatalf("entry failed: view=%v epoch=%v paused=%v", u.pm.CurrentView(), u.pm.CurrentEpoch(), u.clk.Paused())
+	if u.pm.CurrentView() != 0 || u.pm.CurrentEpoch() != 0 || u.Clk.Paused() {
+		t.Fatalf("entry failed: view=%v epoch=%v paused=%v", u.pm.CurrentView(), u.pm.CurrentEpoch(), u.Clk.Paused())
 	}
-	if len(u.drv.started) != 1 || u.drv.started[0] != 0 {
-		t.Fatalf("leader of view 0 did not start: %v", u.drv.started)
+	if len(u.Drv.Started) != 1 || u.Drv.Started[0] != 0 {
+		t.Fatalf("leader of view 0 did not start: %v", u.Drv.Started)
 	}
 	// A non-leader unit enters without starting.
 	u3 := newUnit(3)
@@ -123,8 +70,8 @@ func TestECAssemblyBroadcastsAndEnters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u3.pm.Handle(types.NodeID(i), u3.epochViewFrom(types.NodeID(i), 0))
 	}
-	if u3.pm.CurrentView() != 0 || len(u3.drv.started) != 0 {
-		t.Fatalf("non-leader: view=%v started=%v", u3.pm.CurrentView(), u3.drv.started)
+	if u3.pm.CurrentView() != 0 || len(u3.Drv.Started) != 0 {
+		t.Fatalf("non-leader: view=%v started=%v", u3.pm.CurrentView(), u3.Drv.Started)
 	}
 }
 
@@ -136,17 +83,17 @@ func TestQCEntersNextViewWithoutBump(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
-	lcBefore := u.clk.Read()
-	u.pm.Handle(2, u.qcFor(0))
+	lcBefore := u.Clk.Read()
+	u.pm.Handle(2, u.QC(0))
 	if u.pm.CurrentView() != 1 {
 		t.Fatalf("view = %v, want 1", u.pm.CurrentView())
 	}
-	if u.clk.Read() != lcBefore {
+	if u.Clk.Read() != lcBefore {
 		t.Fatal("LP22 must not bump clocks on QCs")
 	}
 	// View 1's leader is p1 (this node): responsive LeaderStart.
-	if len(u.drv.started) == 0 || u.drv.started[len(u.drv.started)-1] != 1 {
-		t.Fatalf("leader start = %v", u.drv.started)
+	if len(u.Drv.Started) == 0 || u.Drv.Started[len(u.Drv.Started)-1] != 1 {
+		t.Fatalf("leader start = %v", u.Drv.Started)
 	}
 }
 
@@ -158,19 +105,19 @@ func TestQCAtEpochBoundaryWaitsForClock(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
-	u.pm.Handle(2, u.qcFor(0))
-	u.pm.Handle(2, u.qcFor(1)) // last view of epoch 0 (f+1 = 2 views)
+	u.pm.Handle(2, u.QC(0))
+	u.pm.Handle(2, u.QC(1)) // last view of epoch 0 (f+1 = 2 views)
 	if u.pm.CurrentView() != 1 {
 		t.Fatalf("view = %v, want still 1", u.pm.CurrentView())
 	}
 	// The clock eventually reaches c_2 = 2Γ and starts the next heavy
 	// sync.
-	u.sched.RunFor(2 * u.pm.Gamma())
-	if !u.clk.Paused() {
+	u.Sched.RunFor(2 * Gamma(u.Cfg))
+	if !u.Clk.Paused() {
 		t.Fatal("did not pause at the next epoch boundary")
 	}
 	found := false
-	for _, m := range u.ep.bcasts {
+	for _, m := range u.EP.Bcasts {
 		if m.Kind() == msg.KindEpochView && m.View() == 2 {
 			found = true
 		}
@@ -188,7 +135,7 @@ func TestClockEntersViewsWithinEpoch(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
-	u.sched.RunFor(u.pm.Gamma())
+	u.Sched.RunFor(Gamma(u.Cfg))
 	if u.pm.CurrentView() != 1 {
 		t.Fatalf("view = %v, want 1 after Γ", u.pm.CurrentView())
 	}
@@ -199,11 +146,7 @@ func TestClockEntersViewsWithinEpoch(t *testing.T) {
 func TestForeignECMessageAccepted(t *testing.T) {
 	u := newUnit(1)
 	u.pm.Start()
-	var sigs []crypto.Signature
-	for i := 0; i < 3; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.EpochViewStatement(0)))
-	}
-	agg, _ := u.suite.Aggregate(msg.EpochViewStatement(0), sigs)
+	agg := u.Cert(msg.EpochViewStatement(0), 3)
 	u.pm.Handle(3, &msg.EC{V: 0, Agg: agg})
 	if u.pm.CurrentEpoch() != 0 {
 		t.Fatal("EC message rejected")

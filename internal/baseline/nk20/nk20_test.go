@@ -2,92 +2,46 @@ package nk20
 
 import (
 	"testing"
-	"time"
 
-	"lumiere/internal/crypto"
+	"lumiere/internal/baseline/baselinetest"
 	"lumiere/internal/msg"
-	"lumiere/internal/network"
-	"lumiere/internal/pacemaker"
-	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
-type fakeEP struct {
-	id     types.NodeID
-	bcasts []msg.Message
-	sends  []sent
-}
-
-type sent struct {
-	to types.NodeID
-	m  msg.Message
-}
-
-func (f *fakeEP) ID() types.NodeID                    { return f.id }
-func (f *fakeEP) Send(to types.NodeID, m msg.Message) { f.sends = append(f.sends, sent{to, m}) }
-func (f *fakeEP) Broadcast(m msg.Message)             { f.bcasts = append(f.bcasts, m) }
-
-var _ network.Endpoint = (*fakeEP)(nil)
-
-type recDriver struct{ entered, started []types.View }
-
-func (r *recDriver) EnterView(v types.View)                 { r.entered = append(r.entered, v) }
-func (r *recDriver) LeaderStart(v types.View, _ types.Time) { r.started = append(r.started, v) }
-
-var _ pacemaker.Driver = (*recDriver)(nil)
-
 type unit struct {
-	sched *sim.Scheduler
-	suite *crypto.SimSuite
-	ep    *fakeEP
-	drv   *recDriver
-	pm    *Pacemaker
-	cfg   Config
+	*baselinetest.Unit
+	pm *Pacemaker
 }
 
 func newUnit(id types.NodeID) *unit {
-	u := &unit{sched: sim.New(1)}
-	u.suite = crypto.NewSimSuite(4, 5)
-	u.ep = &fakeEP{id: id}
-	u.drv = &recDriver{}
-	u.cfg = Config{Base: types.NewConfig(1, 100*time.Millisecond)}
-	u.pm = New(u.cfg, u.ep, u.sched, u.suite, u.drv, nil, nil)
-	return u
+	u := baselinetest.NewUnit(id, 0)
+	return &unit{u, New(u.Cfg, u.EP, u.Sched, u.Suite, u.Drv, nil, nil)}
 }
 
 func (u *unit) timeoutFrom(from types.NodeID, v types.View) *msg.Timeout {
-	return &msg.Timeout{V: v, Sig: u.suite.SignerFor(from).Sign(msg.TimeoutStatement(v))}
-}
-
-func (u *unit) qcFor(v types.View) *msg.QC {
-	var h [32]byte
-	var sigs []crypto.Signature
-	for i := 0; i < 3; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(v, h)))
-	}
-	agg, _ := u.suite.Aggregate(msg.VoteStatement(v, h), sigs)
-	return &msg.QC{V: v, BlockHash: h, Agg: agg}
+	return &msg.Timeout{V: v, Sig: u.Sign(from, msg.TimeoutStatement(v))}
 }
 
 // TestTimeoutFanout: on expiry, timeout messages go to the leaders of the
 // next f+1 views.
 func TestTimeoutFanout(t *testing.T) {
 	u := newUnit(3)
+	fanout := u.Cfg.F + 1
 	u.pm.Start()
-	u.sched.RunFor(u.cfg.viewTimeout())
-	if len(u.ep.sends) != u.cfg.fanout() {
-		t.Fatalf("fanout = %d, want %d", len(u.ep.sends), u.cfg.fanout())
+	u.Sched.RunFor(Gamma(u.Cfg))
+	if len(u.EP.Sends) != fanout {
+		t.Fatalf("fanout = %d, want %d", len(u.EP.Sends), fanout)
 	}
-	for k, s := range u.ep.sends {
+	for k, s := range u.EP.Sends {
 		wantView := types.View(1 + k)
-		if s.m.View() != wantView || s.to != u.pm.Leader(wantView) {
+		if s.M.View() != wantView || s.To != u.pm.Leader(wantView) {
 			t.Fatalf("fanout %d = %+v", k, s)
 		}
 	}
 	// Re-arm: another fanout after another timeout.
-	u.sched.RunFor(u.cfg.viewTimeout())
-	if len(u.ep.sends) != 2*u.cfg.fanout() {
-		t.Fatalf("no re-fanout: %d", len(u.ep.sends))
+	u.Sched.RunFor(Gamma(u.Cfg))
+	if len(u.EP.Sends) != 2*fanout {
+		t.Fatalf("no re-fanout: %d", len(u.EP.Sends))
 	}
 }
 
@@ -98,13 +52,13 @@ func TestOnlyViewLeaderAggregates(t *testing.T) {
 	u.pm.Start()
 	u.pm.Handle(0, u.timeoutFrom(0, 1)) // p1's view: ignored
 	u.pm.Handle(1, u.timeoutFrom(1, 1))
-	if len(u.ep.bcasts) != 0 {
+	if len(u.EP.Bcasts) != 0 {
 		t.Fatal("aggregated a view it does not lead")
 	}
 	u.pm.Handle(0, u.timeoutFrom(0, 2))
 	u.pm.Handle(1, u.timeoutFrom(1, 2))
-	if len(u.ep.bcasts) != 1 || u.ep.bcasts[0].Kind() != msg.KindTC || u.ep.bcasts[0].View() != 2 {
-		t.Fatalf("bcasts = %v", u.ep.bcasts)
+	if len(u.EP.Bcasts) != 1 || u.EP.Bcasts[0].Kind() != msg.KindTC || u.EP.Bcasts[0].View() != 2 {
+		t.Fatalf("bcasts = %v", u.EP.Bcasts)
 	}
 	// Aggregating moved nothing locally until the TC self-delivers via
 	// the network (fake endpoint does not loop back).
@@ -117,12 +71,7 @@ func TestOnlyViewLeaderAggregates(t *testing.T) {
 func TestTCSkipsAhead(t *testing.T) {
 	u := newUnit(3)
 	u.pm.Start()
-	var sigs []crypto.Signature
-	for i := 0; i < 2; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.TimeoutStatement(2)))
-	}
-	agg, _ := u.suite.Aggregate(msg.TimeoutStatement(2), sigs)
-	u.pm.Handle(0, &msg.TC{V: 2, Agg: agg})
+	u.pm.Handle(0, &msg.TC{V: 2, Agg: u.Cert(msg.TimeoutStatement(2), 2)})
 	if u.pm.CurrentView() != 2 {
 		t.Fatalf("view = %v, want 2", u.pm.CurrentView())
 	}
@@ -132,8 +81,8 @@ func TestTCSkipsAhead(t *testing.T) {
 func TestQCResponsiveEntry(t *testing.T) {
 	u := newUnit(3)
 	u.pm.Start()
-	u.pm.Handle(0, u.qcFor(0))
-	u.pm.Handle(1, u.qcFor(1))
+	u.pm.Handle(0, u.QC(0))
+	u.pm.Handle(1, u.QC(1))
 	if u.pm.CurrentView() != 2 {
 		t.Fatalf("view = %v, want 2", u.pm.CurrentView())
 	}
@@ -143,11 +92,11 @@ func TestQCResponsiveEntry(t *testing.T) {
 func TestStaleTimeoutIgnored(t *testing.T) {
 	u := newUnit(2)
 	u.pm.Start()
-	u.pm.Handle(0, u.qcFor(0))
-	u.pm.Handle(1, u.qcFor(1)) // now in view 2
+	u.pm.Handle(0, u.QC(0))
+	u.pm.Handle(1, u.QC(1)) // now in view 2
 	u.pm.Handle(0, u.timeoutFrom(0, 2))
 	u.pm.Handle(1, u.timeoutFrom(1, 2))
-	if len(u.ep.bcasts) != 0 {
+	if len(u.EP.Bcasts) != 0 {
 		t.Fatal("aggregated a stale view")
 	}
 }

@@ -1,0 +1,165 @@
+// Package baseline is the skeleton the five Table 1 baseline pacemakers
+// (lp22, raresync, fever, cogsworth, nk20) are written over, so each of
+// those packages holds only what the paper says distinguishes its
+// protocol:
+//
+//   - Node is one processor's wiring and current view, with the
+//     round-robin leader schedule and the view-entry notification
+//     sequence (Advance);
+//   - Certs is the bookkeeping behind the one certificate kind a baseline
+//     assembles from signed synchronization messages: per-view vote sets
+//     and a formed flag, fed through a single Collect;
+//   - EpochSync is the epoch-synchronization machine that is both LP22
+//     and RareSync.
+//
+// Cogsworth and NK20 share Node and Certs but stay separate types: one
+// relays a single wish along a ring of aggregators on a retry timer, the
+// other fans f+1 timeouts out at once to leaders that alone aggregate,
+// and a common "timeout relay" would have to take every one of those
+// differences as a hook.
+package baseline
+
+import (
+	"fmt"
+
+	"lumiere/internal/clock"
+	"lumiere/internal/crypto"
+	"lumiere/internal/msg"
+	"lumiere/internal/network"
+	"lumiere/internal/pacemaker"
+	"lumiere/internal/quorum"
+	"lumiere/internal/trace"
+	"lumiere/internal/types"
+)
+
+// Node is one processor's wiring: the execution-model configuration,
+// its network endpoint and runtime, its keys, the underlying protocol it
+// drives, and the view it is in. The baseline pacemakers embed it.
+type Node struct {
+	Cfg    types.Config
+	ID     types.NodeID
+	EP     network.Endpoint
+	RT     clock.Runtime
+	Suite  crypto.Suite
+	Signer crypto.Signer
+	// Stmt is the statement scratch: sign/verify statements are
+	// rebuilt in place, keeping the message hot paths free of
+	// per-call statement allocations.
+	Stmt   msg.StmtScratch
+	Driver pacemaker.Driver
+	Tr     *trace.Tracer
+	// Certs collects the votes toward the certificate kind this
+	// protocol assembles (EC, VC or TC).
+	Certs Certs
+
+	obs  pacemaker.Observer
+	view types.View
+}
+
+// NewNode validates cfg and wires a processor that has entered no view
+// yet. A nil driver or observer is replaced by its no-op.
+func NewNode(cfg types.Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
+	driver pacemaker.Driver, obs pacemaker.Observer, tr *trace.Tracer) Node {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("baseline: invalid config: %v", err))
+	}
+	if obs == nil {
+		obs = pacemaker.NopObserver{}
+	}
+	if driver == nil {
+		driver = pacemaker.NopDriver{}
+	}
+	n := Node{
+		Cfg:    cfg,
+		ID:     ep.ID(),
+		EP:     ep,
+		RT:     rt,
+		Suite:  suite,
+		Signer: suite.SignerFor(ep.ID()),
+		Driver: driver,
+		Tr:     tr,
+		Certs:  Certs{suite: suite},
+		obs:    obs,
+		view:   types.NoView,
+	}
+	n.Certs.votes.Reset(cfg.N)
+	return n
+}
+
+// CurrentView implements pacemaker.Pacemaker.
+func (n *Node) CurrentView() types.View { return n.view }
+
+// CurrentEpoch implements pacemaker.Pacemaker for the baselines without
+// epochs; EpochSync overrides it.
+func (n *Node) CurrentEpoch() types.Epoch { return 0 }
+
+// Leader implements pacemaker.Pacemaker: lead(v) = v mod n, the
+// schedule of every baseline but Fever.
+func (n *Node) Leader(v types.View) types.NodeID {
+	if v < 0 {
+		return types.NoNode
+	}
+	return types.NodeID(v % types.View(n.Cfg.N))
+}
+
+// Advance enters view w, which the caller has checked is above the
+// current view: it records the view, notifies tracer, observer and
+// driver in that order, and — when lead is set — tells the driver it may
+// start the view as its leader, with no QC deadline (the Γ/2 − 2Δ rule
+// is Lumiere's).
+func (n *Node) Advance(w types.View, lead bool) {
+	n.view = w
+	n.Tr.Emit(n.RT.Now(), n.ID, trace.EnterView, w, "")
+	n.obs.OnEnterView(w, n.RT.Now())
+	n.Driver.EnterView(w)
+	if lead {
+		n.Driver.LeaderStart(w, types.TimeInf)
+	}
+}
+
+// Certs is the certificate bookkeeping of one processor: the votes
+// collected per view and the views whose certificate has been formed.
+type Certs struct {
+	suite  crypto.Suite
+	votes  quorum.VoteSets
+	formed quorum.Flags
+}
+
+// Collect counts from's signed synchronization message for view v toward
+// the view's certificate. stmt is the statement the message signs,
+// built once by the caller and used both to verify sig and to aggregate.
+// A message whose Sig.Signer != from or whose signature does not verify
+// is ignored, as is anything for a view whose certificate is already
+// formed; the call that brings the view to threshold votes returns the
+// certificate and true, once. Callers drop views below the Forget bound
+// before calling.
+func (c *Certs) Collect(from types.NodeID, v types.View, sig crypto.Signature, stmt []byte, threshold int) (crypto.Aggregate, bool) {
+	if c.formed.Has(v) || sig.Signer != from || c.suite.Verify(stmt, sig) != nil {
+		return crypto.Aggregate{}, false
+	}
+	votes := c.votes.Get(v)
+	votes.Add(sig)
+	if votes.Count() < threshold {
+		return crypto.Aggregate{}, false
+	}
+	agg, err := c.suite.Aggregate(stmt, votes.Sigs())
+	if err != nil {
+		return crypto.Aggregate{}, false
+	}
+	c.formed.Set(v)
+	return agg, true
+}
+
+// Formed reports whether this processor assembled view v's certificate.
+func (c *Certs) Formed(v types.View) bool { return c.formed.Has(v) }
+
+// Forget drops the bookkeeping of every view below bound and recycles
+// its vote sets, so a long execution keeps a constant working set.
+func (c *Certs) Forget(bound types.View) {
+	c.votes.DropBelow(bound)
+	c.formed.ForgetBelow(bound)
+}
+
+// Live returns the number of views holding a vote set (tests: the
+// pruning contract).
+func (c *Certs) Live() int { return c.votes.Live() }

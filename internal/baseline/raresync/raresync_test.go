@@ -4,78 +4,38 @@ import (
 	"testing"
 	"time"
 
-	"lumiere/internal/clock"
-	"lumiere/internal/crypto"
+	"lumiere/internal/baseline"
+	"lumiere/internal/baseline/baselinetest"
 	"lumiere/internal/msg"
-	"lumiere/internal/network"
-	"lumiere/internal/pacemaker"
-	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
-type fakeEP struct {
-	id     types.NodeID
-	bcasts []msg.Message
-}
-
-func (f *fakeEP) ID() types.NodeID                   { return f.id }
-func (f *fakeEP) Send(_ types.NodeID, m msg.Message) {}
-func (f *fakeEP) Broadcast(m msg.Message)            { f.bcasts = append(f.bcasts, m) }
-
-var _ network.Endpoint = (*fakeEP)(nil)
-
-type recDriver struct{ entered, started []types.View }
-
-func (r *recDriver) EnterView(v types.View)                 { r.entered = append(r.entered, v) }
-func (r *recDriver) LeaderStart(v types.View, _ types.Time) { r.started = append(r.started, v) }
-
-var _ pacemaker.Driver = (*recDriver)(nil)
-
 type unit struct {
-	sched *sim.Scheduler
-	suite *crypto.SimSuite
-	ep    *fakeEP
-	clk   *clock.Clock
-	drv   *recDriver
-	pm    *Pacemaker
+	*baselinetest.Unit
+	pm *baseline.EpochSync
 }
 
 func newUnit(id types.NodeID) *unit {
-	u := &unit{sched: sim.New(1)}
-	u.suite = crypto.NewSimSuite(4, 5)
-	u.ep = &fakeEP{id: id}
-	u.clk = clock.New(u.sched, 0)
-	u.drv = &recDriver{}
-	u.pm = New(Config{Base: types.NewConfig(1, 100*time.Millisecond)}, u.ep, u.sched, u.clk, u.suite, u.drv, nil, nil)
-	return u
+	u := baselinetest.NewUnit(id, 0)
+	return &unit{u, New(u.Cfg, u.EP, u.Sched, u.Clk, u.Suite, u.Drv, nil, nil)}
 }
 
 func (u *unit) epochViewFrom(from types.NodeID, v types.View) *msg.EpochViewMsg {
-	return &msg.EpochViewMsg{V: v, Sig: u.suite.SignerFor(from).Sign(msg.EpochViewStatement(v))}
-}
-
-func (u *unit) qcFor(v types.View) *msg.QC {
-	var h [32]byte
-	var sigs []crypto.Signature
-	for i := 0; i < 3; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(v, h)))
-	}
-	agg, _ := u.suite.Aggregate(msg.VoteStatement(v, h), sigs)
-	return &msg.QC{V: v, BlockHash: h, Agg: agg}
+	return &msg.EpochViewMsg{V: v, Sig: u.Sign(from, msg.EpochViewStatement(v))}
 }
 
 func TestGeometry(t *testing.T) {
-	c := Config{Base: types.NewConfig(3, 100*time.Millisecond)}
-	if c.Gamma() != 400*time.Millisecond || c.EpochLen() != 4 {
-		t.Fatalf("geometry: Γ=%v epoch=%d", c.Gamma(), c.EpochLen())
+	c := types.NewConfig(3, 100*time.Millisecond)
+	if Gamma(c) != 400*time.Millisecond || baseline.EpochLen(c) != 4 {
+		t.Fatalf("geometry: Γ=%v epoch=%d", Gamma(c), baseline.EpochLen(c))
 	}
 }
 
 func TestBootPausesAndSyncs(t *testing.T) {
 	u := newUnit(0)
 	u.pm.Start()
-	if !u.clk.Paused() || len(u.ep.bcasts) != 1 {
-		t.Fatalf("boot: paused=%v bcasts=%d", u.clk.Paused(), len(u.ep.bcasts))
+	if !u.Clk.Paused() || len(u.EP.Bcasts) != 1 {
+		t.Fatalf("boot: paused=%v bcasts=%d", u.Clk.Paused(), len(u.EP.Bcasts))
 	}
 }
 
@@ -85,15 +45,15 @@ func TestECEntersEpochThenClockSchedulesViews(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
-	if u.pm.CurrentView() != 0 || u.clk.Paused() {
+	if u.pm.CurrentView() != 0 || u.Clk.Paused() {
 		t.Fatalf("entry failed: view=%v", u.pm.CurrentView())
 	}
-	u.sched.RunFor(u.pm.Gamma())
+	u.Sched.RunFor(Gamma(u.Cfg))
 	if u.pm.CurrentView() != 1 {
 		t.Fatalf("view = %v after Γ, want 1", u.pm.CurrentView())
 	}
-	if len(u.drv.started) == 0 || u.drv.started[len(u.drv.started)-1] != 1 {
-		t.Fatalf("leader starts = %v (p1 leads view 1)", u.drv.started)
+	if len(u.Drv.Started) == 0 || u.Drv.Started[len(u.Drv.Started)-1] != 1 {
+		t.Fatalf("leader starts = %v (p1 leads view 1)", u.Drv.Started)
 	}
 }
 
@@ -105,7 +65,7 @@ func TestQCsDoNotAdvanceViews(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
-	u.pm.Handle(0, u.qcFor(0))
+	u.pm.Handle(0, u.QC(0))
 	if u.pm.CurrentView() != 0 {
 		t.Fatalf("QC advanced a RareSync view to %v", u.pm.CurrentView())
 	}
@@ -118,12 +78,12 @@ func TestNextEpochBoundaryPausesAgain(t *testing.T) {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
 	// Epoch 0 = views {0, 1} (f+1 = 2); boundary at c_2.
-	u.sched.RunFor(2 * u.pm.Gamma())
-	if !u.clk.Paused() {
+	u.Sched.RunFor(2 * Gamma(u.Cfg))
+	if !u.Clk.Paused() {
 		t.Fatal("did not pause at the next boundary")
 	}
 	found := false
-	for _, m := range u.ep.bcasts {
+	for _, m := range u.EP.Bcasts {
 		if m.Kind() == msg.KindEpochView && m.View() == 2 {
 			found = true
 		}

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"lumiere/internal/adversary"
-	"lumiere/internal/baseline/lp22"
-	"lumiere/internal/baseline/raresync"
 	"lumiere/internal/core"
 	"lumiere/internal/crypto"
 	"lumiere/internal/msg"
@@ -67,18 +65,15 @@ func strategicNodes(corr []adversary.Corruption) []types.NodeID {
 
 // accountingEpochLen returns the views-per-epoch grouping used for the
 // Collector's per-epoch word series: the protocol's own epoch length
-// where it has one, f+1 (the classic epoch) as the nominal grouping for
-// the epoch-less protocols.
+// where it has one — f+1, the classic epoch, for LP22 and RareSync
+// (baseline.EpochLen) — and the same f+1 as the nominal grouping for the
+// epoch-less protocols.
 func accountingEpochLen(s Scenario, cfg types.Config) types.View {
 	switch s.Protocol {
 	case ProtoLumiere:
-		return core.Config{Base: cfg, Variant: core.VariantFull, BlocksPerEpoch: s.CoreBlocksPerEpoch}.EpochLen()
+		return core.Config{Base: cfg, Variant: core.VariantFull}.EpochLen()
 	case ProtoBasic:
 		return core.Config{Base: cfg, Variant: core.VariantBasic}.EpochLen()
-	case ProtoLP22:
-		return lp22.Config{Base: cfg}.EpochLen()
-	case ProtoRareSync:
-		return raresync.Config{Base: cfg}.EpochLen()
 	default:
 		return types.View(cfg.F + 1)
 	}

@@ -34,24 +34,6 @@ type WorstCaseResult struct {
 	Decided  bool
 }
 
-// GammaOf estimates the view duration Γ of a protocol at the given Δ:
-// the unit the experiment drivers (and internal/redteam's scenario
-// builder) size their horizons in.
-func GammaOf(p Protocol, delta time.Duration) time.Duration { return gammaOf(p, delta) }
-
-// gammaOf estimates the view duration Γ of a protocol for scenario sizing.
-func gammaOf(p Protocol, delta time.Duration) time.Duration {
-	x := time.Duration(types.DefaultX)
-	switch p {
-	case ProtoLumiere:
-		return 2 * (x + 2) * delta
-	case ProtoBasic, ProtoFever:
-		return 2 * (x + 1) * delta
-	default:
-		return (x + 1) * delta
-	}
-}
-
 // worstStrategy is one adversary strategy of the worst-case experiment: a
 // scenario builder plus the measure extracting the strategy's headline
 // quantities from the finished run.

@@ -2,11 +2,15 @@ package harness
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"lumiere/internal/adversary"
 )
 
 // testdata/tables.golden pins the rendering of every table the drivers
@@ -109,8 +113,41 @@ func TestTablesGolden(t *testing.T) {
 		{"TopologyTable", func() string { return TopologyTable(1, goldenSeed, opts).Render() }},
 		{"DriftToleranceTable", func() string { return DriftToleranceTable(1, goldenSeed, opts).Render() }},
 		{"ThroughputUnderAttackTable", func() string { return ThroughputUnderAttackTable(1, goldenSeed, opts).Render() }},
+		{"RareSync", rareSyncPins},
 	}
 	for _, tc := range tables {
 		checkGolden(t, tc.name, tc.render())
 	}
+}
+
+// rareSyncPins renders the RareSync golden section. RareSync is not in
+// AllProtocols, so no table above runs it: the section pins its
+// executions directly — a steady run, a crash run, every chaos condition
+// and every attack strategy at f = 1 and f = 2, one line of simulated
+// statistics each.
+func rareSyncPins() string {
+	var b strings.Builder
+	for _, f := range []int{1, 2} {
+		steady := Scenario{
+			Name: fmt.Sprintf("steady-f%d", f), Protocol: ProtoRareSync, F: f,
+			Delta: testDelta, DeltaActual: testDelta / 10, Duration: 30 * time.Second, Seed: goldenSeed,
+		}
+		crash := steady
+		crash.Name = fmt.Sprintf("crash1-f%d", f)
+		crash.Corruptions = adversary.CrashFirst(1)
+		scenarios := []Scenario{steady, crash}
+		for ci := range chaosConditions {
+			scenarios = append(scenarios, chaosScenario(ProtoRareSync, f, ci, goldenSeed))
+		}
+		for _, spec := range AttackSpecs() {
+			scenarios = append(scenarios, attackScenario(ProtoRareSync, f, spec, goldenSeed))
+		}
+		for _, s := range scenarios {
+			res := Run(s)
+			fmt.Fprintf(&b, "%s: decisions=%d words=%d heavy=%d final=%v events=%d\n", s.Name,
+				res.DecisionCount(), res.Collector.WordsTotal(), len(res.Collector.HeavySyncViews(0)),
+				res.FinalViews, res.Events)
+		}
+	}
+	return b.String()
 }

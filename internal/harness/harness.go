@@ -167,11 +167,9 @@ type Scenario struct {
 	// SampleGaps enables honest-gap sampling every Δ/2.
 	SampleGaps bool
 
-	// Lumiere-specific knobs (zero values = paper defaults).
-	CoreBlocksPerEpoch   int
-	CoreQCsPerLeader     int
+	// CoreDisableDeltaWait is the Lumiere Δ-wait ablation (false = the
+	// paper's protocol).
 	CoreDisableDeltaWait bool
-	GammaOverride        time.Duration
 
 	// MaxEvents aborts runaway executions (default 200M events).
 	MaxEvents uint64
@@ -273,9 +271,6 @@ func (s Scenario) validate() error {
 		return fmt.Errorf("%d drift rates / %d skews for n=%d", len(s.DriftPPM), len(s.DriftSkew), s.N)
 	}
 	gamma := GammaOf(s.Protocol, s.Delta)
-	if s.GammaOverride > 0 {
-		gamma = s.GammaOverride
-	}
 	for i, ppm := range s.DriftPPM {
 		if ppm < -500_000 || ppm > 500_000 {
 			return fmt.Errorf("drift rate %d ppm for processor %d is outside clock.Drift's ±5·10⁵ hard range", ppm, i)
@@ -509,7 +504,6 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 	eps := make([]network.Endpoint, cfg.N)
 	honest := make([]bool, cfg.N)
 	sms := make([]statemachine.StateMachine, cfg.N)
-	var gamma time.Duration
 	// commitHook is the workload's per-block commit observer; it is
 	// assigned below (after the network and collector exist) and read at
 	// replica boot time inside the scheduled start closures.
@@ -577,8 +571,7 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 			if honest[i] {
 				onCommit = commitHook
 			}
-			pm, engine, g := buildProtocol(s, cfg, ep, rt, clk, suite, corr, tracer, collector, pobs, sms[i], onCommit)
-			gamma = g
+			pm, engine := buildProtocol(s, cfg, ep, rt, clk, suite, corr, tracer, collector, pobs, sms[i], onCommit)
 			r.PM = pm
 			r.Core = engine
 			r.Start()
@@ -748,7 +741,7 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		Scenario:   s,
 		Cfg:        cfg,
 		GST:        gst,
-		Gamma:      gamma,
+		Gamma:      protocolGamma(s.Protocol, cfg),
 		Collector:  resCollector,
 		Tracer:     tracer,
 		Gaps:       gaps,
@@ -815,6 +808,43 @@ func (o *qcObserver) OnQCProduced(qc *msg.QC, at types.Time) {
 	o.collector.RecordDecision(qc.V, o.id, at)
 }
 
+// GammaOf returns the view duration Γ of a protocol at the given Δ: the
+// unit the experiment drivers (and internal/redteam's scenario builder)
+// size their horizons in, and the Γ Scenario.Validate bounds clock drift
+// against.
+func GammaOf(p Protocol, delta time.Duration) time.Duration { return gammaOf(p, delta) }
+
+// gammaOf is Γ under the harness's model configuration (the bundled view
+// core's X), so the value is the one an execution's pacemakers run with
+// (TestGammaOfMatchesPacemakers).
+func gammaOf(p Protocol, delta time.Duration) time.Duration {
+	return protocolGamma(p, types.Config{Delta: delta, X: types.DefaultX})
+}
+
+// protocolGamma asks the protocol's own package for its Γ — the function
+// its constructor paces the pacemaker with. A protocol buildProtocol does
+// not know has no Γ; run rejects it.
+func protocolGamma(p Protocol, cfg types.Config) time.Duration {
+	switch p {
+	case ProtoLumiere:
+		return core.Config{Base: cfg, Variant: core.VariantFull}.Gamma()
+	case ProtoBasic:
+		return core.Config{Base: cfg, Variant: core.VariantBasic}.Gamma()
+	case ProtoLP22:
+		return lp22.Gamma(cfg)
+	case ProtoRareSync:
+		return raresync.Gamma(cfg)
+	case ProtoFever:
+		return fever.Gamma(cfg)
+	case ProtoCogsworth:
+		return cogsworth.Gamma(cfg)
+	case ProtoNK20:
+		return nk20.Gamma(cfg)
+	default:
+		return 0
+	}
+}
+
 // buildProtocol constructs the pacemaker + consensus engine pair for one
 // node. rt is the node's runtime view — the scheduler itself, or a
 // clock.Drift wrapper when the node's hardware clock drifts. pobs
@@ -824,7 +854,7 @@ func (o *qcObserver) OnQCProduced(qc *msg.QC, at types.Time) {
 func buildProtocol(s Scenario, cfg types.Config, ep network.Endpoint, rt clock.Runtime,
 	clk *clock.Clock, suite crypto.Suite, corr adversary.Corruption,
 	tracer *trace.Tracer, collector *metrics.Collector, pobs pacemaker.Observer,
-	sm statemachine.StateMachine, onCommit hotstuff.CommitObserver) (pacemaker.Pacemaker, replica.Engine, time.Duration) {
+	sm statemachine.StateMachine, onCommit hotstuff.CommitObserver) (pacemaker.Pacemaker, replica.Engine) {
 
 	var pm pacemaker.Pacemaker
 	leaderFn := func(v types.View) types.NodeID { return pm.Leader(v) }
@@ -843,47 +873,31 @@ func buildProtocol(s Scenario, cfg types.Config, ep network.Endpoint, rt clock.R
 	}
 	driver := adversary.WrapDriver(engine, corr.Behavior, corr.Lag, rt)
 
-	var gamma time.Duration
 	switch s.Protocol {
 	case ProtoLumiere, ProtoBasic:
 		ccfg := core.Config{
-			Base:                   cfg,
-			Variant:                core.VariantFull,
-			BlocksPerEpoch:         s.CoreBlocksPerEpoch,
-			QCsPerLeaderForSuccess: s.CoreQCsPerLeader,
-			DisableDeltaWait:       s.CoreDisableDeltaWait,
-			GammaOverride:          s.GammaOverride,
-			ScheduleSeed:           s.Seed + 7,
-			CheckInvariants:        s.CheckInvariants,
+			Base:             cfg,
+			Variant:          core.VariantFull,
+			DisableDeltaWait: s.CoreDisableDeltaWait,
+			ScheduleSeed:     s.Seed + 7,
+			CheckInvariants:  s.CheckInvariants,
 		}
 		if s.Protocol == ProtoBasic {
 			ccfg.Variant = core.VariantBasic
 		}
-		p := core.New(ccfg, ep, rt, clk, suite, driver, pobs, tracer)
-		gamma = p.Gamma()
-		pm = p
+		pm = core.New(ccfg, ep, rt, clk, suite, driver, pobs, tracer)
 	case ProtoLP22:
-		p := lp22.New(lp22.Config{Base: cfg, GammaOverride: s.GammaOverride}, ep, rt, clk, suite, driver, pobs, tracer)
-		gamma = p.Gamma()
-		pm = p
+		pm = lp22.New(cfg, ep, rt, clk, suite, driver, pobs, tracer)
 	case ProtoRareSync:
-		p := raresync.New(raresync.Config{Base: cfg, GammaOverride: s.GammaOverride}, ep, rt, clk, suite, driver, pobs, tracer)
-		gamma = p.Gamma()
-		pm = p
+		pm = raresync.New(cfg, ep, rt, clk, suite, driver, pobs, tracer)
 	case ProtoFever:
-		p := fever.New(fever.Config{Base: cfg, GammaOverride: s.GammaOverride}, ep, rt, clk, suite, driver, pobs, tracer)
-		gamma = p.Gamma()
-		pm = p
+		pm = fever.New(cfg, ep, rt, clk, suite, driver, pobs, tracer)
 	case ProtoCogsworth:
-		p := cogsworth.New(cogsworth.Config{Base: cfg}, ep, rt, suite, driver, pobs, tracer)
-		gamma = time.Duration(cfg.X+1) * cfg.Delta
-		pm = p
+		pm = cogsworth.New(cfg, ep, rt, suite, driver, pobs, tracer)
 	case ProtoNK20:
-		p := nk20.New(nk20.Config{Base: cfg}, ep, rt, suite, driver, pobs, tracer)
-		gamma = time.Duration(cfg.X+1) * cfg.Delta
-		pm = p
+		pm = nk20.New(cfg, ep, rt, suite, driver, pobs, tracer)
 	default:
 		panic(fmt.Sprintf("harness: unknown protocol %q", s.Protocol))
 	}
-	return pm, engine, gamma
+	return pm, engine
 }

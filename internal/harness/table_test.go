@@ -3,6 +3,7 @@ package harness
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableRender(t *testing.T) {
@@ -57,5 +58,17 @@ func TestGammaOf(t *testing.T) {
 	}
 	if gammaOf(ProtoFever, 100) != 800 || gammaOf(ProtoLP22, 100) != 400 {
 		t.Fatal("baseline Γ wrong")
+	}
+}
+
+// TestGammaOfMatchesPacemakers: the Γ the drivers size horizons in and
+// Validate bounds drift against is the Γ an execution runs with.
+func TestGammaOfMatchesPacemakers(t *testing.T) {
+	t.Parallel()
+	for _, p := range append([]Protocol{ProtoRareSync}, AllProtocols...) {
+		res := Run(Scenario{Protocol: p, F: 1, Delta: testDelta, Duration: time.Second})
+		if got := GammaOf(p, testDelta); got <= 0 || got != res.Gamma {
+			t.Errorf("%s: GammaOf = %v, the run's pacemakers use Γ = %v", p, got, res.Gamma)
+		}
 	}
 }
