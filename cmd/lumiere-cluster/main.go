@@ -23,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -58,11 +57,22 @@ func main() {
 		runTable(*tableFs, *delta, *duration, *seed, *csv)
 		return
 	}
-	base := types.NewConfig(*f, *delta)
 	if *local {
-		runLocal(base, *seed, *smr, *rate, *duration, chaos{loss: *loss, dup: *dup, reorder: *reorder, gst: *gst})
+		e := lumiere.ClusterExperiment{
+			F: *f, Delta: *delta, Seed: *seed, SMR: *smr,
+			Loss: *loss, Duplication: *dup, ReorderJitter: *reorder, GST: *gst,
+		}
+		nodes, closeAll, err := lumiere.StartCluster(e)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		defer closeAll()
+		fmt.Printf("local cluster up: n=%d f=%d smr=%v chaos=%v\n", len(nodes), *f, *smr, e.LinkPolicy() != nil)
+		runWorkloadAndReport(nodes, *smr, *rate, *duration)
 		return
 	}
+	base := types.NewConfig(*f, *delta)
 	addrs := strings.Split(*peers, ",")
 	if len(addrs) != base.N {
 		fmt.Fprintf(os.Stderr, "need %d peer addresses for f=%d, got %d\n", base.N, *f, len(addrs))
@@ -81,7 +91,7 @@ func main() {
 	}
 	defer node.Close()
 	fmt.Printf("node %d listening on %s (n=%d f=%d smr=%v)\n", *id, node.Addr(), base.N, base.F, *smr)
-	runWorkloadAndReport(base, []*lumiere.ClusterNode{node}, *smr, *rate, *duration)
+	runWorkloadAndReport([]*lumiere.ClusterNode{node}, *smr, *rate, *duration)
 }
 
 // runTable runs the wall-clock experiment table: one loopback cluster
@@ -116,84 +126,13 @@ func runTable(fsSpec string, delta, perRun time.Duration, seed int64, csv bool) 
 	fmt.Print(tbl.Render())
 }
 
-// chaos bundles the -local socket-chaos flags.
-type chaos struct {
-	loss, dup float64
-	reorder   time.Duration
-	gst       time.Duration
-}
-
-func (c chaos) enabled() bool { return c.loss > 0 || c.dup > 0 || c.reorder > 0 }
-
-// runLocal boots the full cluster in one process over real sockets.
-func runLocal(base types.Config, seed int64, smr bool, rate int, duration time.Duration, ch chaos) {
-	addrs := make([]string, base.N)
-	lns := make([]net.Listener, base.N)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	start := time.Now()
-	nodes := make([]*lumiere.ClusterNode, base.N)
-	for i := 0; i < base.N; i++ {
-		cfg := lumiere.ClusterConfig{
-			ID:    lumiere.NodeID(i),
-			Addrs: addrs,
-			Base:  base,
-			Seed:  seed,
-			SMR:   smr,
-			Start: start,
-		}
-		if ch.enabled() {
-			cfg.Link = lumiere.ClusterExperiment{
-				F: base.F, N: base.N, Delta: base.Delta,
-				Loss: ch.loss, Duplication: ch.dup, ReorderJitter: ch.reorder,
-				GST: ch.gst,
-			}.LinkPolicy()
-			cfg.GST = ch.gst
-			cfg.ChaosSeed = seed + int64(i) + 1
-		}
-		n, err := lumiere.StartClusterNode(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		nodes[i] = n
-		defer n.Close()
-	}
-	fmt.Printf("local cluster up: n=%d f=%d smr=%v chaos=%v\n", base.N, base.F, smr, ch.enabled())
-	runWorkloadAndReport(base, nodes, smr, rate, duration)
-}
-
-func runWorkloadAndReport(base types.Config, nodes []*lumiere.ClusterNode, smr bool, rate int, duration time.Duration) {
-	stop := make(chan struct{})
+// runWorkloadAndReport injects -rate commands per second for the run's
+// duration (SMR only) and prints every node's status every two seconds.
+func runWorkloadAndReport(nodes []*lumiere.ClusterNode, smr bool, rate int, duration time.Duration) {
+	var accepted chan int // nil: no injector
 	if smr && rate > 0 {
-		go func() {
-			tick := time.NewTicker(time.Second / time.Duration(rate))
-			defer tick.Stop()
-			i := 0
-			for {
-				select {
-				case <-tick.C:
-					target := nodes[i%len(nodes)]
-					cmd := fmt.Sprintf("SET key%d value%d", i%100, i)
-					if err := target.Submit([]byte(cmd)); err != nil {
-						fmt.Fprintln(os.Stderr, "submit:", err)
-					}
-					i++
-				case <-stop:
-					return
-				}
-			}
-		}()
+		accepted = make(chan int, 1)
+		go func() { accepted <- lumiere.InjectCommands(nodes, rate, duration) }()
 	}
 	report := time.NewTicker(2 * time.Second)
 	defer report.Stop()
@@ -221,7 +160,9 @@ func runWorkloadAndReport(base types.Config, nodes []*lumiere.ClusterNode, smr b
 			}
 			fmt.Println("--")
 		case <-end:
-			close(stop)
+			if accepted != nil {
+				fmt.Printf("injected %d commands\n", <-accepted)
+			}
 			fmt.Println("done")
 			return
 		}

@@ -1,7 +1,8 @@
 // Package baselinetest is the unit-test fixture the baseline pacemaker
-// tests share: a recording endpoint and driver around one processor of
-// an n = 4, f = 1, Δ = 100 ms system on a simulated scheduler, plus
-// builders for the certificates the tests feed it.
+// tests and the engines' round contract test (internal/viewcore) share:
+// a recording endpoint and driver around one processor of an n = 4,
+// f = 1, Δ = 100 ms system on a simulated scheduler, plus builders for
+// the certificates the tests feed it.
 package baselinetest
 
 import (

@@ -56,9 +56,6 @@ func NewDrift(rt TimerRuntime, ppm int64, skew time.Duration) *Drift {
 // PPM returns the rate drift in parts per million.
 func (d *Drift) PPM() int64 { return d.ppm }
 
-// Skew returns the initial offset.
-func (d *Drift) Skew() time.Duration { return time.Duration(d.skew) }
-
 // local converts a base-runtime instant to the drifted local scale.
 // Splitting t into 10⁶-quotient and remainder keeps the product inside
 // int64 for any simulation horizon at any legal ppm.

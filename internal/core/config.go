@@ -65,9 +65,6 @@ type Config struct {
 	// criterion. The paper uses 10 = 2·BlocksPerEpoch; 0 means derive
 	// it that way.
 	QCsPerLeaderForSuccess int
-	// GammaOverride overrides Γ; 0 uses the paper's value
-	// (2(x+2)Δ for full, 2(x+1)Δ for basic).
-	GammaOverride time.Duration
 	// DisableDeltaWait removes the Δ-wait before sending epoch-view
 	// messages (§3.5's final fix); used by the ablation experiment.
 	DisableDeltaWait bool
@@ -118,11 +115,8 @@ func (c Config) Validate() error {
 }
 
 // Gamma returns the view duration Γ: 2(x+2)Δ for the full variant (§4),
-// 2(x+1)Δ for basic (§3.3-3.4), unless overridden.
+// 2(x+1)Δ for basic (§3.3-3.4).
 func (c Config) Gamma() time.Duration {
-	if c.GammaOverride > 0 {
-		return c.GammaOverride
-	}
 	x := time.Duration(c.Base.X)
 	if c.normalized().Variant == VariantBasic {
 		return 2 * (x + 1) * c.Base.Delta

@@ -52,11 +52,6 @@ func TestGammaValues(t *testing.T) {
 	if got := basicCfg(1).Gamma(); got != 800*time.Millisecond {
 		t.Fatalf("basic Γ = %v, want 2(x+1)Δ = 800ms", got)
 	}
-	over := fullCfg(1)
-	over.GammaOverride = time.Second * 3
-	if over.Gamma() != 3*time.Second {
-		t.Fatal("override ignored")
-	}
 }
 
 func TestQCWindow(t *testing.T) {

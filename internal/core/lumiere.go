@@ -127,9 +127,6 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 	return p
 }
 
-// SetSchedule replaces the leader schedule (all replicas must share one).
-func (p *Pacemaker) SetSchedule(s Schedule) { p.schedule = s }
-
 // Gamma returns the view duration Γ in effect.
 func (p *Pacemaker) Gamma() time.Duration { return p.gamma }
 

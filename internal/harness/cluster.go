@@ -201,34 +201,33 @@ func freeLoopbackAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// RunCluster boots the cluster over real sockets, runs it for
-// e.Duration of wall-clock time, shuts it down, and aggregates the
-// per-node metrics snapshots into one result.
-func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
+// StartCluster boots e's loopback cluster over real sockets: n nodes on
+// reserved 127.0.0.1 ports sharing one time origin, the chaos axes
+// composed into each node's socket-level conditioner, per-node chaos
+// streams seeded Seed+i+1. It returns the running nodes and the function
+// that closes them all.
+func StartCluster(e ClusterExperiment) (nodes []*nettcp.Node, closeAll func(), err error) {
 	e = e.withDefaults()
 	base := types.Config{N: e.N, F: e.F, Delta: e.Delta, X: types.DefaultX}
 	if err := base.Validate(); err != nil {
-		return nil, fmt.Errorf("harness: cluster: %w", err)
+		return nil, nil, fmt.Errorf("harness: cluster: %w", err)
 	}
-	if e.OmissionBudget != (network.OmissionBudget{}) &&
-		(e.OmissionBudget.MaxSenders <= 0 || e.OmissionBudget.MaxSenders > e.F) {
-		return nil, fmt.Errorf("harness: cluster omission budget must name 1..f=%d senders, got %d",
-			e.F, e.OmissionBudget.MaxSenders)
+	if err := checkOmissionBudget(e.OmissionBudget, e.F); err != nil {
+		return nil, nil, fmt.Errorf("harness: cluster: %w", err)
 	}
 	addrs, err := freeLoopbackAddrs(e.N)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	link := e.LinkPolicy()
 	start := time.Now()
-	nodes := make([]*nettcp.Node, 0, e.N)
-	defer func() {
+	closeAll = func() {
 		for _, n := range nodes {
 			n.Close()
 		}
-	}()
+	}
 	for i := 0; i < e.N; i++ {
-		cfg := nettcp.NodeConfig{
+		n, err := nettcp.StartNode(nettcp.NodeConfig{
 			ID:             types.NodeID(i),
 			Addrs:          addrs,
 			Base:           base,
@@ -240,52 +239,63 @@ func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
 			OmissionBudget: e.OmissionBudget,
 			ChaosSeed:      e.Seed + int64(i) + 1,
 			Churn:          e.Churn[types.NodeID(i)],
-		}
-		n, err := nettcp.StartNode(cfg)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("harness: cluster node %d: %w", i, err)
+			closeAll()
+			return nil, nil, fmt.Errorf("harness: cluster node %d: %w", i, err)
 		}
 		nodes = append(nodes, n)
 	}
+	return nodes, closeAll, nil
+}
 
-	injected := 0
-	workloadDone := make(chan struct{})
-	if e.SMR && e.Rate > 0 {
-		go func() {
-			defer close(workloadDone)
-			// Open loop on workload.Pacer's absolute due times: after a
-			// late wake-up the commands that fell due meanwhile follow
-			// at once (a time.Ticker drops them), and there is no period
-			// to underflow at high rates.
-			pacer := workload.NewPacer(int64(e.Rate))
-			t0 := time.Now()
-			end := t0.Add(e.Duration)
-			for {
-				due := t0.Add(time.Duration(pacer.NextAtNs()))
-				if due.After(end) || time.Now().After(end) {
-					return
-				}
-				time.Sleep(time.Until(due))
-				i := int(pacer.Take())
-				cmd := fmt.Sprintf("SET key%d value%d", i%64, i)
-				if nodes[i%len(nodes)].Submit([]byte(cmd)) == nil {
-					injected++
-				}
-			}
-		}()
-	} else {
-		close(workloadDone)
+// InjectCommands offers rate client commands per second to SMR nodes,
+// round-robin, for d of wall clock (d ≤ 0: until the process exits), and
+// returns how many were accepted. It is open loop on workload.Pacer's
+// absolute due times: after a late wake-up the commands that fell due
+// meanwhile follow at once (a time.Ticker drops them), and there is no
+// period to underflow at high rates.
+func InjectCommands(nodes []*nettcp.Node, rate int, d time.Duration) (accepted int) {
+	pacer := workload.NewPacer(int64(rate))
+	t0 := time.Now()
+	end := t0.Add(d)
+	for {
+		due := t0.Add(time.Duration(pacer.NextAtNs()))
+		if d > 0 && (due.After(end) || time.Now().After(end)) {
+			return accepted
+		}
+		time.Sleep(time.Until(due))
+		i := int(pacer.Take())
+		cmd := fmt.Sprintf("SET key%d value%d", i%64, i)
+		if nodes[i%len(nodes)].Submit([]byte(cmd)) == nil {
+			accepted++
+		}
 	}
+}
 
-	time.Sleep(e.Duration)
-	<-workloadDone
-	elapsed := time.Since(start)
+// RunCluster boots the cluster over real sockets, runs it for
+// e.Duration of wall-clock time, shuts it down, and aggregates the
+// per-node metrics snapshots into one result.
+func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
+	e = e.withDefaults()
+	nodes, closeAll, err := StartCluster(e)
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll()
+
+	end := time.Now().Add(e.Duration)
+	injected := 0
+	if e.SMR && e.Rate > 0 {
+		injected = InjectCommands(nodes, e.Rate, e.Duration)
+	}
+	time.Sleep(time.Until(end))
 
 	res := &ClusterResult{
 		N:        e.N,
 		F:        e.F,
 		Delta:    e.Delta,
-		Elapsed:  elapsed,
+		Elapsed:  time.Duration(nodes[0].Now()),
 		Injected: injected,
 	}
 	gst := types.Time(0).Add(e.GST)

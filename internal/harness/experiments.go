@@ -582,15 +582,7 @@ func measureHeavySync(res *Result) (heavy int, epochsElapsed float64) {
 	if len(decs) > 0 {
 		views = float64(decs[len(decs)-1].View)
 	}
-	switch s.Protocol {
-	case ProtoLP22:
-		epochsElapsed = views / float64(s.F+1)
-	case ProtoBasic:
-		epochsElapsed = views / float64(2*(s.F+1))
-	default:
-		epochsElapsed = views / float64(10*(3*s.F+1))
-	}
-	return heavy, epochsElapsed
+	return heavy, views / float64(accountingEpochLen(s, res.Cfg))
 }
 
 // HeavySyncCount runs the heavy-synchronization experiment for one

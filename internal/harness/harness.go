@@ -224,20 +224,24 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // Validate checks the scenario's declarative fields for combinations
-// that cannot mean what they say — a topology latency class the §2
-// clamp would silently distort, partition groups naming processors the
-// scenario does not have, clock drift that puts an honest Γ-long timer
-// more than Δ off true, straggler delays past Δ — and returns a
-// descriptive error instead of producing a silently-wrong table. The
-// harness runs it on every execution (run panics on error, like the
-// config and omission-budget checks); UncheckedWAN waives only the
-// in-model drift/straggler bounds, for deliberate degradation studies.
+// that cannot mean what they say — an omission budget charging more than
+// f senders, a topology latency class the §2 clamp would silently
+// distort, partition groups naming processors the scenario does not
+// have, clock drift that puts an honest Γ-long timer more than Δ off
+// true, straggler delays past Δ — and returns a descriptive error instead
+// of producing a silently-wrong table. The harness runs it on every
+// execution (run panics on error, like the config check); UncheckedWAN
+// waives only the in-model drift/straggler bounds, for deliberate
+// degradation studies.
 func (s Scenario) Validate() error {
 	return s.withDefaults().validate()
 }
 
 // validate implements Validate on a defaults-applied scenario.
 func (s Scenario) validate() error {
+	if err := checkOmissionBudget(s.OmissionBudget, s.F); err != nil {
+		return err
+	}
 	for gi, group := range s.Partitions {
 		for _, id := range group {
 			if int(id) < 0 || int(id) >= s.N {
@@ -288,6 +292,18 @@ func (s Scenario) validate() error {
 		if !s.UncheckedWAN && (skew > s.Delta || skew < -s.Delta) {
 			return fmt.Errorf("drift skew %v for processor %d exceeds Δ=%v; set UncheckedWAN for degradation studies", skew, i, s.Delta)
 		}
+	}
+	return nil
+}
+
+// checkOmissionBudget enforces that a budget, when set, names 1..f
+// senders: post-GST omission is a processor fault and only f processors
+// may be faulty. The network treats MaxSenders 0 as "no per-sender cap",
+// which would let omissions touch more than f senders, so it is rejected
+// along with caps beyond f.
+func checkOmissionBudget(b network.OmissionBudget, f int) error {
+	if b != (network.OmissionBudget{}) && (b.MaxSenders <= 0 || b.MaxSenders > f) {
+		return fmt.Errorf("omission budget must name 1..f=%d senders, got %d", f, b.MaxSenders)
 	}
 	return nil
 }
@@ -464,14 +480,6 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		net.SetProcDelays(pd)
 	}
 	if s.OmissionBudget != (network.OmissionBudget{}) {
-		// The network treats MaxSenders 0 as "no per-sender cap", which
-		// would let omissions touch more than f senders — reject it
-		// here along with caps beyond f: post-GST omission is a
-		// processor fault and only f processors may be faulty.
-		if s.OmissionBudget.MaxSenders <= 0 || s.OmissionBudget.MaxSenders > cfg.F {
-			panic(fmt.Sprintf("harness: omission budget must name 1..f=%d senders, got %d",
-				cfg.F, s.OmissionBudget.MaxSenders))
-		}
 		net.SetOmissionBudget(s.OmissionBudget)
 	}
 

@@ -136,6 +136,12 @@ func TestScenarioValidateWAN(t *testing.T) {
 			s.Topology = &network.Topology{Regions: []int{4}}
 			s.Delay = network.Fixed{D: time.Millisecond}
 		}, "the topology is the delay model"},
+		{"omission budget past f", func(s *Scenario) {
+			s.OmissionBudget = network.OmissionBudget{MaxMessages: 1, MaxSenders: 2}
+		}, "1..f=1 senders, got 2"},
+		{"omission budget without a sender cap", func(s *Scenario) {
+			s.OmissionBudget = network.OmissionBudget{MaxMessages: 1}
+		}, "1..f=1 senders, got 0"},
 		{"partition out of range", func(s *Scenario) {
 			s.Partitions = [][]types.NodeID{{0, 9}}
 		}, "references processor 9"},

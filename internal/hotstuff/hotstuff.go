@@ -48,41 +48,25 @@ func (c Config) chainLen() int {
 // CommitObserver is notified of each committed block, in commit order.
 type CommitObserver func(b *Block, at types.Time)
 
-// Core is one replica's chained HotStuff instance. It implements
-// replica.Engine: the pacemaker drives views, Core produces QCs (which
-// double as the BVS layer's decision events) and commits blocks on
-// three-chains of consecutive views.
+// Core is one replica's chained HotStuff instance: viewcore's voting
+// round — the pacemaker drives views, the round produces QCs (which
+// double as the BVS layer's decision events) — plus the chain those QCs
+// certify: each proposal carries a block extending the highest QC, the
+// lock rule decides whether to vote for it, and blocks commit on
+// three-chains of consecutive views. It implements replica.Engine.
 type Core struct {
-	cfg    Config
-	id     types.NodeID
-	ep     network.Endpoint
-	rt     clock.Runtime
-	suite  crypto.Suite
-	signer crypto.Signer
-	// stmt is the statement scratch: sign/verify statements are
-	// rebuilt in place, keeping the vote/QC hot paths free of
-	// per-call statement allocations.
-	stmt     msg.StmtScratch
-	leader   func(types.View) types.NodeID
+	viewcore.Round
+	cfg      Config
 	onQC     func(*msg.QC)
-	obs      viewcore.QCObserver
 	sm       statemachine.StateMachine
 	onCommit CommitObserver
 
-	view      types.View
-	blocks    map[Hash]*Block
-	qcByHash  map[Hash]*msg.QC
-	proposals map[types.View]*msg.Proposal
-	voted     quorum.Flags
-	seenQC    quorum.Flags
+	blocks   map[Hash]*Block
+	qcByHash map[Hash]*msg.QC
+	seenQC   quorum.Flags
 
 	highQC   *msg.QC
 	lockedQC *msg.QC
-
-	leading  types.View
-	deadline types.Time
-	votes    quorum.VoteSet
-	done     bool
 
 	mempool       []Command
 	inPool        map[uint64]bool
@@ -105,24 +89,15 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
 	genesis := &Block{View: types.NoView}
 	genesisQC := &msg.QC{V: types.NoView, BlockHash: GenesisHash}
 	c := &Core{
+		Round:         viewcore.NewRound(cfg.Base, ep, rt, suite, leader, obs),
 		cfg:           cfg,
-		id:            ep.ID(),
-		ep:            ep,
-		rt:            rt,
-		suite:         suite,
-		signer:        suite.SignerFor(ep.ID()),
-		leader:        leader,
 		onQC:          onQC,
-		obs:           obs,
 		sm:            sm,
 		onCommit:      onCommit,
-		view:          types.NoView,
 		blocks:        map[Hash]*Block{GenesisHash: genesis},
 		qcByHash:      map[Hash]*msg.QC{GenesisHash: genesisQC},
-		proposals:     make(map[types.View]*msg.Proposal),
 		highQC:        genesisQC,
 		lockedQC:      genesisQC,
-		leading:       types.NoView,
 		inPool:        make(map[uint64]bool),
 		applied:       make(map[uint64]bool),
 		lastExec:      types.NoView,
@@ -177,12 +152,12 @@ func (c *Core) MempoolLen() int { return len(c.mempool) }
 
 // EnterView implements pacemaker.Driver.
 func (c *Core) EnterView(v types.View) {
-	if v <= c.view {
+	p, entered := c.Enter(v)
+	if !entered {
 		return
 	}
-	c.view = v
 	c.pruneBelow(v)
-	if p, ok := c.proposals[v]; ok {
+	if p != nil {
 		c.maybeVote(p)
 	}
 }
@@ -190,13 +165,9 @@ func (c *Core) EnterView(v types.View) {
 // LeaderStart implements pacemaker.Driver: propose a block extending the
 // highest QC.
 func (c *Core) LeaderStart(v types.View, qcDeadline types.Time) {
-	if c.leader(v) != c.id || v < c.view || v <= c.leading {
+	if !c.Lead(v, qcDeadline) {
 		return
 	}
-	c.leading = v
-	c.deadline = qcDeadline
-	c.votes.Reset(c.cfg.Base.N)
-	c.done = false
 	batch := c.mempool
 	if len(batch) > c.cfg.batch() {
 		batch = batch[:c.cfg.batch()]
@@ -204,9 +175,9 @@ func (c *Core) LeaderStart(v types.View, qcDeadline types.Time) {
 	block := &Block{View: v, Parent: c.highQC.BlockHash, Cmds: append([]Command(nil), batch...)}
 	hash := block.HashOf()
 	c.blocks[hash] = block
-	c.ep.Broadcast(&msg.Proposal{
+	c.EP.Broadcast(&msg.Proposal{
 		V:       v,
-		Leader:  c.id,
+		Leader:  c.ID,
 		Justify: c.highQC,
 		Block:   block.Encode(),
 		Hash:    hash,
@@ -219,15 +190,11 @@ func (c *Core) Handle(from types.NodeID, m msg.Message) {
 	case *msg.Proposal:
 		c.handleProposal(from, mm)
 	case *msg.Vote:
-		c.handleVote(from, mm)
+		c.Tally(from, mm)
 	case *msg.QC:
 		c.observeQC(mm)
 	case *msg.Request:
 		c.enqueue(Command{ID: mm.ID, Payload: mm.Payload})
-	case *msg.NewView:
-		if mm.HighQC != nil {
-			c.observeQC(mm.HighQC)
-		}
 	case *msg.BlockFetch:
 		c.handleBlockFetch(mm)
 	case *msg.BlockResp:
@@ -241,12 +208,12 @@ func (c *Core) Handle(from types.NodeID, m msg.Message) {
 // committed chain has real gaps after a revival). Re-asks for the same
 // hash are rate-limited to one per Δ.
 func (c *Core) requestBlock(h Hash) {
-	now := c.rt.Now()
-	if last, ok := c.fetchAsked[h]; ok && now < last+types.Time(c.cfg.Base.Delta) {
+	now := c.RT.Now()
+	if last, ok := c.fetchAsked[h]; ok && now < last+types.Time(c.Cfg.Delta) {
 		return
 	}
 	c.fetchAsked[h] = now
-	c.ep.Broadcast(&msg.BlockFetch{H: h, FromRaw: c.id})
+	c.EP.Broadcast(&msg.BlockFetch{H: h, FromRaw: c.ID})
 }
 
 // handleBlockFetch serves a fetch request — but only for blocks whose
@@ -262,7 +229,7 @@ func (c *Core) handleBlockFetch(m *msg.BlockFetch) {
 	if !ok || qc.V < 0 {
 		return
 	}
-	c.ep.Send(m.FromRaw, &msg.BlockResp{Block: b.Encode(), Cert: qc, FromRaw: c.id})
+	c.EP.Send(m.FromRaw, &msg.BlockResp{Block: b.Encode(), Cert: qc, FromRaw: c.ID})
 }
 
 // handleBlockResp verifies and stores a fetched block. The response is
@@ -290,7 +257,7 @@ func (c *Core) handleBlockResp(m *msg.BlockResp) {
 }
 
 func (c *Core) handleProposal(from types.NodeID, p *msg.Proposal) {
-	if p.Leader != from || c.leader(p.V) != from {
+	if !c.FromLeader(from, p) {
 		return
 	}
 	block, err := DecodeBlock(p.Block)
@@ -310,15 +277,8 @@ func (c *Core) handleProposal(from types.NodeID, p *msg.Proposal) {
 		c.blocks[p.Hash] = block
 		c.retryPending()
 	}
-	c.acceptQC(p.Justify)
-	if p.V < c.view {
-		return
-	}
-	if _, dup := c.proposals[p.V]; dup {
-		return
-	}
-	c.proposals[p.V] = p
-	if p.V == c.view {
+	c.acceptQC(p.Justify) // may enter p.V, through the pacemaker
+	if c.Keep(p) && p.V == c.View() {
 		c.maybeVote(p)
 	}
 }
@@ -326,15 +286,9 @@ func (c *Core) handleProposal(from types.NodeID, p *msg.Proposal) {
 // maybeVote applies the chained-HotStuff safety rule: vote if the block
 // extends the locked block, or its justify is newer than the lock.
 func (c *Core) maybeVote(p *msg.Proposal) {
-	if c.voted.Has(p.V) {
-		return
+	if c.extends(p.Hash, c.lockedQC.BlockHash) || p.Justify.V > c.lockedQC.V {
+		c.Vote(p)
 	}
-	if !c.extends(p.Hash, c.lockedQC.BlockHash) && p.Justify.V <= c.lockedQC.V {
-		return
-	}
-	c.voted.Set(p.V)
-	sig := c.signer.Sign(c.stmt.Vote(p.V, &p.Hash))
-	c.ep.Send(p.Leader, &msg.Vote{V: p.V, BlockHash: p.Hash, Sig: sig})
 }
 
 // extends reports whether the block with hash h has ancestor anc (walking
@@ -354,33 +308,6 @@ func (c *Core) extends(h, anc Hash) bool {
 	return false
 }
 
-func (c *Core) handleVote(from types.NodeID, v *msg.Vote) {
-	if v.Sig.Signer != from || c.leading != v.V || c.done {
-		return
-	}
-	if c.suite.Verify(c.stmt.Vote(v.V, &v.BlockHash), v.Sig) != nil {
-		return
-	}
-	c.votes.Add(v.Sig)
-	if c.votes.Count() < c.cfg.Base.Quorum() {
-		return
-	}
-	if c.rt.Now() > c.deadline {
-		c.done = true // honest-leader QC discipline (§4)
-		return
-	}
-	agg, err := c.suite.Aggregate(c.stmt.Vote(v.V, &v.BlockHash), c.votes.Sigs())
-	if err != nil {
-		return
-	}
-	c.done = true
-	qc := &msg.QC{V: v.V, BlockHash: v.BlockHash, Agg: agg}
-	if c.obs != nil {
-		c.obs.OnQCProduced(qc, c.rt.Now())
-	}
-	c.ep.Broadcast(qc)
-}
-
 // verifyQC establishes that (qc.V, qc.BlockHash) is certified. A QC naming
 // a pair already in qcByHash — genesis, or a QC that was broadcast before
 // the next proposal carried it as Justify — is not checked again: a second
@@ -390,7 +317,7 @@ func (c *Core) verifyQC(qc *msg.QC) bool {
 	if known, ok := c.qcByHash[qc.BlockHash]; ok && known.V == qc.V {
 		return true
 	}
-	return c.suite.VerifyAggregate(c.stmt.Vote(qc.V, &qc.BlockHash), qc.Agg, c.cfg.Base.Quorum()) == nil
+	return c.Suite.VerifyAggregate(c.Stmt.Vote(qc.V, &qc.BlockHash), qc.Agg, c.Cfg.Quorum()) == nil
 }
 
 // observeQC handles a QC that arrives on its own.
@@ -413,8 +340,8 @@ func (c *Core) acceptQC(qc *msg.QC) {
 	}
 	if qc.V >= 0 {
 		c.seenQC.Set(qc.V)
-		if c.obs != nil {
-			c.obs.OnQCSeen(qc, c.rt.Now())
+		if c.Obs != nil {
+			c.Obs.OnQCSeen(qc, c.RT.Now())
 		}
 	}
 	if qc.V > c.highQC.V {
@@ -503,7 +430,7 @@ func (c *Core) execChain(b0 *Block) {
 			}
 		}
 		if c.onCommit != nil {
-			c.onCommit(b, c.rt.Now())
+			c.onCommit(b, c.RT.Now())
 		}
 	}
 }
@@ -573,16 +500,9 @@ func (c *Core) removeFromPool(id uint64) {
 	}
 }
 
-// pruneBelow bounds per-view bookkeeping; block/QC maps retain recent
-// history for parent walks and late commits.
+// pruneBelow bounds the chain's bookkeeping on entering view v; block/QC
+// maps retain recent history for parent walks and late commits.
 func (c *Core) pruneBelow(v types.View) {
-	low := v - 4
-	for w := range c.proposals {
-		if w < low {
-			delete(c.proposals, w)
-		}
-	}
-	c.voted.ForgetBelow(low)
 	// Old blocks below the executed prefix can be dropped once far
 	// behind; keep a generous window for stragglers.
 	if len(c.blocks) > 4096 {
@@ -594,5 +514,5 @@ func (c *Core) pruneBelow(v types.View) {
 			}
 		}
 	}
-	c.seenQC.ForgetBelow(low - 4)
+	c.seenQC.ForgetBelow(v - 8)
 }

@@ -19,8 +19,32 @@ import (
 type rig struct {
 	sched *sim.Scheduler
 	cores []*Core
+	eps   []*voteLog
 	kvs   []*statemachine.KV
 	cfg   types.Config
+}
+
+// voteLog is a node's endpoint, recording the view of every vote it sends.
+type voteLog struct {
+	network.Endpoint
+	views []types.View
+}
+
+func (e *voteLog) Send(to types.NodeID, m msg.Message) {
+	if v, ok := m.(*msg.Vote); ok {
+		e.views = append(e.views, v.V)
+	}
+	e.Endpoint.Send(to, m)
+}
+
+// votes counts the votes node i has sent for view v.
+func (r *rig) votes(i int, v types.View) (n int) {
+	for _, w := range r.eps[i].views {
+		if w == v {
+			n++
+		}
+	}
+	return n
 }
 
 func newRig(t *testing.T, f int, delay time.Duration, twoPhase bool) *rig {
@@ -31,14 +55,15 @@ func newRig(t *testing.T, f int, delay time.Duration, twoPhase bool) *rig {
 	suite := crypto.NewSimSuite(cfg.N, 2)
 	leader := func(v types.View) types.NodeID { return types.NodeID(v % types.View(cfg.N)) }
 	r.cores = make([]*Core, cfg.N)
+	r.eps = make([]*voteLog, cfg.N)
 	r.kvs = make([]*statemachine.KV, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		i := i
-		ep := net.Attach(types.NodeID(i), network.HandlerFunc(func(from types.NodeID, m msg.Message) {
+		r.eps[i] = &voteLog{Endpoint: net.Attach(types.NodeID(i), network.HandlerFunc(func(from types.NodeID, m msg.Message) {
 			r.cores[i].Handle(from, m)
-		}))
+		}))}
 		r.kvs[i] = statemachine.NewKV()
-		r.cores[i] = New(Config{Base: cfg, TwoPhase: twoPhase}, ep, r.sched, suite, leader,
+		r.cores[i] = New(Config{Base: cfg, TwoPhase: twoPhase}, r.eps[i], r.sched, suite, leader,
 			func(qc *msg.QC) {
 				next := qc.V + 1
 				r.cores[i].EnterView(next)
@@ -137,7 +162,7 @@ func TestVoteRefusesNonExtendingOldJustify(t *testing.T) {
 	}
 	// A proposal extending genesis with the genesis justify: violates
 	// the safety rule (doesn't extend the lock, justify not newer).
-	v := core.view + 1
+	v := core.View() + 1
 	core.EnterView(v)
 	block := &Block{View: v, Parent: GenesisHash}
 	genesisQC := &msg.QC{V: types.NoView, BlockHash: GenesisHash}
@@ -148,7 +173,7 @@ func TestVoteRefusesNonExtendingOldJustify(t *testing.T) {
 		Block:   block.Encode(),
 		Hash:    block.HashOf(),
 	})
-	if core.voted.Has(v) {
+	if r.votes(1, v) != 0 {
 		t.Fatal("voted for a proposal violating the safety rule")
 	}
 }
@@ -162,14 +187,14 @@ func TestLateProposalStoredButNotVoted(t *testing.T) {
 	// view-0 leader legitimately did); it must be stored, not voted.
 	old := &Block{View: 0, Parent: GenesisHash, Cmds: []Command{{ID: 42}}}
 	genesisQC := &msg.QC{V: types.NoView, BlockHash: GenesisHash}
-	before := core.voted.Has(0)
+	before := r.votes(1, 0)
 	core.handleProposal(0, &msg.Proposal{
 		V: 0, Leader: 0, Justify: genesisQC, Block: old.Encode(), Hash: old.HashOf(),
 	})
 	if _, ok := core.blocks[old.HashOf()]; !ok {
 		t.Fatal("late proposal's block not stored")
 	}
-	if !before && core.voted.Has(0) {
+	if r.votes(1, 0) != before {
 		t.Fatal("voted for a stale view")
 	}
 }
@@ -270,9 +295,9 @@ func TestForgedQCRejected(t *testing.T) {
 // second certificate changes no state: the original QC stays in place.
 func TestKnownJustifyNotRechecked(t *testing.T) {
 	type outcome struct {
-		voted, stored, sameHigh, sameKnown bool
-		high, locked                       types.View
-		blocks, committed                  int
+		voted, sameHigh, sameKnown bool
+		high, locked               types.View
+		blocks, committed          int
 	}
 	run := func(agg func(valid crypto.Aggregate) crypto.Aggregate) outcome {
 		r := newRig(t, 1, time.Millisecond, false)
@@ -283,7 +308,7 @@ func TestKnownJustifyNotRechecked(t *testing.T) {
 		if hq.V < 1 || core.qcByHash[hq.BlockHash] != hq {
 			t.Fatalf("no certified high QC to extend (view %d)", hq.V)
 		}
-		v := core.view + 1
+		v := core.View() + 1
 		lead := types.NodeID(v % types.View(r.cfg.N))
 		core.EnterView(v)
 		block := &Block{View: v, Parent: hq.BlockHash}
@@ -291,16 +316,15 @@ func TestKnownJustifyNotRechecked(t *testing.T) {
 			V: v, Leader: lead, Block: block.Encode(), Hash: block.HashOf(),
 			Justify: &msg.QC{V: hq.V, BlockHash: hq.BlockHash, Agg: agg(hq.Agg)},
 		})
-		_, stored := core.proposals[v]
 		return outcome{
-			voted: core.voted.Has(v), stored: stored,
+			voted:    r.votes(1, v) == 1,
 			sameHigh: core.highQC == hq, sameKnown: core.qcByHash[hq.BlockHash] == hq,
 			high: core.highQC.V, locked: core.lockedQC.V,
 			blocks: len(core.blocks), committed: core.CommittedCount(),
 		}
 	}
 	want := run(func(valid crypto.Aggregate) crypto.Aggregate { return valid })
-	if !want.voted || !want.stored || !want.sameHigh || !want.sameKnown {
+	if !want.voted || !want.sameHigh || !want.sameKnown {
 		t.Fatalf("proposal with the valid known Justify: %+v", want)
 	}
 	for name, agg := range map[string]func(crypto.Aggregate) crypto.Aggregate{
@@ -325,7 +349,7 @@ func TestKnownJustifyNotRechecked(t *testing.T) {
 	b1 := &Block{View: 1, Parent: b0.HashOf()}
 	core.handleProposal(1, &msg.Proposal{V: 1, Leader: 1, Block: b1.Encode(), Hash: b1.HashOf(),
 		Justify: &msg.QC{V: 0, BlockHash: b0.HashOf()}})
-	if _, stored := core.proposals[1]; stored || core.voted.Has(1) {
+	if len(core.blocks) != 1 || r.votes(1, 1) != 0 {
 		t.Fatal("proposal with an uncertified, unverifiable Justify accepted")
 	}
 }

@@ -42,9 +42,6 @@ const (
 	KindWish
 	// KindTimeout is NK20's all-to-all view timeout message.
 	KindTimeout
-	// KindNewView carries a replica's highest QC to the next leader
-	// (chained HotStuff).
-	KindNewView
 	// KindRequest is a client command submitted to the SMR layer.
 	KindRequest
 	// KindBlockFetch asks peers for a certified block by hash (chained
@@ -67,7 +64,6 @@ var kindNames = map[Kind]string{
 	KindQC:         "QC",
 	KindWish:       "WISH",
 	KindTimeout:    "TIMEOUT",
-	KindNewView:    "NEWVIEW",
 	KindRequest:    "REQUEST",
 	KindBlockFetch: "BLOCKFETCH",
 	KindBlockResp:  "BLOCKRESP",
@@ -311,23 +307,6 @@ func (m *Vote) View() types.View { return m.V }
 // From returns the sender recorded in the signature.
 func (m *Vote) From() types.NodeID { return m.Sig.Signer }
 
-// NewView carries a replica's highest QC to the leader of view V (chained
-// HotStuff view changes).
-type NewView struct {
-	V       types.View
-	HighQC  *QC
-	FromRaw types.NodeID
-}
-
-// Kind implements Message.
-func (m *NewView) Kind() Kind { return KindNewView }
-
-// View implements Message.
-func (m *NewView) View() types.View { return m.V }
-
-// From returns the sender.
-func (m *NewView) From() types.NodeID { return m.FromRaw }
-
 // Request is a client command for the SMR layer.
 type Request struct {
 	ID      uint64
@@ -391,7 +370,6 @@ var (
 	_ Message = (*QC)(nil)
 	_ Message = (*Proposal)(nil)
 	_ Message = (*Vote)(nil)
-	_ Message = (*NewView)(nil)
 	_ Message = (*Wish)(nil)
 	_ Message = (*Timeout)(nil)
 	_ Message = (*Request)(nil)
@@ -413,8 +391,6 @@ func KappaSize(m Message) int {
 		return 1
 	case *Proposal:
 		return 2 // justify certificate + block hash
-	case *NewView:
-		return 1
 	case *BlockFetch:
 		return 1 // one hash
 	case *BlockResp:
@@ -459,7 +435,6 @@ func PayloadWords(n int) int {
 //	Vote                               view + hash + signature     = 3
 //	QC                                 view + hash + threshold sig = 3
 //	Proposal                           view‖leader + hash [+ QC]   = 2 or 5, + ⌈|Block|/32⌉
-//	NewView                            view‖sender [+ QC]          = 1 or 4
 //	Request                            id + payload handle         = 2, + ⌈|Payload|/32⌉
 //	BlockFetch                         hash + sender               = 2
 //	BlockResp                          sender + QC                 = 4, + ⌈|Block|/32⌉
@@ -479,11 +454,6 @@ func Words(m Message) int {
 			w = 5
 		}
 		return w + PayloadWords(len(mm.Block))
-	case *NewView:
-		if mm.HighQC != nil {
-			return 4
-		}
-		return 1
 	case *Request:
 		return 2 + PayloadWords(len(mm.Payload))
 	case *BlockFetch:

@@ -10,7 +10,7 @@ import (
 
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{KindView, KindVC, KindEpochView, KindEC, KindTC,
-		KindProposal, KindVote, KindQC, KindWish, KindTimeout, KindNewView,
+		KindProposal, KindVote, KindQC, KindWish, KindTimeout,
 		KindRequest, KindBlockFetch, KindBlockResp}
 	seen := make(map[string]bool)
 	for _, k := range kinds {
@@ -39,7 +39,6 @@ func TestMessageViews(t *testing.T) {
 		{&QC{V: 8}, KindQC, 8},
 		{&Proposal{V: 9}, KindProposal, 9},
 		{&Vote{V: 10}, KindVote, 10},
-		{&NewView{V: 11}, KindNewView, 11},
 		{&Wish{V: 12}, KindWish, 12},
 		{&Timeout{V: 13}, KindTimeout, 13},
 		{&Request{ID: 1}, KindRequest, 0},
@@ -90,9 +89,6 @@ func TestFromAccessors(t *testing.T) {
 	if (&Timeout{Sig: sig}).From() != 7 {
 		t.Fatal("Timeout.From")
 	}
-	if (&NewView{FromRaw: 7}).From() != 7 {
-		t.Fatal("NewView.From")
-	}
 	if (&BlockFetch{FromRaw: 7}).From() != 7 {
 		t.Fatal("BlockFetch.From")
 	}
@@ -106,7 +102,7 @@ func TestKappaSizeConstantPerKind(t *testing.T) {
 	// depend on n or the payload the certificate aggregates.
 	msgs := []Message{
 		&ViewMsg{}, &VC{}, &EpochViewMsg{}, &EC{}, &TC{}, &QC{},
-		&Proposal{}, &Vote{}, &NewView{}, &Wish{}, &Timeout{}, &Request{},
+		&Proposal{}, &Vote{}, &Wish{}, &Timeout{}, &Request{},
 		&BlockFetch{}, &BlockResp{},
 	}
 	for _, m := range msgs {
@@ -128,7 +124,6 @@ func TestWordsModel(t *testing.T) {
 		{&VC{}, 2}, {&EC{}, 2}, {&TC{}, 2},
 		{&Vote{}, 3}, {&QC{}, 3},
 		{&Proposal{}, 2}, {&Proposal{Justify: &QC{}}, 5},
-		{&NewView{}, 1}, {&NewView{HighQC: &QC{}}, 4},
 		{&Request{}, 2},
 		{&BlockFetch{}, 2}, {&BlockResp{Cert: &QC{}}, 4},
 	} {

@@ -65,14 +65,16 @@ func buildFuzzMessage(kind msg.Kind, v types.View, data []byte) msg.Message {
 		return &msg.Wish{V: v, Sig: fuzzSig(data)}
 	case msg.KindTimeout:
 		return &msg.Timeout{V: v, Sig: fuzzSig(data)}
-	case msg.KindNewView:
-		nv := &msg.NewView{V: v, FromRaw: types.NodeID(len(data) % 7)}
-		if len(data)%2 == 1 {
-			nv.HighQC = &msg.QC{V: v - 1, BlockHash: hash, Agg: fuzzAgg(data)}
-		}
-		return nv
 	case msg.KindRequest:
 		return &msg.Request{ID: uint64(len(data)), Payload: append([]byte(nil), data...)}
+	case msg.KindBlockFetch:
+		return &msg.BlockFetch{H: hash, FromRaw: types.NodeID(len(data) % 7)}
+	case msg.KindBlockResp:
+		r := &msg.BlockResp{Block: append([]byte(nil), data...), FromRaw: types.NodeID(len(data) % 7)}
+		if len(data)%2 == 1 {
+			r.Cert = &msg.QC{V: v, BlockHash: hash, Agg: fuzzAgg(data)}
+		}
+		return r
 	default:
 		return nil
 	}
@@ -85,12 +87,12 @@ func buildFuzzMessage(kind msg.Kind, v types.View, data []byte) msg.Message {
 // reaches gob's canonical fixed point (decode∘encode is the identity
 // from then on — no field is silently dropped or mangled).
 func FuzzMessageGob(f *testing.F) {
-	for k := msg.KindView; k <= msg.KindRequest; k++ {
+	for k := msg.KindView; k <= msg.KindBlockResp; k++ {
 		f.Add(uint8(k), int64(7), []byte{1, 2, 3, 4, 5})
 		f.Add(uint8(k), int64(0), []byte{})
 		f.Add(uint8(k), int64(-1), []byte{0xff})
 	}
-	nKinds := uint8(msg.KindRequest)
+	nKinds := uint8(msg.KindBlockResp)
 	f.Fuzz(func(t *testing.T, kindRaw uint8, viewRaw int64, data []byte) {
 		kind := msg.Kind(kindRaw%nKinds + 1)
 		m := buildFuzzMessage(kind, types.View(viewRaw), data)

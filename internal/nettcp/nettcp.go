@@ -50,7 +50,6 @@ func init() {
 	gob.Register(&msg.QC{})
 	gob.Register(&msg.Wish{})
 	gob.Register(&msg.Timeout{})
-	gob.Register(&msg.NewView{})
 	gob.Register(&msg.Request{})
 	gob.Register(&msg.BlockFetch{})
 	gob.Register(&msg.BlockResp{})

@@ -244,9 +244,7 @@ func TestWordsParityWithSimulator(t *testing.T) {
 		{0, -1, &msg.Proposal{V: 2, Justify: qc, Block: []byte("x")}}, // 5 words
 		{1, -1, &msg.Proposal{V: 2}},                                  // 2 words
 		{3, -1, &msg.Wish{V: 2}},
-		{2, 2, &msg.Timeout{V: 2}},              // self-send: not a transmission
-		{1, -1, &msg.NewView{V: 3, HighQC: qc}}, // 4 words
-		{2, 0, &msg.NewView{V: 3}},              // 1 word
+		{2, 2, &msg.Timeout{V: 2}}, // self-send: not a transmission
 		{3, -1, &msg.Request{ID: 9, Payload: []byte("SET k v")}},
 		{0, -1, &msg.VC{V: 1}},
 		{1, -1, &msg.EC{}},
@@ -306,7 +304,7 @@ func TestWordsParityWithSimulator(t *testing.T) {
 	kinds := []msg.Kind{
 		msg.KindView, msg.KindVC, msg.KindEpochView, msg.KindEC, msg.KindTC,
 		msg.KindProposal, msg.KindVote, msg.KindQC, msg.KindWish,
-		msg.KindTimeout, msg.KindNewView, msg.KindRequest,
+		msg.KindTimeout, msg.KindRequest,
 	}
 	for _, k := range kinds {
 		var tcp int64

@@ -197,6 +197,23 @@ func ConformanceReport(res *Result) []string { return harness.ConformanceReport(
 // StartClusterNode boots a real TCP replica (see cmd/lumiere-cluster).
 func StartClusterNode(cfg ClusterConfig) (*ClusterNode, error) { return nettcp.StartNode(cfg) }
 
+// StartCluster boots the experiment's loopback cluster — n real TCP
+// replicas on reserved 127.0.0.1 ports, one shared wall-clock origin, the
+// chaos axes applied at each node's socket layer — and returns the
+// running nodes with the function that closes them all. RunCluster and
+// `lumiere-cluster -local` both boot through it.
+func StartCluster(e ClusterExperiment) (nodes []*ClusterNode, closeAll func(), err error) {
+	return harness.StartCluster(e)
+}
+
+// InjectCommands offers rate client commands per second to SMR nodes,
+// round-robin, for d of wall clock (d ≤ 0: until the process exits) and
+// returns how many were accepted: the open-loop injector, paced on
+// absolute due times, behind RunCluster and `lumiere-cluster -rate`.
+func InjectCommands(nodes []*ClusterNode, rate int, d time.Duration) (accepted int) {
+	return harness.InjectCommands(nodes, rate, d)
+}
+
 // RunCluster boots a loopback cluster of real TCP replicas (one shared
 // wall-clock origin), runs it for the experiment's duration, and
 // aggregates per-node metrics — words in the simulator's per-kind model,
