@@ -53,8 +53,11 @@ func (e *Endpoint) CountBcast(k msg.Kind) (n int) {
 }
 
 // Driver is a pacemaker.Driver that records the views it was told to
-// enter and to lead.
-type Driver struct{ Entered, Started []types.View }
+// enter and to lead, and the QC deadline given with each led view.
+type Driver struct {
+	Entered, Started []types.View
+	Deadlines        []types.Time
+}
 
 var _ pacemaker.Driver = (*Driver)(nil)
 
@@ -62,7 +65,10 @@ var _ pacemaker.Driver = (*Driver)(nil)
 func (d *Driver) EnterView(v types.View) { d.Entered = append(d.Entered, v) }
 
 // LeaderStart implements pacemaker.Driver.
-func (d *Driver) LeaderStart(v types.View, _ types.Time) { d.Started = append(d.Started, v) }
+func (d *Driver) LeaderStart(v types.View, deadline types.Time) {
+	d.Started = append(d.Started, v)
+	d.Deadlines = append(d.Deadlines, deadline)
+}
 
 // Unit is everything a baseline constructor takes, for one processor.
 type Unit struct {

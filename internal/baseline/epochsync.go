@@ -99,7 +99,7 @@ func (p *EpochSync) onBoundary(w types.View) {
 		// success criterion and no Δ-wait.
 		p.clk.Pause()
 		p.Tr.Emit(p.RT.Now(), p.ID, trace.PauseClock, w, "epoch boundary")
-		p.obs.OnHeavySync(w, p.RT.Now())
+		p.Obs.OnHeavySync(w, p.RT.Now())
 		p.Tr.Emit(p.RT.Now(), p.ID, trace.SendEpoch, w, "")
 		p.EP.Broadcast(&msg.EpochViewMsg{V: w, Sig: p.Signer.Sign(p.Stmt.EpochView(w))})
 		return
@@ -167,7 +167,7 @@ func (p *EpochSync) onQC(qc *msg.QC) {
 func (p *EpochSync) enterView(w types.View) {
 	if e := p.epochOf(w); e > p.epoch {
 		p.epoch = e
-		p.obs.OnEnterEpoch(e, p.RT.Now())
+		p.Obs.OnEnterEpoch(e, p.RT.Now())
 	}
 	p.Advance(w, p.Leader(w) == p.ID)
 	p.Certs.Forget(types.View(p.epoch-1) * p.epochLen)

@@ -1,14 +1,14 @@
 // Package baseline is the skeleton the five Table 1 baseline pacemakers
-// (lp22, raresync, fever, cogsworth, nk20) are written over, so each of
-// those packages holds only what the paper says distinguishes its
-// protocol:
+// (lp22, raresync, fever, cogsworth, nk20) and Lumiere itself
+// (internal/core) are written over, so each of those packages holds only
+// what the paper says distinguishes its protocol:
 //
 //   - Node is one processor's wiring and current view, with the
 //     round-robin leader schedule and the view-entry notification
 //     sequence (Advance);
-//   - Certs is the bookkeeping behind the one certificate kind a baseline
-//     assembles from signed synchronization messages: per-view vote sets
-//     and a formed flag, fed through a single Collect;
+//   - Certs is the bookkeeping behind one certificate kind assembled
+//     from signed synchronization messages: per-view vote sets and a
+//     formed flag, fed through Collect (= Add, then Seal at threshold);
 //   - EpochSync is the epoch-synchronization machine that is both LP22
 //     and RareSync.
 //
@@ -51,8 +51,10 @@ type Node struct {
 	// Certs collects the votes toward the certificate kind this
 	// protocol assembles (EC, VC or TC).
 	Certs Certs
+	// Obs is told of every view entry (Advance) and, by the protocols
+	// that have them, of epoch entries and heavy synchronizations.
+	Obs pacemaker.Observer
 
-	obs  pacemaker.Observer
 	view types.View
 }
 
@@ -69,7 +71,7 @@ func NewNode(cfg types.Config, ep network.Endpoint, rt clock.Runtime, suite cryp
 	if driver == nil {
 		driver = pacemaker.NopDriver{}
 	}
-	n := Node{
+	return Node{
 		Cfg:    cfg,
 		ID:     ep.ID(),
 		EP:     ep,
@@ -78,12 +80,10 @@ func NewNode(cfg types.Config, ep network.Endpoint, rt clock.Runtime, suite cryp
 		Signer: suite.SignerFor(ep.ID()),
 		Driver: driver,
 		Tr:     tr,
-		Certs:  Certs{suite: suite},
-		obs:    obs,
+		Certs:  NewCerts(suite, cfg.N),
+		Obs:    obs,
 		view:   types.NoView,
 	}
-	n.Certs.votes.Reset(cfg.N)
-	return n
 }
 
 // CurrentView implements pacemaker.Pacemaker.
@@ -110,7 +110,7 @@ func (n *Node) Leader(v types.View) types.NodeID {
 func (n *Node) Advance(w types.View, lead bool) {
 	n.view = w
 	n.Tr.Emit(n.RT.Now(), n.ID, trace.EnterView, w, "")
-	n.obs.OnEnterView(w, n.RT.Now())
+	n.Obs.OnEnterView(w, n.RT.Now())
 	n.Driver.EnterView(w)
 	if lead {
 		n.Driver.LeaderStart(w, types.TimeInf)
@@ -125,29 +125,48 @@ type Certs struct {
 	formed quorum.Flags
 }
 
-// Collect counts from's signed synchronization message for view v toward
-// the view's certificate. stmt is the statement the message signs,
-// built once by the caller and used both to verify sig and to aggregate.
-// A message whose Sig.Signer != from or whose signature does not verify
-// is ignored, as is anything for a view whose certificate is already
-// formed; the call that brings the view to threshold votes returns the
-// certificate and true, once. Callers drop views below the Forget bound
-// before calling.
-func (c *Certs) Collect(from types.NodeID, v types.View, sig crypto.Signature, stmt []byte, threshold int) (crypto.Aggregate, bool) {
+// NewCerts returns empty bookkeeping for a system of n processors.
+func NewCerts(suite crypto.Suite, n int) Certs {
+	c := Certs{suite: suite}
+	c.votes.Reset(n)
+	return c
+}
+
+// Add counts from's signed synchronization message for view v and
+// returns the view's vote count. stmt is the statement the message
+// signs, built once by the caller. A message whose Sig.Signer != from or
+// whose signature does not verify, a second vote from one signer, and
+// anything for a view whose certificate is already formed are ignored
+// and return 0. Callers drop views below the Forget bound before calling.
+func (c *Certs) Add(from types.NodeID, v types.View, sig crypto.Signature, stmt []byte) int {
 	if c.formed.Has(v) || sig.Signer != from || c.suite.Verify(stmt, sig) != nil {
-		return crypto.Aggregate{}, false
+		return 0
 	}
 	votes := c.votes.Get(v)
-	votes.Add(sig)
-	if votes.Count() < threshold {
-		return crypto.Aggregate{}, false
+	if !votes.Add(sig) {
+		return 0
 	}
-	agg, err := c.suite.Aggregate(stmt, votes.Sigs())
+	return votes.Count()
+}
+
+// Seal aggregates view v's votes over stmt into its certificate and
+// marks the view formed, so later votes for it are dropped unverified.
+func (c *Certs) Seal(v types.View, stmt []byte) (crypto.Aggregate, bool) {
+	agg, err := c.suite.Aggregate(stmt, c.votes.Get(v).Sigs())
 	if err != nil {
 		return crypto.Aggregate{}, false
 	}
 	c.formed.Set(v)
 	return agg, true
+}
+
+// Collect is Add followed, on the call that brings view v to threshold
+// votes, by Seal: it returns the certificate and true, once.
+func (c *Certs) Collect(from types.NodeID, v types.View, sig crypto.Signature, stmt []byte, threshold int) (crypto.Aggregate, bool) {
+	if c.Add(from, v, sig, stmt) < threshold {
+		return crypto.Aggregate{}, false
+	}
+	return c.Seal(v, stmt)
 }
 
 // Formed reports whether this processor assembled view v's certificate.

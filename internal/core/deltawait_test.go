@@ -30,23 +30,23 @@ func reachBoundaryWithPendingSuccess(t *testing.T, disable bool) (*unit, types.V
 	// (2 QCs each) but p2 and p3 hold one each — success(0) needs a
 	// third completed leader and is exactly one QC (view 5) short.
 	for _, v := range []types.View{0, 1, 2, 3, 4, 6} {
-		u.pm.Handle(2, u.qcFor(v))
+		u.pm.Handle(2, u.QC(v))
 	}
 	if u.pm.SuccessOf(0) {
 		t.Fatal("success flipped early")
 	}
 	// The QC for view 6 bumped lc to c_7; let the clock run Γ to the
 	// boundary c_8 = c_{V(1)}: the processor pauses (lines 9-11).
-	u.sched.RunFor(u.pm.Gamma())
-	if !u.pm.Paused() {
-		t.Fatalf("not paused at boundary: lc=%v view=%v", u.pm.LocalClock(), u.pm.CurrentView())
+	u.Sched.RunFor(u.conf.Gamma())
+	if !u.Clk.Paused() {
+		t.Fatalf("not paused at boundary: lc=%v view=%v", u.Clk.Read(), u.pm.CurrentView())
 	}
 	return u, 8
 }
 
 func countEpochViewSends(u *unit, w types.View) int {
 	n := 0
-	for _, m := range u.ep.bcasts {
+	for _, m := range u.EP.Bcasts {
 		if m.Kind() == msg.KindEpochView && m.View() == w {
 			n++
 		}
@@ -58,15 +58,15 @@ func countEpochViewSends(u *unit, w types.View) int {
 // QC arriving Δ/2 after the pause flips success before the send fires.
 func TestDeltaWaitSuppressesSpuriousHeavySync(t *testing.T) {
 	u, boundary := reachBoundaryWithPendingSuccess(t, false)
-	u.sched.RunFor(50 * time.Millisecond) // Δ/2 of the Δ = 100ms wait
-	u.pm.Handle(2, u.qcFor(5))            // deciding QC: success(0) = 1
+	u.Sched.RunFor(50 * time.Millisecond) // Δ/2 of the Δ = 100ms wait
+	u.pm.Handle(2, u.QC(5))               // deciding QC: success(0) = 1
 	if !u.pm.SuccessOf(0) {
 		t.Fatal("success did not flip")
 	}
-	if u.pm.Paused() {
+	if u.Clk.Paused() {
 		t.Fatal("success flip did not enter the epoch")
 	}
-	u.sched.RunFor(200 * time.Millisecond) // past the Δ-wait deadline
+	u.Sched.RunFor(200 * time.Millisecond) // past the Δ-wait deadline
 	if got := countEpochViewSends(u, boundary); got != 0 {
 		t.Fatalf("spurious heavy sync despite Δ-wait: %d epoch-view sends", got)
 	}
@@ -85,10 +85,10 @@ func TestAblationWithoutDeltaWaitSendsSpuriously(t *testing.T) {
 		t.Fatalf("epoch-view sends = %d, want immediate spurious send", got)
 	}
 	// The processor still recovers once the deciding QC arrives.
-	u.sched.RunFor(50 * time.Millisecond)
-	u.pm.Handle(2, u.qcFor(5))
-	if u.pm.Paused() || u.pm.CurrentEpoch() != 1 {
-		t.Fatalf("did not recover: epoch=%v paused=%v", u.pm.CurrentEpoch(), u.pm.Paused())
+	u.Sched.RunFor(50 * time.Millisecond)
+	u.pm.Handle(2, u.QC(5))
+	if u.Clk.Paused() || u.pm.CurrentEpoch() != 1 {
+		t.Fatalf("did not recover: epoch=%v paused=%v", u.pm.CurrentEpoch(), u.Clk.Paused())
 	}
 	u.requireClean(t)
 }
@@ -98,11 +98,11 @@ func TestAblationWithoutDeltaWaitSendsSpuriously(t *testing.T) {
 // synchronization proceeds — the wait must not cost liveness.
 func TestDeltaWaitTimesOutWhenSuccessNeverComes(t *testing.T) {
 	u, boundary := reachBoundaryWithPendingSuccess(t, false)
-	u.sched.RunFor(150 * time.Millisecond) // past Δ = 100ms
+	u.Sched.RunFor(150 * time.Millisecond) // past Δ = 100ms
 	if got := countEpochViewSends(u, boundary); got != 1 {
 		t.Fatalf("epoch-view sends = %d, want 1 after the wait expires", got)
 	}
-	if !u.pm.Paused() {
+	if !u.Clk.Paused() {
 		t.Fatal("should remain paused until an EC or success")
 	}
 	u.requireClean(t)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"lumiere/internal/baseline"
 	"lumiere/internal/clock"
 	"lumiere/internal/crypto"
 	"lumiere/internal/msg"
@@ -14,51 +15,41 @@ import (
 	"lumiere/internal/types"
 )
 
-// Pacemaker is one processor's Lumiere instance (Algorithm 1). It is not
-// internally synchronized: the owning runtime serializes all entry points
-// (message deliveries, clock alarms, timer callbacks).
+// Pacemaker is one processor's Lumiere instance (Algorithm 1): the
+// wiring, current view and certificate bookkeeping of the skeleton its
+// baselines share (baseline.Node: Cfg is cfg.Base, and Node.Certs
+// collects view messages into VCs, lines 32-34), plus what the paper
+// adds. It is not internally synchronized: the owning runtime serializes
+// all entry points (message deliveries, clock alarms, timer callbacks).
 type Pacemaker struct {
+	baseline.Node
+
 	cfg      Config
-	id       types.NodeID
-	ep       network.Endpoint
-	rt       clock.Runtime
 	clk      *clock.Clock
 	ticker   *clock.Ticker
-	suite    crypto.Suite
-	signer   crypto.Signer
-	driver   pacemaker.Driver
 	schedule Schedule
-	obs      pacemaker.Observer
-	tr       *trace.Tracer
-
 	gamma    time.Duration
 	qcWindow time.Duration // <0 means no deadline
-	epochLen types.View
 
-	view  types.View  // view(p), Algorithm 1 line 3
-	epoch types.Epoch // epoch(p), Algorithm 1 line 4
-
-	// Pause state for epoch boundaries (lines 9-11).
-	pausedAt  types.View // epoch view at which the clock is paused; NoView when running
-	pauseSeen quorum.Flags
+	epoch types.Epoch // epoch(p), Algorithm 1 line 4; view(p), line 3, is Node's
+	// pausedAt is the epoch view at whose boundary the clock is paused
+	// (lines 9-11); NoView when running.
+	pausedAt types.View
 
 	// Send dedupe ("if not already sent").
 	sentView      quorum.Flags
 	sentEpochView quorum.Flags
-
-	// VC formation (leader side, lines 32-34).
-	viewMsgs quorum.VoteSets
-	vcFormed quorum.Flags
+	// vcSentAt anchors the §4 QC deadline of each VC this leader sent.
 	vcSentAt map[types.View]types.Time
-	vcSeen   quorum.Flags
 
-	// EC / TC assembly from broadcast epoch-view messages.
-	epochViewMsgs quorum.VoteSets
-	tcDone        quorum.Flags
-	ecDone        quorum.Flags
+	// EpochCerts collects broadcast epoch-view messages toward TCs (f+1)
+	// and ECs (2f+1); tcDone and ecDone are the epoch views whose TC / EC
+	// has been acted on, however it arrived.
+	EpochCerts baseline.Certs
+	tcDone     quorum.Flags
+	ecDone     quorum.Flags
 
-	// QC processing (lines 44-49) and the success criterion (§4).
-	qcDone    quorum.Flags
+	// The success criterion (§4).
 	credited  quorum.Flags
 	leaderQCs map[types.Epoch]map[types.NodeID]int
 	success   map[types.Epoch]bool
@@ -71,10 +62,6 @@ type Pacemaker struct {
 	// checker skips the transient and validates the post-step state from
 	// the enclosing handler instead.
 	inBump int
-
-	// stmt is the statement scratch: sign/verify statements are rebuilt
-	// in place, so the message hot paths allocate no statement buffers.
-	stmt msg.StmtScratch
 }
 
 var _ pacemaker.Pacemaker = (*Pacemaker)(nil)
@@ -94,41 +81,21 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 	} else {
 		sched = NewPermSchedule(cfg.Base.N, cfg.ScheduleSeed)
 	}
-	if obs == nil {
-		obs = pacemaker.NopObserver{}
+	return &Pacemaker{
+		Node:       baseline.NewNode(cfg.Base, ep, rt, suite, driver, obs, tr),
+		cfg:        cfg,
+		clk:        clk,
+		schedule:   sched,
+		gamma:      cfg.Gamma(),
+		qcWindow:   cfg.QCWindow(),
+		epoch:      types.NoEpoch,
+		pausedAt:   types.NoView,
+		vcSentAt:   make(map[types.View]types.Time),
+		EpochCerts: baseline.NewCerts(suite, cfg.Base.N),
+		leaderQCs:  make(map[types.Epoch]map[types.NodeID]int),
+		success:    make(map[types.Epoch]bool),
 	}
-	if driver == nil {
-		driver = pacemaker.NopDriver{}
-	}
-	p := &Pacemaker{
-		cfg:       cfg,
-		id:        ep.ID(),
-		ep:        ep,
-		rt:        rt,
-		clk:       clk,
-		suite:     suite,
-		signer:    suite.SignerFor(ep.ID()),
-		driver:    driver,
-		schedule:  sched,
-		obs:       obs,
-		tr:        tr,
-		gamma:     cfg.Gamma(),
-		qcWindow:  cfg.QCWindow(),
-		epochLen:  cfg.EpochLen(),
-		view:      types.NoView,
-		epoch:     types.NoEpoch,
-		pausedAt:  types.NoView,
-		vcSentAt:  make(map[types.View]types.Time),
-		leaderQCs: make(map[types.Epoch]map[types.NodeID]int),
-		success:   make(map[types.Epoch]bool),
-	}
-	p.viewMsgs.Reset(cfg.Base.N)
-	p.epochViewMsgs.Reset(cfg.Base.N)
-	return p
 }
-
-// Gamma returns the view duration Γ in effect.
-func (p *Pacemaker) Gamma() time.Duration { return p.gamma }
 
 // Start boots the protocol: processors join with lc(p) = 0 and the
 // epoch-view-0 trigger fires (success(-1) = 0, so the execution begins
@@ -139,20 +106,11 @@ func (p *Pacemaker) Start() {
 	p.checkInvariants("start")
 }
 
-// CurrentView implements pacemaker.Pacemaker.
-func (p *Pacemaker) CurrentView() types.View { return p.view }
-
 // CurrentEpoch implements pacemaker.Pacemaker.
 func (p *Pacemaker) CurrentEpoch() types.Epoch { return p.epoch }
 
-// Leader implements pacemaker.Pacemaker.
+// Leader implements pacemaker.Pacemaker with the §4 schedule.
 func (p *Pacemaker) Leader(v types.View) types.NodeID { return p.schedule.Leader(v) }
-
-// Paused reports whether the local clock is paused at an epoch boundary.
-func (p *Pacemaker) Paused() bool { return p.clk.Paused() }
-
-// LocalClock returns lc(p).
-func (p *Pacemaker) LocalClock() types.Time { return p.clk.Read() }
 
 // SuccessOf reports success(e) (§4).
 func (p *Pacemaker) SuccessOf(e types.Epoch) bool { return p.success[e] }
@@ -201,10 +159,11 @@ func (p *Pacemaker) onBoundary(w types.View) {
 // onEpochBoundary implements lines 9-14: the clock attained c_w for an
 // epoch view w.
 func (p *Pacemaker) onEpochBoundary(w types.View) {
-	if w <= p.view || p.pauseSeen.Has(w) {
+	// The Ticker fires each boundary once, and a boundary at or below the
+	// current view has been passed by a certificate.
+	if w <= p.CurrentView() {
 		return
 	}
-	p.pauseSeen.Set(w)
 	if p.successOf(p.cfg.EpochOf(w) - 1) {
 		// Lines 13-14: enter the epoch treating w as a standard
 		// initial view.
@@ -215,12 +174,12 @@ func (p *Pacemaker) onEpochBoundary(w types.View) {
 	// synchronization.
 	p.clk.Pause()
 	p.pausedAt = w
-	p.tr.Emit(p.rt.Now(), p.id, trace.PauseClock, w, "epoch boundary, success=0")
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.PauseClock, w, "epoch boundary, success=0")
 	if p.cfg.Variant == VariantBasic || p.cfg.DisableDeltaWait {
 		p.sendEpochViewMsg(w)
 		return
 	}
-	p.rt.After(p.cfg.Base.Delta, func() {
+	p.RT.After(p.Cfg.Delta, func() {
 		if p.clk.Paused() && p.pausedAt == w {
 			p.sendEpochViewMsg(w)
 		}
@@ -231,12 +190,11 @@ func (p *Pacemaker) onEpochBoundary(w types.View) {
 // onInitialBoundary implements lines 28-30: the clock attained c_w for an
 // initial non-epoch view w.
 func (p *Pacemaker) onInitialBoundary(w types.View) {
-	if p.epoch != p.cfg.EpochOf(w) || w < p.view {
+	if p.epoch != p.cfg.EpochOf(w) || w < p.CurrentView() {
 		return
 	}
-	if w > p.view {
-		p.setPosition(w, p.cfg.EpochOf(w))
-		p.driver.EnterView(w)
+	if w > p.CurrentView() {
+		p.enter(w)
 	}
 	p.sendViewMsg(w)
 	p.maybeLeaderStartInitial(w)
@@ -247,8 +205,7 @@ func (p *Pacemaker) onInitialBoundary(w types.View) {
 // epoch(p) == E(w) becomes true at this instant).
 func (p *Pacemaker) enterInitial(w types.View) {
 	p.unpauseIfAt(w)
-	p.setPosition(w, p.cfg.EpochOf(w))
-	p.driver.EnterView(w)
+	p.enter(w)
 	p.sendViewMsg(w)
 	p.maybeLeaderStartInitial(w)
 }
@@ -260,25 +217,16 @@ func (p *Pacemaker) enterInitial(w types.View) {
 // onViewMsg implements the leader side (lines 32-34).
 func (p *Pacemaker) onViewMsg(from types.NodeID, vm *msg.ViewMsg) {
 	w := vm.V
-	if !w.Initial() || p.schedule.Leader(w) != p.id || w < p.view || p.vcFormed.Has(w) {
+	if !w.Initial() || p.Leader(w) != p.ID || w < p.CurrentView() {
 		return
 	}
-	if vm.Sig.Signer != from || p.suite.Verify(p.stmt.View(w), vm.Sig) != nil {
+	vc, ok := p.Certs.Collect(from, w, vm.Sig, p.Stmt.View(w), p.Cfg.Majority())
+	if !ok {
 		return
 	}
-	sigs := p.viewMsgs.Get(w)
-	sigs.Add(vm.Sig)
-	if sigs.Count() < p.cfg.Base.Majority() {
-		return
-	}
-	agg, err := p.suite.Aggregate(p.stmt.View(w), sigs.Sigs())
-	if err != nil {
-		return
-	}
-	p.vcFormed.Set(w)
-	p.vcSentAt[w] = p.rt.Now()
-	p.tr.Emit(p.rt.Now(), p.id, trace.FormVC, w, "")
-	p.ep.Broadcast(&msg.VC{V: w, Agg: agg})
+	p.vcSentAt[w] = p.RT.Now()
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.FormVC, w, "")
+	p.EP.Broadcast(&msg.VC{V: w, Agg: vc})
 	// If the leader is already in view w, start driving it now; if not,
 	// the self-delivered VC (same instant) enters the view first.
 	p.maybeLeaderStartInitial(w)
@@ -287,13 +235,13 @@ func (p *Pacemaker) onViewMsg(from types.NodeID, vm *msg.ViewMsg) {
 // onVC implements lines 36-40.
 func (p *Pacemaker) onVC(vc *msg.VC) {
 	w := vc.V
-	if !w.Initial() || w <= p.view || p.vcSeen.Has(w) {
+	// "First seeing": a VC acted on leaves view(p) ≥ w.
+	if !w.Initial() || w <= p.CurrentView() {
 		return
 	}
-	if p.suite.VerifyAggregate(p.stmt.View(w), vc.Agg, p.cfg.Base.Majority()) != nil {
+	if p.Suite.VerifyAggregate(p.Stmt.View(w), vc.Agg, p.Cfg.Majority()) != nil {
 		return
 	}
-	p.vcSeen.Set(w)
 	// Line 10: a VC for a view ≥ the pause view unpauses.
 	if p.pausedAt != types.NoView && w >= p.pausedAt {
 		p.unpause("vc")
@@ -301,8 +249,7 @@ func (p *Pacemaker) onVC(vc *msg.VC) {
 	if p.clk.Read() < p.clockTime(w) {
 		p.sendPendingViewMsgs(w) // line 38
 	}
-	p.setPosition(w, p.cfg.EpochOf(w)) // line 40
-	p.driver.EnterView(w)
+	p.enter(w)  // line 40
 	p.bumpTo(w) // line 39 (fires the line-28 trigger on landing)
 	p.sendViewMsg(w)
 	p.maybeLeaderStartInitial(w)
@@ -313,33 +260,26 @@ func (p *Pacemaker) onVC(vc *msg.VC) {
 // ---------------------------------------------------------------------------
 
 // onEpochViewMsg assembles TCs (f+1) and ECs (2f+1) from broadcast
-// epoch-view messages.
+// epoch-view messages. The thresholds coincide at f = 0.
 func (p *Pacemaker) onEpochViewMsg(from types.NodeID, em *msg.EpochViewMsg) {
 	w := em.V
 	if !p.cfg.IsEpochView(w) || p.cfg.EpochOf(w) <= p.epoch-1 {
 		return
 	}
-	if em.Sig.Signer != from || p.suite.Verify(p.stmt.EpochView(w), em.Sig) != nil {
-		return
+	k := p.EpochCerts.Add(from, w, em.Sig, p.Stmt.EpochView(w))
+	if k == p.Cfg.Majority() && p.cfg.Variant == VariantFull {
+		p.onTC(w) // once: a TC seen earlier is onTC's to drop
 	}
-	sigs := p.epochViewMsgs.Get(w)
-	sigs.Add(em.Sig)
-	if p.cfg.Variant == VariantFull && sigs.Count() >= p.cfg.Base.Majority() && !p.tcDone.Has(w) {
-		p.onTC(w)
-	}
-	if sigs.Count() >= p.cfg.Base.Quorum() && !p.ecDone.Has(w) {
+	if k == p.Cfg.Quorum() && !p.ecDone.Has(w) {
 		if p.cfg.Variant == VariantBasic {
-			// §3.4 / LP22: broadcast the combined EC.
-			if agg, err := p.aggregateEpochViews(w); err == nil {
-				p.ep.Broadcast(&msg.EC{V: w, Agg: agg})
+			// §3.4 / LP22: broadcast the combined EC. The full variant
+			// relays none, so it aggregates none.
+			if ec, ok := p.EpochCerts.Seal(w, p.Stmt.EpochView(w)); ok {
+				p.EP.Broadcast(&msg.EC{V: w, Agg: ec})
 			}
 		}
 		p.onEC(w)
 	}
-}
-
-func (p *Pacemaker) aggregateEpochViews(w types.View) (crypto.Aggregate, error) {
-	return p.suite.Aggregate(p.stmt.EpochView(w), p.epochViewMsgs.Get(w).Sigs())
 }
 
 // onTCMessage verifies a relayed compact TC.
@@ -348,7 +288,7 @@ func (p *Pacemaker) onTCMessage(tc *msg.TC) {
 	if p.cfg.Variant != VariantFull || !p.cfg.IsEpochView(w) || p.tcDone.Has(w) {
 		return
 	}
-	if p.suite.VerifyAggregate(p.stmt.EpochView(w), tc.Agg, p.cfg.Base.Majority()) != nil {
+	if p.Suite.VerifyAggregate(p.Stmt.EpochView(w), tc.Agg, p.Cfg.Majority()) != nil {
 		return
 	}
 	p.onTC(w)
@@ -362,7 +302,7 @@ func (p *Pacemaker) onECMessage(ec *msg.EC) {
 	if !p.cfg.IsEpochView(w) || w < p.ecDone.Bound() || p.ecDone.Has(w) {
 		return
 	}
-	if p.suite.VerifyAggregate(p.stmt.EpochView(w), ec.Agg, p.cfg.Base.Quorum()) != nil {
+	if p.Suite.VerifyAggregate(p.Stmt.EpochView(w), ec.Agg, p.Cfg.Quorum()) != nil {
 		return
 	}
 	if p.cfg.Variant == VariantFull && !p.tcDone.Has(w) {
@@ -378,7 +318,7 @@ func (p *Pacemaker) onTC(w types.View) {
 		return
 	}
 	p.tcDone.Set(w)
-	p.tr.Emit(p.rt.Now(), p.id, trace.SeeTC, w, "")
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.SeeTC, w, "")
 	// Line 10: a TC for a view strictly greater than the pause view
 	// unpauses.
 	if p.pausedAt != types.NoView && w > p.pausedAt {
@@ -388,9 +328,8 @@ func (p *Pacemaker) onTC(w types.View) {
 	if below {
 		p.sendPendingViewMsgs(w) // line 18
 	}
-	if p.view < w-1 { // line 20
-		p.setPosition(w-1, p.cfg.EpochOf(w)-1)
-		p.driver.EnterView(w - 1)
+	if p.CurrentView() < w-1 { // line 20
+		p.enter(w - 1)
 	}
 	p.sendEpochViewMsg(w) // line 21
 	if below {
@@ -406,7 +345,7 @@ func (p *Pacemaker) onEC(w types.View) {
 		return
 	}
 	p.ecDone.Set(w)
-	p.tr.Emit(p.rt.Now(), p.id, trace.SeeEC, w, "")
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.SeeEC, w, "")
 	if p.cfg.EpochOf(w) <= p.epoch {
 		return
 	}
@@ -428,11 +367,12 @@ func (p *Pacemaker) onEC(w types.View) {
 func (p *Pacemaker) onQC(qc *msg.QC) {
 	v := qc.V
 	p.creditQC(v)
-	if v < p.view || p.qcDone.Has(v) {
+	// "First seeing": a QC acted on leaves view(p) > v, or — line 49 —
+	// view(p) = v with lc ≥ c_{v+1}, where acting again changes nothing.
+	if v < p.CurrentView() {
 		return
 	}
-	p.qcDone.Set(v)
-	p.tr.Emit(p.rt.Now(), p.id, trace.QCSeen, v, "")
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.QCSeen, v, "")
 	// Line 10: a QC for a view ≥ the pause view unpauses.
 	if p.pausedAt != types.NoView && v >= p.pausedAt {
 		p.unpause("qc")
@@ -443,17 +383,15 @@ func (p *Pacemaker) onQC(qc *msg.QC) {
 	}
 	next := v + 1
 	if !p.cfg.IsEpochView(next) { // line 48
-		p.setPosition(next, p.cfg.EpochOf(next))
-		p.driver.EnterView(next)
-		if !next.Initial() && p.schedule.Leader(next) == p.id {
+		p.enter(next)
+		if !next.Initial() && p.Leader(next) == p.ID {
 			// The leader of the pair (v, v+1) just produced the
 			// QC for v; the deadline is anchored at its send
 			// time, which is this instant.
-			p.driver.LeaderStart(next, p.deadlineFrom(p.rt.Now()))
+			p.Driver.LeaderStart(next, p.deadlineFrom(p.RT.Now()))
 		}
-	} else if p.view < v { // line 49
-		p.setPosition(v, p.cfg.EpochOf(v))
-		p.driver.EnterView(v)
+	} else if p.CurrentView() < v { // line 49
+		p.enter(v)
 	}
 	if below {
 		p.bumpTo(next) // line 47; landing fires boundary triggers
@@ -464,7 +402,7 @@ func (p *Pacemaker) onQC(qc *msg.QC) {
 // distinct leaders have each produced QCsPerLeaderForSuccess QCs for
 // views in epoch e.
 func (p *Pacemaker) creditQC(v types.View) {
-	if p.cfg.Variant != VariantFull || p.credited.Has(v) {
+	if p.cfg.Variant != VariantFull || v < 0 || p.credited.Has(v) {
 		return
 	}
 	e := p.cfg.EpochOf(v)
@@ -477,7 +415,7 @@ func (p *Pacemaker) creditQC(v types.View) {
 		leaders = make(map[types.NodeID]int)
 		p.leaderQCs[e] = leaders
 	}
-	leader := p.schedule.Leader(v)
+	leader := p.Leader(v)
 	leaders[leader]++
 	if leaders[leader] != p.cfg.QCsPerLeaderForSuccess {
 		return
@@ -488,11 +426,11 @@ func (p *Pacemaker) creditQC(v types.View) {
 			met++
 		}
 	}
-	if met < p.cfg.Base.Quorum() {
+	if met < p.Cfg.Quorum() {
 		return
 	}
 	p.success[e] = true
-	p.tr.Emit(p.rt.Now(), p.id, trace.Success, p.cfg.FirstView(e), fmt.Sprintf("success(%d)=1", e))
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.Success, p.cfg.FirstView(e), fmt.Sprintf("success(%d)=1", e))
 	// Line 10 / line 13: if paused at c_{V(e+1)}, the success flip ends
 	// the pause and the processor enters the epoch as an initial view.
 	if p.pausedAt == p.cfg.FirstView(e+1) {
@@ -521,30 +459,51 @@ func (p *Pacemaker) clockTime(v types.View) types.Time {
 func (p *Pacemaker) bumpTo(w types.View) {
 	target := p.clockTime(w)
 	if p.clk.BumpTo(target) {
-		p.tr.Emit(p.rt.Now(), p.id, trace.Bump, w, "")
+		p.Tr.Emit(p.RT.Now(), p.ID, trace.Bump, w, "")
 		p.inBump++
 		p.ticker.Jumped(target)
 		p.inBump--
 	}
 }
 
-// setPosition updates (view(p), epoch(p)) maintaining Lemmas 5.1-5.2.
-func (p *Pacemaker) setPosition(v types.View, e types.Epoch) {
-	if v < p.view || e < p.epoch {
-		p.violate(fmt.Sprintf("position would regress: (%v,%v) -> (%v,%v)", p.view, p.epoch, v, e))
+// enter moves to view v > view(p), and to its epoch, maintaining Lemmas
+// 5.1-5.2, and discards the state the new position retires, bounding
+// memory over unbounded executions.
+func (p *Pacemaker) enter(v types.View) {
+	e := p.cfg.EpochOf(v)
+	if v < p.CurrentView() || e < p.epoch {
+		p.violate(fmt.Sprintf("position would regress: (%v,%v) -> (%v,%v)", p.CurrentView(), p.epoch, v, e))
 		return
-	}
-	if v > p.view {
-		p.view = v
-		p.tr.Emit(p.rt.Now(), p.id, trace.EnterView, v, "")
-		p.obs.OnEnterView(v, p.rt.Now())
 	}
 	if e > p.epoch {
 		p.epoch = e
-		p.tr.Emit(p.rt.Now(), p.id, trace.EnterEpoch, p.cfg.FirstView(e), fmt.Sprintf("epoch %v", e))
-		p.obs.OnEnterEpoch(e, p.rt.Now())
-		p.prune()
+		p.Tr.Emit(p.RT.Now(), p.ID, trace.EnterEpoch, p.cfg.FirstView(e), fmt.Sprintf("epoch %v", e))
+		p.Obs.OnEnterEpoch(e, p.RT.Now())
+		low := p.cfg.FirstView(e - 1)
+		p.EpochCerts.Forget(low)
+		p.sentEpochView.ForgetBelow(low)
+		p.tcDone.ForgetBelow(low)
+		p.ecDone.ForgetBelow(low)
+		p.credited.ForgetBelow(low)
+		for old := range p.leaderQCs {
+			if old < e-1 {
+				delete(p.leaderQCs, old)
+			}
+		}
+		for old := range p.success {
+			if old < e-1 {
+				delete(p.success, old)
+			}
+		}
 	}
+	p.Certs.Forget(v - 2)
+	p.sentView.ForgetBelow(v - 2)
+	for w := range p.vcSentAt {
+		if w < v-2 {
+			delete(p.vcSentAt, w)
+		}
+	}
+	p.Advance(v, false)
 }
 
 func (p *Pacemaker) unpause(reason string) {
@@ -555,7 +514,7 @@ func (p *Pacemaker) unpause(reason string) {
 	p.clk.Unpause()
 	p.pausedAt = types.NoView
 	p.ticker.Rearm()
-	p.tr.Emit(p.rt.Now(), p.id, trace.Unpause, p.view, reason)
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.Unpause, p.CurrentView(), reason)
 }
 
 func (p *Pacemaker) unpauseIfAt(w types.View) {
@@ -570,15 +529,15 @@ func (p *Pacemaker) sendViewMsg(w types.View) {
 		return
 	}
 	p.sentView.Set(w)
-	sig := p.signer.Sign(p.stmt.View(w))
-	p.tr.Emit(p.rt.Now(), p.id, trace.SendView, w, "")
-	p.ep.Send(p.schedule.Leader(w), &msg.ViewMsg{V: w, Sig: sig})
+	sig := p.Signer.Sign(p.Stmt.View(w))
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.SendView, w, "")
+	p.EP.Send(p.Leader(w), &msg.ViewMsg{V: w, Sig: sig})
 }
 
 // sendPendingViewMsgs implements lines 18/38/46: view messages for every
 // initial view in [view(p), w) not already sent.
 func (p *Pacemaker) sendPendingViewMsgs(w types.View) {
-	start := p.view
+	start := p.CurrentView()
 	if start < 0 {
 		start = 0
 	}
@@ -596,20 +555,20 @@ func (p *Pacemaker) sendEpochViewMsg(w types.View) {
 		return
 	}
 	p.sentEpochView.Set(w)
-	sig := p.signer.Sign(p.stmt.EpochView(w))
-	p.tr.Emit(p.rt.Now(), p.id, trace.SendEpoch, w, "")
-	p.obs.OnHeavySync(w, p.rt.Now())
-	p.ep.Broadcast(&msg.EpochViewMsg{V: w, Sig: sig})
+	sig := p.Signer.Sign(p.Stmt.EpochView(w))
+	p.Tr.Emit(p.RT.Now(), p.ID, trace.SendEpoch, w, "")
+	p.Obs.OnHeavySync(w, p.RT.Now())
+	p.EP.Broadcast(&msg.EpochViewMsg{V: w, Sig: sig})
 }
 
 // maybeLeaderStartInitial starts driving an initial view once the leader
 // is in it and has sent the VC; the QC deadline is anchored at the VC send
 // time (§4).
 func (p *Pacemaker) maybeLeaderStartInitial(w types.View) {
-	if p.schedule.Leader(w) != p.id || p.view != w || !p.vcFormed.Has(w) {
+	if p.Leader(w) != p.ID || p.CurrentView() != w || !p.Certs.Formed(w) {
 		return
 	}
-	p.driver.LeaderStart(w, p.deadlineFrom(p.vcSentAt[w]))
+	p.Driver.LeaderStart(w, p.deadlineFrom(p.vcSentAt[w]))
 }
 
 func (p *Pacemaker) deadlineFrom(t types.Time) types.Time {
@@ -619,46 +578,13 @@ func (p *Pacemaker) deadlineFrom(t types.Time) types.Time {
 	return t.Add(p.qcWindow)
 }
 
-// prune discards per-view state that can no longer matter, bounding
-// memory over unbounded executions.
-func (p *Pacemaker) prune() {
-	lowView := p.view - 2
-	p.vcFormed.ForgetBelow(lowView)
-	p.vcSeen.ForgetBelow(lowView)
-	p.qcDone.ForgetBelow(lowView)
-	p.sentView.ForgetBelow(lowView)
-	p.viewMsgs.DropBelow(lowView)
-	for w := range p.vcSentAt {
-		if w < lowView {
-			delete(p.vcSentAt, w)
-		}
-	}
-	lowEpochView := p.cfg.FirstView(p.epoch - 1)
-	p.sentEpochView.ForgetBelow(lowEpochView)
-	p.tcDone.ForgetBelow(lowEpochView)
-	p.ecDone.ForgetBelow(lowEpochView)
-	p.pauseSeen.ForgetBelow(lowEpochView)
-	p.credited.ForgetBelow(lowEpochView)
-	p.epochViewMsgs.DropBelow(lowEpochView)
-	for e := range p.leaderQCs {
-		if e < p.epoch-1 {
-			delete(p.leaderQCs, e)
-		}
-	}
-	for e := range p.success {
-		if e < p.epoch-1 {
-			delete(p.success, e)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Invariants (Lemmas 5.1-5.3)
 // ---------------------------------------------------------------------------
 
 func (p *Pacemaker) violate(s string) {
 	if len(p.violations) < 64 {
-		p.violations = append(p.violations, fmt.Sprintf("%v %v: %s", p.rt.Now(), p.id, s))
+		p.violations = append(p.violations, fmt.Sprintf("%v %v: %s", p.RT.Now(), p.ID, s))
 	}
 }
 
@@ -666,13 +592,13 @@ func (p *Pacemaker) checkInvariants(ctx string) {
 	if !p.cfg.CheckInvariants || p.inBump > 0 {
 		return
 	}
-	lc := p.clk.Read()
+	lc, view := p.clk.Read(), p.CurrentView()
 	if lc < p.lastLC {
 		p.violate(fmt.Sprintf("%s: clock regressed %v -> %v (Lemma 5.2)", ctx, p.lastLC, lc))
 	}
 	p.lastLC = lc
-	if p.view >= 0 && p.cfg.EpochOf(p.view) != p.epoch {
-		p.violate(fmt.Sprintf("%s: E(%v)=%v != epoch %v (Lemma 5.1)", ctx, p.view, p.cfg.EpochOf(p.view), p.epoch))
+	if view >= 0 && p.cfg.EpochOf(view) != p.epoch {
+		p.violate(fmt.Sprintf("%s: E(%v)=%v != epoch %v (Lemma 5.1)", ctx, view, p.cfg.EpochOf(view), p.epoch))
 	}
 	// Lemma 5.3: in initial view v0, lc ∈ [c_v0, c_v0+2]; in view v0+1,
 	// lc ∈ [c_v0+1, c_v0+2]. The upper bounds carry one tick of slack:
@@ -680,17 +606,17 @@ func (p *Pacemaker) checkInvariants(ctx string) {
 	// not surjective, so the boundary alarm can only fire at the first
 	// representable reading at-or-after c — up to clockQuantum past it.
 	switch {
-	case p.view < 0:
+	case view < 0:
 		if lc > p.clockTime(0).Add(clockQuantum) {
 			p.violate(fmt.Sprintf("%s: lc=%v beyond c_0 before entering any view (Lemma 5.3)", ctx, lc))
 		}
-	case p.view.Initial():
-		if lc < p.clockTime(p.view) || lc > p.clockTime(p.view+2).Add(clockQuantum) {
-			p.violate(fmt.Sprintf("%s: lc=%v outside [c_%d, c_%d] (Lemma 5.3i)", ctx, lc, p.view, p.view+2))
+	case view.Initial():
+		if lc < p.clockTime(view) || lc > p.clockTime(view+2).Add(clockQuantum) {
+			p.violate(fmt.Sprintf("%s: lc=%v outside [c_%d, c_%d] (Lemma 5.3i)", ctx, lc, view, view+2))
 		}
 	default:
-		if lc < p.clockTime(p.view) || lc > p.clockTime(p.view+1).Add(clockQuantum) {
-			p.violate(fmt.Sprintf("%s: lc=%v outside [c_%d, c_%d] (Lemma 5.3ii)", ctx, lc, p.view, p.view+1))
+		if lc < p.clockTime(view) || lc > p.clockTime(view+1).Add(clockQuantum) {
+			p.violate(fmt.Sprintf("%s: lc=%v outside [c_%d, c_%d] (Lemma 5.3ii)", ctx, lc, view, view+1))
 		}
 	}
 }

@@ -4,100 +4,30 @@ import (
 	"testing"
 	"time"
 
-	"lumiere/internal/clock"
-	"lumiere/internal/crypto"
+	"lumiere/internal/baseline/baselinetest"
 	"lumiere/internal/msg"
-	"lumiere/internal/network"
-	"lumiere/internal/pacemaker"
-	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
-// fakeEP records everything a pacemaker sends.
-type fakeEP struct {
-	id     types.NodeID
-	sends  []sentMsg
-	bcasts []msg.Message
-}
-
-type sentMsg struct {
-	to types.NodeID
-	m  msg.Message
-}
-
-func (f *fakeEP) ID() types.NodeID { return f.id }
-func (f *fakeEP) Send(to types.NodeID, m msg.Message) {
-	f.sends = append(f.sends, sentMsg{to: to, m: m})
-}
-func (f *fakeEP) Broadcast(m msg.Message) { f.bcasts = append(f.bcasts, m) }
-
-func (f *fakeEP) broadcastsOf(k msg.Kind) []msg.Message {
-	var out []msg.Message
-	for _, m := range f.bcasts {
-		if m.Kind() == k {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-func (f *fakeEP) sendsOf(k msg.Kind) []sentMsg {
-	var out []sentMsg
-	for _, s := range f.sends {
-		if s.m.Kind() == k {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-var _ network.Endpoint = (*fakeEP)(nil)
-
-// recDriver records driver notifications.
-type recDriver struct {
-	entered []types.View
-	started []types.View
-	dls     []types.Time
-}
-
-func (r *recDriver) EnterView(v types.View) { r.entered = append(r.entered, v) }
-func (r *recDriver) LeaderStart(v types.View, dl types.Time) {
-	r.started = append(r.started, v)
-	r.dls = append(r.dls, dl)
-}
-
-var _ pacemaker.Driver = (*recDriver)(nil)
-
-// unit is a single Lumiere pacemaker with everything observable.
+// unit is a single Lumiere pacemaker on the shared one-processor fixture
+// (f = 1, n = 4, Δ = 100ms), with round-robin leaders for predictability
+// and the invariant checker on.
 type unit struct {
-	sched  *sim.Scheduler
-	suite  *crypto.SimSuite
-	ep     *fakeEP
-	clk    *clock.Clock
-	drv    *recDriver
-	pm     *Pacemaker
-	cfg    Config
-	f, n   int
-	quorum int
+	*baselinetest.Unit
+	conf Config
+	pm   *Pacemaker
 }
 
-// newUnit builds a pacemaker for node id with f = 1 (n = 4), Δ = 100ms,
-// round-robin leaders for predictability.
 func newUnit(t *testing.T, id types.NodeID, mutate func(*Config)) *unit {
 	t.Helper()
-	u := &unit{sched: sim.New(1), f: 1, n: 4}
-	u.quorum = 3
-	u.suite = crypto.NewSimSuite(u.n, 5)
-	u.ep = &fakeEP{id: id}
-	u.clk = clock.New(u.sched, 0)
-	u.drv = &recDriver{}
-	u.cfg = DefaultConfig(types.NewConfig(u.f, 100*time.Millisecond))
-	u.cfg.RoundRobin = true
-	u.cfg.CheckInvariants = true
+	u := &unit{Unit: baselinetest.NewUnit(id, 0)}
+	u.conf = DefaultConfig(u.Cfg)
+	u.conf.RoundRobin = true
+	u.conf.CheckInvariants = true
 	if mutate != nil {
-		mutate(&u.cfg)
+		mutate(&u.conf)
 	}
-	u.pm = New(u.cfg, u.ep, u.sched, u.clk, u.suite, u.drv, nil, nil)
+	u.pm = New(u.conf, u.EP, u.Sched, u.Clk, u.Suite, u.Drv, nil, nil)
 	return u
 }
 
@@ -108,67 +38,49 @@ func (u *unit) requireClean(t *testing.T) {
 	}
 }
 
+// broadcastsOf returns the recorded broadcasts of kind k.
+func (u *unit) broadcastsOf(k msg.Kind) (out []msg.Message) {
+	for _, m := range u.EP.Bcasts {
+		if m.Kind() == k {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// sendsOf returns the recorded point-to-point sends of kind k.
+func (u *unit) sendsOf(k msg.Kind) (out []baselinetest.Sent) {
+	for _, s := range u.EP.Sends {
+		if s.M.Kind() == k {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // viewMsgFrom builds a signed view-v message.
 func (u *unit) viewMsgFrom(from types.NodeID, v types.View) *msg.ViewMsg {
-	return &msg.ViewMsg{V: v, Sig: u.suite.SignerFor(from).Sign(msg.ViewStatement(v))}
+	return &msg.ViewMsg{V: v, Sig: u.Sign(from, msg.ViewStatement(v))}
 }
 
 // epochViewFrom builds a signed epoch-view-v message.
 func (u *unit) epochViewFrom(from types.NodeID, v types.View) *msg.EpochViewMsg {
-	return &msg.EpochViewMsg{V: v, Sig: u.suite.SignerFor(from).Sign(msg.EpochViewStatement(v))}
+	return &msg.EpochViewMsg{V: v, Sig: u.Sign(from, msg.EpochViewStatement(v))}
 }
 
-// qcFor builds a valid QC for view v.
-func (u *unit) qcFor(v types.View) *msg.QC {
-	var h [32]byte
-	var sigs []crypto.Signature
-	for i := 0; i < u.quorum; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.VoteStatement(v, h)))
-	}
-	agg, err := u.suite.Aggregate(msg.VoteStatement(v, h), sigs)
-	if err != nil {
-		panic(err)
-	}
-	return &msg.QC{V: v, BlockHash: h, Agg: agg}
-}
-
-// vcFor builds a valid VC for view v.
+// vcFor builds a valid VC (f+1 view messages) for view v.
 func (u *unit) vcFor(v types.View) *msg.VC {
-	var sigs []crypto.Signature
-	for i := 0; i < u.f+1; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.ViewStatement(v)))
-	}
-	agg, err := u.suite.Aggregate(msg.ViewStatement(v), sigs)
-	if err != nil {
-		panic(err)
-	}
-	return &msg.VC{V: v, Agg: agg}
+	return &msg.VC{V: v, Agg: u.Cert(msg.ViewStatement(v), u.Cfg.Majority())}
 }
 
 // ecFor builds an EC (2f+1 epoch-view messages) for epoch view v.
 func (u *unit) ecFor(v types.View) *msg.EC {
-	var sigs []crypto.Signature
-	for i := 0; i < u.quorum; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.EpochViewStatement(v)))
-	}
-	agg, err := u.suite.Aggregate(msg.EpochViewStatement(v), sigs)
-	if err != nil {
-		panic(err)
-	}
-	return &msg.EC{V: v, Agg: agg}
+	return &msg.EC{V: v, Agg: u.Cert(msg.EpochViewStatement(v), u.Cfg.Quorum())}
 }
 
 // tcFor builds a TC (f+1 epoch-view messages) for epoch view v.
 func (u *unit) tcFor(v types.View) *msg.TC {
-	var sigs []crypto.Signature
-	for i := 0; i < u.f+1; i++ {
-		sigs = append(sigs, u.suite.SignerFor(types.NodeID(i)).Sign(msg.EpochViewStatement(v)))
-	}
-	agg, err := u.suite.Aggregate(msg.EpochViewStatement(v), sigs)
-	if err != nil {
-		panic(err)
-	}
-	return &msg.TC{V: v, Agg: agg}
+	return &msg.TC{V: v, Agg: u.Cert(msg.EpochViewStatement(v), u.Cfg.Majority())}
 }
 
 // TestBootstrapPausesAndSendsEpochView: at start lc = 0 = c_0 with
@@ -176,14 +88,14 @@ func (u *unit) tcFor(v types.View) *msg.TC {
 func TestBootstrapPausesAndSendsEpochView(t *testing.T) {
 	u := newUnit(t, 0, nil)
 	u.pm.Start()
-	if !u.pm.Paused() {
+	if !u.Clk.Paused() {
 		t.Fatal("not paused at boot boundary")
 	}
-	if len(u.ep.broadcastsOf(msg.KindEpochView)) != 0 {
+	if len(u.broadcastsOf(msg.KindEpochView)) != 0 {
 		t.Fatal("epoch-view sent before the Δ-wait")
 	}
-	u.sched.RunFor(100 * time.Millisecond)
-	if got := u.ep.broadcastsOf(msg.KindEpochView); len(got) != 1 || got[0].View() != 0 {
+	u.Sched.RunFor(100 * time.Millisecond)
+	if got := u.broadcastsOf(msg.KindEpochView); len(got) != 1 || got[0].View() != 0 {
 		t.Fatalf("epoch-view sends = %v", got)
 	}
 	if u.pm.CurrentView() != types.NoView {
@@ -196,7 +108,7 @@ func TestBootstrapPausesAndSendsEpochView(t *testing.T) {
 func TestDisableDeltaWaitSendsImmediately(t *testing.T) {
 	u := newUnit(t, 0, func(c *Config) { c.DisableDeltaWait = true })
 	u.pm.Start()
-	if got := u.ep.broadcastsOf(msg.KindEpochView); len(got) != 1 {
+	if got := u.broadcastsOf(msg.KindEpochView); len(got) != 1 {
 		t.Fatalf("epoch-view sends = %d, want immediate", len(got))
 	}
 }
@@ -207,18 +119,18 @@ func TestECEntersEpochAndSendsViewMsg(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	if u.pm.Paused() {
+	if u.Clk.Paused() {
 		t.Fatal("still paused after EC")
 	}
 	if u.pm.CurrentView() != 0 || u.pm.CurrentEpoch() != 0 {
 		t.Fatalf("position = (%v, %v)", u.pm.CurrentView(), u.pm.CurrentEpoch())
 	}
-	vm := u.ep.sendsOf(msg.KindView)
-	if len(vm) != 1 || vm[0].to != 0 || vm[0].m.View() != 0 {
+	vm := u.sendsOf(msg.KindView)
+	if len(vm) != 1 || vm[0].To != 0 || vm[0].M.View() != 0 {
 		t.Fatalf("view msgs = %+v, want view-0 to p0", vm)
 	}
-	if len(u.drv.entered) == 0 || u.drv.entered[len(u.drv.entered)-1] != 0 {
-		t.Fatalf("driver entered = %v", u.drv.entered)
+	if len(u.Drv.Entered) == 0 || u.Drv.Entered[len(u.Drv.Entered)-1] != 0 {
+		t.Fatalf("driver entered = %v", u.Drv.Entered)
 	}
 	u.requireClean(t)
 }
@@ -230,7 +142,7 @@ func TestECImpliesTCRelay(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	if got := u.ep.broadcastsOf(msg.KindEpochView); len(got) != 1 {
+	if got := u.broadcastsOf(msg.KindEpochView); len(got) != 1 {
 		t.Fatalf("epoch-view relays = %d, want 1", len(got))
 	}
 }
@@ -241,20 +153,20 @@ func TestECImpliesTCRelay(t *testing.T) {
 func TestTCBumpsAndPauses(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
-	u.pm.Handle(2, u.ecFor(0))   // enter epoch 0 first
-	boundary := u.cfg.EpochLen() // V(1)
+	u.pm.Handle(2, u.ecFor(0))    // enter epoch 0 first
+	boundary := u.conf.EpochLen() // V(1)
 	u.pm.Handle(2, u.tcFor(boundary))
-	if u.pm.LocalClock() != types.Time(boundary)*types.Time(u.pm.Gamma()) {
-		t.Fatalf("lc = %v, want c_%d", u.pm.LocalClock(), boundary)
+	if u.Clk.Read() != types.Time(boundary)*types.Time(u.conf.Gamma()) {
+		t.Fatalf("lc = %v, want c_%d", u.Clk.Read(), boundary)
 	}
 	if u.pm.CurrentView() != boundary-1 {
 		t.Fatalf("view = %v, want %d (line 20)", u.pm.CurrentView(), boundary-1)
 	}
-	if !u.pm.Paused() {
+	if !u.Clk.Paused() {
 		t.Fatal("not paused at the TC'd boundary")
 	}
 	found := false
-	for _, m := range u.ep.broadcastsOf(msg.KindEpochView) {
+	for _, m := range u.broadcastsOf(msg.KindEpochView) {
 		if m.View() == boundary {
 			found = true
 		}
@@ -270,22 +182,22 @@ func TestQCAdvancesViewAndBumps(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	u.pm.Handle(2, u.qcFor(0))
+	u.pm.Handle(2, u.QC(0))
 	if u.pm.CurrentView() != 1 {
 		t.Fatalf("view = %v, want 1", u.pm.CurrentView())
 	}
-	if u.pm.LocalClock() != types.Time(u.pm.Gamma()) {
-		t.Fatalf("lc = %v, want c_1", u.pm.LocalClock())
+	if u.Clk.Read() != types.Time(u.conf.Gamma()) {
+		t.Fatalf("lc = %v, want c_1", u.Clk.Read())
 	}
 	// QC for view 1 enters initial view 2 and (line 28 at the bump
 	// landing) sends a view-2 message.
-	u.pm.Handle(2, u.qcFor(1))
+	u.pm.Handle(2, u.QC(1))
 	if u.pm.CurrentView() != 2 {
 		t.Fatalf("view = %v, want 2", u.pm.CurrentView())
 	}
-	vm := u.ep.sendsOf(msg.KindView)
+	vm := u.sendsOf(msg.KindView)
 	last := vm[len(vm)-1]
-	if last.m.View() != 2 || last.to != 1 {
+	if last.M.View() != 2 || last.To != 1 {
 		t.Fatalf("last view msg %+v, want view-2 to p1 (round robin)", last)
 	}
 	u.requireClean(t)
@@ -298,12 +210,12 @@ func TestQCIntoEpochBoundary(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	last := u.cfg.EpochLen() - 1 // non-initial view before V(1)
-	u.pm.Handle(2, u.qcFor(last))
+	last := u.conf.EpochLen() - 1 // non-initial view before V(1)
+	u.pm.Handle(2, u.QC(last))
 	if u.pm.CurrentView() != last {
 		t.Fatalf("view = %v, want %v (line 49)", u.pm.CurrentView(), last)
 	}
-	if !u.pm.Paused() {
+	if !u.Clk.Paused() {
 		t.Fatal("boundary landing did not pause (success=0)")
 	}
 	u.requireClean(t)
@@ -315,10 +227,48 @@ func TestVCEntry(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	target := u.cfg.EpochLen() + 4 // initial, inside epoch 1
+	target := u.conf.EpochLen() + 4 // initial, inside epoch 1
 	u.pm.Handle(2, u.vcFor(target))
 	if u.pm.CurrentView() != target || u.pm.CurrentEpoch() != 1 {
 		t.Fatalf("position = (%v, %v), want (%v, 1)", u.pm.CurrentView(), u.pm.CurrentEpoch(), target)
+	}
+	u.requireClean(t)
+}
+
+// TestVCForEpochViewSkipsHeavySync: a VC for the first view of epoch 1
+// enters it (lines 36-40); the bump lands on c_{V(1)}, and that boundary —
+// already passed — must not pause the clock or start a heavy
+// synchronization.
+func TestVCForEpochViewSkipsHeavySync(t *testing.T) {
+	u := newUnit(t, 1, nil)
+	u.pm.Start()
+	u.pm.Handle(2, u.ecFor(0))
+	boundary := u.conf.EpochLen() // V(1)
+	u.pm.Handle(2, u.vcFor(boundary))
+	if u.pm.CurrentView() != boundary || u.pm.CurrentEpoch() != 1 {
+		t.Fatalf("position = (%v, %v), want (%v, 1)", u.pm.CurrentView(), u.pm.CurrentEpoch(), boundary)
+	}
+	u.Sched.RunFor(2 * u.Cfg.Delta)
+	if u.Clk.Paused() {
+		t.Fatal("clock paused at the boundary of a view already entered")
+	}
+	if got := countEpochViewSends(u, boundary); got != 0 {
+		t.Fatalf("%d epoch-view messages for a view already entered", got)
+	}
+	u.requireClean(t)
+}
+
+// TestVCReplayIgnored: "upon first seeing a VC" — a second delivery of
+// the VC for the current view enters nothing.
+func TestVCReplayIgnored(t *testing.T) {
+	u := newUnit(t, 1, nil)
+	u.pm.Start()
+	u.pm.Handle(2, u.ecFor(0))
+	u.pm.Handle(2, u.vcFor(4))
+	entered, sends := len(u.Drv.Entered), len(u.EP.Sends)
+	u.pm.Handle(3, u.vcFor(4))
+	if u.pm.CurrentView() != 4 || len(u.Drv.Entered) != entered || len(u.EP.Sends) != sends {
+		t.Fatalf("replayed VC was acted on: view %v, entered %v", u.pm.CurrentView(), u.Drv.Entered)
 	}
 	u.requireClean(t)
 }
@@ -329,10 +279,10 @@ func TestPendingViewMsgsOnSkip(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	u.pm.Handle(2, u.qcFor(8)) // skip views 1..8
+	u.pm.Handle(2, u.QC(8)) // skip views 1..8
 	views := make(map[types.View]bool)
-	for _, s := range u.ep.sendsOf(msg.KindView) {
-		views[s.m.View()] = true
+	for _, s := range u.sendsOf(msg.KindView) {
+		views[s.M.View()] = true
 	}
 	// Line 46 covers initial views in [view(p), 8) — view 8 itself is
 	// jumped over (the bump lands on c_9), exactly the paper's
@@ -357,12 +307,12 @@ func TestSuccessCriterionFlipsAtThreshold(t *testing.T) {
 	// Round robin: views (0,1)→p0, (2,3)→p1, (4,5)→p2, (6,7)→p3.
 	// Feed QCs for leaders p0, p1 fully and p2 partially: no success.
 	for _, v := range []types.View{0, 1, 2, 3, 4} {
-		u.pm.Handle(2, u.qcFor(v))
+		u.pm.Handle(2, u.QC(v))
 	}
 	if u.pm.SuccessOf(0) {
 		t.Fatal("success flipped below threshold")
 	}
-	u.pm.Handle(2, u.qcFor(5)) // completes p2: now 3 = 2f+1 leaders
+	u.pm.Handle(2, u.QC(5)) // completes p2: now 3 = 2f+1 leaders
 	if !u.pm.SuccessOf(0) {
 		t.Fatal("success did not flip at 2f+1 leaders")
 	}
@@ -377,7 +327,7 @@ func TestSuccessSkipsHeavySync(t *testing.T) {
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
 	for v := types.View(0); v < 8; v++ {
-		u.pm.Handle(2, u.qcFor(v))
+		u.pm.Handle(2, u.QC(v))
 	}
 	if !u.pm.SuccessOf(0) {
 		t.Fatal("success not satisfied")
@@ -387,10 +337,10 @@ func TestSuccessSkipsHeavySync(t *testing.T) {
 	if u.pm.CurrentEpoch() != 1 || u.pm.CurrentView() != 8 {
 		t.Fatalf("position = (%v, %v), want (8, 1)", u.pm.CurrentView(), u.pm.CurrentEpoch())
 	}
-	if u.pm.Paused() {
+	if u.Clk.Paused() {
 		t.Fatal("paused despite success criterion")
 	}
-	for _, m := range u.ep.broadcastsOf(msg.KindEpochView) {
+	for _, m := range u.broadcastsOf(msg.KindEpochView) {
 		if m.View() == 8 {
 			t.Fatal("heavy sync started despite success")
 		}
@@ -405,20 +355,20 @@ func TestSuccessFlipUnpauses(t *testing.T) {
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
 	// Reach the boundary without success: QC for view 7 only.
-	u.pm.Handle(2, u.qcFor(7))
-	if !u.pm.Paused() || u.pm.CurrentView() != 7 {
-		t.Fatalf("not paused at boundary: view=%v paused=%v", u.pm.CurrentView(), u.pm.Paused())
+	u.pm.Handle(2, u.QC(7))
+	if !u.Clk.Paused() || u.pm.CurrentView() != 7 {
+		t.Fatalf("not paused at boundary: view=%v paused=%v", u.pm.CurrentView(), u.Clk.Paused())
 	}
 	// Late QCs for the earlier views flip success(0).
 	for v := types.View(0); v < 7; v++ {
-		u.pm.Handle(2, u.qcFor(v))
+		u.pm.Handle(2, u.QC(v))
 	}
 	if !u.pm.SuccessOf(0) {
 		t.Fatal("success not satisfied")
 	}
-	if u.pm.Paused() || u.pm.CurrentView() != 8 || u.pm.CurrentEpoch() != 1 {
+	if u.Clk.Paused() || u.pm.CurrentView() != 8 || u.pm.CurrentEpoch() != 1 {
 		t.Fatalf("did not enter epoch on success flip: view=%v epoch=%v paused=%v",
-			u.pm.CurrentView(), u.pm.CurrentEpoch(), u.pm.Paused())
+			u.pm.CurrentView(), u.pm.CurrentEpoch(), u.Clk.Paused())
 	}
 	u.requireClean(t)
 }
@@ -429,14 +379,14 @@ func TestTCForPauseViewDoesNotUnpause(t *testing.T) {
 	u := newUnit(t, 1, func(c *Config) { c.BlocksPerEpoch = 1 })
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	u.pm.Handle(2, u.qcFor(7)) // paused at V(1) = 8
+	u.pm.Handle(2, u.QC(7)) // paused at V(1) = 8
 	u.pm.Handle(2, u.tcFor(8))
-	if !u.pm.Paused() {
+	if !u.Clk.Paused() {
 		t.Fatal("TC for the pause view unpaused")
 	}
 	// But it must have triggered the epoch-view send (line 21).
 	found := false
-	for _, m := range u.ep.broadcastsOf(msg.KindEpochView) {
+	for _, m := range u.broadcastsOf(msg.KindEpochView) {
 		if m.View() == 8 {
 			found = true
 		}
@@ -453,9 +403,9 @@ func TestQCUnpausesAtOrAbovePauseView(t *testing.T) {
 	u := newUnit(t, 1, func(c *Config) { c.BlocksPerEpoch = 1 })
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	u.pm.Handle(2, u.qcFor(7)) // paused at 8
-	u.pm.Handle(2, u.qcFor(8)) // QC for the pause view
-	if u.pm.Paused() {
+	u.pm.Handle(2, u.QC(7)) // paused at 8
+	u.pm.Handle(2, u.QC(8)) // QC for the pause view
+	if u.Clk.Paused() {
 		t.Fatal("QC for pause view did not unpause")
 	}
 	if u.pm.CurrentView() != 9 {
@@ -472,22 +422,22 @@ func TestLeaderFormsVCAndStarts(t *testing.T) {
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
 	u.pm.Handle(1, u.viewMsgFrom(1, 0))
-	if len(u.ep.broadcastsOf(msg.KindVC)) != 0 {
+	if len(u.broadcastsOf(msg.KindVC)) != 0 {
 		t.Fatal("VC formed below f+1")
 	}
 	u.pm.Handle(2, u.viewMsgFrom(2, 0))
 	// p0's own view-0 message went through the endpoint (not self-
 	// delivered by the fake); two remote ones reach f+1 = 2.
-	vcs := u.ep.broadcastsOf(msg.KindVC)
+	vcs := u.broadcastsOf(msg.KindVC)
 	if len(vcs) != 1 || vcs[0].View() != 0 {
 		t.Fatalf("VCs = %v", vcs)
 	}
-	if len(u.drv.started) != 1 || u.drv.started[0] != 0 {
-		t.Fatalf("driver started = %v", u.drv.started)
+	if len(u.Drv.Started) != 1 || u.Drv.Started[0] != 0 {
+		t.Fatalf("driver started = %v", u.Drv.Started)
 	}
-	wantDL := u.sched.Now().Add(u.cfg.QCWindow())
-	if u.drv.dls[0] != wantDL {
-		t.Fatalf("deadline = %v, want %v (VC send + Γ/2−2Δ)", u.drv.dls[0], wantDL)
+	wantDL := u.Sched.Now().Add(u.conf.QCWindow())
+	if u.Drv.Deadlines[0] != wantDL {
+		t.Fatalf("deadline = %v, want %v (VC send + Γ/2−2Δ)", u.Drv.Deadlines[0], wantDL)
 	}
 	u.requireClean(t)
 }
@@ -498,14 +448,14 @@ func TestNonInitialLeaderStartAnchoredAtQC(t *testing.T) {
 	u := newUnit(t, 0, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	u.sched.RunFor(70 * time.Millisecond)
-	u.pm.Handle(0, u.qcFor(0)) // p0's own QC for view 0
-	if len(u.drv.started) == 0 || u.drv.started[len(u.drv.started)-1] != 1 {
-		t.Fatalf("driver started = %v, want view 1", u.drv.started)
+	u.Sched.RunFor(70 * time.Millisecond)
+	u.pm.Handle(0, u.QC(0)) // p0's own QC for view 0
+	if len(u.Drv.Started) == 0 || u.Drv.Started[len(u.Drv.Started)-1] != 1 {
+		t.Fatalf("driver started = %v, want view 1", u.Drv.Started)
 	}
-	wantDL := u.sched.Now().Add(u.cfg.QCWindow())
-	if u.drv.dls[len(u.drv.dls)-1] != wantDL {
-		t.Fatalf("deadline = %v, want %v", u.drv.dls[len(u.drv.dls)-1], wantDL)
+	wantDL := u.Sched.Now().Add(u.conf.QCWindow())
+	if u.Drv.Deadlines[len(u.Drv.Deadlines)-1] != wantDL {
+		t.Fatalf("deadline = %v, want %v", u.Drv.Deadlines[len(u.Drv.Deadlines)-1], wantDL)
 	}
 	u.requireClean(t)
 }
@@ -528,7 +478,7 @@ func TestInvalidCertificatesRejected(t *testing.T) {
 	u2.pm.Handle(2, u2.ecFor(0))
 	u2.pm.Handle(3, u2.viewMsgFrom(1, 0)) // from=3 but signed by 1
 	u2.pm.Handle(2, u2.viewMsgFrom(2, 0))
-	if len(u2.ep.broadcastsOf(msg.KindVC)) != 0 {
+	if len(u2.broadcastsOf(msg.KindVC)) != 0 {
 		t.Fatal("mismatched view message counted toward VC")
 	}
 	u.requireClean(t)
@@ -540,13 +490,13 @@ func TestEpochViewAssemblyThresholds(t *testing.T) {
 	u := newUnit(t, 3, nil)
 	u.pm.Start()
 	u.pm.Handle(0, u.epochViewFrom(0, 0))
-	if u.pm.CurrentEpoch() != types.NoEpoch || u.pm.LocalClock() != 0 {
+	if u.pm.CurrentEpoch() != types.NoEpoch || u.Clk.Read() != 0 {
 		t.Fatal("single epoch-view message had effect")
 	}
 	u.pm.Handle(1, u.epochViewFrom(1, 0))
 	// f+1 = 2 distinct: TC processed — and at boot lc is already c_0,
 	// so no bump, but the epoch-view relay (line 21) fires.
-	if len(u.ep.broadcastsOf(msg.KindEpochView)) != 1 {
+	if len(u.broadcastsOf(msg.KindEpochView)) != 1 {
 		t.Fatal("TC assembly did not trigger relay")
 	}
 	if u.pm.CurrentEpoch() != types.NoEpoch {
@@ -564,13 +514,13 @@ func TestEpochViewAssemblyThresholds(t *testing.T) {
 func TestBasicVariantBroadcastsEC(t *testing.T) {
 	u := newUnit(t, 3, func(c *Config) { c.Variant = VariantBasic })
 	u.pm.Start()
-	if len(u.ep.broadcastsOf(msg.KindEpochView)) != 1 {
+	if len(u.broadcastsOf(msg.KindEpochView)) != 1 {
 		t.Fatal("basic variant must send epoch-view immediately (no Δ-wait)")
 	}
 	for i := 0; i < 3; i++ {
 		u.pm.Handle(types.NodeID(i), u.epochViewFrom(types.NodeID(i), 0))
 	}
-	if len(u.ep.broadcastsOf(msg.KindEC)) != 1 {
+	if len(u.broadcastsOf(msg.KindEC)) != 1 {
 		t.Fatal("basic variant did not broadcast the EC")
 	}
 	if u.pm.CurrentEpoch() != 0 {
@@ -585,12 +535,12 @@ func TestStaleMessagesIgnored(t *testing.T) {
 	u := newUnit(t, 1, nil)
 	u.pm.Start()
 	u.pm.Handle(2, u.ecFor(0))
-	u.pm.Handle(2, u.qcFor(10))
+	u.pm.Handle(2, u.QC(10))
 	view := u.pm.CurrentView()
-	lc := u.pm.LocalClock()
+	lc := u.Clk.Read()
 	u.pm.Handle(2, u.vcFor(2))
-	u.pm.Handle(2, u.qcFor(3))
-	if u.pm.CurrentView() != view || u.pm.LocalClock() != lc {
+	u.pm.Handle(2, u.QC(3))
+	if u.pm.CurrentView() != view || u.Clk.Read() != lc {
 		t.Fatal("stale certificate moved the pacemaker")
 	}
 	u.requireClean(t)
@@ -606,10 +556,10 @@ func TestDeadlineIsInfiniteForBasic(t *testing.T) {
 	}
 	u.pm.Handle(1, u.viewMsgFrom(1, 0))
 	u.pm.Handle(2, u.viewMsgFrom(2, 0))
-	if len(u.drv.started) == 0 {
+	if len(u.Drv.Started) == 0 {
 		t.Fatal("leader never started")
 	}
-	if u.drv.dls[len(u.drv.dls)-1] != types.TimeInf {
-		t.Fatalf("basic deadline = %v, want ∞", u.drv.dls[len(u.drv.dls)-1])
+	if u.Drv.Deadlines[len(u.Drv.Deadlines)-1] != types.TimeInf {
+		t.Fatalf("basic deadline = %v, want ∞", u.Drv.Deadlines[len(u.Drv.Deadlines)-1])
 	}
 }

@@ -36,10 +36,6 @@ import (
 	"lumiere/internal/types"
 )
 
-// Kappa is the security parameter κ in bytes: the nominal size charged for
-// every signature, hash and certificate when accounting message sizes.
-const Kappa = 32
-
 // Errors returned by aggregate construction and verification.
 var (
 	ErrBadSignature    = errors.New("crypto: signature verification failed")

@@ -19,10 +19,6 @@ import (
 // sweepGrid derives the per-cell seeds with DeriveSeed, making the
 // rendered tables byte-identical at any worker count.
 
-// DefaultFs is the fault-tolerance sweep used by the scaling experiments
-// (n = 3f+1 ∈ {4, 10, 16, 31, 61}).
-var DefaultFs = []int{1, 3, 5, 10, 20}
-
 // WorstCaseResult is one protocol/size point of the worst-case
 // experiments.
 type WorstCaseResult struct {
