@@ -7,6 +7,7 @@ import (
 
 	"lumiere/internal/adversary"
 	"lumiere/internal/network"
+	"lumiere/internal/workload"
 )
 
 // The arena contract: recycling a worker's execution stack across cells
@@ -163,4 +164,42 @@ func TestRunInAllocsSteadyCell(t *testing.T) {
 		t.Fatalf("warm arena cell performed %d allocs, budget %d", allocs, budget)
 	}
 	t.Logf("warm arena cell: %d allocs (budget %d)", allocs, budget)
+}
+
+// TestSMRCellAllocs pins what a committed command costs on the SMR path:
+// the benchmark's sim-smr-n4 cell (Lumiere + chained HotStuff, n=4, 6000
+// cmd/s in blocks of up to 256, KV) cut to two simulated seconds, in a
+// warm arena. Each of the four replicas allocates the command's key and
+// value when it applies it; blocks, proposals and map growth amortize to
+// about half an object more (8.5 measured). Hashing a block per use,
+// copying payloads out of proposals or splitting commands into strings
+// again costs 27.8.
+func TestSMRCellAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement in -short mode")
+	}
+	s := Scenario{
+		Protocol: ProtoLumiere, N: 4, F: 1,
+		Delta: 50 * time.Millisecond, DeltaActual: 5 * time.Millisecond,
+		Duration: 2 * time.Second, Seed: 42,
+		SMR: true, SMRBatchSize: 256,
+		Workload: &workload.Config{Rate: 6000, Clients: 1_000_000, PayloadPad: 64},
+	}
+	arena := NewArena()
+	RunIn(arena, s)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := RunIn(arena, s)
+	runtime.ReadMemStats(&after)
+	commits := res.Collector.CommitCount()
+	if commits < 10_000 {
+		t.Fatalf("only %d commands committed", commits)
+	}
+	perCommit := float64(after.Mallocs-before.Mallocs) / float64(commits)
+	const budget = 10
+	if perCommit > budget {
+		t.Fatalf("warm SMR cell: %.1f allocs per committed command (%d commits), budget %d", perCommit, commits, budget)
+	}
+	t.Logf("warm SMR cell: %.1f allocs per committed command (%d commits, budget %d)", perCommit, commits, budget)
 }

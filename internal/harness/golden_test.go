@@ -85,7 +85,7 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestTablesGolden renders every table driver except ThroughputTable
-// (35 s; TestThroughputTableWorkerIndependence checks the rendering it
+// (6 s; TestThroughputTableWorkerIndependence checks the rendering it
 // already produces) and compares against the golden file.
 func TestTablesGolden(t *testing.T) {
 	skipInShort(t)

@@ -674,10 +674,10 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 				submitAll(id, pl)
 			}
 			if !eng.RampDone() {
-				sched.At(types.Time(eng.NextDueNs()), pump)
+				sched.AtTimer(types.Time(eng.NextDueNs()), pump)
 			}
 		}
-		sched.At(types.Time(eng.NextDueNs()), pump)
+		sched.AtTimer(types.Time(eng.NextDueNs()), pump)
 	case s.SMR && s.WorkloadRate > 0:
 		// Legacy injector, now on the exact accumulator schedule: command
 		// i is due at ⌊(i+1)·10⁹/rate⌋ ns, which reproduces the old

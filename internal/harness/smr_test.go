@@ -1,14 +1,19 @@
 package harness
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"lumiere/internal/adversary"
 	"lumiere/internal/hotstuff"
+	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/statemachine"
+	"lumiere/internal/types"
 	"lumiere/internal/workload"
 )
 
@@ -41,6 +46,66 @@ func requireConsistentCommits(t *testing.T, res *Result) int {
 		}
 	}
 	return minLen
+}
+
+// frameLog is a delay policy that remembers, by block hash, the encoded
+// block of every proposal and block response it is asked to delay — the
+// very slices the receiving replicas decode, and so the bytes their blocks
+// alias for the rest of the run (hotstuff.Block's contract).
+type frameLog struct {
+	network.DelayPolicy
+	frames map[hotstuff.Hash][]byte
+}
+
+func (l *frameLog) Delay(from, to types.NodeID, m msg.Message, at types.Time, rng *rand.Rand) time.Duration {
+	switch mm := m.(type) {
+	case *msg.Proposal:
+		l.frames[mm.Hash] = mm.Block
+	case *msg.BlockResp:
+		if mm.Cert != nil {
+			l.frames[mm.Cert.BlockHash] = mm.Block
+		}
+	}
+	return l.DelayPolicy.Delay(from, to, m, at, rng)
+}
+
+// requireSealedBlocksIntact walks every replica's committed chain and
+// asserts that nobody modified a sealed block during the run: the frame
+// each committed block arrived in still hashes to the committed hash, and
+// the fields it decodes to, encoded again into a fresh buffer, do too.
+func requireSealedBlocksIntact(t *testing.T, res *Result, log *frameLog) {
+	t.Helper()
+	checked := map[hotstuff.Hash]bool{}
+	for i, e := range res.Engines {
+		hs, ok := e.(*hotstuff.Core)
+		if !ok || hs == nil {
+			continue
+		}
+		for j, h := range hs.CommittedHashes() {
+			if checked[h] {
+				continue
+			}
+			checked[h] = true
+			frame, ok := log.frames[h]
+			if !ok {
+				t.Fatalf("replica %d committed block %d, which never crossed the network", i, j)
+			}
+			if sha256.Sum256(frame) != h {
+				t.Fatalf("replica %d, block %d: the frame it was decoded from was modified", i, j)
+			}
+			b, err := hotstuff.DecodeBlock(frame)
+			if err != nil {
+				t.Fatalf("replica %d, block %d: %v", i, j, err)
+			}
+			again := &hotstuff.Block{View: b.View, Parent: b.Parent, Cmds: b.Cmds}
+			if again.HashOf() != h || !bytes.Equal(again.Encode(), frame) {
+				t.Fatalf("replica %d, block %d: fields do not encode to the committed hash", i, j)
+			}
+		}
+	}
+	if len(checked) == 0 {
+		t.Fatal("no committed block checked")
+	}
 }
 
 // TestSMRCommitsUnderLumiere: end-to-end chained HotStuff driven by
@@ -179,14 +244,15 @@ func TestSMRChurnCatchUp(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
 	const churned = 1
+	frames := &frameLog{DelayPolicy: network.Fixed{D: testDelta / 10}, frames: map[hotstuff.Hash][]byte{}}
 	res := Run(Scenario{
-		Protocol:    ProtoLumiere,
-		F:           1,
-		Delta:       testDelta,
-		DeltaActual: testDelta / 10,
-		Duration:    40 * time.Second,
-		Seed:        7,
-		SMR:         true,
+		Protocol: ProtoLumiere,
+		F:        1,
+		Delta:    testDelta,
+		Delay:    frames,
+		Duration: 40 * time.Second,
+		Seed:     7,
+		SMR:      true,
 		Corruptions: []adversary.Corruption{adversary.Churn(churned,
 			adversary.Downtime{From: 5 * time.Second, To: 8 * time.Second},
 			adversary.Downtime{From: 15 * time.Second, To: 18 * time.Second},
@@ -227,4 +293,5 @@ func TestSMRChurnCatchUp(t *testing.T) {
 	if _, ok := summaries[churnedCount]; !ok {
 		t.Fatal("churned replica state not captured")
 	}
+	requireSealedBlocksIntact(t, res, frames)
 }

@@ -69,7 +69,7 @@ func TestThroughputSanityCell(t *testing.T) {
 // commit-latency recording, the workload engine's arena reuse and the
 // word accounting must all be deterministic per cell seed. The rendering
 // is also this table's entry in testdata/tables.golden (TestTablesGolden
-// skips it: 35 s a render).
+// skips it: 6 s a render on 2 cores since PR 23, 50 s before).
 func TestThroughputTableWorkerIndependence(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()

@@ -7,7 +7,6 @@
 package hotstuff
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -29,83 +28,99 @@ type Command struct {
 }
 
 // Block is a proposal payload: a batch of commands extending a parent.
+//
+// A block is sealed by its first Encode or HashOf, which compute the
+// canonical encoding and its hash once and keep them; from then on the
+// exported fields are read-only, and so are the bytes Encode returns. A
+// block returned by DecodeBlock is sealed already and aliases the decoded
+// input: its encoding is that slice and its payloads are sub-slices of it,
+// so the input must not be modified afterwards either.
 type Block struct {
 	View   types.View
 	Parent Hash
 	Cmds   []Command
+
+	enc  []byte // canonical encoding, nil until sealed
+	hash Hash   // sha256 of enc
 }
 
 // ErrBadBlock reports a malformed block encoding.
 var ErrBadBlock = errors.New("hotstuff: malformed block")
 
-// Encode serializes the block canonically (length-prefixed fields), so
-// hashes are stable across runtimes.
-func (b *Block) Encode() []byte {
-	var buf bytes.Buffer
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		buf.Write(scratch[:])
+// Encoded sizes: view, parent and command count open a block; ID and
+// payload length open a command.
+const (
+	blockHeaderLen = 8 + len(Hash{}) + 8
+	cmdHeaderLen   = 8 + 8
+)
+
+// seal computes the canonical encoding (big-endian, length-prefixed
+// fields, so hashes are stable across runtimes) and its hash, once.
+func (b *Block) seal() {
+	if b.enc != nil {
+		return
 	}
-	putU64(uint64(b.View))
-	buf.Write(b.Parent[:])
-	putU64(uint64(len(b.Cmds)))
-	for _, c := range b.Cmds {
-		putU64(c.ID)
-		putU64(uint64(len(c.Payload)))
-		buf.Write(c.Payload)
+	size := blockHeaderLen + cmdHeaderLen*len(b.Cmds)
+	for i := range b.Cmds {
+		size += len(b.Cmds[i].Payload)
 	}
-	return buf.Bytes()
+	enc := make([]byte, 0, size)
+	enc = binary.BigEndian.AppendUint64(enc, uint64(b.View))
+	enc = append(enc, b.Parent[:]...)
+	enc = binary.BigEndian.AppendUint64(enc, uint64(len(b.Cmds)))
+	for i := range b.Cmds {
+		enc = binary.BigEndian.AppendUint64(enc, b.Cmds[i].ID)
+		enc = binary.BigEndian.AppendUint64(enc, uint64(len(b.Cmds[i].Payload)))
+		enc = append(enc, b.Cmds[i].Payload...)
+	}
+	b.enc, b.hash = enc, sha256.Sum256(enc)
 }
 
-// DecodeBlock parses an encoded block.
+// Encode returns the block's canonical serialization. The slice is the
+// block's own copy: callers must not modify it.
+func (b *Block) Encode() []byte {
+	b.seal()
+	return b.enc
+}
+
+// HashOf returns the block's hash, the SHA-256 of its encoding.
+func (b *Block) HashOf() Hash {
+	b.seal()
+	return b.hash
+}
+
+// DecodeBlock parses an encoded block without copying: the block keeps
+// data as its encoding and its payloads point into it. Only the canonical
+// encoding is accepted — every declared length must be met exactly and no
+// byte may follow the last command — so the block's hash is the hash of
+// data, and nothing is allocated beyond what len(data) can hold.
 func DecodeBlock(data []byte) (*Block, error) {
-	r := bytes.NewReader(data)
-	var scratch [8]byte
-	getU64 := func() (uint64, error) {
-		if _, err := r.Read(scratch[:]); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadBlock, err)
+	if len(data) < blockHeaderLen {
+		return nil, fmt.Errorf("%w: %d-byte header", ErrBadBlock, len(data))
+	}
+	b := &Block{View: types.View(binary.BigEndian.Uint64(data))}
+	copy(b.Parent[:], data[8:])
+	n := binary.BigEndian.Uint64(data[blockHeaderLen-8:])
+	rest := data[blockHeaderLen:]
+	if n > uint64(len(rest)/cmdHeaderLen) {
+		return nil, fmt.Errorf("%w: %d commands in %d bytes", ErrBadBlock, n, len(rest))
+	}
+	b.Cmds = make([]Command, n)
+	for i := range b.Cmds {
+		if len(rest) < cmdHeaderLen {
+			return nil, fmt.Errorf("%w: command %d cut short", ErrBadBlock, i)
 		}
-		return binary.BigEndian.Uint64(scratch[:]), nil
-	}
-	view, err := getU64()
-	if err != nil {
-		return nil, err
-	}
-	b := &Block{View: types.View(view)}
-	if _, err := r.Read(b.Parent[:]); err != nil {
-		return nil, fmt.Errorf("%w: parent: %v", ErrBadBlock, err)
-	}
-	n, err := getU64()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("%w: absurd command count %d", ErrBadBlock, n)
-	}
-	b.Cmds = make([]Command, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, err := getU64()
-		if err != nil {
-			return nil, err
+		id, plen := binary.BigEndian.Uint64(rest), binary.BigEndian.Uint64(rest[8:])
+		rest = rest[cmdHeaderLen:]
+		if plen > uint64(len(rest)) {
+			return nil, fmt.Errorf("%w: %d-byte payload in %d bytes", ErrBadBlock, plen, len(rest))
 		}
-		plen, err := getU64()
-		if err != nil {
-			return nil, err
-		}
-		if plen > 1<<24 {
-			return nil, fmt.Errorf("%w: absurd payload size %d", ErrBadBlock, plen)
-		}
-		payload := make([]byte, plen)
-		if plen > 0 {
-			if _, err := r.Read(payload); err != nil {
-				return nil, fmt.Errorf("%w: payload: %v", ErrBadBlock, err)
-			}
-		}
-		b.Cmds = append(b.Cmds, Command{ID: id, Payload: payload})
+		b.Cmds[i] = Command{ID: id, Payload: rest[:plen:plen]}
+		rest = rest[plen:]
 	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBlock, len(rest))
+	}
+	b.enc, b.hash = data, sha256.Sum256(data)
 	return b, nil
 }
-
-// HashOf returns the block's hash.
-func (b *Block) HashOf() Hash { return sha256.Sum256(b.Encode()) }

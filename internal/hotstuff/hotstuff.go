@@ -68,6 +68,10 @@ type Core struct {
 	highQC   *msg.QC
 	lockedQC *msg.QC
 
+	// mempool is one FIFO. inPool[id] holds exactly for its live entries;
+	// an executed command stays in the slice as a dead entry (applied, not
+	// inPool) until it reaches the head, so dequeuing never moves the
+	// entries behind it and the order of live entries never changes.
 	mempool       []Command
 	inPool        map[uint64]bool
 	applied       map[uint64]bool
@@ -148,7 +152,7 @@ func (c *Core) HighView() types.View { return c.highQC.V }
 func (c *Core) HighQC() *msg.QC { return c.highQC }
 
 // MempoolLen returns the number of pending commands.
-func (c *Core) MempoolLen() int { return len(c.mempool) }
+func (c *Core) MempoolLen() int { return len(c.inPool) }
 
 // EnterView implements pacemaker.Driver.
 func (c *Core) EnterView(v types.View) {
@@ -168,11 +172,7 @@ func (c *Core) LeaderStart(v types.View, qcDeadline types.Time) {
 	if !c.Lead(v, qcDeadline) {
 		return
 	}
-	batch := c.mempool
-	if len(batch) > c.cfg.batch() {
-		batch = batch[:c.cfg.batch()]
-	}
-	block := &Block{View: v, Parent: c.highQC.BlockHash, Cmds: append([]Command(nil), batch...)}
+	block := &Block{View: v, Parent: c.highQC.BlockHash, Cmds: c.nextBatch()}
 	hash := block.HashOf()
 	c.blocks[hash] = block
 	c.EP.Broadcast(&msg.Proposal{
@@ -182,6 +182,23 @@ func (c *Core) LeaderStart(v types.View, qcDeadline types.Time) {
 		Block:   block.Encode(),
 		Hash:    hash,
 	})
+}
+
+// nextBatch copies out the oldest pending commands, at most a block's
+// worth, skipping entries executed since they were queued. An empty batch
+// is nil (which encodes as an empty one does).
+func (c *Core) nextBatch() []Command {
+	n := min(len(c.inPool), c.cfg.batch())
+	if n == 0 {
+		return nil
+	}
+	batch := make([]Command, 0, n)
+	for i := 0; len(batch) < n; i++ {
+		if cmd := c.mempool[i]; c.inPool[cmd.ID] {
+			batch = append(batch, cmd)
+		}
+	}
+	return batch
 }
 
 // Handle implements replica.Engine.
@@ -240,11 +257,13 @@ func (c *Core) handleBlockResp(m *msg.BlockResp) {
 	if m.Cert == nil {
 		return
 	}
-	b, err := DecodeBlock(m.Block)
-	if err != nil || b.View != m.Cert.V || b.HashOf() != m.Cert.BlockHash {
+	// Every fetch is a broadcast, so up to n-1 replicas answer it: ask
+	// whether the block is still wanted before paying to decode it.
+	if _, known := c.blocks[m.Cert.BlockHash]; known {
 		return
 	}
-	if _, known := c.blocks[m.Cert.BlockHash]; known {
+	b, err := DecodeBlock(m.Block)
+	if err != nil || b.View != m.Cert.V || b.HashOf() != m.Cert.BlockHash {
 		return
 	}
 	if !c.verifyQC(m.Cert) {
@@ -257,14 +276,14 @@ func (c *Core) handleBlockResp(m *msg.BlockResp) {
 }
 
 func (c *Core) handleProposal(from types.NodeID, p *msg.Proposal) {
-	if !c.FromLeader(from, p) {
+	if !c.FromLeader(from, p) || p.Justify == nil {
 		return
 	}
 	block, err := DecodeBlock(p.Block)
 	if err != nil || block.View != p.V || block.HashOf() != p.Hash {
 		return
 	}
-	if p.Justify == nil || block.Parent != p.Justify.BlockHash {
+	if block.Parent != p.Justify.BlockHash {
 		return
 	}
 	if !c.verifyQC(p.Justify) {
@@ -421,7 +440,6 @@ func (c *Core) execChain(b0 *Block) {
 			}
 			c.applied[cmd.ID] = true
 			delete(c.inPool, cmd.ID)
-			c.removeFromPool(cmd.ID)
 			if c.sm != nil {
 				// Execution errors (e.g. insufficient funds)
 				// are results, not failures: state machines
@@ -432,6 +450,12 @@ func (c *Core) execChain(b0 *Block) {
 		if c.onCommit != nil {
 			c.onCommit(b, c.RT.Now())
 		}
+	}
+	// Dead entries leave the pool when they reach its head; zeroing the
+	// slot releases the payload, and append regrows over what is left.
+	for len(c.mempool) > 0 && !c.inPool[c.mempool[0].ID] {
+		c.mempool[0] = Command{}
+		c.mempool = c.mempool[1:]
 	}
 }
 
@@ -489,15 +513,6 @@ func sortedPending(m map[Hash]*Block) []*Block {
 		out[i] = e.b
 	}
 	return out
-}
-
-func (c *Core) removeFromPool(id uint64) {
-	for i, cmd := range c.mempool {
-		if cmd.ID == id {
-			c.mempool = append(c.mempool[:i], c.mempool[i+1:]...)
-			return
-		}
-	}
 }
 
 // pruneBelow bounds the chain's bookkeeping on entering view v; block/QC

@@ -1,6 +1,7 @@
 package hotstuff
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -127,6 +128,15 @@ func TestChainCommitsAndExecutes(t *testing.T) {
 		for j := 0; j < n; j++ {
 			if l[j] != ref[j] {
 				t.Fatalf("logs diverge at %d", j)
+			}
+		}
+	}
+	// Nobody modified a sealed block: every committed block's fields, and
+	// the shared proposal bytes the payloads alias, still encode to its hash.
+	for i, c := range r.cores {
+		for _, h := range c.committed {
+			if b := c.blocks[h]; b.HashOf() != h || sha256.Sum256(encodeFields(b)) != h {
+				t.Fatalf("core %d: committed block of view %d no longer encodes to its hash", i, b.View)
 			}
 		}
 	}
@@ -286,6 +296,41 @@ func TestForgedQCRejected(t *testing.T) {
 	core.Handle(1, valid)
 	if core.HighView() != 0 || routed != 1 {
 		t.Fatalf("valid QC: highView=%d, routed %d times, want 0 and 1", core.HighView(), routed)
+	}
+}
+
+// TestCheapChecksBeforeDecode: a response for a block already held — every
+// fetch is a broadcast, so all but the first answer is one — and a proposal
+// without a Justify are dropped before the block is decoded and hashed.
+// Decoding allocates (the block, or the error), so "no decode" is "no
+// allocation"; state is compared around the second response as well.
+func TestCheapChecksBeforeDecode(t *testing.T) {
+	r := newRig(t, 1, time.Millisecond, false)
+	core := r.cores[0]
+	b := &Block{View: 0, Parent: GenesisHash, Cmds: []Command{{ID: 7, Payload: []byte("SET x 1")}}}
+	resp := &msg.BlockResp{Block: b.Encode(), Cert: r.qcFor(t, b), FromRaw: 1}
+	core.fetchAsked[b.HashOf()] = 0
+	core.Handle(1, resp)
+	if core.blocks[b.HashOf()] == nil || len(core.fetchAsked) != 0 || core.HighView() != 0 {
+		t.Fatalf("first response not taken: %d blocks, %d fetches open, highView %d",
+			len(core.blocks), len(core.fetchAsked), core.HighView())
+	}
+	stored, blocks, committed := core.blocks[b.HashOf()], len(core.blocks), core.CommittedCount()
+	if n := testing.AllocsPerRun(10, func() { core.Handle(2, resp) }); n != 0 {
+		t.Errorf("repeated BlockResp: %v allocations, want 0 (dropped before the decode)", n)
+	}
+	if core.blocks[b.HashOf()] != stored || len(core.blocks) != blocks ||
+		len(core.fetchAsked) != 0 || core.CommittedCount() != committed {
+		t.Fatal("repeated BlockResp changed state")
+	}
+
+	lead := types.NodeID(1)
+	p := &msg.Proposal{V: 1, Leader: lead, Block: []byte{1, 2, 3}}
+	if n := testing.AllocsPerRun(10, func() { core.Handle(lead, p) }); n != 0 {
+		t.Errorf("proposal without a Justify: %v allocations, want 0 (dropped before the decode)", n)
+	}
+	if len(core.blocks) != blocks {
+		t.Fatal("proposal without a Justify changed state")
 	}
 }
 

@@ -5,6 +5,7 @@
 package statemachine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -53,29 +54,42 @@ var _ StateMachine = (*KV)(nil)
 // NewKV creates an empty store.
 func NewKV() *KV { return &KV{data: make(map[string]string)} }
 
-// Apply implements StateMachine.
+// okResult is the result of every successful SET and DEL.
+var okResult = []byte("OK")
+
+// Apply implements StateMachine. A command is a verb, one space and a key;
+// SET's key ends at the next space and the rest, spaces included, is the
+// value. The "OK" result is one shared slice, not to be modified.
 func (kv *KV) Apply(cmd []byte) ([]byte, error) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	parts := strings.SplitN(string(cmd), " ", 3)
-	switch {
-	case len(parts) == 3 && parts[0] == "SET":
-		kv.data[parts[1]] = parts[2]
-		return []byte("OK"), nil
-	case len(parts) == 2 && parts[0] == "GET":
-		v, ok := kv.data[parts[1]]
-		if !ok {
-			// A missing key must be distinguishable from `SET k ""`:
-			// closed-loop clients assert read-your-writes on this.
-			return nil, fmt.Errorf("%w: %s", ErrKeyNotFound, parts[1])
-		}
-		return []byte(v), nil
-	case len(parts) == 2 && parts[0] == "DEL":
-		delete(kv.data, parts[1])
-		return []byte("OK"), nil
-	default:
+	verb, rest, ok := bytes.Cut(cmd, []byte(" "))
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrBadCommand, cmd)
 	}
+	switch string(verb) {
+	case "SET":
+		if key, value, ok := bytes.Cut(rest, []byte(" ")); ok {
+			kv.data[string(key)] = string(value)
+			return okResult, nil
+		}
+	case "GET":
+		if bytes.IndexByte(rest, ' ') < 0 {
+			v, ok := kv.data[string(rest)]
+			if !ok {
+				// A missing key must be distinguishable from `SET k ""`:
+				// closed-loop clients assert read-your-writes on this.
+				return nil, fmt.Errorf("%w: %s", ErrKeyNotFound, rest)
+			}
+			return []byte(v), nil
+		}
+	case "DEL":
+		if bytes.IndexByte(rest, ' ') < 0 {
+			delete(kv.data, string(rest))
+			return okResult, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %q", ErrBadCommand, cmd)
 }
 
 // Len returns the number of keys.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +29,107 @@ func TestKVBasics(t *testing.T) {
 	}
 	if v, ok := kv.Get("k"); !ok || v != "v" {
 		t.Fatal("Get failed")
+	}
+}
+
+// TestKVGrammar pins the command grammar row by row: which inputs are
+// malformed, and where a key and a value begin and end.
+func TestKVGrammar(t *testing.T) {
+	for _, cmd := range []string{"GET a b", "DEL a b", "SET a", "SET", "GET", "", " ", "SET\ta b", "set a b", "GET  a"} {
+		kv := NewKV()
+		if res, err := kv.Apply([]byte(cmd)); !errors.Is(err, ErrBadCommand) || res != nil || kv.Len() != 0 {
+			t.Errorf("%q: result %q, err %v, %d keys; want ErrBadCommand", cmd, res, err, kv.Len())
+		}
+	}
+	kv := NewKV()
+	mustApply(t, kv, "SET k ", "OK") // the empty value
+	if v, ok := kv.Get("k"); !ok || v != "" {
+		t.Errorf("SET k ␠: k = %q, %v; want the empty value", v, ok)
+	}
+	mustApply(t, kv, "GET k", "")
+	mustApply(t, kv, "SET  x", "OK") // the empty key
+	if v, ok := kv.Get(""); !ok || v != "x" {
+		t.Errorf("SET ␠␠x: key \"\" = %q, %v; want x", v, ok)
+	}
+	mustApply(t, kv, "GET ", "x")
+	mustApply(t, kv, "SET a  b c ", "OK") // everything after the key's space
+	mustApply(t, kv, "GET a", " b c ")
+	mustApply(t, kv, "DEL ", "OK")
+	if _, err := kv.Apply([]byte("GET ")); !errors.Is(err, ErrKeyNotFound) {
+		t.Errorf("GET of the deleted empty key: err = %v, want ErrKeyNotFound", err)
+	}
+	if _, err := kv.Apply([]byte("GET nope")); !errors.Is(err, ErrKeyNotFound) {
+		t.Errorf("GET miss: err = %v, want ErrKeyNotFound", err)
+	}
+}
+
+// splitNApply is the parser KV.Apply had before it stopped building a
+// string per command — strings.SplitN(cmd, " ", 3) — kept as the grammar's
+// reference model.
+func splitNApply(data map[string]string, cmd string) (string, error) {
+	parts := strings.SplitN(cmd, " ", 3)
+	switch {
+	case len(parts) == 3 && parts[0] == "SET":
+		data[parts[1]] = parts[2]
+		return "OK", nil
+	case len(parts) == 2 && parts[0] == "GET":
+		if v, ok := data[parts[1]]; ok {
+			return v, nil
+		}
+		return "", ErrKeyNotFound
+	case len(parts) == 2 && parts[0] == "DEL":
+		delete(data, parts[1])
+		return "OK", nil
+	}
+	return "", ErrBadCommand
+}
+
+// TestKVMatchesSplitNGrammar applies every string of up to six tokens
+// over {SET, GET, DEL, a, b, space} to one store and to the reference
+// model, and requires the same result, the same error and the same state.
+func TestKVMatchesSplitNGrammar(t *testing.T) {
+	tokens := []string{"SET", "GET", "DEL", "a", "b", " "}
+	kv, ref := NewKV(), map[string]string{}
+	var walk func(prefix string, depth int)
+	walk = func(prefix string, depth int) {
+		got, err := kv.Apply([]byte(prefix))
+		want, wantErr := splitNApply(ref, prefix)
+		if string(got) != want || !errors.Is(err, wantErr) {
+			t.Fatalf("%q: result %q, err %v; reference %q, %v", prefix, got, err, want, wantErr)
+		}
+		if depth == 0 {
+			return
+		}
+		for _, tok := range tokens {
+			walk(prefix+tok, depth-1)
+		}
+	}
+	walk("", 6)
+	var want strings.Builder
+	keys := make([]string, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&want, "%s=%s;", k, ref[k])
+	}
+	if kv.Summary() != want.String() {
+		t.Fatalf("state %q, reference %q", kv.Summary(), want.String())
+	}
+}
+
+// TestKVApplyAllocs: a SET allocates its key and its value, nothing for
+// parsing or for the result.
+func TestKVApplyAllocs(t *testing.T) {
+	kv := NewKV()
+	cmd := []byte("SET some-key some-value-that-is-not-tiny")
+	if n := testing.AllocsPerRun(100, func() { _, _ = kv.Apply(cmd) }); n > 2 {
+		t.Errorf("SET: %v allocations, want at most 2", n)
+	}
+	del := []byte("DEL some-other-key")
+	if n := testing.AllocsPerRun(100, func() { _, _ = kv.Apply(del) }); n != 0 {
+		t.Errorf("DEL: %v allocations, want 0", n)
 	}
 }
 
