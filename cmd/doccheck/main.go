@@ -1,10 +1,10 @@
 // Command doccheck enforces the repository's documentation contract:
 //
-//   - every package in the module (the root facade, internal/*, cmd/*,
-//     examples/*) must carry a package doc comment ("// Package x ..."
-//     or, for main packages, "// Command x ...");
-//   - every exported identifier of the root facade package (the public
-//     API) must have a doc comment.
+//   - every package in the module (internal/*, cmd/*, examples/*) must
+//     carry a package doc comment ("// Package x ..." or, for main
+//     packages, "// Command x ...");
+//   - every exported identifier of every non-main package must have a
+//     doc comment.
 //
 // It prints one line per violation and exits non-zero if any exist, so
 // CI can gate on it:
@@ -38,7 +38,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, dir := range dirs {
-		probs, err := checkDir(root, dir)
+		probs, err := checkDir(dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", dir, err)
 			os.Exit(2)
@@ -53,7 +53,7 @@ func main() {
 		fmt.Printf("doccheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: %d packages documented, facade fully covered\n", len(dirs))
+	fmt.Printf("doccheck: %d packages documented, every exported identifier covered\n", len(dirs))
 }
 
 // packageDirs lists every directory under root containing .go files,
@@ -88,9 +88,9 @@ func packageDirs(root string) ([]string, error) {
 }
 
 // checkDir parses one package directory and returns its documentation
-// problems: a missing package comment always; undocumented exported
-// identifiers for the root facade package.
-func checkDir(root, dir string) ([]string, error) {
+// problems: a missing package comment, and undocumented exported
+// identifiers unless the package is a command.
+func checkDir(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -110,21 +110,25 @@ func checkDir(root, dir string) ([]string, error) {
 		if !hasDoc {
 			problems = append(problems, fmt.Sprintf("%s: package %s has no package doc comment", dir, name))
 		}
-		if dir == root && name != "main" {
-			problems = append(problems, facadeProblems(dir, pkg)...)
+		if name != "main" {
+			problems = append(problems, apiProblems(dir, pkg)...)
 		}
 	}
 	return problems, nil
 }
 
-// facadeProblems reports exported identifiers of the facade package
-// that lack doc comments (a doc on a const/var group covers its
-// members).
-func facadeProblems(dir string, pkg *ast.Package) []string {
+// apiProblems reports exported identifiers of a package that lack doc
+// comments (a doc on a const/var group covers its members). A method
+// counts as exported only when both its type and its name are.
+func apiProblems(dir string, pkg *ast.Package) []string {
 	d := doc.New(pkg, dir, doc.AllDecls|doc.PreserveAST)
 	var problems []string
 	undocumented := func(kind, name, docText string) {
-		if strings.TrimSpace(docText) == "" && ast.IsExported(name) {
+		exported := true
+		for _, part := range strings.Split(name, ".") {
+			exported = exported && ast.IsExported(part)
+		}
+		if strings.TrimSpace(docText) == "" && exported {
 			problems = append(problems, fmt.Sprintf("%s: exported %s %s is undocumented", dir, kind, name))
 		}
 	}

@@ -28,7 +28,9 @@ import (
 	"strings"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
+	"lumiere/internal/redteam"
 )
 
 func main() {
@@ -49,7 +51,7 @@ func realMain() int {
 		attack     = flag.Bool("attack", false, "run only the attack suite: adaptive-strategy table + word-complexity tables")
 		smr        = flag.Bool("smr", false, "run only the SMR suite: throughput/commit-latency table + throughput under attack")
 		wan        = flag.Bool("wan", false, "run only the WAN suite: topology graceful-degradation table + clock-drift tolerance table")
-		redteam    = flag.Bool("redteam", false, "run only the adversarial search suite: searched worst-case frontier per protocol × objective")
+		redTeam    = flag.Bool("redteam", false, "run only the adversarial search suite: searched worst-case frontier per protocol × objective")
 		frontier   = flag.String("frontier", "", "with -redteam: write the searched frontier artifact (FRONTIER.json) to this path")
 		largen     = flag.Bool("largen", false, "run only the massive-n scaling table over the default axis (capped by -maxn)")
 		largeN     = flag.Int("n", 0, "run the massive-n scaling table at this single system size (needs n ≥ 4; 0 = default axis)")
@@ -60,13 +62,14 @@ func realMain() int {
 	flag.Parse()
 
 	// Reject flag combinations that would otherwise be silently ignored:
-	// the suites are exclusive (only the first would run), and -frontier
-	// is written by the red-team suite alone.
+	// the suites are exclusive (only the first would run), -n sizes the
+	// massive-n table that four of them never print, and -frontier is
+	// written by the red-team suite alone.
 	var suites []string
 	for _, s := range []struct {
 		name string
 		on   bool
-	}{{"-wan", *wan}, {"-redteam", *redteam}, {"-smr", *smr}, {"-chaos", *chaos}, {"-attack", *attack}} {
+	}{{"-wan", *wan}, {"-redteam", *redTeam}, {"-smr", *smr}, {"-chaos", *chaos}, {"-attack", *attack}, {"-largen", *largen}} {
 		if s.on {
 			suites = append(suites, s.name)
 		}
@@ -75,7 +78,11 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "%s are exclusive: pick one suite\n", strings.Join(suites, " and "))
 		return 2
 	}
-	if *frontier != "" && !*redteam {
+	if *largeN != 0 && (*wan || *redTeam || *smr || *chaos) {
+		fmt.Fprintf(os.Stderr, "-n with %s: that suite never prints the massive-n table\n", suites[0])
+		return 2
+	}
+	if *frontier != "" && !*redTeam {
 		fmt.Fprintln(os.Stderr, "-frontier needs -redteam: only the red-team suite writes a frontier artifact")
 		return 2
 	}
@@ -129,21 +136,21 @@ func realMain() int {
 		}
 		largeNs = []int{*largeN}
 	} else {
-		for _, n := range lumiere.LargeNSizes {
+		for _, n := range harness.LargeNSizes {
 			if n <= *maxN {
 				largeNs = append(largeNs, n)
 			}
 		}
 	}
 
-	opts := lumiere.SweepOptions{Workers: *workers}
+	opts := harness.SweepOptions{Workers: *workers}
 	if *progress {
-		opts.Progress = func(done, total int, cell *lumiere.SweepCell) {
+		opts.Progress = func(done, total int, cell *harness.SweepCell) {
 			fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-28s %8v\n", done, total, cell.Scenario.Name, cell.Elapsed.Round(time.Millisecond))
 		}
 	}
 
-	emit := func(name string, t *lumiere.Table) {
+	emit := func(name string, t *harness.Table) {
 		fmt.Println(t.Render())
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, name+".csv")
@@ -166,8 +173,8 @@ func realMain() int {
 		if *full {
 			wanF = 2
 		}
-		emit("wan_topology", lumiere.TopologyTable(wanF, *seed, opts))
-		drift := lumiere.RunDriftSweep(wanF, lumiere.DriftPPMAxis, *seed, opts)
+		emit("wan_topology", harness.WANSweep(wanF, *seed, opts).Table())
+		drift := harness.DriftSweep(wanF, harness.DriftPPMAxis, *seed, opts)
 		emit("wan_drift", drift.Table())
 		if !drift.InModelClean() {
 			fmt.Fprintln(os.Stderr, "drift sweep NOT clean: an in-model drift magnitude violated Lemma 5.1-5.3")
@@ -176,13 +183,13 @@ func realMain() int {
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Second))
 		return 0
 	}
-	if *redteam {
+	if *redTeam {
 		fmt.Printf("red-team suite (seed %d, %d workers)\n\n", *seed, *workers)
-		cfg := lumiere.RedTeamConfig{F: 2, Seed: *seed, Workers: *workers}
+		cfg := redteam.Config{F: 2, Seed: *seed, Workers: *workers}
 		if *progress {
 			cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
 		}
-		fr := lumiere.RedTeam(cfg)
+		fr := redteam.SearchFrontier(cfg)
 		emit("redteam_frontier", fr.Table())
 		if *frontier != "" {
 			if err := fr.WriteFile(*frontier); err != nil {
@@ -198,9 +205,9 @@ func realMain() int {
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Second))
 		return 0
 	}
-	if (*largeN != 0 || *largen) && !*chaos && !*attack && !*smr {
+	if *largen || (*largeN != 0 && !*attack) {
 		fmt.Printf("massive-n suite (seed %d, %d workers)\n\n", *seed, *workers)
-		emit("largen_words", lumiere.LargeNWordsTable(largeNs, *seed, opts))
+		emit("largen_words", harness.LargeNWordsTable(largeNs, *seed, opts))
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Second))
 		return 0
 	}
@@ -210,8 +217,8 @@ func realMain() int {
 		if *full {
 			smrF = 3
 		}
-		emit("smr_throughput", lumiere.ThroughputTable(smrF, *seed, opts))
-		emit("smr_throughput_attack", lumiere.ThroughputUnderAttackTable(smrF, *seed, opts))
+		emit("smr_throughput", harness.ThroughputSweep(smrF, *seed, opts).Table())
+		emit("smr_throughput_attack", harness.ThroughputUnderAttackSweep(smrF, adversary.AttackViewDesync, *seed, opts).Table())
 		fmt.Printf("done in %v\n", time.Since(start).Round(time.Second))
 		return 0
 	}
@@ -223,8 +230,8 @@ func realMain() int {
 			chaosF = 5
 			cells = 48
 		}
-		emit("chaos_table", lumiere.ChaosTable(chaosF, *seed, opts))
-		rep := lumiere.RunChaosSweep(cells, *seed, opts)
+		emit("chaos_table", harness.ChaosTable(chaosF, *seed, opts))
+		rep := harness.ChaosSweep(cells, *seed, opts)
 		emit("chaos_conformance", rep.Table())
 		if !rep.Conformant() {
 			fmt.Fprintf(os.Stderr, "chaos sweep NOT conformant: %d problems\n", rep.Problems)
@@ -240,54 +247,54 @@ func realMain() int {
 		if *full {
 			attackF = 3
 		}
-		rep := lumiere.RunAttackSweep(attackF, *seed, opts)
+		rep := harness.AttackSweep(attackF, *seed, opts)
 		emit("attack_table", rep.Table())
 		if !rep.AllDecided() {
 			fmt.Fprintln(os.Stderr, "attack sweep has stalled cells: a model-legal attack defeated a protocol")
 			return 1
 		}
-		emit("eventual_words", lumiere.EventualWordsTable(3, fas, *seed, opts))
-		emit("word_scaling", lumiere.WordScalingTable(fs, 1, *seed, opts))
+		emit("eventual_words", harness.EventualWordsTable(3, fas, *seed, opts))
+		emit("word_scaling", harness.WordScalingTable(fs, 1, *seed, opts))
 		if *full && len(largeNs) > 0 {
-			emit("largen_words", lumiere.LargeNWordsTable(largeNs, *seed, opts))
+			emit("largen_words", harness.LargeNWordsTable(largeNs, *seed, opts))
 		}
 		fmt.Printf("all %d attack cells decided after GST; done in %v\n", len(rep.Cells), time.Since(start).Round(time.Second))
 		return 0
 	}
 	fmt.Printf("regenerating the paper's evaluation (seed %d, %d workers)\n\n", *seed, *workers)
 
-	comm, lat := lumiere.Table1WorstCase(fs, *seed, opts)
+	comm, lat := harness.Table1WorstCase(fs, *seed, opts)
 	emit("table1_worst_comm", comm)
 	emit("table1_worst_latency", lat)
 
-	evComm, evLat := lumiere.Table1Eventual(evF, fas, *seed, opts)
+	evComm, evLat := harness.Table1Eventual(evF, fas, *seed, opts)
 	emit("table1_eventual_comm", evComm)
 	emit("table1_eventual_latency", evLat)
 
-	scaling := lumiere.EventualScalingData(fs, 1, *seed, opts)
-	emit("eventual_scaling", lumiere.EventualScalingTableF(scaling, fs, 1))
-	fmt.Println(lumiere.EventualScalingPlot(scaling))
-	emit("figure1_stalls", lumiere.Figure1Table(fs, *seed, opts))
-	emit("responsiveness", lumiere.ResponsivenessTable(3, *seed, opts))
-	emit("heavy_syncs", lumiere.HeavySyncTable(3, *seed, opts))
+	scaling := harness.EventualScalingData(fs, 1, *seed, opts)
+	emit("eventual_scaling", harness.EventualScalingTable(scaling, fs, 1))
+	fmt.Println(harness.EventualScalingPlot(scaling))
+	emit("figure1_stalls", harness.Figure1Table(fs, *seed, opts))
+	emit("responsiveness", harness.ResponsivenessTable(3, *seed, opts))
+	emit("heavy_syncs", harness.HeavySyncTable(3, *seed, opts))
 
 	if *full && len(largeNs) > 0 {
-		emit("largen_words", lumiere.LargeNWordsTable(largeNs, *seed, opts))
+		emit("largen_words", harness.LargeNWordsTable(largeNs, *seed, opts))
 	}
 
-	g := lumiere.GapShrinkage(3, *seed)
+	g := harness.GapShrinkage(3, *seed)
 	fmt.Printf("== §3.5 honest-gap shrinkage under the desync adversary (n=10) ==\n")
 	fmt.Printf("Γ=%v  pre-GST max: hg_{f+1}=%v (never exceeds Γ — Lemma 5.9), hg_{2f+1}=%v\n",
 		g.Gamma, g.MaxGapPre, g.MaxWideGapPre)
 	fmt.Printf("time to hg_{f+1} ≤ Γ after GST: %v (converged=%v)\n", g.TimeToBelow, g.Converged)
 	fmt.Printf("steady-state max: hg_{f+1}=%v, hg_{2f+1}=%v\n\n", g.MaxGapSteady, g.MaxWideGapSteady)
 
-	adv := lumiere.AdversarialSuccess(3, *seed)
+	adv := harness.AdversarialSuccess(3, *seed)
 	fmt.Printf("== §3.5 adversarial success criterion (n=10, f late-proposing Byzantine leaders) ==\n")
 	fmt.Printf("decisions=%d  mean gap=%v  max gap=%v  heavy syncs=%d\n\n",
 		adv.Decisions, adv.MeanGap.Round(time.Millisecond), adv.MaxGap.Round(time.Millisecond), adv.HeavySync)
 
-	w, wo := lumiere.DeltaWaitAblation(3, *seed)
+	w, wo := harness.DeltaWaitAblation(3, *seed)
 	fmt.Printf("== §3.5 Δ-wait ablation (n=10, fast QC bursts) ==\n")
 	fmt.Printf("heavy syncs after warmup: with Δ-wait=%d, without=%d\n\n", w, wo)
 

@@ -28,7 +28,8 @@ import (
 	"strings"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/harness"
+	"lumiere/internal/nettcp"
 	"lumiere/internal/types"
 )
 
@@ -58,11 +59,11 @@ func main() {
 		return
 	}
 	if *local {
-		e := lumiere.ClusterExperiment{
+		e := harness.ClusterExperiment{
 			F: *f, Delta: *delta, Seed: *seed, SMR: *smr,
 			Loss: *loss, Duplication: *dup, ReorderJitter: *reorder, GST: *gst,
 		}
-		nodes, closeAll, err := lumiere.StartCluster(e)
+		nodes, closeAll, err := harness.StartCluster(e)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -78,8 +79,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "need %d peer addresses for f=%d, got %d\n", base.N, *f, len(addrs))
 		os.Exit(1)
 	}
-	node, err := lumiere.StartClusterNode(lumiere.ClusterConfig{
-		ID:    lumiere.NodeID(*id),
+	node, err := nettcp.StartNode(nettcp.NodeConfig{
+		ID:    types.NodeID(*id),
 		Addrs: addrs,
 		Base:  base,
 		Seed:  *seed,
@@ -91,7 +92,7 @@ func main() {
 	}
 	defer node.Close()
 	fmt.Printf("node %d listening on %s (n=%d f=%d smr=%v)\n", *id, node.Addr(), base.N, base.F, *smr)
-	runWorkloadAndReport([]*lumiere.ClusterNode{node}, *smr, *rate, *duration)
+	runWorkloadAndReport([]*nettcp.Node{node}, *smr, *rate, *duration)
 }
 
 // runTable runs the wall-clock experiment table: one loopback cluster
@@ -114,7 +115,7 @@ func runTable(fsSpec string, delta, perRun time.Duration, seed int64, csv bool) 
 	if delta == 200*time.Millisecond {
 		delta = 50 * time.Millisecond
 	}
-	tbl, err := lumiere.ClusterTable(fs, delta, perRun, seed)
+	tbl, err := harness.ClusterTable(fs, delta, perRun, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -128,11 +129,11 @@ func runTable(fsSpec string, delta, perRun time.Duration, seed int64, csv bool) 
 
 // runWorkloadAndReport injects -rate commands per second for the run's
 // duration (SMR only) and prints every node's status every two seconds.
-func runWorkloadAndReport(nodes []*lumiere.ClusterNode, smr bool, rate int, duration time.Duration) {
+func runWorkloadAndReport(nodes []*nettcp.Node, smr bool, rate int, duration time.Duration) {
 	var accepted chan int // nil: no injector
 	if smr && rate > 0 {
 		accepted = make(chan int, 1)
-		go func() { accepted <- lumiere.InjectCommands(nodes, rate, duration) }()
+		go func() { accepted <- harness.InjectCommands(nodes, rate, duration) }()
 	}
 	report := time.NewTicker(2 * time.Second)
 	defer report.Stop()

@@ -15,7 +15,8 @@ import (
 	"os"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/types"
 	"lumiere/internal/viz"
@@ -41,19 +42,19 @@ func main() {
 	)
 	flag.Parse()
 
-	var corruptions []lumiere.Corruption
+	var corruptions []adversary.Corruption
 	next := 0
 	for i := 0; i < *crash; i++ {
-		corruptions = append(corruptions, lumiere.Corruption{Node: lumiere.NodeID(next), Behavior: lumiere.BehaviorCrash})
+		corruptions = append(corruptions, adversary.Corruption{Node: types.NodeID(next), Behavior: adversary.BehaviorCrash})
 		next++
 	}
 	for i := 0; i < *nonProp; i++ {
-		corruptions = append(corruptions, lumiere.Corruption{Node: lumiere.NodeID(next), Behavior: lumiere.BehaviorNonProposing})
+		corruptions = append(corruptions, adversary.Corruption{Node: types.NodeID(next), Behavior: adversary.BehaviorNonProposing})
 		next++
 	}
 
-	s := lumiere.Scenario{
-		Protocol:        lumiere.Protocol(*protocol),
+	s := harness.Scenario{
+		Protocol:        harness.Protocol(*protocol),
 		F:               *f,
 		Delta:           *delta,
 		DeltaActual:     *deltaActual,
@@ -73,7 +74,11 @@ func main() {
 		s.TraceLimit = 500_000
 	}
 
-	res := lumiere.Run(s)
+	if err := s.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "lumiere-sim:", err)
+		os.Exit(2)
+	}
+	res := harness.Run(s)
 
 	fmt.Printf("protocol:        %s (n=%d, f=%d, fa=%d)\n", *protocol, res.Cfg.N, res.Cfg.F, len(corruptions))
 	fmt.Printf("Δ=%v  δ=%v  Γ=%v  GST=%v  duration=%v  seed=%d\n",

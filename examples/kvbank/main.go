@@ -9,7 +9,8 @@ import (
 	"os"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/network"
 	"lumiere/internal/statemachine"
@@ -18,16 +19,17 @@ import (
 const (
 	accounts  = 10
 	seedMoney = 1_000
+	delta     = 100 * time.Millisecond // Δ, the known delay bound
 )
 
 func main() {
 	const f = 2 // n = 7, and we crash f of them
-	res := lumiere.Run(lumiere.Scenario{
-		Protocol:        lumiere.ProtoLumiere,
+	res := harness.Run(harness.Scenario{
+		Protocol:        harness.ProtoLumiere,
 		F:               f,
-		Delta:           lumiere.DefaultDelta,
+		Delta:           delta,
 		Delay:           network.Uniform{Min: time.Millisecond, Max: 40 * time.Millisecond},
-		Corruptions:     lumiere.CrashFirst(f),
+		Corruptions:     adversary.CrashFirst(f),
 		Duration:        60 * time.Second,
 		Seed:            11,
 		SMR:             true,

@@ -7,16 +7,17 @@ import (
 	"fmt"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/harness"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/statemachine"
 )
 
 func main() {
-	res := lumiere.Run(lumiere.Scenario{
-		Protocol:     lumiere.ProtoLumiere,
+	const delta = 100 * time.Millisecond
+	res := harness.Run(harness.Scenario{
+		Protocol:     harness.ProtoLumiere,
 		F:            1,                    // n = 3f+1 = 4 replicas
-		Delta:        lumiere.DefaultDelta, // Δ = 100ms (known bound)
+		Delta:        delta,                // Δ = 100ms (known bound)
 		DeltaActual:  5 * time.Millisecond, // δ: the network is actually fast
 		Duration:     20 * time.Second,     // virtual time — runs in ~ms of real time
 		SMR:          true,                 // chained HotStuff + KV store

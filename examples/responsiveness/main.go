@@ -9,19 +9,22 @@ import (
 	"fmt"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
 	"lumiere/internal/types"
 )
 
 func main() {
-	const f = 3 // n = 10
-	delta := lumiere.DefaultDelta
+	const (
+		f     = 3                      // n = 10
+		delta = 100 * time.Millisecond // Δ, the known delay bound
+	)
 
 	fmt.Printf("Part 1 — latency tracks δ (f_a = 0, Δ = %v fixed):\n\n", delta)
 	fmt.Printf("%12s %16s %16s\n", "actual δ", "mean gap", "gap/δ")
 	for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond} {
-		res := lumiere.Run(lumiere.Scenario{
-			Protocol:    lumiere.ProtoLumiere,
+		res := harness.Run(harness.Scenario{
+			Protocol:    harness.ProtoLumiere,
 			F:           f,
 			Delta:       delta,
 			DeltaActual: d,
@@ -37,12 +40,12 @@ func main() {
 	fmt.Printf("\nPart 2 — smooth degradation in f_a (δ = %v):\n\n", delta/20)
 	fmt.Printf("%6s %12s %14s %16s\n", "f_a", "decisions", "mean gap", "max stall")
 	for fa := 0; fa <= f; fa++ {
-		res := lumiere.Run(lumiere.Scenario{
-			Protocol:    lumiere.ProtoLumiere,
+		res := harness.Run(harness.Scenario{
+			Protocol:    harness.ProtoLumiere,
 			F:           f,
 			Delta:       delta,
 			DeltaActual: delta / 20,
-			Corruptions: lumiere.NonProposingSet(nodesUpTo(fa)...),
+			Corruptions: adversary.NonProposingSet(nodesUpTo(fa)...),
 			Duration:    120 * time.Second,
 			Seed:        3,
 		})
@@ -54,10 +57,10 @@ func main() {
 	fmt.Println("honest views still complete at network speed in between.")
 }
 
-func nodesUpTo(k int) []lumiere.NodeID {
-	out := make([]lumiere.NodeID, k)
+func nodesUpTo(k int) []types.NodeID {
+	out := make([]types.NodeID, k)
 	for i := range out {
-		out[i] = lumiere.NodeID(i)
+		out[i] = types.NodeID(i)
 	}
 	return out
 }

@@ -9,24 +9,27 @@ import (
 	"fmt"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
 	"lumiere/internal/types"
 )
 
 func main() {
-	const f = 3 // n = 10
-	delta := lumiere.DefaultDelta
+	const (
+		f     = 3                      // n = 10
+		delta = 100 * time.Millisecond // Δ, the known delay bound
+	)
 
 	fmt.Printf("n=%d, f=%d, one crashed processor, Δ=%v, δ=%v, 120s virtual\n\n", 3*f+1, f, delta, delta/20)
 	fmt.Printf("%-14s %10s %12s %12s %12s %8s\n", "protocol", "decisions", "mean msgs", "max msgs", "max stall", "heavyΘn²")
 
-	for _, p := range lumiere.AllProtocols {
-		res := lumiere.Run(lumiere.Scenario{
+	for _, p := range harness.AllProtocols {
+		res := harness.Run(harness.Scenario{
 			Protocol:    p,
 			F:           f,
 			Delta:       delta,
 			DeltaActual: delta / 20,
-			Corruptions: lumiere.CrashFirst(1),
+			Corruptions: adversary.CrashFirst(1),
 			Duration:    120 * time.Second,
 			Seed:        7,
 		})

@@ -21,7 +21,8 @@ import (
 // fast clock's view timers expire early, a slow clock's late, which is
 // exactly the failure mode the model's Γ slack has to absorb. The
 // harness derives its in-model drift tolerance from that slack
-// (Scenario.Validate); DriftToleranceTable shows what breaks beyond it.
+// (Scenario.Validate); its drift tolerance table (DriftSweep) shows what
+// breaks beyond it.
 //
 // Drift implements TimerRuntime over a TimerRuntime base, so Clock's
 // allocation-free alarm path survives the wrapping: Clock.SetAlarm

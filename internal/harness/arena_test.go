@@ -36,7 +36,7 @@ func TestArenaReuseDeterminism(t *testing.T) {
 			return ChaosTable(1, seed, opts).Render()
 		},
 		"attack": func(opts SweepOptions) string {
-			return AttackTable(1, seed, opts).Render()
+			return AttackSweep(1, seed, opts).Table().Render()
 		},
 	}
 	for name, fn := range render {

@@ -14,7 +14,7 @@ import (
 // This file implements the adaptive-attack arm of the harness: the glue
 // between Scenario.Attack and the adversary.Strategy subsystem (node
 // selection, protocol-legal spam construction, epoch accounting), and
-// the AttackTable experiment — every protocol run under every attack
+// the attack table experiment — every protocol run under every attack
 // strategy, reporting post-GST view-synchronization latency and honest
 // communication in words. See DESIGN.md §1c for the attack model and
 // EXPERIMENTS.md ("Attack corpus") for the reference table.
@@ -139,7 +139,7 @@ func epochViewSpam(suite crypto.Suite, epochLen types.View) func(types.NodeID, t
 }
 
 // ---------------------------------------------------------------------------
-// The AttackTable experiment
+// The attack table experiment
 // ---------------------------------------------------------------------------
 
 // AttackSpecs lists the attack table's strategies in column order, with
@@ -155,7 +155,7 @@ func AttackSpecs() []adversary.AttackSpec {
 }
 
 // AttackDelta is the Δ every attack-table cell runs with; the table
-// renderer and BenchmarkAttackTable report latencies in this unit.
+// renderer reports latencies in this unit.
 const AttackDelta = 50 * time.Millisecond
 
 // attackScenario builds one cell of the attack table: GST = 2s so the
@@ -262,14 +262,6 @@ func measureAttack(res *Result) AttackCell {
 	return cell
 }
 
-// AttackIn runs one attack strategy (by index into AttackSpecs) for one
-// protocol and size inside an execution arena (see ChaosIn): repeated
-// cells amortize their setup through the arena. A nil arena runs
-// standalone.
-func AttackIn(a *Arena, p Protocol, f, si int, seed int64) AttackCell {
-	return measureAttack(RunIn(a, attackScenario(p, f, AttackSpecs()[si], seed)))
-}
-
 // AttackSweep runs every protocol under every attack strategy (the
 // AllProtocols × AttackSpecs matrix) on the sweep engine. Cell seeds
 // derive from (seed, cell index), so the report is byte-identical at
@@ -283,13 +275,6 @@ func AttackSweep(f int, seed int64, opts SweepOptions) *AttackReport {
 		rep.Cells = append(rep.Cells, measureAttack(g.Cells[i].Result))
 	}
 	return rep
-}
-
-// AttackTable renders the attack comparison: every protocol's post-GST
-// view-synchronization latency and words under the four adaptive
-// strategies.
-func AttackTable(f int, seed int64, opts SweepOptions) *Table {
-	return AttackSweep(f, seed, opts).Table()
 }
 
 // ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import (
 // seed derives from (seed, index) alone.
 func TestAttackTableDeterminism(t *testing.T) {
 	t.Parallel()
-	serial := AttackTable(1, 42, SweepOptions{Workers: 1}).Render()
-	pooled := AttackTable(1, 42, SweepOptions{Workers: 5}).Render()
+	serial := AttackSweep(1, 42, SweepOptions{Workers: 1}).Table().Render()
+	pooled := AttackSweep(1, 42, SweepOptions{Workers: 5}).Table().Render()
 	if serial != pooled {
 		t.Fatalf("attack table differs across worker counts:\n%s\n--- vs ---\n%s", serial, pooled)
 	}

@@ -1,18 +1,20 @@
-package lumiere_test
+package harness_test
 
 import (
 	"fmt"
 	"time"
 
-	"lumiere"
+	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
+	"lumiere/internal/types"
 )
 
 // ExampleRun shows the minimal simulated execution: four replicas running
 // Lumiere over the partial synchrony model. Seeded runs are
 // deterministic, so the output is exact.
 func ExampleRun() {
-	res := lumiere.Run(lumiere.Scenario{
-		Protocol: lumiere.ProtoLumiere,
+	res := harness.Run(harness.Scenario{
+		Protocol: harness.ProtoLumiere,
 		F:        1, // n = 3f+1 = 4
 		Delta:    100 * time.Millisecond,
 		Duration: 10 * time.Second,
@@ -28,11 +30,11 @@ func ExampleRun() {
 // ExampleRun_faults shows a run with the maximum number of crashed
 // replicas: the protocol stays live with f faults.
 func ExampleRun_faults() {
-	res := lumiere.Run(lumiere.Scenario{
-		Protocol:    lumiere.ProtoLumiere,
+	res := harness.Run(harness.Scenario{
+		Protocol:    harness.ProtoLumiere,
 		F:           1,
 		Delta:       100 * time.Millisecond,
-		Corruptions: lumiere.CrashFirst(1),
+		Corruptions: adversary.CrashFirst(1),
 		Duration:    20 * time.Second,
 		Seed:        1,
 	})
@@ -45,12 +47,12 @@ func ExampleRun_faults() {
 // GST: an island of f+1 processors is cut off, the §2 clamp floods the
 // withheld traffic back at GST+Δ, and the protocol must resynchronize.
 func ExampleRun_chaos() {
-	res := lumiere.Run(lumiere.Scenario{
-		Protocol:   lumiere.ProtoLumiere,
+	res := harness.Run(harness.Scenario{
+		Protocol:   harness.ProtoLumiere,
 		F:          1,
 		Delta:      100 * time.Millisecond,
 		GST:        2 * time.Second,
-		Partitions: [][]lumiere.NodeID{{0, 1}}, // island until GST
+		Partitions: [][]types.NodeID{{0, 1}}, // island until GST
 		Duration:   20 * time.Second,
 		Seed:       1,
 	})
@@ -60,14 +62,14 @@ func ExampleRun_chaos() {
 	// synced after heal: true
 }
 
-// ExampleRunChaosSweep runs the chaos conformance sweep: generated
+// ExampleChaosSweep runs the chaos conformance sweep: generated
 // scenarios with guaranteed link conditions (partitions, loss,
 // duplication, reorder jitter, crash-recovery churn, omission budgets),
 // cycled across every protocol and checked against the §2 obligations.
 // The report depends only on (count, seed), so the output is exact at
 // any worker count.
-func ExampleRunChaosSweep() {
-	rep := lumiere.RunChaosSweep(6, 7, lumiere.SweepOptions{})
+func ExampleChaosSweep() {
+	rep := harness.ChaosSweep(6, 7, harness.SweepOptions{})
 	fmt.Println("cells:", len(rep.Cells))
 	fmt.Println("conformant:", rep.Conformant())
 	// Output:
@@ -75,14 +77,14 @@ func ExampleRunChaosSweep() {
 	// conformant: true
 }
 
-// ExampleRunAttackSweep runs every protocol under every adaptive attack
+// ExampleAttackSweep runs every protocol under every adaptive attack
 // strategy — vote-then-silence desync, next-leader omission, GST
 // straddling, protocol-legal sync spam — and checks that all of them
 // stay live: the strategies are model-legal, so a stalled cell would be
 // a protocol failure. The report depends only on (f, seed), so the
 // output is exact at any worker count.
-func ExampleRunAttackSweep() {
-	rep := lumiere.RunAttackSweep(1, 42, lumiere.SweepOptions{})
+func ExampleAttackSweep() {
+	rep := harness.AttackSweep(1, 42, harness.SweepOptions{})
 	fmt.Println("cells:", len(rep.Cells))
 	fmt.Println("all decided after GST:", rep.AllDecided())
 	// Output:
@@ -95,8 +97,8 @@ func ExampleRunAttackSweep() {
 // signature, certificate, hash or bounded integer), queryable as run
 // totals, post-GST windows (the paper's W_T), and per-epoch series.
 func Example_wordComplexity() {
-	res := lumiere.Run(lumiere.Scenario{
-		Protocol: lumiere.ProtoLumiere,
+	res := harness.Run(harness.Scenario{
+		Protocol: harness.ProtoLumiere,
 		F:        1,
 		Delta:    100 * time.Millisecond,
 		Duration: 10 * time.Second,
@@ -122,8 +124,8 @@ func Example_wordComplexity() {
 // processor without a strategy, so both runs charge the same honest
 // set.
 func ExampleRun_attack() {
-	base := lumiere.Scenario{
-		Protocol:    lumiere.ProtoLumiere,
+	base := harness.Scenario{
+		Protocol:    harness.ProtoLumiere,
 		F:           1,
 		Delta:       50 * time.Millisecond,
 		DeltaActual: 5 * time.Millisecond,
@@ -131,10 +133,10 @@ func ExampleRun_attack() {
 		Seed:        1,
 	}
 	quiet := base
-	quiet.Corruptions = []lumiere.Corruption{{Node: 3, Behavior: lumiere.BehaviorStrategic}}
+	quiet.Corruptions = []adversary.Corruption{{Node: 3, Behavior: adversary.BehaviorStrategic}}
 	attacked := base
-	attacked.Attack = lumiere.AttackSpec{Name: lumiere.AttackSaturate}
-	q, a := lumiere.Run(quiet), lumiere.Run(attacked)
+	attacked.Attack = adversary.AttackSpec{Name: adversary.AttackSaturate}
+	q, a := harness.Run(quiet), harness.Run(attacked)
 	perDec := a.Collector.Stats(a.GST, 2).MeanWords
 	n := a.Cfg.N
 	fmt.Println("still live:", a.DecisionCount() > 0)
@@ -149,8 +151,8 @@ func ExampleRun_attack() {
 // ExampleRun_smr runs full chained-HotStuff state machine replication
 // under the Lumiere pacemaker.
 func ExampleRun_smr() {
-	res := lumiere.Run(lumiere.Scenario{
-		Protocol:     lumiere.ProtoLumiere,
+	res := harness.Run(harness.Scenario{
+		Protocol:     harness.ProtoLumiere,
 		F:            1,
 		Delta:        100 * time.Millisecond,
 		DeltaActual:  5 * time.Millisecond,

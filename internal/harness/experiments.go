@@ -40,7 +40,7 @@ type worstStrategy struct {
 }
 
 // worstStrategies lists the implemented adversary strategies, in the
-// order WorstCase documents them.
+// order worstCase documents them.
 var worstStrategies = []worstStrategy{
 	{"crash", worstCaseCrashScenario, measureWorstCase},
 	{"desync", desyncScenario, measureWorstCase},
@@ -48,7 +48,7 @@ var worstStrategies = []worstStrategy{
 	{"crash-steady", steadyScenario(true), measureSteady},
 }
 
-// WorstCase measures §2's worst-case communication W_{GST+Δ} and latency
+// worstCase measures §2's worst-case communication W_{GST+Δ} and latency
 // t*_GST − GST as the maximum over the implemented adversary strategies:
 //
 //   - "crash": f processors crash from the start, joins are staggered,
@@ -71,7 +71,7 @@ var worstStrategies = []worstStrategy{
 // The strategies are independent executions, so they run as a small
 // sweep; all use the same seed (the strategy, not the randomness, is the
 // variable).
-func WorstCase(p Protocol, f int, seed int64, opts SweepOptions) WorstCaseResult {
+func worstCase(p Protocol, f int, seed int64, opts SweepOptions) WorstCaseResult {
 	scenarios := make([]Scenario, len(worstStrategies))
 	for i, st := range worstStrategies {
 		scenarios[i] = st.scenario(p, f, seed)
@@ -342,9 +342,9 @@ func measureEventual(res *Result) EventualResult {
 	}
 }
 
-// Eventual runs the steady-state scenario for one protocol and size and
+// eventual runs the steady-state scenario for one protocol and size and
 // measures the per-decision-window maxima.
-func Eventual(p Protocol, f, fa int, seed int64) EventualResult {
+func eventual(p Protocol, f, fa int, seed int64) EventualResult {
 	return measureEventual(Run(eventualScenario(p, f, fa, seed)))
 }
 
@@ -420,19 +420,14 @@ type Figure1Result struct {
 	Gamma       time.Duration
 	MaxStall    time.Duration
 	StallGammas float64
-	Timeline    string
 	Decisions   int
 }
 
 // figure1Scenario builds the Figure 1 scenario for one protocol and size:
 // a fast network (δ = Δ/20) with a single non-proposing Byzantine
 // processor.
-func figure1Scenario(p Protocol, f int, seed int64, withTrace bool) Scenario {
+func figure1Scenario(p Protocol, f int, seed int64) Scenario {
 	delta := 50 * time.Millisecond
-	traceLimit := 0
-	if withTrace {
-		traceLimit = 200_000
-	}
 	return Scenario{
 		Name:        fmt.Sprintf("figure1-%s-f%d", p, f),
 		Protocol:    p,
@@ -442,7 +437,6 @@ func figure1Scenario(p Protocol, f int, seed int64, withTrace bool) Scenario {
 		Corruptions: adversary.NonProposingSet(types.NodeID(3*f - 1)),
 		Duration:    240 * time.Second,
 		Seed:        seed,
-		TraceLimit:  traceLimit,
 	}
 }
 
@@ -453,23 +447,18 @@ func figure1Scenario(p Protocol, f int, seed int64, withTrace bool) Scenario {
 // boundary), independent of n.
 func measureFigure1(res *Result) Figure1Result {
 	stats := res.Collector.Stats(types.Time(0).Add(30*time.Second), 2)
-	var timeline string
-	if res.Tracer != nil {
-		timeline = res.Tracer.Render()
-	}
 	return Figure1Result{
 		Protocol:    res.Scenario.Protocol,
 		Gamma:       res.Gamma,
 		MaxStall:    stats.MaxGap,
 		StallGammas: float64(stats.MaxGap) / float64(res.Gamma),
-		Timeline:    timeline,
 		Decisions:   stats.Count,
 	}
 }
 
-// Figure1 runs the Figure 1 scenario for one protocol and size.
-func Figure1(p Protocol, f int, seed int64, withTrace bool) Figure1Result {
-	return measureFigure1(Run(figure1Scenario(p, f, seed, withTrace)))
+// figure1 runs the Figure 1 scenario for one protocol and size.
+func figure1(p Protocol, f int, seed int64) Figure1Result {
+	return measureFigure1(Run(figure1Scenario(p, f, seed)))
 }
 
 // figure1Protocols is the Figure 1 comparison set, in presentation order.
@@ -479,7 +468,7 @@ var figure1Protocols = []Protocol{ProtoLP22, ProtoNK20, ProtoFever, ProtoBasic, 
 // caused by one Byzantine processor, in units of each protocol's Γ.
 func Figure1Table(fs []int, seed int64, opts SweepOptions) *Table {
 	g := sweepGrid(gridShape{rows: len(figure1Protocols), cols: len(fs)}, seed, opts,
-		func(row, col, _ int) Scenario { return figure1Scenario(figure1Protocols[row], fs[col], 0, false) })
+		func(row, col, _ int) Scenario { return figure1Scenario(figure1Protocols[row], fs[col], 0) })
 	t := gridTable("Figure 1: max stall caused by a single Byzantine leader after fast QCs (in units of Γ)",
 		"protocol", figure1Protocols, axisLabels(fs, nLabel), func(row, col int) string {
 			r := measureFigure1(g.result(row, col))
@@ -518,22 +507,6 @@ func measureResponsiveness(res *Result) ResponsivenessPoint {
 		MeanGap:     stats.MeanGap,
 		MaxGap:      stats.MaxGap,
 	}
-}
-
-// SmoothResponsiveness sweeps the actual network delay δ at f_a = 0 and
-// reports the steady-state decision gap: an optimistically responsive
-// protocol tracks O(δ), a non-responsive one is pinned at Ω(Γ).
-func SmoothResponsiveness(p Protocol, f int, deltas []time.Duration, seed int64) []ResponsivenessPoint {
-	scenarios := make([]Scenario, len(deltas))
-	for i, d := range deltas {
-		scenarios[i] = responsivenessScenario(p, f, d, seed)
-	}
-	results := Sweep(scenarios, SweepOptions{KeepSeeds: true}).Results()
-	out := make([]ResponsivenessPoint, len(results))
-	for i, res := range results {
-		out[i] = measureResponsiveness(res)
-	}
-	return out
 }
 
 // ResponsivenessTable renders the δ-sweep for every protocol.
@@ -579,12 +552,6 @@ func measureHeavySync(res *Result) (heavy int, epochsElapsed float64) {
 		views = float64(decs[len(decs)-1].View)
 	}
 	return heavy, views / float64(accountingEpochLen(s, res.Cfg))
-}
-
-// HeavySyncCount runs the heavy-synchronization experiment for one
-// protocol and fault mix.
-func HeavySyncCount(p Protocol, f, fa int, dur time.Duration, seed int64) (heavy int, epochsElapsed float64) {
-	return measureHeavySync(Run(heavySyncScenario(p, f, fa, dur, seed)))
 }
 
 // heavySyncProtocols is the heavy-sync comparison set.
@@ -702,19 +669,9 @@ func measureChaos(res *Result) ChaosResult {
 	return out
 }
 
-// ChaosIn runs one chaos condition (by index into chaosConditions) for
-// one protocol and size inside an execution arena: callers measuring many
-// cells back to back (BenchmarkChaosTable) amortize the per-cell setup
-// by threading one arena through. A nil arena runs standalone.
-func ChaosIn(a *Arena, p Protocol, f, ci int, seed int64) ChaosResult {
-	r := measureChaos(RunIn(a, chaosScenario(p, f, ci, seed)))
-	r.Condition = chaosConditions[ci].name
-	return r
-}
-
-// ChaosConditionNames lists the chaos table's conditions in column
+// chaosConditionNames lists the chaos table's conditions in column
 // order.
-func ChaosConditionNames() []string {
+func chaosConditionNames() []string {
 	return axisLabels(chaosConditions, func(c chaosCondition) string { return c.name })
 }
 
@@ -726,7 +683,7 @@ func ChaosTable(f int, seed int64, opts SweepOptions) *Table {
 	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(chaosConditions)}, seed, opts,
 		func(row, col, _ int) Scenario { return chaosScenario(AllProtocols[row], f, col, 0) })
 	t := gridTable(fmt.Sprintf("Chaos: view-synchronization latency after GST (in Δ), n=%d, GST=2s", 3*f+1),
-		"protocol", AllProtocols, ChaosConditionNames(), func(row, col int) string {
+		"protocol", AllProtocols, chaosConditionNames(), func(row, col int) string {
 			r := measureChaos(g.result(row, col))
 			return orStalled(r.Decided, "%.2fΔ", float64(r.SyncLatency)/float64(50*time.Millisecond))
 		})

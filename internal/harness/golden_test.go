@@ -84,9 +84,10 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestTablesGolden renders every table driver except ThroughputTable
-// (6 s; TestThroughputTableWorkerIndependence checks the rendering it
-// already produces) and compares against the golden file.
+// TestTablesGolden renders every table except the ThroughputTable
+// section (6 s; TestThroughputTableWorkerIndependence checks the
+// rendering it already produces) and compares against the golden file.
+// Section names are stable keys of the golden file, not function names.
 func TestTablesGolden(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
@@ -109,10 +110,12 @@ func TestTablesGolden(t *testing.T) {
 		{"EventualWordsTable", func() string { return EventualWordsTable(1, fas, goldenSeed, opts).Render() }},
 		{"WordScalingTable", func() string { return WordScalingTable(fs, 1, goldenSeed, opts).Render() }},
 		{"LargeNWordsTable", func() string { return LargeNWordsTable([]int{16}, goldenSeed, opts).Render() }},
-		{"AttackTable", func() string { return AttackTable(1, goldenSeed, opts).Render() }},
-		{"TopologyTable", func() string { return TopologyTable(1, goldenSeed, opts).Render() }},
-		{"DriftToleranceTable", func() string { return DriftToleranceTable(1, goldenSeed, opts).Render() }},
-		{"ThroughputUnderAttackTable", func() string { return ThroughputUnderAttackTable(1, goldenSeed, opts).Render() }},
+		{"AttackTable", func() string { return AttackSweep(1, goldenSeed, opts).Table().Render() }},
+		{"TopologyTable", func() string { return WANSweep(1, goldenSeed, opts).Table().Render() }},
+		{"DriftToleranceTable", func() string { return DriftSweep(1, DriftPPMAxis, goldenSeed, opts).Table().Render() }},
+		{"ThroughputUnderAttackTable", func() string {
+			return ThroughputUnderAttackSweep(1, adversary.AttackViewDesync, goldenSeed, opts).Table().Render()
+		}},
 		{"RareSync", rareSyncPins},
 	}
 	for _, tc := range tables {

@@ -57,7 +57,7 @@ type Scenario struct {
 	Name     string
 	Protocol Protocol
 
-	// F is the fault tolerance; N defaults to 3F+1.
+	// F is the fault tolerance (at least 1); N defaults to 3F+1.
 	F int
 	N int
 
@@ -120,7 +120,8 @@ type Scenario struct {
 	// error.
 	ProcDelays []time.Duration
 	// UncheckedWAN disables Validate's in-model drift and straggler
-	// bounds, for deliberate degradation studies (DriftToleranceTable).
+	// bounds, for deliberate degradation studies (the drift tolerance
+	// table).
 	// Topology latency classes are always validated against Δ.
 	UncheckedWAN bool
 
@@ -224,8 +225,9 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // Validate checks the scenario's declarative fields for combinations
-// that cannot mean what they say — an omission budget charging more than
-// f senders, a topology latency class the §2 clamp would silently
+// that cannot mean what they say — f < 1 or n < 3f+1, a protocol the
+// harness does not know, an omission budget charging more than f
+// senders, a topology latency class the §2 clamp would silently
 // distort, partition groups naming processors the scenario does not
 // have, clock drift that puts an honest Γ-long timer more than Δ off
 // true, straggler delays past Δ — and returns a descriptive error instead
@@ -239,6 +241,14 @@ func (s Scenario) Validate() error {
 
 // validate implements Validate on a defaults-applied scenario.
 func (s Scenario) validate() error {
+	if s.F < 1 || s.N < 3*s.F+1 {
+		return fmt.Errorf("n=%d, f=%d: need f ≥ 1 and n ≥ 3f+1", s.N, s.F)
+	}
+	// Γ is zero exactly for a protocol buildProtocol does not know.
+	gamma := GammaOf(s.Protocol, s.Delta)
+	if gamma == 0 {
+		return fmt.Errorf("unknown protocol %q", s.Protocol)
+	}
 	if err := checkOmissionBudget(s.OmissionBudget, s.F); err != nil {
 		return err
 	}
@@ -274,7 +284,6 @@ func (s Scenario) validate() error {
 	if len(s.DriftPPM) > s.N || len(s.DriftSkew) > s.N {
 		return fmt.Errorf("%d drift rates / %d skews for n=%d", len(s.DriftPPM), len(s.DriftSkew), s.N)
 	}
-	gamma := GammaOf(s.Protocol, s.Delta)
 	for i, ppm := range s.DriftPPM {
 		if ppm < -500_000 || ppm > 500_000 {
 			return fmt.Errorf("drift rate %d ppm for processor %d is outside clock.Drift's ±5·10⁵ hard range", ppm, i)

@@ -221,7 +221,7 @@ func TestSmoothResponsiveness(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
 	for _, p := range []Protocol{ProtoLumiere, ProtoFever} {
-		small := Eventual(p, 2, 0, 11)
+		small := eventual(p, 2, 0, 11)
 		if small.Decisions == 0 {
 			t.Fatalf("%s: no decisions", p)
 		}
@@ -239,10 +239,10 @@ func TestSmoothResponsiveness(t *testing.T) {
 func TestFigure1Shape(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	lpSmall := Figure1(ProtoLP22, 1, 9, false)
-	lpBig := Figure1(ProtoLP22, 5, 9, false)
-	lmSmall := Figure1(ProtoLumiere, 1, 9, false)
-	lmBig := Figure1(ProtoLumiere, 5, 9, false)
+	lpSmall := figure1(ProtoLP22, 1, 9)
+	lpBig := figure1(ProtoLP22, 5, 9)
+	lmSmall := figure1(ProtoLumiere, 1, 9)
+	lmBig := figure1(ProtoLumiere, 5, 9)
 	t.Logf("lp22: %0.2fΓ -> %0.2fΓ; lumiere: %0.2fΓ -> %0.2fΓ",
 		lpSmall.StallGammas, lpBig.StallGammas, lmSmall.StallGammas, lmBig.StallGammas)
 	if lpBig.StallGammas < lpSmall.StallGammas+1.5 {
@@ -375,10 +375,10 @@ func TestGapShrinkageConverges(t *testing.T) {
 func TestEventualScalingShape(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	lm4 := Eventual(ProtoLumiere, 1, 1, 21)
-	lm16 := Eventual(ProtoLumiere, 5, 1, 21)
-	lp4 := Eventual(ProtoLP22, 1, 1, 21)
-	lp16 := Eventual(ProtoLP22, 5, 1, 21)
+	lm4 := eventual(ProtoLumiere, 1, 1, 21)
+	lm16 := eventual(ProtoLumiere, 5, 1, 21)
+	lp4 := eventual(ProtoLP22, 1, 1, 21)
+	lp16 := eventual(ProtoLP22, 5, 1, 21)
 	t.Logf("lumiere: %0.0f -> %0.0f; lp22: %0.0f -> %0.0f", lm4.MaxMsgs, lm16.MaxMsgs, lp4.MaxMsgs, lp16.MaxMsgs)
 	if lm4.Decisions == 0 || lm16.Decisions == 0 || lp4.Decisions == 0 || lp16.Decisions == 0 {
 		t.Fatal("missing decisions")

@@ -12,9 +12,9 @@ import (
 // This file implements the SMR throughput experiments: open-loop client
 // populations (internal/workload) driving chained HotStuff over each
 // view-synchronization protocol, measured in committed commands per
-// second and submit→commit latency percentiles. ThroughputTable sweeps
+// second and submit→commit latency percentiles. ThroughputSweep sweeps
 // protocols × offered load × batch size in steady state;
-// ThroughputUnderAttackTable pits a fixed load against the view-desync
+// ThroughputUnderAttackSweep pits a fixed load against the view-desync
 // strategy and reports what the attack does to p99 commit latency.
 
 // ThroughputLoads is the offered-load axis (commands per second) of the
@@ -183,11 +183,6 @@ func shortDur(d time.Duration) string {
 	}
 }
 
-// ThroughputTable regenerates the throughput comparison.
-func ThroughputTable(f int, seed int64, opts SweepOptions) *Table {
-	return ThroughputSweep(f, seed, opts).Table()
-}
-
 // ---------------------------------------------------------------------------
 // Throughput under attack
 // ---------------------------------------------------------------------------
@@ -286,10 +281,4 @@ func (r *ThroughputUnderAttackReport) Table() *Table {
 	}
 	t.AddNote("GST=2s; the attack poisons the pre-GST window, stats start at GST+%s", throughputWarmup)
 	return t
-}
-
-// ThroughputUnderAttackTable regenerates the under-attack comparison
-// with the view-desync strategy.
-func ThroughputUnderAttackTable(f int, seed int64, opts SweepOptions) *Table {
-	return ThroughputUnderAttackSweep(f, adversary.AttackViewDesync, seed, opts).Table()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/adversary"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/workload"
@@ -76,7 +77,7 @@ func TestThroughputTableWorkerIndependence(t *testing.T) {
 	const seed = goldenSeed
 	var want string
 	for _, w := range []int{1, 4} {
-		got := ThroughputTable(1, seed, SweepOptions{Workers: w}).Render()
+		got := ThroughputSweep(1, seed, SweepOptions{Workers: w}).Table().Render()
 		if want == "" {
 			want = got
 			continue
@@ -100,7 +101,7 @@ func TestThroughputAttackTableWorkerIndependence(t *testing.T) {
 	const seed = 42
 	var want string
 	for _, w := range []int{1, 3} {
-		got := ThroughputUnderAttackTable(1, seed, SweepOptions{Workers: w}).Render()
+		got := ThroughputUnderAttackSweep(1, adversary.AttackViewDesync, seed, SweepOptions{Workers: w}).Table().Render()
 		if want == "" {
 			want = got
 			continue

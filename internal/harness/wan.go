@@ -13,12 +13,12 @@ import (
 // topology presets (regional latency matrices with jitter, straggler
 // regions, hub-and-spoke shapes) realized through network.Topology, the
 // per-node clock-drift tolerance study over clock.Drift, and the two
-// tables that report them — TopologyTable (view-sync latency, W_GST
-// words and p99 SMR commit latency per preset, Lumiere vs LP22) and
-// DriftToleranceTable (where the Lemma 5.1–5.3 guarantees hold as
-// hardware clocks drift, and where they break). See DESIGN.md §1e for
-// the deployment model and EXPERIMENTS.md ("WAN degradation") for the
-// reference tables.
+// tables that report them — WANSweep's (view-sync latency, W_GST words
+// and p99 SMR commit latency per preset, Lumiere vs LP22) and
+// DriftSweep's over DriftPPMAxis (where the Lemma 5.1–5.3 guarantees
+// hold as hardware clocks drift, and where they break). See DESIGN.md
+// §1e for the deployment model and EXPERIMENTS.md ("WAN degradation")
+// for the reference tables.
 
 // WANPresets lists the topology presets of the WAN tables, in row
 // order. Each is a deployment shape PresetTopology materializes for any
@@ -179,13 +179,6 @@ type WANCell struct {
 	P99       time.Duration
 }
 
-// WANSyncIn runs the view-synchronization half of one WAN cell inside
-// an arena (benchmark entry point; SMR fields stay zero): the preset
-// topology as the delay model with pre-GST chaos riding on it.
-func WANSyncIn(a *Arena, preset string, p Protocol, f int, seed int64) WANCell {
-	return measureWANSync(preset, RunIn(a, wanSyncScenario(preset, p, f, seed)))
-}
-
 // measureWANSync extracts the view-synchronization half of a WAN cell
 // from a finished sync run.
 func measureWANSync(preset string, res *Result) WANCell {
@@ -262,17 +255,12 @@ func (r *WANReport) Table() *Table {
 	return t
 }
 
-// TopologyTable regenerates the WAN degradation comparison.
-func TopologyTable(f int, seed int64, opts SweepOptions) *Table {
-	return WANSweep(f, seed, opts).Table()
-}
-
 // ---------------------------------------------------------------------------
 // Clock-drift tolerance
 // ---------------------------------------------------------------------------
 
-// DriftPPMAxis is the rate-drift axis of DriftToleranceTable, in parts
-// per million, spanning realistic crystals (≤100ppm), the in-model
+// DriftPPMAxis is the rate-drift axis of the drift tolerance table, in
+// parts per million, spanning realistic crystals (≤100ppm), the in-model
 // tolerance boundary (|ppm|·Γ ≤ Δ·10⁶: 100k ppm for Lumiere's Γ=10Δ,
 // 250k for LP22's Γ=4Δ), and far beyond it — half-speed/1.5×-speed
 // clocks at clock.Drift's hard range.
@@ -399,10 +387,4 @@ func (r *DriftReport) Table() *Table {
 	t.AddNote("nodes alternate ±ppm (pairwise rate spread 2·ppm), skews fanned over [−Δ/2, Δ/2]")
 	t.AddNote("* = past the in-model tolerance |ppm|·Γ ≤ Δ·10⁶ (run under UncheckedWAN); N✗ = N broken conformance obligations")
 	return t
-}
-
-// DriftToleranceTable regenerates the drift-tolerance comparison over
-// DriftPPMAxis.
-func DriftToleranceTable(f int, seed int64, opts SweepOptions) *Table {
-	return DriftSweep(f, DriftPPMAxis, seed, opts).Table()
 }

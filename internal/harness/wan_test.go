@@ -58,8 +58,8 @@ func TestTopologyTableDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full WAN sweeps")
 	}
-	a := TopologyTable(1, 424242, SweepOptions{Workers: 1}).Render()
-	b := TopologyTable(1, 424242, SweepOptions{Workers: 4}).Render()
+	a := WANSweep(1, 424242, SweepOptions{Workers: 1}).Table().Render()
+	b := WANSweep(1, 424242, SweepOptions{Workers: 4}).Table().Render()
 	if a != b {
 		t.Fatalf("WAN table differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", a, b)
 	}
@@ -169,6 +169,9 @@ func TestScenarioValidateWAN(t *testing.T) {
 			s.Topology = &network.Topology{Regions: []int{4}, ProcDelays: []time.Duration{time.Millisecond}}
 			s.ProcDelays = []time.Duration{time.Millisecond}
 		}, "both ProcDelays and Topology.ProcDelays"},
+		{"zero f", func(s *Scenario) { s.F = 0 }, "need f ≥ 1"},
+		{"n below 3f+1", func(s *Scenario) { s.N = 3 }, "n=3, f=1"},
+		{"unknown protocol", func(s *Scenario) { s.Protocol = "foo" }, `unknown protocol "foo"`},
 	}
 	for _, c := range cases {
 		if c.want == "" {

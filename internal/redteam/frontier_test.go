@@ -124,8 +124,8 @@ func TestFrontierSearchDeterminism(t *testing.T) {
 			Seed:       23,
 			Workers:    workers,
 			Objectives: objectives,
-			Space:      SmokeSpace(1),
-			SMRSpace:   SmokeSpace(1),
+			Space:      smokeSpace(1),
+			SMRSpace:   smokeSpace(1),
 			Evolve:     EvolveOptions{Generations: 2, Population: 6},
 		}).JSON()
 	}

@@ -66,7 +66,7 @@ func TestMinimizeMonotone(t *testing.T) {
 // byte-identical candidates — the evaluator's values are pure functions
 // of the candidate, so worker count cannot leak into the shrink path.
 func TestMinimizeDeterministicAcrossWorkers(t *testing.T) {
-	sp := SmokeSpace(1)
+	sp := smokeSpace(1)
 	minimize := func(workers int) (Candidate, float64) {
 		e := NewEvaluator(harness.ProtoLumiere, sp.F, ObjSyncLatency, 5)
 		evals := e.EvalAll(sp.Candidates(), workers)

@@ -78,7 +78,7 @@ func TestLegalizeIdempotent(t *testing.T) {
 // must produce its objective event (the candidates are all model-legal)
 // and the grid must be byte-identical at workers 1 vs 4.
 func TestRedTeamGridSmoke(t *testing.T) {
-	sp := SmokeSpace(1)
+	sp := smokeSpace(1)
 	cands := sp.Candidates()
 	objectives := []Objective{ObjSyncLatency, ObjWGSTWords}
 	if !testing.Short() {
@@ -110,7 +110,7 @@ func TestRedTeamGridSmoke(t *testing.T) {
 // same seed ⇒ identical trajectory (every evaluation, in order) at any
 // worker count.
 func TestEvolveDeterministicAcrossWorkers(t *testing.T) {
-	sp := SmokeSpace(1)
+	sp := smokeSpace(1)
 	opts := EvolveOptions{Generations: 2, Population: 6}
 	run := func(workers int) []Evaluated {
 		e := NewEvaluator(harness.ProtoLumiere, sp.F, ObjSyncLatency, 11)

@@ -306,10 +306,10 @@ func SlimSpace(f int) Space {
 	}
 }
 
-// SmokeSpace is the tiny space the CI smoke job, the determinism suite
-// and BenchmarkRedTeamGrid grid over: every strategy at one node with
-// one parameter choice, crossed with a loss coin and a WAN coin.
-func SmokeSpace(f int) Space {
+// smokeSpace is the tiny space the grid smoke test and the worker-count
+// determinism tests search: every strategy at one node with one
+// parameter choice, crossed with a loss coin and a WAN coin.
+func smokeSpace(f int) Space {
 	d := harness.AttackDelta
 	return Space{
 		F:          f,
