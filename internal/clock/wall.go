@@ -18,22 +18,17 @@ type Wall struct {
 
 var _ Runtime = (*Wall)(nil)
 
-// NewWall creates a wall-clock runtime. mu is the owning node's big lock;
-// every timer callback runs with mu held. Run message deliveries under the
-// same lock.
-func NewWall(mu *sync.Mutex) *Wall {
-	return &Wall{mu: mu, start: time.Now()}
-}
-
-// NewWallAt is NewWall with an explicit time origin: Now() reports
-// monotonic nanoseconds since start. A cluster harness gives every node
-// the same origin so their metrics timestamps (decision instants, send
-// series) live on one comparable time base.
+// NewWallAt creates a wall-clock runtime whose Now() reports monotonic
+// nanoseconds since start. mu is the owning node's big lock; every timer
+// callback runs with mu held. Run message deliveries under the same
+// lock. A cluster harness gives every node the same origin so their
+// metrics timestamps (decision instants, send series) live on one
+// comparable time base.
 func NewWallAt(mu *sync.Mutex, start time.Time) *Wall {
 	return &Wall{mu: mu, start: start}
 }
 
-// Now implements Runtime using monotonic nanoseconds since creation.
+// Now implements Runtime using monotonic nanoseconds since the origin.
 func (w *Wall) Now() types.Time { return types.Time(time.Since(w.start)) }
 
 // After implements Runtime. The callback acquires the node lock.

@@ -10,7 +10,7 @@ import (
 
 func TestWallNowMonotone(t *testing.T) {
 	var mu sync.Mutex
-	w := NewWall(&mu)
+	w := NewWallAt(&mu, time.Now())
 	a := w.Now()
 	time.Sleep(2 * time.Millisecond)
 	b := w.Now()
@@ -21,7 +21,7 @@ func TestWallNowMonotone(t *testing.T) {
 
 func TestWallAfterFiresUnderLock(t *testing.T) {
 	var mu sync.Mutex
-	w := NewWall(&mu)
+	w := NewWallAt(&mu, time.Now())
 	done := make(chan struct{})
 	locked := false
 	w.After(time.Millisecond, func() {
@@ -44,7 +44,7 @@ func TestWallAfterFiresUnderLock(t *testing.T) {
 
 func TestWallAfterCancel(t *testing.T) {
 	var mu sync.Mutex
-	w := NewWall(&mu)
+	w := NewWallAt(&mu, time.Now())
 	fired := make(chan struct{}, 1)
 	cancel := w.After(20*time.Millisecond, func() { fired <- struct{}{} })
 	cancel()
@@ -58,7 +58,7 @@ func TestWallAfterCancel(t *testing.T) {
 
 func TestWallNegativeDelayClamped(t *testing.T) {
 	var mu sync.Mutex
-	w := NewWall(&mu)
+	w := NewWallAt(&mu, time.Now())
 	done := make(chan struct{})
 	w.After(-time.Second, func() { close(done) })
 	select {
@@ -72,7 +72,7 @@ func TestWallNegativeDelayClamped(t *testing.T) {
 // pause/bump/alarm semantics hold with real-time jitter.
 func TestClockOverWall(t *testing.T) {
 	var mu sync.Mutex
-	w := NewWall(&mu)
+	w := NewWallAt(&mu, time.Now())
 	mu.Lock()
 	c := New(w, 0)
 	mu.Unlock()

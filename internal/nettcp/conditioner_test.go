@@ -1,7 +1,11 @@
 package nettcp
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,5 +204,79 @@ func TestChaosSocketPartition(t *testing.T) {
 	waitFor(t, 10*time.Second, "post-heal delivery", func() bool { return rec.count() == 1 })
 	if got := now(); got < types.Time(heal) {
 		t.Fatalf("delivered at %v, before heal %v", got, heal)
+	}
+}
+
+// stillClock is a conditioner clock that moves only when the test moves
+// it, so release times are exactly the verdict delays.
+type stillClock struct{ ns atomic.Int64 }
+
+func (c *stillClock) now() types.Time         { return types.Time(c.ns.Load()) }
+func (c *stillClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// TestConditionerReleaseOrder checks the delay line's order: with
+// jittered delays, held messages reach the peer queue in release-time
+// order, and messages with equal release times keep their send order.
+// The transport is not started, so nothing drains the queue.
+func TestConditionerReleaseOrder(t *testing.T) {
+	delays := []time.Duration{30, 10, 20, 10, 30, 20, 10, 40}
+	jitter := network.LinkFunc(func(_, _ types.NodeID, m msg.Message, _ types.Time, _ *rand.Rand) network.Verdict {
+		return network.Verdict{Delay: delays[m.View()] * time.Millisecond}
+	})
+	var clk stillClock
+	c := NewConditioner(jitter, 0, time.Second, network.OmissionBudget{}, clk.now, 1)
+	var mu sync.Mutex
+	tr := New(0, freeAddrs(t, 2), &mu, nopHandler, WithConditioner(c))
+	defer tr.Close()
+	for v := range delays {
+		tr.Send(1, &msg.ViewMsg{V: types.View(v)})
+	}
+	p := tr.peers[1]
+	// The line's timer fires at the first delay and finds nothing due
+	// until the clock moves.
+	time.Sleep(50 * time.Millisecond)
+	if len(p.queue) != 0 {
+		t.Fatal("released before the clock reached a release time")
+	}
+	clk.advance(time.Second)
+	waitFor(t, 5*time.Second, "releases", func() bool { return len(p.queue) == len(delays) })
+
+	want := make([]types.View, len(delays))
+	for i := range want {
+		want[i] = types.View(i)
+	}
+	slices.SortStableFunc(want, func(a, b types.View) int { return cmp.Compare(delays[a], delays[b]) })
+	for i, v := range want {
+		if got := (<-p.queue).View(); got != v {
+			t.Fatalf("release %d is view %d, want %d (order %v)", i, got, v, want)
+		}
+	}
+	if got := p.delayed.Load(); got != int64(len(delays)) {
+		t.Fatalf("delayed = %d, want %d", got, len(delays))
+	}
+}
+
+// TestCloseCancelsPendingReleases checks that Close cancels the delay
+// line: a message held for a second is never enqueued or delivered after
+// Close returns, and Close does not wait out the delay.
+func TestCloseCancelsPendingReleases(t *testing.T) {
+	const hold = time.Second
+	a, _, rec, _ := condPair(t, func(now func() types.Time) *Conditioner {
+		return NewConditioner(network.DelayLink{P: network.Fixed{D: hold}}, 0, 2*hold,
+			network.OmissionBudget{}, now, 1)
+	})
+	a.Send(1, &msg.ViewMsg{V: 1})
+	start := time.Now()
+	a.Close()
+	if d := time.Since(start); d > hold/2 {
+		t.Fatalf("Close took %v: it waited for the held message", d)
+	}
+	time.Sleep(time.Until(start.Add(hold + hold/4)))
+	if rec.count() != 0 {
+		t.Fatal("a held message was delivered after Close")
+	}
+	ps := a.Stats().Peers[1]
+	if ps.Delayed != 1 || ps.Enqueued != 0 {
+		t.Fatalf("delayed=%d enqueued=%d, want 1/0", ps.Delayed, ps.Enqueued)
 	}
 }

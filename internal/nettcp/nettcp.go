@@ -1,9 +1,15 @@
 // Package nettcp runs the protocol stack over real TCP connections: the
 // "practical" deployment path. The same protocol state machines that run
 // on the simulator run here unchanged — nettcp provides a
-// network.Endpoint over TCP (gob-encoded envelopes) and pairs with
-// clock.Wall, whose node mutex serializes message deliveries with timer
-// callbacks exactly as the simulator's single thread does.
+// network.Endpoint over TCP and pairs with clock.Wall, whose node mutex
+// serializes message deliveries with timer callbacks exactly as the
+// simulator's single thread does.
+//
+// The wire format is a hand-written binary frame per message (frame.go):
+// a length prefix capped at 4 MiB, a kind byte, the sender and the
+// message's fields. Decoding is strict and allocates only what the frame
+// can back; each frame is read into a fresh buffer that the decoded
+// message's byte fields alias.
 //
 // Parity with the simulated runtime (see DESIGN.md §7):
 //
@@ -25,7 +31,7 @@
 package nettcp
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -38,28 +44,6 @@ import (
 	"lumiere/internal/network"
 	"lumiere/internal/types"
 )
-
-func init() {
-	gob.Register(&msg.ViewMsg{})
-	gob.Register(&msg.VC{})
-	gob.Register(&msg.EpochViewMsg{})
-	gob.Register(&msg.EC{})
-	gob.Register(&msg.TC{})
-	gob.Register(&msg.Proposal{})
-	gob.Register(&msg.Vote{})
-	gob.Register(&msg.QC{})
-	gob.Register(&msg.Wish{})
-	gob.Register(&msg.Timeout{})
-	gob.Register(&msg.Request{})
-	gob.Register(&msg.BlockFetch{})
-	gob.Register(&msg.BlockResp{})
-}
-
-// envelope is the wire frame.
-type envelope struct {
-	From types.NodeID
-	Msg  msg.Message
-}
 
 // PeerStats counts one outbound peer link's traffic. All counters are
 // cumulative since Start.
@@ -83,12 +67,13 @@ type PeerStats struct {
 	Redials int64
 	// DialFails counts failed dial attempts.
 	DialFails int64
-	// Resends counts envelopes re-encoded on a fresh connection after a
-	// write error — each is a possible wire duplicate, since the peer
+	// Resends counts envelopes written again on a fresh connection after
+	// a write error — each is a possible wire duplicate, since the peer
 	// may have received the failed write's bytes.
 	Resends int64
 	// WriteDrops counts envelopes dropped after exhausting their write
-	// attempts (the bounded-retry budget of the write loop).
+	// attempts (the bounded-retry budget of the write loop), and
+	// envelopes whose frame would exceed the size cap.
 	WriteDrops int64
 }
 
@@ -102,15 +87,17 @@ type Stats struct {
 	SelfDelivered int64
 	// Delivered counts remote messages handed to the handler.
 	Delivered int64
-	// DecodeErrors counts inbound gob streams abandoned on a decode
-	// error (the connection is closed; the peer re-dials).
+	// DecodeErrors counts inbound connections abandoned on a frame that
+	// is malformed, truncated or over the size cap (the connection is
+	// closed; the peer re-dials).
 	DecodeErrors int64
 }
 
 // peer is one outbound link's state.
 type peer struct {
 	addr  string
-	queue chan envelope
+	queue chan msg.Message
+	line  delayLine // messages the conditioner holds back, by release time
 
 	enqueued   atomic.Int64
 	sent       atomic.Int64
@@ -173,11 +160,16 @@ type Transport struct {
 const peerQueueSize = 4096
 
 // writeAttempts bounds how many times the write loop tries to get one
-// envelope onto the wire (each attempt is one dial-if-needed + one
-// encode). Beyond it the envelope is dropped and counted — protocols
-// under partial synchrony tolerate loss windows and certificates are
-// re-derivable — instead of retrying (and possibly duplicating) forever.
+// batch onto the wire (each attempt is one dial-if-needed + one write).
+// Beyond it the batch is dropped and counted — protocols under partial
+// synchrony tolerate loss windows and certificates are re-derivable —
+// instead of retrying (and possibly duplicating) forever.
 const writeAttempts = 3
+
+// batchBytes is where the write loop stops draining the peer queue into
+// one write: a batch is every envelope queued when it starts, up to the
+// first frame that takes the buffer past this size.
+const batchBytes = 64 << 10
 
 // Option configures a Transport.
 type Option func(*Transport)
@@ -219,7 +211,7 @@ func New(self types.NodeID, addrs []string, nodeMu *sync.Mutex, handler network.
 		if types.NodeID(i) == self {
 			continue
 		}
-		p := &peer{addr: a, queue: make(chan envelope, peerQueueSize)}
+		p := &peer{addr: a, queue: make(chan msg.Message, peerQueueSize)}
 		t.peers[types.NodeID(i)] = p
 	}
 	for _, opt := range opts {
@@ -239,9 +231,9 @@ func (t *Transport) Start() error {
 	t.ln = ln
 	t.wg.Add(1)
 	go t.acceptLoop()
-	for id, p := range t.peers {
+	for _, p := range t.peers {
 		t.wg.Add(1)
-		go t.writeLoop(id, p)
+		go t.writeLoop(p)
 	}
 	return nil
 }
@@ -264,8 +256,8 @@ func (t *Transport) Close() {
 		if t.ln != nil {
 			t.ln.Close()
 		}
-		if t.cond != nil {
-			t.cond.stop()
+		for _, p := range t.peers {
+			p.line.stop()
 		}
 		t.selfMu.Lock()
 		t.closing = true
@@ -318,10 +310,10 @@ func (t *Transport) Send(to types.NodeID, m msg.Message) {
 		t.observer.OnSend(t.self, to, m, t.wallNow(), true)
 	}
 	if t.cond != nil {
-		t.cond.apply(t, p, to, envelope{From: t.self, Msg: m})
+		t.cond.apply(t, p, to, m)
 		return
 	}
-	t.enqueue(p, envelope{From: t.self, Msg: m})
+	t.enqueue(p, m)
 }
 
 // wallNow stamps observer events; without a clock it degrades to zero
@@ -333,11 +325,11 @@ func (t *Transport) wallNow() types.Time {
 	return t.now()
 }
 
-// enqueue hands an envelope to the peer's write loop, dropping (and
+// enqueue hands a message to the peer's write loop, dropping (and
 // counting) on a full queue.
-func (t *Transport) enqueue(p *peer, env envelope) {
+func (t *Transport) enqueue(p *peer, m msg.Message) {
 	select {
-	case p.queue <- env:
+	case p.queue <- m:
 		p.enqueued.Add(1)
 	case <-t.closed:
 	default:
@@ -437,42 +429,46 @@ func (t *Transport) readLoop(conn net.Conn) {
 		<-t.closed
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
+	r := bufio.NewReader(conn)
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		frame, err := readFrame(r)
+		var from types.NodeID
+		var m msg.Message
+		if err == nil {
+			from, m, err = decodeFrame(frame)
+		}
+		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				select {
 				case <-t.closed:
 				default:
-					// A corrupt gob stream poisons the decoder: count
-					// it and abandon the connection (the peer re-dials)
-					// instead of swallowing the error silently.
+					// A bad frame leaves the stream without a trustworthy
+					// boundary: count it and abandon the connection (the
+					// peer re-dials) instead of swallowing it silently.
 					t.decodeErrors.Add(1)
 				}
 			}
 			return
 		}
-		if env.Msg == nil {
-			continue
-		}
-		if t.deliver(env.From, env.Msg) {
+		if t.deliver(from, m) {
 			t.delivered.Add(1)
 		}
 	}
 }
 
-// writeLoop owns the outbound connection to one peer. Each envelope gets
-// a bounded number of write attempts (dial if needed + encode); on a
-// write error the connection is re-dialed and the envelope re-encoded —
-// counted as a resend, since the peer may have received the failed
-// write's bytes (a possible wire duplicate) — and after writeAttempts
-// failures the envelope is dropped and counted, never silently retried
-// forever.
-func (t *Transport) writeLoop(id types.NodeID, p *peer) {
+// writeLoop owns the outbound connection to one peer. It encodes every
+// envelope queued when it wakes (up to batchBytes) into one reused
+// buffer and writes the batch with one call. Each batch gets a bounded
+// number of attempts (dial if needed + write); after a write error the
+// connection is re-dialed and the whole batch written again — each
+// envelope counted as a resend, since the peer may have received the
+// failed write's bytes (a possible wire duplicate) — and after
+// writeAttempts failures the batch is dropped and counted, never
+// silently retried forever. Sent counts envelopes only once their write
+// succeeded.
+func (t *Transport) writeLoop(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
-	var enc *gob.Encoder
 	backoff := 50 * time.Millisecond
 	defer func() {
 		if conn != nil {
@@ -492,54 +488,71 @@ func (t *Transport) writeLoop(id types.NodeID, p *peer) {
 		}
 		return true
 	}
+	var buf []byte
 	for {
+		var m msg.Message
 		select {
-		case env := <-p.queue:
-			sent := false
-			encodeFailed := false
-			for attempt := 0; attempt < writeAttempts; attempt++ {
-				select {
-				case <-t.closed:
-					return
-				default:
-				}
-				if conn == nil {
-					c, err := net.DialTimeout("tcp", p.addr, time.Second)
-					if err != nil {
-						p.dialFails.Add(1)
-						if !sleep() {
-							return
-						}
-						continue
-					}
-					conn = c
-					enc = gob.NewEncoder(conn)
-					backoff = 50 * time.Millisecond
-					if attempt > 0 {
-						p.redials.Add(1)
-					}
-				}
-				if encodeFailed {
-					// Re-encoding after a failed write: the peer may
-					// have received the failed attempt's bytes, so this
-					// is a possible wire duplicate.
-					p.resends.Add(1)
-				}
-				if err := enc.Encode(&env); err != nil {
-					conn.Close()
-					conn, enc = nil, nil
-					encodeFailed = true
-					continue
-				}
-				sent = true
-				p.sent.Add(1)
-				break
-			}
-			if !sent {
-				p.writeDrops.Add(1)
-			}
+		case m = <-p.queue:
 		case <-t.closed:
 			return
+		}
+		buf = buf[:0]
+		var frames int64
+		for m != nil {
+			var err error
+			if buf, err = appendFrame(buf, t.self, m); err != nil {
+				p.writeDrops.Add(1) // over the size cap: never sent
+			} else {
+				frames++
+			}
+			m = nil
+			if len(buf) < batchBytes {
+				select {
+				case m = <-p.queue:
+				default:
+				}
+			}
+		}
+		if frames == 0 {
+			continue
+		}
+		sent, writeFailed := false, false
+		for attempt := 0; attempt < writeAttempts && !sent; attempt++ {
+			select {
+			case <-t.closed:
+				return
+			default:
+			}
+			if conn == nil {
+				c, err := net.DialTimeout("tcp", p.addr, time.Second)
+				if err != nil {
+					p.dialFails.Add(1)
+					if !sleep() {
+						return
+					}
+					continue
+				}
+				conn = c
+				backoff = 50 * time.Millisecond
+				if attempt > 0 {
+					p.redials.Add(1)
+				}
+			}
+			if writeFailed {
+				p.resends.Add(frames)
+			}
+			if _, err := conn.Write(buf); err != nil {
+				conn.Close()
+				conn = nil
+				writeFailed = true
+				continue
+			}
+			sent = true
+		}
+		if sent {
+			p.sent.Add(frames)
+		} else {
+			p.writeDrops.Add(frames)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package nettcp
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -82,8 +83,29 @@ func TestSelfSendOrdering(t *testing.T) {
 
 // TestCloseQuiescesDuringTraffic closes a transport while senders hammer
 // it from several goroutines and checks the Close contract: once Close
-// returns, no handler call is in flight and none follows.
+// returns, no handler call is in flight and none follows. It runs with
+// and without conditioners that hold every message in the delay line
+// for up to 2ms, so senders, the lines' timers and Close meet.
 func TestCloseQuiescesDuringTraffic(t *testing.T) {
+	for _, delayed := range []bool{false, true} {
+		name := "direct"
+		if delayed {
+			name = "delay-line"
+		}
+		t.Run(name, func(t *testing.T) { closeDuringTraffic(t, delayed) })
+	}
+}
+
+func closeDuringTraffic(t *testing.T, delayed bool) {
+	start := time.Now()
+	opts := func(seed int64) []Option {
+		if !delayed {
+			return nil
+		}
+		jitter := network.DelayLink{P: network.Uniform{Max: 2 * time.Millisecond}}
+		now := func() types.Time { return types.Time(time.Since(start)) }
+		return []Option{WithConditioner(NewConditioner(jitter, 0, time.Second, network.OmissionBudget{}, now, seed))}
+	}
 	addrs := freeAddrs(t, 2)
 	var muA, muB sync.Mutex
 	var closedA, after atomic.Int64
@@ -92,11 +114,11 @@ func TestCloseQuiescesDuringTraffic(t *testing.T) {
 			after.Add(1)
 		}
 	})
-	a := New(0, addrs, &muA, handlerA)
+	a := New(0, addrs, &muA, handlerA, opts(1)...)
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
-	b := New(1, addrs, &muB, &recorder{})
+	b := New(1, addrs, &muB, &recorder{}, opts(2)...)
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +150,9 @@ func TestCloseQuiescesDuringTraffic(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if n := after.Load(); n != 0 {
 		t.Fatalf("%d handler calls after Close returned", n)
+	}
+	if delayed && a.Stats().Peers[1].Delayed == 0 {
+		t.Fatal("no message went through the delay line")
 	}
 }
 
@@ -201,8 +226,11 @@ func TestQueueOverflowCounted(t *testing.T) {
 	}
 }
 
-// TestDecodeErrorCounted feeds a listener a corrupt stream and checks
-// the abandoned connection is counted instead of swallowed.
+// TestDecodeErrorCounted feeds a listener a corrupt stream, then a
+// length prefix over the frame cap, and checks each abandoned
+// connection is counted instead of swallowed. The oversize prefix is
+// rejected as soon as it arrives: the connection stays open on the
+// sending side, so the count cannot come from a truncated body.
 func TestDecodeErrorCounted(t *testing.T) {
 	addrs := freeAddrs(t, 1)
 	var mu sync.Mutex
@@ -211,15 +239,25 @@ func TestDecodeErrorCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	conn, err := net.Dial("tcp", tr.Addr())
-	if err != nil {
-		t.Fatal(err)
+	send := func(b []byte) net.Conn {
+		conn, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		return conn
 	}
-	if _, err := conn.Write([]byte("this is not a gob stream")); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
+	send([]byte("this is not a frame stream")).Close()
 	waitFor(t, 5*time.Second, "decode error", func() bool { return tr.Stats().DecodeErrors == 1 })
+
+	conn := send(binary.AppendUvarint(nil, maxFrame+1))
+	defer conn.Close()
+	waitFor(t, 5*time.Second, "oversize frame rejected", func() bool { return tr.Stats().DecodeErrors == 2 })
+	if got := tr.Stats().Delivered; got != 0 {
+		t.Fatalf("delivered %d messages from bad streams", got)
+	}
 }
 
 // TestWordsParityWithSimulator drives one identical message trace
