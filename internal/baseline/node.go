@@ -7,8 +7,9 @@
 //     round-robin leader schedule and the view-entry notification
 //     sequence (Advance);
 //   - Certs is the bookkeeping behind one certificate kind assembled
-//     from signed synchronization messages: per-view vote sets and a
-//     formed flag, fed through Collect (= Add, then Seal at threshold);
+//     from signed synchronization messages: per-view vote sets that
+//     store the signatures their seal needs, and a formed flag, fed
+//     through Collect (= Add, then Seal at threshold);
 //   - EpochSync is the epoch-synchronization machine that is both LP22
 //     and RareSync.
 //
@@ -134,25 +135,29 @@ func NewCerts(suite crypto.Suite, n int) Certs {
 
 // Add counts from's signed synchronization message for view v and
 // returns the view's vote count. stmt is the statement the message
-// signs, built once by the caller. A message whose Sig.Signer != from or
+// signs, built once by the caller; keep is how many signatures the view
+// stores: the threshold Seal will aggregate at, or 0 for a view that is
+// only counted and never sealed. A message whose Sig.Signer != from or
 // whose signature does not verify, a second vote from one signer, and
 // anything for a view whose certificate is already formed are ignored
 // and return 0. Callers drop views below the Forget bound before calling.
-func (c *Certs) Add(from types.NodeID, v types.View, sig crypto.Signature, stmt []byte) int {
+func (c *Certs) Add(from types.NodeID, v types.View, sig crypto.Signature, stmt []byte, keep int) int {
 	if c.formed.Has(v) || sig.Signer != from || c.suite.Verify(stmt, sig) != nil {
 		return 0
 	}
-	votes := c.votes.Get(v)
+	votes := c.votes.Get(v, keep)
 	if !votes.Add(sig) {
 		return 0
 	}
 	return votes.Count()
 }
 
-// Seal aggregates view v's votes over stmt into its certificate and
-// marks the view formed, so later votes for it are dropped unverified.
+// Seal aggregates the signatures view v's votes stored over stmt into its
+// certificate and marks the view formed, so later votes for it are
+// dropped unverified. Callers seal a view once Add has counted its votes
+// to threshold.
 func (c *Certs) Seal(v types.View, stmt []byte) (crypto.Aggregate, bool) {
-	agg, err := c.suite.Aggregate(stmt, c.votes.Get(v).Sigs())
+	agg, err := c.suite.Aggregate(stmt, c.votes.Peek(v).Sigs())
 	if err != nil {
 		return crypto.Aggregate{}, false
 	}
@@ -160,10 +165,11 @@ func (c *Certs) Seal(v types.View, stmt []byte) (crypto.Aggregate, bool) {
 	return agg, true
 }
 
-// Collect is Add followed, on the call that brings view v to threshold
-// votes, by Seal: it returns the certificate and true, once.
+// Collect is Add, storing threshold signatures, followed, on the call
+// that brings view v to threshold votes, by Seal: it returns the
+// certificate and true, once.
 func (c *Certs) Collect(from types.NodeID, v types.View, sig crypto.Signature, stmt []byte, threshold int) (crypto.Aggregate, bool) {
-	if c.Add(from, v, sig, stmt) < threshold {
+	if c.Add(from, v, sig, stmt, threshold) < threshold {
 		return crypto.Aggregate{}, false
 	}
 	return c.Seal(v, stmt)
@@ -182,3 +188,12 @@ func (c *Certs) Forget(bound types.View) {
 // Live returns the number of views holding a vote set (tests: the
 // pruning contract).
 func (c *Certs) Live() int { return c.votes.Live() }
+
+// Stored returns the number of signatures view v's vote set holds (tests:
+// the storage contract).
+func (c *Certs) Stored(v types.View) int {
+	if votes := c.votes.Peek(v); votes != nil {
+		return len(votes.Sigs())
+	}
+	return 0
+}

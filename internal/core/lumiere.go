@@ -42,10 +42,14 @@ type Pacemaker struct {
 	// vcSentAt anchors the §4 QC deadline of each VC this leader sent.
 	vcSentAt map[types.View]types.Time
 
-	// EpochCerts collects broadcast epoch-view messages toward TCs (f+1)
-	// and ECs (2f+1); tcDone and ecDone are the epoch views whose TC / EC
-	// has been acted on, however it arrived.
+	// EpochCerts counts broadcast epoch-view messages toward TCs (f+1)
+	// and ECs (2f+1) until the epoch view's EC has been acted on; it
+	// stores ecKeep signatures per epoch view: the 2f+1 Basic seals into
+	// the EC it relays, none for the full variant, which relays neither
+	// certificate. tcDone and ecDone are the epoch views whose TC / EC has
+	// been acted on, however it arrived.
 	EpochCerts baseline.Certs
+	ecKeep     int
 	tcDone     quorum.Flags
 	ecDone     quorum.Flags
 
@@ -81,6 +85,10 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 	} else {
 		sched = NewPermSchedule(cfg.Base.N, cfg.ScheduleSeed)
 	}
+	ecKeep := 0
+	if cfg.Variant == VariantBasic {
+		ecKeep = cfg.Base.Quorum()
+	}
 	return &Pacemaker{
 		Node:       baseline.NewNode(cfg.Base, ep, rt, suite, driver, obs, tr),
 		cfg:        cfg,
@@ -92,6 +100,7 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 		pausedAt:   types.NoView,
 		vcSentAt:   make(map[types.View]types.Time),
 		EpochCerts: baseline.NewCerts(suite, cfg.Base.N),
+		ecKeep:     ecKeep,
 		leaderQCs:  make(map[types.Epoch]map[types.NodeID]int),
 		success:    make(map[types.Epoch]bool),
 	}
@@ -260,17 +269,19 @@ func (p *Pacemaker) onVC(vc *msg.VC) {
 // ---------------------------------------------------------------------------
 
 // onEpochViewMsg assembles TCs (f+1) and ECs (2f+1) from broadcast
-// epoch-view messages. The thresholds coincide at f = 0.
+// epoch-view messages. The thresholds coincide at f = 0. Once w's EC has
+// been acted on — its TC with it — a further message can change nothing,
+// so it is dropped unverified.
 func (p *Pacemaker) onEpochViewMsg(from types.NodeID, em *msg.EpochViewMsg) {
 	w := em.V
-	if !p.cfg.IsEpochView(w) || p.cfg.EpochOf(w) <= p.epoch-1 {
+	if !p.cfg.IsEpochView(w) || p.cfg.EpochOf(w) <= p.epoch-1 || p.ecDone.Has(w) {
 		return
 	}
-	k := p.EpochCerts.Add(from, w, em.Sig, p.Stmt.EpochView(w))
+	k := p.EpochCerts.Add(from, w, em.Sig, p.Stmt.EpochView(w), p.ecKeep)
 	if k == p.Cfg.Majority() && p.cfg.Variant == VariantFull {
 		p.onTC(w) // once: a TC seen earlier is onTC's to drop
 	}
-	if k == p.Cfg.Quorum() && !p.ecDone.Has(w) {
+	if k == p.Cfg.Quorum() {
 		if p.cfg.Variant == VariantBasic {
 			// §3.4 / LP22: broadcast the combined EC. The full variant
 			// relays none, so it aggregates none.

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"lumiere/internal/baseline/baselinetest"
+	"lumiere/internal/clock"
+	"lumiere/internal/crypto"
 	"lumiere/internal/msg"
+	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
@@ -527,6 +531,79 @@ func TestBasicVariantBroadcastsEC(t *testing.T) {
 		t.Fatal("did not enter epoch")
 	}
 	u.requireClean(t)
+}
+
+// countingSuite counts the single-signature verifications asked of it;
+// Aggregate and VerifyAggregate go to the wrapped suite uncounted.
+type countingSuite struct {
+	crypto.Suite
+	verified int
+}
+
+func (s *countingSuite) Verify(data []byte, sig crypto.Signature) error {
+	s.verified++
+	return s.Suite.Verify(data, sig)
+}
+
+// TestHeavySyncKeepsOnlyWhatItUses: at n = 7, f = 2 all seven epoch-view
+// messages for view 0 arrive. Both variants verify the 2f+1 that reach
+// the EC and drop the rest unverified. The full variant, which relays
+// neither certificate, stores no signature; Basic stores the first 2f+1
+// arrivals and relays their aggregate as its EC.
+func TestHeavySyncKeepsOnlyWhatItUses(t *testing.T) {
+	base := types.NewConfig(2, 100*time.Millisecond)
+	q := base.Quorum()
+	arrivals := []types.NodeID{4, 6, 0, 3, 5, 1, 2}
+	for _, variant := range []Variant{VariantFull, VariantBasic} {
+		t.Run(variant.String(), func(t *testing.T) {
+			sched := sim.New(1)
+			keys := crypto.NewSimSuite(base.N, 5)
+			suite := &countingSuite{Suite: keys}
+			ep := &baselinetest.Endpoint{Node: 0}
+			conf := DefaultConfig(base)
+			conf.Variant, conf.RoundRobin, conf.CheckInvariants = variant, true, true
+			pm := New(conf, ep, sched, clock.New(sched, 0), suite, &baselinetest.Driver{}, nil, nil)
+			pm.Start()
+			stmt := msg.EpochViewStatement(0)
+			sigs := make([]crypto.Signature, len(arrivals))
+			for i, from := range arrivals {
+				sigs[i] = keys.SignerFor(from).Sign(stmt)
+				pm.Handle(from, &msg.EpochViewMsg{V: 0, Sig: sigs[i]})
+			}
+			if pm.CurrentEpoch() != 0 || pm.CurrentView() != 0 {
+				t.Fatalf("position = (%v, %v), want (0, 0)", pm.CurrentView(), pm.CurrentEpoch())
+			}
+			if suite.verified != q {
+				t.Fatalf("verified %d of %d epoch-view messages, want the %d up to the EC", suite.verified, len(arrivals), q)
+			}
+			for _, v := range pm.Violations() {
+				t.Errorf("violation: %s", v)
+			}
+			stored, ecs := pm.EpochCerts.Stored(0), 0
+			var ec *msg.EC
+			for _, m := range ep.Bcasts {
+				if m.Kind() == msg.KindEC {
+					ec, ecs = m.(*msg.EC), ecs+1
+				}
+			}
+			if variant == VariantFull {
+				if stored != 0 || ecs != 0 {
+					t.Fatalf("full variant stored %d signatures and relayed %d ECs, want 0 and 0", stored, ecs)
+				}
+				return
+			}
+			if stored != q || ecs != 1 {
+				t.Fatalf("basic stored %d signatures and relayed %d ECs, want %d and 1", stored, ecs, q)
+			}
+			want, err := keys.Aggregate(stmt, sigs[:q])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ec.Agg, want) {
+				t.Fatalf("EC = %v, want the aggregate of the first %d arrivals %v", ec.Agg.Signers, q, want.Signers)
+			}
+		})
+	}
 }
 
 // TestStaleMessagesIgnored: certificates for views far below the current

@@ -1,14 +1,15 @@
 // Package quorum provides dense, allocation-recycling containers for the
 // per-view bookkeeping every engine keeps: which processors contributed a
-// vote toward a certificate (VoteSet: an n-bit set plus the signatures in
-// arrival order) and which views have already been acted on (Flags: a
-// windowed bitset over views). They replace the
-// map[types.NodeID]crypto.Signature vote maps and map[types.View]bool
-// seen/done maps of the original engines — at n=4096 a map per view
-// costs rehashing and pointer-chasing per vote, while a VoteSet is one
-// 64-word bit array plus a quorum-capped signature slice, both recycled
-// across views through a free pool and across arena executions through
-// the Reset contracts of DESIGN.md §4.
+// vote toward a certificate (VoteSet: an n-bit set that counts distinct
+// signers, plus the signatures a seal needs in arrival order) and which
+// views have already been acted on (Flags: a windowed bitset over views).
+// They replace the map[types.NodeID]crypto.Signature vote maps and
+// map[types.View]bool seen/done maps of the original engines — at n=4096
+// a map per view costs rehashing and pointer-chasing per vote, while a
+// VoteSet is one 64-word bit array plus a signature slice sized once to
+// the threshold its certificate is sealed at (none for a set that only
+// counts), both recycled across views through a free pool and across
+// arena executions through the Reset contracts of DESIGN.md §4.
 //
 // Semantics are those of the maps they replace: VoteSet.Add dedups by
 // signer, Flags.Has on a pruned view reads false (a deleted map entry),
@@ -29,17 +30,26 @@ import (
 // VoteSet: one certificate's votes
 // ---------------------------------------------------------------------------
 
-// VoteSet accumulates one certificate's votes: an n-bit signer set for
-// deduplication and the accepted signatures in arrival order. Engines
-// stop feeding a set once it reaches quorum, so the signature slice's
-// capacity is bounded by the threshold, not by n.
+// VoteSet accumulates one certificate's votes: an n-bit signer set that
+// dedups and counts every distinct signer, and the signatures of the
+// first keep of them in arrival order, in one slice allocated once at
+// exactly keep. Engines keep what their seal aggregates — the threshold —
+// so a set fed by all n processors stores a quorum, and a set that is
+// never sealed keeps none and only counts.
 type VoteSet struct {
 	words []uint64
+	count int
+	keep  int
 	sigs  []crypto.Signature
 }
 
-// Reset clears the set and sizes the signer bitset for n processors.
-func (v *VoteSet) Reset(n int) {
+// Reset clears the set for n processors, keeping every signature:
+// ResetKeep(n, n).
+func (v *VoteSet) Reset(n int) { v.ResetKeep(n, n) }
+
+// ResetKeep clears the set for n processors; Add will store the first
+// keep signatures and count the rest.
+func (v *VoteSet) ResetKeep(n, keep int) {
 	w := (n + 63) / 64
 	if cap(v.words) < w {
 		v.words = make([]uint64, w)
@@ -47,11 +57,15 @@ func (v *VoteSet) Reset(n int) {
 		v.words = v.words[:w]
 		clear(v.words)
 	}
+	if cap(v.sigs) < keep {
+		v.sigs = make([]crypto.Signature, 0, keep)
+	}
 	v.sigs = v.sigs[:0]
+	v.count, v.keep = 0, keep
 }
 
-// Add records a vote, deduplicating by signer. It reports whether the
-// vote was new.
+// Add records a vote, deduplicating by signer, and stores its signature
+// while fewer than keep are stored. It reports whether the vote was new.
 func (v *VoteSet) Add(sig crypto.Signature) bool {
 	i := int(sig.Signer)
 	w, b := i>>6, uint64(1)<<uint(i&63)
@@ -59,7 +73,10 @@ func (v *VoteSet) Add(sig crypto.Signature) bool {
 		return false
 	}
 	v.words[w] |= b
-	v.sigs = append(v.sigs, sig)
+	v.count++
+	if len(v.sigs) < v.keep {
+		v.sigs = append(v.sigs, sig)
+	}
 	return true
 }
 
@@ -69,11 +86,12 @@ func (v *VoteSet) Has(id types.NodeID) bool {
 	return v.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
-// Count returns the number of distinct votes collected.
-func (v *VoteSet) Count() int { return len(v.sigs) }
+// Count returns the number of distinct votes collected, stored or not.
+func (v *VoteSet) Count() int { return v.count }
 
-// Sigs returns the collected signatures in arrival order. The slice is
-// owned by the set: valid until the next Reset, not to be mutated.
+// Sigs returns the stored signatures — the first keep votes — in arrival
+// order. The slice is owned by the set: valid until the next Reset, not
+// to be mutated.
 func (v *VoteSet) Sigs() []crypto.Signature { return v.sigs }
 
 // ---------------------------------------------------------------------------
@@ -83,7 +101,9 @@ func (v *VoteSet) Sigs() []crypto.Signature { return v.sigs }
 // VoteSets is an engine's per-view vote storage: VoteSets materialize
 // lazily on first vote (only collectors pay the n-bit array) and return
 // to a free pool when their view is pruned, so a long execution touches
-// a bounded working set no matter how many views it advances through.
+// a bounded working set no matter how many views it advances through. An
+// engine materializes all its sets with the same keep, so a recycled set
+// already has the capacity it needs.
 type VoteSets struct {
 	n    int
 	live map[types.View]*VoteSet
@@ -103,9 +123,9 @@ func (s *VoteSets) Reset(n int) {
 	}
 }
 
-// Get returns the view's vote set, materializing an empty one on first
-// use.
-func (s *VoteSets) Get(v types.View) *VoteSet {
+// Get returns the view's vote set, materializing an empty one that keeps
+// keep signatures on first use.
+func (s *VoteSets) Get(v types.View, keep int) *VoteSet {
 	if vs, ok := s.live[v]; ok {
 		return vs
 	}
@@ -116,7 +136,7 @@ func (s *VoteSets) Get(v types.View) *VoteSet {
 	} else {
 		vs = new(VoteSet)
 	}
-	vs.Reset(s.n)
+	vs.ResetKeep(s.n, keep)
 	s.live[v] = vs
 	return vs
 }

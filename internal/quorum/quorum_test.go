@@ -8,30 +8,94 @@ import (
 	"lumiere/internal/types"
 )
 
+// TestVoteSetDedup: whatever a set stores, it dedups and counts every
+// distinct signer, and stores the first keep of them in arrival order.
 func TestVoteSetDedup(t *testing.T) {
-	var vs VoteSet
-	vs.Reset(100)
-	if !vs.Add(crypto.Signature{Signer: 7}) {
-		t.Fatal("first add rejected")
-	}
-	if vs.Add(crypto.Signature{Signer: 7}) {
-		t.Fatal("duplicate signer accepted")
-	}
-	if !vs.Add(crypto.Signature{Signer: 99}) {
-		t.Fatal("distinct signer rejected")
-	}
-	if vs.Count() != 2 || !vs.Has(7) || !vs.Has(99) || vs.Has(8) {
-		t.Fatalf("state: count=%d", vs.Count())
-	}
-	sigs := vs.Sigs()
-	if len(sigs) != 2 || sigs[0].Signer != 7 || sigs[1].Signer != 99 {
-		t.Fatalf("arrival order lost: %+v", sigs)
-	}
-	vs.Reset(100)
-	if vs.Count() != 0 || vs.Has(7) {
-		t.Fatal("Reset did not clear")
+	for _, keep := range []int{100, 2, 1, 0} {
+		var vs VoteSet
+		vs.ResetKeep(100, keep)
+		if !vs.Add(crypto.Signature{Signer: 7}) {
+			t.Fatalf("keep %d: first add rejected", keep)
+		}
+		if vs.Add(crypto.Signature{Signer: 7}) {
+			t.Fatalf("keep %d: duplicate signer accepted", keep)
+		}
+		if !vs.Add(crypto.Signature{Signer: 99}) {
+			t.Fatalf("keep %d: distinct signer rejected", keep)
+		}
+		if vs.Count() != 2 || !vs.Has(7) || !vs.Has(99) || vs.Has(8) {
+			t.Fatalf("keep %d: state: count=%d", keep, vs.Count())
+		}
+		sigs, want := vs.Sigs(), []types.NodeID{7, 99}[:min(keep, 2)]
+		if len(sigs) != len(want) {
+			t.Fatalf("keep %d: stored %d signatures, want %d", keep, len(sigs), len(want))
+		}
+		for i, id := range want {
+			if sigs[i].Signer != id {
+				t.Fatalf("keep %d: arrival order lost: %+v", keep, sigs)
+			}
+		}
+		vs.ResetKeep(100, keep)
+		if vs.Count() != 0 || vs.Has(7) || len(vs.Sigs()) != 0 {
+			t.Fatalf("keep %d: Reset did not clear", keep)
+		}
 	}
 }
+
+// TestVoteSetKeepsFirstArrivals: a set keeping q of n signatures, fed all
+// n (each twice), counts n and holds the first q distinct arrivals in one
+// slice allocated at capacity q and never grown; a count-only set stores
+// nothing and allocates no signature storage.
+func TestVoteSetKeepsFirstArrivals(t *testing.T) {
+	const n, q = 100, 67
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	fill := func(vs *VoteSet) {
+		for _, i := range order {
+			vs.Add(crypto.Signature{Signer: types.NodeID(i)})
+			vs.Add(crypto.Signature{Signer: types.NodeID(i)})
+		}
+	}
+	var vs VoteSet
+	vs.ResetKeep(n, q)
+	fill(&vs)
+	sigs := vs.Sigs()
+	if vs.Count() != n || len(sigs) != q || cap(sigs) != q {
+		t.Fatalf("count %d, stored %d, capacity %d; want %d, %d, %d", vs.Count(), len(sigs), cap(sigs), n, q, q)
+	}
+	for i, s := range sigs {
+		if int(s.Signer) != order[i] {
+			t.Fatalf("stored signature %d is signer %v, want arrival %d", i, s.Signer, order[i])
+		}
+	}
+	vs.ResetKeep(n, 0)
+	fill(&vs)
+	if vs.Count() != n || len(vs.Sigs()) != 0 {
+		t.Fatalf("count-only set: count %d, stored %d; want %d, 0", vs.Count(), len(vs.Sigs()), n)
+	}
+
+	if testing.Short() {
+		t.Skip("allocation counts are measured in full mode")
+	}
+	// A fresh set allocates itself and its bitset, plus one signature
+	// slice when it keeps any.
+	for _, c := range []struct {
+		keep int
+		want float64
+	}{{0, 2}, {q, 3}} {
+		if avg := testing.AllocsPerRun(100, func() {
+			vs := new(VoteSet)
+			vs.ResetKeep(n, c.keep)
+			fill(vs)
+			escapedSet = vs
+		}); avg != c.want {
+			t.Errorf("fresh set keeping %d of %d allocates %.1f/op, want %.0f", c.keep, n, avg, c.want)
+		}
+	}
+}
+
+// escapedSet keeps TestVoteSetKeepsFirstArrivals' sets on the heap, so
+// the allocation count does not depend on escape analysis.
+var escapedSet *VoteSet
 
 func TestVoteSetResize(t *testing.T) {
 	var vs VoteSet
@@ -54,9 +118,9 @@ func TestVoteSetResize(t *testing.T) {
 func TestVoteSetsPoolRecycling(t *testing.T) {
 	var s VoteSets
 	s.Reset(64)
-	s.Get(10).Add(crypto.Signature{Signer: 1})
-	s.Get(11).Add(crypto.Signature{Signer: 2})
-	s.Get(12)
+	s.Get(10, 1).Add(crypto.Signature{Signer: 1})
+	s.Get(11, 1).Add(crypto.Signature{Signer: 2})
+	s.Get(12, 1)
 	if s.Live() != 3 {
 		t.Fatalf("live = %d", s.Live())
 	}
@@ -68,14 +132,14 @@ func TestVoteSetsPoolRecycling(t *testing.T) {
 		t.Fatal("DropBelow wrong")
 	}
 	// Recycled sets come back empty.
-	if got := s.Get(20); got.Count() != 0 {
+	if got := s.Get(20, 1); got.Count() != 0 || len(got.Sigs()) != 0 {
 		t.Fatalf("recycled set not cleared: %d votes", got.Count())
 	}
 	s.Reset(64)
 	if s.Live() != 0 {
 		t.Fatal("Reset left live sets")
 	}
-	if got := s.Get(10); got.Count() != 0 || got.Has(1) {
+	if got := s.Get(10, 1); got.Count() != 0 || got.Has(1) {
 		t.Fatal("post-Reset set dirty")
 	}
 }
@@ -143,7 +207,8 @@ func TestFlagsLargeJumpCompacts(t *testing.T) {
 // engines' map allocations — viewcore.LeaderStart's vote-map make, the
 // pacemakers' per-view vote maps and seen/done map inserts — are
 // allocation-free once the containers have reached steady-state
-// capacity.
+// capacity, however many signatures a set keeps and however far past
+// its threshold it is fed.
 func TestSteadyStateAllocFree(t *testing.T) {
 	const n = 61
 	sigs := make([]crypto.Signature, n)
@@ -151,26 +216,28 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		sigs[i] = crypto.Signature{Signer: types.NodeID(i)}
 	}
 
-	var vs VoteSet
-	vs.Reset(n)
-	if avg := testing.AllocsPerRun(1000, func() {
-		vs.Reset(n)
-		for _, s := range sigs[:2*n/3+1] {
-			vs.Add(s)
+	for _, keep := range []int{n, 2*n/3 + 1, 0} {
+		var vs VoteSet
+		vs.ResetKeep(n, keep)
+		if avg := testing.AllocsPerRun(1000, func() {
+			vs.ResetKeep(n, keep)
+			for _, s := range sigs {
+				vs.Add(s)
+			}
+			_ = vs.Sigs()
+		}); avg != 0 {
+			t.Errorf("VoteSet view cycle keeping %d allocates %.1f/op, want 0", keep, avg)
 		}
-		_ = vs.Sigs()
-	}); avg != 0 {
-		t.Errorf("VoteSet view cycle allocates %.1f/op, want 0", avg)
 	}
 
 	var sets VoteSets
 	sets.Reset(n)
 	view := types.View(0)
-	sets.Get(view) // materialize the pooled set once
+	sets.Get(view, n/3+1) // materialize the pooled set once
 	if avg := testing.AllocsPerRun(1000, func() {
 		view += 2
-		s := sets.Get(view)
-		for _, sig := range sigs[:n/3+1] {
+		s := sets.Get(view, n/3+1)
+		for _, sig := range sigs {
 			s.Add(sig)
 		}
 		sets.DropBelow(view)

@@ -120,7 +120,7 @@ func (r *Round) Lead(v types.View, deadline types.Time) bool {
 	}
 	r.leading = v
 	r.deadline = deadline
-	r.votes.Reset(r.Cfg.N)
+	r.votes.ResetKeep(r.Cfg.N, r.Cfg.Quorum())
 	r.done = false
 	return true
 }
