@@ -24,7 +24,7 @@ type Entry struct {
 	Unit      string    `json:"unit"`
 	Decided   bool      `json:"decided"`
 	// Evaluated counts the distinct candidates this entry's search
-	// evaluated (grid + evolution + minimization probes).
+	// evaluated (grid + minimization probes).
 	Evaluated int `json:"evaluated"`
 	// Minimized is the delta-debugged candidate: the smallest shrink of
 	// Candidate still reproducing ≥ the configured fraction of Value.
@@ -59,20 +59,18 @@ type Config struct {
 	Workers int
 	// Objectives to search (default: all of Objectives()).
 	Objectives []Objective
-	// Space is the grid/mutation space (zero F = DefaultSpace(F));
+	// Space is the grid space (zero F = DefaultSpace(F));
 	// SMRSpace the reduced space for ObjP99Commit (zero F =
 	// SlimSpace(F)).
 	Space    Space
 	SMRSpace Space
-	// Evolve tunes the evolutionary refinement; Evolve.Generations < 0
-	// disables it (grid only).
-	Evolve EvolveOptions
-	// MinKeep is the fraction of the frontier objective the minimized
-	// candidate must retain (default 0.95).
-	MinKeep float64
 	// Progress, when non-nil, receives one line per finished entry.
 	Progress func(string)
 }
+
+// minKeep is the fraction of the frontier objective the minimized
+// candidate must retain.
+const minKeep = 0.95
 
 func (cfg Config) withDefaults() Config {
 	if cfg.F <= 0 {
@@ -87,23 +85,22 @@ func (cfg Config) withDefaults() Config {
 	if cfg.SMRSpace.F == 0 {
 		cfg.SMRSpace = SlimSpace(cfg.F)
 	}
-	if cfg.MinKeep <= 0 {
-		cfg.MinKeep = 0.95
-	}
 	return cfg
 }
 
 // SearchFrontier runs the full search: for every protocol × objective,
-// a grid sweep over the space, evolutionary refinement seeded with the
-// scripted attacks and the grid's best points, and delta-debugging
-// minimization of the winner. Every stage is deterministic in
+// a grid sweep over the space, then delta-debugging minimization of the
+// best candidate scored. Minimizer probes leave the grid; when one
+// scores better than the best, minimization restarts from it, until
+// the best stops moving. Each entry is therefore the best candidate its
+// evaluator scored, grid cell or probe. Every stage is deterministic in
 // (Config.Seed, Config.F, spaces), so the returned frontier — including
 // every minimized candidate — is byte-identical at any worker count.
 // The scripted candidates are members of both default spaces, so each
-// entry's value dominates the PR 4 scripted corpus by construction.
+// entry's value dominates the scripted corpus by construction.
 func SearchFrontier(cfg Config) *Frontier {
 	cfg = cfg.withDefaults()
-	fr := &Frontier{F: cfg.F, Seed: cfg.Seed, MinKeep: cfg.MinKeep}
+	fr := &Frontier{F: cfg.F, Seed: cfg.Seed, MinKeep: minKeep}
 	for _, p := range harness.AllProtocols {
 		for _, obj := range cfg.Objectives {
 			sp := cfg.Space
@@ -111,24 +108,21 @@ func SearchFrontier(cfg Config) *Frontier {
 				sp = cfg.SMRSpace
 			}
 			e := NewEvaluator(p, cfg.F, obj, cfg.Seed)
-			all := Grid(sp, e, cfg.Workers)
-			if cfg.Evolve.Generations >= 0 {
-				ranked := append([]Evaluated(nil), all...)
-				seeds := ScriptedCandidates(cfg.F)
-				for i := 0; i < 4 && len(ranked) > 0; i++ {
-					best := Best(ranked)
-					seeds = append(seeds, best.Candidate)
-					ranked = without(ranked, best.Candidate)
+			e.EvalAll(sp.Candidates(), cfg.Workers)
+			best := e.Best()
+			var min Candidate
+			for {
+				floor := minKeep * best.Value
+				min = Minimize(best.Candidate, cfg.F, func(d Candidate) bool {
+					return e.Eval(d).Value >= floor
+				})
+				// A probe that beat the best moves the entry there.
+				next := e.Best()
+				if next.Candidate.Key() == best.Candidate.Key() {
+					break
 				}
-				eopts := cfg.Evolve
-				eopts.Workers = cfg.Workers
-				all = append(all, Evolve(sp, e, seeds, eopts)...)
+				best = next
 			}
-			best := Best(all)
-			floor := cfg.MinKeep * best.Value
-			min := Minimize(best.Candidate, cfg.F, func(d Candidate) bool {
-				return e.Eval(d).Value >= floor
-			})
 			minEv := e.Eval(min)
 			entry := Entry{
 				Protocol: p, Objective: obj, F: cfg.F,
@@ -146,18 +140,6 @@ func SearchFrontier(cfg Config) *Frontier {
 		}
 	}
 	return fr
-}
-
-// without filters out evaluations of one candidate.
-func without(evals []Evaluated, c Candidate) []Evaluated {
-	key := c.Key()
-	out := evals[:0]
-	for _, ev := range evals {
-		if ev.Candidate.Key() != key {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // AllDecided reports whether every frontier run produced its
@@ -206,7 +188,7 @@ func ReadFrontier(path string) (*Frontier, error) {
 // The rendering is a pure function of the search, so it is
 // byte-identical at every worker count.
 func (f *Frontier) Table() *harness.Table {
-	t := &harness.Table{Title: fmt.Sprintf("Searched worst-case frontier (f=%d, n=%d): grid + evolution over attack × chaos axes", f.F, 3*f.F+1)}
+	t := &harness.Table{Title: fmt.Sprintf("Searched worst-case frontier (f=%d, n=%d): grid + minimizer over attack × chaos axes", f.F, 3*f.F+1)}
 	t.Header = []string{"protocol", "objective", "worst", "candidate", "minimized", "min value"}
 	for i := range f.Entries {
 		e := &f.Entries[i]

@@ -19,7 +19,10 @@ var frontierPath = filepath.Join("..", "..", "FRONTIER.json")
 // candidate-derived seeds, and the frontier dominates (≥) every PR 4
 // scripted attack under the same objective. A frontier value that falls
 // below a scripted attack's is a protocol regression of the worst case
-// — exactly what this test exists to catch loudly.
+// — exactly what this test exists to catch loudly. Each entry must also
+// be the worst candidate its evaluator scores: re-running the minimizer
+// from it reproduces the recorded minimized candidate, and none of its
+// probes scores above the entry.
 func TestFrontierAtLeastScripted(t *testing.T) {
 	fr, err := ReadFrontier(frontierPath)
 	if err != nil {
@@ -78,6 +81,20 @@ func TestFrontierAtLeastScripted(t *testing.T) {
 						sc, got.Value, entry.Value, regen)
 				}
 			}
+
+			// The entry is the worst its evaluator scored: minimizing it
+			// again yields the recorded reproducer, and no probe on the
+			// way beats it.
+			floor := fr.MinKeep * entry.Value
+			if m := Minimize(entry.Candidate, fr.F, func(d Candidate) bool {
+				return e.Eval(d).Value >= floor
+			}); m.Key() != entry.Minimized.Legalize(fr.F).Key() {
+				t.Errorf("minimizing the frontier candidate yields %s, recorded %s — %s", m, entry.Minimized, regen)
+			}
+			if best := e.Best(); best.Value > entry.Value {
+				t.Errorf("evaluator scored %s at %.4f > frontier %.4f: the entry is not the worst the search saw — %s",
+					best.Candidate, best.Value, entry.Value, regen)
+			}
 		})
 	}
 }
@@ -126,7 +143,6 @@ func TestFrontierSearchDeterminism(t *testing.T) {
 			Objectives: objectives,
 			Space:      smokeSpace(1),
 			SMRSpace:   smokeSpace(1),
-			Evolve:     EvolveOptions{Generations: 2, Population: 6},
 		}).JSON()
 	}
 	serial, pool := run(1), run(4)

@@ -69,8 +69,8 @@ func TestMinimizeDeterministicAcrossWorkers(t *testing.T) {
 	sp := smokeSpace(1)
 	minimize := func(workers int) (Candidate, float64) {
 		e := NewEvaluator(harness.ProtoLumiere, sp.F, ObjSyncLatency, 5)
-		evals := e.EvalAll(sp.Candidates(), workers)
-		best := Best(evals)
+		e.EvalAll(sp.Candidates(), workers)
+		best := e.Best()
 		floor := 0.95 * best.Value
 		m := Minimize(best.Candidate, sp.F, func(d Candidate) bool {
 			return e.Eval(d).Value >= floor

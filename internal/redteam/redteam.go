@@ -3,16 +3,18 @@
 // the harness's declarative chaos axes and GST placement) for the
 // empirical worst case of each protocol under an objective — post-GST
 // view-synchronization latency, W_GST honest words, or p99 commit
-// latency under an SMR workload — and shrinks the winner to a minimal
-// reproducing scenario by delta debugging.
+// latency under an SMR workload. The search is an exhaustive grid
+// followed by delta-debugging minimization of the worst candidate to a
+// minimal reproducing scenario; a minimizer probe that scores above
+// the grid's best becomes the frontier entry.
 //
 // Everything is deterministic: a candidate's evaluation seed is a pure
 // function of (search seed, candidate), candidates run through
-// harness.RunIn arenas on the sweep engine, and the evolutionary driver
-// draws all randomness from per-generation seeded rngs — so the
-// searched frontier is byte-identical at any worker count, like every
-// other sweep in this repository. The reference frontier is committed
-// as FRONTIER.json and pinned by TestFrontierAtLeastScripted; see
+// harness.RunIn arenas on the sweep engine, and neither stage draws
+// randomness — so the searched frontier is byte-identical at any
+// worker count, like every other sweep in this repository. The
+// reference frontier is committed as FRONTIER.json and pinned by
+// TestFrontierAtLeastScripted; see
 // DESIGN.md §1d and EXPERIMENTS.md ("Searched worst-case frontier").
 package redteam
 
@@ -449,12 +451,11 @@ func CandidateSeed(searchSeed int64, c Candidate) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// ScriptedCandidates spells out the PR 4 attack-table cells (every
-// strategy at its default parameters, GST = 2s, clean network) as
-// explicit candidates. They are members of DefaultSpace and SlimSpace,
-// and the search drivers seed them into every population — so the
-// searched frontier dominates the scripted corpus by construction
-// (TestFrontierAtLeastScripted pins it).
+// ScriptedCandidates spells out the attack-table cells (every strategy
+// at its default parameters, GST = 2s, clean network) as explicit
+// candidates. They are members of DefaultSpace and SlimSpace, so every
+// grid evaluates them and the searched frontier dominates the scripted
+// corpus by construction (TestFrontierAtLeastScripted pins it).
 func ScriptedCandidates(f int) []Candidate {
 	d := harness.AttackDelta
 	gst := 2 * time.Second

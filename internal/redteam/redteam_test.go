@@ -1,7 +1,6 @@
 package redteam
 
 import (
-	"math/rand"
 	"testing"
 
 	"lumiere/internal/harness"
@@ -86,7 +85,8 @@ func TestRedTeamGridSmoke(t *testing.T) {
 	}
 	for _, p := range smokeProtocols {
 		for _, obj := range objectives {
-			serial := NewEvaluator(p, sp.F, obj, 9).EvalAll(cands, 1)
+			e := NewEvaluator(p, sp.F, obj, 9)
+			serial := e.EvalAll(cands, 1)
 			pool := NewEvaluator(p, sp.F, obj, 9).EvalAll(cands, 4)
 			for i := range serial {
 				if serial[i] != pool[i] {
@@ -98,50 +98,10 @@ func TestRedTeamGridSmoke(t *testing.T) {
 						p, obj, serial[i].Candidate, serial[i].Value)
 				}
 			}
-			best := Best(serial)
+			best := e.Best()
 			if best.Value <= 0 {
 				t.Errorf("%s/%s: degenerate frontier value %.3f", p, obj, best.Value)
 			}
-		}
-	}
-}
-
-// TestEvolveDeterministicAcrossWorkers pins the evolutionary driver:
-// same seed ⇒ identical trajectory (every evaluation, in order) at any
-// worker count.
-func TestEvolveDeterministicAcrossWorkers(t *testing.T) {
-	sp := smokeSpace(1)
-	opts := EvolveOptions{Generations: 2, Population: 6}
-	run := func(workers int) []Evaluated {
-		e := NewEvaluator(harness.ProtoLumiere, sp.F, ObjSyncLatency, 11)
-		o := opts
-		o.Workers = workers
-		return Evolve(sp, e, ScriptedCandidates(sp.F), o)
-	}
-	serial, pool := run(1), run(4)
-	if len(serial) != len(pool) {
-		t.Fatalf("trajectory lengths differ: %d vs %d", len(serial), len(pool))
-	}
-	for i := range serial {
-		if serial[i] != pool[i] {
-			t.Fatalf("evolution step %d differs across worker counts: %+v vs %+v", i, serial[i], pool[i])
-		}
-	}
-}
-
-// TestMutateStaysLegal drives the mutation operator hard and checks
-// closure: mutants stay within the model budget and legalized form.
-func TestMutateStaysLegal(t *testing.T) {
-	sp := DefaultSpace(2)
-	rng := rand.New(rand.NewSource(7))
-	c := Candidate{}
-	for i := 0; i < 2000; i++ {
-		c = sp.Mutate(c, rng)
-		if c.Legalize(sp.F).Key() != c.Key() {
-			t.Fatalf("mutant %d not in legalized form: %s", i, c.Key())
-		}
-		if c.Nodes+c.ChurnNodes > sp.F {
-			t.Fatalf("mutant %d exceeds corruption budget: %s", i, c.Key())
 		}
 	}
 }

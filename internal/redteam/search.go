@@ -1,11 +1,6 @@
 package redteam
 
-import (
-	"math/rand"
-	"sort"
-
-	"lumiere/internal/harness"
-)
+import "lumiere/internal/harness"
 
 // Evaluated is one candidate's evaluation under an objective.
 type Evaluated struct {
@@ -24,8 +19,8 @@ type Evaluated struct {
 // search seed) context. Evaluation is a pure function of the candidate:
 // the scenario seed derives from (SearchSeed, candidate key), so values
 // are independent of evaluation order, caching and worker count. The
-// evaluator memoizes by candidate key — grid, evolution and
-// minimization share evaluations for free.
+// evaluator memoizes by candidate key, so the grid and the minimizer's
+// probes share evaluations for free, and Best ranks all of them.
 type Evaluator struct {
 	Protocol   harness.Protocol
 	F          int
@@ -100,14 +95,18 @@ func (e *Evaluator) EvalAll(cands []Candidate, workers int) []Evaluated {
 // Evaluations returns the number of distinct candidates evaluated.
 func (e *Evaluator) Evaluations() int { return len(e.cache) }
 
-// Best returns the maximum of the evaluations under the search's total
-// order: value descending, candidate key ascending as the
-// deterministic tie-break. It panics on an empty slice.
-func Best(evals []Evaluated) Evaluated {
-	best := evals[0]
-	for _, ev := range evals[1:] {
-		if better(ev, best) {
-			best = ev
+// Best returns the best candidate the evaluator has scored — grid cell
+// or minimizer probe — under the search's total order: value
+// descending, candidate key ascending as the deterministic tie-break.
+// The order is total over distinct keys, so the result does not depend
+// on the cache's iteration order. An evaluator that has scored nothing
+// returns the zero Evaluated.
+func (e *Evaluator) Best() Evaluated {
+	var best Evaluated
+	first := true
+	for _, ev := range e.cache {
+		if first || better(ev, best) {
+			best, first = ev, false
 		}
 	}
 	return best
@@ -119,90 +118,4 @@ func better(a, b Evaluated) bool {
 		return a.Value > b.Value
 	}
 	return a.Candidate.Key() < b.Candidate.Key()
-}
-
-// Grid evaluates the space's full grid and returns the evaluations in
-// enumeration order.
-func Grid(sp Space, e *Evaluator, workers int) []Evaluated {
-	return e.EvalAll(sp.Candidates(), workers)
-}
-
-// EvolveOptions tunes the evolutionary driver. Zero values take the
-// defaults (3 generations, population 16, 2 elites, tournaments of 3).
-type EvolveOptions struct {
-	Generations int
-	Population  int
-	Elites      int
-	Tournament  int
-	Workers     int
-}
-
-func (o EvolveOptions) withDefaults() EvolveOptions {
-	if o.Generations <= 0 {
-		o.Generations = 3
-	}
-	if o.Population <= 0 {
-		o.Population = 16
-	}
-	if o.Elites <= 0 {
-		o.Elites = 2
-	}
-	if o.Elites > o.Population {
-		o.Elites = o.Population
-	}
-	if o.Tournament <= 0 {
-		o.Tournament = 3
-	}
-	return o
-}
-
-// Evolve runs seeded evolutionary search: each generation evaluates the
-// population on the sweep engine, carries the elites over, and fills
-// the rest by tournament selection plus one in-space mutation. Each
-// generation draws from its own rng seeded by (search seed, generation
-// index) and selection sorts by the deterministic search order, so the
-// trajectory — and every value returned — is byte-identical at any
-// worker count. The returned slice holds every evaluation in
-// generation-major order.
-func Evolve(sp Space, e *Evaluator, seeds []Candidate, opts EvolveOptions) []Evaluated {
-	opts = opts.withDefaults()
-	if len(seeds) == 0 {
-		seeds = []Candidate{{}}
-	}
-	pop := make([]Candidate, 0, opts.Population)
-	for _, c := range seeds {
-		if len(pop) == opts.Population {
-			break
-		}
-		pop = append(pop, c.Legalize(sp.F))
-	}
-	fill := rand.New(rand.NewSource(harness.DeriveSeed(e.SearchSeed, 7000)))
-	for i := 0; len(pop) < opts.Population; i++ {
-		pop = append(pop, sp.Mutate(pop[i%len(seeds)], fill))
-	}
-
-	var all []Evaluated
-	for g := 0; g < opts.Generations; g++ {
-		evals := e.EvalAll(pop, opts.Workers)
-		all = append(all, evals...)
-		ranked := append([]Evaluated(nil), evals...)
-		sort.Slice(ranked, func(i, j int) bool { return better(ranked[i], ranked[j]) })
-
-		rng := rand.New(rand.NewSource(harness.DeriveSeed(e.SearchSeed, 7001+g)))
-		next := make([]Candidate, 0, opts.Population)
-		for i := 0; i < opts.Elites; i++ {
-			next = append(next, ranked[i].Candidate)
-		}
-		for len(next) < opts.Population {
-			winner := ranked[rng.Intn(len(ranked))]
-			for t := 1; t < opts.Tournament; t++ {
-				if ch := ranked[rng.Intn(len(ranked))]; better(ch, winner) {
-					winner = ch
-				}
-			}
-			next = append(next, sp.Mutate(winner.Candidate, rng))
-		}
-		pop = next
-	}
-	return all
 }

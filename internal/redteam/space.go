@@ -1,7 +1,6 @@
 package redteam
 
 import (
-	"math/rand"
 	"time"
 
 	"lumiere/internal/adversary"
@@ -9,11 +8,11 @@ import (
 )
 
 // Space is a finite search space: a choice list per candidate axis.
-// Empty lists mean "axis pinned at zero". Enumeration and mutation are
-// axis-aware — K only varies under leader-target, Period only under
+// Empty lists mean "axis pinned at zero". Enumeration is axis-aware — K
+// only varies under leader-target, Period only under
 // view-desync/complexity-saturate, the loss/partition/churn sub-axes
 // only when their master axis is on — so the grid contains no
-// redundant duplicates and mutations always land in the space.
+// redundant duplicates.
 type Space struct {
 	// F is the fault tolerance every candidate runs at (n = 3f+1).
 	F int
@@ -175,84 +174,6 @@ func (sp Space) chaosCross(out []Candidate, base Candidate) []Candidate {
 		}
 	}
 	return out
-}
-
-// Mutate moves the candidate one step along a random axis of the space
-// (all randomness from rng) and returns the legalized result. Mutations
-// stay in-space: the new axis value is drawn from the axis's choice
-// list.
-func (sp Space) Mutate(c Candidate, rng *rand.Rand) Candidate {
-	type op func(*Candidate)
-	var ops []op
-	if len(sp.Strategies) > 1 {
-		ops = append(ops, func(d *Candidate) {
-			d.Strategy = sp.Strategies[rng.Intn(len(sp.Strategies))]
-			if d.Strategy != "" && d.Nodes == 0 {
-				d.Nodes = orInts(sp.Nodes)[rng.Intn(len(orInts(sp.Nodes)))]
-			}
-			if usesK(d.Strategy) && d.K == 0 {
-				d.K = orInts(sp.Ks)[rng.Intn(len(orInts(sp.Ks)))]
-			}
-			if usesPeriod(d.Strategy) && d.Period == 0 {
-				d.Period = orDurs(sp.Periods)[rng.Intn(len(orDurs(sp.Periods)))]
-			}
-		})
-	}
-	if len(sp.Nodes) > 1 {
-		ops = append(ops, func(d *Candidate) { d.Nodes = sp.Nodes[rng.Intn(len(sp.Nodes))] })
-	}
-	if len(sp.Ks) > 1 {
-		ops = append(ops, func(d *Candidate) { d.K = sp.Ks[rng.Intn(len(sp.Ks))] })
-	}
-	if len(sp.Periods) > 1 {
-		ops = append(ops, func(d *Candidate) { d.Period = sp.Periods[rng.Intn(len(sp.Periods))] })
-	}
-	if len(sp.GSTs) > 1 {
-		ops = append(ops, func(d *Candidate) { d.GST = sp.GSTs[rng.Intn(len(sp.GSTs))] })
-	}
-	if len(sp.Losses) > 1 {
-		ops = append(ops, func(d *Candidate) { d.Loss = sp.Losses[rng.Intn(len(sp.Losses))] })
-	}
-	if len(sp.LossUntils) > 1 {
-		ops = append(ops, func(d *Candidate) { d.LossUntil = sp.LossUntils[rng.Intn(len(sp.LossUntils))] })
-	}
-	if len(sp.Duplications) > 1 {
-		ops = append(ops, func(d *Candidate) { d.Duplication = sp.Duplications[rng.Intn(len(sp.Duplications))] })
-	}
-	if len(sp.ReorderJitters) > 1 {
-		ops = append(ops, func(d *Candidate) { d.ReorderJitter = sp.ReorderJitters[rng.Intn(len(sp.ReorderJitters))] })
-	}
-	if len(sp.PartitionSizes) > 1 {
-		ops = append(ops, func(d *Candidate) {
-			d.PartitionSize = sp.PartitionSizes[rng.Intn(len(sp.PartitionSizes))]
-			if d.PartitionSize > 0 && d.PartitionHeal == 0 && len(sp.PartitionHeals) > 0 {
-				d.PartitionHeal = sp.PartitionHeals[rng.Intn(len(sp.PartitionHeals))]
-			}
-		})
-	}
-	if len(sp.PartitionHeals) > 1 {
-		ops = append(ops, func(d *Candidate) { d.PartitionHeal = sp.PartitionHeals[rng.Intn(len(sp.PartitionHeals))] })
-	}
-	if len(sp.ChurnNodes) > 1 {
-		ops = append(ops, func(d *Candidate) { d.ChurnNodes = sp.ChurnNodes[rng.Intn(len(sp.ChurnNodes))] })
-	}
-	if len(sp.ChurnDowns) > 1 {
-		ops = append(ops, func(d *Candidate) { d.ChurnDown = sp.ChurnDowns[rng.Intn(len(sp.ChurnDowns))] })
-	}
-	if len(sp.ChurnPeriods) > 1 {
-		ops = append(ops, func(d *Candidate) { d.ChurnPeriod = sp.ChurnPeriods[rng.Intn(len(sp.ChurnPeriods))] })
-	}
-	if len(sp.WANs) > 1 {
-		ops = append(ops, func(d *Candidate) {
-			w := sp.WANs[rng.Intn(len(sp.WANs))]
-			d.Topology, d.DriftPPM, d.Straggler = w.Topology, w.DriftPPM, w.Straggler
-		})
-	}
-	if len(ops) == 0 {
-		return c.Legalize(sp.F)
-	}
-	ops[rng.Intn(len(ops))](&c)
-	return c.Legalize(sp.F)
 }
 
 // DefaultSpace is the reference search space at fault tolerance f: every
