@@ -1,0 +1,5 @@
+//go:build race
+
+package allocgate
+
+const raceEnabled = true

@@ -30,6 +30,14 @@ import (
 // as a Snapshot), tracers and gap trackers — is built fresh per cell
 // and never recycled: the paid-per-cell rebind path for state that must
 // outlive the cell.
+//
+// Between cells an arena holds capacity, not a cell. Before RunIn
+// returns, release drops every reference the layers still hold into the
+// finished cell — the scheduler's pending events, the network's
+// handlers, observers and link policy, the replica shells' pacemakers
+// and engines — so the cell is garbage as soon as its Result is, and a
+// sweep worker or a benchmark repetition does not carry a dead cell
+// into the next one (see retain_test.go).
 
 // Arena owns one long-lived instance of each execution layer for serial
 // reuse across scenario runs. The zero Arena is ready to use (layers are
@@ -51,9 +59,10 @@ func NewArena() *Arena { return &Arena{} }
 // RunIn executes a scenario inside the arena, recycling its layers, and
 // returns a Result that is independent of the arena: the metrics
 // Collector is detached as a snapshot, and the pacemakers, engines and
-// state machines it exposes are per-cell constructions. The result is
-// byte-identical to Run(s). A nil arena runs the scenario on a fresh
-// one-shot arena, making RunIn(nil, s) equivalent to Run(s).
+// state machines it exposes are per-cell constructions, which the arena
+// no longer references once RunIn returns. The result is byte-identical
+// to Run(s). A nil arena runs the scenario on a fresh one-shot arena,
+// making RunIn(nil, s) equivalent to Run(s).
 func RunIn(a *Arena, s Scenario) *Result {
 	if a == nil {
 		return Run(s)
@@ -111,6 +120,17 @@ func (a *Arena) workloadEngine(cfg workload.Config) *workload.Engine {
 		a.wl.Reset(cfg)
 	}
 	return a.wl
+}
+
+// release drops the finished cell from the arena's layers (see the file
+// comment). It rewinds nothing a Result reads: the scheduler keeps its
+// clock, which the Result's clocks still read.
+func (a *Arena) release() {
+	a.sched.Clear()
+	a.net.Release()
+	for _, r := range a.replicas {
+		r.Reset(r.ID)
+	}
 }
 
 // replicaSlots returns n reset replica shells, reusing prior ones.

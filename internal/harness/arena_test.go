@@ -92,17 +92,15 @@ func fingerprint(res *Result) resultFingerprint {
 	return fp
 }
 
-// TestArenaNoStateLeak interleaves adversarial (equivocator, adaptive
-// strategy, churn, omission-budget) and honest cells of varying sizes
-// through ONE arena, in an order chosen so every cell inherits a
-// maximally dirty stack from a differently-shaped predecessor, and
-// cross-checks each cell against a fresh standalone run.
-func TestArenaNoStateLeak(t *testing.T) {
-	t.Parallel()
+// leakCells are adversarial (equivocator, adaptive strategy, churn,
+// omission-budget) and honest cells of varying sizes, in an order chosen
+// so every cell inherits a maximally dirty stack from a
+// differently-shaped predecessor.
+func leakCells() []Scenario {
 	delta := 50 * time.Millisecond
 	gst := 2 * time.Second
 	dur := 8 * time.Second
-	cells := []Scenario{
+	return []Scenario{
 		// Adaptive attack: strategy nodes, silences, signed sync spam.
 		{Name: "attack", Protocol: ProtoLumiere, F: 1, Delta: delta, DeltaActual: delta / 10,
 			GST: gst, Duration: dur, Attack: adversary.AttackSpec{Name: adversary.AttackSaturate}},
@@ -124,6 +122,13 @@ func TestArenaNoStateLeak(t *testing.T) {
 		{Name: "honest-again", Protocol: ProtoCogsworth, F: 1, Delta: delta, DeltaActual: delta / 10,
 			GST: gst, Duration: dur},
 	}
+}
+
+// TestArenaNoStateLeak runs leakCells twice through ONE arena and
+// cross-checks each cell against a fresh standalone run.
+func TestArenaNoStateLeak(t *testing.T) {
+	t.Parallel()
+	cells := leakCells()
 	arena := NewArena()
 	for round := 0; round < 2; round++ {
 		for i, s := range cells {
@@ -166,25 +171,32 @@ func TestRunInAllocsSteadyCell(t *testing.T) {
 	t.Logf("warm arena cell: %d allocs (budget %d)", allocs, budget)
 }
 
-// TestSMRCellAllocs pins what a committed command costs on the SMR path:
-// the benchmark's sim-smr-n4 cell (Lumiere + chained HotStuff, n=4, 6000
-// cmd/s in blocks of up to 256, KV) cut to two simulated seconds, in a
-// warm arena. Each of the four replicas allocates the command's key and
-// value when it applies it; blocks, proposals and map growth amortize to
-// about half an object more (8.5 measured). Hashing a block per use,
-// copying payloads out of proposals or splitting commands into strings
-// again costs 27.8.
-func TestSMRCellAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc measurement in -short mode")
-	}
-	s := Scenario{
+// smrCell is the benchmark's sim-smr-n4 cell cut to two simulated
+// seconds.
+func smrCell() Scenario {
+	return Scenario{
+		Name:     "smr-n4",
 		Protocol: ProtoLumiere, N: 4, F: 1,
 		Delta: 50 * time.Millisecond, DeltaActual: 5 * time.Millisecond,
 		Duration: 2 * time.Second, Seed: 42,
 		SMR: true, SMRBatchSize: 256,
 		Workload: &workload.Config{Rate: 6000, Clients: 1_000_000, PayloadPad: 64},
 	}
+}
+
+// TestSMRCellAllocs pins what a committed command costs on the SMR path:
+// the benchmark's sim-smr-n4 cell (Lumiere + chained HotStuff, n=4, 6000
+// cmd/s in blocks of up to 256, KV) cut to two simulated seconds, in a
+// warm arena. Each of the four replicas allocates one string, the
+// command's key and value, when it applies it; blocks, proposals and map
+// growth amortize to about half an object more (4.5 measured). Hashing a
+// block per use, copying payloads out of proposals or splitting commands
+// into strings again costs 27.8.
+func TestSMRCellAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement in -short mode")
+	}
+	s := smrCell()
 	arena := NewArena()
 	RunIn(arena, s)
 	runtime.GC()
@@ -197,7 +209,7 @@ func TestSMRCellAllocs(t *testing.T) {
 		t.Fatalf("only %d commands committed", commits)
 	}
 	perCommit := float64(after.Mallocs-before.Mallocs) / float64(commits)
-	const budget = 10
+	const budget = 6
 	if perCommit > budget {
 		t.Fatalf("warm SMR cell: %.1f allocs per committed command (%d commits), budget %d", perCommit, commits, budget)
 	}

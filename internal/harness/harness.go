@@ -443,8 +443,9 @@ func Run(s Scenario) *Result {
 
 // run executes a scenario inside the arena. With detach set the Result
 // receives a snapshot of the arena's metrics Collector (so the arena can
-// be reused while the Result stays valid); without it the live Collector
-// is handed out and the arena is assumed discarded.
+// be reused while the Result stays valid) and the arena releases the
+// cell before returning; without it the live Collector is handed out and
+// the arena is assumed discarded.
 func (a *Arena) run(s Scenario, detach bool) *Result {
 	s = s.withDefaults()
 	cfg := types.Config{N: s.N, F: s.F, Delta: s.Delta, X: types.DefaultX}
@@ -785,6 +786,9 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		} else {
 			res.FinalViews[i] = types.NoView
 		}
+	}
+	if detach {
+		a.release()
 	}
 	return res
 }

@@ -355,6 +355,7 @@ func NewNetLink(sched *sim.Scheduler, cfg types.Config, gst types.Time, link Lin
 // network per scheduler for both of their lifetimes. A nil link falls
 // back to Fixed{Δ/10}, as in NewNetLink.
 func (n *Net) Reset(cfg types.Config, gst types.Time, link LinkPolicy) {
+	n.Release()
 	if link == nil {
 		link = DelayLink{P: Fixed{D: cfg.Delta / 10}}
 	}
@@ -369,13 +370,24 @@ func (n *Net) Reset(cfg types.Config, gst types.Time, link LinkPolicy) {
 	n.honest = n.honest[:cfg.N]
 	n.killed = n.killed[:cfg.N]
 	for i := range n.handlers {
-		n.handlers[i] = nil
 		n.honest[i] = true
 		n.killed[i] = false
 	}
-	n.observers = n.observers[:0]
 	n.stopped = false
 	n.perRecipient = false
+}
+
+// Release stops the network and drops its references into the execution
+// it carried: handlers, observers (an attack strategy among them), the
+// link policy and the straggler delays. Counters and per-node marks stay
+// readable; a released network sends and delivers nothing until Reset
+// re-arms it.
+func (n *Net) Release() {
+	n.stopped = true
+	clear(n.handlers)
+	clear(n.observers[:cap(n.observers)])
+	n.observers = n.observers[:0]
+	n.link = nil
 	n.procDelay = nil
 }
 

@@ -59,7 +59,9 @@ var okResult = []byte("OK")
 
 // Apply implements StateMachine. A command is a verb, one space and a key;
 // SET's key ends at the next space and the rest, spaces included, is the
-// value. The "OK" result is one shared slice, not to be modified.
+// value. A SET converts "key value" to one string and stores the key and
+// the value as two substrings of it: one allocation per write. The "OK"
+// result is one shared slice, not to be modified.
 func (kv *KV) Apply(cmd []byte) ([]byte, error) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -69,8 +71,9 @@ func (kv *KV) Apply(cmd []byte) ([]byte, error) {
 	}
 	switch string(verb) {
 	case "SET":
-		if key, value, ok := bytes.Cut(rest, []byte(" ")); ok {
-			kv.data[string(key)] = string(value)
+		if i := bytes.IndexByte(rest, ' '); i >= 0 {
+			s := string(rest)
+			kv.data[s[:i]] = s[i+1:]
 			return okResult, nil
 		}
 	case "GET":

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"lumiere/internal/allocgate"
 )
 
 func TestKVBasics(t *testing.T) {
@@ -119,16 +121,34 @@ func TestKVMatchesSplitNGrammar(t *testing.T) {
 	}
 }
 
-// TestKVApplyAllocs: a SET allocates its key and its value, nothing for
-// parsing or for the result.
+// TestKVApplyAllocs: a SET costs one allocation, the string its key and
+// value are cut from, whether it adds a key or overwrites one; nothing
+// for parsing or for the result. A DEL allocates nothing.
 func TestKVApplyAllocs(t *testing.T) {
 	kv := NewKV()
-	cmd := []byte("SET some-key some-value-that-is-not-tiny")
-	if n := testing.AllocsPerRun(100, func() { _, _ = kv.Apply(cmd) }); n > 2 {
-		t.Errorf("SET: %v allocations, want at most 2", n)
+	// A fresh key each time; the map is pre-sized so its growth is not
+	// counted.
+	keys := make([][]byte, 101)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("SET key-%03d some-value-that-is-not-tiny", i))
+	}
+	kv.data = make(map[string]string, 2*len(keys))
+	next := 0
+	if n := allocgate.PerRun(t, 100, func() { _, _ = kv.Apply(keys[next]); next++ }); n != 1 {
+		t.Errorf("SET of a new key: %v allocations, want 1", n)
+	}
+	if kv.Len() != len(keys) {
+		t.Fatalf("%d keys after %d SETs of distinct keys", kv.Len(), len(keys))
+	}
+	cmd := []byte("SET key-000 another-value-that-is-not-tiny")
+	if n := allocgate.PerRun(t, 100, func() { _, _ = kv.Apply(cmd) }); n != 1 {
+		t.Errorf("SET of an existing key: %v allocations, want 1", n)
+	}
+	if v, _ := kv.Get("key-000"); v != "another-value-that-is-not-tiny" {
+		t.Fatalf("overwritten key-000 = %q", v)
 	}
 	del := []byte("DEL some-other-key")
-	if n := testing.AllocsPerRun(100, func() { _, _ = kv.Apply(del) }); n != 0 {
+	if n := allocgate.PerRun(t, 100, func() { _, _ = kv.Apply(del) }); n != 0 {
 		t.Errorf("DEL: %v allocations, want 0", n)
 	}
 }
