@@ -105,7 +105,8 @@ func epochSync(name string, clockOdd bool,
 // initial views are entered on the VC.
 func lumiere(variant core.Variant) protocol {
 	// Every unit of the fixture has the same execution-model configuration.
-	cfg := core.Config{Base: baselinetest.NewUnit(0, 0).Cfg, Variant: variant, RoundRobin: true, CheckInvariants: true}
+	base := baselinetest.NewUnit(0, 0).Cfg
+	cfg := core.Config{Base: base, Variant: variant, Schedule: core.RoundRobin{N: base.N}, CheckInvariants: true}
 	ec := ecKind
 	ec.silent = variant == core.VariantFull
 	return protocol{

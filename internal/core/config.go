@@ -69,11 +69,13 @@ type Config struct {
 	// messages (§3.5's final fix); used by the ablation experiment.
 	DisableDeltaWait bool
 	// ScheduleSeed seeds the full variant's leader permutation
-	// schedule.
+	// schedule when Schedule is nil.
 	ScheduleSeed int64
-	// RoundRobin forces the deterministic ⌊v/2⌋ mod n schedule instead
-	// of random permutations (tests and the basic variant).
-	RoundRobin bool
+	// Schedule is the leader schedule. Nil means the §4 PermSchedule
+	// from ScheduleSeed, built per pacemaker; a simulated execution
+	// passes one instance to all its replicas. The basic variant always
+	// uses RoundRobin.
+	Schedule Schedule
 	// CheckInvariants enables per-step verification of the paper's
 	// Lemmas 5.1-5.3; violations are recorded (see
 	// Pacemaker.Violations).
@@ -97,7 +99,7 @@ func (c Config) normalized() Config {
 		c.QCsPerLeaderForSuccess = 2 * c.BlocksPerEpoch
 	}
 	if c.Variant == VariantBasic {
-		c.RoundRobin = true
+		c.Schedule = RoundRobin{N: c.Base.N}
 	}
 	return c
 }
@@ -110,6 +112,16 @@ func (c Config) Validate() error {
 	n := c.normalized()
 	if n.Variant != VariantFull && n.Variant != VariantBasic {
 		return fmt.Errorf("core: unknown variant %v", c.Variant)
+	}
+	sn := c.Base.N
+	switch s := n.Schedule.(type) {
+	case *PermSchedule:
+		sn = s.n
+	case RoundRobin:
+		sn = s.N
+	}
+	if sn != c.Base.N {
+		return fmt.Errorf("core: schedule for n=%d, config has n=%d", sn, c.Base.N)
 	}
 	return nil
 }

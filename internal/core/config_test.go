@@ -87,6 +87,33 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateScheduleSize: a schedule built for another n is rejected
+// up front instead of surfacing as an out-of-range leader. The basic
+// variant always uses its own round robin, whatever Schedule says.
+func TestValidateScheduleSize(t *testing.T) {
+	n := fullCfg(2).Base.N
+	for _, c := range []struct {
+		name    string
+		variant Variant
+		sched   Schedule
+		ok      bool
+	}{
+		{"nil", VariantFull, nil, true},
+		{"perm", VariantFull, NewPermSchedule(n, 1), true},
+		{"perm-small", VariantFull, NewPermSchedule(n-1, 1), false},
+		{"perm-large", VariantFull, NewPermSchedule(n+3, 1), false},
+		{"round-robin", VariantFull, RoundRobin{N: n}, true},
+		{"round-robin-other", VariantFull, RoundRobin{N: 2 * n}, false},
+		{"basic-ignores", VariantBasic, RoundRobin{N: 1}, true},
+	} {
+		cfg := fullCfg(2)
+		cfg.Variant, cfg.Schedule = c.variant, c.sched
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestEpochRoundTripQuick(t *testing.T) {
 	c := fullCfg(2)
 	// Property: every view belongs to exactly one epoch and

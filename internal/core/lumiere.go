@@ -79,10 +79,8 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid config: %v", err))
 	}
-	var sched Schedule
-	if cfg.RoundRobin {
-		sched = RoundRobin{N: cfg.Base.N}
-	} else {
+	sched := cfg.Schedule
+	if sched == nil {
 		sched = NewPermSchedule(cfg.Base.N, cfg.ScheduleSeed)
 	}
 	ecKeep := 0
@@ -441,7 +439,9 @@ func (p *Pacemaker) creditQC(v types.View) {
 		return
 	}
 	p.success[e] = true
-	p.Tr.Emit(p.RT.Now(), p.ID, trace.Success, p.cfg.FirstView(e), fmt.Sprintf("success(%d)=1", e))
+	if p.Tr != nil {
+		p.Tr.Emit(p.RT.Now(), p.ID, trace.Success, p.cfg.FirstView(e), fmt.Sprintf("success(%d)=1", e))
+	}
 	// Line 10 / line 13: if paused at c_{V(e+1)}, the success flip ends
 	// the pause and the processor enters the epoch as an initial view.
 	if p.pausedAt == p.cfg.FirstView(e+1) {
@@ -488,7 +488,9 @@ func (p *Pacemaker) enter(v types.View) {
 	}
 	if e > p.epoch {
 		p.epoch = e
-		p.Tr.Emit(p.RT.Now(), p.ID, trace.EnterEpoch, p.cfg.FirstView(e), fmt.Sprintf("epoch %v", e))
+		if p.Tr != nil {
+			p.Tr.Emit(p.RT.Now(), p.ID, trace.EnterEpoch, p.cfg.FirstView(e), fmt.Sprintf("epoch %v", e))
+		}
 		p.Obs.OnEnterEpoch(e, p.RT.Now())
 		low := p.cfg.FirstView(e - 1)
 		p.EpochCerts.Forget(low)

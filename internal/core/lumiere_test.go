@@ -29,7 +29,7 @@ func newUnit(t *testing.T, id types.NodeID, mutate func(*Config)) *unit {
 	t.Helper()
 	u := &unit{Unit: baselinetest.NewUnit(id, 0)}
 	u.conf = DefaultConfig(u.Cfg)
-	u.conf.RoundRobin = true
+	u.conf.Schedule = RoundRobin{N: u.Cfg.N}
 	u.conf.CheckInvariants = true
 	if mutate != nil {
 		mutate(&u.conf)
@@ -564,7 +564,7 @@ func TestHeavySyncKeepsOnlyWhatItUses(t *testing.T) {
 			suite := &countingSuite{Suite: keys}
 			ep := &baselinetest.Endpoint{Node: 0}
 			conf := DefaultConfig(base)
-			conf.Variant, conf.RoundRobin, conf.CheckInvariants = variant, true, true
+			conf.Variant, conf.Schedule, conf.CheckInvariants = variant, RoundRobin{N: base.N}, true
 			pm := New(conf, ep, sched, clock.New(sched, 0), suite, &baselinetest.Driver{}, nil, nil)
 			pm.Start()
 			stmt := msg.EpochViewStatement(0)
@@ -673,5 +673,46 @@ func TestInvariantCheckFormatsOnlyOnViolation(t *testing.T) {
 	u.pm.checkInvariants(at)
 	if vs := u.pm.Violations(); len(vs) != 1 || !strings.Contains(vs[0], " handle VC: clock regressed ") {
 		t.Fatalf("violations %q, want one clock regression at handle VC", vs)
+	}
+}
+
+// TestUntracedNotesFormatNothing: without a tracer, entering an epoch and
+// flipping success(e) format no trace note. Each runs in steady state
+// (the driver's log and the success bookkeeping pre-sized), so any
+// allocation would be the note's fmt.Sprintf.
+func TestUntracedNotesFormatNothing(t *testing.T) {
+	u := newUnit(t, 1, nil)
+	u.pm.Start()
+	u.Drv.Entered = make([]types.View, 0, 256)
+	next := u.pm.epoch + 1
+	if n := allocgate.PerRun(t, 100, func() {
+		u.pm.enter(u.conf.FirstView(next))
+		next++
+	}); n != 0 {
+		t.Errorf("untraced epoch entry: %v allocations, want 0", n)
+	}
+
+	u = newUnit(t, 1, nil)
+	u.pm.Start()
+	const e, v = types.Epoch(0), types.View(4)
+	qcs := u.pm.cfg.QCsPerLeaderForSuccess
+	lead := u.pm.Leader(v)
+	leaders := make(map[types.NodeID]int)
+	for id := types.NodeID(0); len(leaders) < u.Cfg.Quorum()-1; id++ {
+		if id != lead {
+			leaders[id] = qcs
+		}
+	}
+	u.pm.leaderQCs[e] = leaders
+	if n := allocgate.PerRun(t, 100, func() {
+		u.pm.credited.Reset()
+		delete(u.pm.success, e)
+		leaders[lead] = qcs - 1
+		u.pm.creditQC(v)
+	}); n != 0 {
+		t.Errorf("untraced success flip: %v allocations, want 0", n)
+	}
+	if !u.pm.SuccessOf(e) {
+		t.Fatal("the last credited QC did not flip success(0)")
 	}
 }

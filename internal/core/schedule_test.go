@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -123,5 +124,41 @@ func TestPermScheduleRandomAccessQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSharedPermScheduleMatchesPrivate: one schedule serving n callers
+// that ask for views of four blocks in a shuffled, interleaved order
+// answers every caller exactly as a private schedule from the same seed
+// queried in view order. Blocks are generated lazily in block order from
+// one rng, so who asks first cannot change a leader.
+func TestSharedPermScheduleMatchesPrivate(t *testing.T) {
+	for _, n := range []int{4, 61} {
+		views := types.View(4 * 2 * n)
+		want := make([][]types.NodeID, n)
+		for i := range want {
+			private := NewPermSchedule(n, 17)
+			for v := types.View(0); v < views; v++ {
+				want[i] = append(want[i], private.Leader(v))
+			}
+		}
+		type query struct {
+			caller int
+			view   types.View
+		}
+		var qs []query
+		for i := 0; i < n; i++ {
+			for v := types.View(0); v < views; v++ {
+				qs = append(qs, query{i, v})
+			}
+		}
+		rand.New(rand.NewSource(int64(n))).Shuffle(len(qs), func(a, b int) { qs[a], qs[b] = qs[b], qs[a] })
+		shared := NewPermSchedule(n, 17)
+		for _, q := range qs {
+			if got := shared.Leader(q.view); got != want[q.caller][q.view] {
+				t.Fatalf("n=%d: caller %d view %d: shared leader %v, private %v",
+					n, q.caller, q.view, got, want[q.caller][q.view])
+			}
+		}
 	}
 }

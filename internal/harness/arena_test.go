@@ -171,6 +171,32 @@ func TestRunInAllocsSteadyCell(t *testing.T) {
 	t.Logf("warm arena cell: %d allocs (budget %d)", allocs, budget)
 }
 
+// TestLumiereCellSetupBytes pins what assembling a Lumiere cell costs at
+// n = 256: a warm-arena LargeNScenario cell cut to 1 ms, which is almost
+// all setup. The replicas share one §4 leader schedule (0.62 MB
+// measured); a schedule per replica, each with its own rng and
+// permutation blocks, costs 2.01 MB, over the 1 MB budget.
+func TestLumiereCellSetupBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement in -short mode")
+	}
+	s := LargeNScenario(ProtoLumiere, 256, 42)
+	s.Duration = time.Millisecond
+	arena := NewArena()
+	RunIn(arena, s)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RunIn(arena, s)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	const budget = 1 << 20
+	if bytes > budget {
+		t.Fatalf("warm arena n=256 Lumiere cell allocated %d bytes, budget %d", bytes, budget)
+	}
+	t.Logf("warm arena n=256 Lumiere cell: %d bytes (budget %d)", bytes, budget)
+}
+
 // smrCell is the benchmark's sim-smr-n4 cell cut to two simulated
 // seconds.
 func smrCell() Scenario {

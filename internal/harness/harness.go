@@ -526,6 +526,12 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 	// assigned below (after the network and collector exist) and read at
 	// replica boot time inside the scheduled start closures.
 	var commitHook hotstuff.CommitObserver
+	// The §4 schedule is common knowledge: one instance, generated
+	// lazily in block order, serves every replica of the cell.
+	var leaders core.Schedule
+	if s.Protocol == ProtoLumiere {
+		leaders = core.NewPermSchedule(cfg.N, s.Seed+7)
+	}
 
 	for i := 0; i < cfg.N; i++ {
 		id := types.NodeID(i)
@@ -589,7 +595,7 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 			if honest[i] {
 				onCommit = commitHook
 			}
-			pm, engine := buildProtocol(s, cfg, ep, rt, clk, suite, corr, tracer, collector, pobs, sms[i], onCommit)
+			pm, engine := buildProtocol(s, cfg, leaders, ep, rt, clk, suite, corr, tracer, collector, pobs, sms[i], onCommit)
 			r.PM = pm
 			r.Core = engine
 			r.Start()
@@ -871,8 +877,9 @@ func protocolGamma(p Protocol, cfg types.Config) time.Duration {
 // clock.Drift wrapper when the node's hardware clock drifts. pobs
 // receives the pacemaker's lifecycle notifications (view and epoch
 // entries, heavy syncs) — the observation hooks adaptive attack
-// strategies read.
-func buildProtocol(s Scenario, cfg types.Config, ep network.Endpoint, rt clock.Runtime,
+// strategies read. leaders is the cell's shared Lumiere schedule; nil
+// lets the pacemaker derive its own from s.Seed+7.
+func buildProtocol(s Scenario, cfg types.Config, leaders core.Schedule, ep network.Endpoint, rt clock.Runtime,
 	clk *clock.Clock, suite crypto.Suite, corr adversary.Corruption,
 	tracer *trace.Tracer, collector *metrics.Collector, pobs pacemaker.Observer,
 	sm statemachine.StateMachine, onCommit hotstuff.CommitObserver) (pacemaker.Pacemaker, replica.Engine) {
@@ -901,6 +908,7 @@ func buildProtocol(s Scenario, cfg types.Config, ep network.Endpoint, rt clock.R
 			Variant:          core.VariantFull,
 			DisableDeltaWait: s.CoreDisableDeltaWait,
 			ScheduleSeed:     s.Seed + 7,
+			Schedule:         leaders,
 			CheckInvariants:  s.CheckInvariants,
 		}
 		if s.Protocol == ProtoBasic {

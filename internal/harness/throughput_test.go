@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lumiere/internal/adversary"
+	"lumiere/internal/allocgate"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/workload"
@@ -241,7 +242,7 @@ func TestWorkloadAllocs(t *testing.T) {
 	}
 	warm(4096)
 	const batch = 1000
-	perBatch := testing.AllocsPerRun(10, func() { warm(batch) })
+	perBatch := allocgate.PerRun(t, 10, func() { warm(batch) })
 	if perCmd := perBatch / batch; perCmd > 0.5 {
 		t.Fatalf("warm injection path allocates %.3f/cmd (%.0f per %d-command batch), budget 0.5",
 			perCmd, perBatch, batch)

@@ -55,7 +55,7 @@ func countedCell(t *testing.T, s Scenario) (map[string]int, int) {
 			sm = statemachine.NewKV()
 		}
 		sched.At(0, func() {
-			r.PM, r.Core = buildProtocol(s, cfg, ep, sched, clock.New(sched, 0),
+			r.PM, r.Core = buildProtocol(s, cfg, nil, ep, sched, clock.New(sched, 0),
 				countingSuite{Suite: suite, node: id, calls: calls}, adversary.Corruption{},
 				nil, collector, pacemaker.NopObserver{}, sm, nil)
 			r.Start()
