@@ -146,17 +146,23 @@ func (c Config) QCWindow() time.Duration {
 }
 
 // EpochLen returns the number of views per epoch: 10n for the full
-// variant (2n·BlocksPerEpoch), 2(f+1) for basic.
-func (c Config) EpochLen() types.View {
-	n := c.normalized()
-	if n.Variant == VariantBasic {
+// variant (2n·BlocksPerEpoch), 2(f+1) for basic. It applies
+// normalized's two relevant defaults inline and, like the other epoch
+// helpers, takes a pointer: they run on every epoch-view delivery, where
+// copying the Config would cost more than the arithmetic.
+func (c *Config) EpochLen() types.View {
+	if c.Variant == VariantBasic {
 		return types.View(2 * (c.Base.F + 1))
 	}
-	return types.View(2 * c.Base.N * n.BlocksPerEpoch)
+	blocks := c.BlocksPerEpoch
+	if blocks <= 0 {
+		blocks = 5
+	}
+	return types.View(2 * c.Base.N * blocks)
 }
 
 // EpochOf returns E(v), the epoch a view belongs to (E(-1) = -1).
-func (c Config) EpochOf(v types.View) types.Epoch {
+func (c *Config) EpochOf(v types.View) types.Epoch {
 	l := c.EpochLen()
 	if v < 0 {
 		return types.NoEpoch
@@ -165,11 +171,11 @@ func (c Config) EpochOf(v types.View) types.Epoch {
 }
 
 // FirstView returns V(e), the epoch view of epoch e.
-func (c Config) FirstView(e types.Epoch) types.View {
+func (c *Config) FirstView(e types.Epoch) types.View {
 	return types.View(e) * c.EpochLen()
 }
 
 // IsEpochView reports whether v is the first view of its epoch.
-func (c Config) IsEpochView(v types.View) bool {
+func (c *Config) IsEpochView(v types.View) bool {
 	return v >= 0 && v%c.EpochLen() == 0
 }

@@ -44,6 +44,26 @@ func TestEpochGeometryBasic(t *testing.T) {
 	}
 }
 
+// TestEpochLenMatchesNormalized: EpochLen applies normalized's defaults
+// inline, so for every variant (including the zero value, which means
+// full) and every BlocksPerEpoch (≤ 0 means 5) it must equal the length
+// the normalized config defines.
+func TestEpochLenMatchesNormalized(t *testing.T) {
+	for _, v := range []Variant{0, VariantBasic, VariantFull} {
+		for _, blocks := range []int{0, 3, 5} {
+			c := Config{Base: types.NewConfig(3, 100*time.Millisecond), Variant: v, BlocksPerEpoch: blocks}
+			n := c.normalized()
+			want := types.View(2 * n.Base.N * n.BlocksPerEpoch)
+			if n.Variant == VariantBasic {
+				want = types.View(2 * (n.Base.F + 1))
+			}
+			if got := c.EpochLen(); got != want {
+				t.Errorf("variant %v, blocks %d: EpochLen = %d, normalized = %d", v, blocks, got, want)
+			}
+		}
+	}
+}
+
 func TestGammaValues(t *testing.T) {
 	// x = 3, Δ = 100ms.
 	if got := fullCfg(1).Gamma(); got != 1000*time.Millisecond {

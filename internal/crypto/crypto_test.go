@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/types"
 )
 
@@ -228,8 +229,10 @@ func TestSimSuiteSignatureStability(t *testing.T) {
 }
 
 // TestSimSuiteSteadyStateAllocs gates the signing hot path: with the
-// per-node HMAC states warm, Sign must stay at ~1/1024 allocations per
-// op (the amortized output block) and Verify at zero.
+// per-node HMAC states and the signature seal map warm, Sign allocates
+// only the amortized output block (1 per 1024 signatures, 0 per op in
+// AllocsPerRun's integer average) while the seal map fills and flushes,
+// and Verify allocates nothing, sealed or not.
 func TestSimSuiteSteadyStateAllocs(t *testing.T) {
 	s := NewSimSuite(4, 1)
 	data := []byte("warm statement")
@@ -238,26 +241,44 @@ func TestSimSuiteSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	signer := s.SignerFor(1) // engines hold their Signer for the run
-	signAllocs := testing.AllocsPerRun(2000, func() {
+	// Grow the seal map to its bound before measuring.
+	for i := 0; i < maxSigned(4); i++ {
+		signer.Sign(data)
+	}
+	// 2000 signatures flush the seal map (maxSigned(4) = 80) 25 times.
+	signAllocs := allocgate.PerRun(t, 2000, func() {
 		signer.Sign(data)
 	})
-	if signAllocs > 0.01 {
+	if signAllocs != 0 {
 		t.Fatalf("Sign allocates %.3f/op in steady state", signAllocs)
 	}
-	verifyAllocs := testing.AllocsPerRun(1000, func() {
+	sig = signer.Sign(data)
+	if _, sealed := s.signed[&sig.Bytes[0]]; !sealed {
+		t.Fatal("fresh signature not sealed")
+	}
+	sealedAllocs := allocgate.PerRun(t, 1000, func() {
 		if err := s.Verify(data, sig); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if sealedAllocs != 0 {
+		t.Fatalf("sealed Verify allocates %.3f/op", sealedAllocs)
+	}
+	unsealed := Signature{Signer: sig.Signer, Bytes: bytes.Clone(sig.Bytes)}
+	verifyAllocs := allocgate.PerRun(t, 1000, func() {
+		if err := s.Verify(data, unsealed); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if verifyAllocs != 0 {
-		t.Fatalf("Verify allocates %.3f/op in steady state", verifyAllocs)
+		t.Fatalf("full Verify allocates %.3f/op in steady state", verifyAllocs)
 	}
 	// Certificates: assembly allocates the signer list and one array for
 	// the component list plus the seal's private copy of it; re-verifying
 	// a sealed certificate allocates nothing.
 	sigs := []Signature{s.SignerFor(2).Sign(data), sig, s.SignerFor(0).Sign(data)}
 	var agg Aggregate
-	aggAllocs := testing.AllocsPerRun(1000, func() {
+	aggAllocs := allocgate.PerRun(t, 1000, func() {
 		var err error
 		if agg, err = s.Aggregate(data, sigs); err != nil {
 			t.Fatal(err)
@@ -266,13 +287,121 @@ func TestSimSuiteSteadyStateAllocs(t *testing.T) {
 	if aggAllocs > 2 {
 		t.Fatalf("Aggregate allocates %.3f/op in steady state, want ≤ 2", aggAllocs)
 	}
-	hitAllocs := testing.AllocsPerRun(1000, func() {
+	hitAllocs := allocgate.PerRun(t, 1000, func() {
 		if err := s.VerifyAggregate(data, agg, 3); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if hitAllocs != 0 {
 		t.Fatalf("VerifyAggregate of a sealed certificate allocates %.3f/op", hitAllocs)
+	}
+}
+
+// TestSignedSignatureSeal pins the SimSuite signature seal at a small and
+// a large n: a signature the suite made verifies by lookup, but whatever
+// was relabelled, re-bound, flipped, re-sliced at either end, made by
+// another suite or outlived its keys falls through to the full check and
+// is rejected, and what is honest but unsealed still verifies through the
+// full check.
+func TestSignedSignatureSeal(t *testing.T) {
+	for _, n := range []int{4, 64} {
+		byz := types.NodeID(n - 1) // a Byzantine node signs with its own key only
+		data, other := Statement("seal", 7, nil), Statement("seal", 8, nil)
+		// Each case gets a fresh suite and signature by node 0 and returns
+		// a verification that must fail.
+		rejected := map[string]func(s *SimSuite, sig Signature) error{
+			"relabelled to another honest signer": func(s *SimSuite, sig Signature) error {
+				return s.Verify(data, Signature{Signer: 1, Bytes: sig.Bytes})
+			},
+			"relabelled to the Byzantine signer": func(s *SimSuite, sig Signature) error {
+				s.SignerFor(byz).Sign(data) // its own seal exists, for other bytes
+				return s.Verify(data, Signature{Signer: byz, Bytes: sig.Bytes})
+			},
+			"re-bound statement": func(s *SimSuite, sig Signature) error {
+				return s.Verify(other, sig)
+			},
+			"flipped copy": func(s *SimSuite, sig Signature) error {
+				c := bytes.Clone(sig.Bytes)
+				c[0] ^= 1
+				return s.Verify(data, Signature{Signer: sig.Signer, Bytes: c})
+			},
+			"re-sliced": func(s *SimSuite, sig Signature) error {
+				return s.Verify(data, Signature{Signer: sig.Signer, Bytes: sig.Bytes[1:]})
+			},
+			"re-sliced prefix, same first byte": func(s *SimSuite, sig Signature) error {
+				return s.Verify(data, Signature{Signer: sig.Signer, Bytes: sig.Bytes[:len(sig.Bytes)-1]})
+			},
+			"second suite with other keys": func(s *SimSuite, _ Signature) error {
+				return s.Verify(data, NewSimSuite(n, 2).SignerFor(0).Sign(data))
+			},
+			"made before Reset": func(s *SimSuite, sig Signature) error {
+				s.Reset(n, 2) // drops the seals and re-keys
+				return s.Verify(data, sig)
+			},
+		}
+		for name, attack := range rejected {
+			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
+				s := NewSimSuite(n, 1)
+				sig := s.SignerFor(0).Sign(data)
+				for i := 0; i < 2; i++ {
+					if err := s.Verify(data, sig); err != nil {
+						t.Fatalf("round %d: %v", i, err)
+					}
+				}
+				if attack(s, sig) == nil {
+					t.Fatal("accepted")
+				}
+			})
+		}
+		// Each case returns an honest signature the suite holds no seal
+		// for; it must verify through the full check.
+		unsealed := map[string]func(s *SimSuite) ([]byte, Signature){
+			"honest byte copy": func(s *SimSuite) ([]byte, Signature) {
+				sig := s.SignerFor(0).Sign(data)
+				return data, Signature{Signer: sig.Signer, Bytes: bytes.Clone(sig.Bytes)}
+			},
+			"statement longer than 64 bytes": func(s *SimSuite) ([]byte, Signature) {
+				long := bytes.Repeat([]byte{7}, 65)
+				return long, s.SignerFor(0).Sign(long)
+			},
+			"flushed by the bound": func(s *SimSuite) ([]byte, Signature) {
+				sig := s.SignerFor(0).Sign(data)
+				for i := 0; i < maxSigned(n); i++ {
+					s.SignerFor(types.NodeID(i % n)).Sign(other)
+				}
+				return data, sig
+			},
+		}
+		for name, honest := range unsealed {
+			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
+				s := NewSimSuite(n, 1)
+				stmt, sig := honest(s)
+				if _, sealed := s.signed[&sig.Bytes[0]]; sealed {
+					t.Fatal("signature is sealed")
+				}
+				if err := s.Verify(stmt, sig); err != nil {
+					t.Fatalf("honest signature rejected: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestSignedSignatureSealSkipsHMAC shows that a sealed signature is
+// accepted by the lookup, not by an HMAC: once the signer's key is
+// overwritten, the sealed signature still verifies, while an unsealed
+// copy of the same bytes, which takes the full check, does not.
+func TestSignedSignatureSealSkipsHMAC(t *testing.T) {
+	s := NewSimSuite(4, 1)
+	data := Statement("seal", 7, nil)
+	sig := s.SignerFor(2).Sign(data)
+	copy(s.keys[2], bytes.Repeat([]byte{0xa5}, len(s.keys[2])))
+	s.macs[2] = nil // re-keys from the overwritten key on next use
+	if err := s.Verify(data, sig); err != nil {
+		t.Fatalf("sealed signature rejected: %v", err)
+	}
+	if err := s.Verify(data, Signature{Signer: sig.Signer, Bytes: bytes.Clone(sig.Bytes)}); err == nil {
+		t.Fatal("unsealed copy verified under the overwritten key")
 	}
 }
 

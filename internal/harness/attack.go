@@ -71,9 +71,11 @@ func strategicNodes(corr []adversary.Corruption) []types.NodeID {
 func accountingEpochLen(s Scenario, cfg types.Config) types.View {
 	switch s.Protocol {
 	case ProtoLumiere:
-		return core.Config{Base: cfg, Variant: core.VariantFull}.EpochLen()
+		c := core.Config{Base: cfg, Variant: core.VariantFull}
+		return c.EpochLen()
 	case ProtoBasic:
-		return core.Config{Base: cfg, Variant: core.VariantBasic}.EpochLen()
+		c := core.Config{Base: cfg, Variant: core.VariantBasic}
+		return c.EpochLen()
 	default:
 		return types.View(cfg.F + 1)
 	}

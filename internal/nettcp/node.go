@@ -113,9 +113,10 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	// The collector counts every wire send in the simulator's per-kind
 	// words model; per-epoch words use the protocol's own epoch length,
-	// exactly as the harness's accounting does.
-	epochLen := core.Config{Base: cfg.Base, Variant: variant}.EpochLen()
-	n.collector = metrics.NewCollector(nil, metrics.WithEpochWords(epochLen))
+	// exactly as the harness's accounting does. ccfg is also the
+	// pacemaker's configuration below.
+	ccfg := core.Config{Base: cfg.Base, Variant: variant, ScheduleSeed: cfg.Seed + 7}
+	n.collector = metrics.NewCollector(nil, metrics.WithEpochWords(ccfg.EpochLen()))
 
 	rep := replica.New(cfg.ID, nil, nil)
 	n.rep = rep
@@ -152,7 +153,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	} else {
 		engine = viewcore.New(cfg.Base, n.transport, n.wall, suite, leaderFn, onQC, obs)
 	}
-	ccfg := core.Config{Base: cfg.Base, Variant: variant, ScheduleSeed: cfg.Seed + 7}
 	pm = core.New(ccfg, n.transport, n.wall, clk, suite, engine, pacemaker.NopObserver{}, nil)
 	n.pm = pm
 	rep.PM = pm
