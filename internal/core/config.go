@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"lumiere/internal/types"
@@ -63,7 +64,7 @@ type Config struct {
 	// QCsPerLeaderForSuccess is the number of QCs each of 2f+1 distinct
 	// leaders must produce in an epoch to satisfy the success
 	// criterion. The paper uses 10 = 2·BlocksPerEpoch; 0 means derive
-	// it that way.
+	// it that way. At most 255: each leader's count is one byte.
 	QCsPerLeaderForSuccess int
 	// DisableDeltaWait removes the Δ-wait before sending epoch-view
 	// messages (§3.5's final fix); used by the ablation experiment.
@@ -112,6 +113,9 @@ func (c Config) Validate() error {
 	n := c.normalized()
 	if n.Variant != VariantFull && n.Variant != VariantBasic {
 		return fmt.Errorf("core: unknown variant %v", c.Variant)
+	}
+	if n.QCsPerLeaderForSuccess > math.MaxUint8 {
+		return fmt.Errorf("core: %d QCs per leader for success, at most %d are counted", n.QCsPerLeaderForSuccess, math.MaxUint8)
 	}
 	sn := c.Base.N
 	switch s := n.Schedule.(type) {

@@ -105,6 +105,14 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid base accepted")
 	}
+	// Each leader's success count is one byte.
+	for qcs, ok := range map[int]bool{255: true, 256: false} {
+		c := fullCfg(2)
+		c.QCsPerLeaderForSuccess = qcs
+		if err := c.Validate(); (err == nil) != ok {
+			t.Errorf("%d success QCs: Validate() = %v, want ok=%v", qcs, err, ok)
+		}
+	}
 }
 
 // TestValidateScheduleSize: a schedule built for another n is rejected

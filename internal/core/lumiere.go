@@ -53,9 +53,11 @@ type Pacemaker struct {
 	tcDone     quorum.Flags
 	ecDone     quorum.Flags
 
-	// The success criterion (§4).
+	// The success criterion (§4): per epoch, the QCs credited to each
+	// leader (indexed by NodeID, saturating at QCsPerLeaderForSuccess)
+	// and how many leaders have reached that count.
 	credited  quorum.Flags
-	leaderQCs map[types.Epoch]map[types.NodeID]int
+	leaderQCs map[types.Epoch]epochQCs
 	success   map[types.Epoch]bool
 
 	violations []string
@@ -66,6 +68,13 @@ type Pacemaker struct {
 	// checker skips the transient and validates the post-step state from
 	// the enclosing handler instead.
 	inBump int
+}
+
+// epochQCs is one epoch's success tally: one byte per processor and the
+// number of leaders whose byte reached the threshold.
+type epochQCs struct {
+	per []uint8
+	met int
 }
 
 var _ pacemaker.Pacemaker = (*Pacemaker)(nil)
@@ -99,7 +108,7 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 		vcSentAt:   make(map[types.View]types.Time),
 		EpochCerts: baseline.NewCerts(suite, cfg.Base.N),
 		ecKeep:     ecKeep,
-		leaderQCs:  make(map[types.Epoch]map[types.NodeID]int),
+		leaderQCs:  make(map[types.Epoch]epochQCs),
 		success:    make(map[types.Epoch]bool),
 	}
 }
@@ -409,7 +418,8 @@ func (p *Pacemaker) onQC(qc *msg.QC) {
 
 // creditQC updates the success criterion: success(e) flips once 2f+1
 // distinct leaders have each produced QCsPerLeaderForSuccess QCs for
-// views in epoch e.
+// views in epoch e. Each QC costs O(1); an epoch's tally is made at its
+// first credited QC, which may come before the processor enters it.
 func (p *Pacemaker) creditQC(v types.View) {
 	if p.cfg.Variant != VariantFull || v < 0 || p.credited.Has(v) {
 		return
@@ -419,23 +429,22 @@ func (p *Pacemaker) creditQC(v types.View) {
 		return
 	}
 	p.credited.Set(v)
-	leaders := p.leaderQCs[e]
-	if leaders == nil {
-		leaders = make(map[types.NodeID]int)
-		p.leaderQCs[e] = leaders
+	tally, ok := p.leaderQCs[e]
+	if !ok {
+		tally.per = make([]uint8, p.Cfg.N)
+		p.leaderQCs[e] = tally
 	}
-	leader := p.Leader(v)
-	leaders[leader]++
-	if leaders[leader] != p.cfg.QCsPerLeaderForSuccess {
+	c := &tally.per[p.Leader(v)]
+	if int(*c) >= p.cfg.QCsPerLeaderForSuccess {
+		return // saturated: this leader already counts toward met
+	}
+	*c++
+	if int(*c) < p.cfg.QCsPerLeaderForSuccess {
 		return
 	}
-	met := 0
-	for _, c := range leaders {
-		if c >= p.cfg.QCsPerLeaderForSuccess {
-			met++
-		}
-	}
-	if met < p.Cfg.Quorum() {
+	tally.met++
+	p.leaderQCs[e] = tally
+	if tally.met < p.Cfg.Quorum() {
 		return
 	}
 	p.success[e] = true

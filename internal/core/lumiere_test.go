@@ -326,6 +326,40 @@ func TestSuccessCriterionFlipsAtThreshold(t *testing.T) {
 	u.requireClean(t)
 }
 
+// TestSuccessCountSaturates: a leader credited more than
+// QCsPerLeaderForSuccess times counts once toward the 2f+1 leaders.
+func TestSuccessCountSaturates(t *testing.T) {
+	u := newUnit(t, 1, func(c *Config) { c.QCsPerLeaderForSuccess = 2 }) // each leader leads 10 views per epoch
+	u.pm.Start()
+	ledBy := func(id types.NodeID) (views []types.View) {
+		for v := types.View(0); v < u.conf.EpochLen(); v++ {
+			if u.pm.Leader(v) == id {
+				views = append(views, v)
+			}
+		}
+		return views
+	}
+	for _, id := range []types.NodeID{0, 1} { // every QC of two leaders
+		for _, v := range ledBy(id) {
+			u.pm.creditQC(v)
+		}
+	}
+	if got := u.pm.leaderQCs[0]; got.met != 2 || got.per[0] != 2 || got.per[1] != 2 {
+		t.Fatalf("tally after two leaders' %d QCs each: met=%d per=%v, want met=2, counts saturated at 2",
+			len(ledBy(0)), got.met, got.per)
+	}
+	third := ledBy(2)
+	u.pm.creditQC(third[0])
+	if u.pm.SuccessOf(0) {
+		t.Fatal("success flipped with two leaders at the threshold")
+	}
+	u.pm.creditQC(third[1])
+	if !u.pm.SuccessOf(0) {
+		t.Fatal("success did not flip at the third leader's threshold")
+	}
+	u.requireClean(t)
+}
+
 // TestSuccessSkipsHeavySync: with success(0) set, reaching c_{V(1)}
 // enters epoch 1 as a standard initial view (lines 13-14): no pause, no
 // epoch-view message, and a view message to the boundary leader.
@@ -695,19 +729,20 @@ func TestUntracedNotesFormatNothing(t *testing.T) {
 	u = newUnit(t, 1, nil)
 	u.pm.Start()
 	const e, v = types.Epoch(0), types.View(4)
-	qcs := u.pm.cfg.QCsPerLeaderForSuccess
-	lead := u.pm.Leader(v)
-	leaders := make(map[types.NodeID]int)
-	for id := types.NodeID(0); len(leaders) < u.Cfg.Quorum()-1; id++ {
+	qcs := uint8(u.pm.cfg.QCsPerLeaderForSuccess)
+	lead, q := u.pm.Leader(v), u.Cfg.Quorum()
+	per := make([]uint8, u.Cfg.N)
+	for id, met := types.NodeID(0), 0; met < q-1; id++ {
 		if id != lead {
-			leaders[id] = qcs
+			per[id] = qcs
+			met++
 		}
 	}
-	u.pm.leaderQCs[e] = leaders
 	if n := allocgate.PerRun(t, 100, func() {
 		u.pm.credited.Reset()
 		delete(u.pm.success, e)
-		leaders[lead] = qcs - 1
+		per[lead] = qcs - 1
+		u.pm.leaderQCs[e] = epochQCs{per: per, met: q - 1}
 		u.pm.creditQC(v)
 	}); n != 0 {
 		t.Errorf("untraced success flip: %v allocations, want 0", n)

@@ -116,12 +116,12 @@ type Suite interface {
 // arrived: that check is what makes the result a certificate for ANY
 // caller (internal/adversary included), so SimSuite may seal it as
 // verified at construction.
-func aggregate(s Suite, data []byte, sorted []Signature, slots [][]byte) (Aggregate, error) {
+func aggregate(s Suite, data []byte, sorted []Signature, signers []types.NodeID, slots [][]byte) (Aggregate, error) {
 	// slices.SortFunc rather than sort.Slice: the non-capturing
 	// comparison keeps the certificate-assembly path free of closure
 	// allocations.
 	slices.SortFunc(sorted, func(a, b Signature) int { return cmp.Compare(a.Signer, b.Signer) })
-	agg := Aggregate{Signers: make([]types.NodeID, 0, len(sorted)), Bytes: slots}
+	agg := Aggregate{Signers: signers, Bytes: slots}
 	for i, sig := range sorted {
 		if i > 0 && sig.Signer == sorted[i-1].Signer {
 			return Aggregate{}, fmt.Errorf("%w: %v", ErrDuplicateSigner, sig.Signer)
@@ -203,18 +203,21 @@ type SimSuite struct {
 	// certificate do not pay 2f+1 signature checks each. The key is
 	// the backing arrays of the signer and component lists plus their
 	// length (a Truncate view shares its parent's arrays); the entry holds
-	// the bound statement and a private copy of the component slice
-	// headers, never the MAC bytes. A hit needs an equal statement, an
-	// equal key and the same (pointer, length) in every slot: whatever was
-	// re-assembled, re-bound, re-sliced or had a slot swapped falls through
+	// the bound statement and private copies of the signer IDs and of the
+	// component slice headers, never the MAC bytes. A hit needs an equal
+	// statement, an equal key, equal signer IDs and the same (pointer,
+	// length) in every slot: whatever was re-assembled, re-bound,
+	// re-sliced, relabelled in place or had a slot swapped falls through
 	// to the full check. Assumed: a sent message's signature bytes live in
 	// the suite's append-only arena and are never written after Sign —
 	// flipping bytes of a shared message in place is simulator corruption,
-	// outside the §2 adversary. A hit still compares one slot header per
-	// component, so it is O(n), not O(1) in κ: at n=1024 (683 slots) it
-	// takes 0.74–1.26 µs traced, 2–3.5 HMACs of Sign (0.25–0.38 µs), but
-	// ≈ 1/250 of a full check. No size threshold: a hit is cheaper than a
-	// full check at every n. Simulation only; Ed25519Suite checks everything.
+	// outside the §2 adversary. A hit still compares one signer ID and one
+	// slot header per component, so it is O(n), not O(1) in κ: at n=1024
+	// (683 components) the slot headers alone took 0.74–1.26 µs traced,
+	// 2–3.5 HMACs of Sign (0.25–0.38 µs), and the signer IDs add one
+	// 2.7 KB memcmp; still ≈ 1/250 of a full check. No size threshold: a
+	// hit is cheaper than a full check at every n. Simulation only;
+	// Ed25519Suite checks everything.
 	sealed map[aggKey]sealedCert
 }
 
@@ -227,18 +230,23 @@ type aggKey struct {
 
 // sealedCert is what a sealed certificate was checked against.
 type sealedCert struct {
-	stmt  [64]byte // the bound statement, inline (the protocols' longest is 53 bytes)
-	nstmt int
-	slots [][]byte // private copy of the component slice headers
+	stmt    [64]byte // the bound statement, inline (the protocols' longest is 53 bytes)
+	nstmt   int
+	signers []types.NodeID // private copy of the signer IDs
+	slots   [][]byte       // private copy of the component slice headers
 }
 
 func (c *sealedCert) holds(data []byte, agg Aggregate) bool {
 	if !bytes.Equal(c.stmt[:c.nstmt], data) {
 		return false
 	}
-	slots := agg.Bytes[:len(c.slots)] // one bounds check for the loop
+	// One pass over both lists: a second pass over the signer IDs
+	// (slices.Equal) took 12 % of sim-sync-n1024's CPU on a 2-core Xeon;
+	// fused into the slot loop, the compare hides under the slot loads.
+	n := len(c.slots)
+	slots, signers, own := agg.Bytes[:n], agg.Signers[:n], c.signers[:n] // one bounds check each
 	for i, m := range c.slots {
-		if b := slots[i]; len(b) != len(m) || len(m) == 0 || &b[0] != &m[0] {
+		if b := slots[i]; signers[i] != own[i] || len(b) != len(m) || len(m) == 0 || &b[0] != &m[0] {
 			return false
 		}
 	}
@@ -378,15 +386,15 @@ func (s *SimSuite) Verify(data []byte, sig Signature) error {
 
 // Aggregate implements Suite. The result is sealed: aggregate has just
 // verified every component, so no recipient re-MACs an honestly
-// assembled certificate. The component list and the seal's private copy
-// of it share one allocation.
+// assembled certificate. The signer and component lists each share one
+// allocation with the seal's private copy of them.
 func (s *SimSuite) Aggregate(data []byte, sigs []Signature) (Aggregate, error) {
 	n := len(sigs)
 	s.sorted = append(s.sorted[:0], sigs...)
-	slots := make([][]byte, 2*n)
-	agg, err := aggregate(s, data, s.sorted, slots[:0:n])
+	signers, slots := make([]types.NodeID, 2*n), make([][]byte, 2*n)
+	agg, err := aggregate(s, data, s.sorted, signers[:0:n], slots[:0:n])
 	if err == nil {
-		s.seal(data, agg, slots[n:])
+		s.seal(data, agg, signers[n:], slots[n:])
 	}
 	return agg, err
 }
@@ -411,14 +419,15 @@ func (s *SimSuite) VerifyAggregate(data []byte, agg Aggregate, threshold int) er
 	if err := verifyAggregate(s, data, agg, threshold); err != nil {
 		return err
 	}
-	s.seal(data, agg, make([][]byte, len(agg.Bytes)))
+	s.seal(data, agg, make([]types.NodeID, len(agg.Signers)), make([][]byte, len(agg.Bytes)))
 	return nil
 }
 
-// seal records a fully checked (statement, certificate) pair; slots
-// receives the private copy of the component slice headers.
-func (s *SimSuite) seal(data []byte, agg Aggregate, slots [][]byte) {
-	c := sealedCert{nstmt: len(data), slots: slots}
+// seal records a fully checked (statement, certificate) pair; signers and
+// slots receive the private copies of the signer IDs and of the
+// component slice headers.
+func (s *SimSuite) seal(data []byte, agg Aggregate, signers []types.NodeID, slots [][]byte) {
+	c := sealedCert{nstmt: len(data), signers: signers, slots: slots}
 	if len(slots) == 0 || len(data) > len(c.stmt) {
 		return
 	}
@@ -428,6 +437,7 @@ func (s *SimSuite) seal(data []byte, agg Aggregate, slots [][]byte) {
 		clear(s.sealed)
 	}
 	copy(c.stmt[:], data)
+	copy(signers, agg.Signers)
 	copy(slots, agg.Bytes)
 	s.sealed[aggKey{signers: &agg.Signers[0], bytes: &agg.Bytes[0], n: len(slots)}] = c
 }
@@ -497,7 +507,7 @@ func (s *Ed25519Suite) Verify(data []byte, sig Signature) error {
 
 // Aggregate implements Suite.
 func (s *Ed25519Suite) Aggregate(data []byte, sigs []Signature) (Aggregate, error) {
-	return aggregate(s, data, append([]Signature(nil), sigs...), make([][]byte, 0, len(sigs)))
+	return aggregate(s, data, append([]Signature(nil), sigs...), make([]types.NodeID, 0, len(sigs)), make([][]byte, 0, len(sigs)))
 }
 
 // VerifyAggregate implements Suite.

@@ -407,8 +407,8 @@ func TestSignedSignatureSealSkipsHMAC(t *testing.T) {
 
 // TestVerifiedAggregateMemo pins the SimSuite seal semantics at a small
 // and a large n (one path at every size): a sealed certificate hits, but
-// whatever was swapped, re-bound, re-sliced, re-assembled or outlived its
-// keys falls through to the full check and is rejected.
+// whatever was swapped, re-bound, relabelled, re-sliced, re-assembled or
+// outlived its keys falls through to the full check and is rejected.
 func TestVerifiedAggregateMemo(t *testing.T) {
 	flipped := func(b []byte) []byte {
 		c := append([]byte(nil), b...)
@@ -431,6 +431,10 @@ func TestVerifiedAggregateMemo(t *testing.T) {
 			},
 			"re-bound statement": func(s *SimSuite, agg Aggregate) error {
 				return s.VerifyAggregate(other, agg, q)
+			},
+			"signer relabelled in place": func(s *SimSuite, agg Aggregate) error {
+				agg.Signers[q-1] = types.NodeID(n - 1) // same arrays, still sorted
+				return s.VerifyAggregate(data, agg, q)
 			},
 			"raised threshold": func(s *SimSuite, agg Aggregate) error {
 				return s.VerifyAggregate(data, agg, q+1)

@@ -9,7 +9,8 @@
 // VoteSet is one 64-word bit array plus a signature slice sized once to
 // the threshold its certificate is sealed at (none for a set that only
 // counts), both recycled across views through a free pool and across
-// arena executions through the Reset contracts of DESIGN.md §4.
+// arena executions through the Reset contracts of DESIGN.md §4. A
+// recycled or released set keeps its capacity but no signature.
 //
 // Semantics are those of the maps they replace: VoteSet.Add dedups by
 // signer, Flags.Has on a pruned view reads false (a deleted map entry),
@@ -60,8 +61,17 @@ func (v *VoteSet) ResetKeep(n, keep int) {
 	if cap(v.sigs) < keep {
 		v.sigs = make([]crypto.Signature, 0, keep)
 	}
-	v.sigs = v.sigs[:0]
+	v.Release()
 	v.count, v.keep = 0, keep
+}
+
+// Release zeroes and drops the stored signatures, keeping their capacity:
+// a finished set must not pin what it no longer needs, since one stored
+// signature keeps its whole SimSuite arena block (1024 signatures)
+// alive. Counts and signers stay as they are; Sigs is empty afterwards.
+func (v *VoteSet) Release() {
+	clear(v.sigs)
+	v.sigs = v.sigs[:0]
 }
 
 // Add records a vote, deduplicating by signer, and stores its signature
@@ -118,9 +128,15 @@ func (s *VoteSets) Reset(n int) {
 		s.live = make(map[types.View]*VoteSet)
 	}
 	for v, vs := range s.live {
-		s.free = append(s.free, vs)
+		s.recycle(vs)
 		delete(s.live, v)
 	}
+}
+
+// recycle releases a set's signatures and returns it to the pool.
+func (s *VoteSets) recycle(vs *VoteSet) {
+	vs.Release()
+	s.free = append(s.free, vs)
 }
 
 // Get returns the view's vote set, materializing an empty one that keeps
@@ -147,7 +163,7 @@ func (s *VoteSets) Peek(v types.View) *VoteSet { return s.live[v] }
 // Drop recycles one view's set, if present.
 func (s *VoteSets) Drop(v types.View) {
 	if vs, ok := s.live[v]; ok {
-		s.free = append(s.free, vs)
+		s.recycle(vs)
 		delete(s.live, v)
 	}
 }
@@ -157,7 +173,7 @@ func (s *VoteSets) Drop(v types.View) {
 func (s *VoteSets) DropBelow(bound types.View) {
 	for v, vs := range s.live {
 		if v < bound {
-			s.free = append(s.free, vs)
+			s.recycle(vs)
 			delete(s.live, v)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/crypto"
 	"lumiere/internal/types"
 )
@@ -82,7 +83,7 @@ func TestVoteSetKeepsFirstArrivals(t *testing.T) {
 		keep int
 		want float64
 	}{{0, 2}, {q, 3}} {
-		if avg := testing.AllocsPerRun(100, func() {
+		if avg := allocgate.PerRun(t, 100, func() {
 			vs := new(VoteSet)
 			vs.ResetKeep(n, c.keep)
 			fill(vs)
@@ -141,6 +142,66 @@ func TestVoteSetsPoolRecycling(t *testing.T) {
 	}
 	if got := s.Get(10, 1); got.Count() != 0 || got.Has(1) {
 		t.Fatal("post-Reset set dirty")
+	}
+}
+
+// held counts the non-zero signatures anywhere in a set's storage, up to
+// its capacity: what it would still pin for the garbage collector.
+func held(vs *VoteSet) int {
+	n := 0
+	for _, sig := range vs.Sigs()[:cap(vs.Sigs())] {
+		if sig.Signer != 0 || sig.Bytes != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFinishedSetsKeepNoSignature: a set recycled by Drop, DropBelow or
+// Reset, and a set Released by its owner, keeps its capacity but no
+// signature anywhere in it — one stored signature would pin its whole
+// SimSuite arena block.
+func TestFinishedSetsKeepNoSignature(t *testing.T) {
+	const n, keep = 64, 43
+	fill := func(vs *VoteSet) {
+		for i := 0; i < n; i++ {
+			vs.Add(crypto.Signature{Signer: types.NodeID(i), Bytes: []byte{byte(i)}})
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		finish func(s *VoteSets, v types.View)
+	}{
+		{"Drop", func(s *VoteSets, v types.View) { s.Drop(v) }},
+		{"DropBelow", func(s *VoteSets, v types.View) { s.DropBelow(v + 1) }},
+		{"Reset", func(s *VoteSets, _ types.View) { s.Reset(n) }},
+	} {
+		var s VoteSets
+		s.Reset(n)
+		vs := s.Get(7, keep)
+		fill(vs)
+		if held(vs) != keep {
+			t.Fatalf("%s: filled set holds %d signatures, want %d", c.name, held(vs), keep)
+		}
+		c.finish(&s, 7)
+		if s.Live() != 0 || len(vs.Sigs()) != 0 || cap(vs.Sigs()) != keep || held(vs) != 0 {
+			t.Errorf("%s: live %d, recycled set stores %d of capacity %d and holds %d; want 0, 0, %d, 0",
+				c.name, s.Live(), len(vs.Sigs()), cap(vs.Sigs()), held(vs), keep)
+		}
+	}
+
+	var vs VoteSet
+	vs.ResetKeep(n, keep)
+	fill(&vs)
+	vs.Release()
+	if len(vs.Sigs()) != 0 || held(&vs) != 0 || vs.Count() != n || !vs.Has(n-1) {
+		t.Errorf("released set: stores %d, holds %d, counts %d; want 0, 0, %d with its signers kept",
+			len(vs.Sigs()), held(&vs), vs.Count(), n)
+	}
+	vs.ResetKeep(n, keep/2) // a smaller keep leaves nothing stale past it
+	fill(&vs)
+	if held(&vs) != keep/2 {
+		t.Errorf("re-armed set holds %d signatures, want %d", held(&vs), keep/2)
 	}
 }
 
@@ -219,7 +280,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	for _, keep := range []int{n, 2*n/3 + 1, 0} {
 		var vs VoteSet
 		vs.ResetKeep(n, keep)
-		if avg := testing.AllocsPerRun(1000, func() {
+		if avg := allocgate.PerRun(t, 1000, func() {
 			vs.ResetKeep(n, keep)
 			for _, s := range sigs {
 				vs.Add(s)
@@ -234,7 +295,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	sets.Reset(n)
 	view := types.View(0)
 	sets.Get(view, n/3+1) // materialize the pooled set once
-	if avg := testing.AllocsPerRun(1000, func() {
+	if avg := allocgate.PerRun(t, 1000, func() {
 		view += 2
 		s := sets.Get(view, n/3+1)
 		for _, sig := range sigs {
@@ -249,7 +310,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	f.Reset()
 	v := types.View(64) // pre-grow the window past the warmup edge
 	f.Set(v)
-	if avg := testing.AllocsPerRun(1000, func() {
+	if avg := allocgate.PerRun(t, 1000, func() {
 		v += 2
 		if !f.Has(v) {
 			f.Set(v)

@@ -183,3 +183,100 @@ func TestMulticastReset(t *testing.T) {
 		t.Fatalf("post-reset deliveries = %+v", got)
 	}
 }
+
+// TestMulticastRunsMatchPerRecipient: recipients stored as runs of
+// consecutive IDs expand in exactly the order, and count exactly the
+// events, of one SendAt per recipient — for a sender in the middle of
+// the range, a dropped recipient, a duplicate at the same time, more
+// than mcMaxTracked distinct times (the sorting path) and a multicast
+// nested in a delivery. A full broadcast is stored as two runs.
+func TestMulticastRunsMatchPerRecipient(t *testing.T) {
+	const n = 40
+	type send struct {
+		to types.NodeID
+		at types.Time
+	}
+	broadcast := func(from types.NodeID, skip func(types.NodeID) bool, at func(types.NodeID) types.Time) []send {
+		var out []send
+		for to := types.NodeID(0); to < n; to++ {
+			if to != from && !skip(to) {
+				out = append(out, send{to, at(to)})
+			}
+		}
+		return out
+	}
+	none := func(types.NodeID) bool { return false }
+	fixed := func(types.NodeID) types.Time { return 100 }
+	for _, c := range []struct {
+		name  string
+		sends []send
+		runs  int // stored runs of the single event, 0 to skip the check
+	}{
+		{"sender in the middle", broadcast(17, none, fixed), 2},
+		{"dropped recipient", broadcast(17, func(to types.NodeID) bool { return to == 30 }, fixed), 3},
+		{"duplicate at the same time", append(broadcast(17, none, fixed), send{39, 100}, send{5, 100}), 4},
+		{"repeat of the last recipient", []send{{3, 100}, {4, 100}, {4, 100}, {5, 100}}, 2}, // [3 4] [4 5]
+		{"sorting path", broadcast(17, none, func(to types.NodeID) types.Time {
+			return types.Time(100 + (int(to)*13)%(mcMaxTracked+5))
+		}), 0},
+		{"sorting path with duplicates", append(broadcast(0, func(to types.NodeID) bool { return to%7 == 0 }, func(to types.NodeID) types.Time {
+			return types.Time(100 + int(to)%(2*mcMaxTracked))
+		}), send{1, 101}, send{1, 101}, send{2, 100}), 0},
+	} {
+		for _, nested := range []bool{false, true} {
+			run := func(multi bool) ([]delivery, uint64) {
+				s := New(1)
+				var got []delivery
+				send := func(from types.NodeID, m any, sends []send) {
+					if !multi {
+						for _, d := range sends {
+							s.SendAt(d.at, from, d.to, m)
+						}
+						return
+					}
+					mc := s.Multicast(from, m)
+					for _, d := range sends {
+						mc.Add(d.to, d.at)
+					}
+					mc.Commit()
+				}
+				s.SetSink(func(from, to types.NodeID, m any) {
+					got = append(got, delivery{from: from, to: to, at: s.Now(), m: m})
+					if nested && m == "b" && to == 20 { // a delivery that broadcasts a reply
+						send(to, "reply", broadcast(to, none, func(types.NodeID) types.Time { return s.Now() + 3 }))
+					}
+				})
+				s.SendAt(99, 1, 2, "pre")
+				send(17, "b", c.sends)
+				s.SendAt(100, 3, 4, "mid")
+				s.RunUntil(10_000)
+				return got, s.Events()
+			}
+			plain, plainEvents := run(false)
+			multi, multiEvents := run(true)
+			if len(plain) != len(multi) || plainEvents != multiEvents {
+				t.Fatalf("%s nested=%v: %d deliveries, %d events; per-recipient reference %d, %d",
+					c.name, nested, len(multi), multiEvents, len(plain), plainEvents)
+			}
+			for i := range plain {
+				if plain[i] != multi[i] {
+					t.Fatalf("%s nested=%v: delivery %d = %+v, reference %+v", c.name, nested, i, multi[i], plain[i])
+				}
+			}
+		}
+		if c.runs > 0 {
+			s := New(1)
+			s.SetSink(func(types.NodeID, types.NodeID, any) {})
+			mc := s.Multicast(17, "b")
+			for _, d := range c.sends {
+				mc.Add(d.to, d.at)
+			}
+			mc.Commit()
+			ev := &s.arena[s.heap[0]]
+			if s.Pending() != 1 || len(ev.runs) != c.runs || int(ev.nrecip) != len(c.sends) {
+				t.Errorf("%s: %d events, %d runs for %d recipients; want 1 event, %d runs",
+					c.name, s.Pending(), len(ev.runs), ev.nrecip, c.runs)
+			}
+		}
+	}
+}

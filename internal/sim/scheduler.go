@@ -49,11 +49,28 @@ type event struct {
 	gen  uint32
 	pos  int32 // heap position, -1 while free or being fired
 	kind eventKind
-	// recips is the recipient set of a kindMulti event, in delivery
-	// order. The backing array stays with the slot across reuse, so a
-	// steady stream of multicasts recycles recipient storage the same
-	// way the arena recycles slots.
-	recips []types.NodeID
+	// nrecip counts the recipients of a kindMulti event, stored in runs
+	// in delivery order: a full broadcast is two runs, not n−1 IDs. The
+	// backing array stays with the slot across reuse, so a steady stream
+	// of multicasts recycles recipient storage the same way the arena
+	// recycles slots.
+	nrecip int32
+	runs   []mcRun
+}
+
+// mcRun is n consecutive recipient IDs starting at lo.
+type mcRun struct{ lo, n int32 }
+
+// addRecip appends one recipient to a kindMulti event: it extends the
+// last run when to continues it and starts a new run otherwise (a repeat
+// ID included), so expansion replays the exact Add order.
+func (ev *event) addRecip(to types.NodeID) {
+	ev.nrecip++
+	if k := len(ev.runs) - 1; k >= 0 && ev.runs[k].lo+ev.runs[k].n == int32(to) {
+		ev.runs[k].n++
+		return
+	}
+	ev.runs = append(ev.runs, mcRun{lo: int32(to), n: 1})
 }
 
 // Timer identifies a scheduled callback for cancellation without
@@ -83,11 +100,11 @@ type Scheduler struct {
 
 	// mcPool is the stack of reusable multicast builders (depth > 1 only
 	// when an observer reached from a build triggers a nested broadcast);
-	// expand is the recipient scratch a firing multicast event is copied
-	// into before its slot is released back to the arena.
+	// expand is the recipient-run scratch a firing multicast event is
+	// copied into before its slot is released back to the arena.
 	mcPool  []*Multicast
 	mcDepth int
-	expand  []types.NodeID
+	expand  []mcRun
 }
 
 // New creates a Scheduler with virtual time 0 and randomness from seed.
@@ -123,7 +140,7 @@ func (s *Scheduler) Clear() {
 		ev := &s.arena[i]
 		ev.fn = nil
 		ev.msg = nil
-		ev.recips = ev.recips[:0]
+		ev.runs, ev.nrecip = ev.runs[:0], 0
 		ev.kind = kindFree
 		ev.pos = -1
 		ev.gen++
@@ -238,7 +255,7 @@ func (s *Scheduler) release(id int32) {
 	ev := &s.arena[id]
 	ev.fn = nil
 	ev.msg = nil
-	ev.recips = ev.recips[:0]
+	ev.runs, ev.nrecip = ev.runs[:0], 0
 	ev.kind = kindFree
 	ev.pos = -1
 	ev.gen++
@@ -466,8 +483,7 @@ func (mc *Multicast) commitGrouped() {
 	for _, e := range mc.entries {
 		for i, t := range mc.times {
 			if t == e.at {
-				id := mc.slots[i]
-				s.arena[id].recips = append(s.arena[id].recips, e.to)
+				s.arena[mc.slots[i]].addRecip(e.to)
 				break
 			}
 		}
@@ -487,9 +503,9 @@ func (mc *Multicast) commitSorted() {
 		for j < len(mc.entries) && mc.entries[j].at == mc.entries[i].at {
 			j++
 		}
-		id := mc.newGroup(mc.entries[i].at)
+		ev := &s.arena[mc.newGroup(mc.entries[i].at)]
 		for _, e := range mc.entries[i:j] {
-			s.arena[id].recips = append(s.arena[id].recips, e.to)
+			ev.addRecip(e.to)
 		}
 		i = j
 	}
@@ -545,16 +561,18 @@ func (s *Scheduler) Step() bool {
 		from, m := ev.from, ev.msg
 		// Count every expansion so Events matches a per-recipient
 		// scheduler (Step already counted the first delivery).
-		s.fired += uint64(len(ev.recips) - 1)
-		// Copy the recipient set out before releasing the slot: handlers
+		s.fired += uint64(ev.nrecip - 1)
+		// Copy the recipient runs out before releasing the slot: handlers
 		// reached through the sink may schedule, growing the arena or
 		// reusing this very slot mid-expansion. Expansion is never
 		// reentrant (Step runs only on the event loop), so one scratch
 		// buffer suffices.
-		s.expand = append(s.expand[:0], ev.recips...)
+		s.expand = append(s.expand[:0], ev.runs...)
 		s.release(id)
-		for _, to := range s.expand {
-			s.sink(from, to, m)
+		for _, r := range s.expand {
+			for to := types.NodeID(r.lo); to < types.NodeID(r.lo+r.n); to++ {
+				s.sink(from, to, m)
+			}
 		}
 	default:
 		panic("sim: free slot reached the heap")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/types"
 )
 
@@ -281,19 +282,19 @@ func TestSchedulerAllocsSteadyState(t *testing.T) {
 		s.Step()
 		s.Step()
 	}
-	if avg := testing.AllocsPerRun(500, func() {
+	if avg := allocgate.PerRun(t, 500, func() {
 		s.AtTimer(s.Now()+1, fn)
 		s.Step()
 	}); avg != 0 {
 		t.Errorf("AtTimer/Step cycle allocates %.2f per run, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(500, func() {
+	if avg := allocgate.PerRun(t, 500, func() {
 		s.SendAt(s.Now()+1, 0, 1, m)
 		s.Step()
 	}); avg != 0 {
 		t.Errorf("SendAt/Step cycle allocates %.2f per run, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(500, func() {
+	if avg := allocgate.PerRun(t, 500, func() {
 		cancel := s.At(s.Now()+1, fn)
 		_ = cancel
 		s.Step()
@@ -306,7 +307,7 @@ func TestSchedulerReserve(t *testing.T) {
 	s := New(1)
 	s.SetSink(func(types.NodeID, types.NodeID, any) {})
 	s.Reserve(64)
-	if avg := testing.AllocsPerRun(10, func() {
+	if avg := allocgate.PerRun(t, 10, func() {
 		for i := 0; i < 64; i++ {
 			s.SendAt(s.Now()+1, 0, 1, "m")
 		}

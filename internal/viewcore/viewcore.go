@@ -170,19 +170,27 @@ func (r *Round) Tally(from types.NodeID, v *msg.Vote) {
 	// Lumiere's leader discipline: refrain from producing the QC past
 	// the deadline (§4 "Initial and non-initial views").
 	if r.RT.Now() > r.deadline {
-		r.done = true
+		r.finish()
 		return
 	}
 	agg, err := r.Suite.Aggregate(r.Stmt.Vote(v.V, &v.BlockHash), r.votes.Sigs())
 	if err != nil {
 		return
 	}
-	r.done = true
+	r.finish()
 	qc := &msg.QC{V: v.V, BlockHash: v.BlockHash, Agg: agg}
 	if r.Obs != nil {
 		r.Obs.OnQCProduced(qc, r.RT.Now())
 	}
 	r.EP.Broadcast(qc)
+}
+
+// finish ends the led view's tally. Aggregate has copied what it needs
+// out of the stored votes, which would otherwise pin their signature
+// blocks until this processor leads again, 2n views later.
+func (r *Round) finish() {
+	r.done = true
+	r.votes.Release()
 }
 
 // Core is one processor's instance of the underlying protocol: the round

@@ -111,6 +111,34 @@ func TestLeaderDeadlineEnforced(t *testing.T) {
 	}
 }
 
+// TestFinishedTallyKeepsNoSignature: once the leader's tally is over —
+// its QC formed, or its deadline passed at quorum — the round's vote set
+// holds no signature anywhere in its storage, so it pins no SimSuite
+// arena block until this processor leads again.
+func TestFinishedTallyKeepsNoSignature(t *testing.T) {
+	delta := 10 * time.Millisecond
+	for _, c := range []struct {
+		name     string
+		deadline time.Duration // after LeaderStart; votes arrive at 2δ
+		qcs      int
+	}{{"QC formed", time.Second, 1}, {"deadline passed", delta, 0}} {
+		r := newRig(t, 1, delta)
+		r.enterAll(0)
+		r.cores[0].LeaderStart(0, r.sched.Now().Add(c.deadline))
+		r.sched.RunFor(time.Second)
+		votes := &r.cores[0].votes
+		if len(r.produced) != c.qcs || !r.cores[0].done || votes.Count() < r.cfg.Quorum() {
+			t.Fatalf("%s: produced %v, done %v, %d votes counted; want %d QCs, a finished tally of ≥ %d",
+				c.name, r.produced, r.cores[0].done, votes.Count(), c.qcs, r.cfg.Quorum())
+		}
+		for i, sig := range votes.Sigs()[:cap(votes.Sigs())] {
+			if sig.Bytes != nil || sig.Signer != 0 {
+				t.Errorf("%s: vote slot %d still holds signer %v's signature", c.name, i, sig.Signer)
+			}
+		}
+	}
+}
+
 func TestNonLeaderProposalIgnored(t *testing.T) {
 	r := newRig(t, 1, time.Millisecond)
 	r.enterAll(0)
