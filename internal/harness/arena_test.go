@@ -213,11 +213,12 @@ func smrCell() Scenario {
 // TestSMRCellAllocs pins what a committed command costs on the SMR path:
 // the benchmark's sim-smr-n4 cell (Lumiere + chained HotStuff, n=4, 6000
 // cmd/s in blocks of up to 256, KV) cut to two simulated seconds, in a
-// warm arena. Each of the four replicas allocates one string, the
-// command's key and value, when it applies it; blocks, proposals and map
-// growth amortize to about half an object more (4.5 measured). Hashing a
-// block per use, copying payloads out of proposals or splitting commands
-// into strings again costs 27.8.
+// warm arena. Applying a SET allocates nothing (the KV copies it into
+// its byte blocks); blocks, proposals and the stores' growth amortize to
+// about a third of an object (0.34 measured). One string per replica per
+// SET, as the KV's former map took, costs 4.5; hashing a block per use,
+// copying payloads out of proposals or splitting commands into strings
+// again costs 27.8.
 func TestSMRCellAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement in -short mode")
@@ -235,9 +236,9 @@ func TestSMRCellAllocs(t *testing.T) {
 		t.Fatalf("only %d commands committed", commits)
 	}
 	perCommit := float64(after.Mallocs-before.Mallocs) / float64(commits)
-	const budget = 6
+	const budget = 1
 	if perCommit > budget {
-		t.Fatalf("warm SMR cell: %.1f allocs per committed command (%d commits), budget %d", perCommit, commits, budget)
+		t.Fatalf("warm SMR cell: %.2f allocs per committed command (%d commits), budget %d", perCommit, commits, budget)
 	}
-	t.Logf("warm SMR cell: %.1f allocs per committed command (%d commits, budget %d)", perCommit, commits, budget)
+	t.Logf("warm SMR cell: %.2f allocs per committed command (%d commits, budget %d)", perCommit, commits, budget)
 }

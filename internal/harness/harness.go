@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"lumiere/internal/adversary"
@@ -441,6 +442,27 @@ func Run(s Scenario) *Result {
 	return (&Arena{}).run(s, false)
 }
 
+// legacyCommand returns the legacy WorkloadRate injector's i-th default
+// command, "SET key<i%64> value<i>", appended to *block as
+// workload.Engine builds its commands: each payload is capped at its own
+// length, and a full block is left to the payloads that point into it.
+func legacyCommand(block *[]byte, i int) []byte {
+	// The longest command is "SET key63 value" and an int of at most 20
+	// characters.
+	const blockSize, longest = 4 << 10, len("SET key63 value") + 20
+	b := *block
+	if cap(b)-len(b) < longest {
+		b = make([]byte, 0, blockSize)
+	}
+	at := len(b)
+	b = append(b, "SET key"...)
+	b = strconv.AppendInt(b, int64(i%64), 10)
+	b = append(b, " value"...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	*block = b
+	return b[at:len(b):len(b)]
+}
+
 // run executes a scenario inside the arena. With detach set the Result
 // receives a snapshot of the arena's metrics Collector (so the arena can
 // be reused while the Result stays valid) and the arena releases the
@@ -639,27 +661,29 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 
 	injected := 0
 	var eng *workload.Engine
-	switch {
-	case s.SMR && s.Workload != nil:
-		// Workload-engine injection: exact accumulator pacing, alloc-free
-		// mempool entry (hotstuff.EnqueueCommand), per-command commit
-		// latency via commitHook, optional closed-loop resubmission.
-		eng = a.workloadEngine(*s.Workload)
-		wcfg := eng.Config()
-		submitAll := func(id uint64, payload []byte) {
-			for _, r := range replicas {
-				if r.Crashed || r.Core == nil {
-					continue
-				}
-				if hs, ok := r.Core.(*hotstuff.Core); ok {
-					hs.EnqueueCommand(id, payload)
-				} else {
-					// Wrapped engines (equivocators) take the envelope
-					// path; only corrupted replicas pay the allocation.
-					r.Core.Handle(r.ID, &msg.Request{ID: id, Payload: payload})
-				}
+	// submitAll hands a command to every running replica's mempool:
+	// allocation-free through hotstuff.EnqueueCommand, and through the
+	// msg.Request envelope only for wrapped engines (equivocators), so
+	// only corrupted replicas pay the allocation.
+	submitAll := func(id uint64, payload []byte) {
+		for _, r := range replicas {
+			if r.Crashed || r.Core == nil {
+				continue
+			}
+			if hs, ok := r.Core.(*hotstuff.Core); ok {
+				hs.EnqueueCommand(id, payload)
+			} else {
+				r.Core.Handle(r.ID, &msg.Request{ID: id, Payload: payload})
 			}
 		}
+	}
+	switch {
+	case s.SMR && s.Workload != nil:
+		// Workload-engine injection: exact accumulator pacing, per-command
+		// commit latency via commitHook, optional closed-loop
+		// resubmission.
+		eng = a.workloadEngine(*s.Workload)
+		wcfg := eng.Config()
 		commitHook = func(b *hotstuff.Block, at types.Time) {
 			for i := range b.Cmds {
 				c, ok := eng.OnCommit(b.Cmds[i].ID, int64(at))
@@ -704,26 +728,20 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		pacer := workload.NewPacer(int64(s.WorkloadRate))
 		cmdFor := s.WorkloadCommand
 		if cmdFor == nil {
-			cmdFor = func(i int) []byte {
-				return []byte(fmt.Sprintf("SET key%d value%d", i%64, i))
-			}
+			var block []byte
+			cmdFor = func(i int) []byte { return legacyCommand(&block, i) }
 		}
 		var inject func()
 		inject = func() {
 			now := int64(sched.Now())
 			for pacer.NextAtNs() <= now {
 				i := pacer.Take()
-				req := &msg.Request{ID: workload.IDBase + uint64(i), Payload: cmdFor(int(i))}
 				injected++
-				for _, r := range replicas {
-					if !r.Crashed && r.Core != nil {
-						r.Core.Handle(r.ID, req)
-					}
-				}
+				submitAll(workload.IDBase+uint64(i), cmdFor(int(i)))
 			}
-			sched.At(types.Time(pacer.NextAtNs()), inject)
+			sched.AtTimer(types.Time(pacer.NextAtNs()), inject)
 		}
-		sched.At(types.Time(pacer.NextAtNs()), inject)
+		sched.AtTimer(types.Time(pacer.NextAtNs()), inject)
 	}
 
 	gaps := metrics.NewGapTracker(nil, nil, cfg.F)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -147,6 +148,27 @@ func TestSMRCommitsUnderLumiere(t *testing.T) {
 	}
 	if res.Injected == 0 {
 		t.Fatal("no workload injected")
+	}
+}
+
+// TestLegacyCommand: the legacy injector's default commands are the
+// bytes fmt.Sprintf("SET key%d value%d", i%64, i) gives, each capped at
+// its own length, and none changes while later ones fill its block.
+func TestLegacyCommand(t *testing.T) {
+	var block []byte
+	idx := make([]int, 0, 2001)
+	for i := 0; i < 2000; i++ {
+		idx = append(idx, i)
+	}
+	idx = append(idx, math.MaxInt)
+	cmds := make([][]byte, len(idx))
+	for k, i := range idx {
+		cmds[k] = legacyCommand(&block, i)
+	}
+	for k, i := range idx {
+		if want := fmt.Sprintf("SET key%d value%d", i%64, i); string(cmds[k]) != want || cap(cmds[k]) != len(want) {
+			t.Fatalf("command %d = %q (cap %d), want %q", i, cmds[k], cap(cmds[k]), want)
+		}
 	}
 }
 

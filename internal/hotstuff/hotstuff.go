@@ -113,9 +113,11 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
 	return c
 }
 
-// Submit queues a client command locally (examples broadcast msg.Request
-// so every replica's mempool holds it; whichever leader proposes first
-// wins, and execution dedupes by request ID).
+// Submit queues a client command in this replica's mempool only. A
+// msg.Request broadcast beside it reaches no other mempool: the replica
+// shell routes that kind to the pacemaker, which drops it, so the
+// command is proposed when this replica leads. Execution dedupes by
+// request ID.
 func (c *Core) Submit(payload []byte) uint64 {
 	id := c.nextReqID
 	c.nextReqID++

@@ -1,6 +1,7 @@
 package statemachine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -107,49 +108,206 @@ func TestKVMatchesSplitNGrammar(t *testing.T) {
 		}
 	}
 	walk("", 6)
-	var want strings.Builder
-	keys := make([]string, 0, len(ref))
-	for k := range ref {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&want, "%s=%s;", k, ref[k])
-	}
-	if kv.Summary() != want.String() {
-		t.Fatalf("state %q, reference %q", kv.Summary(), want.String())
+	if want := modelSummary(ref); kv.Summary() != want {
+		t.Fatalf("state %q, reference %q", kv.Summary(), want)
 	}
 }
 
-// TestKVApplyAllocs: a SET costs one allocation, the string its key and
-// value are cut from, whether it adds a key or overwrites one; nothing
-// for parsing or for the result. A DEL allocates nothing.
-func TestKVApplyAllocs(t *testing.T) {
+// modelSummary is KV.Summary of a map[string]string model.
+func modelSummary(model map[string]string) string {
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s=%s;", k, model[k])
+	}
+	return b.String()
+}
+
+// TestKVCollisionChain puts three keys under one hash through set, the
+// helper Apply calls with the key's maphash: each is found by its bytes,
+// and unlinking the middle entry, then the head, then the last, leaves
+// the rest reachable and finally frees the index slot.
+func TestKVCollisionChain(t *testing.T) {
 	kv := NewKV()
-	// A fresh key each time; the map is pre-sized so its growth is not
-	// counted.
-	keys := make([][]byte, 101)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("SET key-%03d some-value-that-is-not-tiny", i))
+	const h = 7
+	for i, k := range []string{"a", "b", "c"} {
+		kv.set(h, []byte(k), []byte(fmt.Sprint(i)))
 	}
-	kv.data = make(map[string]string, 2*len(keys))
+	kv.set(h, []byte("b"), []byte("11")) // an overwrite inside the chain
+	if len(kv.index) != 1 || kv.Len() != 3 || kv.Summary() != "a=0;b=11;c=2;" {
+		t.Fatalf("%d index slots, %d keys, summary %q; want 1, 3, a=0;b=11;c=2;", len(kv.index), kv.Len(), kv.Summary())
+	}
+	lookup := func(k string) string {
+		ref, _ := kv.find(h, []byte(k))
+		if ref < 0 {
+			return "<missing>"
+		}
+		return string(kv.value(kv.entry(ref)))
+	}
+	for _, step := range []struct{ del, want string }{
+		{"b", "a=0 b=<missing> c=2"}, // the middle: the chain is c → b → a
+		{"c", "a=0 b=<missing> c=<missing>"},
+		{"a", "a=<missing> b=<missing> c=<missing>"},
+	} {
+		kv.del(h, []byte(step.del))
+		if got := fmt.Sprintf("a=%s b=%s c=%s", lookup("a"), lookup("b"), lookup("c")); got != step.want {
+			t.Fatalf("after deleting %s: %s, want %s", step.del, got, step.want)
+		}
+	}
+	if len(kv.index) != 0 || kv.Len() != 0 {
+		t.Fatalf("emptied chain: %d index slots, %d keys", len(kv.index), kv.Len())
+	}
+}
+
+// TestKVDelThenSet: a deleted key is gone until it is set again, and the
+// new SET reuses the deleted entry instead of taking another.
+func TestKVDelThenSet(t *testing.T) {
+	kv := NewKV()
+	mustApply(t, kv, "SET a 1", "OK")
+	mustApply(t, kv, "SET bb 2", "OK")
+	mustApply(t, kv, "DEL a", "OK")
+	if _, err := kv.Apply([]byte("GET a")); !errors.Is(err, ErrKeyNotFound) || kv.Len() != 1 {
+		t.Fatalf("GET of deleted key: err = %v with %d keys; want ErrKeyNotFound, 1", err, kv.Len())
+	}
+	if kv.free < 0 {
+		t.Fatal("DEL left no free entry")
+	}
+	mustApply(t, kv, "DEL a", "OK") // deleting a missing key is a no-op
+	mustApply(t, kv, "SET a 3", "OK")
+	if kv.free >= 0 || len(kv.chunks) != 1 || len(kv.chunks[0]) != 2 {
+		t.Fatalf("re-SET took a new entry: free %d, chunk lengths %d", kv.free, len(kv.chunks[0]))
+	}
+	mustApply(t, kv, "GET a", "3")
+	if kv.Len() != 2 || kv.Summary() != "a=3;bb=2;" {
+		t.Fatalf("%d keys, summary %q", kv.Len(), kv.Summary())
+	}
+}
+
+// TestKVOverwriteGrows: an overwrite that fits the value's room is
+// written in place, takes no block bytes and keeps the room; one that
+// does not moves the key and value to new bytes and leaves the other
+// keys alone.
+func TestKVOverwriteGrows(t *testing.T) {
+	kv := NewKV()
+	mustApply(t, kv, "SET k abc", "OK")
+	mustApply(t, kv, "SET other a-value-long-enough-to-keep-compaction-away", "OK")
+	used := kv.used
+	mustApply(t, kv, "SET k xy", "OK") // shrinks in place
+	mustApply(t, kv, "GET k", "xy")
+	mustApply(t, kv, "SET k cba", "OK") // grows back into its room
+	if kv.used != used {
+		t.Fatalf("overwrites that fit took %d block bytes", kv.used-used)
+	}
+	mustApply(t, kv, "GET k", "cba")
+	mustApply(t, kv, "SET k abcdef", "OK") // outgrows it
+	if kv.used != used+len("kabcdef") {
+		t.Fatalf("a moved key took %d block bytes, want %d", kv.used-used, len("kabcdef"))
+	}
+	mustApply(t, kv, "GET k", "abcdef")
+	mustApply(t, kv, "GET other", "a-value-long-enough-to-keep-compaction-away")
+	if kv.Len() != 2 || kv.Summary() != "k=abcdef;other=a-value-long-enough-to-keep-compaction-away;" {
+		t.Fatalf("%d keys, summary %q", kv.Len(), kv.Summary())
+	}
+}
+
+// TestKVCompactionBound: 10⁵ SETs over 64 keys, each value a byte longer
+// than the key's last, move every key again and again. After each SET the
+// blocks hold at most twice the live bytes plus the newest block, and the
+// store matches a map. Deleting every key then leaves one entry chunk
+// and one block, which the next SET and DEL reuse without allocating.
+func TestKVCompactionBound(t *testing.T) {
+	kv, model := NewKV(), map[string]string{}
+	val := bytes.Repeat([]byte("v"), 100_000/64+1)
+	var cmd []byte
+	live, moved := 0, 0
+	for i := 0; i < 100_000; i++ {
+		key := fmt.Sprintf("key%02d", i%64)
+		cmd = append(append(append(cmd[:0], "SET "...), key...), ' ')
+		cmd = append(cmd, val[:i/64]...)
+		mustApply(t, kv, string(cmd), "OK")
+		if old, ok := model[key]; ok {
+			live -= len(key) + len(old)
+		}
+		live += len(key) + i/64
+		model[key] = string(val[:i/64])
+		arena := 0
+		for _, b := range kv.blocks {
+			arena += cap(b)
+		}
+		newest := cap(kv.blocks[len(kv.blocks)-1])
+		if kv.live != live || arena > 2*live+newest {
+			t.Fatalf("SET %d: %d live bytes (model %d), %d arena bytes > 2×live + %d", i, kv.live, live, arena, newest)
+		}
+		moved += len(key) + i/64
+	}
+	if kv.Summary() != modelSummary(model) {
+		t.Fatal("summary differs from the model")
+	}
+	if moved < 10*live {
+		t.Fatalf("only %d bytes stored against %d live: compaction never needed", moved, live)
+	}
+	for k := range model {
+		mustApply(t, kv, "DEL "+k, "OK")
+	}
+	if kv.Len() != 0 || len(kv.blocks) != 1 || len(kv.chunks) != 1 || len(kv.chunks[0]) != 0 || kv.used != 0 {
+		t.Fatalf("emptied store: %d keys, %d blocks, %d chunks, %d used bytes; want 0, 1, 1 (empty), 0", kv.Len(), len(kv.blocks), len(kv.chunks), kv.used)
+	}
+	set, del := []byte("SET a value"), []byte("DEL a")
+	if n := allocgate.PerRun(t, 100, func() { kv.Apply(set); kv.Apply(del) }); n != 0 {
+		t.Errorf("SET and DEL on an emptied store: %v allocations, want 0", n)
+	}
+	if kv.Len() != 0 || kv.Summary() != "" {
+		t.Fatalf("after SET and DEL: %d keys, summary %q", kv.Len(), kv.Summary())
+	}
+}
+
+// TestKVApplyAllocs: a SET allocates nothing, whether it adds a key or
+// overwrites one, and neither does a DEL. Only growth allocates — a new
+// byte block, entry chunk or index table, a few per doubling — so the
+// store's index is pre-sized and it is warmed until its newest block and
+// entry chunk have room for every measured SET; the test checks that no
+// block or chunk was added while it measured.
+func TestKVApplyAllocs(t *testing.T) {
+	const runs = 100
+	kv := NewKV()
+	kv.index = make(map[uint64]int32, 1<<14)
+	cmds := make([][]byte, runs+1)
+	for i := range cmds {
+		cmds[i] = []byte(fmt.Sprintf("SET key-%03d some-value-that-is-not-tiny", i))
+	}
+	need := (runs + 1) * (len(cmds[0]) - len("SET "))
+	for w := 0; ; w++ {
+		kv.Apply([]byte(fmt.Sprintf("SET warm-%05d some-value-that-is-not-tiny", w)))
+		b, c := kv.blocks[len(kv.blocks)-1], kv.chunks[len(kv.chunks)-1]
+		if cap(b)-len(b) >= need && cap(c)-len(c) > runs {
+			break
+		}
+	}
+	blocks, chunks, keys := len(kv.blocks), len(kv.chunks), kv.Len()
 	next := 0
-	if n := allocgate.PerRun(t, 100, func() { _, _ = kv.Apply(keys[next]); next++ }); n != 1 {
-		t.Errorf("SET of a new key: %v allocations, want 1", n)
+	if n := allocgate.PerRun(t, runs, func() { _, _ = kv.Apply(cmds[next]); next++ }); n != 0 {
+		t.Errorf("SET of a new key: %v allocations, want 0", n)
 	}
-	if kv.Len() != len(keys) {
-		t.Fatalf("%d keys after %d SETs of distinct keys", kv.Len(), len(keys))
+	if kv.Len() != keys+len(cmds) {
+		t.Fatalf("%d keys after %d SETs of distinct keys, want %d", kv.Len(), len(cmds), keys+len(cmds))
 	}
 	cmd := []byte("SET key-000 another-value-that-is-not-tiny")
-	if n := allocgate.PerRun(t, 100, func() { _, _ = kv.Apply(cmd) }); n != 1 {
-		t.Errorf("SET of an existing key: %v allocations, want 1", n)
+	if n := allocgate.PerRun(t, runs, func() { _, _ = kv.Apply(cmd) }); n != 0 {
+		t.Errorf("SET of an existing key: %v allocations, want 0", n)
 	}
 	if v, _ := kv.Get("key-000"); v != "another-value-that-is-not-tiny" {
 		t.Fatalf("overwritten key-000 = %q", v)
 	}
 	del := []byte("DEL some-other-key")
-	if n := allocgate.PerRun(t, 100, func() { _, _ = kv.Apply(del) }); n != 0 {
+	if n := allocgate.PerRun(t, runs, func() { _, _ = kv.Apply(del) }); n != 0 {
 		t.Errorf("DEL: %v allocations, want 0", n)
+	}
+	if len(kv.blocks) != blocks || len(kv.chunks) != chunks {
+		t.Fatalf("blocks %d → %d, chunks %d → %d while measuring: the warm-up left too little room", blocks, len(kv.blocks), chunks, len(kv.chunks))
 	}
 }
 
