@@ -11,51 +11,11 @@ import (
 )
 
 // The arena contract: recycling a worker's execution stack across cells
-// must be invisible in results. These tests prove it three ways — table
-// byte-identity with arenas on vs off, per-cell result equivalence
-// between a dirty arena and fresh runs under adversarial/honest
-// interleaving, and a pinned allocation budget for warm-arena cells.
-
-// TestArenaReuseDeterminism renders the Table 1 eventual, chaos and
-// attack tables with per-worker arenas enabled (the default) and with
-// FreshCells, at two worker counts each, and requires all four renderings
-// byte-identical per table.
-func TestArenaReuseDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-table sweep in -short mode")
-	}
-	t.Parallel()
-	const seed = 42
-	workers := []int{1, 3}
-	render := map[string]func(opts SweepOptions) string{
-		"table1-eventual": func(opts SweepOptions) string {
-			comm, lat := Table1Eventual(1, []int{0, 1}, seed, opts)
-			return comm.Render() + lat.Render()
-		},
-		"chaos": func(opts SweepOptions) string {
-			return ChaosTable(1, seed, opts).Render()
-		},
-		"attack": func(opts SweepOptions) string {
-			return AttackSweep(1, seed, opts).Table().Render()
-		},
-	}
-	for name, fn := range render {
-		var want string
-		for _, fresh := range []bool{true, false} {
-			for _, w := range workers {
-				got := fn(SweepOptions{Workers: w, FreshCells: fresh})
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s: output differs (fresh=%v workers=%d):\n--- want ---\n%s\n--- got ---\n%s",
-						name, fresh, w, want, got)
-				}
-			}
-		}
-	}
-}
+// must be invisible in results. These tests prove it two ways — per-cell
+// result equivalence between a dirty arena and fresh runs under
+// adversarial/honest interleaving, and a pinned allocation budget for
+// warm-arena cells. TestTablesGolden checks every table rendered on
+// reused arenas at two worker counts.
 
 // resultFingerprint summarizes the observable surface of one run: the
 // fields every measure function reads.

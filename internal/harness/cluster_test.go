@@ -15,6 +15,7 @@ func TestClusterExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network test")
 	}
+	t.Parallel()
 	res, err := RunCluster(ClusterExperiment{F: 1, Seed: 7, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +45,7 @@ func TestClusterExperimentSMR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network test")
 	}
+	t.Parallel()
 	res, err := RunCluster(ClusterExperiment{
 		F: 1, Seed: 11, SMR: true, Rate: 50, Duration: 3 * time.Second,
 	})
@@ -68,6 +70,7 @@ func TestClusterInjectorDeliversRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network test")
 	}
+	t.Parallel()
 	e := ClusterExperiment{F: 1, Seed: 11, SMR: true, Rate: 500, Duration: 2 * time.Second}
 	res, err := RunCluster(e)
 	if err != nil {
@@ -96,6 +99,7 @@ func TestClusterChaosLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network test")
 	}
+	t.Parallel()
 	res, err := RunCluster(ClusterExperiment{
 		F: 1, Seed: 13, Duration: 3 * time.Second,
 		Loss: 0.3, LossUntil: 800 * time.Millisecond, GST: 800 * time.Millisecond,

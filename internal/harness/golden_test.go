@@ -16,7 +16,7 @@ import (
 // testdata/tables.golden pins the rendering of every table the drivers
 // produce, at seed 42 and f = 1: a driver refactor that moves a seed, a
 // flat index or a format verb shows up as a diff here instead of only in
-// EXPERIMENTS.md. `go test ./internal/harness -run 'Golden|ThroughputTable' -update`
+// EXPERIMENTS.md. `go test ./internal/harness -run Golden -update`
 // rewrites the file.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/tables.golden from the current renderings")
@@ -84,43 +84,76 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestTablesGolden renders every table except the ThroughputTable
-// section (6 s; TestThroughputTableWorkerIndependence checks the
-// rendering it already produces) and compares against the golden file.
-// Section names are stable keys of the golden file, not function names.
+// TestTablesGolden is the determinism gate. It renders every table in
+// two columns, Workers 1 and Workers 4, each on the sweep's reused
+// per-worker arenas, and compares each rendering against the golden
+// file: matching it in both columns makes a table byte-identical across
+// worker counts. The RareSync pins run outside Sweep and are checked
+// once. Section names are stable keys of the golden file, not function
+// names; contains and lacks are shape checks on the rendering.
 func TestTablesGolden(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
 	fs, fas := []int{1}, []int{0, 1}
-	opts := SweepOptions{}
 	pair := func(a, b *Table) string { return a.Render() + b.Render() }
 	tables := []struct {
-		name   string
-		render func() string
+		name     string
+		render   func(opts SweepOptions) string
+		contains []string
+		lacks    string
 	}{
-		{"Table1WorstCase", func() string { return pair(Table1WorstCase(fs, goldenSeed, opts)) }},
-		{"Table1Eventual", func() string { return pair(Table1Eventual(1, fas, goldenSeed, opts)) }},
-		{"EventualScalingTable", func() string {
+		{name: "Table1WorstCase", render: func(opts SweepOptions) string { return pair(Table1WorstCase(fs, goldenSeed, opts)) }},
+		{name: "Table1Eventual", render: func(opts SweepOptions) string { return pair(Table1Eventual(1, fas, goldenSeed, opts)) }},
+		{name: "EventualScalingTable", render: func(opts SweepOptions) string {
 			return EventualScalingTable(EventualScalingData(fs, 1, goldenSeed, opts), fs, 1).Render()
 		}},
-		{"Figure1Table", func() string { return Figure1Table(fs, goldenSeed, opts).Render() }},
-		{"ResponsivenessTable", func() string { return ResponsivenessTable(1, goldenSeed, opts).Render() }},
-		{"HeavySyncTable", func() string { return HeavySyncTable(1, goldenSeed, opts).Render() }},
-		{"ChaosTable", func() string { return ChaosTable(1, goldenSeed, opts).Render() }},
-		{"EventualWordsTable", func() string { return EventualWordsTable(1, fas, goldenSeed, opts).Render() }},
-		{"WordScalingTable", func() string { return WordScalingTable(fs, 1, goldenSeed, opts).Render() }},
-		{"LargeNWordsTable", func() string { return LargeNWordsTable([]int{16}, goldenSeed, opts).Render() }},
-		{"AttackTable", func() string { return AttackSweep(1, goldenSeed, opts).Table().Render() }},
-		{"TopologyTable", func() string { return WANSweep(1, goldenSeed, opts).Table().Render() }},
-		{"DriftToleranceTable", func() string { return DriftSweep(1, DriftPPMAxis, goldenSeed, opts).Table().Render() }},
-		{"ThroughputUnderAttackTable", func() string {
-			return ThroughputUnderAttackSweep(1, adversary.AttackViewDesync, goldenSeed, opts).Table().Render()
+		{name: "Figure1Table", render: func(opts SweepOptions) string { return Figure1Table(fs, goldenSeed, opts).Render() }},
+		{name: "ResponsivenessTable", render: func(opts SweepOptions) string { return ResponsivenessTable(1, goldenSeed, opts).Render() }},
+		{name: "HeavySyncTable", render: func(opts SweepOptions) string { return HeavySyncTable(1, goldenSeed, opts).Render() }},
+		{name: "ChaosTable", render: func(opts SweepOptions) string { return ChaosTable(1, goldenSeed, opts).Render() }},
+		{name: "EventualWordsTable", render: func(opts SweepOptions) string { return EventualWordsTable(1, fas, goldenSeed, opts).Render() }},
+		{name: "WordScalingTable", render: func(opts SweepOptions) string { return WordScalingTable(fs, 1, goldenSeed, opts).Render() }},
+		{name: "LargeNWordsTable", render: func(opts SweepOptions) string { return LargeNWordsTable([]int{16}, goldenSeed, opts).Render() }},
+		{name: "AttackTable", render: func(opts SweepOptions) string { return AttackSweep(1, goldenSeed, opts).Table().Render() },
+			contains: []string{string(ProtoLumiere), adversary.AttackSaturate}},
+		// Every WAN preset is in-model, so none may stall a protocol.
+		{name: "TopologyTable", render: func(opts SweepOptions) string { return WANSweep(1, goldenSeed, opts).Table().Render() },
+			contains: WANPresets, lacks: "stalled"},
+		{name: "DriftToleranceTable", render: func(opts SweepOptions) string {
+			return DriftSweep(1, DriftPPMAxis, goldenSeed, opts).Table().Render()
 		}},
-		{"RareSync", rareSyncPins},
+		{name: "ThroughputTable", render: func(opts SweepOptions) string { return ThroughputSweep(1, goldenSeed, opts).Table().Render() },
+			contains: []string{string(ProtoLumiere), "6000/s b=256"}},
+		{name: "ThroughputUnderAttackTable", render: func(opts SweepOptions) string {
+			return ThroughputUnderAttackSweep(1, adversary.AttackViewDesync, goldenSeed, opts).Table().Render()
+		}, contains: []string{"p99 blowup"}},
 	}
-	for _, tc := range tables {
-		checkGolden(t, tc.name, tc.render())
+	for _, workers := range []int{1, 4} {
+		opts := SweepOptions{Workers: workers}
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Parallel()
+			for _, tc := range tables {
+				tc := tc
+				t.Run(tc.name, func(t *testing.T) {
+					t.Parallel()
+					got := tc.render(opts)
+					for _, want := range tc.contains {
+						if !strings.Contains(got, want) {
+							t.Errorf("%s lacks %q:\n%s", tc.name, want, got)
+						}
+					}
+					if tc.lacks != "" && strings.Contains(got, tc.lacks) {
+						t.Errorf("%s contains %q:\n%s", tc.name, tc.lacks, got)
+					}
+					checkGolden(t, tc.name, got)
+				})
+			}
+		})
 	}
+	t.Run("RareSync", func(t *testing.T) {
+		t.Parallel()
+		checkGolden(t, "RareSync", rareSyncPins())
+	})
 }
 
 // rareSyncPins renders the RareSync golden section. RareSync is not in

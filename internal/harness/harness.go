@@ -159,11 +159,6 @@ type Scenario struct {
 	// time-windowed queries become approximate at the coalesced
 	// resolution. Zero leaves the series exact and unbounded.
 	SparseMetrics int
-	// LegacyBroadcast forces per-recipient broadcast scheduling (one
-	// heap event per recipient) instead of the default multicast events.
-	// The two paths are byte-identical in outcome; this exists for
-	// equivalence testing and as an escape hatch.
-	LegacyBroadcast bool
 	// CheckInvariants enables Lemma 5.1-5.3 runtime checks (Lumiere).
 	CheckInvariants bool
 	// SampleGaps enables honest-gap sampling every Δ/2.
@@ -505,9 +500,6 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		link = network.LinkFunc(strat.Link)
 	}
 	net := a.network(cfg, gst, link)
-	if s.LegacyBroadcast {
-		net.SetPerRecipientBroadcast(true)
-	}
 	if pd := s.effectiveProcDelays(); pd != nil {
 		net.SetProcDelays(pd)
 	}

@@ -43,14 +43,6 @@ type SweepOptions struct {
 	// without locking). done counts completed cells, total is the
 	// matrix size.
 	Progress func(done, total int, cell *SweepCell)
-	// FreshCells disables the per-worker execution arenas: every cell
-	// constructs its full scheduler/network/crypto/metrics/replica
-	// stack from scratch instead of recycling the worker's. Results are
-	// byte-identical either way (the determinism suites assert it);
-	// the switch exists for those suites and for memory-constrained
-	// runs, since an arena retains high-water-mark buffers for the
-	// worker's lifetime.
-	FreshCells bool
 }
 
 // SweepCell is one completed cell of a sweep.
@@ -118,10 +110,7 @@ func Sweep(scenarios []Scenario, opts SweepOptions) *SweepResult {
 			// is constructed once here and recycled across all cells
 			// the worker drains, so the sweep performs O(workers)
 			// constructions instead of O(cells).
-			var arena *Arena
-			if !opts.FreshCells {
-				arena = NewArena()
-			}
+			arena := NewArena()
 			for i := range jobs {
 				s := scenarios[i]
 				if !opts.KeepSeeds {

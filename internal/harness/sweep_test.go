@@ -56,29 +56,6 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSweepTableOutputDeterministic: the rendered Table 1 and scaling
-// tables are byte-identical at 1 worker and N workers (the acceptance
-// bar for the sweep engine).
-func TestSweepTableOutputDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale sweep in -short mode")
-	}
-	t.Parallel()
-	fs := []int{1}
-	fas := []int{0, 1}
-	render := func(workers int) string {
-		opts := SweepOptions{Workers: workers}
-		c1, l1 := Table1Eventual(1, fas, 7, opts)
-		sc := EventualScalingData(fs, 1, 7, opts)
-		return c1.Render() + l1.Render() + EventualScalingTable(sc, fs, 1).Render()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Fatalf("table output differs between 1 and 8 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestSweepOrderingAndTiming: cells come back in matrix order with their
 // scenarios' derived seeds filled in and per-cell timings recorded.
 func TestSweepOrderingAndTiming(t *testing.T) {

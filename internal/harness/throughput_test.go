@@ -2,11 +2,9 @@ package harness
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
-	"lumiere/internal/adversary"
 	"lumiere/internal/allocgate"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/statemachine"
@@ -63,56 +61,6 @@ func TestThroughputSanityCell(t *testing.T) {
 	}
 	if cell.WordsPerCmd <= 0 {
 		t.Fatalf("words/cmd = %v", cell.WordsPerCmd)
-	}
-}
-
-// TestThroughputTableWorkerIndependence renders the throughput table at
-// workers=1 and workers=4 and requires the renderings byte-identical:
-// commit-latency recording, the workload engine's arena reuse and the
-// word accounting must all be deterministic per cell seed. The rendering
-// is also this table's entry in testdata/tables.golden (TestTablesGolden
-// skips it: 6 s a render on 2 cores since PR 23, 50 s before).
-func TestThroughputTableWorkerIndependence(t *testing.T) {
-	skipInShort(t)
-	t.Parallel()
-	const seed = goldenSeed
-	var want string
-	for _, w := range []int{1, 4} {
-		got := ThroughputSweep(1, seed, SweepOptions{Workers: w}).Table().Render()
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("throughput table differs between workers=1 and workers=%d:\n--- want ---\n%s\n--- got ---\n%s", w, want, got)
-		}
-	}
-	if !strings.Contains(want, "lumiere") || !strings.Contains(want, "6000/s b=256") {
-		t.Fatalf("table missing expected axes:\n%s", want)
-	}
-	checkGolden(t, "ThroughputTable", want)
-}
-
-// TestThroughputAttackTableWorkerIndependence is the same byte-identity
-// contract for the under-attack comparison (clean + attacked cells share
-// the sweep engine).
-func TestThroughputAttackTableWorkerIndependence(t *testing.T) {
-	skipInShort(t)
-	t.Parallel()
-	const seed = 42
-	var want string
-	for _, w := range []int{1, 3} {
-		got := ThroughputUnderAttackSweep(1, adversary.AttackViewDesync, seed, SweepOptions{Workers: w}).Table().Render()
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("attack table differs between workers=1 and workers=%d:\n--- want ---\n%s\n--- got ---\n%s", w, want, got)
-		}
-	}
-	if !strings.Contains(want, "p99 blowup") {
-		t.Fatalf("attack table missing blowup column:\n%s", want)
 	}
 }
 

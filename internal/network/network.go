@@ -300,13 +300,6 @@ type Net struct {
 	// every network message procDelay[i] after its clamped delivery
 	// time. Nil means no stragglers. See SetProcDelays.
 	procDelay []time.Duration
-
-	// perRecipient forces broadcast back onto the one-heap-event-per-
-	// recipient path instead of multicast events. The two are
-	// observationally identical (the equivalence suite diffs whole
-	// tables across both); the toggle exists for those tests and for
-	// bisecting, not for production use.
-	perRecipient bool
 }
 
 // NewNet creates a network for cfg.N nodes. gst is the global
@@ -374,7 +367,6 @@ func (n *Net) Reset(cfg types.Config, gst types.Time, link LinkPolicy) {
 		n.killed[i] = false
 	}
 	n.stopped = false
-	n.perRecipient = false
 }
 
 // Release stops the network and drops its references into the execution
@@ -404,11 +396,6 @@ func (n *Net) SetProcDelays(d []time.Duration) {
 	}
 	n.procDelay = d
 }
-
-// SetPerRecipientBroadcast toggles the legacy broadcast representation:
-// one heap event per recipient rather than one multicast event per
-// distinct delivery time. Reset clears it.
-func (n *Net) SetPerRecipientBroadcast(on bool) { n.perRecipient = on }
 
 // deliverPayload is the scheduler's MsgSink: it fires when a scheduled
 // transmission reaches its delivery time.
@@ -463,6 +450,7 @@ func (n *Net) SetOmissionBudget(b OmissionBudget) { n.clamp.Budget = b }
 // budget so far.
 func (n *Net) Omitted() int64 { return n.clamp.Omitted() }
 
+// send schedules one point-to-point transmission.
 func (n *Net) send(from, to types.NodeID, m msg.Message) {
 	if n.stopped || n.killed[from] {
 		return
@@ -470,28 +458,34 @@ func (n *Net) send(from, to types.NodeID, m msg.Message) {
 	if int(to) < 0 || int(to) >= len(n.handlers) {
 		panic(fmt.Sprintf("network: send to unknown node %v", to))
 	}
-	n.sendTo(n.sched.Now(), from, to, m)
+	now := n.sched.Now()
+	if from == to {
+		// Self-delivery at the same instant, not a network message.
+		n.sched.SendAt(now, from, to, m)
+		return
+	}
+	at, dupAt, copies := n.resolve(now, from, to, m)
+	if copies == 0 {
+		return
+	}
+	n.sched.SendAt(at, from, to, m)
+	if copies == 2 {
+		n.sched.SendAt(dupAt, from, to, m)
+	}
 }
 
-// broadcast transmits m from one node to all nodes. The default path
-// batches the fan-out into one multicast event per distinct delivery
-// time: verdicts are still resolved per recipient, at send time, in
-// recipient order — so OnSend observation, rng draw order and delivery
-// order are exactly those of the per-recipient path — but an
-// n-recipient broadcast whose deliveries share a clamped time costs one
-// heap insertion instead of n.
+// broadcast transmits m from one node to all nodes, batching the
+// fan-out into one multicast event per distinct delivery time. Verdicts
+// are still resolved per recipient, at send time, in recipient order —
+// so OnSend observation, rng draw order and delivery order are exactly
+// those of a send to every node in ID order (TestBroadcastMatchesSends)
+// — but an n-recipient broadcast whose deliveries share a clamped time
+// costs one heap insertion instead of n.
 func (n *Net) broadcast(from types.NodeID, m msg.Message) {
 	if n.stopped || n.killed[from] {
 		return
 	}
 	now := n.sched.Now()
-	if n.perRecipient {
-		n.sched.Reserve(len(n.handlers))
-		for to := range n.handlers {
-			n.sendTo(now, from, types.NodeID(to), m)
-		}
-		return
-	}
 	mc := n.sched.Multicast(from, m)
 	for to := range n.handlers {
 		tid := types.NodeID(to)
@@ -523,24 +517,6 @@ func (n *Net) resolve(now types.Time, from, to types.NodeID, m msg.Message) (at,
 		at, dupAt = at.Add(n.procDelay[to]), dupAt.Add(n.procDelay[to])
 	}
 	return at, dupAt, copies
-}
-
-// sendTo schedules one point-to-point transmission (shared by send and
-// the legacy broadcast path; stop/kill checks happen in the callers).
-func (n *Net) sendTo(now types.Time, from, to types.NodeID, m msg.Message) {
-	if from == to {
-		// Self-delivery at the same instant, not a network message.
-		n.sched.SendAt(now, from, to, m)
-		return
-	}
-	at, dupAt, copies := n.resolve(now, from, to, m)
-	if copies == 0 {
-		return
-	}
-	n.sched.SendAt(at, from, to, m)
-	if copies == 2 {
-		n.sched.SendAt(dupAt, from, to, m)
-	}
 }
 
 // observeSend fans OnSend out to the observers, keeping the common

@@ -523,3 +523,107 @@ func TestNetResetEquivalence(t *testing.T) {
 		t.Fatalf("detached observer saw new traffic: %d sends", sends)
 	}
 }
+
+// TestBroadcastMatchesSends is the per-recipient reference for the
+// multicast broadcast: a Broadcast must be observationally identical to
+// a Send to every node, the sender included, in ID order. Two nets on
+// same-seed schedulers get the same setup — pre-GST loss, duplication
+// and reorder jitter, post-GST drops against an omission budget,
+// straggler delays, a killed node, a Byzantine node and an observer —
+// and must agree on the delivery log, the OnSend sequence, Omitted()
+// and the delivered count.
+func TestBroadcastMatchesSends(t *testing.T) {
+	cfg := types.NewConfig(2, 100*time.Millisecond) // n = 7
+	gst := types.Time(0).Add(500 * time.Millisecond)
+	chaos := LinkFunc(func(_, _ types.NodeID, _ msg.Message, at types.Time, rng *rand.Rand) Verdict {
+		v := Verdict{Delay: time.Duration(rng.Int63n(int64(30 * time.Millisecond)))}
+		if at < gst {
+			v.Drop = rng.Float64() < 0.2
+			v.Dup = rng.Float64() < 0.15
+			v.DupDelay = time.Duration(rng.Int63n(int64(30 * time.Millisecond)))
+		} else {
+			v.Drop = rng.Float64() < 0.1
+		}
+		return v
+	})
+	run := func(broadcast bool) *netTrace {
+		s := sim.New(9)
+		n := NewNetLink(s, cfg, gst, chaos)
+		n.SetOmissionBudget(OmissionBudget{MaxMessages: 6, MaxSenders: 1})
+		procDelay := make([]time.Duration, cfg.N)
+		procDelay[2], procDelay[6] = 7*time.Millisecond, 40*time.Millisecond
+		n.SetProcDelays(procDelay)
+		n.SetByzantine(3)
+		tr := &netTrace{}
+		n.Observe(tr)
+		eps := make([]Endpoint, cfg.N)
+		for i := range eps {
+			to := types.NodeID(i)
+			eps[i] = n.Attach(to, HandlerFunc(func(from types.NodeID, m msg.Message) {
+				tr.deliveries = append(tr.deliveries, traceEvent{from: from, to: to, v: m.View(), at: s.Now()})
+			}))
+		}
+		n.Kill(5)
+		for round := 0; round < 10; round++ {
+			s.RunUntil(types.Time(0).Add(time.Duration(round) * 90 * time.Millisecond))
+			for _, from := range []types.NodeID{0, 3, 5, 1, 6} {
+				m := &msg.ViewMsg{V: types.View(10*round) + types.View(from)}
+				if broadcast {
+					eps[from].Broadcast(m)
+					continue
+				}
+				for to := range eps {
+					eps[from].Send(types.NodeID(to), m)
+				}
+			}
+		}
+		s.RunFor(time.Hour)
+		tr.omitted = n.Omitted()
+		return tr
+	}
+	multi, sends := run(true), run(false)
+	if multi.omitted == 0 || multi.delivered <= len(multi.sends)/2 {
+		t.Fatalf("setup exercises too little: %d omitted, %d delivered of %d sends",
+			multi.omitted, multi.delivered, len(multi.sends))
+	}
+	if multi.omitted != sends.omitted || multi.delivered != sends.delivered {
+		t.Fatalf("broadcast omitted %d and delivered %d, sends omitted %d and delivered %d",
+			multi.omitted, multi.delivered, sends.omitted, sends.delivered)
+	}
+	for name, pair := range map[string][2][]traceEvent{
+		"OnSend":   {multi.sends, sends.sends},
+		"delivery": {multi.deliveries, sends.deliveries},
+	} {
+		got, want := pair[0], pair[1]
+		if len(got) != len(want) {
+			t.Fatalf("%s log: broadcast has %d entries, sends %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s log entry %d: broadcast %+v, sends %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// traceEvent is one logged transmission or delivery.
+type traceEvent struct {
+	from, to types.NodeID
+	v        types.View
+	at       types.Time
+	honest   bool
+}
+
+// netTrace observes a net: it logs every OnSend and counts OnDelivers;
+// its user fills deliveries and omitted.
+type netTrace struct {
+	sends, deliveries []traceEvent
+	delivered         int
+	omitted           int64
+}
+
+func (r *netTrace) OnSend(from, to types.NodeID, m msg.Message, at types.Time, honest bool) {
+	r.sends = append(r.sends, traceEvent{from, to, m.View(), at, honest})
+}
+
+func (r *netTrace) OnDeliver(_, _ types.NodeID, _ msg.Message, _ types.Time) { r.delivered++ }
