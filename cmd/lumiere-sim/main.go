@@ -20,6 +20,7 @@ import (
 	"lumiere/internal/statemachine"
 	"lumiere/internal/types"
 	"lumiere/internal/viz"
+	"lumiere/internal/workload"
 )
 
 func main() {
@@ -37,7 +38,7 @@ func main() {
 		lanes       = flag.Bool("lanes", false, "render per-processor swimlanes (Figure 1 style)")
 		gaps        = flag.Bool("gaps", false, "sample honest clock gaps")
 		smr         = flag.Bool("smr", false, "run chained HotStuff SMR with a KV store")
-		rate        = flag.Int("rate", 100, "client commands per second (with -smr)")
+		rate        = flag.Int("rate", 100, "client commands per second from 64 clients (with -smr; 0 = no client load)")
 		checks      = flag.Bool("checks", true, "verify Lemma 5.1-5.3 invariants (lumiere)")
 	)
 	flag.Parse()
@@ -65,10 +66,9 @@ func main() {
 		CheckInvariants: *checks,
 		SampleGaps:      *gaps,
 		SMR:             *smr,
-		WorkloadRate:    *rate,
 	}
-	if !*smr {
-		s.WorkloadRate = 0
+	if *smr && *rate != 0 {
+		s.Workload = &workload.Config{Rate: int64(*rate), Clients: 64}
 	}
 	if *withTrace || *lanes {
 		s.TraceLimit = 500_000

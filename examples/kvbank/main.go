@@ -14,6 +14,7 @@ import (
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/network"
 	"lumiere/internal/statemachine"
+	"lumiere/internal/workload"
 )
 
 const (
@@ -34,13 +35,12 @@ func main() {
 		Seed:            11,
 		SMR:             true,
 		NewStateMachine: func() statemachine.StateMachine { return statemachine.NewBank() },
-		WorkloadRate:    200,
-		WorkloadCommand: func(i int) []byte {
+		Workload: &workload.Config{Rate: 200, Command: func(b []byte, i int64) []byte {
 			if i < accounts {
-				return []byte(fmt.Sprintf("OPEN acct%d %d", i, seedMoney))
+				return fmt.Appendf(b, "OPEN acct%d %d", i, seedMoney)
 			}
-			return []byte(fmt.Sprintf("XFER acct%d acct%d %d", i%accounts, (i+7)%accounts, 1+i%13))
-		},
+			return fmt.Appendf(b, "XFER acct%d acct%d %d", i%accounts, (i+7)%accounts, 1+i%13)
+		}},
 	})
 
 	fmt.Printf("cluster: n=%d with %d crashed replicas; %d commands injected\n", res.Cfg.N, f, res.Injected)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
@@ -145,7 +146,7 @@ func TestConditionAllocs(t *testing.T) {
 		P: 0.2,
 	}
 	var sink network.Verdict
-	avg := testing.AllocsPerRun(1000, func() {
+	avg := allocgate.PerRun(t, 1000, func() {
 		sink = chain.Link(0, 2, condMsg, 0, rng)
 		sink = chain.Link(0, 1, condMsg, 0, rng)
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
@@ -262,7 +263,7 @@ func TestStrategyHookAllocs(t *testing.T) {
 			s.Init(f.env)
 			obs := NetObserver(s)
 			var sink network.Verdict
-			avg := testing.AllocsPerRun(1000, func() {
+			avg := allocgate.PerRun(t, 1000, func() {
 				obs.OnSend(0, 1, m, 0, true)
 				obs.OnDeliver(0, 1, m, 0)
 				sink = s.Link(0, 1, m, 0, rng)

@@ -8,6 +8,7 @@ import (
 	"lumiere/internal/harness"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
+	"lumiere/internal/workload"
 )
 
 // TestAPIQuickstart exercises the harness exactly as the README's
@@ -152,13 +153,13 @@ func TestAPIAttack(t *testing.T) {
 // TestAPISMR runs the SMR path.
 func TestAPISMR(t *testing.T) {
 	res := harness.Run(harness.Scenario{
-		Protocol:     harness.ProtoLumiere,
-		F:            1,
-		Delta:        100 * time.Millisecond,
-		Duration:     15 * time.Second,
-		Seed:         3,
-		SMR:          true,
-		WorkloadRate: 50,
+		Protocol: harness.ProtoLumiere,
+		F:        1,
+		Delta:    100 * time.Millisecond,
+		Duration: 15 * time.Second,
+		Seed:     3,
+		SMR:      true,
+		Workload: &workload.Config{Rate: 50},
 	})
 	if res.Injected == 0 {
 		t.Fatal("no workload")

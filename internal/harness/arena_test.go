@@ -70,7 +70,7 @@ func leakCells() []Scenario {
 		// SMR equivocator at a larger n: exercises the HotStuff stack
 		// and Byzantine accounting on recycled slots.
 		{Name: "equivocate", Protocol: ProtoLumiere, F: 2, Delta: delta, DeltaActual: delta / 10,
-			GST: gst, Duration: dur, SMR: true, WorkloadRate: 50,
+			GST: gst, Duration: dur, SMR: true, Workload: &workload.Config{Rate: 50},
 			Corruptions: []adversary.Corruption{{Node: 0, Behavior: adversary.BehaviorEquivocating}}},
 		// Churn + loss + omission budget on another protocol.
 		{Name: "churn", Protocol: ProtoFever, F: 2, Delta: delta, DeltaActual: delta / 10,

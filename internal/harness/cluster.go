@@ -265,9 +265,8 @@ func InjectCommands(nodes []*nettcp.Node, rate int, d time.Duration) (accepted i
 			return accepted
 		}
 		time.Sleep(time.Until(due))
-		i := int(pacer.Take())
-		cmd := fmt.Sprintf("SET key%d value%d", i%64, i)
-		if nodes[i%len(nodes)].Submit([]byte(cmd)) == nil {
+		i := pacer.Take()
+		if nodes[i%int64(len(nodes))].Submit(kvCommand(nil, i)) == nil {
 			accepted++
 		}
 	}

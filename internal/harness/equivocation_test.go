@@ -10,6 +10,7 @@ import (
 	"lumiere/internal/network"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/types"
+	"lumiere/internal/workload"
 )
 
 // TestSMRSafetyUnderEquivocation: f Byzantine leaders propose conflicting
@@ -35,13 +36,12 @@ func TestSMRSafetyUnderEquivocation(t *testing.T) {
 				Seed:            8,
 				SMR:             true,
 				NewStateMachine: func() statemachine.StateMachine { return statemachine.NewBank() },
-				WorkloadRate:    100,
-				WorkloadCommand: func(i int) []byte {
+				Workload: &workload.Config{Rate: 100, Command: func(b []byte, i int64) []byte {
 					if i < 4 {
-						return []byte(fmt.Sprintf("OPEN a%d 100", i))
+						return fmt.Appendf(b, "OPEN a%d 100", i)
 					}
-					return []byte(fmt.Sprintf("XFER a%d a%d 1", i%4, (i+1)%4))
-				},
+					return fmt.Appendf(b, "XFER a%d a%d 1", i%4, (i+1)%4)
+				}},
 			})
 			committed := requireConsistentCommits(t, res)
 			if committed < 20 {

@@ -7,6 +7,7 @@ import (
 	"lumiere/internal/adversary"
 	"lumiere/internal/harness"
 	"lumiere/internal/types"
+	"lumiere/internal/workload"
 )
 
 // ExampleRun shows the minimal simulated execution: four replicas running
@@ -152,14 +153,14 @@ func ExampleRun_attack() {
 // under the Lumiere pacemaker.
 func ExampleRun_smr() {
 	res := harness.Run(harness.Scenario{
-		Protocol:     harness.ProtoLumiere,
-		F:            1,
-		Delta:        100 * time.Millisecond,
-		DeltaActual:  5 * time.Millisecond,
-		Duration:     10 * time.Second,
-		Seed:         1,
-		SMR:          true,
-		WorkloadRate: 100,
+		Protocol:    harness.ProtoLumiere,
+		F:           1,
+		Delta:       100 * time.Millisecond,
+		DeltaActual: 5 * time.Millisecond,
+		Duration:    10 * time.Second,
+		Seed:        1,
+		SMR:         true,
+		Workload:    &workload.Config{Rate: 100},
 	})
 	fmt.Println("commands injected:", res.Injected > 0)
 	fmt.Println("state machines:", res.SMs[0] != nil)

@@ -3,12 +3,14 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"lumiere/internal/adversary"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
+	"lumiere/internal/workload"
 )
 
 // This file implements the scenario generator and conformance checker
@@ -16,6 +18,16 @@ import (
 // seeded source of random-but-reproducible executions, and the
 // protocol-independent safety/liveness obligations every view
 // synchronization protocol in AllProtocols must meet on them.
+
+// kvCommand appends corpus command i, "SET key<i%64> value<i>", to b.
+// It is the payload of every generated SMR scenario, whose proposal
+// words depend on these bytes, and of InjectCommands on the TCP runtime.
+func kvCommand(b []byte, i int64) []byte {
+	b = append(b, "SET key"...)
+	b = strconv.AppendInt(b, i%64, 10)
+	b = append(b, " value"...)
+	return strconv.AppendInt(b, i, 10)
+}
 
 // GenScenario derives a random but fully reproducible scenario from seed:
 // random fault count up to f, random corruption behaviors (crash,
@@ -121,7 +133,7 @@ func genScenario(seed int64, forceChaos bool) Scenario {
 	}
 	if smr {
 		s.SMR = true
-		s.WorkloadRate = 100
+		s.Workload = &workload.Config{Rate: 100, Command: kvCommand}
 		s.SMRTwoPhase = rng.Intn(2) == 0
 	}
 

@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"lumiere/internal/adversary"
@@ -177,12 +176,6 @@ type Scenario struct {
 	SMR bool
 	// NewStateMachine builds each replica's state machine (SMR only).
 	NewStateMachine func() statemachine.StateMachine
-	// WorkloadRate injects this many client commands per second into
-	// every honest replica's mempool (SMR only).
-	WorkloadRate int
-	// WorkloadCommand builds the i-th command payload (default: KV
-	// SETs over a small key space).
-	WorkloadCommand func(i int) []byte
 	// SMRTwoPhase commits on two-chains (HotStuff-2 style) instead of
 	// three-chains.
 	SMRTwoPhase bool
@@ -190,10 +183,11 @@ type Scenario struct {
 	// the hotstuff default of 128).
 	SMRBatchSize int
 	// Workload drives the SMR layer with a simulated client population
-	// (internal/workload) instead of the WorkloadRate/WorkloadCommand
-	// injector: exact accumulator pacing, per-command commit-latency
-	// recording (Collector.CommitLatencyStats) and optional closed-loop
-	// clients. SMR only; supersedes WorkloadRate when set.
+	// (internal/workload), the only source of simulated client commands:
+	// exact accumulator pacing, per-command commit-latency recording
+	// (Collector.CommitLatencyStats), optional closed-loop clients and
+	// custom payloads (Config.Command). SMR only; nil runs SMR with no
+	// client load.
 	Workload *workload.Config
 }
 
@@ -223,11 +217,12 @@ func (s Scenario) withDefaults() Scenario {
 // Validate checks the scenario's declarative fields for combinations
 // that cannot mean what they say — f < 1 or n < 3f+1, a protocol the
 // harness does not know, an omission budget charging more than f
-// senders, a topology latency class the §2 clamp would silently
-// distort, partition groups naming processors the scenario does not
-// have, clock drift that puts an honest Γ-long timer more than Δ off
-// true, straggler delays past Δ — and returns a descriptive error instead
-// of producing a silently-wrong table. The harness runs it on every
+// senders, a client workload the engine would run as something else, a
+// topology latency class the §2 clamp would silently distort, partition
+// groups naming processors the scenario does not have, clock drift that
+// puts an honest Γ-long timer more than Δ off true, straggler delays
+// past Δ — and returns a descriptive error instead of producing a
+// silently-wrong table. The harness runs it on every
 // execution (run panics on error, like the config check); UncheckedWAN
 // waives only the in-model drift/straggler bounds, for deliberate
 // degradation studies.
@@ -246,6 +241,9 @@ func (s Scenario) validate() error {
 		return fmt.Errorf("unknown protocol %q", s.Protocol)
 	}
 	if err := checkOmissionBudget(s.OmissionBudget, s.F); err != nil {
+		return err
+	}
+	if err := checkWorkload(s.Workload, s.SMR); err != nil {
 		return err
 	}
 	for gi, group := range s.Partitions {
@@ -309,6 +307,28 @@ func (s Scenario) validate() error {
 func checkOmissionBudget(b network.OmissionBudget, f int) error {
 	if b != (network.OmissionBudget{}) && (b.MaxSenders <= 0 || b.MaxSenders > f) {
 		return fmt.Errorf("omission budget must name 1..f=%d senders, got %d", f, b.MaxSenders)
+	}
+	return nil
+}
+
+// checkWorkload rejects a client population the engine would run as
+// something else (the pacer clamps a rate below 1/s to 1).
+func checkWorkload(w *workload.Config, smr bool) error {
+	switch {
+	case w == nil:
+		return nil
+	case !smr:
+		return fmt.Errorf("Workload is set but SMR is not: clients need the SMR layer")
+	case w.Rate < 1:
+		return fmt.Errorf("Workload.Rate = %d: need ≥ 1 command per second", w.Rate)
+	case w.Clients < 0:
+		return fmt.Errorf("Workload.Clients = %d: need ≥ 0 (0 = one client)", w.Clients)
+	case w.Think < 0:
+		return fmt.Errorf("Workload.Think = %v: need ≥ 0", w.Think)
+	case w.PayloadPad < 0:
+		return fmt.Errorf("Workload.PayloadPad = %d: need ≥ 0", w.PayloadPad)
+	case w.Command != nil && (w.Reads || w.PayloadPad != 0):
+		return fmt.Errorf("Workload.Command builds every payload: Workload.Reads and Workload.PayloadPad would be ignored")
 	}
 	return nil
 }
@@ -435,27 +455,6 @@ func (r *Result) DecisionCount() int { return r.Collector.DecisionCount() }
 // byte-identical and the per-cell setup cost amortizes away.
 func Run(s Scenario) *Result {
 	return (&Arena{}).run(s, false)
-}
-
-// legacyCommand returns the legacy WorkloadRate injector's i-th default
-// command, "SET key<i%64> value<i>", appended to *block as
-// workload.Engine builds its commands: each payload is capped at its own
-// length, and a full block is left to the payloads that point into it.
-func legacyCommand(block *[]byte, i int) []byte {
-	// The longest command is "SET key63 value" and an int of at most 20
-	// characters.
-	const blockSize, longest = 4 << 10, len("SET key63 value") + 20
-	b := *block
-	if cap(b)-len(b) < longest {
-		b = make([]byte, 0, blockSize)
-	}
-	at := len(b)
-	b = append(b, "SET key"...)
-	b = strconv.AppendInt(b, int64(i%64), 10)
-	b = append(b, " value"...)
-	b = strconv.AppendInt(b, int64(i), 10)
-	*block = b
-	return b[at:len(b):len(b)]
 }
 
 // run executes a scenario inside the arena. With detach set the Result
@@ -651,7 +650,6 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		})
 	}
 
-	injected := 0
 	var eng *workload.Engine
 	// submitAll hands a command to every running replica's mempool:
 	// allocation-free through hotstuff.EnqueueCommand, and through the
@@ -669,8 +667,7 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 			}
 		}
 	}
-	switch {
-	case s.SMR && s.Workload != nil:
+	if s.Workload != nil { // validate requires SMR
 		// Workload-engine injection: exact accumulator pacing, per-command
 		// commit latency via commitHook, optional closed-loop
 		// resubmission.
@@ -710,30 +707,6 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 			}
 		}
 		sched.AtTimer(types.Time(eng.NextDueNs()), pump)
-	case s.SMR && s.WorkloadRate > 0:
-		// Legacy injector, now on the exact accumulator schedule: command
-		// i is due at ⌊(i+1)·10⁹/rate⌋ ns, which reproduces the old
-		// interval schedule tick for tick at divisor rates and fixes the
-		// truncation drift at every other rate (the old
-		// time.Second/rate interval realized e.g. 667111/s for a
-		// requested 666667/s, and collapsed to 1µs above 10⁶/s).
-		pacer := workload.NewPacer(int64(s.WorkloadRate))
-		cmdFor := s.WorkloadCommand
-		if cmdFor == nil {
-			var block []byte
-			cmdFor = func(i int) []byte { return legacyCommand(&block, i) }
-		}
-		var inject func()
-		inject = func() {
-			now := int64(sched.Now())
-			for pacer.NextAtNs() <= now {
-				i := pacer.Take()
-				injected++
-				submitAll(workload.IDBase+uint64(i), cmdFor(int(i)))
-			}
-			sched.AtTimer(types.Time(pacer.NextAtNs()), inject)
-		}
-		sched.AtTimer(types.Time(pacer.NextAtNs()), inject)
 	}
 
 	gaps := metrics.NewGapTracker(nil, nil, cfg.F)
@@ -761,6 +734,7 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 	}
 	net.Stop()
 
+	injected := 0
 	if eng != nil {
 		injected = int(eng.Submitted())
 	}

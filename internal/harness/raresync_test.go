@@ -6,6 +6,7 @@ import (
 
 	"lumiere/internal/adversary"
 	"lumiere/internal/types"
+	"lumiere/internal/workload"
 )
 
 // TestRareSyncLiveness: RareSync stays live with f crashes.
@@ -87,15 +88,15 @@ func TestTwoPhaseSMRCommitsFasterAndConsistently(t *testing.T) {
 	t.Parallel()
 	run := func(twoPhase bool) (*Result, int) {
 		res := Run(Scenario{
-			Protocol:     ProtoLumiere,
-			F:            1,
-			Delta:        testDelta,
-			DeltaActual:  testDelta / 10,
-			Duration:     30 * time.Second,
-			Seed:         4,
-			SMR:          true,
-			SMRTwoPhase:  twoPhase,
-			WorkloadRate: 100,
+			Protocol:    ProtoLumiere,
+			F:           1,
+			Delta:       testDelta,
+			DeltaActual: testDelta / 10,
+			Duration:    30 * time.Second,
+			Seed:        4,
+			SMR:         true,
+			SMRTwoPhase: twoPhase,
+			Workload:    &workload.Config{Rate: 100},
 		})
 		return res, requireConsistentCommits(t, res)
 	}

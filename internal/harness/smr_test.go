@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -115,14 +114,14 @@ func TestSMRCommitsUnderLumiere(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
 	res := Run(Scenario{
-		Protocol:     ProtoLumiere,
-		F:            2,
-		Delta:        testDelta,
-		DeltaActual:  testDelta / 10,
-		Duration:     60 * time.Second,
-		Seed:         2,
-		SMR:          true,
-		WorkloadRate: 200,
+		Protocol:    ProtoLumiere,
+		F:           2,
+		Delta:       testDelta,
+		DeltaActual: testDelta / 10,
+		Duration:    60 * time.Second,
+		Seed:        2,
+		SMR:         true,
+		Workload:    &workload.Config{Rate: 200},
 	})
 	committed := requireConsistentCommits(t, res)
 	if committed < 100 {
@@ -151,27 +150,6 @@ func TestSMRCommitsUnderLumiere(t *testing.T) {
 	}
 }
 
-// TestLegacyCommand: the legacy injector's default commands are the
-// bytes fmt.Sprintf("SET key%d value%d", i%64, i) gives, each capped at
-// its own length, and none changes while later ones fill its block.
-func TestLegacyCommand(t *testing.T) {
-	var block []byte
-	idx := make([]int, 0, 2001)
-	for i := 0; i < 2000; i++ {
-		idx = append(idx, i)
-	}
-	idx = append(idx, math.MaxInt)
-	cmds := make([][]byte, len(idx))
-	for k, i := range idx {
-		cmds[k] = legacyCommand(&block, i)
-	}
-	for k, i := range idx {
-		if want := fmt.Sprintf("SET key%d value%d", i%64, i); string(cmds[k]) != want || cap(cmds[k]) != len(want) {
-			t.Fatalf("command %d = %q (cap %d), want %q", i, cmds[k], cap(cmds[k]), want)
-		}
-	}
-}
-
 // TestSMRBankConservationUnderFaults: the bank's total balance is
 // conserved on every replica, under crashes and random delays, for every
 // pacemaker.
@@ -192,15 +170,14 @@ func TestSMRBankConservationUnderFaults(t *testing.T) {
 				Seed:            5,
 				SMR:             true,
 				NewStateMachine: func() statemachine.StateMachine { return statemachine.NewBank() },
-				WorkloadRate:    100,
-				WorkloadCommand: func(i int) []byte {
+				Workload: &workload.Config{Rate: 100, Command: func(b []byte, i int64) []byte {
 					if i < accounts {
-						return []byte(fmt.Sprintf("OPEN acct%d %d", i, seedMoney))
+						return fmt.Appendf(b, "OPEN acct%d %d", i, seedMoney)
 					}
 					from := i % accounts
 					to := (i + 3) % accounts
-					return []byte(fmt.Sprintf("XFER acct%d acct%d %d", from, to, 1+i%7))
-				},
+					return fmt.Appendf(b, "XFER acct%d acct%d %d", from, to, 1+i%7)
+				}},
 			})
 			committed := requireConsistentCommits(t, res)
 			if committed < 50 {
@@ -229,14 +206,14 @@ func TestSMRThroughputResponsive(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
 	res := Run(Scenario{
-		Protocol:     ProtoLumiere,
-		F:            1,
-		Delta:        testDelta,
-		DeltaActual:  time.Millisecond,
-		Duration:     30 * time.Second,
-		Seed:         3,
-		SMR:          true,
-		WorkloadRate: 500,
+		Protocol:    ProtoLumiere,
+		F:           1,
+		Delta:       testDelta,
+		DeltaActual: time.Millisecond,
+		Duration:    30 * time.Second,
+		Seed:        3,
+		SMR:         true,
+		Workload:    &workload.Config{Rate: 500},
 	})
 	committed := requireConsistentCommits(t, res)
 	// A view pair completes in ~3δ = 3ms; 30s should yield thousands

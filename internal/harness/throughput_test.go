@@ -74,14 +74,14 @@ func TestInjectorExactRate(t *testing.T) {
 	const rate = 666667
 	horizon := 100 * time.Millisecond
 	res := Run(Scenario{
-		Protocol:     ProtoLumiere,
-		F:            1,
-		Delta:        testDelta,
-		DeltaActual:  testDelta / 10,
-		Duration:     horizon,
-		Seed:         3,
-		SMR:          true,
-		WorkloadRate: rate,
+		Protocol:    ProtoLumiere,
+		F:           1,
+		Delta:       testDelta,
+		DeltaActual: testDelta / 10,
+		Duration:    horizon,
+		Seed:        3,
+		SMR:         true,
+		Workload:    &workload.Config{Rate: rate},
 	})
 	want := int(workload.DueBy(rate, int64(horizon)) - workload.DueBy(rate, 0))
 	if want != 66666 {

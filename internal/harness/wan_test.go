@@ -7,6 +7,7 @@ import (
 
 	"lumiere/internal/network"
 	"lumiere/internal/types"
+	"lumiere/internal/workload"
 )
 
 // TestPresetTopologyValidates: every preset must validate by
@@ -79,8 +80,9 @@ func TestDriftConformanceInModel(t *testing.T) {
 }
 
 // TestScenarioValidateWAN pins the scenario validation hardening: each
-// malformed WAN axis is rejected with an error naming the problem, and
-// UncheckedWAN waives exactly the in-model bounds, nothing else.
+// malformed WAN axis, fault budget or client workload is rejected with
+// an error naming the problem, and UncheckedWAN waives exactly the
+// in-model bounds, nothing else.
 func TestScenarioValidateWAN(t *testing.T) {
 	delta := 50 * time.Millisecond
 	base := func() Scenario {
@@ -137,6 +139,27 @@ func TestScenarioValidateWAN(t *testing.T) {
 		{"zero f", func(s *Scenario) { s.F = 0 }, "need f ≥ 1"},
 		{"n below 3f+1", func(s *Scenario) { s.N = 3 }, "n=3, f=1"},
 		{"unknown protocol", func(s *Scenario) { s.Protocol = "foo" }, `unknown protocol "foo"`},
+		{"workload rate 0", func(s *Scenario) {
+			s.SMR, s.Workload = true, &workload.Config{Rate: 0}
+		}, "Workload.Rate = 0"},
+		{"negative payload pad", func(s *Scenario) {
+			s.SMR, s.Workload = true, &workload.Config{Rate: 10, PayloadPad: -1}
+		}, "Workload.PayloadPad = -1"},
+		{"negative clients", func(s *Scenario) {
+			s.SMR, s.Workload = true, &workload.Config{Rate: 10, Clients: -3}
+		}, "Workload.Clients = -3"},
+		{"negative think time", func(s *Scenario) {
+			s.SMR, s.Workload = true, &workload.Config{Rate: 10, Closed: true, Think: -time.Second}
+		}, "Workload.Think = -1s"},
+		{"workload without SMR", func(s *Scenario) {
+			s.Workload = &workload.Config{Rate: 10}
+		}, "Workload is set but SMR is not"},
+		{"command with reads", func(s *Scenario) {
+			s.SMR, s.Workload = true, &workload.Config{Rate: 10, Closed: true, Reads: true, Command: kvCommand}
+		}, "Workload.Reads"},
+		{"command with padding", func(s *Scenario) {
+			s.SMR, s.Workload = true, &workload.Config{Rate: 10, PayloadPad: 8, Command: kvCommand}
+		}, "Workload.PayloadPad"},
 	}
 	for _, c := range cases {
 		if c.want == "" {
@@ -154,8 +177,15 @@ func TestScenarioValidateWAN(t *testing.T) {
 		}
 	}
 
-	// Waivers: UncheckedWAN admits out-of-model drift and stragglers…
+	// A workload on the SMR layer with its own payloads is well formed.
 	s := base()
+	s.SMR, s.Workload = true, &workload.Config{Rate: 10, Clients: 64, Command: kvCommand}
+	if err := s.Validate(); err != nil {
+		t.Errorf("valid workload rejected: %v", err)
+	}
+
+	// Waivers: UncheckedWAN admits out-of-model drift and stragglers…
+	s = base()
 	s.UncheckedWAN = true
 	s.DriftPPM = []int64{400_000}
 	s.DriftSkew = []time.Duration{time.Second}

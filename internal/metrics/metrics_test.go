@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/msg"
 	"lumiere/internal/types"
 )
@@ -198,7 +199,7 @@ func TestCollectorOnSendAllocs(t *testing.T) {
 		at++
 		c.OnSend(0, 1, m, at, true)
 	}
-	avg := testing.AllocsPerRun(1000, func() {
+	avg := allocgate.PerRun(t, 1000, func() {
 		at++
 		c.OnSend(0, 1, m, at, true)
 	})
@@ -284,7 +285,7 @@ func TestWordsAllocs(t *testing.T) {
 		at++
 		c.OnSend(0, 1, m, at, true)
 	}
-	avg := testing.AllocsPerRun(1000, func() {
+	avg := allocgate.PerRun(t, 1000, func() {
 		at++
 		c.OnSend(0, 1, m, at, true)
 	})

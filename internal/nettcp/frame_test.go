@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/crypto"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/msg"
@@ -48,10 +49,10 @@ func TestFrameAllocs(t *testing.T) {
 	br := bufio.NewReader(&rd)
 	for _, c := range cases {
 		var err error
-		if n := testing.AllocsPerRun(100, func() { buf, err = appendFrame(buf[:0], 1, c.m) }); n != 0 || err != nil {
+		if n := allocgate.PerRun(t, 100, func() { buf, err = appendFrame(buf[:0], 1, c.m) }); n != 0 || err != nil {
 			t.Errorf("encoding %v: %v allocations (err %v), want 0", c.m.Kind(), n, err)
 		}
-		if n := testing.AllocsPerRun(100, func() {
+		if n := allocgate.PerRun(t, 100, func() {
 			rd.Reset(buf)
 			br.Reset(&rd)
 			var frame []byte
@@ -85,7 +86,7 @@ func TestFrameAllocs(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		step()
 	}
-	if n := testing.AllocsPerRun(1000, step); n != 0 {
+	if n := allocgate.PerRun(t, 1000, step); n != 0 {
 		t.Errorf("holding and releasing a message: %v allocations, want 0", n)
 	}
 	if p.enqueued.Load() == 0 || p.queueDrops.Load() != 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/msg"
 	"lumiere/internal/sim"
 	"lumiere/internal/types"
@@ -205,7 +206,7 @@ func TestBroadcastAllocs(t *testing.T) {
 			ep.Broadcast(m)
 			s.RunFor(10 * time.Millisecond)
 		}
-		avg := testing.AllocsPerRun(200, func() {
+		avg := allocgate.PerRun(t, 200, func() {
 			ep.Broadcast(m)
 			s.RunFor(10 * time.Millisecond)
 		})
@@ -473,7 +474,8 @@ func TestPreGSTChaos(t *testing.T) {
 // TestNetResetEquivalence pins the arena contract for the network: after
 // kills, Byzantine marks, omission charges, observers and a stop, Reset
 // must restore the exact observable state of a fresh NewNetLink on the
-// same (reset) scheduler.
+// same (reset) scheduler, both when n grows (4 → 7, fresh slices) and
+// when it shrinks (7 → 4, reused slices).
 func TestNetResetEquivalence(t *testing.T) {
 	cfg := testCfg() // n = 4
 	sched := sim.New(1)
@@ -521,6 +523,32 @@ func TestNetResetEquivalence(t *testing.T) {
 	}
 	if sends != 3 {
 		t.Fatalf("detached observer saw new traffic: %d sends", sends)
+	}
+	// Shrink back to n = 4: this Reset reuses the n = 7 slices, so it
+	// must clear the killed and Byzantine marks it finds in them.
+	n.SetByzantine(3)
+	n.Kill(1)
+	n.Kill(3)
+	n.Stop()
+	sched.Reset(3)
+	n.Reset(cfg, gst, nil)
+	recs := make([]*recorder, cfg.N)
+	eps := make([]Endpoint, cfg.N)
+	for i := range recs {
+		if !n.Honest(types.NodeID(i)) {
+			t.Fatalf("node %d not honest after shrinking reset", i)
+		}
+		recs[i] = &recorder{sched: sched}
+		eps[i] = n.Attach(types.NodeID(i), recs[i])
+	}
+	for _, ep := range eps {
+		ep.Broadcast(&msg.ViewMsg{V: 2})
+	}
+	sched.RunFor(10 * time.Second)
+	for i, r := range recs {
+		if len(r.got) != cfg.N {
+			t.Fatalf("node %d received %d of %d broadcasts after shrinking reset", i, len(r.got), cfg.N)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/allocgate"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/sim"
@@ -153,7 +154,7 @@ func TestTopologyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := &msg.ViewMsg{V: 1}
 	var sink network.Verdict
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := allocgate.PerRun(t, 1000, func() {
 		sink = p.Link(0, 7, m, types.Time(1e9), rng)
 	})
 	if allocs != 0 {

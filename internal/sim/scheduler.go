@@ -521,16 +521,6 @@ func (mc *Multicast) newGroup(t types.Time) int32 {
 	return id
 }
 
-// Reserve pre-sizes the arena and heap for n additional events, so a
-// burst of schedules (e.g. a broadcast's n sends) performs at most one
-// slice grow up front instead of n incremental ones.
-func (s *Scheduler) Reserve(n int) {
-	s.heap = slices.Grow(s.heap, n)
-	if fresh := n - len(s.free); fresh > 0 {
-		s.arena = slices.Grow(s.arena, fresh)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Event loop
 // ---------------------------------------------------------------------------

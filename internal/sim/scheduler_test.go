@@ -303,22 +303,6 @@ func TestSchedulerAllocsSteadyState(t *testing.T) {
 	}
 }
 
-func TestSchedulerReserve(t *testing.T) {
-	s := New(1)
-	s.SetSink(func(types.NodeID, types.NodeID, any) {})
-	s.Reserve(64)
-	if avg := allocgate.PerRun(t, 10, func() {
-		for i := 0; i < 64; i++ {
-			s.SendAt(s.Now()+1, 0, 1, "m")
-		}
-		for i := 0; i < 64; i++ {
-			s.Step()
-		}
-	}); avg != 0 {
-		t.Errorf("reserved burst allocates %.2f per run, want 0", avg)
-	}
-}
-
 func TestSchedulerNilFuncPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -119,6 +119,12 @@ type Config struct {
 	// stream asserts read-your-writes (a GET submitted only after the
 	// client's SET committed must never see "not found").
 	Reads bool
+	// Command, when set, builds every payload instead of the client
+	// SET/GET: it appends command i's bytes to b and returns the result.
+	// b is the engine's bump block, so an appender that fits allocates
+	// nothing; one that outgrows the block gets its own allocation and
+	// leaves the block untouched. Reads and PayloadPad do not apply.
+	Command func(b []byte, i int64) []byte
 }
 
 func (c Config) clients() int64 {
@@ -225,31 +231,40 @@ func (e *Engine) submit(client int64, seq int32, nowNs int64) (uint64, []byte) {
 	return IDBase + uint64(idx), e.gen(idx, client, seq)
 }
 
-// gen builds the command payload in the current bump block: GETs for
-// odd-sequence read commands, SETs of the client's key otherwise.
+// gen builds the command payload in the current bump block, capped at
+// its own length: Config.Command's bytes when set, else GETs for
+// odd-sequence read commands and SETs of the client's key otherwise.
 func (e *Engine) gen(idx, client int64, seq int32) []byte {
-	need := 8 + 20 + 20 + len(e.pad)
-	if cap(e.buf)-e.off < need {
-		n := genBlockSize
-		if need > n {
-			n = need
-		}
-		e.buf = make([]byte, n)
-		e.off = 0
+	need := 8 + 20 + 20 + len(e.pad) // the longest SET
+	if e.cfg.Command != nil {
+		need = 1 // the appender may outgrow the block
 	}
+	if cap(e.buf)-e.off < need {
+		e.buf, e.off = make([]byte, max(need, genBlockSize)), 0
+	}
+	room := cap(e.buf) - e.off
 	b := e.buf[e.off:e.off]
-	if e.cfg.Reads && seq%2 == 1 {
+	switch {
+	case e.cfg.Command != nil:
+		b = e.cfg.Command(b, idx)
+	case e.cfg.Reads && seq%2 == 1:
 		b = append(b, "GET c"...)
 		b = strconv.AppendInt(b, client, 10)
-	} else {
+	default:
 		b = append(b, "SET c"...)
 		b = strconv.AppendInt(b, client, 10)
 		b = append(b, ' ', 'v')
 		b = strconv.AppendInt(b, idx, 10)
 		b = append(b, e.pad...)
 	}
-	e.off += len(b)
-	return b
+	if len(b) <= room {
+		e.off += len(b)
+	} else if len(b) <= genBlockSize {
+		// append moved b to its own allocation; the next command
+		// starts a fresh block.
+		e.buf, e.off = nil, 0
+	}
+	return b[:len(b):len(b)]
 }
 
 // OnCommit records the commit of command id at elapsed time atNs and

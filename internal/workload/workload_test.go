@@ -3,8 +3,12 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"lumiere/internal/allocgate"
 )
 
 // TestPacerExactRate: regression for the truncating-interval injector.
@@ -169,22 +173,70 @@ func TestEngineClosedLoopRampAndResubmit(t *testing.T) {
 	}
 }
 
+// kvCommand appends "SET key<i%64> value<i>" to b without allocating.
+func kvCommand(b []byte, i int64) []byte {
+	b = append(b, "SET key"...)
+	b = strconv.AppendInt(b, i%64, 10)
+	b = append(b, " value"...)
+	return strconv.AppendInt(b, i, 10)
+}
+
+// TestCommandHook: every payload built by Config.Command is its
+// appender's bytes, capped at its own length, and none changes while
+// later commands fill and replace the bump block — neither across block
+// boundaries nor around a payload longer than a whole block.
+func TestCommandHook(t *testing.T) {
+	const long = 1500 // this command's payload outgrows any block
+	appender := func(b []byte, i int64) []byte {
+		if i == long {
+			return append(b, bytes.Repeat([]byte{'x'}, genBlockSize+100)...)
+		}
+		return kvCommand(b, i)
+	}
+	e := NewEngine(Config{Clients: 64, Rate: 1000, Command: appender})
+	const cmds = 10_000 // ≈ 247 KiB of payload: several blocks
+	pls := make([][]byte, cmds)
+	for i := range pls {
+		id, pl := e.SubmitNext(e.NextDueNs())
+		if id != IDBase+uint64(i) {
+			t.Fatalf("command %d has ID %d", i, id)
+		}
+		pls[i] = pl
+	}
+	for i, pl := range pls {
+		want := fmt.Sprintf("SET key%d value%d", i%64, i)
+		if i == long {
+			want = strings.Repeat("x", genBlockSize+100)
+		}
+		if string(pl) != want || cap(pl) != len(pl) {
+			t.Fatalf("command %d = %.40q (len %d, cap %d), want %.40q", i, pl, len(pl), cap(pl), want)
+		}
+	}
+}
+
 // TestGenAllocs: the warm payload-generation path bump-allocates — well
 // under one allocation per command (one 64 KiB block per ~700 commands
-// at this payload size, plus amortized record growth).
+// at the padded SET's size, plus amortized record growth), for the
+// engine's own SETs and for a Config.Command appender.
 func TestGenAllocs(t *testing.T) {
-	e := NewEngine(Config{Clients: 1 << 20, Rate: 10_000, PayloadPad: 64})
-	for i := 0; i < 10_000; i++ { // warm the record slice
-		e.SubmitNext(e.NextDueNs())
-	}
-	const per = 1000
-	avg := testing.AllocsPerRun(20, func() {
-		for i := 0; i < per; i++ {
+	for _, cfg := range []Config{
+		{Clients: 1 << 20, Rate: 10_000, PayloadPad: 64},
+		{Clients: 1 << 20, Rate: 10_000, Command: kvCommand},
+	} {
+		e := NewEngine(cfg)
+		for i := 0; i < 10_000; i++ { // warm the record slice
 			e.SubmitNext(e.NextDueNs())
 		}
-	})
-	if avg/per > 0.25 {
-		t.Fatalf("injection path allocates %.3f allocs/command, want < 0.25", avg/per)
+		const per = 1000
+		avg := allocgate.PerRun(t, 20, func() {
+			for i := 0; i < per; i++ {
+				e.SubmitNext(e.NextDueNs())
+			}
+		})
+		if avg/per > 0.25 {
+			t.Fatalf("injection path (Command set: %v) allocates %.3f allocs/command, want < 0.25",
+				cfg.Command != nil, avg/per)
+		}
 	}
 }
 
