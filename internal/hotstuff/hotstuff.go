@@ -81,6 +81,7 @@ type Core struct {
 	pendingExec   map[Hash]*Block
 	pendingCommit map[Hash]*Block
 	fetchAsked    map[Hash]types.Time
+	chain         []*Block // execChain's scratch, empty between calls
 }
 
 var _ pacemaker.Driver = (*Core)(nil)
@@ -105,7 +106,7 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
 		inPool:        newIDSet(),
 		applied:       newIDSet(),
 		lastExec:      types.NoView,
-		nextReqID:     uint64(ep.ID())<<48 + 1,
+		nextReqID:     uint64(ep.ID())<<submitterShift + 1,
 		pendingExec:   make(map[Hash]*Block),
 		pendingCommit: make(map[Hash]*Block),
 		fetchAsked:    make(map[Hash]types.Time),
@@ -113,17 +114,39 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
 	return c
 }
 
-// Submit queues a client command in this replica's mempool only. A
-// msg.Request broadcast beside it reaches no other mempool: the replica
-// shell routes that kind to the pacemaker, which drops it, so the
-// command is proposed when this replica leads. Execution dedupes by
-// request ID.
+// Submit queues a client command in this replica's mempool and forwards
+// it as a msg.Request to the leaders of the next two views, each at most
+// once and never to itself: the command reaches a leader that proposes
+// soon, without a broadcast that would have every leader re-propose it.
+// The local copy is the fallback, proposed when this replica leads.
+// Execution dedupes by request ID, and IDs lie in this replica's
+// namespace (see Submitter).
 func (c *Core) Submit(payload []byte) uint64 {
 	id := c.nextReqID
 	c.nextReqID++
 	c.enqueue(Command{ID: id, Payload: payload})
+	var req *msg.Request
+	sent := c.ID
+	for v := c.View() + 1; v <= c.View()+2; v++ {
+		if to := c.Leader(v); to != c.ID && to != sent {
+			if req == nil {
+				req = &msg.Request{ID: id, Payload: payload}
+			}
+			c.EP.Send(to, req)
+			sent = to
+		}
+	}
 	return id
 }
+
+// Submitter returns the replica in whose namespace request ID id lies:
+// Submit numbers a replica's commands from its NodeID shifted left by
+// 48 bits, so a msg.Request that arrives from the network is genuine
+// only when Submitter(id) is its sender.
+func Submitter(id uint64) types.NodeID { return types.NodeID(id >> submitterShift) }
+
+// submitterShift places a replica's NodeID above its Submit sequence.
+const submitterShift = 48
 
 // EnqueueCommand queues an externally generated command without the
 // msg.Request envelope — the harness injector's allocation-free entry
@@ -214,6 +237,8 @@ func (c *Core) Handle(from types.NodeID, m msg.Message) {
 	case *msg.QC:
 		c.observeQC(mm)
 	case *msg.Request:
+		// The replica shell delivers a network Request only from its
+		// ID's Submitter.
 		c.enqueue(Command{ID: mm.ID, Payload: mm.Payload})
 	case *msg.BlockFetch:
 		c.handleBlockFetch(mm)
@@ -236,16 +261,28 @@ func (c *Core) requestBlock(h Hash) {
 	c.EP.Broadcast(&msg.BlockFetch{H: h, FromRaw: c.ID})
 }
 
+// Resync asks every peer for its highest certified block. A replica that
+// comes back from a downtime calls it: the QCs broadcast meanwhile were
+// lost to it, and without them it would lead its next views from a stale
+// highQC that the locked replicas refuse to vote for. The answers take the
+// block-fetch path, so each is verified before it raises highQC.
+func (c *Core) Resync() { c.EP.Broadcast(&msg.BlockFetch{FromRaw: c.ID}) }
+
 // handleBlockFetch serves a fetch request — but only for blocks whose
 // certifying QC is known, so a Byzantine requester learns nothing about
 // uncertified proposals and honest responders never propagate blocks
-// that could still be discarded.
+// that could still be discarded. The zero hash asks for the block of
+// highQC (Resync).
 func (c *Core) handleBlockFetch(m *msg.BlockFetch) {
-	b, ok := c.blocks[m.H]
+	h := m.H
+	if h == (Hash{}) {
+		h = c.highQC.BlockHash
+	}
+	b, ok := c.blocks[h]
 	if !ok || b.View < 0 {
 		return
 	}
-	qc, ok := c.qcByHash[m.H]
+	qc, ok := c.qcByHash[h]
 	if !ok || qc.V < 0 {
 		return
 	}
@@ -429,10 +466,10 @@ func (c *Core) tryCommit(head *Block) {
 // execution is deferred rather than committing a gapped chain; the
 // arrival of any new block retries (retryPending).
 func (c *Core) execChain(b0 *Block) {
-	var chain []*Block
+	defer c.clearChain()
 	cur := b0
 	for cur != nil && cur.View > c.lastExec {
-		chain = append(chain, cur)
+		c.chain = append(c.chain, cur)
 		next, ok := c.blocks[cur.Parent]
 		if !ok {
 			c.pendingExec[b0.HashOf()] = b0
@@ -442,8 +479,8 @@ func (c *Core) execChain(b0 *Block) {
 		cur = next
 	}
 	delete(c.pendingExec, b0.HashOf())
-	for i := len(chain) - 1; i >= 0; i-- {
-		b := chain[i]
+	for i := len(c.chain) - 1; i >= 0; i-- {
+		b := c.chain[i]
 		if b.View < 0 {
 			continue
 		}
@@ -472,6 +509,12 @@ func (c *Core) execChain(b0 *Block) {
 		c.mempool[0] = Command{}
 		c.mempool = c.mempool[1:]
 	}
+}
+
+// clearChain empties execChain's scratch, so it keeps no block alive.
+func (c *Core) clearChain() {
+	clear(c.chain)
+	c.chain = c.chain[:0]
 }
 
 // retryPending re-attempts deferred commit checks and executions after a

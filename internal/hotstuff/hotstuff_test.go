@@ -3,6 +3,7 @@ package hotstuff
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,21 +21,27 @@ import (
 // its leader immediately (pure responsiveness, no clocks).
 type rig struct {
 	sched *sim.Scheduler
+	net   *network.Net
 	cores []*Core
 	eps   []*voteLog
 	kvs   []*statemachine.KV
 	cfg   types.Config
 }
 
-// voteLog is a node's endpoint, recording the view of every vote it sends.
+// voteLog is a node's endpoint, recording the view of every vote it sends
+// and the recipient of every request it sends.
 type voteLog struct {
 	network.Endpoint
 	views []types.View
+	reqTo []types.NodeID
 }
 
 func (e *voteLog) Send(to types.NodeID, m msg.Message) {
-	if v, ok := m.(*msg.Vote); ok {
-		e.views = append(e.views, v.V)
+	switch mm := m.(type) {
+	case *msg.Vote:
+		e.views = append(e.views, mm.V)
+	case *msg.Request:
+		e.reqTo = append(e.reqTo, to)
 	}
 	e.Endpoint.Send(to, m)
 }
@@ -54,6 +61,7 @@ func newRig(t *testing.T, f int, delay time.Duration, twoPhase bool) *rig {
 	cfg := types.NewConfig(f, 100*time.Millisecond)
 	r := &rig{sched: sim.New(1), cfg: cfg}
 	net := network.NewNet(r.sched, cfg, 0, network.Fixed{D: delay})
+	r.net = net
 	suite := crypto.NewSimSuite(cfg.N, 2)
 	leader := func(v types.View) types.NodeID { return types.NodeID(v % types.View(cfg.N)) }
 	r.cores = make([]*Core, cfg.N)
@@ -271,6 +279,85 @@ func TestMempoolDedupeAndDrainOnCommit(t *testing.T) {
 	core.Handle(1, &msg.Request{ID: 5, Payload: []byte("SET a 1")})
 	if core.MempoolLen() != 0 {
 		t.Fatal("applied command re-entered the mempool")
+	}
+}
+
+// TestSubmitForwardsToNextLeaders: a replica's Submit sends its request to
+// the distinct leaders of the next two views, never to itself and never
+// more than twice, and the next leader proposes the command.
+func TestSubmitForwardsToNextLeaders(t *testing.T) {
+	r := newRig(t, 1, time.Millisecond, false)
+	for _, c := range r.cores {
+		c.EnterView(5) // leaders: view 5 → 1, 6 → 2, 7 → 3
+	}
+	idLeader := r.cores[1].Submit([]byte("SET a 1")) // leads view 5 only
+	idNext := r.cores[2].Submit([]byte("SET b 2"))   // leads view 6
+	if got := r.eps[1].reqTo; !slices.Equal(got, []types.NodeID{2, 3}) {
+		t.Fatalf("view-5 leader sent its request to %v, want [2 3]", got)
+	}
+	if got := r.eps[2].reqTo; !slices.Equal(got, []types.NodeID{3}) {
+		t.Fatalf("view-6 leader sent its request to %v, want [3] (never itself)", got)
+	}
+	// Two views with one leader get one request.
+	r.cores[0].Leader = func(types.View) types.NodeID { return 3 }
+	r.cores[0].Submit([]byte("SET c 3"))
+	if got := r.eps[0].reqTo; !slices.Equal(got, []types.NodeID{3}) {
+		t.Fatalf("request sent to %v, want once to [3]", got)
+	}
+
+	r.sched.RunFor(10 * time.Millisecond) // deliver the requests
+	if n := r.cores[3].MempoolLen(); n != 3 {
+		t.Fatalf("core 3, next leader of every submitter, holds %d commands, want 3", n)
+	}
+	r.cores[2].LeaderStart(6, types.TimeInf)
+	var proposed *Block
+	for _, b := range r.cores[2].blocks {
+		if b.View == 6 {
+			proposed = b
+		}
+	}
+	if proposed == nil {
+		t.Fatal("view-6 leader proposed nothing")
+	}
+	var ids []uint64
+	for _, cmd := range proposed.Cmds {
+		ids = append(ids, cmd.ID)
+	}
+	if !slices.Equal(ids, []uint64{idNext, idLeader}) {
+		t.Fatalf("view-6 proposal carries %v, want [%d %d]", ids, idNext, idLeader)
+	}
+	if Submitter(idLeader) != 1 || Submitter(idNext) != 2 {
+		t.Fatalf("IDs %x, %x outside their submitters' namespaces", idLeader, idNext)
+	}
+}
+
+// TestResyncResumesRevivedLeader: node 3 is down while the others certify
+// views 0-2, so the chain stalls at its view 3 and the cluster falls
+// quiet. Back up, it hears nothing until it asks: Resync brings it the
+// others' highest certified block, from which it leads view 3 and the
+// chain commits again. Without Resync its view-3 proposal extends its
+// stale genesis highQC, and the locked replicas refuse it.
+func TestResyncResumesRevivedLeader(t *testing.T) {
+	for _, resync := range []bool{false, true} {
+		r := newRig(t, 1, time.Millisecond, false)
+		r.net.Kill(3)
+		r.start()
+		r.sched.RunFor(time.Second)
+		stalled := r.cores[0].CommittedCount()
+		if r.cores[0].HighView() < 1 || r.cores[3].HighView() != types.NoView {
+			t.Fatalf("before revival: highQC views %d (live) and %d (down)", r.cores[0].HighView(), r.cores[3].HighView())
+		}
+		r.net.Revive(3)
+		if resync {
+			r.cores[3].Resync() // the rig's pacemaker leads view 3 on the QC it learns
+		} else {
+			r.cores[3].EnterView(3)
+			r.cores[3].LeaderStart(3, types.TimeInf)
+		}
+		r.sched.RunFor(time.Second)
+		if resumed := r.cores[0].CommittedCount() > stalled; resumed != resync {
+			t.Fatalf("resync=%v: %d blocks committed before node 3 came back, %d after", resync, stalled, r.cores[0].CommittedCount())
+		}
 	}
 }
 

@@ -328,7 +328,9 @@ func (m *Request) View() types.View { return 0 }
 
 // BlockFetch asks peers for the certified block with hash H. Sent by a
 // replica whose committed chain has a gap (it crashed while proposals
-// were being delivered, and the simulator's crash model loses them).
+// were being delivered, and the simulator's crash model loses them). The
+// zero H asks each peer for the block of its highest QC: a replica back
+// from a downtime learns the chain's head that way.
 type BlockFetch struct {
 	H       [32]byte
 	FromRaw types.NodeID

@@ -3,9 +3,14 @@ package nettcp
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"lumiere/internal/adversary"
+	"lumiere/internal/core"
+	"lumiere/internal/hotstuff"
+	"lumiere/internal/msg"
 	"lumiere/internal/types"
 )
 
@@ -77,23 +82,7 @@ func TestClusterSMR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network test")
 	}
-	base := types.NewConfig(1, 200*time.Millisecond)
-	addrs := freeAddrs(t, base.N)
-	nodes := make([]*Node, base.N)
-	for i := 0; i < base.N; i++ {
-		n, err := StartNode(NodeConfig{
-			ID:    types.NodeID(i),
-			Addrs: addrs,
-			Base:  base,
-			Seed:  42,
-			SMR:   true,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		nodes[i] = n
-		defer n.Close()
-	}
+	nodes := startSMRCluster(t, nil)
 	for i := 0; i < 20; i++ {
 		target := nodes[i%len(nodes)]
 		if err := target.Submit([]byte(fmt.Sprintf("SET key%d value%d", i, i))); err != nil {
@@ -138,4 +127,166 @@ func TestClusterSMR(t *testing.T) {
 			}
 		}
 	}
+}
+
+// startSMRCluster boots a 4-node SMR cluster, closed when the test ends.
+// onCommit, if set, observes every node's commits under that node's lock.
+func startSMRCluster(t *testing.T, onCommit func(node types.NodeID, b *hotstuff.Block)) []*Node {
+	t.Helper()
+	base := types.NewConfig(1, 200*time.Millisecond)
+	addrs := freeAddrs(t, base.N)
+	nodes := make([]*Node, base.N)
+	for i := 0; i < base.N; i++ {
+		id := types.NodeID(i)
+		cfg := NodeConfig{ID: id, Addrs: addrs, Base: base, Seed: 42, SMR: true}
+		if onCommit != nil {
+			cfg.OnCommit = func(b *hotstuff.Block) { onCommit(id, b) }
+		}
+		n, err := StartNode(cfg)
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		nodes[i] = n
+		t.Cleanup(n.Close)
+	}
+	return nodes
+}
+
+// TestClusterSubmitReachesNextLeader: commands submitted at one node reach
+// the mempools of the next leaders, so they commit in blocks that other
+// nodes propose — not only when the submitting node next leads.
+func TestClusterSubmitReachesNextLeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	const cmds = 20
+	var mu sync.Mutex
+	blockOf := make(map[uint64]types.View) // the view of the block that executed each node-0 command at node 1
+	nodes := startSMRCluster(t, func(node types.NodeID, b *hotstuff.Block) {
+		if node != 1 {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range b.Cmds {
+			if _, done := blockOf[c.ID]; !done && hotstuff.Submitter(c.ID) == 0 {
+				blockOf[c.ID] = b.View
+			}
+		}
+	})
+	waitFor(t, 30*time.Second, "the cluster to leave its first views", func() bool {
+		v, _, _ := nodes[0].Status()
+		return v >= 4
+	})
+	for i := 0; i < cmds; i++ {
+		if err := nodes[0].Submit([]byte(fmt.Sprintf("SET key%d value%d", i, i))); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	waitFor(t, 30*time.Second, "node 1 to commit every command", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(blockOf) == cmds
+	})
+	// The commit hook takes mu under node 1's lock: never hold both here.
+	mu.Lock()
+	views := make([]types.View, 0, len(blockOf))
+	for _, v := range blockOf {
+		views = append(views, v)
+	}
+	mu.Unlock()
+	nodes[1].mu.Lock()
+	elsewhere := 0
+	for _, v := range views {
+		if nodes[1].pm.Leader(v) != 0 {
+			elsewhere++
+		}
+	}
+	nodes[1].mu.Unlock()
+	t.Logf("%d of %d commands submitted at node 0 committed in other leaders' blocks", elsewhere, cmds)
+	if elsewhere == 0 {
+		t.Fatal("every command waited for its submitting node to lead")
+	}
+}
+
+// TestForgedRequestDropped: a peer that sends a request in another node's
+// ID namespace — here the victim's next ID, ahead of the victim — is
+// ignored, so the ID dedupe cannot drop the victim's own command.
+func TestForgedRequestDropped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	const forger, victim = 3, 2
+	nodes := startSMRCluster(t, nil)
+	nextID := uint64(victim)<<48 + 1 // the victim has submitted nothing yet
+	nodes[forger].mu.Lock()
+	nodes[forger].transport.Broadcast(&msg.Request{ID: nextID, Payload: []byte("SET forged 1")})
+	nodes[forger].mu.Unlock()
+	time.Sleep(500 * time.Millisecond) // let the forgery land everywhere first
+	if err := nodes[victim].Submit([]byte("SET victim 1")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 15*time.Second, "every node to apply the victim's command", func() bool {
+		for _, n := range nodes {
+			if v, ok := n.KV().Get("victim"); !ok || v != "1" {
+				return false
+			}
+		}
+		return true
+	})
+	for i, n := range nodes {
+		if _, ok := n.KV().Get("forged"); ok {
+			t.Fatalf("node %d applied the forged request", i)
+		}
+	}
+}
+
+// TestRejoinLearnsChainHead: a node down from the start leads views 14-17
+// (the schedule's block-boundary leader), so the others stall there and
+// send it no QC. Its rejoin — what a churn downtime's end runs — asks for
+// the chain's head, and it holds the others' highest QC well before its
+// views time out, instead of proposing from genesis.
+func TestRejoinLearnsChainHead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	const seed = 42
+	base := types.NewConfig(1, 100*time.Millisecond) // Γ = 1 s: views 14-17 hold the others ≥ 2 s
+	down := core.NewPermSchedule(base.N, seed+7).Leader(14)
+	live := (down + 1) % types.NodeID(base.N)
+	addrs := freeAddrs(t, base.N)
+	nodes := make([]*Node, base.N)
+	for i := range nodes {
+		cfg := NodeConfig{ID: types.NodeID(i), Addrs: addrs, Base: base, Seed: seed, SMR: true}
+		if cfg.ID == down {
+			cfg.Churn = []adversary.Downtime{{From: 0, To: time.Hour}}
+		}
+		n, err := StartNode(cfg)
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		nodes[i] = n
+		t.Cleanup(n.Close)
+	}
+	highView := func(n *Node) types.View {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.hs.HighView()
+	}
+	waitFor(t, 20*time.Second, "the others to stall in the downed node's views", func() bool {
+		v, _, _ := nodes[live].Status()
+		return v >= 14
+	})
+	head := highView(nodes[live])
+	if v, _, _ := nodes[live].Status(); v > 17 || head < 13 {
+		t.Fatalf("node %d is in view %d with highQC %d, want a view in 14-17 and highQC ≥ 13", live, v, head)
+	}
+	if got := highView(nodes[down]); got != types.NoView {
+		t.Fatalf("node %d learned a QC (view %d) while down", down, got)
+	}
+	nodes[down].rejoin()
+	waitFor(t, 500*time.Millisecond, "the rejoined node to learn the others' highest QC", func() bool {
+		return highView(nodes[down]) >= head
+	})
 }

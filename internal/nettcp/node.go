@@ -166,13 +166,25 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			down, up := d.From, d.To
 			n.churn = append(n.churn,
 				time.AfterFunc(down, func() { n.cond.SetDown(true) }),
-				time.AfterFunc(up, func() { n.cond.SetDown(false) }))
+				time.AfterFunc(up, n.rejoin))
 		}
 	}
 	n.mu.Lock()
 	rep.Start()
 	n.mu.Unlock()
 	return n, nil
+}
+
+// rejoin ends a churn downtime: the node sends and receives again, and an
+// SMR node asks its peers for the chain's head (hotstuff.Core.Resync),
+// since every QC broadcast while it was down was lost to it.
+func (n *Node) rejoin() {
+	n.cond.SetDown(false)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.hs != nil {
+		n.hs.Resync()
+	}
 }
 
 type decisionObs struct{ node *Node }
@@ -188,16 +200,16 @@ func (o decisionObs) OnQCProduced(qc *msg.QC, at types.Time) {
 	}
 }
 
-// Submit enqueues a client command into this node's mempool and gossips
-// it to all replicas (SMR only).
+// Submit enqueues a client command into this node's mempool and forwards
+// it to the leaders of the next two views (hotstuff.Core.Submit); SMR
+// only.
 func (n *Node) Submit(payload []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.hs == nil {
 		return fmt.Errorf("nettcp: node is not running SMR")
 	}
-	id := n.hs.Submit(payload)
-	n.transport.Broadcast(&msg.Request{ID: id, Payload: payload})
+	n.hs.Submit(payload)
 	return nil
 }
 

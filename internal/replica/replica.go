@@ -5,6 +5,7 @@
 package replica
 
 import (
+	"lumiere/internal/hotstuff"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/pacemaker"
@@ -86,13 +87,20 @@ func (r *Replica) Deliver(from types.NodeID, m msg.Message) {
 	r.route(from, m)
 }
 
-// route dispatches by message kind: underlying-protocol traffic to the
-// view core (which verifies QCs once and surfaces them to the pacemaker
-// via its callback), everything else to the pacemaker.
+// route dispatches by message kind: underlying-protocol traffic and
+// client requests to the engine (which verifies QCs once and surfaces
+// them to the pacemaker via its callback), everything else to the
+// pacemaker. A request is delivered only if its ID lies in its sender's
+// Submit namespace, so no peer can claim another replica's next IDs and
+// have the ID dedupe drop that replica's own commands.
 func (r *Replica) route(from types.NodeID, m msg.Message) {
 	switch m.Kind() {
 	case msg.KindProposal, msg.KindVote, msg.KindQC, msg.KindBlockFetch, msg.KindBlockResp:
 		r.Core.Handle(from, m)
+	case msg.KindRequest:
+		if hotstuff.Submitter(m.(*msg.Request).ID) == from {
+			r.Core.Handle(from, m)
+		}
 	default:
 		r.PM.Handle(from, m)
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"slices"
 	"testing"
 
 	"lumiere/internal/msg"
@@ -39,14 +40,29 @@ func TestRoutingByKind(t *testing.T) {
 	r.Deliver(1, &msg.QC{V: 1})
 	r.Deliver(1, &msg.ViewMsg{V: 2})
 	r.Deliver(1, &msg.EC{V: 0})
-	r.Deliver(1, &msg.Request{ID: 1})
-	if len(eng.got) != 3 {
-		t.Fatalf("engine got %v", eng.got)
+	r.Deliver(1, &msg.Request{ID: 1<<48 | 7})
+	// Client requests feed the engine's mempool, not the pacemaker.
+	want := []msg.Kind{msg.KindProposal, msg.KindVote, msg.KindQC, msg.KindRequest}
+	if !slices.Equal(eng.got, want) {
+		t.Fatalf("engine got %v, want %v", eng.got, want)
 	}
-	// Requests route to the pacemaker by default kind dispatch… they
-	// are not view-sync messages, but non-core kinds go to the PM.
-	if len(pm.got) != 3 {
-		t.Fatalf("pm got %v", pm.got)
+	if want := []msg.Kind{msg.KindView, msg.KindEC}; !slices.Equal(pm.got, want) {
+		t.Fatalf("pm got %v, want %v", pm.got, want)
+	}
+}
+
+// TestForeignRequestDropped: a request whose ID lies outside its sender's
+// Submit namespace reaches neither the engine nor the pacemaker, so a
+// peer cannot pre-claim another replica's next request IDs.
+func TestForeignRequestDropped(t *testing.T) {
+	pm := &fakePM{}
+	eng := &fakeEngine{}
+	r := New(0, pm, eng)
+	r.Start()
+	r.Deliver(1, &msg.Request{ID: 2<<48 | 1}) // node 2's first ID, sent by node 1
+	r.Deliver(1, &msg.Request{ID: 1})         // node 0's first ID
+	if len(eng.got)+len(pm.got) != 0 {
+		t.Fatalf("forged requests delivered: engine %v, pm %v", eng.got, pm.got)
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 // are opaque byte strings; determinism across replicas is the caller's
 // obligation (commands must be self-contained).
 type StateMachine interface {
-	// Apply executes one committed command and returns its result.
+	// Apply executes one committed command and returns its result,
+	// which may be nil when the command yields nothing to report.
 	Apply(cmd []byte) ([]byte, error)
 	// Summary returns a human-readable digest of the current state,
 	// identical across replicas that applied the same command
@@ -471,12 +472,13 @@ var _ StateMachine = (*Counter)(nil)
 // NewCounter creates a Counter.
 func NewCounter() *Counter { return &Counter{} }
 
-// Apply implements StateMachine.
+// Apply implements StateMachine. It counts the command and returns a nil
+// result: the count is read through Count and Summary.
 func (c *Counter) Apply([]byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.n++
-	return strconv.AppendInt(nil, c.n, 10), nil
+	return nil, nil
 }
 
 // Count returns the number of applied commands.

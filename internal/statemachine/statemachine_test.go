@@ -400,8 +400,8 @@ func TestBankConservationQuick(t *testing.T) {
 func TestCounter(t *testing.T) {
 	c := NewCounter()
 	for i := 0; i < 5; i++ {
-		if _, err := c.Apply(nil); err != nil {
-			t.Fatal(err)
+		if res, err := c.Apply(nil); err != nil || res != nil {
+			t.Fatalf("Apply = %q, %v; want a nil result", res, err)
 		}
 	}
 	if c.Count() != 5 || c.Summary() != "5" {
