@@ -59,17 +59,18 @@ func main() {
 		return
 	}
 	if *local {
-		e := harness.ClusterExperiment{
+		s := harness.Scenario{
 			F: *f, Delta: *delta, Seed: *seed, SMR: *smr,
 			Loss: *loss, Duplication: *dup, ReorderJitter: *reorder, GST: *gst,
 		}
-		nodes, closeAll, err := harness.StartCluster(e)
+		nodes, closeAll, err := harness.StartCluster(s)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		defer closeAll()
-		fmt.Printf("local cluster up: n=%d f=%d smr=%v chaos=%v\n", len(nodes), *f, *smr, e.LinkPolicy() != nil)
+		chaos := *loss > 0 || *dup > 0 || *reorder > 0
+		fmt.Printf("local cluster up: n=%d f=%d smr=%v chaos=%v\n", len(nodes), *f, *smr, chaos)
 		runWorkloadAndReport(nodes, *smr, *rate, *duration)
 		return
 	}

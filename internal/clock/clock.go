@@ -179,9 +179,6 @@ func (c *Clock) SetAlarm(target types.Time, fn func()) {
 	}
 }
 
-// ClearAlarm cancels any pending alarm.
-func (c *Clock) ClearAlarm() { c.clearAlarm() }
-
 func (c *Clock) clearAlarm() {
 	c.cancelPhysical()
 	c.alarmTarget = types.TimeInf

@@ -163,7 +163,7 @@ func TestClearAlarm(t *testing.T) {
 	c := New(s, 0)
 	fired := false
 	c.SetAlarm(30, func() { fired = true })
-	c.ClearAlarm()
+	c.clearAlarm()
 	s.RunUntil(100)
 	if fired {
 		t.Fatal("cleared alarm fired")

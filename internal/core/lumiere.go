@@ -55,10 +55,10 @@ type Pacemaker struct {
 
 	// The success criterion (§4): per epoch, the QCs credited to each
 	// leader (indexed by NodeID, saturating at QCsPerLeaderForSuccess)
-	// and how many leaders have reached that count.
+	// and how many leaders have reached that count; success(e) holds
+	// once that count reaches 2f+1.
 	credited  quorum.Flags
 	leaderQCs map[types.Epoch]epochQCs
-	success   map[types.Epoch]bool
 
 	violations []string
 	lastLC     types.Time
@@ -109,7 +109,6 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 		EpochCerts: baseline.NewCerts(suite, cfg.Base.N),
 		ecKeep:     ecKeep,
 		leaderQCs:  make(map[types.Epoch]epochQCs),
-		success:    make(map[types.Epoch]bool),
 	}
 }
 
@@ -128,8 +127,13 @@ func (p *Pacemaker) CurrentEpoch() types.Epoch { return p.epoch }
 // Leader implements pacemaker.Pacemaker with the §4 schedule.
 func (p *Pacemaker) Leader(v types.View) types.NodeID { return p.schedule.Leader(v) }
 
-// SuccessOf reports success(e) (§4).
-func (p *Pacemaker) SuccessOf(e types.Epoch) bool { return p.success[e] }
+// SuccessOf reports success(e) (§4), with success(-1) = 0 (line 5):
+// 2f+1 distinct leaders have each produced QCsPerLeaderForSuccess QCs
+// for views in epoch e. Basic Lumiere credits no QCs, so it is always
+// false there.
+func (p *Pacemaker) SuccessOf(e types.Epoch) bool {
+	return p.leaderQCs[e].met >= p.Cfg.Quorum()
+}
 
 // Violations returns recorded invariant violations (empty in correct
 // executions; populated only with Config.CheckInvariants).
@@ -180,7 +184,7 @@ func (p *Pacemaker) onEpochBoundary(w types.View) {
 	if w <= p.CurrentView() {
 		return
 	}
-	if p.successOf(p.cfg.EpochOf(w) - 1) {
+	if p.SuccessOf(p.cfg.EpochOf(w) - 1) {
 		// Lines 13-14: enter the epoch treating w as a standard
 		// initial view.
 		p.enterInitial(w)
@@ -425,11 +429,11 @@ func (p *Pacemaker) creditQC(v types.View) {
 		return
 	}
 	e := p.cfg.EpochOf(v)
-	if e < p.epoch-1 || p.success[e] {
+	tally, ok := p.leaderQCs[e]
+	if e < p.epoch-1 || tally.met >= p.Cfg.Quorum() {
 		return
 	}
 	p.credited.Set(v)
-	tally, ok := p.leaderQCs[e]
 	if !ok {
 		tally.per = make([]uint8, p.Cfg.N)
 		p.leaderQCs[e] = tally
@@ -447,7 +451,6 @@ func (p *Pacemaker) creditQC(v types.View) {
 	if tally.met < p.Cfg.Quorum() {
 		return
 	}
-	p.success[e] = true
 	if p.Tr != nil {
 		p.Tr.Emit(p.RT.Now(), p.ID, trace.Success, p.cfg.FirstView(e), fmt.Sprintf("success(%d)=1", e))
 	}
@@ -461,14 +464,6 @@ func (p *Pacemaker) creditQC(v types.View) {
 // ---------------------------------------------------------------------------
 // Shared transitions
 // ---------------------------------------------------------------------------
-
-// successOf reports success(e), with success(-1) = 0 (line 5).
-func (p *Pacemaker) successOf(e types.Epoch) bool {
-	if p.cfg.Variant != VariantFull {
-		return false
-	}
-	return p.success[e]
-}
 
 func (p *Pacemaker) clockTime(v types.View) types.Time {
 	return types.Time(v) * types.Time(p.gamma)
@@ -510,11 +505,6 @@ func (p *Pacemaker) enter(v types.View) {
 		for old := range p.leaderQCs {
 			if old < e-1 {
 				delete(p.leaderQCs, old)
-			}
-		}
-		for old := range p.success {
-			if old < e-1 {
-				delete(p.success, old)
 			}
 		}
 	}

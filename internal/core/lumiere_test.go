@@ -740,7 +740,6 @@ func TestUntracedNotesFormatNothing(t *testing.T) {
 	}
 	if n := allocgate.PerRun(t, 100, func() {
 		u.pm.credited.Reset()
-		delete(u.pm.success, e)
 		per[lead] = qcs - 1
 		u.pm.leaderQCs[e] = epochQCs{per: per, met: q - 1}
 		u.pm.creditQC(v)

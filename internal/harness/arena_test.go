@@ -24,7 +24,6 @@ type resultFingerprint struct {
 	honest     int64
 	byz        int64
 	words      int64
-	kappa      int64
 	events     uint64
 	omitted    int64
 	violations int
@@ -38,7 +37,6 @@ func fingerprint(res *Result) resultFingerprint {
 		honest:     res.Collector.HonestSends(),
 		byz:        res.Collector.ByzantineSends(),
 		words:      res.Collector.WordsTotal(),
-		kappa:      res.Collector.KappaBytes(),
 		events:     res.Events,
 		omitted:    res.Omitted,
 		violations: len(res.Violations),

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
 	"time"
 
@@ -20,93 +21,52 @@ import (
 // simulator uses, so every simulated table in EXPERIMENTS.md can stand
 // next to a real-I/O number.
 
-// ClusterExperiment configures one loopback wall-clock cluster run: n
-// single-process replicas over real sockets, one shared time origin, the
-// declarative chaos axes of Scenario realized at the socket layer.
-type ClusterExperiment struct {
-	// F is the fault tolerance; N defaults to 3F+1.
-	F int
-	N int
-	// Delta is Δ (default 50ms — loopback δ is far below it).
-	Delta time.Duration
-	// Seed derives the shared PKI and the per-node chaos streams.
-	Seed int64
-	// SMR runs chained HotStuff with a KV store on every node.
-	SMR bool
-	// Rate injects this many client commands per second round-robin
-	// across the nodes (SMR only).
-	Rate int
-	// Duration is the wall-clock run length (default 3s).
-	Duration time.Duration
-	// Warmup decisions are skipped by the gap statistics (default 3).
-	Warmup int
-
-	// Chaos axes, mirroring Scenario's declarative fields; they compose
-	// into a network.LinkPolicy applied by each node's socket-level
-	// Conditioner under the §2 clamp.
-	//
-	// Loss drops each outbound message with this probability (pre-GST:
-	// released at GST+Δ; post-GST: Δ-late unless OmissionBudget funds a
-	// true omission).
-	Loss float64
-	// LossUntil limits Loss to sends before this instant (zero = whole
-	// run).
-	LossUntil time.Duration
-	// Duplication enqueues an extra copy with this probability,
-	// jittered by up to Δ/2.
-	Duplication float64
-	// ReorderJitter adds an independent uniform extra release delay in
-	// [0, ReorderJitter] per message.
-	ReorderJitter time.Duration
-	// Partitions isolates processor groups until PartitionHeal
-	// (default: heal at GST).
-	Partitions    [][]types.NodeID
-	PartitionHeal time.Duration
-	// GST is the global stabilization time the conditioners honor
-	// (relative to the shared start).
-	GST time.Duration
-	// OmissionBudget authorizes true post-GST omission per node;
-	// MaxSenders must be ≤ F when set.
-	OmissionBudget network.OmissionBudget
-	// Churn schedules crash-recovery downtimes per node.
-	Churn map[types.NodeID][]adversary.Downtime
+// clusterFields are the Scenario fields the TCP runtime realizes: the
+// model, the client load (Workload with only Rate set, fed to
+// InjectCommands), the declarative chaos axes (composed by linkPolicy
+// into each node's socket-level Conditioner under the §2 clamp) and
+// churn (Corruptions whose behavior is BehaviorChurn). Any other field
+// set on a cluster's scenario is rejected by name, so a field added to
+// Scenario stays rejected on TCP until it is wired here.
+var clusterFields = map[string]bool{
+	"F": true, "N": true, "Delta": true, "Seed": true, "Duration": true,
+	"SMR": true, "Workload": true,
+	"GST": true, "Loss": true, "LossUntil": true, "Duplication": true,
+	"ReorderJitter": true, "Partitions": true, "PartitionHeal": true,
+	"OmissionBudget": true, "Corruptions": true,
 }
 
-func (e ClusterExperiment) withDefaults() ClusterExperiment {
-	if e.Delta <= 0 {
-		e.Delta = 50 * time.Millisecond
+// clusterWarmup decisions are skipped by the gap statistics.
+const clusterWarmup = 3
+
+// checkCluster rejects the parts of a caller's scenario, before
+// defaults, that the TCP runtime does not realize.
+func checkCluster(s Scenario) error {
+	if err := unrealized(reflect.ValueOf(s), "Scenario", clusterFields); err != nil {
+		return err
 	}
-	if e.N <= 0 {
-		e.N = 3*e.F + 1
+	if s.Workload != nil {
+		if err := unrealized(reflect.ValueOf(*s.Workload), "Scenario.Workload", map[string]bool{"Rate": true}); err != nil {
+			return err
+		}
 	}
-	if e.Duration <= 0 {
-		e.Duration = 3 * time.Second
+	for i, c := range s.Corruptions {
+		if c.Behavior != adversary.BehaviorChurn {
+			return fmt.Errorf("Scenario.Corruptions[%d] has behavior %v; the TCP cluster realizes only churn", i, c.Behavior)
+		}
 	}
-	if e.Warmup == 0 {
-		e.Warmup = 3
-	}
-	return e
+	return nil
 }
 
-// LinkPolicy composes the experiment's chaos axes into the link policy
-// each node's socket-level conditioner applies: Scenario.linkPolicy's
-// chain (reorder → duplicate → loss → partition) over a zero-delay base,
-// since on a real network the wire supplies δ itself. Nil when no axis
-// is set.
-func (e ClusterExperiment) LinkPolicy() network.LinkPolicy {
-	if e.ReorderJitter <= 0 && e.Duplication <= 0 && e.Loss <= 0 && len(e.Partitions) == 0 {
-		return nil
+// unrealized returns an error naming the first non-zero field of the
+// struct v that realized does not list.
+func unrealized(v reflect.Value, prefix string, realized map[string]bool) error {
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; !realized[name] && !v.Field(i).IsZero() {
+			return fmt.Errorf("%s.%s is set, but the TCP cluster does not realize it", prefix, name)
+		}
 	}
-	s := Scenario{
-		Delta:         e.Delta,
-		Loss:          e.Loss,
-		LossUntil:     e.LossUntil,
-		Duplication:   e.Duplication,
-		ReorderJitter: e.ReorderJitter,
-		Partitions:    e.Partitions,
-		PartitionHeal: e.PartitionHeal,
-	}
-	return s.linkPolicy(types.Config{N: e.N}, types.Time(0).Add(e.GST), network.Fixed{})
+	return nil
 }
 
 // ClusterResult carries everything measured about one wall-clock
@@ -127,7 +87,8 @@ type ClusterResult struct {
 	// analogue of the simulated sync-latency measure.
 	Decided     bool
 	SyncLatency time.Duration
-	// MeanGap and MaxGap summarize inter-decision gaps after Warmup.
+	// MeanGap and MaxGap summarize inter-decision gaps after the first
+	// clusterWarmup decisions.
 	MeanGap, MaxGap time.Duration
 	// Words is the honest communication in words summed over all
 	// nodes' collectors (msg.Words per wire send — the simulator's
@@ -201,44 +162,58 @@ func freeLoopbackAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// StartCluster boots e's loopback cluster over real sockets: n nodes on
+// StartCluster boots s's loopback cluster over real sockets: n nodes on
 // reserved 127.0.0.1 ports sharing one time origin, the chaos axes
-// composed into each node's socket-level conditioner, per-node chaos
-// streams seeded Seed+i+1. It returns the running nodes and the function
-// that closes them all.
-func StartCluster(e ClusterExperiment) (nodes []*nettcp.Node, closeAll func(), err error) {
-	e = e.withDefaults()
-	base := types.Config{N: e.N, F: e.F, Delta: e.Delta, X: types.DefaultX}
-	if err := base.Validate(); err != nil {
+// composed into each node's socket-level conditioner over a zero-delay
+// base (the wire supplies δ itself), per-node chaos streams seeded
+// Seed+i+1, and each churn corruption's downtimes scheduled on its node.
+// A field of s the TCP runtime does not realize is an error that names
+// it. StartCluster does not drive s.Workload; RunCluster does, and a
+// caller of StartCluster passes it to InjectCommands. It returns the
+// running nodes and the function that closes them all.
+func StartCluster(s Scenario) (nodes []*nettcp.Node, closeAll func(), err error) {
+	if err := checkCluster(s); err != nil {
 		return nil, nil, fmt.Errorf("harness: cluster: %w", err)
 	}
-	if err := checkOmissionBudget(e.OmissionBudget, e.F); err != nil {
+	s = s.withDefaults()
+	if err := s.validate(); err != nil {
 		return nil, nil, fmt.Errorf("harness: cluster: %w", err)
 	}
-	addrs, err := freeLoopbackAddrs(e.N)
+	base := types.Config{N: s.N, F: s.F, Delta: s.Delta, X: types.DefaultX}
+	churn := make(map[types.NodeID][]adversary.Downtime, len(s.Corruptions))
+	for _, c := range s.Corruptions {
+		if int(c.Node) < 0 || int(c.Node) >= s.N {
+			return nil, nil, fmt.Errorf("harness: cluster: churn names processor %d; cluster has n=%d", c.Node, s.N)
+		}
+		churn[c.Node] = c.Downs
+	}
+	var link network.LinkPolicy
+	if s.ReorderJitter > 0 || s.Duplication > 0 || s.Loss > 0 || len(s.Partitions) > 0 {
+		link = s.linkPolicy(base, types.Time(0).Add(s.GST), network.Fixed{})
+	}
+	addrs, err := freeLoopbackAddrs(s.N)
 	if err != nil {
 		return nil, nil, err
 	}
-	link := e.LinkPolicy()
 	start := time.Now()
 	closeAll = func() {
 		for _, n := range nodes {
 			n.Close()
 		}
 	}
-	for i := 0; i < e.N; i++ {
+	for i := 0; i < s.N; i++ {
 		n, err := nettcp.StartNode(nettcp.NodeConfig{
 			ID:             types.NodeID(i),
 			Addrs:          addrs,
 			Base:           base,
-			Seed:           e.Seed,
-			SMR:            e.SMR,
+			Seed:           s.Seed,
+			SMR:            s.SMR,
 			Start:          start,
 			Link:           link,
-			GST:            e.GST,
-			OmissionBudget: e.OmissionBudget,
-			ChaosSeed:      e.Seed + int64(i) + 1,
-			Churn:          e.Churn[types.NodeID(i)],
+			GST:            s.GST,
+			OmissionBudget: s.OmissionBudget,
+			ChaosSeed:      s.Seed + int64(i) + 1,
+			Churn:          churn[types.NodeID(i)],
 		})
 		if err != nil {
 			closeAll()
@@ -272,32 +247,33 @@ func InjectCommands(nodes []*nettcp.Node, rate int, d time.Duration) (accepted i
 	}
 }
 
-// RunCluster boots the cluster over real sockets, runs it for
-// e.Duration of wall-clock time, shuts it down, and aggregates the
-// per-node metrics snapshots into one result.
-func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
-	e = e.withDefaults()
-	nodes, closeAll, err := StartCluster(e)
+// RunCluster boots s's cluster over real sockets (StartCluster), offers
+// s.Workload's rate to it, runs it for s.Duration of wall-clock time,
+// shuts it down, and aggregates the per-node metrics snapshots into one
+// result.
+func RunCluster(s Scenario) (*ClusterResult, error) {
+	nodes, closeAll, err := StartCluster(s)
 	if err != nil {
 		return nil, err
 	}
 	defer closeAll()
+	s = s.withDefaults()
 
-	end := time.Now().Add(e.Duration)
+	end := time.Now().Add(s.Duration)
 	injected := 0
-	if e.SMR && e.Rate > 0 {
-		injected = InjectCommands(nodes, e.Rate, e.Duration)
+	if s.Workload != nil {
+		injected = InjectCommands(nodes, int(s.Workload.Rate), s.Duration)
 	}
 	time.Sleep(time.Until(end))
 
 	res := &ClusterResult{
-		N:        e.N,
-		F:        e.F,
-		Delta:    e.Delta,
+		N:        s.N,
+		F:        s.F,
+		Delta:    s.Delta,
 		Elapsed:  time.Duration(nodes[0].Now()),
 		Injected: injected,
 	}
-	gst := types.Time(0).Add(e.GST)
+	gst := types.Time(0).Add(s.GST)
 	var decisions []metrics.Decision
 	minCommitted := -1
 	for _, n := range nodes {
@@ -308,14 +284,14 @@ func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
 		res.Sends += col.HonestSends()
 		res.Omitted += n.Omitted()
 		decisions = append(decisions, col.Decisions()...)
-		if e.SMR {
+		if s.SMR {
 			_, _, committed := n.Status()
 			if minCommitted < 0 || committed < minCommitted {
 				minCommitted = committed
 			}
 		}
 	}
-	if e.SMR {
+	if s.SMR {
 		res.Committed = minCommitted
 	}
 	// Each decision is recorded exactly once, by the leader that
@@ -334,7 +310,7 @@ func RunCluster(e ClusterExperiment) (*ClusterResult, error) {
 		res.WordsPerDecision = float64(res.Words) / float64(res.Decisions)
 	}
 	var gaps []time.Duration
-	for i := e.Warmup + 1; i < len(decisions); i++ {
+	for i := clusterWarmup + 1; i < len(decisions); i++ {
 		gaps = append(gaps, decisions[i].At.Sub(decisions[i-1].At))
 	}
 	if len(gaps) > 0 {
@@ -360,7 +336,7 @@ func ClusterTable(fs []int, delta, perRun time.Duration, seed int64) (*Table, er
 	t := &Table{Title: "Wall-clock loopback cluster: sync latency and words (real TCP)"}
 	t.Header = []string{"n", "f", "decisions", "sync-lat", "mean-gap", "words", "words/dec", "words/dec/n", "drops"}
 	for _, f := range fs {
-		res, err := RunCluster(ClusterExperiment{
+		res, err := RunCluster(Scenario{
 			F:        f,
 			Delta:    delta,
 			Seed:     seed,

@@ -1,12 +1,19 @@
 package harness
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"lumiere/internal/adversary"
 	"lumiere/internal/network"
+	"lumiere/internal/types"
 	"lumiere/internal/workload"
 )
+
+// clusterDelta is Δ for the loopback tests: loopback δ is far below it.
+const clusterDelta = 50 * time.Millisecond
 
 // TestClusterExperimentSmoke boots a small loopback cluster over real
 // sockets and checks the wall-clock measurement plumbing end to end:
@@ -16,7 +23,7 @@ func TestClusterExperimentSmoke(t *testing.T) {
 		t.Skip("real-network test")
 	}
 	t.Parallel()
-	res, err := RunCluster(ClusterExperiment{F: 1, Seed: 7, Duration: 2 * time.Second})
+	res, err := RunCluster(Scenario{F: 1, Delta: clusterDelta, Seed: 7, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +53,9 @@ func TestClusterExperimentSMR(t *testing.T) {
 		t.Skip("real-network test")
 	}
 	t.Parallel()
-	res, err := RunCluster(ClusterExperiment{
-		F: 1, Seed: 11, SMR: true, Rate: 50, Duration: 3 * time.Second,
+	res, err := RunCluster(Scenario{
+		F: 1, Delta: clusterDelta, Seed: 11, SMR: true,
+		Workload: &workload.Config{Rate: 50}, Duration: 3 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +79,15 @@ func TestClusterInjectorDeliversRate(t *testing.T) {
 		t.Skip("real-network test")
 	}
 	t.Parallel()
-	e := ClusterExperiment{F: 1, Seed: 11, SMR: true, Rate: 500, Duration: 2 * time.Second}
-	res, err := RunCluster(e)
+	s := Scenario{
+		F: 1, Delta: clusterDelta, Seed: 11, SMR: true,
+		Workload: &workload.Config{Rate: 500}, Duration: 2 * time.Second,
+	}
+	res, err := RunCluster(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	due := int(workload.DueBy(int64(e.Rate), int64(e.Duration)))
+	due := int(workload.DueBy(s.Workload.Rate, int64(s.Duration)))
 	if res.Injected <= 0 || res.Injected > due {
 		t.Fatalf("injected %d commands, want 1..%d (the schedule's due count)", res.Injected, due)
 	}
@@ -84,8 +95,8 @@ func TestClusterInjectorDeliversRate(t *testing.T) {
 	if res.Committed == 0 {
 		t.Fatal("no node committed any block")
 	}
-	e.Rate, e.Duration = 2_000_000_000, 20*time.Millisecond
-	if res, err = RunCluster(e); err != nil {
+	s.Workload, s.Duration = &workload.Config{Rate: 2_000_000_000}, 20*time.Millisecond
+	if res, err = RunCluster(s); err != nil {
 		t.Fatalf("rate above 1e9/s: %v", err)
 	} else if res.Injected == 0 {
 		t.Fatal("rate above 1e9/s: injected no commands")
@@ -100,8 +111,8 @@ func TestClusterChaosLoss(t *testing.T) {
 		t.Skip("real-network test")
 	}
 	t.Parallel()
-	res, err := RunCluster(ClusterExperiment{
-		F: 1, Seed: 13, Duration: 3 * time.Second,
+	res, err := RunCluster(Scenario{
+		F: 1, Delta: clusterDelta, Seed: 13, Duration: 3 * time.Second,
 		Loss: 0.3, LossUntil: 800 * time.Millisecond, GST: 800 * time.Millisecond,
 	})
 	if err != nil {
@@ -115,14 +126,165 @@ func TestClusterChaosLoss(t *testing.T) {
 	}
 }
 
+// TestClusterChurnCorruption gives churn as a BehaviorChurn corruption
+// on an SMR cluster under client load: the churned node's conditioner
+// goes down (it drops the Requests its Submit forwards), comes back (it
+// leads decisions again, so it receives votes), and the cluster decides
+// after the return. Progress during the downtime is not asserted: the
+// leader schedule gives the churned node runs of consecutive views, and
+// each run it spends down stalls the cluster for its timeouts.
+func TestClusterChurnCorruption(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	t.Parallel()
+	const churned = types.NodeID(3)
+	up := 1500 * time.Millisecond
+	res, err := RunCluster(Scenario{
+		F: 1, Delta: clusterDelta, Seed: 17, SMR: true,
+		Workload: &workload.Config{Rate: 50}, Duration: 3 * time.Second,
+		Corruptions: []adversary.Corruption{
+			adversary.Churn(churned, adversary.Downtime{From: 500 * time.Millisecond, To: up}),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped int64
+	for _, p := range res.Stats[churned].Peers {
+		dropped += p.CondDrops
+	}
+	if dropped == 0 {
+		t.Fatal("the churned node dropped nothing: its conditioner never went down")
+	}
+	back := types.Time(0).Add(up)
+	var led, after int
+	for i, col := range res.Collectors {
+		for _, d := range col.Decisions() {
+			if d.At <= back {
+				continue
+			}
+			after++
+			if types.NodeID(i) == churned {
+				led++
+			}
+		}
+	}
+	if after == 0 {
+		t.Fatal("no decision after the churned node's return")
+	}
+	if led == 0 {
+		t.Fatalf("the churned node led none of the %d decisions after its return", after)
+	}
+	t.Logf("churned node dropped %d sends while down, led %d of %d decisions after its return", dropped, led, after)
+}
+
 // TestClusterExperimentValidation checks the omission-budget guard:
 // MaxSenders beyond F violates the §2 model and must be rejected.
 func TestClusterExperimentValidation(t *testing.T) {
-	_, err := RunCluster(ClusterExperiment{
+	_, err := RunCluster(Scenario{
 		F: 1, Duration: time.Second,
 		OmissionBudget: network.OmissionBudget{MaxMessages: 10, MaxSenders: 2},
 	})
 	if err == nil {
 		t.Fatal("RunCluster accepted an omission budget with MaxSenders > f")
 	}
+}
+
+// TestClusterRejectsUnrealizedFields gives every Scenario field the TCP
+// cluster does not realize a non-zero value, one at a time, and expects
+// an error naming it — so a field added to Scenario is rejected on TCP
+// until the cluster wires it. Every case fails before a socket opens.
+func TestClusterRejectsUnrealizedFields(t *testing.T) {
+	valid := Scenario{F: 1, Duration: time.Second}
+	st := reflect.TypeOf(valid)
+	for name := range clusterFields {
+		if _, ok := st.FieldByName(name); !ok {
+			t.Errorf("clusterFields names %q, which Scenario does not have", name)
+		}
+	}
+	type testCase struct {
+		name string
+		s    Scenario
+	}
+	var cases []testCase
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if clusterFields[f.Name] {
+			continue
+		}
+		s := valid
+		reflect.ValueOf(&s).Elem().Field(i).Set(nonZero(t, f.Type))
+		cases = append(cases, testCase{"Scenario." + f.Name, s})
+	}
+	if want := st.NumField() - len(clusterFields); len(cases) != want {
+		t.Fatalf("%d rejected fields, want %d", len(cases), want)
+	}
+	wt := reflect.TypeOf(workload.Config{})
+	for i := 0; i < wt.NumField(); i++ {
+		f := wt.Field(i)
+		if f.Name == "Rate" {
+			continue
+		}
+		w := workload.Config{Rate: 10}
+		reflect.ValueOf(&w).Elem().Field(i).Set(nonZero(t, f.Type))
+		s := valid
+		s.SMR, s.Workload = true, &w
+		cases = append(cases, testCase{"Scenario.Workload." + f.Name, s})
+	}
+	crash := valid
+	crash.Corruptions = adversary.CrashSet(3)
+	cases = append(cases, testCase{"Scenario.Corruptions[0]", crash})
+	outside := valid
+	outside.Corruptions = []adversary.Corruption{adversary.Churn(4)}
+	cases = append(cases, testCase{"churn names processor 4", outside})
+
+	for _, tc := range cases {
+		nodes, _, err := StartCluster(tc.s)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: err = %v, want one naming it", tc.name, err)
+		}
+		if nodes != nil {
+			t.Errorf("%s: nodes started", tc.name)
+		}
+	}
+}
+
+// nonZero returns a non-zero value of type typ.
+func nonZero(t *testing.T, typ reflect.Type) reflect.Value {
+	v := reflect.New(typ).Elem()
+	switch typ.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(typ.Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(typ, 1, 1))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(typ, func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, typ.NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(typ.Out(i))
+			}
+			return out
+		}))
+	case reflect.Struct:
+		v.Field(0).Set(nonZero(t, typ.Field(0).Type))
+	case reflect.Interface:
+		for _, impl := range []any{network.Fixed{}, network.DelayLink{}} {
+			if reflect.TypeOf(impl).Implements(typ) {
+				v.Set(reflect.ValueOf(impl))
+			}
+		}
+	}
+	if v.IsZero() {
+		t.Fatalf("no non-zero value for %v", typ)
+	}
+	return v
 }

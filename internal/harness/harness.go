@@ -52,7 +52,9 @@ const (
 // AllProtocols lists every protocol in Table 1 order plus Basic Lumiere.
 var AllProtocols = []Protocol{ProtoCogsworth, ProtoNK20, ProtoLP22, ProtoFever, ProtoBasic, ProtoLumiere}
 
-// Scenario describes one simulated execution.
+// Scenario describes one execution: simulated by Run, or over loopback
+// sockets by RunCluster, which realizes a subset of the fields
+// (clusterFields) and rejects the rest by name.
 type Scenario struct {
 	Name     string
 	Protocol Protocol

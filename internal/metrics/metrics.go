@@ -64,7 +64,7 @@ const DefaultSparsePoints = 1 << 16
 // one series entry per distinct send instant (≈ n per view at n=4096)
 // outgrows memory across a sweep. On overflow, adjacent point pairs are
 // coalesced onto the later timestamp — deterministically, so runs remain
-// reproducible. Totals (WordsTotal, HonestSends, KappaBytes, per-kind
+// reproducible. Totals (WordsTotal, HonestSends, per-kind
 // counts, WordsByEpoch) stay exact; time-windowed queries (W_T,
 // Intervals, WordsBetween) become approximate at the coalesced
 // resolution, with sends attributed no earlier than they occurred.
@@ -99,7 +99,6 @@ type Collector struct {
 	epochLen    types.View                // views per epoch for epochWords (0 = disabled)
 	epochWords  []int64                   // honest words per epoch (WithEpochWords)
 	honestTotal int64
-	kappaTotal  int64
 	wordsTotal  int64
 	byzTotal    int64
 
@@ -165,7 +164,6 @@ func (c *Collector) Reset(honest func(types.NodeID) bool, opts ...Option) {
 	c.epochLen = 0
 	c.epochWords = c.epochWords[:0]
 	c.honestTotal = 0
-	c.kappaTotal = 0
 	c.wordsTotal = 0
 	c.byzTotal = 0
 	c.decisions = c.decisions[:0]
@@ -192,7 +190,6 @@ func (c *Collector) Snapshot() *Collector {
 		maxPoints:   c.maxPoints,
 		epochLen:    c.epochLen,
 		honestTotal: c.honestTotal,
-		kappaTotal:  c.kappaTotal,
 		wordsTotal:  c.wordsTotal,
 		byzTotal:    c.byzTotal,
 		decInOrd:    c.decInOrd,
@@ -234,7 +231,6 @@ func (c *Collector) OnSend(from, _ types.NodeID, m msg.Message, at types.Time, h
 		return
 	}
 	c.honestTotal++
-	c.kappaTotal += int64(msg.KappaSize(m))
 	words := int64(msg.Words(m))
 	c.wordsTotal += words
 	kind := m.Kind()
@@ -632,14 +628,6 @@ func (c *Collector) String() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return fmt.Sprintf("metrics{honest=%d byz=%d decisions=%d}", c.honestTotal, c.byzTotal, len(c.decisions))
-}
-
-// KappaBytes returns the total honest communication in κ units (§2's bit
-// complexity: messages × O(κ)).
-func (c *Collector) KappaBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.kappaTotal
 }
 
 // WordsTotal returns the total honest communication in words (msg.Words

@@ -208,16 +208,6 @@ func TestCollectorOnSendAllocs(t *testing.T) {
 	}
 }
 
-func TestKappaAccounting(t *testing.T) {
-	c := newTestCollector()
-	c.OnSend(0, 1, &msg.ViewMsg{V: 1}, 1, true)
-	c.OnSend(0, 1, &msg.Proposal{V: 1}, 2, true)
-	c.OnSend(2, 1, &msg.QC{V: 1}, 3, false) // byzantine: not charged
-	if got := c.KappaBytes(); got != 3 {
-		t.Fatalf("kappa = %d, want 1 (view) + 2 (proposal)", got)
-	}
-}
-
 func TestWordsAccounting(t *testing.T) {
 	c := newTestCollector()
 	c.OnSend(0, 1, &msg.ViewMsg{V: 1}, 1, true)  // 2 words
@@ -300,7 +290,7 @@ func querySurface(c *Collector) string {
 	m, lat, ok := c.WindowAfter(2)
 	w, _, _ := c.WordsWindowAfter(2)
 	return fmt.Sprint(
-		c.HonestSends(), c.ByzantineSends(), c.KappaBytes(), c.WordsTotal(),
+		c.HonestSends(), c.ByzantineSends(), c.WordsTotal(),
 		c.KindCount(msg.KindView), c.DecisionCount(), c.Decisions(),
 		c.WordsBetween(0, 100), c.WordsByEpoch(), c.HeavySyncViews(0),
 		c.Intervals(0, 0), c.Stats(0, 1), m, lat, ok, w,
@@ -366,8 +356,7 @@ func TestSparseCollectorCapsPoints(t *testing.T) {
 		t.Fatalf("sparse series not capped: %d points", got)
 	}
 	if sparse.HonestSends() != exact.HonestSends() ||
-		sparse.WordsTotal() != exact.WordsTotal() ||
-		sparse.KappaBytes() != exact.KappaBytes() {
+		sparse.WordsTotal() != exact.WordsTotal() {
 		t.Fatal("sparse totals drifted from exact collector")
 	}
 	we := exact.WordsByEpoch()

@@ -386,29 +386,6 @@ var (
 	_ Message = (*BlockResp)(nil)
 )
 
-// KappaSize returns a message's size in units of the security parameter κ
-// (§2: every message is O(κ), carrying a constant number of signatures,
-// certificates and hashes). Payload bytes (block contents) are charged
-// separately by callers; view synchronization itself never sends payload.
-func KappaSize(m Message) int {
-	switch m.(type) {
-	case *ViewMsg, *EpochViewMsg, *Wish, *Timeout:
-		return 1 // one signature
-	case *VC, *EC, *TC, *QC:
-		return 1 // one threshold signature
-	case *Vote:
-		return 1
-	case *Proposal:
-		return 2 // justify certificate + block hash
-	case *BlockFetch:
-		return 1 // one hash
-	case *BlockResp:
-		return 2 // certificate + the hash it certifies
-	default:
-		return 1
-	}
-}
-
 // WordBytes is the byte width of one accounting word: κ = 256 bits, the
 // size of a hash, signature share, or threshold certificate under the §2
 // assumptions. Payload bytes are charged at this granularity.
@@ -426,10 +403,9 @@ func PayloadWords(n int) int {
 // Words returns a message's size in words, the unit of the paper's
 // communication-complexity accounting: one word holds a single κ-bit
 // quantity — a view number, a signature, a threshold certificate (O(κ)
-// by the §2 threshold-signature assumption), or a hash. Where KappaSize
-// charges only the cryptographic material, Words also charges the
-// bounded integers a message carries, so the measured word counts track
-// the constants of Table 1 more closely.
+// by the §2 threshold-signature assumption), or a hash. Words charges
+// the bounded integers a message carries as well as its cryptographic
+// material, so the measured word counts track the constants of Table 1.
 //
 // Messages that carry block payload (SMR Proposals and client Requests)
 // are additionally charged ⌈len(payload)/WordBytes⌉ words, so the

@@ -98,24 +98,30 @@ func TestFromAccessors(t *testing.T) {
 }
 
 func TestKappaSizeConstantPerKind(t *testing.T) {
-	// §2: every message is O(κ) — sizes are small constants and do not
-	// depend on n or the payload the certificate aggregates.
-	msgs := []Message{
-		&ViewMsg{}, &VC{}, &EpochViewMsg{}, &EC{}, &TC{}, &QC{},
-		&Proposal{}, &Vote{}, &Wish{}, &Timeout{}, &Request{},
-		&BlockFetch{}, &BlockResp{},
+	// §2: every message is O(κ) — a certificate is one threshold
+	// signature however many signers it aggregates, so its size in
+	// κ-bit words does not grow with n.
+	signers := make([]types.NodeID, 1024)
+	for i := range signers {
+		signers[i] = types.NodeID(i)
 	}
-	for _, m := range msgs {
-		if k := KappaSize(m); k < 1 || k > 2 {
-			t.Errorf("%T: κ = %d out of expected constant range", m, k)
+	agg := crypto.Aggregate{Signers: signers, Bytes: make([][]byte, len(signers))}
+	for _, tc := range []struct{ empty, full Message }{
+		{&VC{}, &VC{Agg: agg}}, {&EC{}, &EC{Agg: agg}}, {&TC{}, &TC{Agg: agg}},
+		{&QC{}, &QC{Agg: agg}},
+		{&Proposal{Justify: &QC{}}, &Proposal{Justify: &QC{Agg: agg}}},
+		{&BlockResp{Cert: &QC{}}, &BlockResp{Cert: &QC{Agg: agg}}},
+	} {
+		if e, f := Words(tc.empty), Words(tc.full); e != f {
+			t.Errorf("%T: %d words with 1024 signers, %d with none", tc.full, f, e)
 		}
 	}
 }
 
 func TestWordsModel(t *testing.T) {
-	// Words is the documented per-kind model: small constants, never
-	// below KappaSize (words charge the integers too), and sensitive
-	// only to which certificates a message actually carries.
+	// Words is the documented per-kind model: small constants (§2: every
+	// message is O(κ)), sensitive only to which certificates a message
+	// actually carries.
 	for _, tc := range []struct {
 		m    Message
 		want int
@@ -129,9 +135,6 @@ func TestWordsModel(t *testing.T) {
 	} {
 		if got := Words(tc.m); got != tc.want {
 			t.Errorf("Words(%T) = %d, want %d", tc.m, got, tc.want)
-		}
-		if got, k := Words(tc.m), KappaSize(tc.m); got < k {
-			t.Errorf("Words(%T) = %d below KappaSize %d", tc.m, got, k)
 		}
 	}
 }

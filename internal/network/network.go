@@ -58,14 +58,6 @@ type DelayPolicy interface {
 	Delay(from, to types.NodeID, m msg.Message, at types.Time, rng *rand.Rand) time.Duration
 }
 
-// DelayFunc adapts a function to DelayPolicy.
-type DelayFunc func(from, to types.NodeID, m msg.Message, at types.Time, rng *rand.Rand) time.Duration
-
-// Delay implements DelayPolicy.
-func (f DelayFunc) Delay(from, to types.NodeID, m msg.Message, at types.Time, rng *rand.Rand) time.Duration {
-	return f(from, to, m, at, rng)
-}
-
 // Verdict is a link's decision for one point-to-point transmission. The
 // zero Verdict delivers immediately (subject to the clamp).
 type Verdict struct {

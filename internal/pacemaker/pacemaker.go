@@ -72,36 +72,6 @@ type Observer interface {
 	OnHeavySync(v types.View, at types.Time)
 }
 
-// Observers fans lifecycle notifications out to several observers in
-// slice order: the dispatch to use when a pacemaker must feed more than
-// one consumer (say, an attack hook plus a metrics probe) without each
-// protocol growing its own fan-out. The harness currently wires at most
-// one observer per pacemaker and passes it directly; build a fresh
-// Observers per use — entries must be non-nil (NopObserver for
-// placeholders).
-type Observers []Observer
-
-// OnEnterView implements Observer.
-func (os Observers) OnEnterView(v types.View, at types.Time) {
-	for _, o := range os {
-		o.OnEnterView(v, at)
-	}
-}
-
-// OnEnterEpoch implements Observer.
-func (os Observers) OnEnterEpoch(e types.Epoch, at types.Time) {
-	for _, o := range os {
-		o.OnEnterEpoch(e, at)
-	}
-}
-
-// OnHeavySync implements Observer.
-func (os Observers) OnHeavySync(v types.View, at types.Time) {
-	for _, o := range os {
-		o.OnHeavySync(v, at)
-	}
-}
-
 // NopObserver is an Observer that ignores all notifications.
 type NopObserver struct{}
 

@@ -1,7 +1,6 @@
 package pacemaker
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -20,85 +19,6 @@ func TestNopObserver(t *testing.T) {
 	o.OnEnterView(1, 0)
 	o.OnEnterEpoch(1, 0)
 	o.OnHeavySync(0, 0) // must not panic
-}
-
-// recObserver records every notification with its position in a shared
-// log, so dispatch order across a fan-out is observable.
-type recObserver struct {
-	name string
-	log  *[]string
-}
-
-func (r recObserver) OnEnterView(v types.View, at types.Time) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:view(%v@%v)", r.name, v, at))
-}
-
-func (r recObserver) OnEnterEpoch(e types.Epoch, at types.Time) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:epoch(%v@%v)", r.name, e, at))
-}
-
-func (r recObserver) OnHeavySync(v types.View, at types.Time) {
-	*r.log = append(*r.log, fmt.Sprintf("%s:heavy(%v@%v)", r.name, v, at))
-}
-
-// TestObserversDispatchOrder verifies the fan-out: every hook reaches
-// every observer in slice order with the arguments unmodified.
-func TestObserversDispatchOrder(t *testing.T) {
-	var log []string
-	obs := Observers{recObserver{"a", &log}, recObserver{"b", &log}}
-	at := types.Time(0).Add(250 * time.Millisecond)
-	obs.OnEnterView(7, at)
-	obs.OnEnterEpoch(2, at)
-	obs.OnHeavySync(40, at)
-	want := fmt.Sprint([]string{
-		"a:view(v7@250ms)", "b:view(v7@250ms)",
-		"a:epoch(e2@250ms)", "b:epoch(e2@250ms)",
-		"a:heavy(v40@250ms)", "b:heavy(v40@250ms)",
-	})
-	if got := fmt.Sprint(log); got != want {
-		t.Fatalf("dispatch log:\ngot:  %s\nwant: %s", got, want)
-	}
-}
-
-// TestObserversDegenerate pins the edge shapes: empty and nil fan-outs
-// dispatch to nobody, and Nop placeholders compose silently.
-func TestObserversDegenerate(t *testing.T) {
-	for _, obs := range []Observers{nil, {}, {NopObserver{}, NopObserver{}}} {
-		obs.OnEnterView(1, 0)
-		obs.OnEnterEpoch(1, 0)
-		obs.OnHeavySync(1, 0) // must not panic
-	}
-	var log []string
-	obs := Observers{NopObserver{}, recObserver{"x", &log}}
-	obs.OnEnterView(3, 0)
-	if len(log) != 1 || log[0] != "x:view(v3@0s)" {
-		t.Fatalf("log = %v", log)
-	}
-}
-
-// TestObserversRebind pins the per-use construction discipline the type
-// doc demands: a pacemaker holds its Observers by value (a slice
-// header), so every use must build a fresh fan-out rather than truncate
-// and re-append a shared one, which would redirect an already-held
-// dispatch through the shared backing array. The test pins both
-// directions: fresh slices stay independent, and the truncate-and-reuse
-// shape really does alias.
-func TestObserversRebind(t *testing.T) {
-	var oldLog, newLog []string
-	oldObs := Observers{recObserver{"old", &oldLog}}
-	newObs := Observers{recObserver{"new", &newLog}}
-	oldObs.OnEnterView(1, 0)
-	newObs.OnEnterEpoch(2, 0)
-	if len(oldLog) != 1 || len(newLog) != 1 {
-		t.Fatalf("fresh fan-outs not independent: old=%v new=%v", oldLog, newLog)
-	}
-	shared := make(Observers, 0, 1)
-	held := append(shared, recObserver{"old", &oldLog})
-	_ = append(shared, recObserver{"new", &newLog}) // the anti-pattern: same backing array
-	held.OnEnterView(3, 0)
-	if len(newLog) != 2 {
-		t.Fatalf("expected the aliased rebind to redirect dispatch (got old=%v new=%v)", oldLog, newLog)
-	}
 }
 
 // recDriver records LeaderStart deadlines to pin the Driver contract.

@@ -583,13 +583,3 @@ func (s *Scheduler) RunUntil(t types.Time) {
 
 // RunFor advances virtual time by d, firing all events in the window.
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Drain fires events until the queue empties or limit events have fired.
-// It returns the number of events fired.
-func (s *Scheduler) Drain(limit uint64) uint64 {
-	var fired uint64
-	for fired < limit && s.Step() {
-		fired++
-	}
-	return fired
-}

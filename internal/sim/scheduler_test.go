@@ -130,23 +130,6 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-func TestSchedulerDrain(t *testing.T) {
-	s := New(1)
-	count := 0
-	var loop func()
-	loop = func() {
-		count++
-		s.After(1, loop)
-	}
-	s.After(1, loop)
-	if fired := s.Drain(100); fired != 100 {
-		t.Fatalf("drained %d", fired)
-	}
-	if count != 100 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 // TestSchedulerCancelShrinksPending is the regression test for the
 // cancel leak: cancelled events must leave the heap immediately, not
 // linger until popped.

@@ -101,32 +101,11 @@ func (t *Tracer) Filter(node types.NodeID, kind Kind) []Event {
 	return out
 }
 
-// First returns the earliest event of the given kind for a view, if any.
-func (t *Tracer) First(kind Kind, view types.View) (Event, bool) {
-	for _, e := range t.Events() {
-		if e.Kind == kind && e.View == view {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
 // Render formats the timeline as text, one event per line.
 func (t *Tracer) Render() string {
 	var b strings.Builder
 	for _, e := range t.Events() {
 		fmt.Fprintf(&b, "%12v  %-4v %-14s %-6v %s\n", e.At, e.Node, e.Kind, e.View, e.Note)
-	}
-	return b.String()
-}
-
-// RenderCSV formats the timeline as CSV (time_ns,node,kind,view,note).
-func (t *Tracer) RenderCSV() string {
-	var b strings.Builder
-	b.WriteString("time_ns,node,kind,view,note\n")
-	for _, e := range t.Events() {
-		note := strings.ReplaceAll(e.Note, ",", ";")
-		fmt.Fprintf(&b, "%d,%d,%s,%d,%s\n", int64(e.At), int32(e.Node), e.Kind, int64(e.View), note)
 	}
 	return b.String()
 }

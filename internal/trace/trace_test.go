@@ -36,7 +36,7 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestFilterAndFirst(t *testing.T) {
+func TestFilter(t *testing.T) {
 	tr := New(0)
 	tr.Emit(1, 0, EnterView, 1, "")
 	tr.Emit(2, 1, EnterView, 2, "")
@@ -47,13 +47,6 @@ func TestFilterAndFirst(t *testing.T) {
 	if got := tr.Filter(types.NoNode, EnterView); len(got) != 2 {
 		t.Fatalf("filter kind: %d", len(got))
 	}
-	ev, ok := tr.First(QCProduced, 2)
-	if !ok || ev.At != 3 {
-		t.Fatalf("first = %+v %v", ev, ok)
-	}
-	if _, ok := tr.First(QCProduced, 9); ok {
-		t.Fatal("found nonexistent")
-	}
 }
 
 func TestRender(t *testing.T) {
@@ -62,20 +55,5 @@ func TestRender(t *testing.T) {
 	out := tr.Render()
 	if !strings.Contains(out, "bump") || !strings.Contains(out, "to 7") {
 		t.Fatalf("render = %q", out)
-	}
-	csv := tr.RenderCSV()
-	if !strings.HasPrefix(csv, "time_ns,node,kind,view,note\n") {
-		t.Fatalf("csv header: %q", csv)
-	}
-	if !strings.Contains(csv, "1,2,bump,3,to 7") {
-		t.Fatalf("csv = %q", csv)
-	}
-}
-
-func TestCSVCommaEscaping(t *testing.T) {
-	tr := New(0)
-	tr.Emit(1, 0, EnterView, 1, "a,b")
-	if !strings.Contains(tr.RenderCSV(), "a;b") {
-		t.Fatal("comma not sanitized")
 	}
 }

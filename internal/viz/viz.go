@@ -6,7 +6,6 @@ package viz
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"lumiere/internal/trace"
@@ -163,17 +162,4 @@ func Swimlane(events []trace.Event, n int, from, to types.Time, width int) strin
 	}
 	b.WriteString("     legend: Q=QC produced  P=pause  U=unpause  E=epoch-view  |=enter view  b=bump  v=view msg  .=qc seen\n")
 	return b.String()
-}
-
-// DecisionGaps extracts (index, gap-seconds) points from decision times,
-// for plotting stall patterns.
-func DecisionGaps(times []types.Time) Series {
-	s := Series{Name: "decision gap (s)"}
-	sorted := append([]types.Time(nil), times...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i := 1; i < len(sorted); i++ {
-		s.X = append(s.X, float64(i))
-		s.Y = append(s.Y, sorted[i].Sub(sorted[i-1]).Seconds())
-	}
-	return s
 }

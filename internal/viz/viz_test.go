@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lumiere/internal/trace"
-	"lumiere/internal/types"
 )
 
 func TestPlotBasics(t *testing.T) {
@@ -94,12 +93,5 @@ func TestSwimlaneBounds(t *testing.T) {
 	}
 	if Swimlane(nil, 1, 100, 100, 20) != "(empty window)\n" {
 		t.Fatal("empty window not handled")
-	}
-}
-
-func TestDecisionGaps(t *testing.T) {
-	s := DecisionGaps([]types.Time{types.Time(3e9), types.Time(1e9), types.Time(2e9)})
-	if len(s.X) != 2 || s.Y[0] != 1 || s.Y[1] != 1 {
-		t.Fatalf("gaps = %+v", s)
 	}
 }
