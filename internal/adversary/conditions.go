@@ -97,27 +97,6 @@ func (d Duplicating) Link(from, to types.NodeID, m msg.Message, at types.Time, r
 	return v
 }
 
-// FlakyLink drops each message on the directed link From→To with
-// probability P (1 severs the link; Bidirectional severs both
-// directions). Everything else passes through Base. It models a single
-// bad cable — the minimal partition.
-type FlakyLink struct {
-	Base          network.LinkPolicy
-	From, To      types.NodeID
-	P             float64
-	Bidirectional bool
-}
-
-// Link implements network.LinkPolicy.
-func (f FlakyLink) Link(from, to types.NodeID, m msg.Message, at types.Time, rng *rand.Rand) network.Verdict {
-	hit := (from == f.From && to == f.To) ||
-		(f.Bidirectional && from == f.To && to == f.From)
-	if hit && rng.Float64() < f.P {
-		return network.Verdict{Drop: true}
-	}
-	return f.Base.Link(from, to, m, at, rng)
-}
-
 // Reordering adds an independent uniform delay in [0, Jitter] to every
 // message, so later sends overtake earlier ones — the reorder axis of
 // the adversary (delivery order is only constrained by the clamp).

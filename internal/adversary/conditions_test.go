@@ -93,24 +93,6 @@ func TestDuplicatingVerdicts(t *testing.T) {
 	}
 }
 
-func TestFlakyLinkDirections(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := FlakyLink{Base: base(time.Millisecond), From: 0, To: 1, P: 1}
-	if !f.Link(0, 1, condMsg, 0, rng).Drop {
-		t.Fatal("forward not dropped")
-	}
-	if f.Link(1, 0, condMsg, 0, rng).Drop {
-		t.Fatal("reverse dropped on a directed link")
-	}
-	if f.Link(0, 2, condMsg, 0, rng).Drop {
-		t.Fatal("unrelated link dropped")
-	}
-	f.Bidirectional = true
-	if !f.Link(1, 0, condMsg, 0, rng).Drop {
-		t.Fatal("reverse not dropped on a bidirectional link")
-	}
-}
-
 func TestReorderingJittersWithinWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := Reordering{Base: base(5 * time.Millisecond), Jitter: 20 * time.Millisecond}
@@ -138,7 +120,7 @@ func TestConditionAllocs(t *testing.T) {
 	chain := Lossy{
 		Base: Duplicating{
 			Base: Reordering{
-				Base:   FlakyLink{Base: part, From: 2, To: 3, P: 0.5},
+				Base:   part,
 				Jitter: time.Millisecond,
 			},
 			P: 0.3, Jitter: time.Millisecond,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"sort"
 	"time"
 
 	"lumiere/internal/adversary"
@@ -70,34 +69,18 @@ func unrealized(v reflect.Value, prefix string, realized map[string]bool) error 
 }
 
 // ClusterResult carries everything measured about one wall-clock
-// cluster run. Decision timestamps live on the cluster's shared time
-// base (nanoseconds since the common start).
+// cluster run.
 type ClusterResult struct {
-	// N and F echo the cluster shape.
-	N, F int
-	// Delta echoes Δ.
-	Delta time.Duration
+	// Scenario is the run's scenario with defaults applied.
+	Scenario Scenario
+	// Collector merges the honest nodes' metrics snapshots
+	// (metrics.Collector.Merge) on the cluster's shared time base
+	// (nanoseconds since the common start). It is read with the queries
+	// the simulated tables use. A churned node is charged nothing, as in
+	// the simulator: its sends and its decisions are absent.
+	Collector *metrics.Collector
 	// Elapsed is the wall-clock run length.
 	Elapsed time.Duration
-	// Decisions counts honest-leader consensus decisions across the
-	// cluster (each recorded once, by its producing leader).
-	Decisions int
-	// Decided reports whether any decision landed after GST;
-	// SyncLatency is the first one's distance from GST — the wall-clock
-	// analogue of the simulated sync-latency measure.
-	Decided     bool
-	SyncLatency time.Duration
-	// MeanGap and MaxGap summarize inter-decision gaps after the first
-	// clusterWarmup decisions.
-	MeanGap, MaxGap time.Duration
-	// Words is the honest communication in words summed over all
-	// nodes' collectors (msg.Words per wire send — the simulator's
-	// model, bit-for-bit).
-	Words int64
-	// WordsPerDecision is Words/Decisions (0 when undecided).
-	WordsPerDecision float64
-	// Sends is the total wire transmissions across the cluster.
-	Sends int64
 	// Committed is the minimum committed-block count across nodes (SMR
 	// only).
 	Committed int
@@ -107,8 +90,6 @@ type ClusterResult struct {
 	Omitted int64
 	// Stats holds each node's transport counters.
 	Stats []nettcp.Stats
-	// Collectors holds each node's detached metrics snapshot.
-	Collectors []*metrics.Collector
 }
 
 // QueueDrops sums peer-queue drops across the cluster.
@@ -119,15 +100,6 @@ func (r *ClusterResult) QueueDrops() int64 {
 // WriteDrops sums bounded-retry write drops across the cluster.
 func (r *ClusterResult) WriteDrops() int64 {
 	return r.sumPeer(func(p nettcp.PeerStats) int64 { return p.WriteDrops })
-}
-
-// DecodeErrors sums abandoned inbound streams across the cluster.
-func (r *ClusterResult) DecodeErrors() int64 {
-	var n int64
-	for _, s := range r.Stats {
-		n += s.DecodeErrors
-	}
-	return n
 }
 
 func (r *ClusterResult) sumPeer(f func(nettcp.PeerStats) int64) int64 {
@@ -249,8 +221,8 @@ func InjectCommands(nodes []*nettcp.Node, rate int, d time.Duration) (accepted i
 
 // RunCluster boots s's cluster over real sockets (StartCluster), offers
 // s.Workload's rate to it, runs it for s.Duration of wall-clock time,
-// shuts it down, and aggregates the per-node metrics snapshots into one
-// result.
+// shuts it down, and merges the honest nodes' metrics snapshots into
+// the result's Collector.
 func RunCluster(s Scenario) (*ClusterResult, error) {
 	nodes, closeAll, err := StartCluster(s)
 	if err != nil {
@@ -267,63 +239,43 @@ func RunCluster(s Scenario) (*ClusterResult, error) {
 	time.Sleep(time.Until(end))
 
 	res := &ClusterResult{
-		N:        s.N,
-		F:        s.F,
-		Delta:    s.Delta,
+		Scenario: s,
 		Elapsed:  time.Duration(nodes[0].Now()),
 		Injected: injected,
 	}
-	gst := types.Time(0).Add(s.GST)
-	var decisions []metrics.Decision
-	minCommitted := -1
-	for _, n := range nodes {
-		col := n.Metrics()
-		res.Collectors = append(res.Collectors, col)
+	snaps := make([]*metrics.Collector, len(nodes))
+	res.Committed = -1
+	for i, n := range nodes {
+		snaps[i] = n.Metrics()
 		res.Stats = append(res.Stats, n.Stats())
-		res.Words += col.WordsTotal()
-		res.Sends += col.HonestSends()
 		res.Omitted += n.Omitted()
-		decisions = append(decisions, col.Decisions()...)
-		if s.SMR {
-			_, _, committed := n.Status()
-			if minCommitted < 0 || committed < minCommitted {
-				minCommitted = committed
-			}
+		if _, _, committed := n.Status(); res.Committed < 0 || committed < res.Committed {
+			res.Committed = committed
 		}
 	}
-	if s.SMR {
-		res.Committed = minCommitted
-	}
-	// Each decision is recorded exactly once, by the leader that
-	// produced it; the merged per-node streams form the cluster's
-	// global decision log on the shared time base.
-	sort.Slice(decisions, func(i, j int) bool { return decisions[i].At < decisions[j].At })
-	res.Decisions = len(decisions)
-	for _, d := range decisions {
-		if d.At > gst {
-			res.Decided = true
-			res.SyncLatency = d.At.Sub(gst)
-			break
-		}
-	}
-	if res.Decisions > 0 {
-		res.WordsPerDecision = float64(res.Words) / float64(res.Decisions)
-	}
-	var gaps []time.Duration
-	for i := clusterWarmup + 1; i < len(decisions); i++ {
-		gaps = append(gaps, decisions[i].At.Sub(decisions[i-1].At))
-	}
-	if len(gaps) > 0 {
-		var sum time.Duration
-		for _, g := range gaps {
-			sum += g
-			if g > res.MaxGap {
-				res.MaxGap = g
-			}
-		}
-		res.MeanGap = sum / time.Duration(len(gaps))
-	}
+	res.Collector = honestMetrics(s, snaps)
 	return res, nil
+}
+
+// honestMetrics merges the snapshots of s's honest nodes, indexed by
+// node: a churned node is Byzantine to the measures, as the simulator's
+// run marks it.
+func honestMetrics(s Scenario, snaps []*metrics.Collector) *metrics.Collector {
+	churned := make(map[types.NodeID]bool, len(s.Corruptions))
+	for _, c := range s.Corruptions {
+		churned[c.Node] = true
+	}
+	var merged *metrics.Collector
+	for i, c := range snaps {
+		switch {
+		case churned[types.NodeID(i)]:
+		case merged == nil:
+			merged = c.Snapshot()
+		default:
+			merged.Merge(c)
+		}
+	}
+	return merged
 }
 
 // ClusterTable runs one loopback cluster per f in fs (n = 3f+1) for
@@ -345,22 +297,26 @@ func ClusterTable(fs []int, delta, perRun time.Duration, seed int64) (*Table, er
 		if err != nil {
 			return nil, err
 		}
+		col := res.Collector
+		gst := types.Time(0).Add(res.Scenario.GST)
 		sync := "stalled"
-		if res.Decided {
-			sync = res.SyncLatency.Round(time.Millisecond).String()
+		if d, ok := col.FirstDecisionAfter(gst); ok {
+			sync = d.At.Sub(gst).Round(time.Millisecond).String()
 		}
+		decisions, words := col.DecisionCount(), col.WordsTotal()
 		wpd, wpdn := "-", "-"
-		if res.Decisions > 0 {
-			wpd = fmt.Sprintf("%.1f", res.WordsPerDecision)
-			wpdn = fmt.Sprintf("%.2f", res.WordsPerDecision/float64(res.N))
+		if decisions > 0 {
+			perDec := float64(words) / float64(decisions)
+			wpd = fmt.Sprintf("%.1f", perDec)
+			wpdn = fmt.Sprintf("%.2f", perDec/float64(res.Scenario.N))
 		}
 		t.AddRow(
-			fmt.Sprintf("%d", res.N),
-			fmt.Sprintf("%d", res.F),
-			fmt.Sprintf("%d", res.Decisions),
+			fmt.Sprintf("%d", res.Scenario.N),
+			fmt.Sprintf("%d", f),
+			fmt.Sprintf("%d", decisions),
 			sync,
-			res.MeanGap.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", res.Words),
+			col.Stats(0, clusterWarmup+1).MeanGap.Round(time.Millisecond).String(),
+			fmt.Sprintf("%d", words),
 			wpd,
 			wpdn,
 			fmt.Sprintf("%d", res.QueueDrops()+res.WriteDrops()),

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lumiere/internal/adversary"
+	"lumiere/internal/metrics"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
 	"lumiere/internal/workload"
@@ -27,22 +28,23 @@ func TestClusterExperimentSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.N != 4 || res.F != 1 {
-		t.Fatalf("cluster shape n=%d f=%d, want 4/1", res.N, res.F)
+	if res.Scenario.N != 4 || res.Scenario.F != 1 {
+		t.Fatalf("cluster shape n=%d f=%d, want 4/1", res.Scenario.N, res.Scenario.F)
 	}
-	if !res.Decided || res.Decisions == 0 {
+	col := res.Collector
+	d, ok := col.FirstDecisionAfter(0)
+	if !ok {
 		t.Fatal("no decisions on a healthy loopback cluster")
 	}
-	if res.SyncLatency <= 0 || res.SyncLatency > res.Elapsed {
-		t.Fatalf("implausible sync latency %v (elapsed %v)", res.SyncLatency, res.Elapsed)
+	if lat := d.At.Sub(0); lat <= 0 || lat > res.Elapsed {
+		t.Fatalf("implausible sync latency %v (elapsed %v)", lat, res.Elapsed)
 	}
-	if res.Words <= 0 || res.Sends <= 0 || res.WordsPerDecision <= 0 {
-		t.Fatalf("words accounting missing: words=%d sends=%d w/dec=%v",
-			res.Words, res.Sends, res.WordsPerDecision)
+	if col.WordsTotal() <= 0 || col.HonestSends() <= 0 || col.Stats(0, clusterWarmup+1).Count == 0 {
+		t.Fatalf("measures missing: words=%d sends=%d decisions=%d",
+			col.WordsTotal(), col.HonestSends(), col.DecisionCount())
 	}
-	if len(res.Stats) != res.N || len(res.Collectors) != res.N {
-		t.Fatalf("per-node snapshots: stats=%d collectors=%d, want %d",
-			len(res.Stats), len(res.Collectors), res.N)
+	if len(res.Stats) != res.Scenario.N {
+		t.Fatalf("per-node stats: %d, want %d", len(res.Stats), res.Scenario.N)
 	}
 }
 
@@ -118,11 +120,13 @@ func TestClusterChaosLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Decided {
+	gst := types.Time(0).Add(res.Scenario.GST)
+	d, ok := res.Collector.FirstDecisionAfter(gst)
+	if !ok {
 		t.Fatal("cluster failed to decide after GST despite the clamp")
 	}
-	if res.SyncLatency <= 0 {
-		t.Fatalf("sync latency %v, want > 0", res.SyncLatency)
+	if lat := d.At.Sub(gst); lat <= 0 {
+		t.Fatalf("sync latency %v, want > 0", lat)
 	}
 }
 
@@ -132,7 +136,9 @@ func TestClusterChaosLoss(t *testing.T) {
 // leads decisions again, so it receives votes), and the cluster decides
 // after the return. Progress during the downtime is not asserted: the
 // leader schedule gives the churned node runs of consecutive views, and
-// each run it spends down stalls the cluster for its timeouts.
+// each run it spends down stalls the cluster for its timeouts. The
+// churned node's decisions are read from its own collector, since the
+// cluster's merged measures leave them out.
 func TestClusterChurnCorruption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network test")
@@ -140,18 +146,21 @@ func TestClusterChurnCorruption(t *testing.T) {
 	t.Parallel()
 	const churned = types.NodeID(3)
 	up := 1500 * time.Millisecond
-	res, err := RunCluster(Scenario{
+	s := Scenario{
 		F: 1, Delta: clusterDelta, Seed: 17, SMR: true,
 		Workload: &workload.Config{Rate: 50}, Duration: 3 * time.Second,
 		Corruptions: []adversary.Corruption{
 			adversary.Churn(churned, adversary.Downtime{From: 500 * time.Millisecond, To: up}),
 		},
-	})
+	}
+	nodes, closeAll, err := StartCluster(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closeAll()
+	InjectCommands(nodes, int(s.Workload.Rate), s.Duration)
 	var dropped int64
-	for _, p := range res.Stats[churned].Peers {
+	for _, p := range nodes[churned].Stats().Peers {
 		dropped += p.CondDrops
 	}
 	if dropped == 0 {
@@ -159,8 +168,8 @@ func TestClusterChurnCorruption(t *testing.T) {
 	}
 	back := types.Time(0).Add(up)
 	var led, after int
-	for i, col := range res.Collectors {
-		for _, d := range col.Decisions() {
+	for i, n := range nodes {
+		for _, d := range n.Metrics().Decisions() {
 			if d.At <= back {
 				continue
 			}
@@ -177,6 +186,62 @@ func TestClusterChurnCorruption(t *testing.T) {
 		t.Fatalf("the churned node led none of the %d decisions after its return", after)
 	}
 	t.Logf("churned node dropped %d sends while down, led %d of %d decisions after its return", dropped, led, after)
+}
+
+// TestClusterChurnedNodeUncharged pins the §2 accounting on the cluster:
+// a churned node is charged nothing, as the simulator's run marks it
+// Byzantine. The merged collector's words and sends equal the sum over
+// the other nodes' own collectors, and none of its decisions is the
+// churned node's, although that node sent and led decisions.
+func TestClusterChurnedNodeUncharged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	t.Parallel()
+	const churned = types.NodeID(3)
+	s := Scenario{
+		F: 1, Delta: clusterDelta, Seed: 19, Duration: 1500 * time.Millisecond,
+		Corruptions: []adversary.Corruption{
+			adversary.Churn(churned, adversary.Downtime{From: 500 * time.Millisecond, To: time.Second}),
+		},
+	}
+	nodes, closeAll, err := StartCluster(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll()
+	time.Sleep(s.Duration)
+	snaps := make([]*metrics.Collector, len(nodes))
+	for i, n := range nodes {
+		snaps[i] = n.Metrics()
+	}
+	if snaps[churned].WordsTotal() == 0 || snaps[churned].DecisionCount() == 0 {
+		t.Fatalf("the churned node sent %d words and led %d decisions; the test needs both",
+			snaps[churned].WordsTotal(), snaps[churned].DecisionCount())
+	}
+	var words, sends int64
+	var decisions int
+	for i, c := range snaps {
+		if types.NodeID(i) != churned {
+			words += c.WordsTotal()
+			sends += c.HonestSends()
+			decisions += c.DecisionCount()
+		}
+	}
+	merged := honestMetrics(s, snaps)
+	if merged.WordsTotal() != words || merged.HonestSends() != sends {
+		t.Fatalf("merged words=%d sends=%d, want the honest nodes' %d and %d (the churned node's: %d and %d)",
+			merged.WordsTotal(), merged.HonestSends(), words, sends,
+			snaps[churned].WordsTotal(), snaps[churned].HonestSends())
+	}
+	if merged.DecisionCount() != decisions {
+		t.Fatalf("merged decisions=%d, want the honest nodes' %d", merged.DecisionCount(), decisions)
+	}
+	for _, d := range merged.Decisions() {
+		if d.Leader == churned {
+			t.Fatalf("merged decisions include the churned node's %+v", d)
+		}
+	}
 }
 
 // TestClusterExperimentValidation checks the omission-budget guard:

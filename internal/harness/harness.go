@@ -807,7 +807,6 @@ type qcObserver struct {
 	id        types.NodeID
 	collector *metrics.Collector
 	tracer    *trace.Tracer
-	rtNow     func() types.Time
 }
 
 var _ viewcore.QCObserver = (*qcObserver)(nil)

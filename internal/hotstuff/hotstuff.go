@@ -2,7 +2,8 @@ package hotstuff
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 
 	"lumiere/internal/clock"
 	"lumiere/internal/crypto"
@@ -72,14 +73,17 @@ type Core struct {
 	// an executed command stays in the slice as a dead entry (applied, not
 	// inPool) until it reaches the head, so dequeuing never moves the
 	// entries behind it and the order of live entries never changes.
-	mempool       []Command
-	inPool        idSet
-	applied       idSet
-	committed     []Hash
-	lastExec      types.View
-	nextReqID     uint64
-	pendingExec   map[Hash]*Block
-	pendingCommit map[Hash]*Block
+	mempool   []Command
+	inPool    idSet
+	applied   idSet
+	committed []Hash
+	lastExec  types.View
+	nextReqID uint64
+	// pendingExec and pendingCommit hold the blocks whose execution or
+	// commit check waits for a missing ancestor, sorted by (view, hash)
+	// with no hash twice (addPending, dropPending).
+	pendingExec   []*Block
+	pendingCommit []*Block
 	fetchAsked    map[Hash]types.Time
 	chain         []*Block // execChain's scratch, empty between calls
 }
@@ -94,22 +98,20 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
 	genesis := &Block{View: types.NoView}
 	genesisQC := &msg.QC{V: types.NoView, BlockHash: GenesisHash}
 	c := &Core{
-		Round:         viewcore.NewRound(cfg.Base, ep, rt, suite, leader, obs),
-		cfg:           cfg,
-		onQC:          onQC,
-		sm:            sm,
-		onCommit:      onCommit,
-		blocks:        map[Hash]*Block{GenesisHash: genesis},
-		qcByHash:      map[Hash]*msg.QC{GenesisHash: genesisQC},
-		highQC:        genesisQC,
-		lockedQC:      genesisQC,
-		inPool:        newIDSet(),
-		applied:       newIDSet(),
-		lastExec:      types.NoView,
-		nextReqID:     uint64(ep.ID())<<submitterShift + 1,
-		pendingExec:   make(map[Hash]*Block),
-		pendingCommit: make(map[Hash]*Block),
-		fetchAsked:    make(map[Hash]types.Time),
+		Round:      viewcore.NewRound(cfg.Base, ep, rt, suite, leader, obs),
+		cfg:        cfg,
+		onQC:       onQC,
+		sm:         sm,
+		onCommit:   onCommit,
+		blocks:     map[Hash]*Block{GenesisHash: genesis},
+		qcByHash:   map[Hash]*msg.QC{GenesisHash: genesisQC},
+		highQC:     genesisQC,
+		lockedQC:   genesisQC,
+		inPool:     newIDSet(),
+		applied:    newIDSet(),
+		lastExec:   types.NoView,
+		nextReqID:  uint64(ep.ID())<<submitterShift + 1,
+		fetchAsked: make(map[Hash]types.Time),
 	}
 	return c
 }
@@ -444,7 +446,7 @@ func (c *Core) tryCommit(head *Block) {
 		parent, ok := c.blocks[tail.Parent]
 		if !ok {
 			if head.View > c.lastExec {
-				c.pendingCommit[head.HashOf()] = head
+				c.pendingCommit = addPending(c.pendingCommit, head)
 				c.requestBlock(tail.Parent)
 			}
 			return
@@ -454,7 +456,7 @@ func (c *Core) tryCommit(head *Block) {
 		}
 		tail = parent
 	}
-	delete(c.pendingCommit, head.HashOf())
+	c.pendingCommit = dropPending(c.pendingCommit, head)
 	if tail.View <= c.lastExec {
 		return
 	}
@@ -472,13 +474,13 @@ func (c *Core) execChain(b0 *Block) {
 		c.chain = append(c.chain, cur)
 		next, ok := c.blocks[cur.Parent]
 		if !ok {
-			c.pendingExec[b0.HashOf()] = b0
+			c.pendingExec = addPending(c.pendingExec, b0)
 			c.requestBlock(cur.Parent)
 			return
 		}
 		cur = next
 	}
-	delete(c.pendingExec, b0.HashOf())
+	c.pendingExec = dropPending(c.pendingExec, b0)
 	for i := len(c.chain) - 1; i >= 0; i-- {
 		b := c.chain[i]
 		if b.View < 0 {
@@ -523,54 +525,49 @@ func (c *Core) clearChain() {
 // and letting Go's randomized map iteration decide whether that message
 // is sent before or after lastExec advances would fork the run's RNG
 // stream — the same seed would produce different tables run to run.
+// Each list is walked as a copy, since a retry edits the lists.
 func (c *Core) retryPending() {
-	for _, b := range sortedPending(c.pendingCommit) {
+	for _, b := range slices.Clone(c.pendingCommit) {
 		if b.View > c.lastExec {
 			c.tryCommit(b)
 		}
 	}
-	for _, b := range sortedPending(c.pendingExec) {
+	for _, b := range slices.Clone(c.pendingExec) {
 		if b.View > c.lastExec {
 			c.execChain(b)
 		}
 	}
-	for h, b := range c.pendingCommit {
-		if b.View <= c.lastExec {
-			delete(c.pendingCommit, h)
-		}
-	}
-	for h, b := range c.pendingExec {
-		if b.View <= c.lastExec {
-			delete(c.pendingExec, h)
-		}
-	}
+	executed := func(b *Block) bool { return b.View <= c.lastExec }
+	c.pendingCommit = slices.DeleteFunc(c.pendingCommit, executed)
+	c.pendingExec = slices.DeleteFunc(c.pendingExec, executed)
 }
 
-// sortedPending snapshots a pending-block map in (view, hash) order so
-// retry processing is independent of map iteration order.
-func sortedPending(m map[Hash]*Block) []*Block {
-	if len(m) == 0 {
-		return nil
+// cmpPending orders pending blocks by (view, hash).
+func cmpPending(a, b *Block) int {
+	if a.View != b.View {
+		return cmp.Compare(a.View, b.View)
 	}
-	type entry struct {
-		h Hash
-		b *Block
+	ha, hb := a.HashOf(), b.HashOf()
+	return bytes.Compare(ha[:], hb[:])
+}
+
+// addPending inserts b into the sorted list, or replaces the entry with
+// b's hash.
+func addPending(list []*Block, b *Block) []*Block {
+	i, found := slices.BinarySearchFunc(list, b, cmpPending)
+	if found {
+		list[i] = b
+		return list
 	}
-	es := make([]entry, 0, len(m))
-	for h, b := range m {
-		es = append(es, entry{h, b})
+	return slices.Insert(list, i, b)
+}
+
+// dropPending removes the entry with b's hash from the sorted list.
+func dropPending(list []*Block, b *Block) []*Block {
+	if i, found := slices.BinarySearchFunc(list, b, cmpPending); found {
+		return slices.Delete(list, i, i+1)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].b.View != es[j].b.View {
-			return es[i].b.View < es[j].b.View
-		}
-		return bytes.Compare(es[i].h[:], es[j].h[:]) < 0
-	})
-	out := make([]*Block, len(es))
-	for i, e := range es {
-		out[i] = e.b
-	}
-	return out
+	return list
 }
 
 // pruneBelow bounds the chain's bookkeeping on entering view v; block/QC

@@ -218,6 +218,36 @@ func TestLateProposalStoredButNotVoted(t *testing.T) {
 	}
 }
 
+// TestPendingListsSortedAndDeduplicated: the pending lists stay in
+// (view, hash) order whatever order blocks are added in, hold each hash
+// once, and drop by hash.
+func TestPendingListsSortedAndDeduplicated(t *testing.T) {
+	var blocks []*Block
+	for v := types.View(3); v >= 0; v-- {
+		for p := byte(0); p < 3; p++ {
+			blocks = append(blocks, &Block{View: v, Parent: Hash{p}})
+		}
+	}
+	var list []*Block
+	for _, b := range blocks {
+		list = addPending(list, b)
+		list = addPending(list, &Block{View: b.View, Parent: b.Parent})
+	}
+	if len(list) != len(blocks) {
+		t.Fatalf("%d entries for %d distinct blocks", len(list), len(blocks))
+	}
+	if !slices.IsSortedFunc(list, cmpPending) {
+		t.Fatal("pending list not in (view, hash) order")
+	}
+	for _, b := range blocks {
+		list = dropPending(list, &Block{View: b.View, Parent: b.Parent})
+		list = dropPending(list, b)
+	}
+	if len(list) != 0 {
+		t.Fatalf("%d entries left after dropping every block", len(list))
+	}
+}
+
 func TestPendingExecDefersUntilAncestorArrives(t *testing.T) {
 	r := newRig(t, 1, time.Millisecond, false)
 	core := r.cores[0]

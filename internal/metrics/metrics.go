@@ -220,6 +220,60 @@ func (c *Collector) Snapshot() *Collector {
 	return out
 }
 
+// Merge folds o's execution into c, so that c answers every query as
+// one Collector fed both streams would — the TCP cluster merges its
+// honest nodes' snapshots this way. o must be built with c's options
+// and must not be c; o is not modified. Send points, decisions and
+// commits are appended out of order, and the queries restore time
+// order; counters and per-epoch words add up, and each epoch view
+// keeps its latest send. Decisions are taken as o recorded them: c's
+// honest function does not filter them again.
+func (c *Collector) Merge(o *Collector) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(o.points) > 0 {
+		if n := len(c.points); !o.pointsInOrd || n > 0 && o.points[0].at <= c.points[n-1].at {
+			c.pointsInOrd = false
+		}
+		c.points = append(c.points, o.points...)
+		c.pointsDirty = true
+		for c.maxPoints > 0 && len(c.points) >= c.maxPoints {
+			c.coalesceLocked()
+		}
+	}
+	for k, n := range o.byKind {
+		c.byKind[k] += n
+	}
+	for v, at := range o.epochLast {
+		if last, ok := c.epochLast[v]; !ok || at > last {
+			c.epochLast[v] = at
+		}
+	}
+	for len(c.epochWords) < len(o.epochWords) {
+		c.epochWords = append(c.epochWords, 0)
+	}
+	for e, w := range o.epochWords {
+		c.epochWords[e] += w
+	}
+	c.honestTotal += o.honestTotal
+	c.wordsTotal += o.wordsTotal
+	c.byzTotal += o.byzTotal
+	if len(o.decisions) > 0 {
+		if n := len(c.decisions); !o.decInOrd || n > 0 && o.decisions[0].At < c.decisions[n-1].At {
+			c.decInOrd = false
+		}
+		c.decisions = append(c.decisions, o.decisions...)
+	}
+	if len(o.commits) > 0 {
+		if n := len(c.commits); !o.commitInOrd || n > 0 && o.commits[0].at < c.commits[n-1].at {
+			c.commitInOrd = false
+		}
+		c.commits = append(c.commits, o.commits...)
+	}
+}
+
 // OnSend implements network.Observer. It is the per-transmission hot
 // path: counter bumps and (at most) one amortized append per distinct
 // timestamp, no per-send allocation.

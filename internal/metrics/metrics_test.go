@@ -450,3 +450,89 @@ func TestKindCountsEveryKind(t *testing.T) {
 		}
 	}
 }
+
+// mergeSurface extends querySurface with every kind's count and the
+// window, heavy-sync and commit queries at several instants, so a merged
+// collector is compared with a fed one on the whole query surface.
+func mergeSurface(c *Collector) string {
+	var kinds [256]int64
+	for k := range kinds {
+		kinds[k] = c.KindCount(msg.Kind(k))
+	}
+	s := fmt.Sprint(querySurface(c), kinds)
+	for _, at := range []types.Time{0, 3, 6, 11, 20} {
+		m, lat, ok := c.WindowAfter(at)
+		w, wlat, wok := c.WordsWindowAfter(at)
+		s += fmt.Sprint(m, lat, ok, w, wlat, wok, c.WordsBetween(at, at+5),
+			c.HeavySyncViews(at), c.Stats(at, 0), c.CommitLatencyStats(at))
+	}
+	return s
+}
+
+// TestCollectorMerge pins Merge against the union: two collectors fed
+// interleaved streams — sends at shared and distinct instants, in and
+// out of time order, epoch-view sends for shared and distinct views,
+// decisions and commits out of order — merged, answer every query
+// exactly as one collector fed both streams. Queries run on both halves
+// before the merge, so the merge must invalidate their cached prefixes.
+func TestCollectorMerge(t *testing.T) {
+	a := NewCollector(nil, WithEpochWords(2))
+	b := NewCollector(nil, WithEpochWords(2))
+	union := NewCollector(nil, WithEpochWords(2))
+	type event struct {
+		to     *Collector
+		m      msg.Message
+		at     types.Time
+		honest bool
+		dec    bool
+		commit time.Duration
+	}
+	events := []event{
+		{to: a, m: &msg.ViewMsg{V: 1}, at: 1, honest: true},
+		{to: b, m: &msg.ViewMsg{V: 1}, at: 1, honest: true},
+		{to: b, m: &msg.EpochViewMsg{V: 4}, at: 2, honest: true},
+		{to: a, m: &msg.EpochViewMsg{V: 4}, at: 5, honest: true},
+		{to: a, m: &msg.Proposal{V: 3}, at: 4, honest: true},
+		{to: b, m: &msg.EC{V: 8}, at: 7, honest: true},
+		{to: b, m: &msg.EpochViewMsg{V: 12}, at: 8, honest: true},
+		{to: a, m: &msg.ViewMsg{V: 2}, at: 3, honest: false},
+		{to: a, m: &msg.ViewMsg{V: 5}, at: 12, honest: true},
+		{to: b, m: &msg.ViewMsg{V: 5}, at: 12, honest: true},
+		{to: b, m: &msg.ViewMsg{V: 6}, at: 10, honest: true},
+		{to: a, m: &msg.ViewMsg{V: 7}, at: 9, dec: true},
+		{to: b, m: &msg.ViewMsg{V: 2}, at: 4, dec: true},
+		{to: a, m: &msg.ViewMsg{V: 8}, at: 13, dec: true},
+		{to: b, m: &msg.ViewMsg{V: 9}, at: 11, dec: true},
+		{to: a, m: &msg.ViewMsg{V: 1}, at: 2, dec: true},
+		{to: b, at: 8, commit: 5},
+		{to: a, at: 6, commit: 2},
+		{to: a, at: 14, commit: 9},
+		{to: b, at: 3, commit: 1},
+	}
+	for i, e := range events {
+		for _, c := range []*Collector{e.to, union} {
+			switch {
+			case e.commit > 0:
+				c.RecordCommit(e.at, e.commit)
+			case e.dec:
+				c.RecordDecision(e.m.View(), types.NodeID(i%4), e.at)
+			default:
+				c.OnSend(types.NodeID(i%4), 0, e.m, e.at, e.honest)
+			}
+		}
+	}
+	_, before := mergeSurface(a), mergeSurface(b)
+	a.Merge(b)
+	if got, want := mergeSurface(a), mergeSurface(union); got != want {
+		t.Fatalf("merged != union:\nmerged: %s\nunion:  %s", got, want)
+	}
+	if got := mergeSurface(b); got != before {
+		t.Fatalf("Merge modified its argument:\nafter:  %s\nbefore: %s", got, before)
+	}
+	// A merge into an empty collector answers as the argument does.
+	empty := NewCollector(nil, WithEpochWords(2))
+	empty.Merge(union)
+	if got, want := mergeSurface(empty), mergeSurface(union); got != want {
+		t.Fatalf("merge into empty != argument:\nmerged: %s\nwant:   %s", got, want)
+	}
+}

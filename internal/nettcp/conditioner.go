@@ -12,8 +12,8 @@ import (
 
 // Conditioner realizes the link-chaos primitives against real sockets:
 // the same network.LinkPolicy values that condition the simulated
-// network (internal/adversary: partitions, loss, duplication, flaky
-// links, reorder jitter) decide, per outbound message, whether the
+// network (internal/adversary: partitions, loss, duplication, reorder
+// jitter) decide, per outbound message, whether the
 // transport enqueues it now, later, twice, or not at all. A message held
 // for later waits in its link's delay line: a slice ordered by release
 // time behind one timer, so holding a message allocates nothing.

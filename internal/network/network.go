@@ -90,7 +90,7 @@ type Verdict struct {
 // arguments and rng draws so executions stay reproducible, and must not
 // allocate on the Link path (the send hot path is pinned at zero
 // allocations). Composable condition primitives (partitions, loss,
-// duplication, flaky links) live in internal/adversary.
+// duplication, reordering) live in internal/adversary.
 type LinkPolicy interface {
 	Link(from, to types.NodeID, m msg.Message, at types.Time, rng *rand.Rand) Verdict
 }

@@ -160,18 +160,6 @@ func (t *Topology) regionBounds() []int {
 	return b
 }
 
-// NodeRegion returns the region of a node ID.
-func (t *Topology) NodeRegion(id types.NodeID) int {
-	cum := 0
-	for i, r := range t.Regions {
-		cum += r
-		if int(id) < cum {
-			return i
-		}
-	}
-	return len(t.Regions) - 1
-}
-
 // NodeProcDelays expands the per-region ProcDelays into a per-node
 // slice (nil when the topology has none).
 func (t *Topology) NodeProcDelays() []time.Duration {

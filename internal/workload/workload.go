@@ -294,9 +294,6 @@ func (e *Engine) Submitted() int64 { return int64(len(e.recs)) }
 // recorded.
 func (e *Engine) Committed() int64 { return e.committed }
 
-// Outstanding returns the number of in-flight commands.
-func (e *Engine) Outstanding() int64 { return int64(len(e.recs)) - e.committed }
-
 // splitmix64 is the finalizer of the splitmix64 generator — the same
 // mix the sweep engine uses for per-cell seeds — here mapping command
 // indices onto the client population.
