@@ -1,4 +1,6 @@
-// Command lumiere-cluster runs Lumiere over real TCP.
+// Command lumiere-cluster runs a protocol stack over real TCP. Its nodes
+// run Lumiere; harness.StartCluster and nettcp.StartNode, which it calls,
+// run any of the seven protocols (Scenario.Protocol, NodeConfig.Protocol).
 //
 // Single-process demo cluster (n nodes in one process, real sockets):
 //

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lumiere/internal/adversary"
-	"lumiere/internal/core"
 	"lumiere/internal/crypto"
 	"lumiere/internal/msg"
 	"lumiere/internal/types"
@@ -63,24 +62,6 @@ func strategicNodes(corr []adversary.Corruption) []types.NodeID {
 	return out
 }
 
-// accountingEpochLen returns the views-per-epoch grouping used for the
-// Collector's per-epoch word series: the protocol's own epoch length
-// where it has one — f+1, the classic epoch, for LP22 and RareSync
-// (baseline.EpochLen) — and the same f+1 as the nominal grouping for the
-// epoch-less protocols.
-func accountingEpochLen(s Scenario, cfg types.Config) types.View {
-	switch s.Protocol {
-	case ProtoLumiere:
-		c := core.Config{Base: cfg, Variant: core.VariantFull}
-		return c.EpochLen()
-	case ProtoBasic:
-		c := core.Config{Base: cfg, Variant: core.VariantBasic}
-		return c.EpochLen()
-	default:
-		return types.View(cfg.F + 1)
-	}
-}
-
 // syncSpamBuilder returns the protocol-legal view-synchronization spam
 // constructor for adversary.Env.SyncMsg: given a corrupted sender and a
 // frontier view, it builds the correctly signed message that protocol's
@@ -91,9 +72,9 @@ func accountingEpochLen(s Scenario, cfg types.Config) types.View {
 func syncSpamBuilder(s Scenario, cfg types.Config, suite crypto.Suite) func(types.NodeID, types.View) msg.Message {
 	switch s.Protocol {
 	case ProtoLumiere, ProtoBasic, ProtoLP22, ProtoRareSync:
-		// accountingEpochLen returns the protocol's own epoch length
-		// for all four epoch-based protocols.
-		return epochViewSpam(suite, accountingEpochLen(s, cfg))
+		// Protocol.EpochLen is the protocol's own epoch length for all
+		// four epoch-based protocols.
+		return epochViewSpam(suite, s.Protocol.EpochLen(cfg))
 	case ProtoFever:
 		return func(from types.NodeID, v types.View) msg.Message {
 			w := v
@@ -168,7 +149,7 @@ const AttackDelta = 50 * time.Millisecond
 func attackScenario(p Protocol, f int, spec adversary.AttackSpec, seed int64) Scenario {
 	delta := AttackDelta
 	gst := 2 * time.Second
-	gamma := gammaOf(p, delta)
+	gamma := p.Gamma(delta)
 	return Scenario{
 		Name:        fmt.Sprintf("attack-%s-%s-f%d", spec.Name, p, f),
 		Protocol:    p,

@@ -174,7 +174,7 @@ func TestSyncSpamLegality(t *testing.T) {
 		}
 		switch tc.p {
 		case ProtoLumiere, ProtoBasic, ProtoLP22, ProtoRareSync:
-			el := accountingEpochLen(Scenario{Protocol: tc.p}, cfg)
+			el := tc.p.EpochLen(cfg)
 			if m.View()%el != 0 {
 				t.Errorf("%s: spam view %v is not an epoch boundary (len %d)", tc.p, m.View(), el)
 			}

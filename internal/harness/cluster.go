@@ -21,18 +21,20 @@ import (
 // next to a real-I/O number.
 
 // clusterFields are the Scenario fields the TCP runtime realizes: the
-// model, the client load (Workload with only Rate set, fed to
-// InjectCommands), the declarative chaos axes (composed by linkPolicy
-// into each node's socket-level Conditioner under the §2 clamp) and
-// churn (Corruptions whose behavior is BehaviorChurn). Any other field
-// set on a cluster's scenario is rejected by name, so a field added to
-// Scenario stays rejected on TCP until it is wired here.
+// protocol and model, the client load (Workload with only Rate set, fed
+// to InjectCommands), the declarative chaos axes (composed by linkPolicy
+// into each node's socket-level Conditioner under the §2 clamp), the
+// straggler delays (every node's conditioner holds each envelope to
+// processor i for ProcDelays[i]) and churn (Corruptions whose behavior is
+// BehaviorChurn). Any other field set on a cluster's scenario is rejected
+// by name, so a field added to Scenario stays rejected on TCP until it is
+// wired here.
 var clusterFields = map[string]bool{
-	"F": true, "N": true, "Delta": true, "Seed": true, "Duration": true,
+	"Protocol": true, "F": true, "N": true, "Delta": true, "Seed": true, "Duration": true,
 	"SMR": true, "Workload": true,
 	"GST": true, "Loss": true, "LossUntil": true, "Duplication": true,
 	"ReorderJitter": true, "Partitions": true, "PartitionHeal": true,
-	"OmissionBudget": true, "Corruptions": true,
+	"OmissionBudget": true, "ProcDelays": true, "Corruptions": true,
 }
 
 // clusterWarmup decisions are skipped by the gap statistics.
@@ -92,53 +94,28 @@ type ClusterResult struct {
 	Stats []nettcp.Stats
 }
 
-// QueueDrops sums peer-queue drops across the cluster.
-func (r *ClusterResult) QueueDrops() int64 {
-	return r.sumPeer(func(p nettcp.PeerStats) int64 { return p.QueueDrops })
-}
-
-// WriteDrops sums bounded-retry write drops across the cluster.
-func (r *ClusterResult) WriteDrops() int64 {
-	return r.sumPeer(func(p nettcp.PeerStats) int64 { return p.WriteDrops })
-}
-
-func (r *ClusterResult) sumPeer(f func(nettcp.PeerStats) int64) int64 {
-	var n int64
-	for _, s := range r.Stats {
-		for _, p := range s.Peers {
-			n += f(p)
-		}
-	}
-	return n
-}
-
 // freeLoopbackAddrs reserves n distinct localhost ports. There is a
 // small reuse race between Close and the nodes' Listen, acceptable for
 // experiments.
 func freeLoopbackAddrs(n int) ([]string, error) {
 	addrs := make([]string, n)
-	lns := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}()
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("harness: reserve loopback port: %w", err)
 		}
-		lns = append(lns, ln)
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
 	}
 	return addrs, nil
 }
 
-// StartCluster boots s's loopback cluster over real sockets: n nodes on
-// reserved 127.0.0.1 ports sharing one time origin, the chaos axes
-// composed into each node's socket-level conditioner over a zero-delay
-// base (the wire supplies δ itself), per-node chaos streams seeded
-// Seed+i+1, and each churn corruption's downtimes scheduled on its node.
+// StartCluster boots s's loopback cluster over real sockets: n nodes of
+// s.Protocol on reserved 127.0.0.1 ports sharing one time origin, every
+// node given the same ProcDelays, the chaos axes composed into each
+// node's socket-level conditioner over a zero-delay base (the wire
+// supplies δ itself), per-node chaos streams seeded Seed+i+1, and each
+// churn corruption's downtimes scheduled on its node.
 // A field of s the TCP runtime does not realize is an error that names
 // it. StartCluster does not drive s.Workload; RunCluster does, and a
 // caller of StartCluster passes it to InjectCommands. It returns the
@@ -179,6 +156,7 @@ func StartCluster(s Scenario) (nodes []*nettcp.Node, closeAll func(), err error)
 			Addrs:          addrs,
 			Base:           base,
 			Seed:           s.Seed,
+			Protocol:       s.Protocol,
 			SMR:            s.SMR,
 			Start:          start,
 			Link:           link,
@@ -186,6 +164,7 @@ func StartCluster(s Scenario) (nodes []*nettcp.Node, closeAll func(), err error)
 			OmissionBudget: s.OmissionBudget,
 			ChaosSeed:      s.Seed + int64(i) + 1,
 			Churn:          churn[types.NodeID(i)],
+			ProcDelays:     s.ProcDelays,
 		})
 		if err != nil {
 			closeAll()
@@ -304,6 +283,12 @@ func ClusterTable(fs []int, delta, perRun time.Duration, seed int64) (*Table, er
 			sync = d.At.Sub(gst).Round(time.Millisecond).String()
 		}
 		decisions, words := col.DecisionCount(), col.WordsTotal()
+		var drops int64
+		for _, st := range res.Stats {
+			for _, p := range st.Peers {
+				drops += p.QueueDrops + p.WriteDrops
+			}
+		}
 		wpd, wpdn := "-", "-"
 		if decisions > 0 {
 			perDec := float64(words) / float64(decisions)
@@ -319,7 +304,7 @@ func ClusterTable(fs []int, delta, perRun time.Duration, seed int64) (*Table, er
 			fmt.Sprintf("%d", words),
 			wpd,
 			wpdn,
-			fmt.Sprintf("%d", res.QueueDrops()+res.WriteDrops()),
+			fmt.Sprintf("%d", drops),
 		)
 	}
 	t.AddNote("real sockets on 127.0.0.1, Δ=%s, %s per cell, seed %d; values are wall-clock (schema deterministic, values not)", delta, perRun, seed)

@@ -3,6 +3,7 @@ package harness
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -244,6 +245,29 @@ func TestClusterChurnedNodeUncharged(t *testing.T) {
 	}
 }
 
+// TestClusterProcDelays: StartCluster gives every node the scenario's
+// ProcDelays, so each sender's conditioner holds its envelopes to the
+// straggler, node 3, and none to the others.
+func TestClusterProcDelays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	t.Parallel()
+	const straggler = types.NodeID(3)
+	res, err := RunCluster(Scenario{F: 1, Delta: clusterDelta, Seed: 29, Duration: time.Second,
+		ProcDelays: []time.Duration{straggler: clusterDelta}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for from, st := range res.Stats {
+		for to, p := range st.Peers {
+			if held := p.Delayed > 0; held != (to == straggler) {
+				t.Errorf("node %d held %d envelopes to node %d; want some to node %d only", from, p.Delayed, to, straggler)
+			}
+		}
+	}
+}
+
 // TestClusterExperimentValidation checks the omission-budget guard:
 // MaxSenders beyond F violates the §2 model and must be rejected.
 func TestClusterExperimentValidation(t *testing.T) {
@@ -352,4 +376,87 @@ func nonZero(t *testing.T, typ reflect.Type) reflect.Value {
 		t.Fatalf("no non-zero value for %v", typ)
 	}
 	return v
+}
+
+// TestClusterProtocolParity runs every protocol over loopback sockets —
+// one node constructor for both runtimes — and holds its words per
+// decision to the simulated cell's at the same n, Δ and horizon, with δ
+// near the loopback latency. Both runtimes are read over the same views:
+// from the cluster's first to its last decision in (0.5 s, 1.9 s], past
+// boot and clear of the horizon, the words sent between those two
+// decisions over the decisions after the first. Matching views, not
+// instants, keeps LP22's and RareSync's alternating epoch and plain views
+// in the same mix however late a starved node's timers fire, as they do
+// when the seven clusters, which run at once, share 2 cores under -race.
+func TestClusterProtocolParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	t.Parallel()
+	const horizon = 2 * time.Second
+	from, cut := types.Time(500*time.Millisecond), types.Time(1900*time.Millisecond)
+	protocols := append([]Protocol{ProtoRareSync}, AllProtocols...)
+	results := make([]*ClusterResult, len(protocols))
+	errs := make([]error, len(protocols))
+	var wg sync.WaitGroup
+	for i, p := range protocols {
+		wg.Add(1)
+		go func(i int, p Protocol) {
+			defer wg.Done()
+			results[i], errs[i] = RunCluster(Scenario{Protocol: p, F: 1, Delta: clusterDelta, Seed: 23, Duration: horizon})
+		}(i, p)
+	}
+	wg.Wait()
+	// perDecision returns c's decisions of views in (lo, hi] and the words
+	// sent between its decisions of views lo and hi per such decision; it
+	// fails t when c decided view lo or no view in (lo, hi] at all.
+	perDecision := func(t *testing.T, side string, c *metrics.Collector, lo, hi types.View) (int, float64) {
+		t.Helper()
+		var first, last types.Time
+		n, sawLo := 0, false
+		for _, d := range c.Decisions() {
+			switch {
+			case d.View == lo:
+				first, sawLo = d.At, true
+			case d.View > lo && d.View <= hi:
+				n++
+				last = d.At
+			}
+		}
+		if !sawLo || n == 0 {
+			t.Fatalf("%s: decided view %d: %v; views in (%d, %d]: %d, want both", side, lo, sawLo, lo, hi, n)
+		}
+		return n, float64(c.WordsBetween(first, last)) / float64(n)
+	}
+	for i, p := range protocols {
+		i, p := i, p
+		t.Run(string(p), func(t *testing.T) {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			tcp := results[i].Collector
+			if tcp.DecisionCount() < 5 {
+				t.Fatalf("%d decisions over sockets, want ≥ 5", tcp.DecisionCount())
+			}
+			var in []types.View
+			for _, d := range tcp.Decisions() {
+				if d.At > from && d.At <= cut {
+					in = append(in, d.View)
+				}
+			}
+			if len(in) < 2 {
+				t.Fatalf("%d decisions over sockets in (%v, %v], want ≥ 2", len(in), from, cut)
+			}
+			lo, hi := in[0], in[len(in)-1]
+			tcpN, tcpWords := perDecision(t, "tcp", tcp, lo, hi)
+			simN, simWords := perDecision(t, "sim", Run(Scenario{Protocol: p, F: 1, Delta: clusterDelta,
+				DeltaActual: 200 * time.Microsecond, Seed: 23, Duration: horizon}).Collector, lo, hi)
+			ratio := tcpWords / simWords
+			t.Logf("views (%d, %d]: tcp %.1f words over %d decisions, sim %.1f over %d: ratio %.3f",
+				lo, hi, tcpWords, tcpN, simWords, simN, ratio)
+			if ratio < 0.9 || ratio > 1.1 {
+				t.Errorf("tcp/sim words per decision = %.3f, want within ±10%%", ratio)
+			}
+		})
+	}
 }

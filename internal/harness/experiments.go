@@ -117,7 +117,7 @@ func reduceWorstCase(result func(strategy int) *Result) WorstCaseResult {
 func steadyScenario(crash bool) func(p Protocol, f int, seed int64) Scenario {
 	return func(p Protocol, f int, seed int64) Scenario {
 		delta := 50 * time.Millisecond
-		gamma := gammaOf(p, delta)
+		gamma := p.Gamma(delta)
 		corr := adversary.NonProposingSet(consecutive(f)...)
 		if crash {
 			corr = adversary.CrashFirst(f)
@@ -139,7 +139,7 @@ func steadyScenario(crash bool) func(p Protocol, f int, seed int64) Scenario {
 // worst-case run.
 func measureSteady(res *Result) WorstCaseResult {
 	s := res.Scenario
-	gamma := gammaOf(s.Protocol, s.Delta)
+	gamma := s.Protocol.Gamma(s.Delta)
 	stats := res.Collector.Stats(types.Time(0).Add(20*time.Duration(s.F+1)*gamma), 2)
 	out := WorstCaseResult{Protocol: s.Protocol, F: s.F, N: res.Cfg.N}
 	if stats.Count == 0 {
@@ -163,7 +163,7 @@ func consecutive(k int) []types.NodeID {
 func worstCaseCrashScenario(p Protocol, f int, seed int64) Scenario {
 	delta := 50 * time.Millisecond
 	gst := 1 * time.Second
-	gamma := gammaOf(p, delta)
+	gamma := p.Gamma(delta)
 	return Scenario{
 		Name:         fmt.Sprintf("worst-crash-%s-f%d", p, f),
 		Protocol:     p,
@@ -189,7 +189,7 @@ func worstCaseCrashScenario(p Protocol, f int, seed int64) Scenario {
 func desyncScenario(p Protocol, f int, seed int64) Scenario {
 	delta := 50 * time.Millisecond
 	fast := delta / 50
-	gamma := gammaOf(p, delta)
+	gamma := p.Gamma(delta)
 	n := 3*f + 1
 	tBlock := types.Time(0).Add(1 * time.Second)
 	tKill := tBlock.Add(3*time.Duration(f)*gamma + time.Second)
@@ -551,7 +551,7 @@ func measureHeavySync(res *Result) (heavy int, epochsElapsed float64) {
 	if len(decs) > 0 {
 		views = float64(decs[len(decs)-1].View)
 	}
-	return heavy, views / float64(accountingEpochLen(s, res.Cfg))
+	return heavy, views / float64(s.Protocol.EpochLen(res.Cfg))
 }
 
 // heavySyncProtocols is the heavy-sync comparison set.
@@ -641,7 +641,7 @@ var chaosConditions = []chaosCondition{
 func chaosScenario(p Protocol, f, ci int, seed int64) Scenario {
 	delta := 50 * time.Millisecond
 	gst := 2 * time.Second
-	gamma := gammaOf(p, delta)
+	gamma := p.Gamma(delta)
 	cond := chaosConditions[ci]
 	s := Scenario{
 		Name:        fmt.Sprintf("chaos-%s-%s-f%d", cond.name, p, f),

@@ -270,8 +270,8 @@ func ConformanceReport(res *Result) []string {
 	// still deciding views before the run ends. The deadline only ever
 	// loosens beyond 30s, never tightens below it.
 	deadline := 30 * time.Second
-	if horizon := res.Scenario.Duration - res.Scenario.GST; horizon-GammaOf(res.Scenario.Protocol, res.Scenario.Delta) > deadline {
-		deadline = horizon - GammaOf(res.Scenario.Protocol, res.Scenario.Delta)
+	if horizon := res.Scenario.Duration - res.Scenario.GST; horizon-res.Scenario.Protocol.Gamma(res.Scenario.Delta) > deadline {
+		deadline = horizon - res.Scenario.Protocol.Gamma(res.Scenario.Delta)
 	}
 	d, ok := res.Collector.FirstDecisionAfter(res.GST)
 	if !ok {

@@ -11,46 +11,38 @@ import (
 	"time"
 
 	"lumiere/internal/adversary"
-	"lumiere/internal/baseline/cogsworth"
-	"lumiere/internal/baseline/fever"
-	"lumiere/internal/baseline/lp22"
-	"lumiere/internal/baseline/nk20"
-	"lumiere/internal/baseline/raresync"
 	"lumiere/internal/clock"
 	"lumiere/internal/core"
-	"lumiere/internal/crypto"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/metrics"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/pacemaker"
 	"lumiere/internal/replica"
+	"lumiere/internal/stack"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/trace"
 	"lumiere/internal/types"
-	"lumiere/internal/viewcore"
 	"lumiere/internal/workload"
 )
 
-// Protocol selects the view-synchronization protocol under test.
-type Protocol string
+// Protocol selects the view-synchronization protocol under test: one of
+// internal/stack's, which builds every node of both runtimes.
+type Protocol = stack.Protocol
 
-// Supported protocols.
+// Supported protocols (stack's; RareSync is outside the Table 1 sweeps).
 const (
-	ProtoLumiere   Protocol = "lumiere"
-	ProtoBasic     Protocol = "basic-lumiere"
-	ProtoLP22      Protocol = "lp22"
-	ProtoFever     Protocol = "fever"
-	ProtoCogsworth Protocol = "cogsworth"
-	ProtoNK20      Protocol = "nk20"
-	// ProtoRareSync is not part of Table 1 but is discussed in §6 as
-	// the other Dolev-Reischuk-optimal protocol; it is available in
-	// scenarios and tests but excluded from the Table 1 sweeps.
-	ProtoRareSync Protocol = "raresync"
+	ProtoLumiere   = stack.Lumiere
+	ProtoBasic     = stack.Basic
+	ProtoLP22      = stack.LP22
+	ProtoFever     = stack.Fever
+	ProtoCogsworth = stack.Cogsworth
+	ProtoNK20      = stack.NK20
+	ProtoRareSync  = stack.RareSync
 )
 
 // AllProtocols lists every protocol in Table 1 order plus Basic Lumiere.
-var AllProtocols = []Protocol{ProtoCogsworth, ProtoNK20, ProtoLP22, ProtoFever, ProtoBasic, ProtoLumiere}
+var AllProtocols = stack.AllProtocols
 
 // Scenario describes one execution: simulated by Run, or over loopback
 // sockets by RunCluster, which realizes a subset of the fields
@@ -237,11 +229,10 @@ func (s Scenario) validate() error {
 	if s.F < 1 || s.N < 3*s.F+1 {
 		return fmt.Errorf("n=%d, f=%d: need f ≥ 1 and n ≥ 3f+1", s.N, s.F)
 	}
-	// Γ is zero exactly for a protocol buildProtocol does not know.
-	gamma := GammaOf(s.Protocol, s.Delta)
-	if gamma == 0 {
-		return fmt.Errorf("unknown protocol %q", s.Protocol)
+	if err := s.Protocol.Validate(); err != nil {
+		return err
 	}
+	gamma := s.Protocol.Gamma(s.Delta)
 	if err := checkOmissionBudget(s.OmissionBudget, s.F); err != nil {
 		return err
 	}
@@ -515,7 +506,7 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 			net.SetByzantine(c.Node)
 		}
 	}
-	copts := []metrics.Option{metrics.WithEpochWords(accountingEpochLen(s, cfg))}
+	copts := []metrics.Option{metrics.WithEpochWords(s.Protocol.EpochLen(cfg))}
 	if s.SparseMetrics > 0 {
 		copts = append(copts, metrics.WithSparse(s.SparseMetrics))
 	}
@@ -541,11 +532,14 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 	// assigned below (after the network and collector exist) and read at
 	// replica boot time inside the scheduled start closures.
 	var commitHook hotstuff.CommitObserver
-	// The §4 schedule is common knowledge: one instance, generated
-	// lazily in block order, serves every replica of the cell.
-	var leaders core.Schedule
+	// Every replica runs the same stack. The §4 schedule is common
+	// knowledge: one instance, generated lazily in block order, serves
+	// every replica of the cell.
+	stk := stack.Node{Protocol: s.Protocol, Seed: s.Seed, SMR: s.SMR, SMRBatchSize: s.SMRBatchSize,
+		SMRTwoPhase: s.SMRTwoPhase, CoreDisableDeltaWait: s.CoreDisableDeltaWait, CheckInvariants: s.CheckInvariants,
+		Base: cfg, Suite: suite, Tracer: tracer, Collector: collector}
 	if s.Protocol == ProtoLumiere {
-		leaders = core.NewPermSchedule(cfg.N, s.Seed+7)
+		stk.Schedule = core.NewPermSchedule(cfg.N, s.Seed+7)
 	}
 
 	for i := 0; i < cfg.N; i++ {
@@ -610,9 +604,10 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 			if honest[i] {
 				onCommit = commitHook
 			}
-			pm, engine := buildProtocol(s, cfg, leaders, ep, rt, clk, suite, corr, tracer, collector, pobs, sms[i], onCommit)
-			r.PM = pm
-			r.Core = engine
+			n := stk
+			n.Endpoint, n.Runtime, n.Clock, n.Corruption, n.Observer = ep, rt, clk, corr, pobs
+			n.SM, n.OnCommit = sms[i], onCommit
+			r.PM, r.Core = stack.Build(n)
 			r.Start()
 		})
 	}
@@ -751,7 +746,7 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		Scenario:   s,
 		Cfg:        cfg,
 		GST:        gst,
-		Gamma:      protocolGamma(s.Protocol, cfg),
+		Gamma:      s.Protocol.GammaOf(cfg),
 		Collector:  resCollector,
 		Tracer:     tracer,
 		Gaps:       gaps,
@@ -800,118 +795,4 @@ func newLazyGapTracker(clocks []*clock.Clock, honest []bool, f int) *metrics.Gap
 		}
 		return outC, outH
 	}, f)
-}
-
-// qcObserver wires view-core QC events into metrics and tracing.
-type qcObserver struct {
-	id        types.NodeID
-	collector *metrics.Collector
-	tracer    *trace.Tracer
-}
-
-var _ viewcore.QCObserver = (*qcObserver)(nil)
-
-func (o *qcObserver) OnQCSeen(qc *msg.QC, at types.Time) {
-	o.tracer.Emit(at, o.id, trace.QCSeen, qc.V, "")
-}
-
-func (o *qcObserver) OnQCProduced(qc *msg.QC, at types.Time) {
-	o.tracer.Emit(at, o.id, trace.QCProduced, qc.V, "")
-	o.collector.RecordDecision(qc.V, o.id, at)
-}
-
-// GammaOf returns the view duration Γ of a protocol at the given Δ: the
-// unit the experiment drivers (and internal/redteam's scenario builder)
-// size their horizons in, and the Γ Scenario.Validate bounds clock drift
-// against.
-func GammaOf(p Protocol, delta time.Duration) time.Duration { return gammaOf(p, delta) }
-
-// gammaOf is Γ under the harness's model configuration (the bundled view
-// core's X), so the value is the one an execution's pacemakers run with
-// (TestGammaOfMatchesPacemakers).
-func gammaOf(p Protocol, delta time.Duration) time.Duration {
-	return protocolGamma(p, types.Config{Delta: delta, X: types.DefaultX})
-}
-
-// protocolGamma asks the protocol's own package for its Γ — the function
-// its constructor paces the pacemaker with. A protocol buildProtocol does
-// not know has no Γ; run rejects it.
-func protocolGamma(p Protocol, cfg types.Config) time.Duration {
-	switch p {
-	case ProtoLumiere:
-		return core.Config{Base: cfg, Variant: core.VariantFull}.Gamma()
-	case ProtoBasic:
-		return core.Config{Base: cfg, Variant: core.VariantBasic}.Gamma()
-	case ProtoLP22:
-		return lp22.Gamma(cfg)
-	case ProtoRareSync:
-		return raresync.Gamma(cfg)
-	case ProtoFever:
-		return fever.Gamma(cfg)
-	case ProtoCogsworth:
-		return cogsworth.Gamma(cfg)
-	case ProtoNK20:
-		return nk20.Gamma(cfg)
-	default:
-		return 0
-	}
-}
-
-// buildProtocol constructs the pacemaker + consensus engine pair for one
-// node. rt is the node's runtime view — the scheduler itself, or a
-// clock.Drift wrapper when the node's hardware clock drifts. pobs
-// receives the pacemaker's lifecycle notifications (view and epoch
-// entries, heavy syncs) — the observation hooks adaptive attack
-// strategies read. leaders is the cell's shared Lumiere schedule; nil
-// lets the pacemaker derive its own from s.Seed+7.
-func buildProtocol(s Scenario, cfg types.Config, leaders core.Schedule, ep network.Endpoint, rt clock.Runtime,
-	clk *clock.Clock, suite crypto.Suite, corr adversary.Corruption,
-	tracer *trace.Tracer, collector *metrics.Collector, pobs pacemaker.Observer,
-	sm statemachine.StateMachine, onCommit hotstuff.CommitObserver) (pacemaker.Pacemaker, replica.Engine) {
-
-	var pm pacemaker.Pacemaker
-	leaderFn := func(v types.View) types.NodeID { return pm.Leader(v) }
-	obs := &qcObserver{id: ep.ID(), collector: collector, tracer: tracer}
-	onQC := func(qc *msg.QC) { pm.Handle(ep.ID(), qc) }
-	var engine replica.Engine
-	if s.SMR {
-		hcfg := hotstuff.Config{Base: cfg, BatchSize: s.SMRBatchSize, TwoPhase: s.SMRTwoPhase}
-		hs := hotstuff.New(hcfg, ep, rt, suite, leaderFn, onQC, sm, obs, onCommit)
-		engine = hs
-		if corr.Behavior == adversary.BehaviorEquivocating {
-			engine = adversary.NewEquivocator(hs, ep, cfg)
-		}
-	} else {
-		engine = viewcore.New(cfg, ep, rt, suite, leaderFn, onQC, obs)
-	}
-	driver := adversary.WrapDriver(engine, corr.Behavior, corr.Lag, rt)
-
-	switch s.Protocol {
-	case ProtoLumiere, ProtoBasic:
-		ccfg := core.Config{
-			Base:             cfg,
-			Variant:          core.VariantFull,
-			DisableDeltaWait: s.CoreDisableDeltaWait,
-			ScheduleSeed:     s.Seed + 7,
-			Schedule:         leaders,
-			CheckInvariants:  s.CheckInvariants,
-		}
-		if s.Protocol == ProtoBasic {
-			ccfg.Variant = core.VariantBasic
-		}
-		pm = core.New(ccfg, ep, rt, clk, suite, driver, pobs, tracer)
-	case ProtoLP22:
-		pm = lp22.New(cfg, ep, rt, clk, suite, driver, pobs, tracer)
-	case ProtoRareSync:
-		pm = raresync.New(cfg, ep, rt, clk, suite, driver, pobs, tracer)
-	case ProtoFever:
-		pm = fever.New(cfg, ep, rt, clk, suite, driver, pobs, tracer)
-	case ProtoCogsworth:
-		pm = cogsworth.New(cfg, ep, rt, suite, driver, pobs, tracer)
-	case ProtoNK20:
-		pm = nk20.New(cfg, ep, rt, suite, driver, pobs, tracer)
-	default:
-		panic(fmt.Sprintf("harness: unknown protocol %q", s.Protocol))
-	}
-	return pm, engine
 }

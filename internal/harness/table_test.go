@@ -52,11 +52,11 @@ func TestScenarioDefaults(t *testing.T) {
 }
 
 func TestGammaOf(t *testing.T) {
-	d := gammaOf(ProtoLumiere, 100)
+	d := ProtoLumiere.Gamma(100)
 	if d != 1000 {
 		t.Fatalf("lumiere Γ = %v", d)
 	}
-	if gammaOf(ProtoFever, 100) != 800 || gammaOf(ProtoLP22, 100) != 400 {
+	if ProtoFever.Gamma(100) != 800 || ProtoLP22.Gamma(100) != 400 {
 		t.Fatal("baseline Γ wrong")
 	}
 }
@@ -67,8 +67,8 @@ func TestGammaOfMatchesPacemakers(t *testing.T) {
 	t.Parallel()
 	for _, p := range append([]Protocol{ProtoRareSync}, AllProtocols...) {
 		res := Run(Scenario{Protocol: p, F: 1, Delta: testDelta, Duration: time.Second})
-		if got := GammaOf(p, testDelta); got <= 0 || got != res.Gamma {
-			t.Errorf("%s: GammaOf = %v, the run's pacemakers use Γ = %v", p, got, res.Gamma)
+		if got := p.Gamma(testDelta); got <= 0 || got != res.Gamma {
+			t.Errorf("%s: Protocol.Gamma = %v, the run's pacemakers use Γ = %v", p, got, res.Gamma)
 		}
 	}
 }

@@ -6,15 +6,14 @@ import (
 	"testing"
 	"time"
 
-	"lumiere/internal/adversary"
 	"lumiere/internal/clock"
 	"lumiere/internal/crypto"
 	"lumiere/internal/metrics"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
-	"lumiere/internal/pacemaker"
 	"lumiere/internal/replica"
 	"lumiere/internal/sim"
+	"lumiere/internal/stack"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/types"
 )
@@ -31,7 +30,7 @@ func (c countingSuite) VerifyAggregate(data []byte, agg crypto.Aggregate, thresh
 	return c.Suite.VerifyAggregate(data, agg, threshold)
 }
 
-// countedCell runs a fault-free cell assembled by buildProtocol — the
+// countedCell runs a fault-free cell assembled by stack.Build — the
 // wiring every runtime uses — with a countingSuite per node, and returns
 // the call counts and the number of decisions.
 func countedCell(t *testing.T, s Scenario) (map[string]int, int) {
@@ -55,9 +54,10 @@ func countedCell(t *testing.T, s Scenario) (map[string]int, int) {
 			sm = statemachine.NewKV()
 		}
 		sched.At(0, func() {
-			r.PM, r.Core = buildProtocol(s, cfg, nil, ep, sched, clock.New(sched, 0),
-				countingSuite{Suite: suite, node: id, calls: calls}, adversary.Corruption{},
-				nil, collector, pacemaker.NopObserver{}, sm, nil)
+			r.PM, r.Core = stack.Build(stack.Node{
+				Protocol: s.Protocol, Seed: s.Seed, SMR: s.SMR, Base: cfg, Endpoint: ep, Runtime: sched, Clock: clock.New(sched, 0),
+				Suite: countingSuite{Suite: suite, node: id, calls: calls}, Collector: collector, SM: sm,
+			})
 			r.Start()
 		})
 	}

@@ -106,7 +106,7 @@ func PresetTopology(name string, n int, delta time.Duration) *network.Topology {
 func wanSyncScenario(preset string, p Protocol, f int, seed int64) Scenario {
 	delta := AttackDelta
 	gst := 2 * time.Second
-	gamma := gammaOf(p, delta)
+	gamma := p.Gamma(delta)
 	return Scenario{
 		Name:        fmt.Sprintf("wan-%s-%s-f%d", preset, p, f),
 		Protocol:    p,
@@ -274,7 +274,7 @@ var DriftPPMAxis = []int64{0, 100, 10_000, 100_000, 250_000, 500_000}
 func driftScenario(p Protocol, f int, ppm int64, seed int64) Scenario {
 	delta := AttackDelta
 	gst := 2 * time.Second
-	gamma := gammaOf(p, delta)
+	gamma := p.Gamma(delta)
 	n := 3*f + 1
 	drift := make([]int64, n)
 	skew := make([]time.Duration, n)

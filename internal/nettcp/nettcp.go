@@ -3,7 +3,9 @@
 // on the simulator run here unchanged — nettcp provides a
 // network.Endpoint over TCP and pairs with clock.Wall, whose node mutex
 // serializes message deliveries with timer callbacks exactly as the
-// simulator's single thread does.
+// simulator's single thread does. StartNode builds a node's stack — any
+// of the seven pacemakers, over the view core or chained HotStuff — with
+// stack.Build, the constructor the simulator uses.
 //
 // The wire format is a hand-written binary frame per message (frame.go):
 // a length prefix capped at 4 MiB, a kind byte, the sender and the

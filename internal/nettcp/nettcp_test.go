@@ -3,6 +3,8 @@ package nettcp
 import (
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -289,4 +291,81 @@ func TestRejoinLearnsChainHead(t *testing.T) {
 	waitFor(t, 500*time.Millisecond, "the rejoined node to learn the others' highest QC", func() bool {
 		return highView(nodes[down]) >= head
 	})
+}
+
+// TestStartNodeRejectsUnknownProtocol: a protocol internal/stack does not
+// know is an error naming it, returned before the node listens — this
+// test holds the node's address, so a listen would fail otherwise.
+func TestStartNodeRejectsUnknownProtocol(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	base := types.NewConfig(1, 50*time.Millisecond)
+	addrs := append([]string{ln.Addr().String()}, freeAddrs(t, base.N-1)...)
+	n, err := StartNode(NodeConfig{ID: 0, Addrs: addrs, Base: base, Protocol: "pbft"})
+	if err == nil {
+		n.Close()
+		t.Fatal("StartNode accepted an unknown protocol")
+	}
+	if !strings.Contains(err.Error(), `unknown protocol "pbft"`) {
+		t.Fatalf("err = %v, want one naming the protocol", err)
+	}
+}
+
+// TestChurnArmedOnStartOrigin: churn downtimes count from NodeConfig.Start,
+// as GST and every metric timestamp do, not from the StartNode call. A
+// node whose origin is 1 s past is down on return from StartNode for a
+// downtime over 0.5-2 s, and up for one that ended at 0.6 s.
+func TestChurnArmedOnStartOrigin(t *testing.T) {
+	base := types.NewConfig(1, 50*time.Millisecond)
+	addrs := freeAddrs(t, base.N)
+	start := time.Now().Add(-time.Second)
+	for _, tc := range []struct {
+		down adversary.Downtime
+		want bool
+	}{
+		{adversary.Downtime{From: 500 * time.Millisecond, To: 2 * time.Second}, true},
+		{adversary.Downtime{From: 100 * time.Millisecond, To: 600 * time.Millisecond}, false},
+	} {
+		n, err := StartNode(NodeConfig{ID: 0, Addrs: addrs, Base: base, Seed: 1, Start: start,
+			Churn: []adversary.Downtime{tc.down}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := n.cond.isDown()
+		n.Close()
+		if got != tc.want {
+			t.Errorf("downtime %v-%v on an origin 1 s past: down = %v at return, want %v",
+				tc.down.From, tc.down.To, got, tc.want)
+		}
+	}
+}
+
+// TestStartNodeListenFailureLeaksNothing: a node that cannot listen
+// returns an error and leaves no goroutine behind (the self-send worker
+// starts before the listener).
+func TestStartNodeListenFailureLeaksNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	base := types.NewConfig(1, 50*time.Millisecond)
+	addrs := append([]string{ln.Addr().String()}, freeAddrs(t, base.N-1)...)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if n, err := StartNode(NodeConfig{ID: 0, Addrs: addrs, Base: base}); err == nil {
+			n.Close()
+			t.Fatal("StartNode listened on an address in use")
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before five failed starts, %d after", before, after)
+	}
 }

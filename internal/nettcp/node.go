@@ -7,17 +7,15 @@ import (
 
 	"lumiere/internal/adversary"
 	"lumiere/internal/clock"
-	"lumiere/internal/core"
 	"lumiere/internal/crypto"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/metrics"
-	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/pacemaker"
 	"lumiere/internal/replica"
+	"lumiere/internal/stack"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/types"
-	"lumiere/internal/viewcore"
 )
 
 // NodeConfig configures one TCP node.
@@ -30,8 +28,9 @@ type NodeConfig struct {
 	Base types.Config
 	// Seed derives the shared PKI (all nodes must agree).
 	Seed int64
-	// Variant selects full or basic Lumiere (default full).
-	Variant core.Variant
+	// Protocol selects the view-synchronization protocol (default
+	// Lumiere); StartNode rejects one internal/stack does not know.
+	Protocol stack.Protocol
 	// SMR runs chained HotStuff with a KV store (default: plain view
 	// core).
 	SMR bool
@@ -41,11 +40,9 @@ type NodeConfig struct {
 	// OnCommit, if set, fires for each committed block (SMR only).
 	OnCommit func(b *hotstuff.Block)
 
-	// Start, when non-zero, is the node's wall-clock origin: local
-	// times (metrics timestamps, GST) are measured from it. A cluster
-	// harness passes one shared instant to all nodes so their decision
-	// and send series live on a single comparable time base. Zero means
-	// "now".
+	// Start is the node's wall-clock origin (zero: now): GST, churn
+	// downtimes and metrics timestamps count from it. A cluster passes
+	// every node one shared instant, so their series share a time base.
 	Start time.Time
 
 	// Link, when set, conditions this node's outbound socket traffic
@@ -66,25 +63,21 @@ type NodeConfig struct {
 	// the node neither sends nor receives (state is kept, like the
 	// simulator's BehaviorChurn).
 	Churn []adversary.Downtime
-	// ProcDelays, when set, are per-recipient processing delays indexed
-	// by NodeID (missing entries are zero): every envelope this node
-	// sends to processor i is released ProcDelays[i] after its clamped
-	// release time — the WAN slow-replica model. Give every node of a
-	// cluster the same slice to emulate stragglers; use
-	// network.Topology.NodeProcDelays to derive it from a regional
-	// topology. Applied after the §2 clamp, like the simulator's.
+	// ProcDelays are the straggler delays, indexed by NodeID (missing
+	// entries zero): every envelope this node sends to processor i is
+	// released ProcDelays[i] after its §2-clamped release time, as in the
+	// simulator. Every node of a cluster gets the same slice.
 	ProcDelays []time.Duration
 }
 
-// Node is a live TCP replica running Lumiere.
+// Node is a live TCP replica running any protocol's stack, built by
+// stack.Build as in the simulator.
 type Node struct {
 	mu        sync.Mutex
-	cfg       NodeConfig
 	transport *Transport
 	collector *metrics.Collector
 	cond      *Conditioner
-	rep       *replica.Replica
-	pm        *core.Pacemaker
+	pm        pacemaker.Pacemaker
 	hs        *hotstuff.Core
 	kv        *statemachine.KV
 	wall      *clock.Wall
@@ -92,7 +85,9 @@ type Node struct {
 }
 
 // StartNode boots a node: it listens, connects to peers, and starts the
-// protocol immediately (the processor joins with lc = 0).
+// protocol immediately (the processor joins with lc = 0). Churn downtimes
+// are armed on the Start origin, so one that began before StartNode
+// returns has the node down already.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.Base.Validate(); err != nil {
 		return nil, fmt.Errorf("nettcp: %w", err)
@@ -100,26 +95,24 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if len(cfg.Addrs) != cfg.Base.N {
 		return nil, fmt.Errorf("nettcp: %d addrs for n=%d", len(cfg.Addrs), cfg.Base.N)
 	}
-	n := &Node{cfg: cfg}
+	if cfg.Protocol == "" {
+		cfg.Protocol = stack.Lumiere
+	}
+	if err := cfg.Protocol.Validate(); err != nil {
+		return nil, fmt.Errorf("nettcp: %w", err)
+	}
+	n := &Node{}
 	start := cfg.Start
 	if start.IsZero() {
 		start = time.Now()
 	}
 	n.wall = clock.NewWallAt(&n.mu, start)
 
-	variant := cfg.Variant
-	if variant == 0 {
-		variant = core.VariantFull
-	}
 	// The collector counts every wire send in the simulator's per-kind
-	// words model; per-epoch words use the protocol's own epoch length,
-	// exactly as the harness's accounting does. ccfg is also the
-	// pacemaker's configuration below.
-	ccfg := core.Config{Base: cfg.Base, Variant: variant, ScheduleSeed: cfg.Seed + 7}
-	n.collector = metrics.NewCollector(nil, metrics.WithEpochWords(ccfg.EpochLen()))
+	// words model, per-epoch words in the protocol's accounting epochs.
+	n.collector = metrics.NewCollector(nil, metrics.WithEpochWords(cfg.Protocol.EpochLen(cfg.Base)))
 
 	rep := replica.New(cfg.ID, nil, nil)
-	n.rep = rep
 	topts := []Option{WithObserver(n.collector, n.wall.Now)}
 	if cfg.Link != nil || len(cfg.Churn) > 0 || len(cfg.ProcDelays) > 0 ||
 		cfg.OmissionBudget != (network.OmissionBudget{}) {
@@ -133,37 +126,41 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.transport = New(cfg.ID, cfg.Addrs, &n.mu, rep, topts...)
 
-	suite := crypto.NewEd25519Suite(cfg.Base.N, cfg.Seed)
-	clk := clock.New(n.wall, 0)
-
-	var pm *core.Pacemaker
-	leaderFn := func(v types.View) types.NodeID { return pm.Leader(v) }
-	onQC := func(qc *msg.QC) { pm.Handle(cfg.ID, qc) }
-	obs := decisionObs{node: n}
-	var engine replica.Engine
+	node := stack.Node{
+		Protocol:   cfg.Protocol,
+		Seed:       cfg.Seed,
+		SMR:        cfg.SMR,
+		Base:       cfg.Base,
+		Endpoint:   n.transport,
+		Runtime:    n.wall,
+		Clock:      clock.New(n.wall, 0),
+		Suite:      crypto.NewEd25519Suite(cfg.Base.N, cfg.Seed),
+		Collector:  n.collector,
+		OnDecision: cfg.OnDecision,
+	}
 	if cfg.SMR {
 		n.kv = statemachine.NewKV()
-		n.hs = hotstuff.New(hotstuff.Config{Base: cfg.Base}, n.transport, n.wall, suite,
-			leaderFn, onQC, n.kv, obs, func(b *hotstuff.Block, _ types.Time) {
-				if cfg.OnCommit != nil {
-					cfg.OnCommit(b)
-				}
-			})
-		engine = n.hs
-	} else {
-		engine = viewcore.New(cfg.Base, n.transport, n.wall, suite, leaderFn, onQC, obs)
+		node.SM = n.kv
 	}
-	pm = core.New(ccfg, n.transport, n.wall, clk, suite, engine, pacemaker.NopObserver{}, nil)
-	n.pm = pm
-	rep.PM = pm
-	rep.Core = engine
+	if cfg.OnCommit != nil {
+		node.OnCommit = func(b *hotstuff.Block, _ types.Time) { cfg.OnCommit(b) }
+	}
+	n.pm, rep.Core = stack.Build(node)
+	rep.PM = n.pm
+	n.hs, _ = rep.Core.(*hotstuff.Core)
 
 	if err := n.transport.Start(); err != nil {
+		n.transport.Close() // stops the self-send worker New started
 		return nil, err
 	}
-	if n.cond != nil {
-		for _, d := range cfg.Churn {
-			down, up := d.From, d.To
+	for _, d := range cfg.Churn { // churn implies a conditioner
+		down, up := time.Until(start.Add(d.From)), time.Until(start.Add(d.To))
+		switch {
+		case up <= 0: // over before the node started
+		case down <= 0:
+			n.cond.SetDown(true)
+			n.churn = append(n.churn, time.AfterFunc(up, n.rejoin))
+		default:
 			n.churn = append(n.churn,
 				time.AfterFunc(down, func() { n.cond.SetDown(true) }),
 				time.AfterFunc(up, n.rejoin))
@@ -184,19 +181,6 @@ func (n *Node) rejoin() {
 	defer n.mu.Unlock()
 	if n.hs != nil {
 		n.hs.Resync()
-	}
-}
-
-type decisionObs struct{ node *Node }
-
-func (o decisionObs) OnQCSeen(*msg.QC, types.Time) {}
-
-func (o decisionObs) OnQCProduced(qc *msg.QC, at types.Time) {
-	// The producing node is the view's leader: record the consensus
-	// decision exactly as the simulator's qcObserver does.
-	o.node.collector.RecordDecision(qc.V, o.node.cfg.ID, at)
-	if o.node.cfg.OnDecision != nil {
-		o.node.cfg.OnDecision(qc.V)
 	}
 }
 

@@ -346,7 +346,7 @@ func (c Candidate) Scenario(p harness.Protocol, f int, obj Objective, seed int64
 		Duplication:   c.Duplication,
 		ReorderJitter: c.ReorderJitter,
 		PartitionHeal: c.PartitionHeal,
-		Duration:      c.GST + 30*time.Duration(f+1)*harness.GammaOf(p, delta),
+		Duration:      c.GST + 30*time.Duration(f+1)*p.Gamma(delta),
 	}
 	if c.Strategy != "" {
 		s.Attack = adversary.AttackSpec{Name: c.Strategy, Nodes: c.Nodes, K: c.K, Period: c.Period}
