@@ -99,22 +99,15 @@ func main() {
 	}
 	if *smr {
 		committed := -1
-		for i, e := range res.Engines {
-			if e == nil {
-				continue
-			}
-			type committer interface{ CommittedCount() int }
-			if c, ok := e.(committer); ok {
-				if committed < 0 || c.CommittedCount() < committed {
-					committed = c.CommittedCount()
-				}
-				_ = i
+		for _, log := range res.Committed {
+			if log != nil && (committed < 0 || len(log) < committed) {
+				committed = len(log)
 			}
 		}
 		fmt.Printf("committed blocks (min across replicas): %d; injected commands: %d\n", committed, res.Injected)
-		for _, sm := range res.SMs {
+		for i, sm := range res.SMs {
 			if kv, ok := sm.(*statemachine.KV); ok && kv != nil {
-				fmt.Printf("kv keys on replica 0: %d\n", kv.Len())
+				fmt.Printf("kv keys on replica %d: %d\n", i, kv.Len())
 				break
 			}
 		}

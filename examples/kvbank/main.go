@@ -48,14 +48,12 @@ func main() {
 	var refLog []hotstuff.Hash
 	var refSummary string
 	alive := 0
-	for i, e := range res.Engines {
-		hs, ok := e.(*hotstuff.Core)
-		if !ok || hs == nil {
+	for i, log := range res.Committed {
+		if log == nil {
 			continue
 		}
 		alive++
 		bank := res.SMs[i].(*statemachine.Bank)
-		log := hs.CommittedHashes()
 		fmt.Printf("replica %d: committed %d blocks, total balance %d\n", i, len(log), bank.TotalBalance())
 		if bank.TotalBalance() != accounts*seedMoney {
 			fmt.Printf("  (some OPENs still in flight — total is a multiple of %d: %v)\n",

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lumiere/internal/harness"
-	"lumiere/internal/hotstuff"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/workload"
 )
@@ -34,9 +33,8 @@ func main() {
 	fmt.Printf("mean decision gap:   %v  (Δ=%v, δ=%v — optimistic responsiveness at work)\n",
 		stats.MeanGap.Round(time.Millisecond), res.Cfg.Delta, 5*time.Millisecond)
 
-	hs := res.Engines[0].(*hotstuff.Core)
 	kv := res.SMs[0].(*statemachine.KV)
-	fmt.Printf("blocks committed:    %d\n", hs.CommittedCount())
+	fmt.Printf("blocks committed:    %d\n", len(res.Committed[0]))
 	fmt.Printf("commands executed:   %d commands → %d live keys\n", res.Injected, kv.Len())
 	if v, ok := kv.Get("c1"); ok {
 		fmt.Printf("kv[\"c1\"] = %q on every replica\n", v)

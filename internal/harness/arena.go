@@ -25,19 +25,19 @@ import (
 // observable state of a fresh construction (only buffer capacities
 // survive), all randomness re-derives from the cell seed, and every
 // table is byte-identical with arenas on or off at any worker count
-// (see arena_test.go). What a Result hands out for inspection —
-// pacemakers, engines, state machines, the metrics Collector (detached
-// as a Snapshot), tracers and gap trackers — is built fresh per cell
-// and never recycled: the paid-per-cell rebind path for state that must
-// outlive the cell.
+// (see arena_test.go). What a Result keeps — state machines, commit
+// logs, the metrics Collector (detached as a Snapshot), tracers and gap
+// samples — is built fresh per cell and never recycled: the
+// paid-per-cell rebind path for outputs that must outlive the cell.
 //
 // Between cells an arena holds capacity, not a cell. Before RunIn
 // returns, release drops every reference the layers still hold into the
 // finished cell — the scheduler's pending events, the network's
 // handlers, observers and link policy, the replica shells' pacemakers
-// and engines — so the cell is garbage as soon as its Result is, and a
-// sweep worker or a benchmark repetition does not carry a dead cell
-// into the next one (see retain_test.go).
+// and engines — and a Result reaches no pacemaker, engine or clock, so
+// the cell is garbage while its Result is still held, and a sweep
+// worker or a benchmark repetition does not carry a dead cell into the
+// next one (see retain_test.go).
 
 // Arena owns one long-lived instance of each execution layer for serial
 // reuse across scenario runs. The zero Arena is ready to use (layers are
@@ -58,16 +58,18 @@ func NewArena() *Arena { return &Arena{} }
 
 // RunIn executes a scenario inside the arena, recycling its layers, and
 // returns a Result that is independent of the arena: the metrics
-// Collector is detached as a snapshot, and the pacemakers, engines and
-// state machines it exposes are per-cell constructions, which the arena
-// no longer references once RunIn returns. The result is byte-identical
-// to Run(s). A nil arena runs the scenario on a fresh one-shot arena,
-// making RunIn(nil, s) equivalent to Run(s).
+// Collector is detached as a snapshot, and the state machines it exposes
+// are per-cell constructions, which the arena no longer references once
+// RunIn returns. The result is byte-identical to Run(s). A nil arena
+// runs the scenario on a fresh one-shot arena, making RunIn(nil, s)
+// equivalent to Run(s).
 func RunIn(a *Arena, s Scenario) *Result {
 	if a == nil {
 		return Run(s)
 	}
-	return a.run(s, true)
+	res := a.run(s)
+	a.detach(res)
+	return res
 }
 
 // scheduler returns the arena's scheduler, reset for seed.
@@ -123,8 +125,8 @@ func (a *Arena) workloadEngine(cfg workload.Config) *workload.Engine {
 }
 
 // release drops the finished cell from the arena's layers (see the file
-// comment). It rewinds nothing a Result reads: the scheduler keeps its
-// clock, which the Result's clocks still read.
+// comment). It rewinds nothing: the scheduler keeps its clock and
+// counters until the next cell's Reset.
 func (a *Arena) release() {
 	a.sched.Clear()
 	a.net.Release()

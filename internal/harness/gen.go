@@ -321,12 +321,10 @@ func byzantineSet(res *Result) map[types.NodeID]bool {
 func smrConsistencyProblems(res *Result) []string {
 	byz := byzantineSet(res)
 	var logs [][]hotstuff.Hash
-	for i, e := range res.Engines {
-		hs, ok := e.(*hotstuff.Core)
-		if !ok || hs == nil || byz[types.NodeID(i)] {
-			continue
+	for i, l := range res.Committed {
+		if l != nil && !byz[types.NodeID(i)] {
+			logs = append(logs, l)
 		}
-		logs = append(logs, hs.CommittedHashes())
 	}
 	if len(logs) == 0 {
 		return []string{"smr: no honest hotstuff engines"}

@@ -18,7 +18,6 @@ import (
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/pacemaker"
-	"lumiere/internal/replica"
 	"lumiere/internal/stack"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/trace"
@@ -408,7 +407,9 @@ func (s Scenario) linkPolicy(cfg types.Config, gst types.Time, delay network.Del
 	return link
 }
 
-// Result carries everything measurable about one execution.
+// Result carries everything measurable about one execution. It holds
+// outputs only — nothing in it reaches a pacemaker, an engine or a
+// clock — so a finished cell's protocol state is garbage with the run.
 type Result struct {
 	Scenario  Scenario
 	Cfg       types.Config
@@ -421,12 +422,11 @@ type Result struct {
 	Violations []string
 	// FinalViews holds each replica's final view (NoView for crashed).
 	FinalViews []types.View
-	// PMs exposes each replica's pacemaker for inspection (nil for
-	// crashed replicas).
-	PMs []pacemaker.Pacemaker
-	// Engines exposes each replica's consensus engine (SMR: the
-	// HotStuff core); nil for crashed replicas.
-	Engines []replica.Engine
+	// Committed holds each replica's commit log, block hashes in commit
+	// order: nil where the replica ran no HotStuff engine (no SMR, a
+	// crashed replica, an equivocator's wrapped engine), empty where its
+	// engine committed nothing.
+	Committed [][]hotstuff.Hash
 	// SMs exposes each replica's state machine (SMR only).
 	SMs []statemachine.StateMachine
 	// Injected is the number of workload commands injected (SMR only).
@@ -447,15 +447,19 @@ func (r *Result) DecisionCount() int { return r.Collector.DecisionCount() }
 // sweeps, thread an Arena through RunIn instead: the result is
 // byte-identical and the per-cell setup cost amortizes away.
 func Run(s Scenario) *Result {
-	return (&Arena{}).run(s, false)
+	a := &Arena{}
+	res := a.run(s)
+	// The Result keeps the live Collector, whose honesty classifier is
+	// the network's: released, the network reaches no engine.
+	a.release()
+	return res
 }
 
-// run executes a scenario inside the arena. With detach set the Result
-// receives a snapshot of the arena's metrics Collector (so the arena can
-// be reused while the Result stays valid) and the arena releases the
-// cell before returning; without it the live Collector is handed out and
-// the arena is assumed discarded.
-func (a *Arena) run(s Scenario, detach bool) *Result {
+// run executes a scenario inside the arena. The Result holds the arena's
+// live metrics Collector and the replica shells keep their pacemakers
+// and engines until the arena releases the cell (Run) or detaches the
+// Result from it (RunIn).
+func (a *Arena) run(s Scenario) *Result {
 	s = s.withDefaults()
 	cfg := types.Config{N: s.N, F: s.F, Delta: s.Delta, X: types.DefaultX}
 	if err := cfg.Validate(); err != nil {
@@ -519,9 +523,8 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 	}
 	suite := a.simSuite(cfg.N, s.Seed+1)
 
-	// The replica shells are arena slots; everything below that a Result
-	// keeps a reference to (clocks via pacemakers, endpoints via the
-	// strategy Env, state machines, the honest mask via the gap tracker)
+	// The replica shells are arena slots; everything else below (clocks,
+	// endpoints, the honest mask, state machines, which a Result keeps)
 	// is built fresh per cell.
 	replicas := a.replicaSlots(cfg.N)
 	clocks := make([]*clock.Clock, cfg.N)
@@ -730,29 +733,22 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		}
 	}
 	net.Stop()
+	gaps.Stop()
 
 	injected := 0
 	if eng != nil {
 		injected = int(eng.Submitted())
-	}
-	resCollector := collector
-	if detach {
-		// Detach the metrics so the Result stays valid across the
-		// arena's next cell: the snapshot is an exactly-sized deep copy
-		// answering every query identically to the live Collector.
-		resCollector = collector.Snapshot()
 	}
 	res := &Result{
 		Scenario:   s,
 		Cfg:        cfg,
 		GST:        gst,
 		Gamma:      s.Protocol.GammaOf(cfg),
-		Collector:  resCollector,
+		Collector:  collector,
 		Tracer:     tracer,
 		Gaps:       gaps,
 		FinalViews: make([]types.View, cfg.N),
-		PMs:        make([]pacemaker.Pacemaker, cfg.N),
-		Engines:    make([]replica.Engine, cfg.N),
+		Committed:  make([][]hotstuff.Hash, cfg.N),
 		SMs:        sms,
 		Injected:   injected,
 		Events:     sched.Events(),
@@ -760,8 +756,11 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 		Omitted:    net.Omitted(),
 	}
 	for i, r := range replicas {
-		res.PMs[i] = r.PM
-		res.Engines[i] = r.Core
+		if hs, ok := r.Core.(*hotstuff.Core); ok {
+			if res.Committed[i] = hs.CommittedHashes(); res.Committed[i] == nil {
+				res.Committed[i] = []hotstuff.Hash{}
+			}
+		}
 		if r.PM != nil {
 			res.FinalViews[i] = r.PM.CurrentView()
 			// Lemmas 5.1–5.3 quantify over honest processors only: a
@@ -774,10 +773,16 @@ func (a *Arena) run(s Scenario, detach bool) *Result {
 			res.FinalViews[i] = types.NoView
 		}
 	}
-	if detach {
-		a.release()
-	}
 	return res
+}
+
+// detach makes res independent of the arena that ran it: the Result
+// receives a snapshot of the metrics Collector — an exactly-sized deep
+// copy answering every query identically to the live one — and the
+// arena releases the cell, ready for the next.
+func (a *Arena) detach(res *Result) {
+	res.Collector = res.Collector.Snapshot()
+	a.release()
 }
 
 // newLazyGapTracker builds a tracker over a clock slice that is filled in

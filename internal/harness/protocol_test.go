@@ -8,10 +8,19 @@ import (
 	"lumiere/internal/adversary"
 	"lumiere/internal/core"
 	"lumiere/internal/network"
+	"lumiere/internal/replica"
 	"lumiere/internal/types"
 )
 
 const testDelta = 50 * time.Millisecond
+
+// runShells runs s as Run does but without the release, and also
+// returns the one-shot arena's replica shells: each still holds its
+// replica's pacemaker and engine for in-package inspection.
+func runShells(s Scenario) (*Result, []*replica.Replica) {
+	a := &Arena{}
+	return a.run(s), a.replicas
+}
 
 // skipInShort gates the paper-scale sweep tests: `go test -short` keeps
 // the fast conformance and invariant coverage and skips the long
@@ -30,7 +39,7 @@ func skipInShort(t *testing.T) {
 func TestLumiereSteadyStateRetiresHeavySyncs(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	res := Run(Scenario{
+	res, shells := runShells(Scenario{
 		Protocol:        ProtoLumiere,
 		F:               2,
 		Delta:           testDelta,
@@ -48,8 +57,8 @@ func TestLumiereSteadyStateRetiresHeavySyncs(t *testing.T) {
 		t.Fatalf("too few decisions: %d", res.DecisionCount())
 	}
 	// The success criterion must be observable on every honest node.
-	for i, pm := range res.PMs {
-		lum, ok := pm.(*core.Pacemaker)
+	for i, r := range shells {
+		lum, ok := r.PM.(*core.Pacemaker)
 		if !ok {
 			t.Fatalf("node %d: not a lumiere pacemaker", i)
 		}

@@ -17,21 +17,39 @@ import (
 	"lumiere/internal/workload"
 )
 
+// wantLogs returns how many commit logs res must hold: one per replica
+// that ran a plain HotStuff engine, which is every replica but the
+// crashed ones and the equivocators (whose engine is wrapped).
+func wantLogs(res *Result) int {
+	n := res.Cfg.N
+	for _, c := range res.Scenario.Corruptions {
+		if c.Behavior == adversary.BehaviorCrash || c.Behavior == adversary.BehaviorEquivocating {
+			n--
+		}
+	}
+	return n
+}
+
+// requireLogCount fails unless a check went over every commit log res
+// must hold, so that no check passes on missing logs.
+func requireLogCount(t *testing.T, res *Result, compared int) {
+	t.Helper()
+	if want := wantLogs(res); compared != want {
+		t.Fatalf("compared %d commit logs, want %d", compared, want)
+	}
+}
+
 // requireConsistentCommits asserts that every pair of honest replicas'
 // committed block sequences are prefix-consistent (SMR safety).
 func requireConsistentCommits(t *testing.T, res *Result) int {
 	t.Helper()
 	var logs [][]hotstuff.Hash
-	for _, e := range res.Engines {
-		hs, ok := e.(*hotstuff.Core)
-		if !ok || hs == nil {
-			continue
+	for _, l := range res.Committed {
+		if l != nil {
+			logs = append(logs, l)
 		}
-		logs = append(logs, hs.CommittedHashes())
 	}
-	if len(logs) == 0 {
-		t.Fatal("no hotstuff engines")
-	}
+	requireLogCount(t, res, len(logs))
 	minLen := len(logs[0])
 	for _, l := range logs {
 		if len(l) < minLen {
@@ -76,12 +94,13 @@ func (l *frameLog) Delay(from, to types.NodeID, m msg.Message, at types.Time, rn
 func requireSealedBlocksIntact(t *testing.T, res *Result, log *frameLog) {
 	t.Helper()
 	checked := map[hotstuff.Hash]bool{}
-	for i, e := range res.Engines {
-		hs, ok := e.(*hotstuff.Core)
-		if !ok || hs == nil {
+	logs := 0
+	for i, l := range res.Committed {
+		if l == nil {
 			continue
 		}
-		for j, h := range hs.CommittedHashes() {
+		logs++
+		for j, h := range l {
 			if checked[h] {
 				continue
 			}
@@ -103,6 +122,7 @@ func requireSealedBlocksIntact(t *testing.T, res *Result, log *frameLog) {
 			}
 		}
 	}
+	requireLogCount(t, res, logs)
 	if len(checked) == 0 {
 		t.Fatal("no committed block checked")
 	}
@@ -139,8 +159,7 @@ func TestSMRCommitsUnderLumiere(t *testing.T) {
 		}
 		// States may differ by in-flight commits; compare only when
 		// commit counts match.
-		hs := res.Engines[i].(*hotstuff.Core)
-		if hs.CommittedCount() == committed && got != want && want != "" {
+		if len(res.Committed[i]) == committed && got != want && want != "" {
 			// Recompute want from a replica with the same count.
 			continue
 		}
@@ -262,16 +281,18 @@ func TestSMRChurnCatchUp(t *testing.T) {
 	if committed < 100 {
 		t.Fatalf("committed only %d blocks", committed)
 	}
-	maxCount := 0
-	for _, e := range res.Engines {
-		if hs, ok := e.(*hotstuff.Core); ok && hs.CommittedCount() > maxCount {
-			maxCount = hs.CommittedCount()
+	maxCount, logs := 0, 0
+	for _, l := range res.Committed {
+		if l != nil {
+			logs++
+			maxCount = max(maxCount, len(l))
 		}
 	}
+	requireLogCount(t, res, logs)
 	// Without catch-up the churned replica stalls at its first crash
 	// point (~5s of ~40s of commits); with it, the commit frontier lags
 	// the leaders by at most a few in-flight blocks.
-	churnedCount := res.Engines[churned].(*hotstuff.Core).CommittedCount()
+	churnedCount := len(res.Committed[churned])
 	if churnedCount < maxCount-10 {
 		t.Fatalf("churned replica committed %d of %d blocks: catch-up failed", churnedCount, maxCount)
 	}
@@ -282,7 +303,7 @@ func TestSMRChurnCatchUp(t *testing.T) {
 		if sm == nil {
 			continue
 		}
-		n := res.Engines[i].(*hotstuff.Core).CommittedCount()
+		n := len(res.Committed[i])
 		got := sm.(*statemachine.KV).Summary()
 		if prev, ok := summaries[n]; ok && prev != got {
 			t.Fatalf("replicas with %d commits disagree on state (replica %d)", n, i)

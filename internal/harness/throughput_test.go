@@ -163,10 +163,10 @@ func TestClosedLoopReadYourWrites(t *testing.T) {
 // or string allocation) jumps to ≥ 2/cmd.
 func TestWorkloadAllocs(t *testing.T) {
 	skipInShort(t)
-	res := Run(throughputScenario(ProtoLumiere, 1, 300, 64, 1))
+	_, shells := runShells(throughputScenario(ProtoLumiere, 1, 300, 64, 1))
 	var core *hotstuff.Core
-	for _, e := range res.Engines {
-		if hs, ok := e.(*hotstuff.Core); ok && hs != nil {
+	for _, r := range shells {
+		if hs, ok := r.Core.(*hotstuff.Core); ok && hs != nil {
 			core = hs
 			break
 		}

@@ -37,8 +37,11 @@ func NewGapTrackerLazy(provider func() ([]*clock.Clock, []bool), f int) *GapTrac
 	return &GapTracker{provider: provider, f: f}
 }
 
-// Sample records the current gaps.
+// Sample records the current gaps; after Stop it records nothing.
 func (g *GapTracker) Sample(at types.Time) {
+	if g.provider == nil {
+		return
+	}
 	clocks, honest := g.provider()
 	vals := make([]types.Time, 0, len(clocks))
 	for i, c := range clocks {
@@ -56,6 +59,11 @@ func (g *GapTracker) Sample(at types.Time) {
 	}
 	g.samples = append(g.samples, GapSample{At: at, HG: hg})
 }
+
+// Stop ends sampling. The tracker keeps its samples and drops its clock
+// provider: a clock's alarm is its pacemaker's closure, so a stopped
+// tracker no longer keeps a finished execution's protocol stack alive.
+func (g *GapTracker) Stop() { g.provider = nil }
 
 // Samples returns the recorded trajectory.
 func (g *GapTracker) Samples() []GapSample { return g.samples }
