@@ -1,8 +1,11 @@
 // Package clock implements the local-clock abstraction of §2 and §4 of the
 // paper: each processor p maintains a value lc(p) that advances in real
 // time except when the protocol pauses it or bumps it forward. The same
-// implementation runs over virtual time (the simulator's scheduler) and
-// over wall time (the TCP runtime) via the Runtime interface.
+// Clock runs over virtual time and over wall time through one
+// TimerRuntime contract: the simulator's scheduler (sim.Scheduler), a
+// Drift decorator over it, and Wall, a TCP node's runtime over the
+// operating-system clock, whose timers sit in a scheduler heap of their
+// own and fire under the node lock.
 //
 // Protocol handlers of the form "Upon lc(p) == c_v" have exact-attainment
 // semantics: they fire when the clock reaches the value c_v either by
@@ -14,6 +17,7 @@
 package clock
 
 import (
+	"fmt"
 	"time"
 
 	"lumiere/internal/sim"
@@ -32,20 +36,17 @@ type Runtime interface {
 	After(d time.Duration, fn func()) (cancel func())
 }
 
-// TimerRuntime is an optional Runtime extension providing handle-based
-// one-shot timers with eager cancellation. When the runtime supports
-// it, Clock arms and cancels its alarm through reusable Timer handles
-// and cached callbacks, so the alarm hot path — exercised at every view
-// boundary by every clock-driven pacemaker — performs no per-alarm
-// closure or cancel-handle allocation.
+// TimerRuntime is the Runtime every Clock runs on: handle-based one-shot
+// timers with eager cancellation. Clock arms and cancels its alarm
+// through reusable Timer handles and callbacks cached at construction,
+// so the alarm path — exercised at every view boundary by every
+// clock-driven pacemaker, and at every QC bump through Ticker.Jumped —
+// allocates nothing per alarm.
 //
-// The handle is the concrete sim.Timer: a zero-allocation handle needs
-// a concrete value type, and the simulator is the only runtime where
-// alarm churn matters (laptop-scale sweeps fire millions of
-// boundaries; the wall-clock runtime fires a handful per second and
-// keeps the closure-based fallback path below). This deliberately ties
-// the fast path to the simulator rather than inventing a second handle
-// abstraction.
+// The handle is the concrete sim.Timer, since a zero-allocation handle
+// needs a concrete value type: sim.Scheduler implements TimerRuntime,
+// Drift forwards it, and Wall keeps its timers in a sim.Scheduler heap
+// of its own, so one handle type serves both runtimes.
 type TimerRuntime interface {
 	Runtime
 	// AtTimer schedules fn at absolute time t and returns a handle for
@@ -60,40 +61,37 @@ type TimerRuntime interface {
 // zero value is not usable; use New. Clock is not internally synchronized:
 // the owning Runtime serializes access.
 type Clock struct {
-	rt     Runtime
+	rt     TimerRuntime
 	value  types.Time // lc at anchor (exact when paused)
 	anchor types.Time // rt.Now() when value was anchored (running only)
 	paused bool
 
+	// The single alarm: its target and callback, and the pending timer.
+	// Cancellation is eager (the timer leaves the runtime's queue at
+	// once), so a stale timer can never fire a replaced alarm.
 	alarmTarget types.Time
 	alarmFn     func()
-	alarmCancel func()
-	alarmGen    uint64
-
-	// Allocation-free alarm path, used when rt implements TimerRuntime:
-	// the pending alarm is a cancellable Timer handle and the callbacks
-	// are cached once at construction. Cancellation is eager (the timer
-	// leaves the runtime's queue immediately), which subsumes the
-	// generation checks of the closure-based fallback path.
-	trt     TimerRuntime
-	tm      sim.Timer
-	physFn  func() // physical-alarm callback (guards against pause races)
-	asyncFn func() // already-reached-target callback
+	tm          sim.Timer
+	physFn      func() // physical-alarm callback (guards against pause races)
+	asyncFn     func() // already-reached-target callback
 }
 
-// New returns a running Clock with lc = initial.
+// New returns a running Clock with lc = initial. rt must implement
+// TimerRuntime (the parameter keeps the wider type for callers holding a
+// plain Runtime); New panics, naming the type, on one that does not.
 func New(rt Runtime, initial types.Time) *Clock {
-	c := &Clock{rt: rt, value: initial, anchor: rt.Now(), alarmTarget: types.TimeInf}
-	if trt, ok := rt.(TimerRuntime); ok {
-		c.trt = trt
-		c.physFn = func() {
-			if c.paused {
-				return
-			}
-			c.fireAlarm()
-		}
-		c.asyncFn = c.fireAlarm
+	trt, ok := rt.(TimerRuntime)
+	if !ok {
+		panic(fmt.Sprintf("clock: runtime %T has no handle timers (clock.TimerRuntime)", rt))
 	}
+	c := &Clock{rt: trt, value: initial, anchor: rt.Now(), alarmTarget: types.TimeInf}
+	c.physFn = func() {
+		if c.paused {
+			return
+		}
+		c.fireAlarm()
+	}
+	c.asyncFn = c.fireAlarm
 	return c
 }
 
@@ -162,16 +160,7 @@ func (c *Clock) SetAlarm(target types.Time, fn func()) {
 	c.alarmTarget = target
 	c.alarmFn = fn
 	if target <= c.Read() {
-		if c.trt != nil {
-			c.tm = c.trt.AtTimer(c.trt.Now(), c.asyncFn)
-			return
-		}
-		gen := c.alarmGen
-		c.alarmCancel = c.rt.After(0, func() {
-			if gen == c.alarmGen {
-				c.fireAlarm()
-			}
-		})
+		c.tm = c.rt.AtTimer(c.rt.Now(), c.asyncFn)
 		return
 	}
 	if !c.paused {
@@ -183,19 +172,11 @@ func (c *Clock) clearAlarm() {
 	c.cancelPhysical()
 	c.alarmTarget = types.TimeInf
 	c.alarmFn = nil
-	c.alarmGen++
 }
 
 func (c *Clock) cancelPhysical() {
-	if c.trt != nil {
-		c.trt.Cancel(c.tm)
-		c.tm = sim.Timer{}
-		return
-	}
-	if c.alarmCancel != nil {
-		c.alarmCancel()
-		c.alarmCancel = nil
-	}
+	c.rt.Cancel(c.tm)
+	c.tm = sim.Timer{}
 }
 
 func (c *Clock) armPhysical() {
@@ -203,26 +184,14 @@ func (c *Clock) armPhysical() {
 		return
 	}
 	d := c.alarmTarget.Sub(c.Read())
-	if c.trt != nil {
-		c.tm = c.trt.AtTimer(c.trt.Now().Add(d), c.physFn)
-		return
-	}
-	gen := c.alarmGen
-	c.alarmCancel = c.rt.After(d, func() {
-		if gen != c.alarmGen || c.paused {
-			return
-		}
-		c.fireAlarm()
-	})
+	c.tm = c.rt.AtTimer(c.rt.Now().Add(d), c.physFn)
 }
 
 func (c *Clock) fireAlarm() {
 	fn := c.alarmFn
 	c.alarmFn = nil
 	c.alarmTarget = types.TimeInf
-	c.alarmCancel = nil
 	c.tm = sim.Timer{}
-	c.alarmGen++
 	if fn != nil {
 		fn()
 	}

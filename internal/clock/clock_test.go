@@ -2,6 +2,7 @@ package clock
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,4 +203,21 @@ func TestClockMonotoneRandom(t *testing.T) {
 			check()
 		}
 	}
+}
+
+// closureOnly is a Runtime without handle timers.
+type closureOnly struct{ *sim.Scheduler }
+
+func (r closureOnly) AtTimer() {} // shadows the scheduler's: not TimerRuntime
+
+// TestNewPanicsWithoutHandleTimers: Clock has one alarm path, over
+// TimerRuntime; a runtime without it is refused up front, by type name.
+func TestNewPanicsWithoutHandleTimers(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "closureOnly") {
+			t.Fatalf("New over a closure-only runtime: panic %q, want one naming the type", msg)
+		}
+	}()
+	New(closureOnly{sim.New(1)}, 0)
 }

@@ -24,8 +24,8 @@ import (
 // (Scenario.Validate); its drift tolerance table (DriftSweep) shows what
 // breaks beyond it.
 //
-// Drift implements TimerRuntime over a TimerRuntime base, so Clock's
-// allocation-free alarm path survives the wrapping: Clock.SetAlarm
+// Drift implements TimerRuntime over a TimerRuntime base, so a Clock
+// runs over the wrapping with its handle timers: Clock.SetAlarm
 // computes its deadline as Now().Add(d) in local units, and Drift's
 // AtTimer converts that local target back to a base-runtime instant.
 // The conversion is exact at the nanosecond (integer arithmetic with a
@@ -127,8 +127,7 @@ func (d *Drift) After(dur time.Duration, fn func()) (cancel func()) {
 }
 
 // AtTimer schedules fn at the local-time instant t, implementing
-// TimerRuntime so Clock keeps its handle-based zero-allocation alarm
-// path through a drifted runtime.
+// TimerRuntime so a Clock can run over a drifted runtime.
 func (d *Drift) AtTimer(t types.Time, fn func()) sim.Timer {
 	return d.rt.AtTimer(d.base(t), fn)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/sim"
 	"lumiere/internal/types"
 )
 
@@ -22,8 +23,10 @@ func TestWallNowMonotone(t *testing.T) {
 func TestWallAfterFiresUnderLock(t *testing.T) {
 	var mu sync.Mutex
 	w := NewWallAt(&mu, time.Now())
+	defer w.Stop()
 	done := make(chan struct{})
 	locked := false
+	mu.Lock()
 	w.After(time.Millisecond, func() {
 		// TryLock failing proves the callback holds the node lock.
 		locked = !mu.TryLock()
@@ -32,6 +35,7 @@ func TestWallAfterFiresUnderLock(t *testing.T) {
 		}
 		close(done)
 	})
+	mu.Unlock()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -45,10 +49,13 @@ func TestWallAfterFiresUnderLock(t *testing.T) {
 func TestWallAfterCancel(t *testing.T) {
 	var mu sync.Mutex
 	w := NewWallAt(&mu, time.Now())
+	defer w.Stop()
 	fired := make(chan struct{}, 1)
+	mu.Lock()
 	cancel := w.After(20*time.Millisecond, func() { fired <- struct{}{} })
 	cancel()
 	cancel() // idempotent
+	mu.Unlock()
 	select {
 	case <-fired:
 		t.Fatal("canceled timer fired")
@@ -59,8 +66,11 @@ func TestWallAfterCancel(t *testing.T) {
 func TestWallNegativeDelayClamped(t *testing.T) {
 	var mu sync.Mutex
 	w := NewWallAt(&mu, time.Now())
+	defer w.Stop()
 	done := make(chan struct{})
+	mu.Lock()
 	w.After(-time.Second, func() { close(done) })
+	mu.Unlock()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
@@ -73,6 +83,7 @@ func TestWallNegativeDelayClamped(t *testing.T) {
 func TestClockOverWall(t *testing.T) {
 	var mu sync.Mutex
 	w := NewWallAt(&mu, time.Now())
+	defer w.Stop()
 	mu.Lock()
 	c := New(w, 0)
 	mu.Unlock()
@@ -105,4 +116,66 @@ func TestClockOverWall(t *testing.T) {
 	}
 	c.Unpause()
 	mu.Unlock()
+}
+
+// TestWallTiesFireInArmingOrder: timers sharing a deadline fire in the
+// order they were armed, as the simulator fires them, and an earlier
+// deadline armed last still fires first.
+func TestWallTiesFireInArmingOrder(t *testing.T) {
+	var mu sync.Mutex
+	w := NewWallAt(&mu, time.Now())
+	defer w.Stop()
+	var got []int
+	done := make(chan struct{})
+	mu.Lock()
+	at := w.Now() + types.Time(20*time.Millisecond)
+	for i := 1; i <= 5; i++ {
+		i := i
+		w.AtTimer(at, func() {
+			got = append(got, i)
+			if i == 5 {
+				close(done)
+			}
+		})
+	}
+	w.AtTimer(at-types.Time(10*time.Millisecond), func() { got = append(got, 0) })
+	mu.Unlock()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("timers never fired")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("fired %v, want 0 1 2 3 4 5", got)
+		}
+	}
+}
+
+// TestWallStopDropsPending: Stop drops armed timers and waits out its
+// goroutine; nothing armed before or after it ever fires.
+func TestWallStopDropsPending(t *testing.T) {
+	var mu sync.Mutex
+	w := NewWallAt(&mu, time.Now())
+	fired := make(chan struct{}, 2)
+	mu.Lock()
+	w.After(20*time.Millisecond, func() { fired <- struct{}{} })
+	mu.Unlock()
+	w.Stop()
+	w.Stop() // idempotent
+	mu.Lock()
+	if tm := w.AtTimer(w.Now(), func() { fired <- struct{}{} }); tm != (sim.Timer{}) {
+		t.Error("a stopped Wall armed a timer")
+	}
+	if n := w.timers.Pending(); n != 0 {
+		t.Errorf("%d timers pending after Stop", n)
+	}
+	mu.Unlock()
+	select {
+	case <-fired:
+		t.Fatal("a timer fired after Stop")
+	case <-time.After(60 * time.Millisecond):
+	}
 }

@@ -18,7 +18,8 @@
 //   - Self-sends are delivered through a single tracked FIFO worker, so
 //     a node's messages to itself arrive in send order (the simulator's
 //     same-instant self-delivery convention) and Close really quiesces:
-//     after it returns no handler call is in flight.
+//     after it returns no handler call is in flight. Node.Close then
+//     stops the node's clock.Wall, so no timer callback follows either.
 //   - Every wire transmission can be observed by a network.Observer
 //     (WithObserver); the metrics.Collector counts TCP sends in exactly
 //     the per-kind words model the simulator uses, so wall-clock words
@@ -249,9 +250,12 @@ func (t *Transport) Addr() string {
 }
 
 // Close shuts the transport down and waits for its goroutines, including
-// the self-send worker: when Close returns, no handler call is in flight
-// and none will follow. Do not call with the node lock held (the workers
-// need it to finish their current delivery).
+// the self-send worker: when Close returns, no delivery is in flight and
+// none will follow. Timer callbacks are not the transport's: they belong
+// to the node's clock.Wall, which Node.Close stops next, and a send they
+// make after Close is counted by the observer and then dropped. Do not
+// call with the node lock held (the workers need it to finish their
+// current delivery).
 func (t *Transport) Close() {
 	t.once.Do(func() {
 		close(t.closed)

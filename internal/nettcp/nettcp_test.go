@@ -287,7 +287,9 @@ func TestRejoinLearnsChainHead(t *testing.T) {
 	if got := highView(nodes[down]); got != types.NoView {
 		t.Fatalf("node %d learned a QC (view %d) while down", down, got)
 	}
+	nodes[down].mu.Lock() // rejoin runs under the node lock, as a Wall timer
 	nodes[down].rejoin()
+	nodes[down].mu.Unlock()
 	waitFor(t, 500*time.Millisecond, "the rejoined node to learn the others' highest QC", func() bool {
 		return highView(nodes[down]) >= head
 	})

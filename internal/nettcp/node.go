@@ -81,13 +81,12 @@ type Node struct {
 	hs        *hotstuff.Core
 	kv        *statemachine.KV
 	wall      *clock.Wall
-	churn     []*time.Timer
 }
 
 // StartNode boots a node: it listens, connects to peers, and starts the
 // protocol immediately (the processor joins with lc = 0). Churn downtimes
-// are armed on the Start origin, so one that began before StartNode
-// returns has the node down already.
+// are timers of the node's clock.Wall, armed on the Start origin, so one
+// that began before StartNode returns has the node down already.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.Base.Validate(); err != nil {
 		return nil, fmt.Errorf("nettcp: %w", err)
@@ -153,20 +152,20 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.transport.Close() // stops the self-send worker New started
 		return nil, err
 	}
+	n.mu.Lock()
+	now := n.wall.Now()
 	for _, d := range cfg.Churn { // churn implies a conditioner
-		down, up := time.Until(start.Add(d.From)), time.Until(start.Add(d.To))
+		down, up := types.Time(d.From), types.Time(d.To)
 		switch {
-		case up <= 0: // over before the node started
-		case down <= 0:
+		case up <= now: // over before the node started
+		case down <= now:
 			n.cond.SetDown(true)
-			n.churn = append(n.churn, time.AfterFunc(up, n.rejoin))
+			n.wall.AtTimer(up, n.rejoin)
 		default:
-			n.churn = append(n.churn,
-				time.AfterFunc(down, func() { n.cond.SetDown(true) }),
-				time.AfterFunc(up, n.rejoin))
+			n.wall.AtTimer(down, func() { n.cond.SetDown(true) })
+			n.wall.AtTimer(up, n.rejoin)
 		}
 	}
-	n.mu.Lock()
 	rep.Start()
 	n.mu.Unlock()
 	return n, nil
@@ -174,11 +173,10 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 // rejoin ends a churn downtime: the node sends and receives again, and an
 // SMR node asks its peers for the chain's head (hotstuff.Core.Resync),
-// since every QC broadcast while it was down was lost to it.
+// since every QC broadcast while it was down was lost to it. It runs
+// under the node lock, as a timer of the node's Wall.
 func (n *Node) rejoin() {
 	n.cond.SetDown(false)
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.hs != nil {
 		n.hs.Resync()
 	}
@@ -248,10 +246,12 @@ func (n *Node) CommittedHashes() []hotstuff.Hash {
 // Addr returns the node's bound address.
 func (n *Node) Addr() string { return n.transport.Addr() }
 
-// Close stops the node and waits until no handler call is in flight.
+// Close stops the node: it closes the transport, then stops the Wall's
+// timers. Once Close returns no delivery or timer callback is running
+// and none will follow, so a closed node sends nothing more and is
+// garbage once its caller drops it. Do not call it with the node lock
+// held.
 func (n *Node) Close() {
-	for _, tm := range n.churn {
-		tm.Stop()
-	}
 	n.transport.Close()
+	n.wall.Stop()
 }

@@ -178,6 +178,16 @@ func (s *Scheduler) Scheduled() uint64 { return s.scheduled }
 // Cancelled events leave the heap immediately and are not counted.
 func (s *Scheduler) Pending() int { return len(s.heap) }
 
+// NextAt returns the time of the earliest pending event, and false when
+// none is pending. A runtime draining the heap against another clock
+// (clock.Wall) peeks here to learn how long to sleep.
+func (s *Scheduler) NextAt() (types.Time, bool) {
+	if len(s.heap) == 0 {
+		return 0, false
+	}
+	return s.arena[s.heap[0]].at, true
+}
+
 // SetSink registers the consumer of payload events (see SendAt). The
 // simulated network owns the sink; a scheduler carries exactly one for
 // its lifetime, and a second registration panics — silently replacing
