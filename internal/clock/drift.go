@@ -21,8 +21,8 @@ import (
 // fast clock's view timers expire early, a slow clock's late, which is
 // exactly the failure mode the model's Γ slack has to absorb. The
 // harness derives its in-model drift tolerance from that slack
-// (Scenario.Validate); its drift tolerance table (DriftSweep) shows what
-// breaks beyond it.
+// (Scenario.Validate); the evaluation's DriftToleranceTable section
+// shows what breaks beyond it.
 //
 // Drift implements TimerRuntime over a TimerRuntime base, so a Clock
 // runs over the wrapping with its handle timers: Clock.SetAlarm

@@ -260,49 +260,15 @@ func AttackSweep(f int, seed int64, opts SweepOptions) *AttackReport {
 	return rep
 }
 
-// ---------------------------------------------------------------------------
-// Word-complexity scaling (the eventual linear-in-f_a claim, in words)
-// ---------------------------------------------------------------------------
-
-// wordsTable runs the AllProtocols × axis grid and renders the maximum
-// honest words per decision window, one column per axis value.
-func wordsTable(title string, axis []int, label func(v int) string, scenario func(p Protocol, v int) Scenario, seed int64, opts SweepOptions) *Table {
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(axis)}, seed, opts,
-		func(row, col, _ int) Scenario { return scenario(AllProtocols[row], axis[col]) })
-	return gridTable(title, "protocol", AllProtocols, axisLabels(axis, label), func(row, col int) string {
-		r := measureEventual(g.result(row, col))
-		return orStalled(r.Decisions > 0, "%.0f", r.MaxWords)
-	})
-}
-
-// EventualWordsTable regenerates the eventual worst-case communication
-// comparison in words: the maximum honest words between consecutive
-// decisions as f_a grows at fixed n = 3f+1. Lumiere and Fever grow
-// linearly in f_a (O(n·f_a + n) words); LP22 and NK20 pay their Θ(n²)
-// synchronizations regardless of how many processors actually failed.
-func EventualWordsTable(f int, fas []int, seed int64, opts SweepOptions) *Table {
-	t := wordsTable(
-		fmt.Sprintf("Eventual worst-case communication in words, n=%d: max words between consecutive decisions", 3*f+1),
-		fas, faLabel,
-		func(p Protocol, fa int) Scenario { return eventualScenario(p, f, fa, 0) },
-		seed, opts)
-	t.AddNote("paper: Lumiere/Fever O(n·f_a+n) words — growing with actual faults; LP22/NK20 O(n²) regardless of f_a")
-	return t
-}
-
-// WordScalingTable sweeps n at fixed f_a and reports the maximum words
-// per decision window: the word-complexity counterpart of
-// EventualScalingTable. Lumiere's and Fever's rows grow ~linearly in n,
-// LP22's and NK20's quadratically — the scenario family where eventual
-// word counts track actual faults rather than system size.
-func WordScalingTable(fs []int, fa int, seed int64, opts SweepOptions) *Table {
-	t := wordsTable(
-		fmt.Sprintf("Eventual word-complexity scaling (f_a=%d): max words between consecutive decisions", fa),
-		fs, nLabel,
-		func(p Protocol, f int) Scenario { return eventualScenario(p, f, fa, 0) },
-		seed, opts)
-	t.AddNote("divide a row by n: ~flat for Lumiere/Fever (words linear in n), growing for LP22/NK20 (quadratic)")
-	return t
+// attackTable renders AttackSweep at f = sc.AttackF; every attack is
+// model-legal, so a stalled cell is its problem.
+func attackTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	rep := AttackSweep(sc.AttackF, seed, opts)
+	problem := ""
+	if !rep.AllDecided() {
+		problem = "attack sweep has stalled cells: a model-legal attack defeated a protocol"
+	}
+	return one("attack_table", rep.Table()), problem
 }
 
 // ---------------------------------------------------------------------------
@@ -312,9 +278,6 @@ func WordScalingTable(fs []int, fa int, seed int64, opts SweepOptions) *Table {
 // LargeNProtocols are the protocols compared in the massive-n scaling
 // table: the paper's Θ(n²)-synchronization baseline against Lumiere.
 var LargeNProtocols = []Protocol{ProtoLP22, ProtoLumiere}
-
-// LargeNSizes is the default axis of the massive-n scaling table.
-var LargeNSizes = []int{128, 256, 1024, 4096}
 
 // largeNSparsePoints caps the metrics send series for massive-n cells:
 // 2²⁰ points bound the collector to tens of megabytes while keeping the
@@ -348,20 +311,21 @@ func LargeNScenario(p Protocol, n int, seed int64) Scenario {
 	}
 }
 
-// LargeNWordsTable sweeps LargeNProtocols over the given system sizes
-// and reports the maximum honest words between consecutive decisions
-// after warmup, normalized by n — the WordScalingTable measure pushed to
-// four-digit n. Lumiere's words/n stays near-flat as n grows (its worst
-// window is O(n) words); LP22's grows ~linearly in n (Θ(n²) words: the
-// all-to-all epoch-view exchange plus the all-to-all EC relay land in a
-// single decision window).
+// largeNWordsTable sweeps LargeNProtocols over the system sizes
+// sc.LargeNs and reports the maximum honest words between consecutive
+// decisions after warmup, normalized by n — the word-scaling measure of
+// eventualScaling pushed to four-digit n. Lumiere's words/n stays
+// near-flat as n grows (its worst window is O(n) words); LP22's grows
+// ~linearly in n (Θ(n²) words: the all-to-all epoch-view exchange plus
+// the all-to-all EC relay land in a single decision window).
 //
 // Unlike measureEventual this skips no post-warmup decisions: at n ≥
 // 1024 only a handful of epoch boundaries fit in the run, and the first
 // decision after warmup is the one immediately following a heavy
 // synchronization — skipping it would skip the very window the table
 // exists to measure.
-func LargeNWordsTable(ns []int, seed int64, opts SweepOptions) *Table {
+func largeNWordsTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	ns := sc.LargeNs
 	g := sweepGrid(gridShape{rows: len(LargeNProtocols), cols: len(ns)}, seed, opts,
 		func(row, col, _ int) Scenario { return LargeNScenario(LargeNProtocols[row], ns[col], 0) })
 	t := gridTable("Massive-n word-complexity scaling: max honest words between consecutive decisions / n (f_a=1)",
@@ -372,5 +336,5 @@ func LargeNWordsTable(ns []int, seed int64, opts SweepOptions) *Table {
 			return orStalled(!res.Aborted && stats.Count > 0, "%.1f", stats.MaxWords/float64(res.Cfg.N))
 		})
 	t.AddNote("~flat row: worst window O(n) words (Lumiere); ~4n row: worst window Θ(n²) words (LP22's epoch sync)")
-	return t
+	return one("largen_words", t), ""
 }

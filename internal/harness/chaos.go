@@ -104,3 +104,14 @@ func ChaosSweep(count int, baseSeed int64, opts SweepOptions) *ChaosReport {
 	}
 	return rep
 }
+
+// chaosConformanceTable renders ChaosSweep over sc.ChaosCells
+// scenarios; a non-conformant cell is its problem.
+func chaosConformanceTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	rep := ChaosSweep(sc.ChaosCells, seed, opts)
+	problem := ""
+	if !rep.Conformant() {
+		problem = fmt.Sprintf("chaos sweep NOT conformant: %d problems", rep.Problems)
+	}
+	return one("chaos_conformance", rep.Table()), problem
+}

@@ -1,14 +1,20 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 )
 
-func TestExperimentQuick(t *testing.T) {
+// TestTable1WorstCaseDecidesAtN10: under every worst-case strategy,
+// every protocol reaches an honest-leader decision after GST at n=10,
+// so neither Table 1 worst-case table has a stalled cell.
+func TestTable1WorstCaseDecidesAtN10(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	for _, p := range AllProtocols {
-		r := worstCase(p, 3, 42, SweepOptions{})
-		t.Logf("%-14s worst f=3: msgs=%-6d lat=%-8v strat=%s", p, r.Msgs, r.Latency, r.Strategy)
+	outs, _ := table1WorstCase(Scale{Fs: []int{3}}, 42, SweepOptions{})
+	for _, o := range outs {
+		if got := o.Render(); strings.Contains(got, "stalled") {
+			t.Errorf("a protocol stalled at n=10:\n%s", got)
+		}
 	}
 }

@@ -11,45 +11,33 @@ import (
 )
 
 // This file defines the experiments that regenerate every table and figure
-// of the paper (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured records). Every experiment is
+// of the paper (Evaluation in evaluation.go lists them; EXPERIMENTS.md
+// holds the paper-vs-measured records). Every experiment is
 // split into a scenario builder and a pure measure over the resulting
 // *Result, so each table driver runs its full protocol × axis grid as a
 // single Sweep (sweepGrid in sweep.go) fanned across the worker pool;
 // sweepGrid derives the per-cell seeds with DeriveSeed, making the
 // rendered tables byte-identical at any worker count.
 
-// WorstCaseResult is one protocol/size point of the worst-case
+// worstCaseResult is one protocol/size point of the worst-case
 // experiments.
-type WorstCaseResult struct {
-	Protocol Protocol
-	F, N     int
-	Msgs     int64
-	Latency  time.Duration
-	Strategy string
-	Decided  bool
+type worstCaseResult struct {
+	Msgs    int64
+	Latency time.Duration
+	Decided bool
 }
 
 // worstStrategy is one adversary strategy of the worst-case experiment: a
 // scenario builder plus the measure extracting the strategy's headline
 // quantities from the finished run.
 type worstStrategy struct {
-	name     string
 	scenario func(p Protocol, f int, seed int64) Scenario
-	measure  func(*Result) WorstCaseResult
+	measure  func(*Result) worstCaseResult
 }
 
 // worstStrategies lists the implemented adversary strategies, in the
-// order worstCase documents them.
-var worstStrategies = []worstStrategy{
-	{"crash", worstCaseCrashScenario, measureWorstCase},
-	{"desync", desyncScenario, measureWorstCase},
-	{"byz-leaders", steadyScenario(false), measureSteady},
-	{"crash-steady", steadyScenario(true), measureSteady},
-}
-
-// worstCase measures §2's worst-case communication W_{GST+Δ} and latency
-// t*_GST − GST as the maximum over the implemented adversary strategies:
+// order below. table1WorstCase reports, per cell, §2's worst-case communication
+// W_{GST+Δ} and latency t*_GST − GST as the maximum over them:
 //
 //   - "crash": f processors crash from the start, joins are staggered,
 //     pre-GST traffic is withheld to GST+Δ, and every post-GST message
@@ -67,29 +55,21 @@ var worstStrategies = []worstStrategy{
 //     non-proposing (resp. crashed) processors waste their views while
 //     the adversary delays every message to Δ; consecutive Byzantine
 //     leaders cost Θ(Γ) each, up to Θ(fΓ) = Θ(nΔ) between decisions.
-//
-// The strategies are independent executions, so they run as a small
-// sweep; all use the same seed (the strategy, not the randomness, is the
-// variable).
-func worstCase(p Protocol, f int, seed int64, opts SweepOptions) WorstCaseResult {
-	scenarios := make([]Scenario, len(worstStrategies))
-	for i, st := range worstStrategies {
-		scenarios[i] = st.scenario(p, f, seed)
-	}
-	opts.KeepSeeds = true
-	sr := Sweep(scenarios, opts)
-	return reduceWorstCase(func(i int) *Result { return sr.Cells[i].Result })
+var worstStrategies = []worstStrategy{
+	{worstCaseCrashScenario, measureWorstCase},
+	{desyncScenario, measureWorstCase},
+	{steadyScenario(false), measureSteady},
+	{steadyScenario(true), measureSteady},
 }
 
 // reduceWorstCase combines one result per strategy (result(i) ran
 // worstStrategies[i]) into the strategy maximum.
-func reduceWorstCase(result func(strategy int) *Result) WorstCaseResult {
-	var out WorstCaseResult
+func reduceWorstCase(result func(strategy int) *Result) worstCaseResult {
+	var out worstCaseResult
 	var maxLat time.Duration
-	var first WorstCaseResult
+	var first worstCaseResult
 	for i, st := range worstStrategies {
 		c := st.measure(result(i))
-		c.Strategy = st.name
 		if i == 0 {
 			first = c
 		}
@@ -137,18 +117,11 @@ func steadyScenario(crash bool) func(p Protocol, f int, seed int64) Scenario {
 
 // measureSteady extracts the maximum per-decision window of a steady
 // worst-case run.
-func measureSteady(res *Result) WorstCaseResult {
+func measureSteady(res *Result) worstCaseResult {
 	s := res.Scenario
 	gamma := s.Protocol.Gamma(s.Delta)
 	stats := res.Collector.Stats(types.Time(0).Add(20*time.Duration(s.F+1)*gamma), 2)
-	out := WorstCaseResult{Protocol: s.Protocol, F: s.F, N: res.Cfg.N}
-	if stats.Count == 0 {
-		return out
-	}
-	out.Decided = true
-	out.Msgs = int64(stats.MaxMsgs)
-	out.Latency = stats.MaxGap
-	return out
+	return worstCaseResult{Msgs: int64(stats.MaxMsgs), Latency: stats.MaxGap, Decided: stats.Count > 0}
 }
 
 func consecutive(k int) []types.NodeID {
@@ -233,9 +206,8 @@ func desyncScenario(p Protocol, f int, seed int64) Scenario {
 }
 
 // measureWorstCase extracts W_{GST+Δ} and the post-GST decision latency.
-func measureWorstCase(res *Result) WorstCaseResult {
-	s := res.Scenario
-	out := WorstCaseResult{Protocol: s.Protocol, F: s.F, N: res.Cfg.N}
+func measureWorstCase(res *Result) worstCaseResult {
+	var out worstCaseResult
 	msgs, _, ok := res.Collector.WindowAfter(res.GST.Add(res.Cfg.Delta))
 	if !ok {
 		return out
@@ -248,15 +220,16 @@ func measureWorstCase(res *Result) WorstCaseResult {
 	return out
 }
 
-// Table1WorstCase regenerates the "Worst-case Communication" and
+// table1WorstCase regenerates the "Worst-case Communication" and
 // "Worst-case Latency" rows of Table 1 as an empirical n-sweep: the
 // protocol × f × strategy grid runs as one sweep, and all of a cell's
 // strategies share the cell's seed (the strategy, not the randomness, is
 // the variable).
-func Table1WorstCase(fs []int, seed int64, opts SweepOptions) (*Table, *Table) {
+func table1WorstCase(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	fs := sc.Fs
 	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(fs), runs: len(worstStrategies), sharedSeed: true}, seed, opts,
 		func(row, col, run int) Scenario { return worstStrategies[run].scenario(AllProtocols[row], fs[col], 0) })
-	worst := func(row, col int) WorstCaseResult {
+	worst := func(row, col int) worstCaseResult {
 		return reduceWorstCase(func(run int) *Result { return g.cell(row, col, run).Result })
 	}
 	cols := axisLabels(fs, nLabel)
@@ -272,7 +245,7 @@ func Table1WorstCase(fs []int, seed int64, opts SweepOptions) (*Table, *Table) {
 		})
 	comm.AddNote("paper: Cogsworth O(n³), NK20/LP22/Fever/Lumiere O(n²)")
 	lat.AddNote("paper: Cogsworth O(n²Δ), NK20/LP22/Lumiere O(nΔ), Fever O(f_aΔ+δ)")
-	return comm, lat
+	return []Output{{Name: "table1_worst_comm", Table: comm}, {Name: "table1_worst_latency", Table: lat}}, ""
 }
 
 // nLabel and faLabel head the columns of the n-sweep (axis value f,
@@ -289,14 +262,11 @@ func orStalled(ok bool, format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-// EventualResult is one protocol point of the steady-state experiments.
-type EventualResult struct {
-	Protocol  Protocol
-	F, N, Fa  int
+// eventualResult is one protocol point of the steady-state experiments.
+type eventualResult struct {
+	N         int
 	MaxMsgs   float64
-	MeanMsgs  float64
 	MaxWords  float64
-	MeanWords float64
 	MaxGap    time.Duration
 	MeanGap   time.Duration
 	Decisions int
@@ -322,19 +292,13 @@ func eventualScenario(p Protocol, f, fa int, seed int64) Scenario {
 // measureEventual extracts the per-decision-window maxima after a warmup
 // (§2's eventual worst-case communication and latency). The paper's
 // eventual measures allow a small constant number of warmup decisions.
-func measureEventual(res *Result) EventualResult {
-	s := res.Scenario
-	warm := types.Time(0).Add(s.Duration / 4)
+func measureEventual(res *Result) eventualResult {
+	warm := types.Time(0).Add(res.Scenario.Duration / 4)
 	stats := res.Collector.Stats(warm, 5)
-	return EventualResult{
-		Protocol:  s.Protocol,
-		F:         s.F,
+	return eventualResult{
 		N:         res.Cfg.N,
-		Fa:        len(s.Corruptions),
 		MaxMsgs:   stats.MaxMsgs,
-		MeanMsgs:  stats.MeanMsgs,
 		MaxWords:  stats.MaxWords,
-		MeanWords: stats.MeanWords,
 		MaxGap:    stats.MaxGap,
 		MeanGap:   stats.MeanGap,
 		Decisions: stats.Count,
@@ -344,63 +308,84 @@ func measureEventual(res *Result) EventualResult {
 
 // eventual runs the steady-state scenario for one protocol and size and
 // measures the per-decision-window maxima.
-func eventual(p Protocol, f, fa int, seed int64) EventualResult {
+func eventual(p Protocol, f, fa int, seed int64) eventualResult {
 	return measureEventual(Run(eventualScenario(p, f, fa, seed)))
 }
 
-// Table1Eventual regenerates the "Eventual Worst-case Communication" and
-// "Eventual Worst-case Latency" rows of Table 1 as an f_a-sweep at fixed
-// n = 3f+1.
-func Table1Eventual(f int, fas []int, seed int64, opts SweepOptions) (*Table, *Table) {
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(fas)}, seed, opts,
-		func(row, col, _ int) Scenario { return eventualScenario(AllProtocols[row], f, fas[col], 0) })
-	cols := axisLabels(fas, faLabel)
-	comm := gridTable(fmt.Sprintf("Table 1 (eventual worst-case communication), n=%d: max messages between consecutive decisions", 3*f+1),
-		"protocol", AllProtocols, cols, func(row, col int) string {
-			r := measureEventual(g.result(row, col))
-			return orStalled(r.Decisions > 0, "%.0f", r.MaxMsgs)
-		})
-	lat := gridTable(fmt.Sprintf("Table 1 (eventual worst-case latency), n=%d: max gap between consecutive decisions (in Δ)", 3*f+1),
-		"protocol", AllProtocols, cols, func(row, col int) string {
-			r := measureEventual(g.result(row, col))
-			return orStalled(r.Decisions > 0, "%.2fΔ", float64(r.MaxGap)/float64(50*time.Millisecond))
-		})
-	comm.AddNote("paper: Cogsworth O(n+n·f_a²), NK20 O(n²), LP22 O(n²), Fever/Lumiere O(n·f_a+n)")
-	lat.AddNote("paper: Cogsworth O(f_a²Δ+δ), NK20/LP22 O(nΔ), Fever/Lumiere O(f_aΔ+δ)")
-	return comm, lat
-}
-
-// EventualScalingData runs the n-sweep at fixed f_a for every protocol —
-// the per-decision communication scaling (Lumiere/Fever O(n) vs LP22/NK20
-// O(n²)) that EventualScalingTable and EventualScalingPlot render.
-func EventualScalingData(fs []int, fa int, seed int64, opts SweepOptions) map[Protocol][]EventualResult {
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(fs)}, seed, opts,
-		func(row, col, _ int) Scenario { return eventualScenario(AllProtocols[row], fs[col], fa, 0) })
-	out := make(map[Protocol][]EventualResult, len(AllProtocols))
-	for row, p := range AllProtocols {
-		for col := range fs {
-			out[p] = append(out[p], measureEventual(g.result(row, col)))
+// eventualGrid runs the steady-state scenario over AllProtocols × cols
+// as one grid (scenario(p, col) builds a cell) and measures every cell
+// once, so each table over the grid reads the same runs.
+func eventualGrid(cols int, scenario func(p Protocol, col int) Scenario, seed int64, opts SweepOptions) [][]eventualResult {
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: cols}, seed, opts,
+		func(row, col, _ int) Scenario { return scenario(AllProtocols[row], col) })
+	out := make([][]eventualResult, len(AllProtocols))
+	for row := range out {
+		for col := 0; col < cols; col++ {
+			out[row] = append(out[row], measureEventual(g.result(row, col)))
 		}
 	}
 	return out
 }
 
-// EventualScalingTable formats pre-computed sweep data.
-func EventualScalingTable(data map[Protocol][]EventualResult, fs []int, fa int) *Table {
-	return gridTable(fmt.Sprintf("Eventual communication scaling (f_a=%d): max messages between consecutive decisions", fa),
-		"protocol", AllProtocols, axisLabels(fs, nLabel), func(row, col int) string {
-			r := data[AllProtocols[row]][col]
-			return orStalled(r.Decisions > 0, "%.0f", r.MaxMsgs)
-		})
+// eventualTable renders one measure of an eventualGrid, a cell with no
+// decision after warmup as "stalled".
+func eventualTable(title string, cols []string, res [][]eventualResult, cell func(r *eventualResult) string) *Table {
+	return gridTable(title, "protocol", AllProtocols, cols, func(row, col int) string {
+		if r := &res[row][col]; r.Decisions > 0 {
+			return cell(r)
+		}
+		return "stalled"
+	})
 }
 
-// EventualScalingPlot renders the sweep as a log-scale ASCII chart, the
-// visual counterpart of the Table 1 communication rows.
-func EventualScalingPlot(data map[Protocol][]EventualResult) string {
+// table1Eventual regenerates the "Eventual Worst-case Communication" and
+// "Eventual Worst-case Latency" rows of Table 1 as an f_a-sweep at fixed
+// n = 3f+1, and, from the same runs, the communication row in words:
+// Lumiere and Fever grow linearly in f_a (O(n·f_a + n) words); LP22 and
+// NK20 pay their Θ(n²) synchronizations regardless of how many
+// processors actually failed.
+func table1Eventual(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	f, fas := sc.EventualF, sc.FAs
+	res := eventualGrid(len(fas), func(p Protocol, col int) Scenario { return eventualScenario(p, f, fas[col], 0) }, seed, opts)
+	cols := axisLabels(fas, faLabel)
+	comm := eventualTable(fmt.Sprintf("Table 1 (eventual worst-case communication), n=%d: max messages between consecutive decisions", 3*f+1),
+		cols, res, func(r *eventualResult) string { return fmt.Sprintf("%.0f", r.MaxMsgs) })
+	lat := eventualTable(fmt.Sprintf("Table 1 (eventual worst-case latency), n=%d: max gap between consecutive decisions (in Δ)", 3*f+1),
+		cols, res, func(r *eventualResult) string {
+			return fmt.Sprintf("%.2fΔ", float64(r.MaxGap)/float64(50*time.Millisecond))
+		})
+	words := eventualTable(fmt.Sprintf("Eventual worst-case communication in words, n=%d: max words between consecutive decisions", 3*f+1),
+		cols, res, func(r *eventualResult) string { return fmt.Sprintf("%.0f", r.MaxWords) })
+	comm.AddNote("paper: Cogsworth O(n+n·f_a²), NK20 O(n²), LP22 O(n²), Fever/Lumiere O(n·f_a+n)")
+	lat.AddNote("paper: Cogsworth O(f_a²Δ+δ), NK20/LP22 O(nΔ), Fever/Lumiere O(f_aΔ+δ)")
+	words.AddNote("paper: Lumiere/Fever O(n·f_a+n) words — growing with actual faults; LP22/NK20 O(n²) regardless of f_a")
+	return []Output{
+		{Name: "table1_eventual_comm", Table: comm},
+		{Name: "table1_eventual_latency", Table: lat},
+		{Key: "EventualWordsTable", Name: "eventual_words", Table: words},
+	}, ""
+}
+
+// eventualScaling runs the n-sweep at f_a = 1 for every protocol — the
+// per-decision communication scaling (Lumiere/Fever O(n) vs LP22/NK20
+// O(n²)) — and renders it three ways from the same runs: messages per
+// decision window, the same as a log-scale ASCII chart (the visual
+// counterpart of the Table 1 communication rows), and words per window,
+// whose rows divided by n stay ~flat for Lumiere/Fever and grow for
+// LP22/NK20.
+func eventualScaling(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	fs, fa := sc.Fs, 1
+	res := eventualGrid(len(fs), func(p Protocol, col int) Scenario { return eventualScenario(p, fs[col], fa, 0) }, seed, opts)
+	cols := axisLabels(fs, nLabel)
+	msgs := eventualTable(fmt.Sprintf("Eventual communication scaling (f_a=%d): max messages between consecutive decisions", fa),
+		cols, res, func(r *eventualResult) string { return fmt.Sprintf("%.0f", r.MaxMsgs) })
+	words := eventualTable(fmt.Sprintf("Eventual word-complexity scaling (f_a=%d): max words between consecutive decisions", fa),
+		cols, res, func(r *eventualResult) string { return fmt.Sprintf("%.0f", r.MaxWords) })
+	words.AddNote("divide a row by n: ~flat for Lumiere/Fever (words linear in n), growing for LP22/NK20 (quadratic)")
 	var series []viz.Series
-	for _, p := range AllProtocols {
+	for row, p := range AllProtocols {
 		s := viz.Series{Name: string(p)}
-		for _, r := range data[p] {
+		for _, r := range res[row] {
 			if r.Decisions == 0 {
 				continue
 			}
@@ -409,16 +394,17 @@ func EventualScalingPlot(data map[Protocol][]EventualResult) string {
 		}
 		series = append(series, s)
 	}
-	return viz.Plot("max messages per decision window vs n (log y)", series, 64, 16, true)
+	return []Output{
+		{Name: "eventual_scaling", Table: msgs},
+		{Key: "EventualScalingPlot", Text: viz.Plot("max messages per decision window vs n (log y)", series, 64, 16, true)},
+		{Key: "WordScalingTable", Name: "word_scaling", Table: words},
+	}, ""
 }
 
-// Figure1Result reproduces Figure 1: after a burst of fast QCs, a faulty
+// figure1Result reproduces Figure 1: after a burst of fast QCs, a faulty
 // leader stalls LP22 for almost (f+1)Γ because clocks are never bumped;
 // Lumiere bounds the stall by ~Γ per faulty leader.
-type Figure1Result struct {
-	Protocol    Protocol
-	Gamma       time.Duration
-	MaxStall    time.Duration
+type figure1Result struct {
 	StallGammas float64
 	Decisions   int
 }
@@ -445,44 +431,31 @@ func figure1Scenario(p Protocol, f int, seed int64) Scenario {
 // must catch up, up to (f+1)Γ; Lumiere/Fever bound it by ~Γ per faulty
 // view pair (≤ ~4Γ when the faulty processor holds the 4-view block
 // boundary), independent of n.
-func measureFigure1(res *Result) Figure1Result {
+func measureFigure1(res *Result) figure1Result {
 	stats := res.Collector.Stats(types.Time(0).Add(30*time.Second), 2)
-	return Figure1Result{
-		Protocol:    res.Scenario.Protocol,
-		Gamma:       res.Gamma,
-		MaxStall:    stats.MaxGap,
-		StallGammas: float64(stats.MaxGap) / float64(res.Gamma),
-		Decisions:   stats.Count,
-	}
+	return figure1Result{StallGammas: float64(stats.MaxGap) / float64(res.Gamma), Decisions: stats.Count}
 }
 
 // figure1 runs the Figure 1 scenario for one protocol and size.
-func figure1(p Protocol, f int, seed int64) Figure1Result {
+func figure1(p Protocol, f int, seed int64) figure1Result {
 	return measureFigure1(Run(figure1Scenario(p, f, seed)))
 }
 
 // figure1Protocols is the Figure 1 comparison set, in presentation order.
 var figure1Protocols = []Protocol{ProtoLP22, ProtoNK20, ProtoFever, ProtoBasic, ProtoLumiere}
 
-// Figure1Table renders the Figure 1 comparison as an n-sweep: the stall
+// figure1Table renders the Figure 1 comparison as an n-sweep: the stall
 // caused by one Byzantine processor, in units of each protocol's Γ.
-func Figure1Table(fs []int, seed int64, opts SweepOptions) *Table {
-	g := sweepGrid(gridShape{rows: len(figure1Protocols), cols: len(fs)}, seed, opts,
-		func(row, col, _ int) Scenario { return figure1Scenario(figure1Protocols[row], fs[col], 0) })
+func figure1Table(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	g := sweepGrid(gridShape{rows: len(figure1Protocols), cols: len(sc.Fs)}, seed, opts,
+		func(row, col, _ int) Scenario { return figure1Scenario(figure1Protocols[row], sc.Fs[col], 0) })
 	t := gridTable("Figure 1: max stall caused by a single Byzantine leader after fast QCs (in units of Γ)",
-		"protocol", figure1Protocols, axisLabels(fs, nLabel), func(row, col int) string {
+		"protocol", figure1Protocols, axisLabels(sc.Fs, nLabel), func(row, col int) string {
 			r := measureFigure1(g.result(row, col))
 			return orStalled(r.Decisions > 0, "%.2fΓ", r.StallGammas)
 		})
 	t.AddNote("paper (Fig. 1): LP22's stall grows to almost (f+1)Γ = O(nΔ); Lumiere/Fever stay O(Γ) = O(Δ) per faulty leader")
-	return t
-}
-
-// ResponsivenessPoint is one δ point of the smooth-responsiveness sweep.
-type ResponsivenessPoint struct {
-	DeltaActual time.Duration
-	MeanGap     time.Duration
-	MaxGap      time.Duration
+	return one("figure1_stalls", t), ""
 }
 
 // responsivenessScenario builds one δ point of the responsiveness sweep
@@ -499,42 +472,20 @@ func responsivenessScenario(p Protocol, f int, d time.Duration, seed int64) Scen
 	}
 }
 
-// measureResponsiveness extracts the steady-state decision gap.
-func measureResponsiveness(res *Result) ResponsivenessPoint {
-	stats := res.Collector.Stats(types.Time(0).Add(30*time.Second), 5)
-	return ResponsivenessPoint{
-		DeltaActual: res.Scenario.DeltaActual,
-		MeanGap:     stats.MeanGap,
-		MaxGap:      stats.MaxGap,
-	}
-}
-
-// ResponsivenessTable renders the δ-sweep for every protocol.
-func ResponsivenessTable(f int, seed int64, opts SweepOptions) *Table {
+// responsivenessTable renders the δ-sweep at f = sc.F for every
+// protocol: the steady-state mean decision gap after a 30s warmup.
+func responsivenessTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	f := sc.F
 	deltas := []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(deltas)}, seed, opts,
 		func(row, col, _ int) Scenario { return responsivenessScenario(AllProtocols[row], f, deltas[col], 0) })
 	t := gridTable(fmt.Sprintf("Smooth optimistic responsiveness (f_a=0, n=%d, Δ=100ms): mean decision gap vs actual delay δ", 3*f+1),
 		"protocol", AllProtocols, axisLabels(deltas, time.Duration.String), func(row, col int) string {
-			return measureResponsiveness(g.result(row, col)).MeanGap.Round(time.Millisecond / 10).String()
+			stats := g.result(row, col).Collector.Stats(types.Time(0).Add(30*time.Second), 5)
+			return stats.MeanGap.Round(time.Millisecond / 10).String()
 		})
 	t.AddNote("responsive protocols track ~3δ (x=3 network round-trips); clock-driven entry pins the gap near Γ")
-	return t
-}
-
-// heavySyncScenario builds the heavy-synchronization count scenario.
-func heavySyncScenario(p Protocol, f, fa int, dur time.Duration, seed int64) Scenario {
-	delta := 50 * time.Millisecond
-	return Scenario{
-		Name:        fmt.Sprintf("heavy-%s-f%d-fa%d", p, f, fa),
-		Protocol:    p,
-		F:           f,
-		Delta:       delta,
-		DeltaActual: delta / 10,
-		Corruptions: adversary.CrashFirst(fa),
-		Duration:    dur,
-		Seed:        seed,
-	}
+	return one("responsiveness", t), ""
 }
 
 // measureHeavySync counts Theorem 1.1(4)'s mechanism: the number of heavy
@@ -557,14 +508,14 @@ func measureHeavySync(res *Result) (heavy int, epochsElapsed float64) {
 // heavySyncProtocols is the heavy-sync comparison set.
 var heavySyncProtocols = []Protocol{ProtoLP22, ProtoBasic, ProtoLumiere}
 
-// HeavySyncTable renders the heavy-synchronization comparison: per fault
-// mix f_a ∈ {0, 1}, a heavy-sync count column and an epochs column.
-func HeavySyncTable(f int, seed int64, opts SweepOptions) *Table {
+// heavySyncTable renders the heavy-synchronization comparison at f =
+// sc.F: per fault mix f_a ∈ {0, 1}, a heavy-sync count column and an
+// epochs column.
+func heavySyncTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	f := sc.F
 	fas := []int{0, 1}
 	g := sweepGrid(gridShape{rows: len(heavySyncProtocols), cols: len(fas)}, seed, opts,
-		func(row, col, _ int) Scenario {
-			return heavySyncScenario(heavySyncProtocols[row], f, fas[col], 240*time.Second, 0)
-		})
+		func(row, col, _ int) Scenario { return eventualScenario(heavySyncProtocols[row], f, fas[col], 0) })
 	t := gridTable(fmt.Sprintf("Heavy (Θ(n²)) epoch synchronizations after warmup, n=%d, 240s run", 3*f+1),
 		"protocol", heavySyncProtocols, []string{"fa=0 heavy", "fa=0 epochs", "fa=1 heavy", "fa=1 epochs"},
 		func(row, col int) string {
@@ -575,18 +526,7 @@ func HeavySyncTable(f int, seed int64, opts SweepOptions) *Table {
 			return fmt.Sprintf("%.0f", epochs)
 		})
 	t.AddNote("paper: Lumiere performs an expected constant number of heavy syncs after GST; LP22/Basic one per epoch")
-	return t
-}
-
-// ChaosResult is one protocol/condition point of the chaos table.
-type ChaosResult struct {
-	Protocol Protocol
-	F, N     int
-	// SyncLatency is the view-synchronization latency under the
-	// condition: first honest-leader decision after GST − GST.
-	SyncLatency time.Duration
-	Decisions   int
-	Decided     bool
+	return one("heavy_syncs", t), ""
 }
 
 // chaosCondition is one named fault condition of the chaos table: a
@@ -657,41 +597,32 @@ func chaosScenario(p Protocol, f, ci int, seed int64) Scenario {
 	return s
 }
 
-// measureChaos extracts the post-GST view-synchronization latency.
-func measureChaos(res *Result) ChaosResult {
-	s := res.Scenario
-	out := ChaosResult{Protocol: s.Protocol, F: s.F, N: res.Cfg.N, Decisions: res.DecisionCount()}
-	if d, ok := res.Collector.FirstDecisionAfter(res.GST); ok {
-		out.Decided = true
-		out.SyncLatency = d.At.Sub(res.GST)
-	}
-	return out
-}
-
 // chaosConditionNames lists the chaos table's conditions in column
 // order.
 func chaosConditionNames() []string {
 	return axisLabels(chaosConditions, func(c chaosCondition) string { return c.name })
 }
 
-// ChaosTable renders the chaos comparison: every protocol's
+// chaosTable renders the chaos comparison: every protocol's
 // view-synchronization latency (first honest-leader decision after GST,
 // in Δ) under partitions healing at GST, pre-GST loss, duplication with
-// reordering, and crash-recovery churn.
-func ChaosTable(f int, seed int64, opts SweepOptions) *Table {
+// reordering, and crash-recovery churn, at f = sc.ChaosF.
+func chaosTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	f := sc.ChaosF
 	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(chaosConditions)}, seed, opts,
 		func(row, col, _ int) Scenario { return chaosScenario(AllProtocols[row], f, col, 0) })
 	t := gridTable(fmt.Sprintf("Chaos: view-synchronization latency after GST (in Δ), n=%d, GST=2s", 3*f+1),
 		"protocol", AllProtocols, chaosConditionNames(), func(row, col int) string {
-			r := measureChaos(g.result(row, col))
-			return orStalled(r.Decided, "%.2fΔ", float64(r.SyncLatency)/float64(50*time.Millisecond))
+			res := g.result(row, col)
+			d, ok := res.Collector.FirstDecisionAfter(res.GST)
+			return orStalled(ok, "%.2fΔ", float64(d.At.Sub(res.GST))/float64(50*time.Millisecond))
 		})
 	t.AddNote("conditions heal at GST: partition (f+1 isolated), 40%% pre-GST loss, 33%% duplication + Δ reorder jitter, f-node crash-recovery churn")
 	t.AddNote("the §2 clamp floods withheld pre-GST traffic back at GST+Δ; latency is the first honest-leader decision after GST")
-	return t
+	return one("chaos_table", t), ""
 }
 
-// GapShrinkageResult reports §3.5's two honest-gap trajectories under the
+// gapShrinkageResult reports §3.5's two honest-gap trajectories under the
 // desynchronization adversary:
 //
 //   - hg_{f+1} never exceeds Γ (clock bumps always carry f+1 honest
@@ -701,7 +632,7 @@ func ChaosTable(f int, seed int64, opts SweepOptions) *Table {
 //     blocked laggards); §3.5's epoch-length and boundary-leader tuning
 //     brings it back down after GST. MaxWideGapPre/MaxWideGapSteady track
 //     it.
-type GapShrinkageResult struct {
+type gapShrinkageResult struct {
 	Gamma            time.Duration
 	MaxGapPre        time.Duration
 	MaxGapSteady     time.Duration
@@ -711,17 +642,17 @@ type GapShrinkageResult struct {
 	MaxWideGapSteady time.Duration
 }
 
-// GapShrinkage runs the gap-trajectory experiment under the
+// gapShrinkage runs the gap-trajectory experiment under the
 // desynchronization adversary: Byzantine-assisted QCs bump f+1 honest
 // clocks an epoch ahead of the blocked laggards before GST, so
 // hg_{f+1, GST} is huge; after GST the mechanisms of §3.5 must bring it
 // below Γ and keep it there.
-func GapShrinkage(f int, seed int64) GapShrinkageResult {
+func gapShrinkage(f int, seed int64) gapShrinkageResult {
 	s := desyncScenario(ProtoLumiere, f, seed)
 	s.Name = "gap-shrinkage"
 	s.SampleGaps = true
 	res := Run(s)
-	out := GapShrinkageResult{Gamma: res.Gamma}
+	out := gapShrinkageResult{Gamma: res.Gamma}
 	gstT := res.GST
 	steadyFrom := gstT.Add(20 * res.Gamma)
 	for _, smp := range res.Gaps.Samples() {
@@ -749,11 +680,11 @@ func GapShrinkage(f int, seed int64) GapShrinkageResult {
 	return out
 }
 
-// AdversarialSuccess runs §3.5's adversarial-success-criterion scenario:
+// adversarialSuccess runs §3.5's adversarial-success-criterion scenario:
 // f Byzantine leaders propose late (ignoring the QC deadline) to keep the
 // success criterion alive while degrading progress. Lumiere must still
 // converge: honest leaders shrink the gap and decisions keep flowing.
-func AdversarialSuccess(f int, seed int64) EventualResult {
+func adversarialSuccess(f int, seed int64) eventualResult {
 	delta := 50 * time.Millisecond
 	lag := 3 * delta
 	corr := make([]adversary.Corruption, f)
@@ -771,13 +702,9 @@ func AdversarialSuccess(f int, seed int64) EventualResult {
 		Seed:        seed,
 	})
 	stats := res.Collector.Stats(types.Time(0).Add(60*time.Second), 5)
-	return EventualResult{
-		Protocol:  ProtoLumiere,
-		F:         f,
+	return eventualResult{
 		N:         res.Cfg.N,
-		Fa:        f,
 		MaxMsgs:   stats.MaxMsgs,
-		MeanMsgs:  stats.MeanMsgs,
 		MaxGap:    stats.MaxGap,
 		MeanGap:   stats.MeanGap,
 		Decisions: stats.Count,
@@ -785,13 +712,13 @@ func AdversarialSuccess(f int, seed int64) EventualResult {
 	}
 }
 
-// DeltaWaitAblation compares heavy-sync counts with and without the Δ-wait
+// deltaWaitAblation compares heavy-sync counts with and without the Δ-wait
 // before epoch-view messages (§3.5's final fix). The race it guards
 // against — clocks reaching c_{V(e+1)} with the success-deciding QCs
 // still in flight — needs clocks that advance by time rather than bumps
 // near the boundary, so the scenario mixes heavy delay jitter with
 // late-proposing Byzantine leaders whose QCs arrive at the last moment.
-func DeltaWaitAblation(f int, seed int64) (withWait, withoutWait int) {
+func deltaWaitAblation(f int, seed int64, opts SweepOptions) (withWait, withoutWait int) {
 	delta := 100 * time.Millisecond
 	corr := make([]adversary.Corruption, f)
 	for i := range corr {
@@ -814,9 +741,50 @@ func DeltaWaitAblation(f int, seed int64) (withWait, withoutWait int) {
 			Seed:                 seed,
 		}
 	}
-	results := Sweep([]Scenario{scenario(false), scenario(true)}, SweepOptions{KeepSeeds: true}).Results()
+	opts.KeepSeeds = true
+	results := Sweep([]Scenario{scenario(false), scenario(true)}, opts).Results()
 	count := func(res *Result) int {
 		return len(res.Collector.HeavySyncViews(types.Time(0).Add(30 * time.Second)))
 	}
 	return count(results[0]), count(results[1])
+}
+
+// lumiereRow renders a one-row table of a Lumiere-only §3.5 result.
+func lumiereRow(title string, header []string, cells ...string) *Table {
+	t := &Table{Title: title, Header: append([]string{"protocol"}, header...)}
+	t.AddRow(append([]string{string(ProtoLumiere)}, cells...)...)
+	return t
+}
+
+// gapShrinkageTable renders gapShrinkage at f = sc.F.
+func gapShrinkageTable(sc Scale, seed int64, _ SweepOptions) ([]Output, string) {
+	r := gapShrinkage(sc.F, seed)
+	below := "never"
+	if r.Converged {
+		below = r.TimeToBelow.String()
+	}
+	t := lumiereRow(fmt.Sprintf("§3.5 honest-gap shrinkage under the desync adversary (n=%d)", 3*sc.F+1),
+		[]string{"Γ", "pre-GST hg_{f+1}", "pre-GST hg_{2f+1}", "hg_{f+1} ≤ Γ after GST", "steady hg_{f+1}", "steady hg_{2f+1}"},
+		r.Gamma.String(), r.MaxGapPre.String(), r.MaxWideGapPre.String(), below, r.MaxGapSteady.String(), r.MaxWideGapSteady.String())
+	t.AddNote("pre-GST hg_{f+1} never exceeds Γ (Lemma 5.9); steady = from 10Γ after convergence (hg_{f+1}) or from GST+20Γ (hg_{2f+1})")
+	return one("gap_shrinkage", t), ""
+}
+
+// adversarialSuccessTable renders adversarialSuccess at f = sc.F.
+func adversarialSuccessTable(sc Scale, seed int64, _ SweepOptions) ([]Output, string) {
+	r := adversarialSuccess(sc.F, seed)
+	t := lumiereRow(fmt.Sprintf("§3.5 adversarial success criterion (n=%d, f late-proposing Byzantine leaders)", 3*sc.F+1),
+		[]string{"decisions", "mean gap", "max gap", "heavy syncs"},
+		fmt.Sprintf("%d", r.Decisions), r.MeanGap.Round(time.Millisecond).String(),
+		r.MaxGap.Round(time.Millisecond).String(), fmt.Sprintf("%d", r.HeavySync))
+	t.AddNote("after a 60s warmup: honest leaders must shrink the gap while the late proposals keep the success criterion alive")
+	return one("adversarial_success", t), ""
+}
+
+// deltaWaitTable renders deltaWaitAblation at f = sc.F.
+func deltaWaitTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	with, without := deltaWaitAblation(sc.F, seed, opts)
+	t := lumiereRow(fmt.Sprintf("§3.5 Δ-wait ablation (n=%d, fast QC bursts): heavy syncs after a 30s warmup", 3*sc.F+1),
+		[]string{"with Δ-wait", "without Δ-wait"}, fmt.Sprintf("%d", with), fmt.Sprintf("%d", without))
+	return one("delta_wait_ablation", t), ""
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,10 +14,10 @@ import (
 	"lumiere/internal/adversary"
 )
 
-// testdata/tables.golden pins the rendering of every table the drivers
-// produce, at seed 42 and f = 1: a driver refactor that moves a seed, a
-// flat index or a format verb shows up as a diff here instead of only in
-// EXPERIMENTS.md. `go test ./internal/harness -run Golden -update`
+// testdata/tables.golden pins the rendering of every section of
+// Evaluation at GoldenScale and seed 42: a driver refactor that moves a
+// seed, a flat index or a format verb shows up as a diff here instead of
+// only in EXPERIMENTS.md. `go test ./internal/harness -run Golden -update`
 // rewrites the file.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/tables.golden from the current renderings")
@@ -84,69 +85,62 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestTablesGolden is the determinism gate. It renders every table in
-// two columns, Workers 1 and Workers 4, each on the sweep's reused
-// per-worker arenas, and compares each rendering against the golden
-// file: matching it in both columns makes a table byte-identical across
-// worker counts. The RareSync pins run outside Sweep and are checked
-// once. Section names are stable keys of the golden file, not function
-// names; contains and lacks are shape checks on the rendering.
+// TestTablesGolden is the determinism gate. It runs every section of
+// Evaluation at GoldenScale in two columns, Workers 1 and Workers 4,
+// each on the sweep's reused per-worker arenas, and compares each
+// golden key's rendering against the golden file: matching it in both
+// columns makes a table byte-identical across worker counts. A section
+// runs once per column, however many keys its outputs fill, and a
+// section's problem fails its first key. The RareSync pins run outside
+// Sweep and are checked once. contains holds shape checks on the
+// rendering.
 func TestTablesGolden(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	fs, fas := []int{1}, []int{0, 1}
-	pair := func(a, b *Table) string { return a.Render() + b.Render() }
-	tables := []struct {
-		name     string
-		render   func(opts SweepOptions) string
-		contains []string
-		lacks    string
-	}{
-		{name: "Table1WorstCase", render: func(opts SweepOptions) string { return pair(Table1WorstCase(fs, goldenSeed, opts)) }},
-		{name: "Table1Eventual", render: func(opts SweepOptions) string { return pair(Table1Eventual(1, fas, goldenSeed, opts)) }},
-		{name: "EventualScalingTable", render: func(opts SweepOptions) string {
-			return EventualScalingTable(EventualScalingData(fs, 1, goldenSeed, opts), fs, 1).Render()
-		}},
-		{name: "Figure1Table", render: func(opts SweepOptions) string { return Figure1Table(fs, goldenSeed, opts).Render() }},
-		{name: "ResponsivenessTable", render: func(opts SweepOptions) string { return ResponsivenessTable(1, goldenSeed, opts).Render() }},
-		{name: "HeavySyncTable", render: func(opts SweepOptions) string { return HeavySyncTable(1, goldenSeed, opts).Render() }},
-		{name: "ChaosTable", render: func(opts SweepOptions) string { return ChaosTable(1, goldenSeed, opts).Render() }},
-		{name: "EventualWordsTable", render: func(opts SweepOptions) string { return EventualWordsTable(1, fas, goldenSeed, opts).Render() }},
-		{name: "WordScalingTable", render: func(opts SweepOptions) string { return WordScalingTable(fs, 1, goldenSeed, opts).Render() }},
-		{name: "LargeNWordsTable", render: func(opts SweepOptions) string { return LargeNWordsTable([]int{16}, goldenSeed, opts).Render() }},
-		{name: "AttackTable", render: func(opts SweepOptions) string { return AttackSweep(1, goldenSeed, opts).Table().Render() },
-			contains: []string{string(ProtoLumiere), adversary.AttackSaturate}},
-		// Every WAN preset is in-model, so none may stall a protocol.
-		{name: "TopologyTable", render: func(opts SweepOptions) string { return WANSweep(1, goldenSeed, opts).Table().Render() },
-			contains: WANPresets, lacks: "stalled"},
-		{name: "DriftToleranceTable", render: func(opts SweepOptions) string {
-			return DriftSweep(1, DriftPPMAxis, goldenSeed, opts).Table().Render()
-		}},
-		{name: "ThroughputTable", render: func(opts SweepOptions) string { return ThroughputSweep(1, goldenSeed, opts).Table().Render() },
-			contains: []string{string(ProtoLumiere), "6000/s b=256"}},
-		{name: "ThroughputUnderAttackTable", render: func(opts SweepOptions) string {
-			return ThroughputUnderAttackSweep(1, adversary.AttackViewDesync, goldenSeed, opts).Table().Render()
-		}, contains: []string{"p99 blowup"}},
+	contains := map[string][]string{
+		"AttackTable":                {string(ProtoLumiere), adversary.AttackSaturate},
+		"TopologyTable":              WANPresets,
+		"ThroughputTable":            {string(ProtoLumiere), "6000/s b=256"},
+		"ThroughputUnderAttackTable": {"p99 blowup"},
 	}
 	for _, workers := range []int{1, 4} {
 		opts := SweepOptions{Workers: workers}
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
-			for _, tc := range tables {
-				tc := tc
-				t.Run(tc.name, func(t *testing.T) {
-					t.Parallel()
-					got := tc.render(opts)
-					for _, want := range tc.contains {
-						if !strings.Contains(got, want) {
-							t.Errorf("%s lacks %q:\n%s", tc.name, want, got)
+			for _, sec := range Evaluation {
+				sec := sec
+				run := sync.OnceValues(func() ([]Output, string) { return sec.Run(GoldenScale, goldenSeed, opts) })
+				keys := append([]string{sec.Key}, sec.Also...)
+				for _, key := range keys {
+					key := key
+					t.Run(key, func(t *testing.T) {
+						t.Parallel()
+						outs, problem := run()
+						var b strings.Builder
+						for _, o := range outs {
+							k := o.Key
+							if k == "" {
+								k = sec.Key
+							}
+							if !slices.Contains(keys, k) {
+								t.Errorf("output %q renders into %q, which %s does not list", o.Name, k, sec.Key)
+							}
+							if k == key {
+								b.WriteString(o.Render())
+							}
 						}
-					}
-					if tc.lacks != "" && strings.Contains(got, tc.lacks) {
-						t.Errorf("%s contains %q:\n%s", tc.name, tc.lacks, got)
-					}
-					checkGolden(t, tc.name, got)
-				})
+						if key == sec.Key && problem != "" {
+							t.Error(problem)
+						}
+						got := b.String()
+						for _, want := range contains[key] {
+							if !strings.Contains(got, want) {
+								t.Errorf("%s lacks %q:\n%s", key, want, got)
+							}
+						}
+						checkGolden(t, key, got)
+					})
+				}
 			}
 		})
 	}

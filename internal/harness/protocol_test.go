@@ -353,7 +353,7 @@ func TestAllProtocolsLiveWithMaxCrashes(t *testing.T) {
 func TestLumiereAdversarialSuccessCriterion(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	r := AdversarialSuccess(2, 13)
+	r := adversarialSuccess(2, 13)
 	if r.Decisions < 100 {
 		t.Fatalf("too few decisions under adversarial success criterion: %d", r.Decisions)
 	}
@@ -366,7 +366,7 @@ func TestLumiereAdversarialSuccessCriterion(t *testing.T) {
 // (f+1)st honest gap comes below Γ and stays there.
 func TestGapShrinkageConverges(t *testing.T) {
 	t.Parallel()
-	r := GapShrinkage(2, 17)
+	r := gapShrinkage(2, 17)
 	if !r.Converged {
 		t.Fatal("hg_{f+1} never came below Γ after GST")
 	}

@@ -145,7 +145,7 @@ type gridShape struct {
 	runs int
 	// sharedSeed gives every run of a cell the cell's seed,
 	// DeriveSeed(seed, row*cols+col), for cells whose runs differ by
-	// construction rather than by randomness (Table1WorstCase's
+	// construction rather than by randomness (table1WorstCase's
 	// strategies). By default every run has its own seed,
 	// DeriveSeed(seed, flat index).
 	sharedSeed bool

@@ -12,9 +12,9 @@ import (
 // This file implements the SMR throughput experiments: open-loop client
 // populations (internal/workload) driving chained HotStuff over each
 // view-synchronization protocol, measured in committed commands per
-// second and submit→commit latency percentiles. ThroughputSweep sweeps
+// second and submit→commit latency percentiles. throughputTable sweeps
 // protocols × offered load × batch size in steady state;
-// ThroughputUnderAttackSweep pits a fixed load against the view-desync
+// throughputUnderAttackTable pits a fixed load against the view-desync
 // strategy and reports what the attack does to p99 commit latency.
 
 // ThroughputLoads is the offered-load axis (commands per second) of the
@@ -71,8 +71,6 @@ type ThroughputCell struct {
 	Protocol Protocol
 	Load     int64
 	Batch    int
-	// Seed is the cell's derived seed.
-	Seed int64
 	// Submitted and Committed count workload commands over the whole
 	// run; commands in flight at the horizon are submitted, uncommitted.
 	Submitted int64
@@ -87,17 +85,6 @@ type ThroughputCell struct {
 	WordsPerCmd float64
 }
 
-// ThroughputReport aggregates a throughput sweep.
-type ThroughputReport struct {
-	// Cells holds protocols outer (AllProtocols order), then loads, then
-	// batches (ThroughputLoads × ThroughputBatches order).
-	Cells []ThroughputCell
-	// Workers is the worker-pool size the sweep used; Elapsed its
-	// wall-clock time.
-	Workers int
-	Elapsed time.Duration
-}
-
 // measureThroughput extracts one cell from a finished SMR run.
 func measureThroughput(res *Result) ThroughputCell {
 	s := res.Scenario
@@ -105,7 +92,6 @@ func measureThroughput(res *Result) ThroughputCell {
 		Protocol:  s.Protocol,
 		Load:      s.Workload.Rate,
 		Batch:     s.SMRBatchSize,
-		Seed:      s.Seed,
 		Submitted: int64(res.Injected),
 		Committed: res.Collector.CommitCount(),
 	}
@@ -120,55 +106,35 @@ func measureThroughput(res *Result) ThroughputCell {
 	return cell
 }
 
-// ThroughputSweep runs the AllProtocols × ThroughputLoads ×
-// ThroughputBatches matrix on the sweep engine. Cell seeds derive from
-// (seed, cell index), so the report is byte-identical at every worker
-// count.
-func ThroughputSweep(f int, seed int64, opts SweepOptions) *ThroughputReport {
-	axis := throughputAxis()
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(axis)}, seed, opts,
-		func(row, col, _ int) Scenario {
-			return throughputScenario(AllProtocols[row], f, axis[col].load, axis[col].batch, 0)
-		})
-	rep := &ThroughputReport{Workers: g.Workers, Elapsed: g.Elapsed}
-	for i := range g.Cells {
-		rep.Cells = append(rep.Cells, measureThroughput(g.Cells[i].Result))
-	}
-	return rep
-}
-
 // loadBatch is one column of the throughput table.
 type loadBatch struct {
 	load  int64
 	batch int
 }
 
-// throughputAxis is the throughput table's column axis: ThroughputLoads ×
-// ThroughputBatches, loads outer.
-func throughputAxis() []loadBatch {
-	var out []loadBatch
+// throughputTable runs the AllProtocols × ThroughputLoads ×
+// ThroughputBatches grid at f = sc.SMRF and renders one row per
+// protocol, one column per load × batch, each cell "cmd/s p50/p99".
+func throughputTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	var axis []loadBatch
 	for _, load := range ThroughputLoads {
 		for _, batch := range ThroughputBatches {
-			out = append(out, loadBatch{load, batch})
+			axis = append(axis, loadBatch{load, batch})
 		}
 	}
-	return out
-}
-
-// Table renders the report: one row per protocol, one column per load ×
-// batch, each cell "cmd/s p50/p99". The rendering is a pure function of
-// the simulated executions, so it is byte-identical at every worker
-// count.
-func (r *ThroughputReport) Table() *Table {
-	cols := axisLabels(throughputAxis(), func(c loadBatch) string { return fmt.Sprintf("%d/s b=%d", c.load, c.batch) })
+	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(axis)}, seed, opts,
+		func(row, col, _ int) Scenario {
+			return throughputScenario(AllProtocols[row], sc.SMRF, axis[col].load, axis[col].batch, 0)
+		})
+	cols := axisLabels(axis, func(c loadBatch) string { return fmt.Sprintf("%d/s b=%d", c.load, c.batch) })
 	t := gridTable("SMR throughput: committed commands/sec and commit latency (p50/p99) by offered load and batch size",
 		"protocol", AllProtocols, cols, func(row, col int) string {
-			c := cellAt(r.Cells, len(cols), row, col)
+			c := measureThroughput(g.result(row, col))
 			return orStalled(c.Committed > 0, "%.0f/s %s/%s", c.PerSec, shortDur(c.P50), shortDur(c.P99))
 		})
 	t.AddNote("open loop: %d logical clients, %dB payload/cmd, Δ=50ms δ=5ms, stats after %s warmup", ThroughputClients, ThroughputPayloadPad, throughputWarmup)
 	t.AddNote("latency is submit→first commit at any honest replica; words/cmd in ThroughputCell.WordsPerCmd")
-	return t
+	return one("smr_throughput", t), ""
 }
 
 // shortDur renders a latency compactly (ms resolution above 10ms).
@@ -209,56 +175,17 @@ func throughputAttackScenario(p Protocol, f int, attack string, seed int64) Scen
 	return s
 }
 
-// ThroughputAttackCell compares one protocol's commit latency clean
-// versus under attack at the same offered load.
-type ThroughputAttackCell struct {
-	Protocol Protocol
-	Attack   string
-	Seed     int64
-	Clean    ThroughputCell
-	Attacked ThroughputCell
-}
-
-// ThroughputUnderAttackReport aggregates the under-attack sweep.
-type ThroughputUnderAttackReport struct {
-	Cells   []ThroughputAttackCell
-	Workers int
-	Elapsed time.Duration
-}
-
-// ThroughputUnderAttackSweep runs every protocol twice — clean and under
-// the given attack strategy (default view-desync) — at AttackLoad /
-// AttackBatch, on the sweep engine.
-func ThroughputUnderAttackSweep(f int, attack string, seed int64, opts SweepOptions) *ThroughputUnderAttackReport {
-	if attack == "" {
-		attack = adversary.AttackViewDesync
-	}
+// throughputUnderAttackTable runs every protocol twice at f = sc.SMRF —
+// clean and under the view-desync strategy — at AttackLoad /
+// AttackBatch, and renders per protocol clean and attacked throughput
+// and p99 commit latency, plus the p99 blowup factor.
+func throughputUnderAttackTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	attack := adversary.AttackViewDesync
 	sides := []string{"", attack} // the unattacked control, then the attack
 	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(sides)}, seed, opts,
-		func(row, col, _ int) Scenario { return throughputAttackScenario(AllProtocols[row], f, sides[col], 0) })
-	rep := &ThroughputUnderAttackReport{Workers: g.Workers, Elapsed: g.Elapsed}
-	for row, p := range AllProtocols {
-		clean := measureThroughput(g.result(row, 0))
-		attacked := measureThroughput(g.result(row, 1))
-		rep.Cells = append(rep.Cells, ThroughputAttackCell{
-			Protocol: p,
-			Attack:   attack,
-			Seed:     attacked.Seed,
-			Clean:    clean,
-			Attacked: attacked,
+		func(row, col, _ int) Scenario {
+			return throughputAttackScenario(AllProtocols[row], sc.SMRF, sides[col], 0)
 		})
-	}
-	return rep
-}
-
-// Table renders the under-attack comparison: per protocol, clean and
-// attacked throughput and p99 commit latency, plus the p99 blowup
-// factor.
-func (r *ThroughputUnderAttackReport) Table() *Table {
-	attack := adversary.AttackViewDesync
-	if len(r.Cells) > 0 {
-		attack = r.Cells[0].Attack
-	}
 	t := &Table{Title: fmt.Sprintf("SMR throughput under attack (%s, %d cmd/s, batch %d): clean vs attacked commit latency", attack, AttackLoad, AttackBatch)}
 	t.Header = []string{"protocol", "clean cmd/s", "clean p99", "attacked cmd/s", "attacked p99", "p99 blowup"}
 	side := func(tc *ThroughputCell) (rate, p99 string) {
@@ -269,16 +196,16 @@ func (r *ThroughputUnderAttackReport) Table() *Table {
 		}
 		return fmt.Sprintf("%.0f/s", tc.PerSec), shortDur(tc.P99)
 	}
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		cleanRate, cleanP99 := side(&c.Clean)
-		attackedRate, attackedP99 := side(&c.Attacked)
+	for row, p := range AllProtocols {
+		clean, attacked := measureThroughput(g.result(row, 0)), measureThroughput(g.result(row, 1))
+		cleanRate, cleanP99 := side(&clean)
+		attackedRate, attackedP99 := side(&attacked)
 		blowup := "-"
-		if c.Clean.Committed > 0 && c.Attacked.Committed > 0 && c.Clean.P99 > 0 {
-			blowup = fmt.Sprintf("%.2fx", float64(c.Attacked.P99)/float64(c.Clean.P99))
+		if clean.Committed > 0 && attacked.Committed > 0 && clean.P99 > 0 {
+			blowup = fmt.Sprintf("%.2fx", float64(attacked.P99)/float64(clean.P99))
 		}
-		t.AddRow(string(c.Protocol), cleanRate, cleanP99, attackedRate, attackedP99, blowup)
+		t.AddRow(string(p), cleanRate, cleanP99, attackedRate, attackedP99, blowup)
 	}
 	t.AddNote("GST=2s; the attack poisons the pre-GST window, stats start at GST+%s", throughputWarmup)
-	return t
+	return one("smr_throughput_attack", t), ""
 }

@@ -15,7 +15,7 @@ import (
 // per-node clock-drift tolerance study over clock.Drift, and the two
 // tables that report them — WANSweep's (view-sync latency, W_GST words
 // and p99 SMR commit latency per preset, Lumiere vs LP22) and
-// DriftSweep's over DriftPPMAxis (where the Lemma 5.1–5.3 guarantees
+// driftSweep's over driftPPMAxis (where the Lemma 5.1–5.3 guarantees
 // hold as hardware clocks drift, and where they break). See DESIGN.md
 // §1e for the deployment model and EXPERIMENTS.md ("WAN degradation")
 // for the reference tables.
@@ -259,12 +259,12 @@ func (r *WANReport) Table() *Table {
 // Clock-drift tolerance
 // ---------------------------------------------------------------------------
 
-// DriftPPMAxis is the rate-drift axis of the drift tolerance table, in
+// driftPPMAxis is the rate-drift axis of the drift tolerance table, in
 // parts per million, spanning realistic crystals (≤100ppm), the in-model
 // tolerance boundary (|ppm|·Γ ≤ Δ·10⁶: 100k ppm for Lumiere's Γ=10Δ,
 // 250k for LP22's Γ=4Δ), and far beyond it — half-speed/1.5×-speed
 // clocks at clock.Drift's hard range.
-var DriftPPMAxis = []int64{0, 100, 10_000, 100_000, 250_000, 500_000}
+var driftPPMAxis = []int64{0, 100, 10_000, 100_000, 250_000, 500_000}
 
 // driftScenario builds one drift cell: nodes alternate ±ppm by parity
 // (worst-case pairwise rate spread 2·ppm) with skews fanned over
@@ -302,11 +302,10 @@ func driftScenario(p Protocol, f int, ppm int64, seed int64) Scenario {
 	}
 }
 
-// DriftCell is one protocol × ppm cell of a drift sweep.
-type DriftCell struct {
+// driftCell is one protocol × ppm cell of a drift sweep.
+type driftCell struct {
 	Protocol Protocol
 	PPM      int64
-	Seed     int64
 	// InModel reports whether the rate is inside the harness's drift
 	// tolerance for this protocol's Γ (no UncheckedWAN needed).
 	InModel bool
@@ -318,29 +317,26 @@ type DriftCell struct {
 	Problems    []string
 }
 
-// DriftReport aggregates a drift sweep.
-type DriftReport struct {
+// driftReport aggregates a drift sweep.
+type driftReport struct {
 	// Cells holds protocols outer (WANProtocols order), ppm inner (axis
 	// order).
-	Cells   []DriftCell
-	Axis    []int64
-	Workers int
-	Elapsed time.Duration
+	Cells []driftCell
+	Axis  []int64
 }
 
-// DriftSweep runs WANProtocols over the given ppm axis on the sweep
+// driftSweep runs WANProtocols over the given ppm axis on the sweep
 // engine. Cell seeds derive from (seed, cell index), so the report is
 // byte-identical at every worker count.
-func DriftSweep(f int, ppms []int64, seed int64, opts SweepOptions) *DriftReport {
+func driftSweep(f int, ppms []int64, seed int64, opts SweepOptions) *driftReport {
 	g := sweepGrid(gridShape{rows: len(WANProtocols), cols: len(ppms)}, seed, opts,
 		func(row, col, _ int) Scenario { return driftScenario(WANProtocols[row], f, ppms[col], 0) })
-	rep := &DriftReport{Axis: ppms, Workers: g.Workers, Elapsed: g.Elapsed}
+	rep := &driftReport{Axis: ppms}
 	for i := range g.Cells {
 		res := g.Cells[i].Result
-		cell := DriftCell{
+		cell := driftCell{
 			Protocol: res.Scenario.Protocol,
 			PPM:      res.Scenario.DriftPPM[0],
-			Seed:     res.Scenario.Seed,
 			InModel:  !res.Scenario.UncheckedWAN,
 			Problems: ConformanceReport(res),
 		}
@@ -356,7 +352,7 @@ func DriftSweep(f int, ppms []int64, seed int64, opts SweepOptions) *DriftReport
 // InModelClean reports whether every in-model cell conforms — the
 // regression gate: drift the harness accepts without UncheckedWAN must
 // never break a Lemma 5.1–5.3 obligation.
-func (r *DriftReport) InModelClean() bool {
+func (r *driftReport) InModelClean() bool {
 	for i := range r.Cells {
 		if r.Cells[i].InModel && len(r.Cells[i].Problems) > 0 {
 			return false
@@ -370,7 +366,7 @@ func (r *DriftReport) InModelClean() bool {
 // clean, or the number of broken obligations. Out-of-model columns are
 // flagged in the header row per protocol Γ implicitly (the boundary
 // differs per protocol; InModel is per cell).
-func (r *DriftReport) Table() *Table {
+func (r *driftReport) Table() *Table {
 	cols := axisLabels(r.Axis, func(ppm int64) string { return fmt.Sprintf("±%dppm", ppm) })
 	t := gridTable("Clock-drift tolerance: view-sync latency after GST (in Δ) and conformance as hardware clocks drift",
 		"protocol", WANProtocols, cols, func(row, col int) string {
@@ -387,4 +383,30 @@ func (r *DriftReport) Table() *Table {
 	t.AddNote("nodes alternate ±ppm (pairwise rate spread 2·ppm), skews fanned over [−Δ/2, Δ/2]")
 	t.AddNote("* = past the in-model tolerance |ppm|·Γ ≤ Δ·10⁶ (run under UncheckedWAN); N✗ = N broken conformance obligations")
 	return t
+}
+
+// topologyTable renders WANSweep at f = sc.WANF. Every preset is
+// in-model, so a stalled sync run or an SMR run that committed nothing
+// is its problem.
+func topologyTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	rep := WANSweep(sc.WANF, seed, opts)
+	problem := ""
+	for _, c := range rep.Cells {
+		if !c.Decided || c.Committed == 0 {
+			problem = fmt.Sprintf("WAN sweep stalled %s on the in-model %s topology", c.Protocol, c.Preset)
+			break
+		}
+	}
+	return one("wan_topology", rep.Table()), problem
+}
+
+// driftToleranceTable renders driftSweep over driftPPMAxis at f =
+// sc.WANF; an in-model cell that breaks an obligation is its problem.
+func driftToleranceTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+	rep := driftSweep(sc.WANF, driftPPMAxis, seed, opts)
+	problem := ""
+	if !rep.InModelClean() {
+		problem = "drift sweep NOT clean: an in-model drift magnitude violated Lemma 5.1-5.3"
+	}
+	return one("wan_drift", rep.Table()), problem
 }

@@ -45,7 +45,7 @@ func TestWANScenariosValid(t *testing.T) {
 		}
 	}
 	for _, p := range WANProtocols {
-		for _, ppm := range DriftPPMAxis {
+		for _, ppm := range driftPPMAxis {
 			if err := driftScenario(p, 1, ppm, 1).Validate(); err != nil {
 				t.Errorf("drift %s ppm=%d: %v", p, ppm, err)
 			}
@@ -61,7 +61,7 @@ func TestDriftConformanceInModel(t *testing.T) {
 	if testing.Short() {
 		axis = []int64{0, 10_000}
 	}
-	rep := DriftSweep(1, axis, 77, SweepOptions{})
+	rep := driftSweep(1, axis, 77, SweepOptions{})
 	for i := range rep.Cells {
 		c := &rep.Cells[i]
 		if !c.InModel {

@@ -203,6 +203,6 @@ func (f *Frontier) Table() *harness.Table {
 		})
 	}
 	t.AddNote("latencies in Δ = 50ms; words are honest sends only; minimized reproduces ≥95%% of the objective")
-	t.AddNote("regenerate: go run ./cmd/lumiere-bench -redteam -frontier FRONTIER.json")
+	t.AddNote("regenerate: go run ./cmd/lumiere-bench -suite redteam -frontier FRONTIER.json")
 	return t
 }

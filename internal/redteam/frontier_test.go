@@ -26,12 +26,12 @@ var frontierPath = filepath.Join("..", "..", "FRONTIER.json")
 func TestFrontierAtLeastScripted(t *testing.T) {
 	fr, err := ReadFrontier(frontierPath)
 	if err != nil {
-		t.Fatalf("read committed frontier: %v (regenerate: go run ./cmd/lumiere-bench -redteam -frontier FRONTIER.json)", err)
+		t.Fatalf("read committed frontier: %v (regenerate: go run ./cmd/lumiere-bench -suite redteam -frontier FRONTIER.json)", err)
 	}
 	if len(fr.Entries) == 0 {
 		t.Fatal("committed frontier has no entries")
 	}
-	const regen = "regenerate with: go run ./cmd/lumiere-bench -redteam -frontier FRONTIER.json"
+	const regen = "regenerate with: go run ./cmd/lumiere-bench -suite redteam -frontier FRONTIER.json"
 	for i := range fr.Entries {
 		entry := fr.Entries[i]
 		if testing.Short() && entry.Objective == ObjP99Commit {
