@@ -67,7 +67,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("lumiere-bench", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	var (
-		full       = fl.Bool("full", false, "run the suite at full scale (larger n; slower)")
+		full       = fl.Bool("full", false, "run the suite at full scale (larger n; slower; not for largen or redteam)")
 		seed       = fl.Int64("seed", 42, "randomness seed")
 		csvDir     = fl.String("csv", "", "directory for CSV output (optional)")
 		workers    = fl.Int("workers", runtime.NumCPU(), "sweep worker-pool size")
@@ -75,7 +75,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		suiteName  = fl.String("suite", string(harness.SuitePaper), "the suite to run: "+suiteNames())
 		frontier   = fl.String("frontier", "", "with -suite redteam: write the searched frontier artifact (FRONTIER.json) to this path")
 		largeN     = fl.Int("n", 0, "with -suite largen: run the massive-n table at this single system size (needs n ≥ 4; 0 = default axis)")
-		maxN       = fl.Int("maxn", 1024, "cap the massive-n axis at this size (4096 reproduces the recorded table)")
+		maxN       = fl.Int("maxn", 1024, "with -suite largen: cap the massive-n axis at this size (4096 reproduces the recorded table)")
 		cpuprofile = fl.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memprofile = fl.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof)")
 	)
@@ -87,9 +87,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Reject invocations that would otherwise be silently ignored: -n
-	// sizes a table only the largen suite prints, and -frontier is
-	// written by the red-team suite alone. Sizes below 4 cannot
-	// tolerate a single fault (n ≥ 3f+1 with f = ⌊(n−1)/3⌋ ≥ 1).
+	// and -maxn size a table only the largen suite prints, and -maxn
+	// caps the axis -n replaces; -frontier is written by the red-team
+	// suite alone; -full changes neither the massive-n axis (the same at
+	// both scales) nor the red-team search (fixed at f=2). Sizes below 4
+	// cannot tolerate a single fault (n ≥ 3f+1 with f = ⌊(n−1)/3⌋ ≥ 1).
+	set := map[string]bool{}
+	fl.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	suite := harness.Suite(*suiteName)
 	heading := ""
 	for _, s := range suites {
@@ -106,6 +110,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	case *largeN != 0 && *largeN < 4:
 		fmt.Fprintf(stderr, "-n %d: need n ≥ 4 (n ≥ 3f+1 with f ≥ 1; f = (n-1)/3)\n", *largeN)
+		return 2
+	case set["maxn"] && suite != harness.SuiteLargeN:
+		fmt.Fprintf(stderr, "-maxn with -suite %s: only -suite largen prints the massive-n table\n", suite)
+		return 2
+	case set["maxn"] && *largeN != 0:
+		fmt.Fprintln(stderr, "-maxn beside -n: -n runs one size, so there is no axis to cap")
+		return 2
+	case *full && (suite == harness.SuiteLargeN || suite == suiteRedTeam):
+		fmt.Fprintf(stderr, "-full with -suite %s: the suite runs the same at both scales\n", suite)
 		return 2
 	case *frontier != "" && suite != suiteRedTeam:
 		fmt.Fprintln(stderr, "-frontier needs -suite redteam: only the red-team suite writes a frontier artifact")

@@ -22,6 +22,11 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-n beside the default suite", []string{"-n", "16"}, "only -suite largen"},
 		{"-n below 4", []string{"-suite", "largen", "-n", "3"}, "need n ≥ 4"},
 		{"-frontier without redteam", []string{"-suite", "chaos", "-frontier", "f.json"}, "-frontier needs -suite redteam"},
+		{"-maxn beside the default suite", []string{"-maxn", "4096"}, "-maxn with -suite paper"},
+		{"-maxn beside a suite without the massive-n table", []string{"-suite", "smr", "-maxn", "1024"}, "-maxn with -suite smr"},
+		{"-maxn beside -n", []string{"-suite", "largen", "-n", "16", "-maxn", "4096"}, "-maxn beside -n"},
+		{"-full with largen", []string{"-suite", "largen", "-full"}, "-full with -suite largen"},
+		{"-full with redteam", []string{"-suite", "redteam", "-full"}, "-full with -suite redteam"},
 		{"unknown flag", []string{"-chaos"}, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

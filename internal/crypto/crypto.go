@@ -163,17 +163,16 @@ func verifyAggregate(s Suite, data []byte, agg Aggregate, threshold int) error {
 // Ed25519Suite it is NOT safe for concurrent use: it reuses one keyed
 // HMAC state per node across operations and bump-allocates signature
 // outputs from shared blocks, so each suite must be confined to a single
-// execution's event loop (the harness creates or resets one per run).
+// execution's event loop (the harness creates one per run).
 type SimSuite struct {
 	keys [][]byte
 	// macs caches one keyed HMAC state per node, initialized lazily and
 	// recycled via hash.Reset — signing and verification allocate no
 	// hash state in steady state.
 	macs []hash.Hash
-	// sigs is the bump arena signature outputs are cut from: Sum appends
+	// sigs is the bump block signature outputs are cut from: Sum appends
 	// into the current block, and a fresh block is chained when it
-	// fills. Reset detaches the block instead of truncating it, so
-	// signatures held by a previous execution's messages stay intact.
+	// fills, so signatures already handed out stay intact.
 	sigs []byte
 	// vbuf is the verification scratch: recomputed MACs are compared
 	// against the candidate and never escape.
@@ -183,17 +182,16 @@ type SimSuite struct {
 	// signed records, by identity, every signature this suite made, so a
 	// recipient of a broadcast signature pays one map lookup, not one
 	// keyed HMAC. The key is the address of the signature's first byte in
-	// the arena; the entry holds the signer and the statement. A hit needs
-	// a full-length signature, an equal signer and an equal statement:
-	// whatever was relabelled, re-bound, copied, flipped, re-sliced, made
-	// by another suite or made before Reset takes the full check, as does
-	// a signature over a statement longer than sealedSig.stmt (never
-	// recorded). Assumed, as for the certificate seals below: arena bytes
-	// are never written after Sign. A pointer key keeps its arena block
-	// alive, so an address cannot be reused while an entry names it. The
-	// map flushes wholesale at maxSigned(n) entries and is made without a
-	// size hint: Reset keeps its capacity, so a warm suite never grows it
-	// again and a fresh suite pays nothing for signatures it never makes.
+	// its block; the entry holds the signer and the statement. A hit
+	// needs a full-length signature, an equal signer and an equal
+	// statement: whatever was relabelled, re-bound, copied, flipped,
+	// re-sliced or made by another suite takes the full check, as does a
+	// signature over a statement longer than sealedSig.stmt (never
+	// recorded). Assumed, as for the certificate seals below: block bytes
+	// are never written after Sign. A pointer key keeps its block alive,
+	// so an address cannot be reused while an entry names it. The map
+	// flushes wholesale at maxSigned(n) entries and is made without a
+	// size hint, so a suite pays nothing for signatures it never makes.
 	// The fourth identity seal, beside certificates (sealed), blocks
 	// (hotstuff.Block) and msg.Proposal.Sealed. Simulation only.
 	signed map[*byte]sealedSig
@@ -209,7 +207,7 @@ type SimSuite struct {
 	// length) in every slot: whatever was re-assembled, re-bound,
 	// re-sliced, relabelled in place or had a slot swapped falls through
 	// to the full check. Assumed: a sent message's signature bytes live in
-	// the suite's append-only arena and are never written after Sign —
+	// the suite's append-only blocks and are never written after Sign —
 	// flipping bytes of a shared message in place is simulator corruption,
 	// outside the §2 adversary. A hit still compares one signer ID and one
 	// slot header per component, so it is O(n), not O(1) in κ: at n=1024
@@ -271,47 +269,19 @@ const sigBlock = 1024 * sha256.Size
 
 var _ Suite = (*SimSuite)(nil)
 
-// NewSimSuite creates a SimSuite for n nodes with keys derived from seed.
+// NewSimSuite creates a SimSuite for n nodes with 32-byte keys derived
+// from seed, cut from one slab. The per-node HMAC states are keyed on
+// first use.
 func NewSimSuite(n int, seed int64) *SimSuite {
-	s := &SimSuite{}
-	s.Reset(n, seed)
-	return s
-}
-
-// Reset re-keys the suite for n nodes from seed, reusing key buffers and
-// dropping the cached per-node HMAC states (they re-key lazily). The
-// current signature block is detached, not truncated: signatures already
-// handed out keep their bytes. The result is indistinguishable from
-// NewSimSuite(n, seed).
-func (s *SimSuite) Reset(n int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	if cap(s.keys) < n {
-		grown := make([][]byte, n)
-		copy(grown, s.keys)
-		s.keys = grown
+	slab := make([]byte, 32*n)
+	// rand.Rand.Read never returns an error, and one read of the slab
+	// draws the bytes n reads of 32 would.
+	rand.New(rand.NewSource(seed)).Read(slab)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = slab[32*i : 32*(i+1) : 32*(i+1)]
 	}
-	s.keys = s.keys[:n]
-	for i := range s.keys {
-		if s.keys[i] == nil {
-			s.keys[i] = make([]byte, 32)
-		}
-		// rand.Rand.Read never returns an error.
-		rng.Read(s.keys[i])
-	}
-	if cap(s.macs) < n {
-		s.macs = make([]hash.Hash, n)
-	}
-	s.macs = s.macs[:n]
-	for i := range s.macs {
-		s.macs[i] = nil
-	}
-	s.sigs = nil
-	if s.signed == nil {
-		s.signed = make(map[*byte]sealedSig)
-	} else {
-		clear(s.signed)
-	}
-	clear(s.sealed)
+	return &SimSuite{keys: keys, macs: make([]hash.Hash, n), signed: make(map[*byte]sealedSig)}
 }
 
 // N implements Suite.

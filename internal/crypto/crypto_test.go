@@ -166,45 +166,8 @@ func TestSimSuiteSignerPanicsOnUnknown(t *testing.T) {
 	NewSimSuite(3, 1).SignerFor(9)
 }
 
-// TestSimSuiteResetEquivalence pins the arena contract for the crypto
-// layer: a reset suite must produce byte-identical signatures to a
-// freshly constructed one, and signatures handed out before the reset
-// must keep verifying under a suite re-keyed the same way (the arena
-// re-keys per cell with the cell's seed).
-func TestSimSuiteResetEquivalence(t *testing.T) {
-	data := []byte("statement")
-	dirty := NewSimSuite(4, 1)
-	oldSig := dirty.SignerFor(2).Sign(data)
-
-	dirty.Reset(7, 99)
-	fresh := NewSimSuite(7, 99)
-	if dirty.N() != 7 {
-		t.Fatalf("n = %d after reset", dirty.N())
-	}
-	for i := 0; i < 7; i++ {
-		a := dirty.SignerFor(types.NodeID(i)).Sign(data)
-		b := fresh.SignerFor(types.NodeID(i)).Sign(data)
-		if !bytes.Equal(a.Bytes, b.Bytes) {
-			t.Fatalf("node %d: reset suite signs differently", i)
-		}
-		if err := dirty.Verify(data, b); err != nil {
-			t.Fatalf("cross-verify after reset: %v", err)
-		}
-	}
-	// The old suite's signature must no longer verify (different keys)
-	// but must not have been clobbered: its bytes still verify under an
-	// identically keyed fresh suite.
-	if err := dirty.Verify(data, oldSig); err == nil {
-		t.Fatal("pre-reset signature verifies under new keys")
-	}
-	if err := NewSimSuite(4, 1).Verify(data, oldSig); err != nil {
-		t.Fatalf("pre-reset signature bytes corrupted: %v", err)
-	}
-}
-
-// TestSimSuiteSignatureStability verifies the chunked signature arena
-// never moves bytes already handed out, across block boundaries and
-// resets.
+// TestSimSuiteSignatureStability verifies the chunked signature blocks
+// never move bytes already handed out, across block boundaries.
 func TestSimSuiteSignatureStability(t *testing.T) {
 	s := NewSimSuite(2, 5)
 	data := make([]byte, 8)
@@ -217,7 +180,6 @@ func TestSimSuiteSignatureStability(t *testing.T) {
 		sigs = append(sigs, sig)
 		want = append(want, append([]byte(nil), sig.Bytes...))
 	}
-	s.Reset(2, 5)
 	for i := 0; i < 100; i++ {
 		s.SignerFor(0).Sign(data)
 	}
@@ -300,7 +262,7 @@ func TestSimSuiteSteadyStateAllocs(t *testing.T) {
 // TestSignedSignatureSeal pins the SimSuite signature seal at a small and
 // a large n: a signature the suite made verifies by lookup, but whatever
 // was relabelled, re-bound, flipped, re-sliced at either end, made by
-// another suite or outlived its keys falls through to the full check and
+// another suite or checked by one falls through to the full check and
 // is rejected, and what is honest but unsealed still verifies through the
 // full check.
 func TestSignedSignatureSeal(t *testing.T) {
@@ -334,9 +296,8 @@ func TestSignedSignatureSeal(t *testing.T) {
 			"second suite with other keys": func(s *SimSuite, _ Signature) error {
 				return s.Verify(data, NewSimSuite(n, 2).SignerFor(0).Sign(data))
 			},
-			"made before Reset": func(s *SimSuite, sig Signature) error {
-				s.Reset(n, 2) // drops the seals and re-keys
-				return s.Verify(data, sig)
+			"verified by a second suite with other keys": func(_ *SimSuite, sig Signature) error {
+				return NewSimSuite(n, 2).Verify(data, sig) // holds no seal and other keys
 			},
 		}
 		for name, attack := range rejected {
@@ -408,7 +369,8 @@ func TestSignedSignatureSealSkipsHMAC(t *testing.T) {
 // TestVerifiedAggregateMemo pins the SimSuite seal semantics at a small
 // and a large n (one path at every size): a sealed certificate hits, but
 // whatever was swapped, re-bound, relabelled, re-sliced, re-assembled or
-// outlived its keys falls through to the full check and is rejected.
+// checked by another suite falls through to the full check and is
+// rejected.
 func TestVerifiedAggregateMemo(t *testing.T) {
 	flipped := func(b []byte) []byte {
 		c := append([]byte(nil), b...)
@@ -457,9 +419,8 @@ func TestVerifiedAggregateMemo(t *testing.T) {
 				re.Bytes[q-1][0] ^= 1
 				return s.VerifyAggregate(data, re, q)
 			},
-			"stale certificate after Reset": func(s *SimSuite, agg Aggregate) error {
-				s.Reset(n, 2) // drops the seals and re-keys
-				return s.VerifyAggregate(data, agg, q)
+			"verified by a second suite with other keys": func(_ *SimSuite, agg Aggregate) error {
+				return NewSimSuite(n, 2).VerifyAggregate(data, agg, q) // holds no seal and other keys
 			},
 		}
 		for name, attack := range cases {

@@ -87,13 +87,12 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestTablesGolden is the determinism gate. It runs every section of
 // Evaluation at GoldenScale in two columns, Workers 1 and Workers 4,
-// each on the sweep's reused per-worker arenas, and compares each
-// golden key's rendering against the golden file: matching it in both
-// columns makes a table byte-identical across worker counts. A section
-// runs once per column, however many keys its outputs fill, and a
-// section's problem fails its first key. The RareSync pins run outside
-// Sweep and are checked once. contains holds shape checks on the
-// rendering.
+// and compares each golden key's rendering against the golden file:
+// matching it in both columns makes a table byte-identical across
+// worker counts. A section runs once per column, however many keys its
+// outputs fill, and a section's problem fails its first key. The
+// RareSync pins run outside Sweep and are checked once. contains holds
+// shape checks on the rendering.
 func TestTablesGolden(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()

@@ -13,11 +13,14 @@ import (
 	"lumiere/internal/adversary"
 	"lumiere/internal/clock"
 	"lumiere/internal/core"
+	"lumiere/internal/crypto"
 	"lumiere/internal/hotstuff"
 	"lumiere/internal/metrics"
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
 	"lumiere/internal/pacemaker"
+	"lumiere/internal/replica"
+	"lumiere/internal/sim"
 	"lumiere/internal/stack"
 	"lumiere/internal/statemachine"
 	"lumiere/internal/trace"
@@ -362,12 +365,12 @@ func (s Scenario) driftOf(i int) (ppm int64, skew time.Duration) {
 }
 
 // linkPolicy composes the declarative chaos fields into the link policy
-// the network runs, innermost to outermost: delay base → reorder →
-// duplicate → loss → partition → regional isolation (outermost, so
-// partitioned traffic is dropped before it can be duplicated). The
-// delay base is the uniform Delay policy or, when the scenario has a
-// Topology, its compiled regional matrix. Scenario.Link overrides the
-// whole chain.
+// the network runs, innermost to outermost: delay base → pre-GST chaos
+// → reorder → duplicate → loss → partition → regional isolation
+// (outermost, so partitioned traffic is dropped before it can be
+// duplicated). The delay base is the uniform Delay policy or, when the
+// scenario has a Topology, its compiled regional matrix. Scenario.Link
+// overrides the whole chain.
 func (s Scenario) linkPolicy(cfg types.Config, gst types.Time, delay network.DelayPolicy) network.LinkPolicy {
 	if s.Link != nil {
 		return s.Link
@@ -375,9 +378,9 @@ func (s Scenario) linkPolicy(cfg types.Config, gst types.Time, delay network.Del
 	var link network.LinkPolicy = network.DelayLink{P: delay}
 	if s.Topology != nil {
 		link = s.Topology.Policy()
-		if s.PreGSTChaos {
-			link = network.PreGSTChaosLink{GST: gst, Base: link}
-		}
+	}
+	if s.PreGSTChaos {
+		link = network.PreGSTChaosLink{GST: gst, Base: link}
 	}
 	if s.ReorderJitter > 0 {
 		link = adversary.Reordering{Base: link, Jitter: s.ReorderJitter}
@@ -443,23 +446,36 @@ type Result struct {
 // DecisionCount returns the number of honest-leader decisions.
 func (r *Result) DecisionCount() int { return r.Collector.DecisionCount() }
 
-// Run executes a scenario to completion on a fresh one-shot arena. For
-// sweeps, thread an Arena through RunIn instead: the result is
-// byte-identical and the per-cell setup cost amortizes away.
+// Run executes a scenario to completion. Every layer of the cell —
+// scheduler, network, metrics collector, crypto suite, workload engine,
+// replica shells — is built for this call alone and dropped with it:
+// the Result holds outputs only, so the cell is garbage once Run
+// returns.
 func Run(s Scenario) *Result {
-	a := &Arena{}
-	res := a.run(s)
-	// The Result keeps the live Collector, whose honesty classifier is
-	// the network's: released, the network reaches no engine.
-	a.release()
+	res, _ := run(s)
 	return res
 }
 
-// run executes a scenario inside the arena. The Result holds the arena's
-// live metrics Collector and the replica shells keep their pacemakers
-// and engines until the arena releases the cell (Run) or detaches the
-// Result from it (RunIn).
-func (a *Arena) run(s Scenario) *Result {
+// Arena holds nothing: RunIn ignores it.
+//
+// Deprecated: call Run. Arena, NewArena and RunIn remain because the
+// repository benchmark (benchmark/) calls them.
+type Arena struct{}
+
+// NewArena returns an Arena.
+//
+// Deprecated: call Run.
+func NewArena() *Arena { return &Arena{} }
+
+// RunIn is Run(s); the arena is ignored.
+//
+// Deprecated: call Run.
+func RunIn(_ *Arena, s Scenario) *Result { return Run(s) }
+
+// run executes a scenario and also returns the replica shells, one slab
+// of n: each still holds its replica's pacemaker and engine, for
+// in-package inspection after the run.
+func run(s Scenario) (*Result, []replica.Replica) {
 	s = s.withDefaults()
 	cfg := types.Config{N: s.N, F: s.F, Delta: s.Delta, X: types.DefaultX}
 	if err := cfg.Validate(); err != nil {
@@ -468,15 +484,12 @@ func (a *Arena) run(s Scenario) *Result {
 	if err := s.validate(); err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
-	sched := a.scheduler(s.Seed)
+	sched := sim.New(s.Seed)
 	gst := types.Time(0).Add(s.GST)
 
-	policy := s.Delay
-	if policy == nil {
-		policy = network.Fixed{D: s.DeltaActual}
-	}
-	if s.PreGSTChaos {
-		policy = network.PreGSTChaos{GST: gst, After: policy}
+	delay := s.Delay
+	if delay == nil {
+		delay = network.Fixed{D: s.DeltaActual}
 	}
 
 	// Adaptive attack: instantiate the strategy and extend the
@@ -484,7 +497,7 @@ func (a *Arena) run(s Scenario) *Result {
 	// the strategy's Link becomes the outermost message schedule, with
 	// the scenario's composed policy as its base.
 	var strat adversary.Strategy
-	baseLink := s.linkPolicy(cfg, gst, policy)
+	baseLink := s.linkPolicy(cfg, gst, delay)
 	link := baseLink
 	if s.Attack.Enabled() {
 		st, err := s.Attack.Strategy()
@@ -495,7 +508,7 @@ func (a *Arena) run(s Scenario) *Result {
 		s.Corruptions = withStrategicNodes(s.Corruptions, cfg, s.Attack.Nodes)
 		link = network.LinkFunc(strat.Link)
 	}
-	net := a.network(cfg, gst, link)
+	net := network.NewNetLink(sched, cfg, gst, link)
 	if pd := s.effectiveProcDelays(); pd != nil {
 		net.SetProcDelays(pd)
 	}
@@ -503,33 +516,36 @@ func (a *Arena) run(s Scenario) *Result {
 		net.SetOmissionBudget(s.OmissionBudget)
 	}
 
+	// The honest mask is the cell's own: the collector classifies
+	// decision leaders through it, so a Result reaches no network.
 	behaviors := make(map[types.NodeID]adversary.Corruption, len(s.Corruptions))
+	honest := make([]bool, cfg.N)
+	for i := range honest {
+		honest[i] = true
+	}
 	for _, c := range s.Corruptions {
 		behaviors[c.Node] = c
 		if c.Behavior != adversary.BehaviorHonest {
 			net.SetByzantine(c.Node)
+			honest[c.Node] = false
 		}
 	}
 	copts := []metrics.Option{metrics.WithEpochWords(s.Protocol.EpochLen(cfg))}
 	if s.SparseMetrics > 0 {
 		copts = append(copts, metrics.WithSparse(s.SparseMetrics))
 	}
-	collector := a.metricsCollector(net.Honest, copts...)
+	collector := metrics.NewCollector(func(id types.NodeID) bool { return honest[id] }, copts...)
 	net.Observe(collector)
 
 	var tracer *trace.Tracer
 	if s.TraceLimit > 0 {
 		tracer = trace.New(s.TraceLimit)
 	}
-	suite := a.simSuite(cfg.N, s.Seed+1)
+	suite := crypto.NewSimSuite(cfg.N, s.Seed+1)
 
-	// The replica shells are arena slots; everything else below (clocks,
-	// endpoints, the honest mask, state machines, which a Result keeps)
-	// is built fresh per cell.
-	replicas := a.replicaSlots(cfg.N)
+	shells := make([]replica.Replica, cfg.N)
 	clocks := make([]*clock.Clock, cfg.N)
 	eps := make([]network.Endpoint, cfg.N)
-	honest := make([]bool, cfg.N)
 	sms := make([]statemachine.StateMachine, cfg.N)
 	// commitHook is the workload's per-block commit observer; it is
 	// assigned below (after the network and collector exist) and read at
@@ -547,8 +563,8 @@ func (a *Arena) run(s Scenario) *Result {
 
 	for i := 0; i < cfg.N; i++ {
 		id := types.NodeID(i)
-		honest[i] = net.Honest(id)
-		r := replicas[i]
+		r := &shells[i]
+		r.ID = id
 		ep := net.Attach(id, r)
 		eps[i] = ep
 		corr := behaviors[id]
@@ -586,7 +602,7 @@ func (a *Arena) run(s Scenario) *Result {
 		// the attack frontier tracks honest progress, not the attacker's
 		// own (possibly silenced, clock-driven) view entries.
 		pobs := pacemaker.Observer(pacemaker.NopObserver{})
-		if strat != nil && net.Honest(id) {
+		if strat != nil && honest[i] {
 			pobs = adversary.PMObserver(strat, id)
 		}
 		i := i
@@ -627,9 +643,9 @@ func (a *Arena) run(s Scenario) *Result {
 			Corrupted: strategicNodes(s.Corruptions),
 			Leader: func(v types.View) types.NodeID {
 				if leaderPM == nil {
-					for _, r := range replicas {
-						if r.PM != nil {
-							leaderPM = r.PM
+					for i := range shells {
+						if pm := shells[i].PM; pm != nil {
+							leaderPM = pm
 							break
 						}
 					}
@@ -656,7 +672,8 @@ func (a *Arena) run(s Scenario) *Result {
 	// msg.Request envelope only for wrapped engines (equivocators), so
 	// only corrupted replicas pay the allocation.
 	submitAll := func(id uint64, payload []byte) {
-		for _, r := range replicas {
+		for i := range shells {
+			r := &shells[i]
 			if r.Crashed || r.Core == nil {
 				continue
 			}
@@ -671,7 +688,7 @@ func (a *Arena) run(s Scenario) *Result {
 		// Workload-engine injection: exact accumulator pacing, per-command
 		// commit latency via commitHook, optional closed-loop
 		// resubmission.
-		eng = a.workloadEngine(*s.Workload)
+		eng = workload.NewEngine(*s.Workload)
 		wcfg := eng.Config()
 		commitHook = func(b *hotstuff.Block, at types.Time) {
 			for i := range b.Cmds {
@@ -709,9 +726,8 @@ func (a *Arena) run(s Scenario) *Result {
 		sched.AtTimer(types.Time(eng.NextDueNs()), pump)
 	}
 
-	gaps := metrics.NewGapTracker(nil, nil, cfg.F)
+	gaps := metrics.NewGapTracker(clocks, honest, cfg.F)
 	if s.SampleGaps {
-		gaps = newLazyGapTracker(clocks, honest, cfg.F)
 		var sample func()
 		sample = func() {
 			gaps.Sample(sched.Now())
@@ -755,7 +771,8 @@ func (a *Arena) run(s Scenario) *Result {
 		Aborted:    aborted,
 		Omitted:    net.Omitted(),
 	}
-	for i, r := range replicas {
+	for i := range shells {
+		r := &shells[i]
 		if hs, ok := r.Core.(*hotstuff.Core); ok {
 			if res.Committed[i] = hs.CommittedHashes(); res.Committed[i] == nil {
 				res.Committed[i] = []hotstuff.Hash{}
@@ -773,31 +790,5 @@ func (a *Arena) run(s Scenario) *Result {
 			res.FinalViews[i] = types.NoView
 		}
 	}
-	return res
-}
-
-// detach makes res independent of the arena that ran it: the Result
-// receives a snapshot of the metrics Collector — an exactly-sized deep
-// copy answering every query identically to the live one — and the
-// arena releases the cell, ready for the next.
-func (a *Arena) detach(res *Result) {
-	res.Collector = res.Collector.Snapshot()
-	a.release()
-}
-
-// newLazyGapTracker builds a tracker over a clock slice that is filled in
-// as replicas join; nil clocks and Byzantine owners are skipped at sample
-// time by filtering here.
-func newLazyGapTracker(clocks []*clock.Clock, honest []bool, f int) *metrics.GapTracker {
-	return metrics.NewGapTrackerLazy(func() ([]*clock.Clock, []bool) {
-		outC := make([]*clock.Clock, 0, len(clocks))
-		outH := make([]bool, 0, len(clocks))
-		for i, c := range clocks {
-			if c != nil {
-				outC = append(outC, c)
-				outH = append(outH, honest[i])
-			}
-		}
-		return outC, outH
-	}, f)
+	return res, shells
 }

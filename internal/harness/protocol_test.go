@@ -8,19 +8,10 @@ import (
 	"lumiere/internal/adversary"
 	"lumiere/internal/core"
 	"lumiere/internal/network"
-	"lumiere/internal/replica"
 	"lumiere/internal/types"
 )
 
 const testDelta = 50 * time.Millisecond
-
-// runShells runs s as Run does but without the release, and also
-// returns the one-shot arena's replica shells: each still holds its
-// replica's pacemaker and engine for in-package inspection.
-func runShells(s Scenario) (*Result, []*replica.Replica) {
-	a := &Arena{}
-	return a.run(s), a.replicas
-}
 
 // skipInShort gates the paper-scale sweep tests: `go test -short` keeps
 // the fast conformance and invariant coverage and skips the long
@@ -39,7 +30,7 @@ func skipInShort(t *testing.T) {
 func TestLumiereSteadyStateRetiresHeavySyncs(t *testing.T) {
 	skipInShort(t)
 	t.Parallel()
-	res, shells := runShells(Scenario{
+	res, shells := run(Scenario{
 		Protocol:        ProtoLumiere,
 		F:               2,
 		Delta:           testDelta,

@@ -9,99 +9,77 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/adversary"
+	"lumiere/internal/network"
 	"lumiere/internal/replica"
+	"lumiere/internal/workload"
 )
 
-// TestArenaRetainsNoCell: a finished cell is garbage once Run or RunIn
-// returns, though its Result is still held. The attack, equivocator and
-// churn cells of leakCells, the SMR cell and a gap-sampling cell each
-// run on both paths, split where every engine is still in the arena's
-// shells to take its handle: RunIn's, which detaches the Result from
-// one warm arena, and Run's, which releases a one-shot arena whose
-// Result keeps the live collector. All Results stay held, and every
-// engine must be collected: a pending timer, a replica shell or a
-// network handler still pointing into the cell fails the test, and so
-// does a Result field that reaches an engine (a gap tracker keeping the
-// clocks, whose alarms are pacemaker closures, among them). Last, the
-// heap the warm arena alone holds after the final cell is bounded.
+// TestArenaRetainsNoCell: a finished cell is garbage once Run returns,
+// though its Result is still held. An adaptive attack, an SMR
+// equivocator at f=2, churn with loss and an omission budget, the SMR
+// cell and a gap-sampling cell each run, and every engine is taken from
+// the cell's shells to watch it. All Results stay held, and every engine
+// must be collected: a Result field that reaches an engine fails the
+// test — the live collector classifying honesty through the network
+// (whose handlers are the shells), or a gap tracker keeping the clocks,
+// whose alarms are pacemaker closures, among them.
 func TestArenaRetainsNoCell(t *testing.T) {
-	var cells []Scenario
-	for _, s := range leakCells() {
-		switch s.Name {
-		case "attack", "equivocate", "churn":
-			cells = append(cells, s)
-		}
-	}
-	cells = append(cells, smrCell(), Scenario{Name: "gaps", Protocol: ProtoLumiere, F: 1,
-		Delta: 50 * time.Millisecond, DeltaActual: 5 * time.Millisecond, Duration: 4 * time.Second,
-		StartStagger: time.Second, SampleGaps: true})
-	arena := NewArena()
-	paths := []struct {
-		name   string
-		arena  func() *Arena
-		finish func(*Arena, *Result)
-	}{
-		{"RunIn", func() *Arena { return arena }, (*Arena).detach},
-		{"Run", func() *Arena { return &Arena{} }, func(a *Arena, _ *Result) { a.release() }},
+	delta := 50 * time.Millisecond
+	gst := 2 * time.Second
+	dur := 8 * time.Second
+	cells := []Scenario{
+		{Name: "attack", Protocol: ProtoLumiere, F: 1, Delta: delta, DeltaActual: delta / 10,
+			GST: gst, Duration: dur, Attack: adversary.AttackSpec{Name: adversary.AttackSaturate}},
+		{Name: "equivocate", Protocol: ProtoLumiere, F: 2, Delta: delta, DeltaActual: delta / 10,
+			GST: gst, Duration: dur, SMR: true, Workload: &workload.Config{Rate: 50},
+			Corruptions: []adversary.Corruption{{Node: 0, Behavior: adversary.BehaviorEquivocating}}},
+		{Name: "churn", Protocol: ProtoFever, F: 2, Delta: delta, DeltaActual: delta / 10,
+			GST: gst, Duration: dur, Loss: 0.2, LossUntil: gst,
+			OmissionBudget: network.OmissionBudget{MaxMessages: 10, MaxSenders: 1},
+			Corruptions: []adversary.Corruption{adversary.Churn(1,
+				adversary.Downtime{From: 500 * time.Millisecond, To: time.Second})}},
+		smrCell(),
+		{Name: "gaps", Protocol: ProtoLumiere, F: 1, Delta: delta, DeltaActual: delta / 10,
+			Duration: 4 * time.Second, StartStagger: time.Second, SampleGaps: true},
 	}
 	var held []*Result
 	for _, s := range cells {
-		for _, p := range paths {
-			var collected atomic.Int32
-			a := p.arena()
-			res := a.run(s)
-			engines := watchEngines(a.replicas, &collected)
-			p.finish(a, res)
-			held = append(held, res)
-			if engines == 0 {
-				t.Fatalf("%s cell %q: no engine to watch", p.name, s.Name)
+		var collected atomic.Int32
+		res, shells := run(s)
+		engines := watchEngines(shells, &collected)
+		held = append(held, res)
+		if engines == 0 {
+			t.Fatalf("cell %q: no engine to watch", s.Name)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for collected.Load() < engines {
+			if time.Now().After(deadline) {
+				t.Fatalf("cell %q: %d of %d engines still reachable with only the Result held",
+					s.Name, engines-collected.Load(), engines)
 			}
-			deadline := time.Now().Add(10 * time.Second)
-			for collected.Load() < engines {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s cell %q: %d of %d engines still reachable with only the Result held",
-						p.name, s.Name, engines-collected.Load(), engines)
-				}
-				runtime.GC()
-				time.Sleep(time.Millisecond)
-			}
+			runtime.GC()
+			time.Sleep(time.Millisecond)
 		}
 	}
 	if len(held[len(held)-1].Gaps.Samples()) == 0 {
 		t.Fatal("the gap-sampling cell recorded no samples")
 	}
-	withArena := liveHeap()
-	runtime.KeepAlive(arena)
-	kept := int64(withArena) - int64(liveHeap())
 	runtime.KeepAlive(held)
-	const budget = 5 << 20
-	if kept > budget {
-		t.Fatalf("a warm arena holds %.1f MB after the last cell, budget %d MB", float64(kept)/(1<<20), budget>>20)
-	}
-	t.Logf("a warm arena holds %.1f MB after the last cell (budget %d MB)", float64(kept)/(1<<20), budget>>20)
 }
 
 // watchEngines registers a cleanup counting into collected on every
 // engine the shells hold, and returns how many it registered. The caller
-// must not keep the engines. A finalizer would never run: an engine and
+// must not keep the shells. A finalizer would never run: an engine and
 // its pacemaker point at each other, and a finalizer keeps alive
 // everything its object reaches, the object included.
-func watchEngines(shells []*replica.Replica, collected *atomic.Int32) int32 {
+func watchEngines(shells []replica.Replica, collected *atomic.Int32) int32 {
 	var n int32
-	for _, r := range shells {
-		if r.Core != nil {
-			runtime.AddCleanup((*byte)(reflect.ValueOf(r.Core).UnsafePointer()), func(int) { collected.Add(1) }, 0)
+	for i := range shells {
+		if c := shells[i].Core; c != nil {
+			runtime.AddCleanup((*byte)(reflect.ValueOf(c).UnsafePointer()), func(int) { collected.Add(1) }, 0)
 			n++
 		}
 	}
 	return n
-}
-
-// liveHeap returns the bytes of live heap objects after a full
-// collection.
-func liveHeap() uint64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
 }

@@ -105,19 +105,13 @@ func Sweep(scenarios []Scenario, opts SweepOptions) *SweepResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One execution arena per worker: cell setup (scheduler,
-			// network, crypto suite, metrics buffers, replica shells)
-			// is constructed once here and recycled across all cells
-			// the worker drains, so the sweep performs O(workers)
-			// constructions instead of O(cells).
-			arena := NewArena()
 			for i := range jobs {
 				s := scenarios[i]
 				if !opts.KeepSeeds {
 					s.Seed = DeriveSeed(opts.BaseSeed, i)
 				}
 				t0 := time.Now()
-				res := RunIn(arena, s)
+				res := Run(s)
 				cells[i] = SweepCell{Index: i, Scenario: s, Result: res, Elapsed: time.Since(t0)}
 				if opts.Progress != nil {
 					mu.Lock()

@@ -163,7 +163,7 @@ func TestClosedLoopReadYourWrites(t *testing.T) {
 // or string allocation) jumps to ≥ 2/cmd.
 func TestWorkloadAllocs(t *testing.T) {
 	skipInShort(t)
-	_, shells := runShells(throughputScenario(ProtoLumiere, 1, 300, 64, 1))
+	_, shells := run(throughputScenario(ProtoLumiere, 1, 300, 64, 1))
 	var core *hotstuff.Core
 	for _, r := range shells {
 		if hs, ok := r.Core.(*hotstuff.Core); ok && hs != nil {

@@ -20,32 +20,25 @@ type GapSample struct {
 // hg_{f+1} and hg_{2f+1} trajectories, used to validate §3.5's
 // gap-shrinking argument (Lemma 5.9, Lemma 5.12).
 type GapTracker struct {
-	provider func() ([]*clock.Clock, []bool)
-	f        int
-	samples  []GapSample
+	clocks  []*clock.Clock
+	honest  []bool
+	f       int
+	samples []GapSample
 }
 
-// NewGapTracker tracks a fixed set of clocks; honest[i] marks clocks[i]'s
-// owner honest.
+// NewGapTracker tracks clocks[i] wherever honest[i] marks its owner
+// honest. Both slices are read at each sample, so an execution whose
+// processors join over time fills clocks in as they do: a nil clock (a
+// processor that has not joined yet) is skipped.
 func NewGapTracker(clocks []*clock.Clock, honest []bool, f int) *GapTracker {
-	return NewGapTrackerLazy(func() ([]*clock.Clock, []bool) { return clocks, honest }, f)
-}
-
-// NewGapTrackerLazy tracks a clock set resolved at each sample, for
-// executions where processors join over time.
-func NewGapTrackerLazy(provider func() ([]*clock.Clock, []bool), f int) *GapTracker {
-	return &GapTracker{provider: provider, f: f}
+	return &GapTracker{clocks: clocks, honest: honest, f: f}
 }
 
 // Sample records the current gaps; after Stop it records nothing.
 func (g *GapTracker) Sample(at types.Time) {
-	if g.provider == nil {
-		return
-	}
-	clocks, honest := g.provider()
-	vals := make([]types.Time, 0, len(clocks))
-	for i, c := range clocks {
-		if i < len(honest) && honest[i] {
+	vals := make([]types.Time, 0, len(g.clocks))
+	for i, c := range g.clocks {
+		if c != nil && i < len(g.honest) && g.honest[i] {
 			vals = append(vals, c.Read())
 		}
 	}
@@ -60,10 +53,10 @@ func (g *GapTracker) Sample(at types.Time) {
 	g.samples = append(g.samples, GapSample{At: at, HG: hg})
 }
 
-// Stop ends sampling. The tracker keeps its samples and drops its clock
-// provider: a clock's alarm is its pacemaker's closure, so a stopped
+// Stop ends sampling. The tracker keeps its samples and drops its
+// clocks: a clock's alarm is its pacemaker's closure, so a stopped
 // tracker no longer keeps a finished execution's protocol stack alive.
-func (g *GapTracker) Stop() { g.provider = nil }
+func (g *GapTracker) Stop() { g.clocks, g.honest = nil, nil }
 
 // Samples returns the recorded trajectory.
 func (g *GapTracker) Samples() []GapSample { return g.samples }

@@ -139,48 +139,11 @@ func NewCollector(honest func(types.NodeID) bool, opts ...Option) *Collector {
 	return c
 }
 
-// Reset re-arms the Collector for a fresh execution, reusing the
-// compressed send series, prefix-sum, epoch-words, decision and
-// (optional) send-log backing storage. All aggregates, counters and maps
-// are cleared and the options are re-applied from scratch: a reset
-// Collector answers every query exactly as NewCollector(honest, opts...)
-// would. Callers that hand results across executions take a Snapshot
-// first — the arena resets the live Collector only after detaching one.
-func (c *Collector) Reset(honest func(types.NodeID) bool, opts ...Option) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if honest == nil {
-		honest = func(types.NodeID) bool { return true }
-	}
-	c.honest = honest
-	c.points = c.points[:0]
-	c.prefix = c.prefix[:0]
-	c.prefixW = c.prefixW[:0]
-	c.pointsDirty = false
-	c.pointsInOrd = true
-	c.maxPoints = 0
-	c.byKind = [256]int64{}
-	clear(c.epochLast)
-	c.epochLen = 0
-	c.epochWords = c.epochWords[:0]
-	c.honestTotal = 0
-	c.wordsTotal = 0
-	c.byzTotal = 0
-	c.decisions = c.decisions[:0]
-	c.decInOrd = true
-	c.commits = c.commits[:0]
-	c.commitInOrd = true
-	for _, opt := range opts {
-		opt(c)
-	}
-}
-
 // Snapshot returns an independent copy of the Collector: every series,
 // counter and map is deep-copied into exactly-sized storage, so the copy
 // answers all queries identically to the original at the moment of the
-// call and shares no mutable state with it. The execution arena hands
-// snapshots to Results so the live Collector's buffers can be recycled
-// for the next cell.
+// call and shares no mutable state with it. A TCP node hands out
+// snapshots of its live collector, which Merge folds into one.
 func (c *Collector) Snapshot() *Collector {
 	c.mu.Lock()
 	defer c.mu.Unlock()

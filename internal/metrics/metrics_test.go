@@ -298,28 +298,8 @@ func querySurface(c *Collector) string {
 	)
 }
 
-// TestCollectorResetEquivalence pins the arena contract: a reset
-// collector must answer every query exactly as a fresh one, including
-// when options change across the reset.
-func TestCollectorResetEquivalence(t *testing.T) {
-	dirty := NewCollector(nil, WithEpochWords(2))
-	fill(dirty)
-	honest := func(id types.NodeID) bool { return id != 9 }
-	dirty.Reset(honest, WithEpochWords(3))
-	fresh := NewCollector(honest, WithEpochWords(3))
-	if got, want := querySurface(dirty), querySurface(fresh); got != want {
-		t.Fatalf("empty reset != fresh:\nreset: %s\nfresh: %s", got, want)
-	}
-	fill(dirty)
-	fill(fresh)
-	if got, want := querySurface(dirty), querySurface(fresh); got != want {
-		t.Fatalf("refilled reset != fresh:\nreset: %s\nfresh: %s", got, want)
-	}
-}
-
 // TestCollectorSnapshotIndependence pins Snapshot: identical answers at
-// the moment of the call, unaffected by later mutation or reset of the
-// original.
+// the moment of the call, unaffected by later mutation of the original.
 func TestCollectorSnapshotIndependence(t *testing.T) {
 	c := NewCollector(func(id types.NodeID) bool { return id != 9 }, WithEpochWords(2))
 	fill(c)
@@ -328,15 +308,11 @@ func TestCollectorSnapshotIndependence(t *testing.T) {
 	if got := querySurface(snap); got != want {
 		t.Fatalf("snapshot != original:\nsnap: %s\norig: %s", got, want)
 	}
-	// Mutate and reset the original; the snapshot must not move.
+	// Mutate the original; the snapshot must not move.
 	c.OnSend(0, 1, &msg.ViewMsg{V: 99}, 50, true)
 	c.RecordDecision(99, 0, 60)
 	if got := querySurface(snap); got != want {
 		t.Fatalf("snapshot moved after original mutated:\nsnap: %s\nwant: %s", got, want)
-	}
-	c.Reset(nil)
-	if got := querySurface(snap); got != want {
-		t.Fatalf("snapshot moved after original reset:\nsnap: %s\nwant: %s", got, want)
 	}
 }
 
@@ -377,10 +353,6 @@ func TestSparseCollectorCapsPoints(t *testing.T) {
 	mid := types.Time(int64(500) * 1000)
 	if sparse.WordsBetween(types.Time(-1), mid) > exact.WordsBetween(types.Time(-1), mid) {
 		t.Fatal("sparse prefix window overcounts")
-	}
-	sparse.Reset(nil)
-	if sparse.maxPoints != 0 {
-		t.Fatal("Reset kept sparse cap")
 	}
 }
 
@@ -428,8 +400,8 @@ func (kindless) Kind() msg.Kind   { return 255 }
 func (kindless) View() types.View { return 4 }
 
 // TestKindCountsEveryKind: per-kind counts cover every msg.Kind value,
-// the out-of-range ones included, and survive Snapshot and clear on
-// Reset like every other series.
+// the out-of-range ones included, and survive Snapshot like every other
+// series.
 func TestKindCountsEveryKind(t *testing.T) {
 	c := newTestCollector()
 	fill(c)
@@ -440,13 +412,12 @@ func TestKindCountsEveryKind(t *testing.T) {
 	c.OnSend(9, 2, &msg.EC{V: 4}, 10, false)
 	want := map[msg.Kind]int64{msg.KindView: 10, msg.KindEC: 1, msg.KindProposal: 2, msg.KindBlockResp: 1, 255: 1}
 	snap := c.Snapshot()
-	c.Reset(nil)
 	for k := 0; k < 256; k++ {
+		if got := c.KindCount(msg.Kind(k)); got != want[msg.Kind(k)] {
+			t.Errorf("KindCount(%v) = %d, want %d", msg.Kind(k), got, want[msg.Kind(k)])
+		}
 		if got := snap.KindCount(msg.Kind(k)); got != want[msg.Kind(k)] {
 			t.Errorf("snapshot KindCount(%v) = %d, want %d", msg.Kind(k), got, want[msg.Kind(k)])
-		}
-		if got := c.KindCount(msg.Kind(k)); got != 0 {
-			t.Errorf("KindCount(%v) = %d after Reset", msg.Kind(k), got)
 		}
 	}
 }

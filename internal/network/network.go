@@ -222,22 +222,6 @@ func (Adversarial) Delay(_, _ types.NodeID, _ msg.Message, _ types.Time, _ *rand
 	return time.Duration(1<<62 - 1)
 }
 
-// PreGSTChaos delays messages sent before GST as long as the model allows
-// (arrival at GST+Δ) and uses After for messages sent at or after GST.
-// This models the unbounded asynchrony before stabilization.
-type PreGSTChaos struct {
-	GST   types.Time
-	After DelayPolicy
-}
-
-// Delay implements DelayPolicy.
-func (p PreGSTChaos) Delay(from, to types.NodeID, m msg.Message, at types.Time, rng *rand.Rand) time.Duration {
-	if at < p.GST {
-		return time.Duration(1<<62 - 1) // clamped to GST+Δ by the network
-	}
-	return p.After.Delay(from, to, m, at, rng)
-}
-
 // Targeted applies Slow to messages to or from nodes in Targets and Base
 // to everything else. It models an adversary focusing delays on specific
 // processors (e.g. the next honest leader).
@@ -331,57 +315,13 @@ func NewNetLink(sched *sim.Scheduler, cfg types.Config, gst types.Time, link Lin
 	return n
 }
 
-// Reset re-arms the network for a fresh execution on the same scheduler,
-// reusing the per-node handler, honesty, liveness and omission-charge
-// slots and the observer slice's backing storage. Everything mutable is
-// cleared: all nodes return to honest and alive, observers are detached,
-// the omission budget and its charges are zeroed, and the stop flag is
-// lifted. The MsgSink registration with the scheduler persists — one
-// network per scheduler for both of their lifetimes. A nil link falls
-// back to Fixed{Δ/10}, as in NewNetLink.
-func (n *Net) Reset(cfg types.Config, gst types.Time, link LinkPolicy) {
-	n.Release()
-	if link == nil {
-		link = DelayLink{P: Fixed{D: cfg.Delta / 10}}
-	}
-	n.cfg, n.link = cfg, link
-	n.clamp = Clamp{GST: gst, Delta: cfg.Delta, charged: n.clamp.charged[:0]}
-	if cap(n.handlers) < cfg.N {
-		n.handlers = make([]Handler, cfg.N)
-		n.honest = make([]bool, cfg.N)
-		n.killed = make([]bool, cfg.N)
-	}
-	n.handlers = n.handlers[:cfg.N]
-	n.honest = n.honest[:cfg.N]
-	n.killed = n.killed[:cfg.N]
-	for i := range n.handlers {
-		n.honest[i] = true
-		n.killed[i] = false
-	}
-	n.stopped = false
-}
-
-// Release stops the network and drops its references into the execution
-// it carried: handlers, observers (an attack strategy among them), the
-// link policy and the straggler delays. Counters and per-node marks stay
-// readable; a released network sends and delivers nothing until Reset
-// re-arms it.
-func (n *Net) Release() {
-	n.stopped = true
-	clear(n.handlers)
-	clear(n.observers[:cap(n.observers)])
-	n.observers = n.observers[:0]
-	n.link = nil
-	n.procDelay = nil
-}
-
 // SetProcDelays installs the straggler model: node i ingests every
 // network message procDelay[i] after its clamped delivery time (zero =
 // a fast node, the default). The delay models the node's own processing
 // lag, not the adversary's network — it is applied after the §2 clamp
 // (and so may push an ingestion past GST+Δ without violating the
 // model), and self-deliveries, which never cross the network, stay
-// instantaneous. Pass nil to clear; Reset also clears it.
+// instantaneous. Pass nil to clear.
 func (n *Net) SetProcDelays(d []time.Duration) {
 	if d != nil && len(d) != n.cfg.N {
 		panic(fmt.Sprintf("network: %d proc delays for n=%d", len(d), n.cfg.N))

@@ -459,96 +459,21 @@ func TestPhasedPolicy(t *testing.T) {
 	}
 }
 
+// TestPreGSTChaos: over a uniform delay base, a pre-GST send rides the
+// maximal delay (clamped to GST+Δ by the network) without drawing from
+// the rng; at and after GST the base rules.
 func TestPreGSTChaos(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	gst := types.Time(0).Add(time.Second)
-	p := PreGSTChaos{GST: gst, After: Fixed{D: time.Millisecond}}
-	if d := p.Delay(0, 1, &msg.ViewMsg{}, 0, rng); d < time.Hour {
+	p := PreGSTChaosLink{GST: gst, Base: DelayLink{P: Uniform{Min: time.Millisecond, Max: 2 * time.Millisecond}}}
+	if d := p.Link(0, 1, &msg.ViewMsg{}, 0, rng).Delay; d < time.Hour {
 		t.Fatalf("pre-GST delay too small: %v", d)
 	}
-	if d := p.Delay(0, 1, &msg.ViewMsg{}, gst, rng); d != time.Millisecond {
+	if got, want := rng.Int63(), rand.New(rand.NewSource(1)).Int63(); got != want {
+		t.Fatal("a pre-GST verdict drew from the rng")
+	}
+	if d := p.Link(0, 1, &msg.ViewMsg{}, gst, rng).Delay; d < time.Millisecond || d > 2*time.Millisecond {
 		t.Fatalf("post-GST = %v", d)
-	}
-}
-
-// TestNetResetEquivalence pins the arena contract for the network: after
-// kills, Byzantine marks, omission charges, observers and a stop, Reset
-// must restore the exact observable state of a fresh NewNetLink on the
-// same (reset) scheduler, both when n grows (4 → 7, fresh slices) and
-// when it shrinks (7 → 4, reused slices).
-func TestNetResetEquivalence(t *testing.T) {
-	cfg := testCfg() // n = 4
-	sched := sim.New(1)
-	gst := types.Time(0).Add(time.Second)
-	n := NewNetLink(sched, cfg, gst, nil)
-
-	// Dirty every axis of mutable state.
-	sends := 0
-	n.Observe(observerFuncs{onSend: func(bool) { sends++ }})
-	n.SetByzantine(1)
-	n.Kill(2)
-	n.SetOmissionBudget(OmissionBudget{MaxMessages: 5, MaxSenders: 1})
-	rec := &recorder{sched: sched}
-	ep := n.Attach(0, rec)
-	n.Attach(3, rec)
-	ep.Broadcast(&msg.ViewMsg{V: 1})
-	sched.RunFor(5 * time.Second)
-	n.Stop()
-
-	sched.Reset(2)
-	cfg2 := types.NewConfig(2, 50*time.Millisecond) // different shape: n = 7
-	gst2 := types.Time(0).Add(2 * time.Second)
-	n.Reset(cfg2, gst2, nil)
-
-	if n.GST() != gst2 {
-		t.Fatalf("gst = %v, want %v", n.GST(), gst2)
-	}
-	if n.Omitted() != 0 {
-		t.Fatalf("omission charges survived reset: %d", n.Omitted())
-	}
-	for i := 0; i < cfg2.N; i++ {
-		if !n.Honest(types.NodeID(i)) {
-			t.Fatalf("node %d not honest after reset", i)
-		}
-	}
-	// The reset network must deliver again (stop lifted, kills cleared,
-	// observers detached).
-	rec2 := &recorder{sched: sched}
-	ep2 := n.Attach(2, rec2)
-	n.Attach(5, rec2)
-	ep2.Send(5, &msg.ViewMsg{V: 1})
-	sched.RunFor(10 * time.Second)
-	if len(rec2.got) != 1 || rec2.got[0].from != 2 {
-		t.Fatalf("reset network delivered %v", rec2.got)
-	}
-	if sends != 3 {
-		t.Fatalf("detached observer saw new traffic: %d sends", sends)
-	}
-	// Shrink back to n = 4: this Reset reuses the n = 7 slices, so it
-	// must clear the killed and Byzantine marks it finds in them.
-	n.SetByzantine(3)
-	n.Kill(1)
-	n.Kill(3)
-	n.Stop()
-	sched.Reset(3)
-	n.Reset(cfg, gst, nil)
-	recs := make([]*recorder, cfg.N)
-	eps := make([]Endpoint, cfg.N)
-	for i := range recs {
-		if !n.Honest(types.NodeID(i)) {
-			t.Fatalf("node %d not honest after shrinking reset", i)
-		}
-		recs[i] = &recorder{sched: sched}
-		eps[i] = n.Attach(types.NodeID(i), recs[i])
-	}
-	for _, ep := range eps {
-		ep.Broadcast(&msg.ViewMsg{V: 2})
-	}
-	sched.RunFor(10 * time.Second)
-	for i, r := range recs {
-		if len(r.got) != cfg.N {
-			t.Fatalf("node %d received %d of %d broadcasts after shrinking reset", i, len(r.got), cfg.N)
-		}
 	}
 }
 

@@ -239,9 +239,9 @@ func (p topologyLink) Link(from, to types.NodeID, _ msg.Message, _ types.Time, r
 }
 
 // PreGSTChaosLink delays messages sent before GST as long as the model
-// allows (arrival at GST+Δ) and defers to Base at or after GST — the
-// LinkPolicy counterpart of the PreGSTChaos delay policy, used when the
-// delay base is itself a LinkPolicy (a Topology).
+// allows (arrival at GST+Δ) and defers to Base at or after GST. This
+// models the unbounded asynchrony before stabilization, over any delay
+// base: a uniform DelayLink or a Topology.
 type PreGSTChaosLink struct {
 	GST  types.Time
 	Base LinkPolicy

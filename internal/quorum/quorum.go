@@ -8,9 +8,10 @@
 // a map per view costs rehashing and pointer-chasing per vote, while a
 // VoteSet is one 64-word bit array plus a signature slice sized once to
 // the threshold its certificate is sealed at (none for a set that only
-// counts), both recycled across views through a free pool and across
-// arena executions through the Reset contracts of DESIGN.md §4. A
-// recycled or released set keeps its capacity but no signature.
+// counts), both recycled across views through a free pool within one
+// execution (a cell's engines, and so their pools, are built with the
+// cell and dropped with it). A recycled or released set keeps its
+// capacity but no signature.
 //
 // Semantics are those of the maps they replace: VoteSet.Add dedups by
 // signer, Flags.Has on a pruned view reads false (a deleted map entry),
@@ -67,7 +68,7 @@ func (v *VoteSet) ResetKeep(n, keep int) {
 
 // Release zeroes and drops the stored signatures, keeping their capacity:
 // a finished set must not pin what it no longer needs, since one stored
-// signature keeps its whole SimSuite arena block (1024 signatures)
+// signature keeps its whole SimSuite signature block (1024 signatures)
 // alive. Counts and signers stay as they are; Sigs is empty afterwards.
 func (v *VoteSet) Release() {
 	clear(v.sigs)

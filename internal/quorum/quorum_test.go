@@ -160,7 +160,7 @@ func held(vs *VoteSet) int {
 // TestFinishedSetsKeepNoSignature: a set recycled by Drop, DropBelow or
 // Reset, and a set Released by its owner, keeps its capacity but no
 // signature anywhere in it — one stored signature would pin its whole
-// SimSuite arena block.
+// SimSuite signature block.
 func TestFinishedSetsKeepNoSignature(t *testing.T) {
 	const n, keep = 64, 43
 	fill := func(vs *VoteSet) {

@@ -10,7 +10,7 @@
 //
 // Everything is deterministic: a candidate's evaluation seed is a pure
 // function of (search seed, candidate), candidates run through
-// harness.RunIn arenas on the sweep engine, and neither stage draws
+// harness.Run on the sweep engine, and neither stage draws
 // randomness — so the searched frontier is byte-identical at any
 // worker count, like every other sweep in this repository. The
 // reference frontier is committed as FRONTIER.json and pinned by

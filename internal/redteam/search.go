@@ -27,7 +27,6 @@ type Evaluator struct {
 	Obj        Objective
 	SearchSeed int64
 
-	arena *harness.Arena
 	cache map[string]Evaluated
 }
 
@@ -36,27 +35,23 @@ func NewEvaluator(p harness.Protocol, f int, obj Objective, searchSeed int64) *E
 	return &Evaluator{Protocol: p, F: f, Obj: obj, SearchSeed: searchSeed, cache: map[string]Evaluated{}}
 }
 
-// Eval evaluates one candidate serially (the minimizer's probe path),
-// recycling the evaluator's private arena.
+// Eval evaluates one candidate serially (the minimizer's probe path).
 func (e *Evaluator) Eval(c Candidate) Evaluated {
 	c = c.Legalize(e.F)
 	k := c.Key()
 	if ev, ok := e.cache[k]; ok {
 		return ev
 	}
-	if e.arena == nil {
-		e.arena = harness.NewArena()
-	}
 	seed := CandidateSeed(e.SearchSeed, c)
-	res := harness.RunIn(e.arena, c.Scenario(e.Protocol, e.F, e.Obj, seed))
+	res := harness.Run(c.Scenario(e.Protocol, e.F, e.Obj, seed))
 	val, dec := Measure(res, e.Obj)
 	ev := Evaluated{Candidate: c, Seed: seed, Value: val, Decided: dec}
 	e.cache[k] = ev
 	return ev
 }
 
-// EvalAll evaluates a candidate batch on the sweep engine (one arena
-// per worker, results in input order). Candidates already in the cache
+// EvalAll evaluates a candidate batch on the sweep engine (results in
+// input order). Candidates already in the cache
 // cost nothing; the rest run in parallel with their candidate-derived
 // seeds, so the returned values are byte-identical at any worker count.
 func (e *Evaluator) EvalAll(cands []Candidate, workers int) []Evaluated {

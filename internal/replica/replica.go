@@ -43,23 +43,6 @@ func New(id types.NodeID, pm pacemaker.Pacemaker, core Engine) *Replica {
 	return &Replica{ID: id, PM: pm, Core: core}
 }
 
-// Reset rewinds the replica shell for a fresh execution: identity is
-// rebound, the pacemaker and engine slots are emptied (they are rebuilt
-// per execution — Results hand them out for inspection, so they cannot
-// be recycled), and the boot/crash state and the pre-join buffer are
-// cleared. The pending-message backing storage is reused.
-func (r *Replica) Reset(id types.NodeID) {
-	r.ID = id
-	r.PM = nil
-	r.Core = nil
-	r.Crashed = false
-	r.started = false
-	for i := range r.pending {
-		r.pending[i] = pendingMsg{}
-	}
-	r.pending = r.pending[:0]
-}
-
 // Start boots the protocol and replays any messages that arrived before
 // the processor joined (the model lets processors join at arbitrary times
 // before GST; earlier messages are delivered at join).

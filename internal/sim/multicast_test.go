@@ -159,9 +159,9 @@ func TestMulticastEmptyCommit(t *testing.T) {
 	}
 }
 
-// TestMulticastReset checks pending multicast events are dropped by Reset
-// and the recycled arena behaves identically afterwards.
-func TestMulticastReset(t *testing.T) {
+// TestMulticastClear checks pending multicast events are dropped by
+// Clear and the recycled slot delivers a later multicast normally.
+func TestMulticastClear(t *testing.T) {
 	s := New(1)
 	var got []delivery
 	recordSink(s, &got)
@@ -170,17 +170,16 @@ func TestMulticastReset(t *testing.T) {
 		mc.Add(types.NodeID(i), 100)
 	}
 	mc.Commit()
-	s.Reset(2)
-	if s.Scheduled() != 0 || s.Events() != 0 || s.Pending() != 0 {
-		t.Fatalf("counters survived Reset: sched=%d fired=%d pending=%d",
-			s.Scheduled(), s.Events(), s.Pending())
+	s.Clear()
+	if s.Pending() != 0 || s.Events() != 0 {
+		t.Fatalf("Clear left pending=%d, fired=%d", s.Pending(), s.Events())
 	}
 	mc = s.Multicast(2, "fresh")
 	mc.Add(3, 10)
 	mc.Commit()
 	s.RunUntil(1000)
 	if len(got) != 1 || got[0].m != "fresh" {
-		t.Fatalf("post-reset deliveries = %+v", got)
+		t.Fatalf("post-Clear deliveries = %+v", got)
 	}
 }
 

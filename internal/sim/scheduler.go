@@ -112,29 +112,13 @@ func New(seed int64) *Scheduler {
 	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Reset rewinds the scheduler for a fresh execution while recycling its
-// event arena, free list and heap storage: every pending event is
-// dropped (see Clear), virtual time, the insertion sequence and the
-// fired counter return to zero, the random source is re-seeded, and the
-// registered MsgSink is kept — the arena's long-lived network re-binds
-// per execution via its own Reset. A reset scheduler is observationally
-// identical to New(seed); only the slice capacities (sized by the
-// high-water mark of past executions) survive.
-func (s *Scheduler) Reset(seed int64) {
-	s.Clear()
-	s.now = 0
-	s.seq = 0
-	s.fired = 0
-	s.scheduled = 0
-	s.rng.Seed(seed)
-}
-
 // Clear frees every arena slot: pending events leave the heap without
 // firing, their closure and payload references are dropped, and
 // outstanding Timer handles go stale via the generation counters. The
 // virtual clock, the counters and the random source are left alone, so
-// clocks still reading Now after an execution keep their final time. A
-// finished execution's scheduler retains storage, not the execution.
+// clocks still reading Now after an execution keep their final time, and
+// the registered MsgSink stays. A stopped clock.Wall clears its timer
+// heap this way.
 func (s *Scheduler) Clear() {
 	for i := range s.arena {
 		ev := &s.arena[i]

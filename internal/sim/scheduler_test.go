@@ -295,72 +295,25 @@ func TestSchedulerNilFuncPanics(t *testing.T) {
 	New(1).After(1, nil)
 }
 
-// TestSchedulerResetEquivalence pins the arena contract: a reset
-// scheduler must be observationally identical to a fresh one — same
-// clock, counters, random stream and event behavior — with only slice
-// capacities surviving.
-func TestSchedulerResetEquivalence(t *testing.T) {
-	dirty := New(1)
-	var fired int
-	for i := 0; i < 100; i++ {
-		dirty.After(time.Duration(dirty.Rand().Intn(1000))*time.Millisecond, func() { fired++ })
-	}
-	tm := dirty.AtTimer(types.Time(0).Add(5*time.Second), func() { fired++ })
-	dirty.RunFor(500 * time.Millisecond)
-	if fired == 0 {
-		t.Fatal("warmup fired nothing")
-	}
-
-	dirty.Reset(7)
-	fresh := New(7)
-	if dirty.Now() != 0 || dirty.Events() != 0 || dirty.Pending() != 0 {
-		t.Fatalf("reset state: now=%v events=%d pending=%d", dirty.Now(), dirty.Events(), dirty.Pending())
-	}
-	// The pre-reset timer handle must be stale: cancelling it is a no-op
-	// and must not disturb the reset scheduler.
-	dirty.Cancel(tm)
-	for i := 0; i < 64; i++ {
-		if a, b := dirty.Rand().Int63(), fresh.Rand().Int63(); a != b {
-			t.Fatalf("random stream diverges at draw %d: %d != %d", i, a, b)
-		}
-	}
-	// Same schedule on both: identical firing order and timestamps.
-	var gotDirty, gotFresh []string
-	schedule := func(s *Scheduler, out *[]string) {
-		for i := 0; i < 20; i++ {
-			i := i
-			d := time.Duration(s.Rand().Intn(50)) * time.Millisecond
-			s.After(d, func() {
-				*out = append(*out, fmt.Sprintf("%d@%v", i, s.Now()))
-			})
-		}
-		s.RunFor(time.Second)
-	}
-	schedule(dirty, &gotDirty)
-	schedule(fresh, &gotFresh)
-	if fmt.Sprint(gotDirty) != fmt.Sprint(gotFresh) {
-		t.Fatalf("firing diverges:\nreset: %v\nfresh: %v", gotDirty, gotFresh)
-	}
-	if dirty.Events() != fresh.Events() {
-		t.Fatalf("event counts diverge: %d != %d", dirty.Events(), fresh.Events())
-	}
-}
-
-// TestSchedulerResetKeepsSink verifies the sink registration survives
-// Reset — the arena's long-lived network registers once for both
-// lifetimes — and payload events scheduled before the reset never reach
-// the sink after it.
-func TestSchedulerResetKeepsSink(t *testing.T) {
+// TestSchedulerClearKeepsSink verifies Clear drops pending payload
+// events and timers without firing them, keeps the sink registration
+// (one network per scheduler for its lifetime), and leaves a cleared
+// Timer handle stale: cancelling it does not touch the event that
+// reuses its slot.
+func TestSchedulerClearKeepsSink(t *testing.T) {
 	s := New(1)
 	var got []string
 	s.SetSink(func(from, to types.NodeID, m any) {
 		got = append(got, fmt.Sprintf("%v->%v:%v@%v", from, to, m, s.Now()))
 	})
 	s.SendAt(types.Time(0).Add(time.Second), 1, 2, "stale")
-	s.Reset(1)
+	stale := s.AtTimer(types.Time(0).Add(time.Second), func() { got = append(got, "stale timer") })
+	s.Clear()
 	s.SendAt(types.Time(0).Add(time.Millisecond), 3, 4, "live")
+	s.AtTimer(types.Time(0).Add(2*time.Millisecond), func() { got = append(got, "live timer") })
+	s.Cancel(stale)
 	s.RunFor(2 * time.Second)
-	if len(got) != 1 || got[0] != "p3->p4:live@1ms" {
+	if fmt.Sprint(got) != "[p3->p4:live@1ms live timer]" {
 		t.Fatalf("sink saw %v", got)
 	}
 }

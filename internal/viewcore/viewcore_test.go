@@ -114,7 +114,7 @@ func TestLeaderDeadlineEnforced(t *testing.T) {
 // TestFinishedTallyKeepsNoSignature: once the leader's tally is over —
 // its QC formed, or its deadline passed at quorum — the round's vote set
 // holds no signature anywhere in its storage, so it pins no SimSuite
-// arena block until this processor leads again.
+// signature block until this processor leads again.
 func TestFinishedTallyKeepsNoSignature(t *testing.T) {
 	delta := 10 * time.Millisecond
 	for _, c := range []struct {

@@ -24,6 +24,7 @@
 package workload
 
 import (
+	"bytes"
 	"strconv"
 	"time"
 )
@@ -45,20 +46,10 @@ type Pacer struct {
 	i    int64
 }
 
-// NewPacer creates a pacer for rate commands per second (rate ≥ 1).
+// NewPacer creates a pacer for rate commands per second (a rate below 1
+// paces at 1).
 func NewPacer(rate int64) *Pacer {
-	p := &Pacer{}
-	p.Reset(rate)
-	return p
-}
-
-// Reset re-arms the pacer from the start of the schedule.
-func (p *Pacer) Reset(rate int64) {
-	if rate < 1 {
-		rate = 1
-	}
-	p.rate = rate
-	p.i = 0
+	return &Pacer{rate: max(rate, 1)}
 }
 
 // NextAtNs returns the due time (elapsed ns) of the next command.
@@ -157,8 +148,8 @@ type cmdRec struct {
 const genBlockSize = 1 << 16
 
 // Engine generates one execution's command stream. It is not safe for
-// concurrent use: the simulator is single-threaded, and sweeps thread
-// one engine per worker through the arena.
+// concurrent use: the simulator is single-threaded, and each simulated
+// execution builds its own engine.
 type Engine struct {
 	cfg       Config
 	pacer     Pacer
@@ -171,28 +162,7 @@ type Engine struct {
 
 // NewEngine creates an engine for one execution.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{}
-	e.Reset(cfg)
-	return e
-}
-
-// Reset re-arms the engine for a fresh execution, reusing the record
-// slice and pad backing storage (the bump block is kept as-is: payload
-// slices handed out earlier belong to the previous execution's blocks).
-func (e *Engine) Reset(cfg Config) {
-	e.cfg = cfg
-	e.pacer.Reset(cfg.Rate)
-	e.recs = e.recs[:0]
-	e.buf = nil
-	e.off = 0
-	e.committed = 0
-	if cap(e.pad) < cfg.PayloadPad {
-		e.pad = make([]byte, cfg.PayloadPad)
-		for i := range e.pad {
-			e.pad[i] = 'x'
-		}
-	}
-	e.pad = e.pad[:cfg.PayloadPad]
+	return &Engine{cfg: cfg, pacer: *NewPacer(cfg.Rate), pad: bytes.Repeat([]byte{'x'}, cfg.PayloadPad)}
 }
 
 // Config returns the population configuration.
@@ -208,8 +178,8 @@ func (e *Engine) NextDueNs() int64 { return e.pacer.NextAtNs() }
 func (e *Engine) RampDone() bool { return e.cfg.Closed && e.pacer.Taken() >= e.cfg.clients() }
 
 // SubmitNext issues the next paced command at elapsed time nowNs and
-// returns its ID and payload. The payload is bump-allocated and valid
-// until the engine is Reset.
+// returns its ID and payload. The payload is bump-allocated and never
+// written again.
 func (e *Engine) SubmitNext(nowNs int64) (uint64, []byte) {
 	i := e.pacer.Take()
 	client := i

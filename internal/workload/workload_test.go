@@ -239,19 +239,3 @@ func TestGenAllocs(t *testing.T) {
 		}
 	}
 }
-
-func TestEngineResetReusesStorage(t *testing.T) {
-	cfg := Config{Clients: 100, Rate: 1000, PayloadPad: 8}
-	e := NewEngine(cfg)
-	for i := 0; i < 1000; i++ {
-		e.SubmitNext(e.NextDueNs())
-	}
-	e.Reset(cfg)
-	if e.Submitted() != 0 || e.Committed() != 0 || e.NextDueNs() != int64(time.Millisecond) {
-		t.Fatalf("reset engine not fresh: submitted=%d due=%d", e.Submitted(), e.NextDueNs())
-	}
-	id, pl := e.SubmitNext(e.NextDueNs())
-	if id != IDBase || len(pl) == 0 {
-		t.Fatalf("post-reset first command: id=%d payload=%q", id, pl)
-	}
-}
