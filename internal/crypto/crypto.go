@@ -32,6 +32,8 @@ import (
 	"hash"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"lumiere/internal/types"
 )
@@ -101,7 +103,8 @@ type Suite interface {
 	// Verify checks a single signature.
 	Verify(data []byte, sig Signature) error
 	// Aggregate combines component signatures into a certificate,
-	// verifying each and rejecting duplicates.
+	// establishing each and rejecting duplicates. A component the suite
+	// has verified or made before is established by lookup.
 	Aggregate(data []byte, sigs []Signature) (Aggregate, error)
 	// VerifyAggregate checks a certificate against a threshold.
 	VerifyAggregate(data []byte, agg Aggregate, threshold int) error
@@ -111,11 +114,12 @@ type Suite interface {
 
 // aggregate is the shared combine logic used by both suites. sorted is
 // the caller's private copy of the signatures (sorted here in place) and
-// slots the empty destination for the component list. Every component is
-// verified even though protocol callers verified each signature as it
-// arrived: that check is what makes the result a certificate for ANY
-// caller (internal/adversary included), so SimSuite may seal it as
-// verified at construction.
+// slots the empty destination for the component list. Every component
+// goes through s.Verify: that check is what makes the result a
+// certificate for ANY caller (internal/adversary included), so SimSuite
+// may seal it as verified at construction. A component the caller has
+// already verified, as a protocol leader has each vote it tallied, is a
+// memo lookup in either suite, not a second signature check.
 func aggregate(s Suite, data []byte, sorted []Signature, signers []types.NodeID, slots [][]byte) (Aggregate, error) {
 	// slices.SortFunc rather than sort.Slice: the non-capturing
 	// comparison keeps the certificate-assembly path free of closure
@@ -215,7 +219,7 @@ type SimSuite struct {
 	// 2–3.5 HMACs of Sign (0.25–0.38 µs), and the signer IDs add one
 	// 2.7 KB memcmp; still ≈ 1/250 of a full check. No size threshold: a
 	// hit is cheaper than a full check at every n. Simulation only;
-	// Ed25519Suite checks everything.
+	// Ed25519Suite memoizes by content, one signature at a time (known).
 	sealed map[aggKey]sealedCert
 }
 
@@ -251,16 +255,18 @@ func (c *sealedCert) holds(data []byte, agg Aggregate) bool {
 	return true
 }
 
-// sealedSig is what a signature was made over: its signer and statement.
+// sealedSig is what a signature was made or checked over: its signer and
+// statement.
 type sealedSig struct {
 	signer types.NodeID
 	stmt   [64]byte // inline, as in sealedCert
 	nstmt  int
 }
 
-// maxSigned bounds the signature seals of an n-node suite: four
-// signatures per node in flight, plus slack for small n. One that loses
-// its seal costs each later recipient one full check.
+// maxSigned bounds the signature seals of an n-node suite, and an
+// Ed25519Suite's memo: four signatures per node in flight, plus slack for
+// small n. One that loses its seal costs each later recipient one full
+// check.
 func maxSigned(n int) int { return 4*n + 64 }
 
 // sigBlock is the byte size of one signature-output block (1024
@@ -417,9 +423,30 @@ func (s *SimSuite) seal(data []byte, agg Aggregate, signers []types.NodeID, slot
 // ---------------------------------------------------------------------------
 
 // Ed25519Suite uses real ed25519 keys; certificates are multisignatures.
+// It is safe for concurrent use: a TCP node's goroutines share its suite.
 type Ed25519Suite struct {
 	pub  []ed25519.PublicKey
 	priv []ed25519.PrivateKey
+
+	// mu guards known.
+	mu sync.Mutex
+	// known is the memo of every signature this suite has verified or
+	// made, so each is checked at most once: a leader's Aggregate over the
+	// votes Verify just accepted, its check of its own certificate and a
+	// replica's check of its own vote inside one are lookups. It is keyed
+	// by content, the 64 signature bytes, and the entry holds the signer
+	// and the statement inline, as SimSuite.signed's entries do. A hit
+	// needs an equal key, an equal signer and an equal statement, so it
+	// repeats a fact this suite established itself: relabelled, re-bound
+	// or flipped bytes, or another suite's signature, miss and take the
+	// full check. A statement longer than sealedSig.stmt, or a signature
+	// of the wrong length, is never recorded. The map is made once with
+	// maxSigned(n) entries and flushed wholesale when full; key and entry
+	// stay inline in it (Go stores either indirectly above 128 bytes), so
+	// a lookup or a record allocates nothing.
+	known map[[ed25519.SignatureSize]byte]sealedSig
+	// verifies counts real ed25519.Verify calls (memo hits excluded).
+	verifies atomic.Int64
 }
 
 var _ Suite = (*Ed25519Suite)(nil)
@@ -430,8 +457,9 @@ var _ Suite = (*Ed25519Suite)(nil)
 func NewEd25519Suite(n int, seed int64) *Ed25519Suite {
 	rng := rand.New(rand.NewSource(seed))
 	s := &Ed25519Suite{
-		pub:  make([]ed25519.PublicKey, n),
-		priv: make([]ed25519.PrivateKey, n),
+		pub:   make([]ed25519.PublicKey, n),
+		priv:  make([]ed25519.PrivateKey, n),
+		known: make(map[[ed25519.SignatureSize]byte]sealedSig, maxSigned(n)),
 	}
 	for i := 0; i < n; i++ {
 		seedBytes := make([]byte, ed25519.SeedSize)
@@ -444,6 +472,11 @@ func NewEd25519Suite(n int, seed int64) *Ed25519Suite {
 
 // N implements Suite.
 func (s *Ed25519Suite) N() int { return len(s.pub) }
+
+// Verifications returns how many signatures the suite has checked with
+// ed25519 — every Verify, and every component of Aggregate and
+// VerifyAggregate, that the memo did not answer.
+func (s *Ed25519Suite) Verifications() int64 { return s.verifies.Load() }
 
 type edSigner struct {
 	suite *Ed25519Suite
@@ -460,8 +493,14 @@ func (s *Ed25519Suite) SignerFor(id types.NodeID) Signer {
 
 func (es edSigner) ID() types.NodeID { return es.id }
 
+// Sign records its output in the memo: a signature this suite made is
+// one it need not check.
 func (es edSigner) Sign(data []byte) Signature {
-	return Signature{Signer: es.id, Bytes: ed25519.Sign(es.suite.priv[es.id], data)}
+	sig := Signature{Signer: es.id, Bytes: ed25519.Sign(es.suite.priv[es.id], data)}
+	if k, ok := memoKey(data, sig); ok {
+		es.suite.remember(k, sig.Signer, data)
+	}
+	return sig
 }
 
 // Verify implements Suite.
@@ -469,10 +508,46 @@ func (s *Ed25519Suite) Verify(data []byte, sig Signature) error {
 	if int(sig.Signer) < 0 || int(sig.Signer) >= len(s.pub) {
 		return fmt.Errorf("%w: %v", ErrUnknownSigner, sig.Signer)
 	}
+	k, memo := memoKey(data, sig)
+	if memo {
+		s.mu.Lock()
+		e, hit := s.known[k]
+		s.mu.Unlock()
+		if hit && e.signer == sig.Signer && bytes.Equal(e.stmt[:e.nstmt], data) {
+			return nil
+		}
+	}
+	s.verifies.Add(1)
 	if !ed25519.Verify(s.pub[sig.Signer], data, sig.Bytes) {
 		return fmt.Errorf("%w: signer %v", ErrBadSignature, sig.Signer)
 	}
+	if memo {
+		s.remember(k, sig.Signer, data)
+	}
 	return nil
+}
+
+// memoKey returns sig's memo key, and false when the memo cannot hold
+// it: a signature of the wrong length or a statement longer than
+// sealedSig.stmt.
+func memoKey(data []byte, sig Signature) (k [ed25519.SignatureSize]byte, ok bool) {
+	if len(sig.Bytes) != len(k) || len(data) > len(sealedSig{}.stmt) {
+		return k, false
+	}
+	copy(k[:], sig.Bytes)
+	return k, true
+}
+
+// remember records that signature k is signer's over data.
+func (s *Ed25519Suite) remember(k [ed25519.SignatureSize]byte, signer types.NodeID, data []byte) {
+	e := sealedSig{signer: signer, nstmt: len(data)}
+	copy(e.stmt[:], data)
+	s.mu.Lock()
+	if len(s.known) >= maxSigned(len(s.pub)) {
+		clear(s.known)
+	}
+	s.known[k] = e
+	s.mu.Unlock()
 }
 
 // Aggregate implements Suite.

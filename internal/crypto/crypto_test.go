@@ -2,7 +2,9 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -447,5 +449,242 @@ func TestVerifiedAggregateMemo(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// memoized returns a fresh Ed25519Suite at n nodes holding one memoized
+// signature by node 0 over data: made by the suite itself ("signed") or
+// made by a second suite with the same keys and verified by this one
+// ("verified").
+func memoized(t *testing.T, n int, origin string, data []byte) (*Ed25519Suite, Signature) {
+	t.Helper()
+	s := NewEd25519Suite(n, 1)
+	var sig Signature
+	switch origin {
+	case "signed":
+		sig = s.SignerFor(0).Sign(data)
+	case "verified":
+		sig = NewEd25519Suite(n, 1).SignerFor(0).Sign(data)
+		if err := s.Verify(data, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if k, _ := memoKey(data, sig); !memoHolds(s, k) {
+		t.Fatal("signature not memoized")
+	}
+	return s, sig
+}
+
+// flush fills s's memo past its bound with signatures over other
+// statements and checks that sig's entry went with the wholesale flush.
+func flush(t *testing.T, s *Ed25519Suite, data []byte, sig Signature) {
+	t.Helper()
+	for i := 0; i < maxSigned(s.N()); i++ {
+		s.SignerFor(types.NodeID(i % s.N())).Sign(Statement("fill", types.View(i), nil))
+	}
+	if k, _ := memoKey(data, sig); memoHolds(s, k) {
+		t.Fatal("memo entry survived the flush")
+	}
+}
+
+// memoHolds reports whether s's memo has an entry under key k.
+func memoHolds(s *Ed25519Suite, k [ed25519.SignatureSize]byte) bool {
+	_, ok := s.known[k]
+	return ok
+}
+
+// TestEd25519MemoRejects: the Ed25519Suite memo answers only for the
+// signature it holds — same signer, same bytes, same statement — so a
+// memoized signature relabelled, re-bound or flipped in place, and a
+// certificate with one forged component among memoized ones, are
+// rejected, whether the memo was made by Sign or by Verify, and again
+// after a wholesale flush.
+func TestEd25519MemoRejects(t *testing.T) {
+	const n = 7
+	q := n - (n-1)/3
+	data, other := Statement("memo", 7, nil), Statement("memo", 8, nil)
+	// Each case gets a fresh suite and memoized signature by node 0 and
+	// returns a verification that must fail.
+	cases := map[string]func(t *testing.T, s *Ed25519Suite, sig Signature) error{
+		"relabelled to another signer": func(_ *testing.T, s *Ed25519Suite, sig Signature) error {
+			return s.Verify(data, Signature{Signer: 1, Bytes: sig.Bytes})
+		},
+		"same bytes over another statement": func(_ *testing.T, s *Ed25519Suite, sig Signature) error {
+			return s.Verify(other, sig)
+		},
+		"flipped in place": func(_ *testing.T, s *Ed25519Suite, sig Signature) error {
+			sig.Bytes[0] ^= 1
+			return s.Verify(data, sig)
+		},
+		"certificate with one forged component": func(t *testing.T, s *Ed25519Suite, sig Signature) error {
+			sigs := []Signature{sig}
+			for i := 1; i < q; i++ {
+				sigs = append(sigs, s.SignerFor(types.NodeID(i)).Sign(data))
+			}
+			agg, err := s.Aggregate(data, sigs)
+			if err != nil {
+				t.Fatalf("honest certificate: %v", err)
+			}
+			forged := agg.Clone()
+			forged.Bytes[q-1][0] ^= 1
+			if _, err := s.Aggregate(data, append(sigs[:q-1:q-1], Signature{Signer: types.NodeID(q - 1), Bytes: forged.Bytes[q-1]})); err == nil {
+				t.Fatal("Aggregate accepted a forged component")
+			}
+			return s.VerifyAggregate(data, forged, q)
+		},
+	}
+	for _, flushed := range []bool{false, true} {
+		for _, origin := range []string{"signed", "verified"} {
+			for name, attack := range cases {
+				t.Run(fmt.Sprintf("flushed=%v/%s/%s", flushed, origin, name), func(t *testing.T) {
+					s, sig := memoized(t, n, origin, data)
+					if flushed {
+						flush(t, s, data, sig)
+					}
+					if err := s.Verify(data, sig); err != nil {
+						t.Fatalf("honest signature rejected: %v", err)
+					}
+					if attack(t, s, sig) == nil {
+						t.Fatal("accepted")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestEd25519VerifiesOnce counts real ed25519 verifications: a
+// certificate over signatures the suite verified or made, and the check
+// of that certificate, cost none; a foreign certificate costs one per
+// component, once.
+func TestEd25519VerifiesOnce(t *testing.T) {
+	const n = 7
+	q := n - (n-1)/3
+	s, peer := NewEd25519Suite(n, 1), NewEd25519Suite(n, 1)
+	cost := func(what string, want int64, f func() error) {
+		t.Helper()
+		before := s.Verifications()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := s.Verifications() - before; got != want {
+			t.Errorf("%s: %d ed25519 verifications, want %d", what, got, want)
+		}
+	}
+	certificate := func(signers *Ed25519Suite, stmt []byte) []Signature {
+		sigs := make([]Signature, q)
+		for i := range sigs {
+			sigs[i] = signers.SignerFor(types.NodeID(i)).Sign(stmt)
+		}
+		return sigs
+	}
+
+	votes := Statement("vote", 1, nil)
+	sigs := certificate(peer, votes)
+	cost("tally", int64(q), func() error {
+		for _, sig := range sigs {
+			if err := s.Verify(votes, sig); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	var agg Aggregate
+	cost("Aggregate of verified votes", 0, func() (err error) {
+		agg, err = s.Aggregate(votes, sigs)
+		return err
+	})
+	cost("VerifyAggregate of the result", 0, func() error { return s.VerifyAggregate(votes, agg, q) })
+
+	own := Statement("own", 1, nil)
+	cost("own signatures", 0, func() error {
+		agg, err := s.Aggregate(own, certificate(s, own))
+		if err != nil {
+			return err
+		}
+		return s.VerifyAggregate(own, agg, q)
+	})
+
+	foreign := Statement("foreign", 1, nil)
+	fagg, err := peer.Aggregate(foreign, certificate(peer, foreign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost("foreign certificate", int64(q), func() error { return s.VerifyAggregate(foreign, fagg, q) })
+	cost("foreign certificate again", 0, func() error { return s.VerifyAggregate(foreign, fagg, q) })
+}
+
+// TestEd25519MemoAllocs: the memo allocates nothing. A hit allocates
+// nothing, and a pass over more signatures than the memo holds — each a
+// miss that records its signature, the memo flushing wholesale on the
+// way — allocates no more than ed25519.Verify alone.
+func TestEd25519MemoAllocs(t *testing.T) {
+	const n = 4
+	s, peer := NewEd25519Suite(n, 1), NewEd25519Suite(n, 1)
+	data := Statement("allocs", 1, nil)
+	sig := s.SignerFor(0).Sign(data)
+	if hit := allocgate.PerRun(t, 100, func() {
+		if err := s.Verify(data, sig); err != nil {
+			t.Fatal(err)
+		}
+	}); hit != 0 {
+		t.Fatalf("memo hit allocates %.3f/op", hit)
+	}
+	stmts := make([][]byte, 2*maxSigned(n))
+	sigs := make([]Signature, len(stmts))
+	for i := range stmts {
+		stmts[i] = Statement("allocs", types.View(i), nil)
+		sigs[i] = peer.SignerFor(types.NodeID(i % n)).Sign(stmts[i])
+	}
+	before := s.Verifications()
+	pass := allocgate.PerRun(t, 1, func() { // after one warm-up pass
+		for i, sig := range sigs {
+			if err := s.Verify(stmts[i], sig); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if misses := s.Verifications() - before; misses < 2*int64(len(sigs))-int64(maxSigned(n)) {
+		t.Fatalf("%d ed25519 verifications in two passes over %d signatures: the memo did not flush", misses, len(sigs))
+	}
+	bare := allocgate.PerRun(t, 100, func() { ed25519.Verify(s.pub[0], data, sig.Bytes) })
+	if pass > bare*float64(len(sigs)) {
+		t.Fatalf("a pass of %d memo misses allocates %.0f times, ed25519.Verify alone %.3f/op", len(sigs), pass, bare)
+	}
+}
+
+// TestEd25519Concurrent signs and verifies through one suite from several
+// goroutines, as a TCP node's goroutines do, across memo flushes; run it
+// under -race.
+func TestEd25519Concurrent(t *testing.T) {
+	const n, workers, ops = 4, 4, 40
+	s, peer := NewEd25519Suite(n, 1), NewEd25519Suite(n, 1)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := types.NodeID(w % n)
+			for i := 0; i < ops; i++ {
+				stmt := Statement("race", types.View(w*ops+i), nil)
+				own, theirs := s.SignerFor(id).Sign(stmt), peer.SignerFor(id).Sign(stmt)
+				for _, sig := range []Signature{own, theirs, own, theirs} {
+					if err := s.Verify(stmt, sig); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if s.Verify(stmt, Signature{Signer: (id + 1) % n, Bytes: own.Bytes}) == nil {
+					errs <- fmt.Errorf("relabelled signature accepted")
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

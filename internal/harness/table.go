@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result: a titled grid matching the
@@ -22,16 +23,17 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Render formats the table as aligned text.
+// Render formats the table as aligned text. Widths count runes, as fmt's
+// padding does, so a cell holding Δ or ≤ lines up with ASCII cells.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}

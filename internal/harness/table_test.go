@@ -28,6 +28,25 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// TestTableRenderRuneWidths: a column is as wide as its widest cell in
+// runes, so a cell holding Δ (two bytes, one rune) or ≤ (three bytes)
+// neither widens its column nor shifts the cells after it.
+func TestTableRenderRuneWidths(t *testing.T) {
+	tb := &Table{Title: "runes", Header: []string{"p", "gap ≤ Γ", "n"}}
+	tb.AddRow("lumiere", "1.10Δ", "4")
+	tb.AddRow("lp22", "stalled", "16")
+	lines := strings.Split(strings.TrimSpace(tb.Render()), "\n")[1:]
+	want := []string{
+		"p        gap ≤ Γ  n ",
+		"-------  -------  --",
+		"lumiere  1.10Δ    4 ",
+		"lp22     stalled  16",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("rendered:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tb := &Table{Title: "demo", Header: []string{"a", "b"}}
 	tb.AddRow("x,y", `q"u`)

@@ -385,7 +385,9 @@ func (c *Core) extends(h, anc Hash) bool {
 // a pair already in qcByHash — genesis, or a QC that was broadcast before
 // the next proposal carried it as Justify — is not checked again: a second
 // certificate for an established fact carries no information, whatever
-// its Agg bytes.
+// its Agg bytes. Otherwise every component is established: a vote this
+// node signed or already verified, as the QC's leader has all of them,
+// is a lookup in the suite's memo, the rest a signature check.
 func (c *Core) verifyQC(qc *msg.QC) bool {
 	if known, ok := c.qcByHash[qc.BlockHash]; ok && known.V == qc.V {
 		return true

@@ -94,6 +94,10 @@ type Stats struct {
 	// is malformed, truncated or over the size cap (the connection is
 	// closed; the peer re-dials).
 	DecodeErrors int64
+	// Verifications counts the ed25519 signature checks the node's suite
+	// made (crypto.Ed25519Suite.Verifications; memo hits excluded). Node
+	// fills it; a bare Transport, which holds no suite, reports 0.
+	Verifications int64
 }
 
 // peer is one outbound link's state.

@@ -154,6 +154,50 @@ func startSMRCluster(t *testing.T, onCommit func(node types.NodeID, b *hotstuff.
 	return nodes
 }
 
+// TestClusterVerificationsPerDecision counts the ed25519 verifications of
+// a 4-node SMR cluster (n=4, f=1, quorum q=3, VC threshold f+1=2) over
+// ≈ 1 s. Each node's suite remembers what it signed or verified, so each
+// signature costs each node at most one check:
+//   - per view, the QC's q votes are checked once by every node but their
+//     signers — the leader as it tallies them, the rest in the QC — which
+//     is q(n−1) = 9; the leader's Aggregate and its check of its own QC
+//     are lookups;
+//   - per initial view (every second view), the VC's f+1 view messages
+//     cost at most (f+1)(n−1) = 6 the same way, 3 per decision.
+//
+// That is at most 12 per decision, and the bound is 15 (25 % slack for
+// boot and for views that fail). Checking each signature wherever it
+// appears, as Aggregate and a node's check of its own certificate once
+// did, costs q(n+2) = 18 per view plus the VC's, ≈ 20 per decision.
+func TestClusterVerificationsPerDecision(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network test")
+	}
+	const bound = 15.0
+	nodes := startSMRCluster(t, nil)
+	decisions := func() (d int) {
+		for _, n := range nodes {
+			d += n.Metrics().DecisionCount()
+		}
+		return d
+	}
+	start := time.Now()
+	waitFor(t, 30*time.Second, "a second and 20 decisions", func() bool {
+		return time.Since(start) >= time.Second && decisions() >= 20
+	})
+	var verified int64
+	for _, n := range nodes {
+		n.Close()
+		verified += n.Stats().Verifications
+	}
+	d := decisions()
+	per := float64(verified) / float64(d)
+	t.Logf("%d ed25519 verifications over %d decisions: %.2f per decision (bound %.0f)", verified, d, per, bound)
+	if per > bound {
+		t.Fatalf("%.2f verifications per decision, want ≤ %.0f", per, bound)
+	}
+}
+
 // TestClusterSubmitReachesNextLeader: commands submitted at one node reach
 // the mempools of the next leaders, so they commit in blocks that other
 // nodes propose — not only when the submitting node next leads.

@@ -81,6 +81,7 @@ type Node struct {
 	hs        *hotstuff.Core
 	kv        *statemachine.KV
 	wall      *clock.Wall
+	suite     *crypto.Ed25519Suite
 }
 
 // StartNode boots a node: it listens, connects to peers, and starts the
@@ -106,6 +107,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		start = time.Now()
 	}
 	n.wall = clock.NewWallAt(&n.mu, start)
+	n.suite = crypto.NewEd25519Suite(cfg.Base.N, cfg.Seed)
 
 	// The collector counts every wire send in the simulator's per-kind
 	// words model, per-epoch words in the protocol's accounting epochs.
@@ -133,7 +135,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Endpoint:   n.transport,
 		Runtime:    n.wall,
 		Clock:      clock.New(n.wall, 0),
-		Suite:      crypto.NewEd25519Suite(cfg.Base.N, cfg.Seed),
+		Suite:      n.suite,
 		Collector:  n.collector,
 		OnDecision: cfg.OnDecision,
 	}
@@ -214,8 +216,13 @@ func (n *Node) Status() (view types.View, epoch types.Epoch, committed int) {
 func (n *Node) Metrics() *metrics.Collector { return n.collector.Snapshot() }
 
 // Stats returns a snapshot of the node's transport counters (per-peer
-// sends, drops, redials, decode errors).
-func (n *Node) Stats() Stats { return n.transport.Stats() }
+// sends, drops, redials, decode errors) and of its suite's ed25519
+// verifications.
+func (n *Node) Stats() Stats {
+	s := n.transport.Stats()
+	s.Verifications = n.suite.Verifications()
+	return s
+}
 
 // Omitted returns the true post-GST omissions the node's conditioner
 // granted (0 without chaos).

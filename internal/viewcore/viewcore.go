@@ -155,7 +155,10 @@ func (r *Round) Vote(p *msg.Proposal) {
 }
 
 // Tally counts a vote for the view this processor is leading and, at the
-// 2f+1st distinct valid one, aggregates the QC and broadcasts it.
+// 2f+1st distinct valid one, aggregates the QC and broadcasts it. The
+// suite remembers each vote it verified here (and the leader's own, which
+// it signed), so Aggregate and the leader's check of its self-delivered
+// QC establish every component by lookup.
 func (r *Round) Tally(from types.NodeID, v *msg.Vote) {
 	if v.Sig.Signer != from || r.leading != v.V || r.done {
 		return
