@@ -1,6 +1,8 @@
 // Command lumiere-bench regenerates every table and figure of the paper:
-// it runs the sections of harness.Evaluation that belong to one suite
-// (EXPERIMENTS.md holds the recorded results). Text tables go to stdout;
+// it runs the sections of eval.Evaluation that belong to one suite
+// (EXPERIMENTS.md holds the recorded results); the red-team suite's
+// section also prints the searched frontier's JSON artifact, or writes
+// it to -frontier. Text tables go to stdout;
 // pass -csv DIR to also write machine-readable CSVs. The sweeps fan out
 // across a worker pool (-workers, default all CPUs); results are
 // byte-identical at any worker count because every cell's seed derives
@@ -33,27 +35,23 @@ import (
 	"strings"
 	"time"
 
+	"lumiere/internal/eval"
 	"lumiere/internal/harness"
-	"lumiere/internal/redteam"
 )
-
-// suiteRedTeam runs the red-team search, which lives outside
-// harness.Evaluation because internal/redteam imports harness.
-const suiteRedTeam harness.Suite = "redteam"
 
 // suites lists every valid -suite value with the line that opens its
 // output.
 var suites = []struct {
-	name    harness.Suite
+	name    eval.Suite
 	heading string
 }{
-	{harness.SuitePaper, "regenerating the paper's evaluation"},
-	{harness.SuiteChaos, "chaos suite"},
-	{harness.SuiteAttack, "attack suite"},
-	{harness.SuiteSMR, "SMR suite"},
-	{harness.SuiteWAN, "WAN suite"},
-	{harness.SuiteLargeN, "massive-n suite"},
-	{suiteRedTeam, "red-team suite"},
+	{eval.SuitePaper, "regenerating the paper's evaluation"},
+	{eval.SuiteChaos, "chaos suite"},
+	{eval.SuiteAttack, "attack suite"},
+	{eval.SuiteSMR, "SMR suite"},
+	{eval.SuiteWAN, "WAN suite"},
+	{eval.SuiteLargeN, "massive-n suite"},
+	{eval.SuiteRedTeam, "red-team suite"},
 }
 
 func main() {
@@ -72,7 +70,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		csvDir     = fl.String("csv", "", "directory for CSV output (optional)")
 		workers    = fl.Int("workers", runtime.NumCPU(), "sweep worker-pool size")
 		progress   = fl.Bool("progress", false, "print per-cell sweep progress to stderr")
-		suiteName  = fl.String("suite", string(harness.SuitePaper), "the suite to run: "+suiteNames())
+		suiteName  = fl.String("suite", string(eval.SuitePaper), "the suite to run: "+suiteNames())
 		frontier   = fl.String("frontier", "", "with -suite redteam: write the searched frontier artifact (FRONTIER.json) to this path")
 		largeN     = fl.Int("n", 0, "with -suite largen: run the massive-n table at this single system size (needs n ≥ 4; 0 = default axis)")
 		maxN       = fl.Int("maxn", 1024, "with -suite largen: cap the massive-n axis at this size (4096 reproduces the recorded table)")
@@ -94,7 +92,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// cannot tolerate a single fault (n ≥ 3f+1 with f = ⌊(n−1)/3⌋ ≥ 1).
 	set := map[string]bool{}
 	fl.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	suite := harness.Suite(*suiteName)
+	suite := eval.Suite(*suiteName)
 	heading := ""
 	for _, s := range suites {
 		if s.name == suite {
@@ -105,22 +103,22 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	case heading == "":
 		fmt.Fprintf(stderr, "unknown -suite %q: valid suites are %s\n", suite, suiteNames())
 		return 2
-	case *largeN != 0 && suite != harness.SuiteLargeN:
+	case *largeN != 0 && suite != eval.SuiteLargeN:
 		fmt.Fprintf(stderr, "-n with -suite %s: only -suite largen prints the massive-n table\n", suite)
 		return 2
 	case *largeN != 0 && *largeN < 4:
 		fmt.Fprintf(stderr, "-n %d: need n ≥ 4 (n ≥ 3f+1 with f ≥ 1; f = (n-1)/3)\n", *largeN)
 		return 2
-	case set["maxn"] && suite != harness.SuiteLargeN:
+	case set["maxn"] && suite != eval.SuiteLargeN:
 		fmt.Fprintf(stderr, "-maxn with -suite %s: only -suite largen prints the massive-n table\n", suite)
 		return 2
 	case set["maxn"] && *largeN != 0:
 		fmt.Fprintln(stderr, "-maxn beside -n: -n runs one size, so there is no axis to cap")
 		return 2
-	case *full && (suite == harness.SuiteLargeN || suite == suiteRedTeam):
+	case *full && (suite == eval.SuiteLargeN || suite == eval.SuiteRedTeam):
 		fmt.Fprintf(stderr, "-full with -suite %s: the suite runs the same at both scales\n", suite)
 		return 2
-	case *frontier != "" && suite != suiteRedTeam:
+	case *frontier != "" && suite != eval.SuiteRedTeam:
 		fmt.Fprintln(stderr, "-frontier needs -suite redteam: only the red-team suite writes a frontier artifact")
 		return 2
 	}
@@ -155,9 +153,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	sc := harness.DefaultScale
+	sc := eval.DefaultScale
 	if *full {
-		sc = harness.FullScale
+		sc = eval.FullScale
 	}
 	if *largeN != 0 {
 		sc.LargeNs = []int{*largeN}
@@ -178,7 +176,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	emit := func(o harness.Output) {
+	emit := func(o eval.Output) {
 		fmt.Fprintln(stdout, o.Render())
 		if *csvDir != "" && o.Table != nil {
 			path := filepath.Join(*csvDir, o.Name+".csv")
@@ -197,32 +195,21 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	fmt.Fprintf(stdout, "%s (seed %d, %d workers)\n\n", heading, *seed, *workers)
 	failed := false
-	if suite == suiteRedTeam {
-		cfg := redteam.Config{F: 2, Seed: *seed, Workers: *workers}
-		if *progress {
-			cfg.Progress = func(line string) { fmt.Fprintln(stderr, "  "+line) }
-		}
-		fr := redteam.SearchFrontier(cfg)
-		emit(harness.Output{Name: "redteam_frontier", Table: fr.Table()})
-		if *frontier != "" {
-			if err := fr.WriteFile(*frontier); err != nil {
-				fmt.Fprintf(stderr, "write %s: %v\n", *frontier, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *frontier)
-		}
-		if !fr.AllDecided() {
-			fmt.Fprintln(stderr, "red-team search has stalled frontier cells: a model-legal scenario defeated a protocol")
-			failed = true
-		}
-	}
-	for _, sec := range harness.Evaluation {
+	for _, sec := range eval.Evaluation {
 		if sec.Suite != suite {
 			continue
 		}
 		outs, problem := sec.Run(sc, *seed, opts)
 		for _, o := range outs {
-			emit(o)
+			if *frontier == "" || o.Name != eval.FrontierOutput {
+				emit(o)
+				continue
+			}
+			if err := os.WriteFile(*frontier, []byte(o.Text), 0o644); err != nil {
+				fmt.Fprintf(stderr, "write %s: %v\n", *frontier, err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", *frontier)
 		}
 		if problem != "" {
 			fmt.Fprintf(stderr, "%s: %s\n", sec.Key, problem)

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"lumiere/internal/harness"
+	"lumiere/internal/eval"
 )
 
 // TestUsageErrorsExit2: every rejected invocation exits 2 with a message
@@ -44,15 +44,24 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 }
 
-// TestEverySuiteHasAHeading: each section's suite is a valid -suite.
+// TestEverySuiteHasAHeading: the suites and the registry agree both
+// ways — each section's suite is a valid -suite, and each -suite value
+// runs at least one section.
 func TestEverySuiteHasAHeading(t *testing.T) {
-	for _, sec := range harness.Evaluation {
+	sections := map[eval.Suite]int{}
+	for _, sec := range eval.Evaluation {
+		sections[sec.Suite]++
 		found := false
 		for _, s := range suites {
 			found = found || s.name == sec.Suite
 		}
 		if !found {
 			t.Errorf("section %s: suite %q is not a -suite value", sec.Key, sec.Suite)
+		}
+	}
+	for _, s := range suites {
+		if sections[s.name] == 0 {
+			t.Errorf("-suite %s runs no section of eval.Evaluation", s.name)
 		}
 	}
 }

@@ -1,22 +1,31 @@
-package harness
-
-// This file is the evaluation registry: Evaluation lists, once and in
-// order, every section that regenerates a table or figure of the paper,
-// and the three scales size them. TestTablesGolden runs it at
+// Package eval is the paper's evaluation: the registry of every
+// section that regenerates a table or figure (Evaluation), the three
+// scales that size them, and the drivers that run each section on the
+// harness's sweep engine — the paper tables, the SMR tables, the
+// sections wrapping harness's chaos, attack and WAN sweeps, and the
+// red-team frontier search. TestTablesGolden runs the registry at
 // GoldenScale and lumiere-bench runs one suite of it at DefaultScale or
 // FullScale; EXPERIMENTS.md records the outputs against the paper.
+package eval
+
+import (
+	"lumiere/internal/harness"
+	"lumiere/internal/redteam"
+	"lumiere/internal/viz"
+)
 
 // Suite names a group of sections that lumiere-bench runs together.
 type Suite string
 
 // The suites, in the order Evaluation lists their sections.
 const (
-	SuitePaper  Suite = "paper"
-	SuiteChaos  Suite = "chaos"
-	SuiteAttack Suite = "attack"
-	SuiteSMR    Suite = "smr"
-	SuiteWAN    Suite = "wan"
-	SuiteLargeN Suite = "largen"
+	SuitePaper   Suite = "paper"
+	SuiteChaos   Suite = "chaos"
+	SuiteAttack  Suite = "attack"
+	SuiteSMR     Suite = "smr"
+	SuiteWAN     Suite = "wan"
+	SuiteLargeN  Suite = "largen"
+	SuiteRedTeam Suite = "redteam"
 )
 
 // Scale sizes every section of the evaluation.
@@ -39,6 +48,9 @@ type Scale struct {
 	AttackF, SMRF, WANF int
 	// LargeNs is the massive-n table's axis of system sizes.
 	LargeNs []int
+	// RedTeam is the red-team search: its f and the spaces it searches.
+	// The section supplies the seed.
+	RedTeam redteam.Config
 }
 
 // The three scales. GoldenScale is what testdata/tables.golden pins;
@@ -48,16 +60,19 @@ var (
 		Fs: []int{1}, EventualF: 1, FAs: []int{0, 1}, F: 1,
 		ChaosF: 1, ChaosCells: 6, AttackF: 1, SMRF: 1, WANF: 1,
 		LargeNs: []int{16},
+		RedTeam: redteam.Config{F: 1, Space: redteam.SmokeSpace(1), SMRSpace: redteam.SmokeSpace(1)},
 	}
 	DefaultScale = Scale{
 		Fs: []int{1, 3, 5, 10}, EventualF: 5, FAs: []int{0, 1, 2, 3, 5}, F: 3,
 		ChaosF: 3, ChaosCells: 24, AttackF: 1, SMRF: 1, WANF: 1,
 		LargeNs: []int{128, 256, 1024, 4096},
+		RedTeam: redteam.Config{F: 2},
 	}
 	FullScale = Scale{
 		Fs: []int{1, 3, 5, 10, 20}, EventualF: 5, FAs: []int{0, 1, 2, 3, 5}, F: 3,
 		ChaosF: 5, ChaosCells: 48, AttackF: 3, SMRF: 3, WANF: 2,
 		LargeNs: []int{128, 256, 1024, 4096},
+		RedTeam: redteam.Config{F: 2},
 	}
 )
 
@@ -70,7 +85,7 @@ type Output struct {
 	// table to Name.csv.
 	Name string
 	// Table is the output, or nil for a text figure held in Text.
-	Table *Table
+	Table *viz.Table
 	Text  string
 }
 
@@ -96,11 +111,11 @@ type Section struct {
 	// Run renders the section at a scale. It returns the outputs and a
 	// problem: non-empty when the outputs show a model-legal scenario
 	// defeating a protocol.
-	Run func(sc Scale, seed int64, opts SweepOptions) ([]Output, string)
+	Run func(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string)
 }
 
 // one is the output of a section that renders a single table.
-func one(name string, t *Table) []Output { return []Output{{Name: name, Table: t}} }
+func one(name string, t *viz.Table) []Output { return []Output{{Name: name, Table: t}} }
 
 // Evaluation is the paper's evaluation, every section once, suite by
 // suite.
@@ -139,4 +154,6 @@ var Evaluation = []Section{
 		Claim: "Lemmas 5.1–5.3 hold under every in-model clock drift"},
 	{Key: "LargeNWordsTable", Suite: SuiteLargeN, Run: largeNWordsTable,
 		Claim: "at four-digit n Lumiere's worst window stays O(n) words, LP22's is Θ(n²)"},
+	{Key: "RedTeamFrontier", Also: []string{"RedTeamFrontierJSON"}, Suite: SuiteRedTeam, Run: redTeamFrontier,
+		Claim: "§2's model against a searched adversary: no model-legal attack × chaos × WAN scenario stalls a protocol, and the worst found dominates the scripted attacks"},
 }

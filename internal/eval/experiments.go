@@ -1,10 +1,11 @@
-package harness
+package eval
 
 import (
 	"fmt"
 	"time"
 
 	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
 	"lumiere/internal/viz"
@@ -15,8 +16,8 @@ import (
 // holds the paper-vs-measured records). Every experiment is
 // split into a scenario builder and a pure measure over the resulting
 // *Result, so each table driver runs its full protocol × axis grid as a
-// single Sweep (sweepGrid in sweep.go) fanned across the worker pool;
-// sweepGrid derives the per-cell seeds with DeriveSeed, making the
+// single Sweep (harness.SweepGrid) fanned across the worker pool;
+// SweepGrid derives the per-cell seeds with DeriveSeed, making the
 // rendered tables byte-identical at any worker count.
 
 // worstCaseResult is one protocol/size point of the worst-case
@@ -31,8 +32,8 @@ type worstCaseResult struct {
 // scenario builder plus the measure extracting the strategy's headline
 // quantities from the finished run.
 type worstStrategy struct {
-	scenario func(p Protocol, f int, seed int64) Scenario
-	measure  func(*Result) worstCaseResult
+	scenario func(p harness.Protocol, f int, seed int64) harness.Scenario
+	measure  func(*harness.Result) worstCaseResult
 }
 
 // worstStrategies lists the implemented adversary strategies, in the
@@ -64,7 +65,7 @@ var worstStrategies = []worstStrategy{
 
 // reduceWorstCase combines one result per strategy (result(i) ran
 // worstStrategies[i]) into the strategy maximum.
-func reduceWorstCase(result func(strategy int) *Result) worstCaseResult {
+func reduceWorstCase(result func(strategy int) *harness.Result) worstCaseResult {
 	var out worstCaseResult
 	var maxLat time.Duration
 	var first worstCaseResult
@@ -94,15 +95,15 @@ func reduceWorstCase(result func(strategy int) *Result) worstCaseResult {
 // long adversarial-delay run with f faulty processors holding consecutive
 // leader slots, crashed (silent, so they neither aggregate nor vote) or
 // non-proposing (they keep others synchronized but waste their views).
-func steadyScenario(crash bool) func(p Protocol, f int, seed int64) Scenario {
-	return func(p Protocol, f int, seed int64) Scenario {
+func steadyScenario(crash bool) func(p harness.Protocol, f int, seed int64) harness.Scenario {
+	return func(p harness.Protocol, f int, seed int64) harness.Scenario {
 		delta := 50 * time.Millisecond
 		gamma := p.Gamma(delta)
 		corr := adversary.NonProposingSet(consecutive(f)...)
 		if crash {
 			corr = adversary.CrashFirst(f)
 		}
-		return Scenario{
+		return harness.Scenario{
 			Name:        fmt.Sprintf("worst-steady-%s-f%d-crash%v", p, f, crash),
 			Protocol:    p,
 			F:           f,
@@ -117,7 +118,7 @@ func steadyScenario(crash bool) func(p Protocol, f int, seed int64) Scenario {
 
 // measureSteady extracts the maximum per-decision window of a steady
 // worst-case run.
-func measureSteady(res *Result) worstCaseResult {
+func measureSteady(res *harness.Result) worstCaseResult {
 	s := res.Scenario
 	gamma := s.Protocol.Gamma(s.Delta)
 	stats := res.Collector.Stats(types.Time(0).Add(20*time.Duration(s.F+1)*gamma), 2)
@@ -133,11 +134,11 @@ func consecutive(k int) []types.NodeID {
 }
 
 // worstCaseCrashScenario builds the crash strategy's scenario.
-func worstCaseCrashScenario(p Protocol, f int, seed int64) Scenario {
+func worstCaseCrashScenario(p harness.Protocol, f int, seed int64) harness.Scenario {
 	delta := 50 * time.Millisecond
 	gst := 1 * time.Second
 	gamma := p.Gamma(delta)
-	return Scenario{
+	return harness.Scenario{
 		Name:         fmt.Sprintf("worst-crash-%s-f%d", p, f),
 		Protocol:     p,
 		F:            f,
@@ -159,7 +160,7 @@ func worstCaseCrashScenario(p Protocol, f int, seed int64) Scenario {
 // remaining f+1 honest clocks far ahead of the laggards'; at tKill the
 // Byzantine processors crash, freezing progress; at GST the blocking
 // ends (post-GST everything takes the full Δ).
-func desyncScenario(p Protocol, f int, seed int64) Scenario {
+func desyncScenario(p harness.Protocol, f int, seed int64) harness.Scenario {
 	delta := 50 * time.Millisecond
 	fast := delta / 50
 	gamma := p.Gamma(delta)
@@ -192,7 +193,7 @@ func desyncScenario(p Protocol, f int, seed int64) Scenario {
 			After: network.Adversarial{},
 		},
 	}
-	return Scenario{
+	return harness.Scenario{
 		Name:        fmt.Sprintf("desync-%s-f%d", p, f),
 		Protocol:    p,
 		F:           f,
@@ -206,7 +207,7 @@ func desyncScenario(p Protocol, f int, seed int64) Scenario {
 }
 
 // measureWorstCase extracts W_{GST+Δ} and the post-GST decision latency.
-func measureWorstCase(res *Result) worstCaseResult {
+func measureWorstCase(res *harness.Result) worstCaseResult {
 	var out worstCaseResult
 	msgs, _, ok := res.Collector.WindowAfter(res.GST.Add(res.Cfg.Delta))
 	if !ok {
@@ -225,23 +226,25 @@ func measureWorstCase(res *Result) worstCaseResult {
 // protocol × f × strategy grid runs as one sweep, and all of a cell's
 // strategies share the cell's seed (the strategy, not the randomness, is
 // the variable).
-func table1WorstCase(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func table1WorstCase(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	fs := sc.Fs
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(fs), runs: len(worstStrategies), sharedSeed: true}, seed, opts,
-		func(row, col, run int) Scenario { return worstStrategies[run].scenario(AllProtocols[row], fs[col], 0) })
-	worst := func(row, col int) worstCaseResult {
-		return reduceWorstCase(func(run int) *Result { return g.cell(row, col, run).Result })
-	}
-	cols := axisLabels(fs, nLabel)
-	comm := gridTable("Table 1 (worst-case communication): messages from GST+Δ to first honest-leader decision",
-		"protocol", AllProtocols, cols, func(row, col int) string {
-			r := worst(row, col)
-			return orStalled(r.Decided, "%d", r.Msgs)
+	g := harness.SweepGrid(harness.GridShape{Rows: len(harness.AllProtocols), Cols: len(fs), Runs: len(worstStrategies), SharedSeed: true}, seed, opts,
+		func(row, col, run int) harness.Scenario {
+			return worstStrategies[run].scenario(harness.AllProtocols[row], fs[col], 0)
 		})
-	lat := gridTable("Table 1 (worst-case latency): GST to first honest-leader decision",
-		"protocol", AllProtocols, cols, func(row, col int) string {
+	worst := func(row, col int) worstCaseResult {
+		return reduceWorstCase(func(run int) *harness.Result { return g.Cell(row, col, run).Result })
+	}
+	cols := viz.AxisLabels(fs, nLabel)
+	comm := viz.GridTable("Table 1 (worst-case communication): messages from GST+Δ to first honest-leader decision",
+		"protocol", harness.AllProtocols, cols, func(row, col int) string {
 			r := worst(row, col)
-			return orStalled(r.Decided, "%.2fΔ", float64(r.Latency)/float64(50*time.Millisecond))
+			return viz.OrStalled(r.Decided, "%d", r.Msgs)
+		})
+	lat := viz.GridTable("Table 1 (worst-case latency): GST to first honest-leader decision",
+		"protocol", harness.AllProtocols, cols, func(row, col int) string {
+			r := worst(row, col)
+			return viz.OrStalled(r.Decided, "%.2fΔ", float64(r.Latency)/float64(50*time.Millisecond))
 		})
 	comm.AddNote("paper: Cogsworth O(n³), NK20/LP22/Fever/Lumiere O(n²)")
 	lat.AddNote("paper: Cogsworth O(n²Δ), NK20/LP22/Lumiere O(nΔ), Fever O(f_aΔ+δ)")
@@ -252,15 +255,6 @@ func table1WorstCase(sc Scale, seed int64, opts SweepOptions) ([]Output, string)
 // n = 3f+1) and f_a-sweep tables.
 func nLabel(f int) string   { return fmt.Sprintf("n=%d", 3*f+1) }
 func faLabel(fa int) string { return fmt.Sprintf("fa=%d", fa) }
-
-// orStalled renders a table cell: the formatted measure, or "stalled"
-// when the run never produced it.
-func orStalled(ok bool, format string, args ...any) string {
-	if !ok {
-		return "stalled"
-	}
-	return fmt.Sprintf(format, args...)
-}
 
 // eventualResult is one protocol point of the steady-state experiments.
 type eventualResult struct {
@@ -275,9 +269,9 @@ type eventualResult struct {
 
 // eventualScenario builds the steady-state scenario: GST = 0, fixed
 // actual delay δ = Δ/10, f_a crashed processors, a long run.
-func eventualScenario(p Protocol, f, fa int, seed int64) Scenario {
+func eventualScenario(p harness.Protocol, f, fa int, seed int64) harness.Scenario {
 	delta := 50 * time.Millisecond
-	return Scenario{
+	return harness.Scenario{
 		Name:        fmt.Sprintf("eventual-%s-f%d-fa%d", p, f, fa),
 		Protocol:    p,
 		F:           f,
@@ -292,7 +286,7 @@ func eventualScenario(p Protocol, f, fa int, seed int64) Scenario {
 // measureEventual extracts the per-decision-window maxima after a warmup
 // (§2's eventual worst-case communication and latency). The paper's
 // eventual measures allow a small constant number of warmup decisions.
-func measureEventual(res *Result) eventualResult {
+func measureEventual(res *harness.Result) eventualResult {
 	warm := types.Time(0).Add(res.Scenario.Duration / 4)
 	stats := res.Collector.Stats(warm, 5)
 	return eventualResult{
@@ -306,22 +300,16 @@ func measureEventual(res *Result) eventualResult {
 	}
 }
 
-// eventual runs the steady-state scenario for one protocol and size and
-// measures the per-decision-window maxima.
-func eventual(p Protocol, f, fa int, seed int64) eventualResult {
-	return measureEventual(Run(eventualScenario(p, f, fa, seed)))
-}
-
 // eventualGrid runs the steady-state scenario over AllProtocols × cols
 // as one grid (scenario(p, col) builds a cell) and measures every cell
 // once, so each table over the grid reads the same runs.
-func eventualGrid(cols int, scenario func(p Protocol, col int) Scenario, seed int64, opts SweepOptions) [][]eventualResult {
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: cols}, seed, opts,
-		func(row, col, _ int) Scenario { return scenario(AllProtocols[row], col) })
-	out := make([][]eventualResult, len(AllProtocols))
+func eventualGrid(cols int, scenario func(p harness.Protocol, col int) harness.Scenario, seed int64, opts harness.SweepOptions) [][]eventualResult {
+	g := harness.SweepGrid(harness.GridShape{Rows: len(harness.AllProtocols), Cols: cols}, seed, opts,
+		func(row, col, _ int) harness.Scenario { return scenario(harness.AllProtocols[row], col) })
+	out := make([][]eventualResult, len(harness.AllProtocols))
 	for row := range out {
 		for col := 0; col < cols; col++ {
-			out[row] = append(out[row], measureEventual(g.result(row, col)))
+			out[row] = append(out[row], measureEventual(g.Result(row, col)))
 		}
 	}
 	return out
@@ -329,8 +317,8 @@ func eventualGrid(cols int, scenario func(p Protocol, col int) Scenario, seed in
 
 // eventualTable renders one measure of an eventualGrid, a cell with no
 // decision after warmup as "stalled".
-func eventualTable(title string, cols []string, res [][]eventualResult, cell func(r *eventualResult) string) *Table {
-	return gridTable(title, "protocol", AllProtocols, cols, func(row, col int) string {
+func eventualTable(title string, cols []string, res [][]eventualResult, cell func(r *eventualResult) string) *viz.Table {
+	return viz.GridTable(title, "protocol", harness.AllProtocols, cols, func(row, col int) string {
 		if r := &res[row][col]; r.Decisions > 0 {
 			return cell(r)
 		}
@@ -344,10 +332,10 @@ func eventualTable(title string, cols []string, res [][]eventualResult, cell fun
 // Lumiere and Fever grow linearly in f_a (O(n·f_a + n) words); LP22 and
 // NK20 pay their Θ(n²) synchronizations regardless of how many
 // processors actually failed.
-func table1Eventual(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func table1Eventual(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	f, fas := sc.EventualF, sc.FAs
-	res := eventualGrid(len(fas), func(p Protocol, col int) Scenario { return eventualScenario(p, f, fas[col], 0) }, seed, opts)
-	cols := axisLabels(fas, faLabel)
+	res := eventualGrid(len(fas), func(p harness.Protocol, col int) harness.Scenario { return eventualScenario(p, f, fas[col], 0) }, seed, opts)
+	cols := viz.AxisLabels(fas, faLabel)
 	comm := eventualTable(fmt.Sprintf("Table 1 (eventual worst-case communication), n=%d: max messages between consecutive decisions", 3*f+1),
 		cols, res, func(r *eventualResult) string { return fmt.Sprintf("%.0f", r.MaxMsgs) })
 	lat := eventualTable(fmt.Sprintf("Table 1 (eventual worst-case latency), n=%d: max gap between consecutive decisions (in Δ)", 3*f+1),
@@ -373,17 +361,17 @@ func table1Eventual(sc Scale, seed int64, opts SweepOptions) ([]Output, string) 
 // counterpart of the Table 1 communication rows), and words per window,
 // whose rows divided by n stay ~flat for Lumiere/Fever and grow for
 // LP22/NK20.
-func eventualScaling(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func eventualScaling(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	fs, fa := sc.Fs, 1
-	res := eventualGrid(len(fs), func(p Protocol, col int) Scenario { return eventualScenario(p, fs[col], fa, 0) }, seed, opts)
-	cols := axisLabels(fs, nLabel)
+	res := eventualGrid(len(fs), func(p harness.Protocol, col int) harness.Scenario { return eventualScenario(p, fs[col], fa, 0) }, seed, opts)
+	cols := viz.AxisLabels(fs, nLabel)
 	msgs := eventualTable(fmt.Sprintf("Eventual communication scaling (f_a=%d): max messages between consecutive decisions", fa),
 		cols, res, func(r *eventualResult) string { return fmt.Sprintf("%.0f", r.MaxMsgs) })
 	words := eventualTable(fmt.Sprintf("Eventual word-complexity scaling (f_a=%d): max words between consecutive decisions", fa),
 		cols, res, func(r *eventualResult) string { return fmt.Sprintf("%.0f", r.MaxWords) })
 	words.AddNote("divide a row by n: ~flat for Lumiere/Fever (words linear in n), growing for LP22/NK20 (quadratic)")
 	var series []viz.Series
-	for row, p := range AllProtocols {
+	for row, p := range harness.AllProtocols {
 		s := viz.Series{Name: string(p)}
 		for _, r := range res[row] {
 			if r.Decisions == 0 {
@@ -412,9 +400,9 @@ type figure1Result struct {
 // figure1Scenario builds the Figure 1 scenario for one protocol and size:
 // a fast network (δ = Δ/20) with a single non-proposing Byzantine
 // processor.
-func figure1Scenario(p Protocol, f int, seed int64) Scenario {
+func figure1Scenario(p harness.Protocol, f int, seed int64) harness.Scenario {
 	delta := 50 * time.Millisecond
-	return Scenario{
+	return harness.Scenario{
 		Name:        fmt.Sprintf("figure1-%s-f%d", p, f),
 		Protocol:    p,
 		F:           f,
@@ -431,28 +419,23 @@ func figure1Scenario(p Protocol, f int, seed int64) Scenario {
 // must catch up, up to (f+1)Γ; Lumiere/Fever bound it by ~Γ per faulty
 // view pair (≤ ~4Γ when the faulty processor holds the 4-view block
 // boundary), independent of n.
-func measureFigure1(res *Result) figure1Result {
+func measureFigure1(res *harness.Result) figure1Result {
 	stats := res.Collector.Stats(types.Time(0).Add(30*time.Second), 2)
 	return figure1Result{StallGammas: float64(stats.MaxGap) / float64(res.Gamma), Decisions: stats.Count}
 }
 
-// figure1 runs the Figure 1 scenario for one protocol and size.
-func figure1(p Protocol, f int, seed int64) figure1Result {
-	return measureFigure1(Run(figure1Scenario(p, f, seed)))
-}
-
 // figure1Protocols is the Figure 1 comparison set, in presentation order.
-var figure1Protocols = []Protocol{ProtoLP22, ProtoNK20, ProtoFever, ProtoBasic, ProtoLumiere}
+var figure1Protocols = []harness.Protocol{harness.ProtoLP22, harness.ProtoNK20, harness.ProtoFever, harness.ProtoBasic, harness.ProtoLumiere}
 
 // figure1Table renders the Figure 1 comparison as an n-sweep: the stall
 // caused by one Byzantine processor, in units of each protocol's Γ.
-func figure1Table(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
-	g := sweepGrid(gridShape{rows: len(figure1Protocols), cols: len(sc.Fs)}, seed, opts,
-		func(row, col, _ int) Scenario { return figure1Scenario(figure1Protocols[row], sc.Fs[col], 0) })
-	t := gridTable("Figure 1: max stall caused by a single Byzantine leader after fast QCs (in units of Γ)",
-		"protocol", figure1Protocols, axisLabels(sc.Fs, nLabel), func(row, col int) string {
-			r := measureFigure1(g.result(row, col))
-			return orStalled(r.Decisions > 0, "%.2fΓ", r.StallGammas)
+func figure1Table(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
+	g := harness.SweepGrid(harness.GridShape{Rows: len(figure1Protocols), Cols: len(sc.Fs)}, seed, opts,
+		func(row, col, _ int) harness.Scenario { return figure1Scenario(figure1Protocols[row], sc.Fs[col], 0) })
+	t := viz.GridTable("Figure 1: max stall caused by a single Byzantine leader after fast QCs (in units of Γ)",
+		"protocol", figure1Protocols, viz.AxisLabels(sc.Fs, nLabel), func(row, col int) string {
+			r := measureFigure1(g.Result(row, col))
+			return viz.OrStalled(r.Decisions > 0, "%.2fΓ", r.StallGammas)
 		})
 	t.AddNote("paper (Fig. 1): LP22's stall grows to almost (f+1)Γ = O(nΔ); Lumiere/Fever stay O(Γ) = O(Δ) per faulty leader")
 	return one("figure1_stalls", t), ""
@@ -460,8 +443,8 @@ func figure1Table(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
 
 // responsivenessScenario builds one δ point of the responsiveness sweep
 // (Δ fixed at 100ms, f_a = 0).
-func responsivenessScenario(p Protocol, f int, d time.Duration, seed int64) Scenario {
-	return Scenario{
+func responsivenessScenario(p harness.Protocol, f int, d time.Duration, seed int64) harness.Scenario {
+	return harness.Scenario{
 		Name:        fmt.Sprintf("resp-%s-%v", p, d),
 		Protocol:    p,
 		F:           f,
@@ -474,14 +457,16 @@ func responsivenessScenario(p Protocol, f int, d time.Duration, seed int64) Scen
 
 // responsivenessTable renders the δ-sweep at f = sc.F for every
 // protocol: the steady-state mean decision gap after a 30s warmup.
-func responsivenessTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func responsivenessTable(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	f := sc.F
 	deltas := []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(deltas)}, seed, opts,
-		func(row, col, _ int) Scenario { return responsivenessScenario(AllProtocols[row], f, deltas[col], 0) })
-	t := gridTable(fmt.Sprintf("Smooth optimistic responsiveness (f_a=0, n=%d, Δ=100ms): mean decision gap vs actual delay δ", 3*f+1),
-		"protocol", AllProtocols, axisLabels(deltas, time.Duration.String), func(row, col int) string {
-			stats := g.result(row, col).Collector.Stats(types.Time(0).Add(30*time.Second), 5)
+	g := harness.SweepGrid(harness.GridShape{Rows: len(harness.AllProtocols), Cols: len(deltas)}, seed, opts,
+		func(row, col, _ int) harness.Scenario {
+			return responsivenessScenario(harness.AllProtocols[row], f, deltas[col], 0)
+		})
+	t := viz.GridTable(fmt.Sprintf("Smooth optimistic responsiveness (f_a=0, n=%d, Δ=100ms): mean decision gap vs actual delay δ", 3*f+1),
+		"protocol", harness.AllProtocols, viz.AxisLabels(deltas, time.Duration.String), func(row, col int) string {
+			stats := g.Result(row, col).Collector.Stats(types.Time(0).Add(30*time.Second), 5)
 			return stats.MeanGap.Round(time.Millisecond / 10).String()
 		})
 	t.AddNote("responsive protocols track ~3δ (x=3 network round-trips); clock-driven entry pins the gap near Γ")
@@ -493,7 +478,7 @@ func responsivenessTable(sc Scale, seed int64, opts SweepOptions) ([]Output, str
 // of epochs the run traversed. Lumiere retires heavy syncs once an epoch
 // satisfies the success criterion; LP22 and Basic Lumiere pay one per
 // epoch forever.
-func measureHeavySync(res *Result) (heavy int, epochsElapsed float64) {
+func measureHeavySync(res *harness.Result) (heavy int, epochsElapsed float64) {
 	s := res.Scenario
 	warm := types.Time(0).Add(s.Duration / 4)
 	heavy = len(res.Collector.HeavySyncViews(warm))
@@ -506,20 +491,22 @@ func measureHeavySync(res *Result) (heavy int, epochsElapsed float64) {
 }
 
 // heavySyncProtocols is the heavy-sync comparison set.
-var heavySyncProtocols = []Protocol{ProtoLP22, ProtoBasic, ProtoLumiere}
+var heavySyncProtocols = []harness.Protocol{harness.ProtoLP22, harness.ProtoBasic, harness.ProtoLumiere}
 
 // heavySyncTable renders the heavy-synchronization comparison at f =
 // sc.F: per fault mix f_a ∈ {0, 1}, a heavy-sync count column and an
 // epochs column.
-func heavySyncTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func heavySyncTable(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	f := sc.F
 	fas := []int{0, 1}
-	g := sweepGrid(gridShape{rows: len(heavySyncProtocols), cols: len(fas)}, seed, opts,
-		func(row, col, _ int) Scenario { return eventualScenario(heavySyncProtocols[row], f, fas[col], 0) })
-	t := gridTable(fmt.Sprintf("Heavy (Θ(n²)) epoch synchronizations after warmup, n=%d, 240s run", 3*f+1),
+	g := harness.SweepGrid(harness.GridShape{Rows: len(heavySyncProtocols), Cols: len(fas)}, seed, opts,
+		func(row, col, _ int) harness.Scenario {
+			return eventualScenario(heavySyncProtocols[row], f, fas[col], 0)
+		})
+	t := viz.GridTable(fmt.Sprintf("Heavy (Θ(n²)) epoch synchronizations after warmup, n=%d, 240s run", 3*f+1),
 		"protocol", heavySyncProtocols, []string{"fa=0 heavy", "fa=0 epochs", "fa=1 heavy", "fa=1 epochs"},
 		func(row, col int) string {
-			heavy, epochs := measureHeavySync(g.result(row, col/2))
+			heavy, epochs := measureHeavySync(g.Result(row, col/2))
 			if col%2 == 0 {
 				return fmt.Sprintf("%d", heavy)
 			}
@@ -533,7 +520,7 @@ func heavySyncTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) 
 // transform applied to the base chaos scenario.
 type chaosCondition struct {
 	name  string
-	apply func(s *Scenario)
+	apply func(s *harness.Scenario)
 }
 
 // chaosConditions lists the chaos table's columns, each a pre-GST fault
@@ -541,7 +528,7 @@ type chaosCondition struct {
 // shortly after) GST, so the measured quantity is how fast each
 // protocol resynchronizes views once the model stabilizes.
 var chaosConditions = []chaosCondition{
-	{"partition-heal", func(s *Scenario) {
+	{"partition-heal", func(s *harness.Scenario) {
 		// Split-brain: an island of f+1 processors is cut off until
 		// GST, so no side holds a quorum of synchronized processors;
 		// the clamp floods the withheld traffic back at GST+Δ.
@@ -551,18 +538,18 @@ var chaosConditions = []chaosCondition{
 		}
 		s.Partitions = [][]types.NodeID{island}
 	}},
-	{"loss-40", func(s *Scenario) {
+	{"loss-40", func(s *harness.Scenario) {
 		// 40% of pre-GST traffic is lost (delivered at GST+Δ).
 		s.Loss = 0.4
 		s.LossUntil = s.GST
 	}},
-	{"dup-reorder", func(s *Scenario) {
+	{"dup-reorder", func(s *harness.Scenario) {
 		// Every third message is duplicated and delays jitter by up
 		// to Δ, reordering traffic for the whole run.
 		s.Duplication = 0.33
 		s.ReorderJitter = s.Delta
 	}},
-	{"churn", func(s *Scenario) {
+	{"churn", func(s *harness.Scenario) {
 		// f processors crash and recover in staggered waves, the last
 		// dip ending after GST.
 		for i := 0; i < s.F; i++ {
@@ -575,47 +562,49 @@ var chaosConditions = []chaosCondition{
 	}},
 }
 
-// chaosScenario builds the chaos table's base scenario: GST = 2s, a
-// fast post-GST network (δ = Δ/10), and the chosen condition applied
-// pre-GST.
-func chaosScenario(p Protocol, f, ci int, seed int64) Scenario {
+// ChaosScenarios returns protocol p's row of the chaos table at f, one
+// scenario per condition in column order: GST = 2s, a fast post-GST
+// network (δ = Δ/10), the condition applied pre-GST, and the given
+// seed. RareSync's golden pins, which no table runs, are built on it.
+func ChaosScenarios(p harness.Protocol, f int, seed int64) []harness.Scenario {
 	delta := 50 * time.Millisecond
 	gst := 2 * time.Second
-	gamma := p.Gamma(delta)
-	cond := chaosConditions[ci]
-	s := Scenario{
-		Name:        fmt.Sprintf("chaos-%s-%s-f%d", cond.name, p, f),
-		Protocol:    p,
-		F:           f,
-		Delta:       delta,
-		DeltaActual: delta / 10,
-		GST:         gst,
-		Duration:    gst + 30*time.Duration(f+1)*gamma,
-		Seed:        seed,
+	out := make([]harness.Scenario, len(chaosConditions))
+	for i, cond := range chaosConditions {
+		out[i] = harness.Scenario{
+			Name:        fmt.Sprintf("chaos-%s-%s-f%d", cond.name, p, f),
+			Protocol:    p,
+			F:           f,
+			Delta:       delta,
+			DeltaActual: delta / 10,
+			GST:         gst,
+			Duration:    gst + 30*time.Duration(f+1)*p.Gamma(delta),
+			Seed:        seed,
+		}
+		cond.apply(&out[i])
 	}
-	cond.apply(&s)
-	return s
+	return out
 }
 
 // chaosConditionNames lists the chaos table's conditions in column
 // order.
 func chaosConditionNames() []string {
-	return axisLabels(chaosConditions, func(c chaosCondition) string { return c.name })
+	return viz.AxisLabels(chaosConditions, func(c chaosCondition) string { return c.name })
 }
 
 // chaosTable renders the chaos comparison: every protocol's
 // view-synchronization latency (first honest-leader decision after GST,
 // in Δ) under partitions healing at GST, pre-GST loss, duplication with
 // reordering, and crash-recovery churn, at f = sc.ChaosF.
-func chaosTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func chaosTable(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	f := sc.ChaosF
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(chaosConditions)}, seed, opts,
-		func(row, col, _ int) Scenario { return chaosScenario(AllProtocols[row], f, col, 0) })
-	t := gridTable(fmt.Sprintf("Chaos: view-synchronization latency after GST (in Δ), n=%d, GST=2s", 3*f+1),
-		"protocol", AllProtocols, chaosConditionNames(), func(row, col int) string {
-			res := g.result(row, col)
+	g := harness.SweepGrid(harness.GridShape{Rows: len(harness.AllProtocols), Cols: len(chaosConditions)}, seed, opts,
+		func(row, col, _ int) harness.Scenario { return ChaosScenarios(harness.AllProtocols[row], f, 0)[col] })
+	t := viz.GridTable(fmt.Sprintf("Chaos: view-synchronization latency after GST (in Δ), n=%d, GST=2s", 3*f+1),
+		"protocol", harness.AllProtocols, chaosConditionNames(), func(row, col int) string {
+			res := g.Result(row, col)
 			d, ok := res.Collector.FirstDecisionAfter(res.GST)
-			return orStalled(ok, "%.2fΔ", float64(d.At.Sub(res.GST))/float64(50*time.Millisecond))
+			return viz.OrStalled(ok, "%.2fΔ", float64(d.At.Sub(res.GST))/float64(50*time.Millisecond))
 		})
 	t.AddNote("conditions heal at GST: partition (f+1 isolated), 40%% pre-GST loss, 33%% duplication + Δ reorder jitter, f-node crash-recovery churn")
 	t.AddNote("the §2 clamp floods withheld pre-GST traffic back at GST+Δ; latency is the first honest-leader decision after GST")
@@ -648,10 +637,10 @@ type gapShrinkageResult struct {
 // hg_{f+1, GST} is huge; after GST the mechanisms of §3.5 must bring it
 // below Γ and keep it there.
 func gapShrinkage(f int, seed int64) gapShrinkageResult {
-	s := desyncScenario(ProtoLumiere, f, seed)
+	s := desyncScenario(harness.ProtoLumiere, f, seed)
 	s.Name = "gap-shrinkage"
 	s.SampleGaps = true
-	res := Run(s)
+	res := harness.Run(s)
 	out := gapShrinkageResult{Gamma: res.Gamma}
 	gstT := res.GST
 	steadyFrom := gstT.Add(20 * res.Gamma)
@@ -691,9 +680,9 @@ func adversarialSuccess(f int, seed int64) eventualResult {
 	for i := range corr {
 		corr[i] = adversary.Corruption{Node: types.NodeID(i), Behavior: adversary.BehaviorLateProposing, Lag: lag}
 	}
-	res := Run(Scenario{
+	res := harness.Run(harness.Scenario{
 		Name:        "adversarial-success",
-		Protocol:    ProtoLumiere,
+		Protocol:    harness.ProtoLumiere,
 		F:           f,
 		Delta:       delta,
 		DeltaActual: delta / 10,
@@ -718,7 +707,7 @@ func adversarialSuccess(f int, seed int64) eventualResult {
 // still in flight — needs clocks that advance by time rather than bumps
 // near the boundary, so the scenario mixes heavy delay jitter with
 // late-proposing Byzantine leaders whose QCs arrive at the last moment.
-func deltaWaitAblation(f int, seed int64, opts SweepOptions) (withWait, withoutWait int) {
+func deltaWaitAblation(f int, seed int64, opts harness.SweepOptions) (withWait, withoutWait int) {
 	delta := 100 * time.Millisecond
 	corr := make([]adversary.Corruption, f)
 	for i := range corr {
@@ -728,10 +717,10 @@ func deltaWaitAblation(f int, seed int64, opts SweepOptions) (withWait, withoutW
 			Lag:      5 * delta,
 		}
 	}
-	scenario := func(disable bool) Scenario {
-		return Scenario{
+	scenario := func(disable bool) harness.Scenario {
+		return harness.Scenario{
 			Name:                 fmt.Sprintf("delta-wait-%v", disable),
-			Protocol:             ProtoLumiere,
+			Protocol:             harness.ProtoLumiere,
 			F:                    f,
 			Delta:                delta,
 			Delay:                network.Uniform{Min: time.Millisecond, Max: delta},
@@ -742,22 +731,22 @@ func deltaWaitAblation(f int, seed int64, opts SweepOptions) (withWait, withoutW
 		}
 	}
 	opts.KeepSeeds = true
-	results := Sweep([]Scenario{scenario(false), scenario(true)}, opts).Results()
-	count := func(res *Result) int {
+	results := harness.Sweep([]harness.Scenario{scenario(false), scenario(true)}, opts).Results()
+	count := func(res *harness.Result) int {
 		return len(res.Collector.HeavySyncViews(types.Time(0).Add(30 * time.Second)))
 	}
 	return count(results[0]), count(results[1])
 }
 
 // lumiereRow renders a one-row table of a Lumiere-only §3.5 result.
-func lumiereRow(title string, header []string, cells ...string) *Table {
-	t := &Table{Title: title, Header: append([]string{"protocol"}, header...)}
-	t.AddRow(append([]string{string(ProtoLumiere)}, cells...)...)
+func lumiereRow(title string, header []string, cells ...string) *viz.Table {
+	t := &viz.Table{Title: title, Header: append([]string{"protocol"}, header...)}
+	t.AddRow(append([]string{string(harness.ProtoLumiere)}, cells...)...)
 	return t
 }
 
 // gapShrinkageTable renders gapShrinkage at f = sc.F.
-func gapShrinkageTable(sc Scale, seed int64, _ SweepOptions) ([]Output, string) {
+func gapShrinkageTable(sc Scale, seed int64, _ harness.SweepOptions) ([]Output, string) {
 	r := gapShrinkage(sc.F, seed)
 	below := "never"
 	if r.Converged {
@@ -771,7 +760,7 @@ func gapShrinkageTable(sc Scale, seed int64, _ SweepOptions) ([]Output, string) 
 }
 
 // adversarialSuccessTable renders adversarialSuccess at f = sc.F.
-func adversarialSuccessTable(sc Scale, seed int64, _ SweepOptions) ([]Output, string) {
+func adversarialSuccessTable(sc Scale, seed int64, _ harness.SweepOptions) ([]Output, string) {
 	r := adversarialSuccess(sc.F, seed)
 	t := lumiereRow(fmt.Sprintf("§3.5 adversarial success criterion (n=%d, f late-proposing Byzantine leaders)", 3*sc.F+1),
 		[]string{"decisions", "mean gap", "max gap", "heavy syncs"},
@@ -782,7 +771,7 @@ func adversarialSuccessTable(sc Scale, seed int64, _ SweepOptions) ([]Output, st
 }
 
 // deltaWaitTable renders deltaWaitAblation at f = sc.F.
-func deltaWaitTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func deltaWaitTable(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	with, without := deltaWaitAblation(sc.F, seed, opts)
 	t := lumiereRow(fmt.Sprintf("§3.5 Δ-wait ablation (n=%d, fast QC bursts): heavy syncs after a 30s warmup", 3*sc.F+1),
 		[]string{"with Δ-wait", "without Δ-wait"}, fmt.Sprintf("%d", with), fmt.Sprintf("%d", without))

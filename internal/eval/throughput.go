@@ -1,11 +1,13 @@
-package harness
+package eval
 
 import (
 	"fmt"
 	"time"
 
 	"lumiere/internal/adversary"
+	"lumiere/internal/harness"
 	"lumiere/internal/statemachine"
+	"lumiere/internal/viz"
 	"lumiere/internal/workload"
 )
 
@@ -17,24 +19,19 @@ import (
 // throughputUnderAttackTable pits a fixed load against the view-desync
 // strategy and reports what the attack does to p99 commit latency.
 
-// ThroughputLoads is the offered-load axis (commands per second) of the
+// throughputLoads is the offered-load axis (commands per second) of the
 // throughput table. The loads are deliberately non-divisors of 10⁹:
 // the accumulator pacer injects them exactly (workload.Pacer).
-var ThroughputLoads = []int64{300, 1500, 6000}
+var throughputLoads = []int64{300, 1500, 6000}
 
-// ThroughputBatches is the block-batch-size axis of the throughput
+// throughputBatches is the block-batch-size axis of the throughput
 // table.
-var ThroughputBatches = []int{64, 256}
+var throughputBatches = []int{64, 256}
 
-// ThroughputClients is the logical client population behind the
+// throughputClients is the logical client population behind the
 // throughput tables. Clients are materialized only as hashes of command
 // indices, so the population costs no per-client state.
-const ThroughputClients = 1_000_000
-
-// ThroughputPayloadPad is the filler bytes per command in the
-// throughput tables; proposals are charged ⌈payload/32⌉ words for it
-// (msg.PayloadWords), so words/cmd reflects data-plane traffic too.
-const ThroughputPayloadPad = 64
+const throughputClients = 1_000_000
 
 // throughputWarmup is the prefix of each run excluded from commit
 // statistics (ramp-up views and cold mempools).
@@ -44,9 +41,9 @@ const throughputWarmup = 3 * time.Second
 // with an open-loop population offering `load` commands per second into
 // every honest replica and blocks capped at `batch` commands. The
 // Counter state machine keeps execution O(1) per command at any load.
-func throughputScenario(p Protocol, f int, load int64, batch int, seed int64) Scenario {
+func throughputScenario(p harness.Protocol, f int, load int64, batch int, seed int64) harness.Scenario {
 	delta := 50 * time.Millisecond
-	return Scenario{
+	return harness.Scenario{
 		Name:            fmt.Sprintf("smr-tput-%s-f%d-load%d-batch%d", p, f, load, batch),
 		Protocol:        p,
 		F:               f,
@@ -58,9 +55,9 @@ func throughputScenario(p Protocol, f int, load int64, batch int, seed int64) Sc
 		SMRBatchSize:    batch,
 		NewStateMachine: func() statemachine.StateMachine { return statemachine.NewCounter() },
 		Workload: &workload.Config{
-			Clients:    ThroughputClients,
+			Clients:    throughputClients,
 			Rate:       load,
-			PayloadPad: ThroughputPayloadPad,
+			PayloadPad: harness.ThroughputPayloadPad,
 		},
 	}
 }
@@ -68,7 +65,7 @@ func throughputScenario(p Protocol, f int, load int64, batch int, seed int64) Sc
 // ThroughputCell is one protocol × load × batch cell.
 type ThroughputCell struct {
 	// Protocol, Load and Batch identify the cell.
-	Protocol Protocol
+	Protocol harness.Protocol
 	Load     int64
 	Batch    int
 	// Submitted and Committed count workload commands over the whole
@@ -86,7 +83,7 @@ type ThroughputCell struct {
 }
 
 // measureThroughput extracts one cell from a finished SMR run.
-func measureThroughput(res *Result) ThroughputCell {
+func measureThroughput(res *harness.Result) ThroughputCell {
 	s := res.Scenario
 	cell := ThroughputCell{
 		Protocol:  s.Protocol,
@@ -112,59 +109,47 @@ type loadBatch struct {
 	batch int
 }
 
-// throughputTable runs the AllProtocols × ThroughputLoads ×
-// ThroughputBatches grid at f = sc.SMRF and renders one row per
+// throughputTable runs the AllProtocols × throughputLoads ×
+// throughputBatches grid at f = sc.SMRF and renders one row per
 // protocol, one column per load × batch, each cell "cmd/s p50/p99".
-func throughputTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func throughputTable(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	var axis []loadBatch
-	for _, load := range ThroughputLoads {
-		for _, batch := range ThroughputBatches {
+	for _, load := range throughputLoads {
+		for _, batch := range throughputBatches {
 			axis = append(axis, loadBatch{load, batch})
 		}
 	}
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(axis)}, seed, opts,
-		func(row, col, _ int) Scenario {
-			return throughputScenario(AllProtocols[row], sc.SMRF, axis[col].load, axis[col].batch, 0)
+	g := harness.SweepGrid(harness.GridShape{Rows: len(harness.AllProtocols), Cols: len(axis)}, seed, opts,
+		func(row, col, _ int) harness.Scenario {
+			return throughputScenario(harness.AllProtocols[row], sc.SMRF, axis[col].load, axis[col].batch, 0)
 		})
-	cols := axisLabels(axis, func(c loadBatch) string { return fmt.Sprintf("%d/s b=%d", c.load, c.batch) })
-	t := gridTable("SMR throughput: committed commands/sec and commit latency (p50/p99) by offered load and batch size",
-		"protocol", AllProtocols, cols, func(row, col int) string {
-			c := measureThroughput(g.result(row, col))
-			return orStalled(c.Committed > 0, "%.0f/s %s/%s", c.PerSec, shortDur(c.P50), shortDur(c.P99))
+	cols := viz.AxisLabels(axis, func(c loadBatch) string { return fmt.Sprintf("%d/s b=%d", c.load, c.batch) })
+	t := viz.GridTable("SMR throughput: committed commands/sec and commit latency (p50/p99) by offered load and batch size",
+		"protocol", harness.AllProtocols, cols, func(row, col int) string {
+			c := measureThroughput(g.Result(row, col))
+			return viz.OrStalled(c.Committed > 0, "%.0f/s %s/%s", c.PerSec, viz.ShortDur(c.P50), viz.ShortDur(c.P99))
 		})
-	t.AddNote("open loop: %d logical clients, %dB payload/cmd, Δ=50ms δ=5ms, stats after %s warmup", ThroughputClients, ThroughputPayloadPad, throughputWarmup)
+	t.AddNote("open loop: %d logical clients, %dB payload/cmd, Δ=50ms δ=5ms, stats after %s warmup", throughputClients, harness.ThroughputPayloadPad, throughputWarmup)
 	t.AddNote("latency is submit→first commit at any honest replica; words/cmd in ThroughputCell.WordsPerCmd")
 	return one("smr_throughput", t), ""
-}
-
-// shortDur renders a latency compactly (ms resolution above 10ms).
-func shortDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.1fs", d.Seconds())
-	case d >= 10*time.Millisecond:
-		return fmt.Sprintf("%dms", d.Milliseconds())
-	default:
-		return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
-	}
 }
 
 // ---------------------------------------------------------------------------
 // Throughput under attack
 // ---------------------------------------------------------------------------
 
-// AttackLoad and AttackBatch fix the workload of the under-attack
+// attackLoad and attackBatch fix the workload of the under-attack
 // comparison (middle of the clean table's axes).
 const (
-	AttackLoad  int64 = 1500
-	AttackBatch       = 128
+	attackLoad  int64 = 1500
+	attackBatch       = 128
 )
 
 // throughputAttackScenario is throughputScenario with GST = 2s and the
 // given attack strategy poisoning the pre-GST window (attackScenario's
 // shape); an empty name runs the unattacked control.
-func throughputAttackScenario(p Protocol, f int, attack string, seed int64) Scenario {
-	s := throughputScenario(p, f, AttackLoad, AttackBatch, seed)
+func throughputAttackScenario(p harness.Protocol, f int, attack string, seed int64) harness.Scenario {
+	s := throughputScenario(p, f, attackLoad, attackBatch, seed)
 	gst := 2 * time.Second
 	s.GST = gst
 	s.Duration = gst + 15*time.Second
@@ -176,17 +161,17 @@ func throughputAttackScenario(p Protocol, f int, attack string, seed int64) Scen
 }
 
 // throughputUnderAttackTable runs every protocol twice at f = sc.SMRF —
-// clean and under the view-desync strategy — at AttackLoad /
-// AttackBatch, and renders per protocol clean and attacked throughput
+// clean and under the view-desync strategy — at attackLoad /
+// attackBatch, and renders per protocol clean and attacked throughput
 // and p99 commit latency, plus the p99 blowup factor.
-func throughputUnderAttackTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
+func throughputUnderAttackTable(sc Scale, seed int64, opts harness.SweepOptions) ([]Output, string) {
 	attack := adversary.AttackViewDesync
 	sides := []string{"", attack} // the unattacked control, then the attack
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(sides)}, seed, opts,
-		func(row, col, _ int) Scenario {
-			return throughputAttackScenario(AllProtocols[row], sc.SMRF, sides[col], 0)
+	g := harness.SweepGrid(harness.GridShape{Rows: len(harness.AllProtocols), Cols: len(sides)}, seed, opts,
+		func(row, col, _ int) harness.Scenario {
+			return throughputAttackScenario(harness.AllProtocols[row], sc.SMRF, sides[col], 0)
 		})
-	t := &Table{Title: fmt.Sprintf("SMR throughput under attack (%s, %d cmd/s, batch %d): clean vs attacked commit latency", attack, AttackLoad, AttackBatch)}
+	t := &viz.Table{Title: fmt.Sprintf("SMR throughput under attack (%s, %d cmd/s, batch %d): clean vs attacked commit latency", attack, attackLoad, attackBatch)}
 	t.Header = []string{"protocol", "clean cmd/s", "clean p99", "attacked cmd/s", "attacked p99", "p99 blowup"}
 	side := func(tc *ThroughputCell) (rate, p99 string) {
 		// A side that committed nothing over the whole run is stalled:
@@ -194,10 +179,10 @@ func throughputUnderAttackTable(sc Scale, seed int64, opts SweepOptions) ([]Outp
 		if tc.Committed == 0 {
 			return "stalled", "-"
 		}
-		return fmt.Sprintf("%.0f/s", tc.PerSec), shortDur(tc.P99)
+		return fmt.Sprintf("%.0f/s", tc.PerSec), viz.ShortDur(tc.P99)
 	}
-	for row, p := range AllProtocols {
-		clean, attacked := measureThroughput(g.result(row, 0)), measureThroughput(g.result(row, 1))
+	for row, p := range harness.AllProtocols {
+		clean, attacked := measureThroughput(g.Result(row, 0)), measureThroughput(g.Result(row, 1))
 		cleanRate, cleanP99 := side(&clean)
 		attackedRate, attackedP99 := side(&attacked)
 		blowup := "-"

@@ -8,6 +8,7 @@ import (
 	"lumiere/internal/crypto"
 	"lumiere/internal/msg"
 	"lumiere/internal/types"
+	"lumiere/internal/viz"
 )
 
 // This file implements the adaptive-attack arm of the harness: the glue
@@ -213,13 +214,13 @@ func (r *AttackReport) AllDecided() bool {
 // latency in Δ and total honest words over the run). The rendering is a
 // pure function of the simulated executions, so it is byte-identical at
 // every worker count.
-func (r *AttackReport) Table() *Table {
+func (r *AttackReport) Table() *viz.Table {
 	specs := AttackSpecs()
-	cols := axisLabels(specs, func(spec adversary.AttackSpec) string { return spec.Name })
-	t := gridTable("Attack table: view-sync latency after GST (in Δ) and total honest words under adaptive strategies",
+	cols := viz.AxisLabels(specs, func(spec adversary.AttackSpec) string { return spec.Name })
+	t := viz.GridTable("Attack table: view-sync latency after GST (in Δ) and total honest words under adaptive strategies",
 		"protocol", AllProtocols, cols, func(row, col int) string {
 			c := cellAt(r.Cells, len(specs), row, col)
-			return orStalled(c.Decided, "%.2fΔ %dw", float64(c.SyncLatency)/float64(AttackDelta), c.TotalWords)
+			return viz.OrStalled(c.Decided, "%.2fΔ %dw", float64(c.SyncLatency)/float64(AttackDelta), c.TotalWords)
 		})
 	t.AddNote("strategies: vote-then-silence desync, next-f-leaders omission, honest-till-GST straddle, leader-slot darkness + sync spam")
 	t.AddNote("words charge honest sends only (msg.Words per message); W_GST windows are in AttackCell.WindowWords")
@@ -251,7 +252,7 @@ func measureAttack(res *Result) AttackCell {
 // every worker count.
 func AttackSweep(f int, seed int64, opts SweepOptions) *AttackReport {
 	specs := AttackSpecs()
-	g := sweepGrid(gridShape{rows: len(AllProtocols), cols: len(specs)}, seed, opts,
+	g := SweepGrid(GridShape{Rows: len(AllProtocols), Cols: len(specs)}, seed, opts,
 		func(row, col, _ int) Scenario { return attackScenario(AllProtocols[row], f, specs[col], 0) })
 	rep := &AttackReport{Workers: g.Workers, Elapsed: g.Elapsed}
 	for i := range g.Cells {
@@ -260,31 +261,9 @@ func AttackSweep(f int, seed int64, opts SweepOptions) *AttackReport {
 	return rep
 }
 
-// attackTable renders AttackSweep at f = sc.AttackF; every attack is
-// model-legal, so a stalled cell is its problem.
-func attackTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
-	rep := AttackSweep(sc.AttackF, seed, opts)
-	problem := ""
-	if !rep.AllDecided() {
-		problem = "attack sweep has stalled cells: a model-legal attack defeated a protocol"
-	}
-	return one("attack_table", rep.Table()), problem
-}
-
 // ---------------------------------------------------------------------------
 // Massive-n scaling (multicast events + bitset quorum tracking)
 // ---------------------------------------------------------------------------
-
-// LargeNProtocols are the protocols compared in the massive-n scaling
-// table: the paper's Θ(n²)-synchronization baseline against Lumiere.
-var LargeNProtocols = []Protocol{ProtoLP22, ProtoLumiere}
-
-// largeNSparsePoints caps the metrics send series for massive-n cells:
-// 2²⁰ points bound the collector to tens of megabytes while keeping the
-// windowed attribution error (sends coalesce onto later timestamps)
-// to tens of sends per point — noise well under 1 word/n on the cells
-// the table reports.
-const largeNSparsePoints = 1 << 20
 
 // LargeNScenario builds one massive-n steady-state cell: n processors
 // (f = ⌊(n−1)/3⌋), one crashed processor, and the eventualScenario
@@ -297,44 +276,15 @@ const largeNSparsePoints = 1 << 20
 func LargeNScenario(p Protocol, n int, seed int64) Scenario {
 	delta := 50 * time.Millisecond
 	return Scenario{
-		Name:          fmt.Sprintf("largen-%s-n%d", p, n),
-		Protocol:      p,
-		N:             n,
-		F:             (n - 1) / 3,
-		Delta:         delta,
-		DeltaActual:   delta / 10,
-		Corruptions:   adversary.CrashFirst(1),
-		Duration:      300 * time.Second,
-		Seed:          seed,
-		SparseMetrics: largeNSparsePoints,
-		MaxEvents:     1_000_000_000,
+		Name:        fmt.Sprintf("largen-%s-n%d", p, n),
+		Protocol:    p,
+		N:           n,
+		F:           (n - 1) / 3,
+		Delta:       delta,
+		DeltaActual: delta / 10,
+		Corruptions: adversary.CrashFirst(1),
+		Duration:    300 * time.Second,
+		Seed:        seed,
+		MaxEvents:   1_000_000_000,
 	}
-}
-
-// largeNWordsTable sweeps LargeNProtocols over the system sizes
-// sc.LargeNs and reports the maximum honest words between consecutive
-// decisions after warmup, normalized by n — the word-scaling measure of
-// eventualScaling pushed to four-digit n. Lumiere's words/n stays
-// near-flat as n grows (its worst window is O(n) words); LP22's grows
-// ~linearly in n (Θ(n²) words: the all-to-all epoch-view exchange plus
-// the all-to-all EC relay land in a single decision window).
-//
-// Unlike measureEventual this skips no post-warmup decisions: at n ≥
-// 1024 only a handful of epoch boundaries fit in the run, and the first
-// decision after warmup is the one immediately following a heavy
-// synchronization — skipping it would skip the very window the table
-// exists to measure.
-func largeNWordsTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
-	ns := sc.LargeNs
-	g := sweepGrid(gridShape{rows: len(LargeNProtocols), cols: len(ns)}, seed, opts,
-		func(row, col, _ int) Scenario { return LargeNScenario(LargeNProtocols[row], ns[col], 0) })
-	t := gridTable("Massive-n word-complexity scaling: max honest words between consecutive decisions / n (f_a=1)",
-		"protocol", LargeNProtocols, axisLabels(ns, func(n int) string { return fmt.Sprintf("n=%d", n) }),
-		func(row, col int) string {
-			res := g.result(row, col)
-			stats := res.Collector.Stats(types.Time(0).Add(res.Scenario.Duration/4), 0)
-			return orStalled(!res.Aborted && stats.Count > 0, "%.1f", stats.MaxWords/float64(res.Cfg.N))
-		})
-	t.AddNote("~flat row: worst window O(n) words (Lumiere); ~4n row: worst window Θ(n²) words (LP22's epoch sync)")
-	return one("largen_words", t), ""
 }

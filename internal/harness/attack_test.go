@@ -86,11 +86,11 @@ func TestEventualWordsLinearInFaults(t *testing.T) {
 	}
 	t.Parallel()
 	perN := func(p Protocol, f, fa int) float64 {
-		r := measureEventual(Run(eventualScenario(p, f, fa, DeriveSeed(42, f))))
-		if r.Decisions == 0 {
+		r := steadyStats(p, f, fa, DeriveSeed(42, f))
+		if r.Count == 0 {
 			t.Fatalf("%s f=%d fa=%d stalled", p, f, fa)
 		}
-		return r.MaxWords / float64(r.N)
+		return r.MaxWords / float64(3*f+1)
 	}
 	// n-scaling at f_a = 1: words/n ratio between n=16 and n=4.
 	lum := perN(ProtoLumiere, 5, 1) / perN(ProtoLumiere, 1, 1)
@@ -103,8 +103,8 @@ func TestEventualWordsLinearInFaults(t *testing.T) {
 		t.Errorf("lp22/nk20 words/n grew only %.2fx/%.2fx, want ≥ 2.5 (quadratic words)", lp, nk)
 	}
 	// f_a-scaling at n=10: more actual faults, more Lumiere words.
-	w0 := measureEventual(Run(eventualScenario(ProtoLumiere, 3, 0, 42))).MaxWords
-	w2 := measureEventual(Run(eventualScenario(ProtoLumiere, 3, 2, 42))).MaxWords
+	w0 := steadyStats(ProtoLumiere, 3, 0, 42).MaxWords
+	w2 := steadyStats(ProtoLumiere, 3, 2, 42).MaxWords
 	if w2 <= w0 {
 		t.Errorf("lumiere max words did not grow with actual faults: fa=0 %.0f, fa=2 %.0f", w0, w2)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/types"
 	"lumiere/internal/workload"
 )
 
@@ -22,7 +23,15 @@ func TestRunInAllocsSteadyCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement in -short mode")
 	}
-	s := chaosScenario(ProtoCogsworth, 1, 0, 42)
+	// The chaos table's Cogsworth partition-heal cell at f = 1: nodes 0
+	// and 1 cut off until GST = 2s.
+	gst := 2 * time.Second
+	s := Scenario{
+		Name: "chaos-partition-heal-cogsworth-f1", Protocol: ProtoCogsworth, F: 1,
+		Delta: testDelta, DeltaActual: testDelta / 10, GST: gst,
+		Duration:   gst + 60*ProtoCogsworth.Gamma(testDelta),
+		Partitions: [][]types.NodeID{{0, 1}}, Seed: 42,
+	}
 	Run(s)
 	runtime.GC()
 	var before, after runtime.MemStats

@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"time"
+
+	"lumiere/internal/viz"
 )
 
 // This file implements the chaos conformance sweep: the scenario-
@@ -51,8 +53,8 @@ func (r *ChaosReport) Conformant() bool { return r.Problems == 0 }
 // Table renders the report as one row per cell. The rendering is a
 // pure function of the simulated executions, so it is byte-identical
 // at every worker count.
-func (r *ChaosReport) Table() *Table {
-	t := &Table{Title: fmt.Sprintf("Chaos conformance sweep: %d generated scenarios", len(r.Cells))}
+func (r *ChaosReport) Table() *viz.Table {
+	t := &viz.Table{Title: fmt.Sprintf("Chaos conformance sweep: %d generated scenarios", len(r.Cells))}
 	t.Header = []string{"scenario", "protocol", "sync-latency", "decisions", "omitted", "problems"}
 	for i := range r.Cells {
 		c := &r.Cells[i]
@@ -103,15 +105,4 @@ func ChaosSweep(count int, baseSeed int64, opts SweepOptions) *ChaosReport {
 		rep.Cells = append(rep.Cells, cc)
 	}
 	return rep
-}
-
-// chaosConformanceTable renders ChaosSweep over sc.ChaosCells
-// scenarios; a non-conformant cell is its problem.
-func chaosConformanceTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
-	rep := ChaosSweep(sc.ChaosCells, seed, opts)
-	problem := ""
-	if !rep.Conformant() {
-		problem = fmt.Sprintf("chaos sweep NOT conformant: %d problems", rep.Problems)
-	}
-	return one("chaos_conformance", rep.Table()), problem
 }

@@ -11,6 +11,7 @@ import (
 	"lumiere/internal/nettcp"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
+	"lumiere/internal/viz"
 	"lumiere/internal/workload"
 )
 
@@ -263,8 +264,8 @@ func honestMetrics(s Scenario, snaps []*metrics.Collector) *metrics.Collector {
 // vary run to run) but the header, row count and row order depend only
 // on fs — the real-I/O table that stands next to the simulated ones in
 // EXPERIMENTS.md.
-func ClusterTable(fs []int, delta, perRun time.Duration, seed int64) (*Table, error) {
-	t := &Table{Title: "Wall-clock loopback cluster: sync latency and words (real TCP)"}
+func ClusterTable(fs []int, delta, perRun time.Duration, seed int64) (*viz.Table, error) {
+	t := &viz.Table{Title: "Wall-clock loopback cluster: sync latency and words (real TCP)"}
 	t.Header = []string{"n", "f", "decisions", "sync-lat", "mean-gap", "words", "words/dec", "words/dec/n", "drops"}
 	for _, f := range fs {
 		res, err := RunCluster(Scenario{

@@ -149,10 +149,10 @@ type Scenario struct {
 	// TraceLimit enables event tracing, keeping at most this many
 	// events (0 disables tracing).
 	TraceLimit int
-	// SparseMetrics caps the metrics Collector's cumulative send series
-	// (metrics.WithSparse) for massive-n cells: totals stay exact,
-	// time-windowed queries become approximate at the coalesced
-	// resolution. Zero leaves the series exact and unbounded.
+	// SparseMetrics is ignored: every collector is exact.
+	//
+	// Deprecated: leave it zero. It remains because the repository
+	// benchmark (benchmark/) reads it.
 	SparseMetrics int
 	// CheckInvariants enables Lemma 5.1-5.3 runtime checks (Lumiere).
 	CheckInvariants bool
@@ -530,11 +530,8 @@ func run(s Scenario) (*Result, []replica.Replica) {
 			honest[c.Node] = false
 		}
 	}
-	copts := []metrics.Option{metrics.WithEpochWords(s.Protocol.EpochLen(cfg))}
-	if s.SparseMetrics > 0 {
-		copts = append(copts, metrics.WithSparse(s.SparseMetrics))
-	}
-	collector := metrics.NewCollector(func(id types.NodeID) bool { return honest[id] }, copts...)
+	collector := metrics.NewCollector(func(id types.NodeID) bool { return honest[id] },
+		metrics.WithEpochWords(s.Protocol.EpochLen(cfg)))
 	net.Observe(collector)
 
 	var tracer *trace.Tracer

@@ -131,83 +131,59 @@ func Sweep(scenarios []Scenario, opts SweepOptions) *SweepResult {
 	return &SweepResult{Cells: cells, Workers: workers, Elapsed: time.Since(start)}
 }
 
-// gridShape is the shape of a grid sweep: rows × cols cells with runs
+// GridShape is the shape of a grid sweep: Rows × Cols cells with Runs
 // executions each. Every protocol × axis table driver is one grid.
-type gridShape struct {
-	rows, cols int
-	// runs is the number of executions per cell (zero means one).
-	runs int
-	// sharedSeed gives every run of a cell the cell's seed,
-	// DeriveSeed(seed, row*cols+col), for cells whose runs differ by
-	// construction rather than by randomness (table1WorstCase's
+type GridShape struct {
+	Rows, Cols int
+	// Runs is the number of executions per cell (zero means one).
+	Runs int
+	// SharedSeed gives every run of a cell the cell's seed,
+	// DeriveSeed(seed, row*Cols+col), for cells whose runs differ by
+	// construction rather than by randomness (the worst-case table's
 	// strategies). By default every run has its own seed,
 	// DeriveSeed(seed, flat index).
-	sharedSeed bool
+	SharedSeed bool
 }
 
-// grid is a finished grid sweep: the SweepResult plus the shape that
+// Grid is a finished grid sweep: the SweepResult plus the shape that
 // maps (row, col, run) onto its flat cell order.
-type grid struct {
-	gridShape
+type Grid struct {
+	GridShape
 	*SweepResult
 }
 
-// sweepGrid runs scenario(row, col, run) for every point of the grid as
+// SweepGrid runs scenario(row, col, run) for every point of the grid as
 // one Sweep, flattened rows outermost and runs innermost — the flat index
-// of (row, col, run) is (row*cols+col)*runs+run — and seeds each
+// of (row, col, run) is (row*Cols+col)*Runs+run — and seeds each
 // execution from (seed, index) alone, so the grid is byte-identical at
 // every worker count. The scenario builder's own Seed is overwritten.
-func sweepGrid(shape gridShape, seed int64, opts SweepOptions, scenario func(row, col, run int) Scenario) *grid {
-	if shape.runs == 0 {
-		shape.runs = 1
+func SweepGrid(shape GridShape, seed int64, opts SweepOptions, scenario func(row, col, run int) Scenario) *Grid {
+	if shape.Runs == 0 {
+		shape.Runs = 1
 	}
-	scenarios := make([]Scenario, shape.rows*shape.cols*shape.runs)
+	scenarios := make([]Scenario, shape.Rows*shape.Cols*shape.Runs)
 	for i := range scenarios {
-		cell, run := i/shape.runs, i%shape.runs
-		scenarios[i] = scenario(cell/shape.cols, cell%shape.cols, run)
-		if shape.sharedSeed {
+		cell, run := i/shape.Runs, i%shape.Runs
+		scenarios[i] = scenario(cell/shape.Cols, cell%shape.Cols, run)
+		if shape.SharedSeed {
 			scenarios[i].Seed = DeriveSeed(seed, cell)
 		} else {
 			scenarios[i].Seed = DeriveSeed(seed, i)
 		}
 	}
 	opts.KeepSeeds = true
-	return &grid{shape, Sweep(scenarios, opts)}
+	return &Grid{shape, Sweep(scenarios, opts)}
 }
 
-// cell returns one execution of the grid.
-func (g *grid) cell(row, col, run int) *SweepCell {
-	return &g.Cells[(row*g.cols+col)*g.runs+run]
+// Cell returns one execution of the grid.
+func (g *Grid) Cell(row, col, run int) *SweepCell {
+	return &g.Cells[(row*g.Cols+col)*g.Runs+run]
 }
 
-// result returns the first (for most grids, the only) execution of a
+// Result returns the first (for most grids, the only) execution of a
 // cell.
-func (g *grid) result(row, col int) *Result { return g.cell(row, col, 0).Result }
+func (g *Grid) Result(row, col int) *Result { return g.Cell(row, col, 0).Result }
 
 // cellAt indexes a report's exported row-major cell slice (one entry per
 // grid cell, cols per row).
 func cellAt[T any](cells []T, cols, row, col int) *T { return &cells[row*cols+col] }
-
-// gridTable renders a "corner | col…" table with one row per name (the
-// protocols, for all tables but the WAN one), each body cell rendered by
-// cell(row, col).
-func gridTable[R ~string](title, corner string, rows []R, cols []string, cell func(row, col int) string) *Table {
-	t := &Table{Title: title, Header: append([]string{corner}, cols...)}
-	for r, name := range rows {
-		row := []string{string(name)}
-		for c := range cols {
-			row = append(row, cell(r, c))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// axisLabels formats an axis as column headers.
-func axisLabels[V any](axis []V, label func(V) string) []string {
-	out := make([]string, len(axis))
-	for i, v := range axis {
-		out[i] = label(v)
-	}
-	return out
-}

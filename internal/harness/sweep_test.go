@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"lumiere/internal/viz"
 )
 
 // sweepTestMatrix is a small protocol × f matrix of fast scenarios.
@@ -26,7 +28,7 @@ func sweepTestMatrix() []Scenario {
 // sweepFingerprint reduces a sweep to a comparable string.
 func sweepFingerprint(t *testing.T, sr *SweepResult) string {
 	t.Helper()
-	tb := &Table{Title: "sweep", Header: []string{"cell", "seed", "decisions", "msgs", "events"}}
+	tb := &viz.Table{Title: "sweep", Header: []string{"cell", "seed", "decisions", "msgs", "events"}}
 	for _, c := range sr.Cells {
 		tb.AddRow(c.Scenario.Name,
 			fmt.Sprintf("%d", c.Scenario.Seed),
@@ -155,16 +157,16 @@ func TestDeriveSeedStable(t *testing.T) {
 // TestSweepGrid pins the grid driver every table runs on, with a fake
 // 2 × 3 × 2 grid of 1-second scenarios: rows outermost and runs innermost
 // in the flat order, per-run derived seeds by default, one shared seed per
-// cell in sharedSeed mode, and identical results at any worker count.
+// cell in SharedSeed mode, and identical results at any worker count.
 func TestSweepGrid(t *testing.T) {
 	t.Parallel()
 	const rows, cols, runs, seed = 2, 3, 2, 99
 	name := func(row, col, run int) string { return fmt.Sprintf("r%d-c%d-u%d", row, col, run) }
 	for _, shared := range []bool{false, true} {
-		shape := gridShape{rows: rows, cols: cols, runs: runs, sharedSeed: shared}
+		shape := GridShape{Rows: rows, Cols: cols, Runs: runs, SharedSeed: shared}
 		var want string
 		for _, workers := range []int{1, 4} {
-			g := sweepGrid(shape, seed, SweepOptions{Workers: workers}, func(row, col, run int) Scenario {
+			g := SweepGrid(shape, seed, SweepOptions{Workers: workers}, func(row, col, run int) Scenario {
 				return Scenario{Name: name(row, col, run), F: 1, Delta: testDelta, Duration: time.Second, Seed: -1}
 			})
 			if len(g.Cells) != rows*cols*runs {
@@ -173,7 +175,7 @@ func TestSweepGrid(t *testing.T) {
 			for row := 0; row < rows; row++ {
 				for col := 0; col < cols; col++ {
 					for run := 0; run < runs; run++ {
-						c := g.cell(row, col, run)
+						c := g.Cell(row, col, run)
 						flat := (row*cols+col)*runs + run
 						if c.Index != flat || c.Scenario.Name != name(row, col, run) {
 							t.Fatalf("shared=%v: cell(%d,%d,%d) is flat %d %q, want flat %d", shared, row, col, run, c.Index, c.Scenario.Name, flat)
@@ -188,8 +190,8 @@ func TestSweepGrid(t *testing.T) {
 					}
 				}
 			}
-			if g.result(1, 2) != g.cell(1, 2, 0).Result {
-				t.Fatalf("shared=%v: result(row, col) is not run 0", shared)
+			if g.Result(1, 2) != g.Cell(1, 2, 0).Result {
+				t.Fatalf("shared=%v: Result(row, col) is not run 0", shared)
 			}
 			if got := sweepFingerprint(t, g.SweepResult); want == "" {
 				want = got
@@ -205,7 +207,7 @@ func TestSweepGrid(t *testing.T) {
 func TestGridTable(t *testing.T) {
 	t.Parallel()
 	flat := []int{0, 1, 2, 3, 4, 5}
-	tb := gridTable("t", "protocol", []Protocol{ProtoLumiere, ProtoLP22}, []string{"a", "b", "c"}, func(row, col int) string {
+	tb := viz.GridTable("t", "protocol", []Protocol{ProtoLumiere, ProtoLP22}, []string{"a", "b", "c"}, func(row, col int) string {
 		return fmt.Sprint(*cellAt(flat, 3, row, col))
 	})
 	want := "== t ==\nprotocol  a  b  c\n--------  -  -  -\nlumiere   0  1  2\nlp22      3  4  5\n"

@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lumiere/internal/viz"
 )
 
 func TestTableRender(t *testing.T) {
-	tb := &Table{Title: "demo", Header: []string{"a", "long-header", "c"}}
+	tb := &viz.Table{Title: "demo", Header: []string{"a", "long-header", "c"}}
 	tb.AddRow("x", "1", "2")
 	tb.AddRow("longer-cell", "3", "4")
 	tb.AddNote("a note %d", 7)
@@ -32,7 +34,7 @@ func TestTableRender(t *testing.T) {
 // runes, so a cell holding Δ (two bytes, one rune) or ≤ (three bytes)
 // neither widens its column nor shifts the cells after it.
 func TestTableRenderRuneWidths(t *testing.T) {
-	tb := &Table{Title: "runes", Header: []string{"p", "gap ≤ Γ", "n"}}
+	tb := &viz.Table{Title: "runes", Header: []string{"p", "gap ≤ Γ", "n"}}
 	tb.AddRow("lumiere", "1.10Δ", "4")
 	tb.AddRow("lp22", "stalled", "16")
 	lines := strings.Split(strings.TrimSpace(tb.Render()), "\n")[1:]
@@ -48,7 +50,7 @@ func TestTableRenderRuneWidths(t *testing.T) {
 }
 
 func TestTableCSV(t *testing.T) {
-	tb := &Table{Title: "demo", Header: []string{"a", "b"}}
+	tb := &viz.Table{Title: "demo", Header: []string{"a", "b"}}
 	tb.AddRow("x,y", `q"u`)
 	csv := tb.CSV()
 	if !strings.HasPrefix(csv, "a,b\n") {

@@ -11,59 +11,6 @@ import (
 	"lumiere/internal/workload"
 )
 
-// TestThroughputScenarioShape pins the wiring of a throughput cell
-// without running it: SMR mode, batch size, open-loop workload config
-// and the non-divisor load axis. Runs in -short mode (CI smoke).
-func TestThroughputScenarioShape(t *testing.T) {
-	t.Parallel()
-	s := throughputScenario(ProtoLumiere, 1, 1500, 256, 7)
-	if !s.SMR || s.SMRBatchSize != 256 || s.Workload == nil {
-		t.Fatalf("scenario not an SMR workload cell: %+v", s)
-	}
-	if s.Workload.Rate != 1500 || s.Workload.Closed || s.Workload.Clients != ThroughputClients {
-		t.Fatalf("workload config wrong: %+v", *s.Workload)
-	}
-	if s.Workload.PayloadPad != ThroughputPayloadPad {
-		t.Fatalf("payload pad = %d", s.Workload.PayloadPad)
-	}
-	for _, load := range ThroughputLoads {
-		if int64(time.Second)%load == 0 {
-			t.Fatalf("load %d divides 1s: axis must exercise the accumulator pacer", load)
-		}
-	}
-}
-
-// TestThroughputSanityCell runs one mid-table cell end to end and checks
-// the measured numbers are physical: committed tracks submitted, PerSec
-// reproduces the offered load, and latency is a few Δ.
-func TestThroughputSanityCell(t *testing.T) {
-	skipInShort(t)
-	t.Parallel()
-	res := Run(throughputScenario(ProtoLumiere, 1, 1500, 256, 11))
-	cell := measureThroughput(res)
-	if cell.Submitted == 0 || cell.Committed == 0 {
-		t.Fatalf("empty cell: %+v", cell)
-	}
-	// Open loop at 1500/s for 15s: exactly 22500 submitted (pacer is
-	// exact), nearly all committed (only the in-flight tail is not).
-	if cell.Submitted != 22500 {
-		t.Fatalf("submitted = %d, want exactly 22500 (accumulator pacer)", cell.Submitted)
-	}
-	if cell.Committed < cell.Submitted*95/100 {
-		t.Fatalf("committed %d of %d submitted", cell.Committed, cell.Submitted)
-	}
-	// Steady-state throughput must reproduce the offered load within 5%.
-	if cell.PerSec < 1425 || cell.PerSec > 1575 {
-		t.Fatalf("PerSec = %.1f, want ~1500", cell.PerSec)
-	}
-	if cell.P50 <= 0 || cell.P99 < cell.P50 || cell.P99 > time.Second {
-		t.Fatalf("latency not physical: p50=%v p99=%v", cell.P50, cell.P99)
-	}
-	if cell.WordsPerCmd <= 0 {
-		t.Fatalf("words/cmd = %v", cell.WordsPerCmd)
-	}
-}
-
 // TestInjectorExactRate is the regression test for the truncated-interval
 // injector bug: at 666667 cmd/s the legacy time.Second/rate interval
 // (1499ns) injects ~66711 commands per 100ms — +0.067% forever. The
@@ -163,7 +110,9 @@ func TestClosedLoopReadYourWrites(t *testing.T) {
 // or string allocation) jumps to ≥ 2/cmd.
 func TestWorkloadAllocs(t *testing.T) {
 	skipInShort(t)
-	_, shells := run(throughputScenario(ProtoLumiere, 1, 300, 64, 1))
+	s := smrCell()
+	s.SMRBatchSize, s.Workload.Rate = 64, 300
+	_, shells := run(s)
 	var core *hotstuff.Core
 	for _, r := range shells {
 		if hs, ok := r.Core.(*hotstuff.Core); ok && hs != nil {
@@ -175,7 +124,7 @@ func TestWorkloadAllocs(t *testing.T) {
 		t.Fatal("no hotstuff engine")
 	}
 	eng := workload.NewEngine(workload.Config{
-		Clients:    ThroughputClients,
+		Clients:    s.Workload.Clients,
 		Rate:       1_000_000,
 		PayloadPad: ThroughputPayloadPad,
 	})

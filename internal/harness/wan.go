@@ -6,19 +6,18 @@ import (
 
 	"lumiere/internal/network"
 	"lumiere/internal/statemachine"
+	"lumiere/internal/viz"
 	"lumiere/internal/workload"
 )
 
-// This file implements the WAN deployment experiments: geo-distributed
+// This file implements the WAN deployment experiment: geo-distributed
 // topology presets (regional latency matrices with jitter, straggler
-// regions, hub-and-spoke shapes) realized through network.Topology, the
-// per-node clock-drift tolerance study over clock.Drift, and the two
-// tables that report them — WANSweep's (view-sync latency, W_GST words
-// and p99 SMR commit latency per preset, Lumiere vs LP22) and
-// driftSweep's over driftPPMAxis (where the Lemma 5.1–5.3 guarantees
-// hold as hardware clocks drift, and where they break). See DESIGN.md
-// §1e for the deployment model and EXPERIMENTS.md ("WAN degradation")
-// for the reference tables.
+// regions, hub-and-spoke shapes) realized through network.Topology, and
+// WANSweep with the table that reports it (view-sync latency, W_GST
+// words and p99 SMR commit latency per preset, Lumiere vs LP22). The
+// clock-drift tolerance table lives in internal/eval. See DESIGN.md §1e
+// for the deployment model and EXPERIMENTS.md ("WAN degradation") for
+// the reference tables.
 
 // WANPresets lists the topology presets of the WAN tables, in row
 // order. Each is a deployment shape PresetTopology materializes for any
@@ -120,6 +119,11 @@ func wanSyncScenario(preset string, p Protocol, f int, seed int64) Scenario {
 	}
 }
 
+// ThroughputPayloadPad is the filler bytes per command of every SMR
+// table's workload; proposals are charged ⌈payload/32⌉ words for it
+// (msg.PayloadWords), so words/cmd reflects data-plane traffic too.
+const ThroughputPayloadPad = 64
+
 // wanSMRWarmup, wanSMRLoad, wanSMRBatch and wanSMRClients fix the SMR
 // half of each WAN cell: a modest open-loop load whose p99 commit
 // latency isolates the topology's effect rather than queueing.
@@ -205,7 +209,7 @@ type WANReport struct {
 // seeds derive from (seed, cell index), so the report is byte-identical
 // at every worker count.
 func WANSweep(f int, seed int64, opts SweepOptions) *WANReport {
-	g := sweepGrid(gridShape{rows: len(WANPresets), cols: len(WANProtocols), runs: 2}, seed, opts,
+	g := SweepGrid(GridShape{Rows: len(WANPresets), Cols: len(WANProtocols), Runs: 2}, seed, opts,
 		func(row, col, run int) Scenario {
 			if run == 0 {
 				return wanSyncScenario(WANPresets[row], WANProtocols[col], f, 0)
@@ -215,8 +219,8 @@ func WANSweep(f int, seed int64, opts SweepOptions) *WANReport {
 	rep := &WANReport{Workers: g.Workers, Elapsed: g.Elapsed}
 	for row, preset := range WANPresets {
 		for col := range WANProtocols {
-			cell := measureWANSync(preset, g.cell(row, col, 0).Result)
-			smr := g.cell(row, col, 1).Result
+			cell := measureWANSync(preset, g.Cell(row, col, 0).Result)
+			smr := g.Cell(row, col, 1).Result
 			cell.Committed = smr.Collector.CommitCount()
 			st := smr.Collector.CommitLatencyStats(smr.GST.Add(wanSMRWarmup))
 			cell.PerSec, cell.P99 = st.PerSec, st.P99
@@ -230,183 +234,27 @@ func WANSweep(f int, seed int64, opts SweepOptions) *WANReport {
 // post-GST view-sync latency (in Δ), W_GST in words, and p99 commit
 // latency. The rendering is a pure function of the simulated
 // executions, so it is byte-identical at every worker count.
-func (r *WANReport) Table() *Table {
+func (r *WANReport) Table() *viz.Table {
 	var cols []string
 	for _, p := range WANProtocols {
 		cols = append(cols, string(p)+" sync", string(p)+" W_GST", string(p)+" p99")
 	}
-	t := gridTable("WAN degradation: view-sync latency after GST (in Δ), W_GST words, and p99 SMR commit latency by topology",
+	t := viz.GridTable("WAN degradation: view-sync latency after GST (in Δ), W_GST words, and p99 SMR commit latency by topology",
 		"topology", WANPresets, cols, func(row, col int) string {
 			c := cellAt(r.Cells, len(WANProtocols), row, col/3)
 			switch col % 3 {
 			case 0:
-				return orStalled(c.Decided, "%.2fΔ", float64(c.SyncLatency)/float64(AttackDelta))
+				return viz.OrStalled(c.Decided, "%.2fΔ", float64(c.SyncLatency)/float64(AttackDelta))
 			case 1:
 				if !c.Decided {
 					return "-"
 				}
 				return fmt.Sprintf("%dw", c.WindowWords)
 			default:
-				return orStalled(c.Committed > 0, "%s", shortDur(c.P99))
+				return viz.OrStalled(c.Committed > 0, "%s", viz.ShortDur(c.P99))
 			}
 		})
 	t.AddNote("presets: single region (control), 3-region WAN, hub-and-spoke, degraded region (0.8Δ straggler ingest)")
 	t.AddNote("sync/W_GST from a pre-GST-chaos run (GST=2s); p99 from an SMR run at %d cmd/s, batch %d, stats after %s warmup", wanSMRLoad, wanSMRBatch, wanSMRWarmup)
 	return t
-}
-
-// ---------------------------------------------------------------------------
-// Clock-drift tolerance
-// ---------------------------------------------------------------------------
-
-// driftPPMAxis is the rate-drift axis of the drift tolerance table, in
-// parts per million, spanning realistic crystals (≤100ppm), the in-model
-// tolerance boundary (|ppm|·Γ ≤ Δ·10⁶: 100k ppm for Lumiere's Γ=10Δ,
-// 250k for LP22's Γ=4Δ), and far beyond it — half-speed/1.5×-speed
-// clocks at clock.Drift's hard range.
-var driftPPMAxis = []int64{0, 100, 10_000, 100_000, 250_000, 500_000}
-
-// driftScenario builds one drift cell: nodes alternate ±ppm by parity
-// (worst-case pairwise rate spread 2·ppm) with skews fanned over
-// [−Δ/2, Δ/2], invariant checking on. Out-of-model rates set
-// UncheckedWAN — the point of the table's right half is watching the
-// guarantees degrade.
-func driftScenario(p Protocol, f int, ppm int64, seed int64) Scenario {
-	delta := AttackDelta
-	gst := 2 * time.Second
-	gamma := p.Gamma(delta)
-	n := 3*f + 1
-	drift := make([]int64, n)
-	skew := make([]time.Duration, n)
-	for i := range drift {
-		if i%2 == 0 {
-			drift[i] = ppm
-		} else {
-			drift[i] = -ppm
-		}
-		skew[i] = -delta/2 + delta*time.Duration(i)/time.Duration(n-1)
-	}
-	return Scenario{
-		Name:            fmt.Sprintf("drift-%s-f%d-ppm%d", p, f, ppm),
-		Protocol:        p,
-		F:               f,
-		Delta:           delta,
-		DeltaActual:     delta / 10,
-		GST:             gst,
-		Duration:        gst + 30*time.Duration(f+1)*gamma,
-		Seed:            seed,
-		DriftPPM:        drift,
-		DriftSkew:       skew,
-		CheckInvariants: true,
-		UncheckedWAN:    time.Duration(abs64(ppm)*int64(gamma)/1_000_000) > delta,
-	}
-}
-
-// driftCell is one protocol × ppm cell of a drift sweep.
-type driftCell struct {
-	Protocol Protocol
-	PPM      int64
-	// InModel reports whether the rate is inside the harness's drift
-	// tolerance for this protocol's Γ (no UncheckedWAN needed).
-	InModel bool
-	// Decided and SyncLatency are the post-GST liveness measurements;
-	// Problems is the full conformance report (empty = Lemma 5.1–5.3
-	// obligations all hold).
-	Decided     bool
-	SyncLatency time.Duration
-	Problems    []string
-}
-
-// driftReport aggregates a drift sweep.
-type driftReport struct {
-	// Cells holds protocols outer (WANProtocols order), ppm inner (axis
-	// order).
-	Cells []driftCell
-	Axis  []int64
-}
-
-// driftSweep runs WANProtocols over the given ppm axis on the sweep
-// engine. Cell seeds derive from (seed, cell index), so the report is
-// byte-identical at every worker count.
-func driftSweep(f int, ppms []int64, seed int64, opts SweepOptions) *driftReport {
-	g := sweepGrid(gridShape{rows: len(WANProtocols), cols: len(ppms)}, seed, opts,
-		func(row, col, _ int) Scenario { return driftScenario(WANProtocols[row], f, ppms[col], 0) })
-	rep := &driftReport{Axis: ppms}
-	for i := range g.Cells {
-		res := g.Cells[i].Result
-		cell := driftCell{
-			Protocol: res.Scenario.Protocol,
-			PPM:      res.Scenario.DriftPPM[0],
-			InModel:  !res.Scenario.UncheckedWAN,
-			Problems: ConformanceReport(res),
-		}
-		if d, ok := res.Collector.FirstDecisionAfter(res.GST); ok {
-			cell.Decided = true
-			cell.SyncLatency = d.At.Sub(res.GST)
-		}
-		rep.Cells = append(rep.Cells, cell)
-	}
-	return rep
-}
-
-// InModelClean reports whether every in-model cell conforms — the
-// regression gate: drift the harness accepts without UncheckedWAN must
-// never break a Lemma 5.1–5.3 obligation.
-func (r *driftReport) InModelClean() bool {
-	for i := range r.Cells {
-		if r.Cells[i].InModel && len(r.Cells[i].Problems) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Table renders the report: one row per protocol, one column per ppm,
-// each cell the post-GST sync latency in Δ plus a conformance marker —
-// clean, or the number of broken obligations. Out-of-model columns are
-// flagged in the header row per protocol Γ implicitly (the boundary
-// differs per protocol; InModel is per cell).
-func (r *driftReport) Table() *Table {
-	cols := axisLabels(r.Axis, func(ppm int64) string { return fmt.Sprintf("±%dppm", ppm) })
-	t := gridTable("Clock-drift tolerance: view-sync latency after GST (in Δ) and conformance as hardware clocks drift",
-		"protocol", WANProtocols, cols, func(row, col int) string {
-			c := cellAt(r.Cells, len(r.Axis), row, col)
-			cell := orStalled(c.Decided, "%.2fΔ", float64(c.SyncLatency)/float64(AttackDelta))
-			switch {
-			case len(c.Problems) > 0:
-				cell += fmt.Sprintf(" %d✗", len(c.Problems))
-			case !c.InModel:
-				cell += " *"
-			}
-			return cell
-		})
-	t.AddNote("nodes alternate ±ppm (pairwise rate spread 2·ppm), skews fanned over [−Δ/2, Δ/2]")
-	t.AddNote("* = past the in-model tolerance |ppm|·Γ ≤ Δ·10⁶ (run under UncheckedWAN); N✗ = N broken conformance obligations")
-	return t
-}
-
-// topologyTable renders WANSweep at f = sc.WANF. Every preset is
-// in-model, so a stalled sync run or an SMR run that committed nothing
-// is its problem.
-func topologyTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
-	rep := WANSweep(sc.WANF, seed, opts)
-	problem := ""
-	for _, c := range rep.Cells {
-		if !c.Decided || c.Committed == 0 {
-			problem = fmt.Sprintf("WAN sweep stalled %s on the in-model %s topology", c.Protocol, c.Preset)
-			break
-		}
-	}
-	return one("wan_topology", rep.Table()), problem
-}
-
-// driftToleranceTable renders driftSweep over driftPPMAxis at f =
-// sc.WANF; an in-model cell that breaks an obligation is its problem.
-func driftToleranceTable(sc Scale, seed int64, opts SweepOptions) ([]Output, string) {
-	rep := driftSweep(sc.WANF, driftPPMAxis, seed, opts)
-	problem := ""
-	if !rep.InModelClean() {
-		problem = "drift sweep NOT clean: an in-model drift magnitude violated Lemma 5.1-5.3"
-	}
-	return one("wan_drift", rep.Table()), problem
 }

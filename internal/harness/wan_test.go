@@ -44,39 +44,6 @@ func TestWANScenariosValid(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range WANProtocols {
-		for _, ppm := range driftPPMAxis {
-			if err := driftScenario(p, 1, ppm, 1).Validate(); err != nil {
-				t.Errorf("drift %s ppm=%d: %v", p, ppm, err)
-			}
-		}
-	}
-}
-
-// TestDriftConformanceInModel is the drift conformance gate: rates the
-// harness accepts without UncheckedWAN must keep every Lemma 5.1–5.3
-// obligation intact, for both compared protocols.
-func TestDriftConformanceInModel(t *testing.T) {
-	axis := []int64{0, 100, 10_000}
-	if testing.Short() {
-		axis = []int64{0, 10_000}
-	}
-	rep := driftSweep(1, axis, 77, SweepOptions{})
-	for i := range rep.Cells {
-		c := &rep.Cells[i]
-		if !c.InModel {
-			t.Errorf("%s ppm=%d: expected in-model", c.Protocol, c.PPM)
-		}
-		if !c.Decided {
-			t.Errorf("%s ppm=%d: no decision after GST", c.Protocol, c.PPM)
-		}
-		for _, p := range c.Problems {
-			t.Errorf("%s ppm=%d: %s", c.Protocol, c.PPM, p)
-		}
-	}
-	if !rep.InModelClean() {
-		t.Error("InModelClean() = false")
-	}
 }
 
 // TestScenarioValidateWAN pins the scenario validation hardening: each

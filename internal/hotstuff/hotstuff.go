@@ -178,8 +178,8 @@ func (c *Core) HighView() types.View { return c.highQC.V }
 // harnesses to craft plausible equivocating proposals).
 func (c *Core) HighQC() *msg.QC { return c.highQC }
 
-// MempoolLen returns the number of pending commands.
-func (c *Core) MempoolLen() int { return c.inPool.n }
+// mempoolLen returns the number of pending commands.
+func (c *Core) mempoolLen() int { return c.inPool.n }
 
 // EnterView implements pacemaker.Driver.
 func (c *Core) EnterView(v types.View) {

@@ -297,17 +297,17 @@ func TestMempoolDedupeAndDrainOnCommit(t *testing.T) {
 	core := r.cores[0]
 	core.Handle(1, &msg.Request{ID: 5, Payload: []byte("SET a 1")})
 	core.Handle(2, &msg.Request{ID: 5, Payload: []byte("SET a 1")}) // duplicate
-	if core.MempoolLen() != 1 {
-		t.Fatalf("mempool = %d, want deduped 1", core.MempoolLen())
+	if core.mempoolLen() != 1 {
+		t.Fatalf("mempool = %d, want deduped 1", core.mempoolLen())
 	}
 	r.start()
 	r.sched.RunFor(time.Second)
-	if core.MempoolLen() != 0 {
-		t.Fatalf("mempool not drained after commit: %d", core.MempoolLen())
+	if core.mempoolLen() != 0 {
+		t.Fatalf("mempool not drained after commit: %d", core.mempoolLen())
 	}
 	// Re-submitting an applied command is a no-op.
 	core.Handle(1, &msg.Request{ID: 5, Payload: []byte("SET a 1")})
-	if core.MempoolLen() != 0 {
+	if core.mempoolLen() != 0 {
 		t.Fatal("applied command re-entered the mempool")
 	}
 }
@@ -336,7 +336,7 @@ func TestSubmitForwardsToNextLeaders(t *testing.T) {
 	}
 
 	r.sched.RunFor(10 * time.Millisecond) // deliver the requests
-	if n := r.cores[3].MempoolLen(); n != 3 {
+	if n := r.cores[3].mempoolLen(); n != 3 {
 		t.Fatalf("core 3, next leader of every submitter, holds %d commands, want 3", n)
 	}
 	r.cores[2].LeaderStart(6, types.TimeInf)

@@ -90,7 +90,7 @@ var idLayouts = []struct {
 // selection of it, the whole pool reversed (what a Byzantine leader would
 // send to make dequeuing expensive), commands this replica never held —
 // under each ID layout, and requires the batch LeaderStart would propose,
-// MempoolLen and membership in both ID sets to equal the model's after
+// mempoolLen and membership in both ID sets to equal the model's after
 // every step, with no set holding more words than IDs.
 func TestMempoolMatchesSliceDeletePool(t *testing.T) {
 	const batch = 8
@@ -149,8 +149,8 @@ func TestMempoolMatchesSliceDeletePool(t *testing.T) {
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("seed %d step %d (%s, %s IDs): batch %v, model %v", seed, step, kind, layout.name, got, want)
 			}
-			if p.core.MempoolLen() != len(ref.pool) {
-				t.Fatalf("seed %d step %d (%s): MempoolLen %d, model %d", seed, step, kind, p.core.MempoolLen(), len(ref.pool))
+			if p.core.mempoolLen() != len(ref.pool) {
+				t.Fatalf("seed %d step %d (%s): mempoolLen %d, model %d", seed, step, kind, p.core.mempoolLen(), len(ref.pool))
 			}
 			if n := len(p.core.mempool); n > 0 && !p.core.inPool.has(p.core.mempool[0].ID) {
 				t.Fatalf("seed %d step %d (%s): dead entry at the head of %d", seed, step, kind, n)
@@ -190,8 +190,8 @@ func TestMempoolBacklogDrains(t *testing.T) {
 	for i := 0; i < backlog; i++ {
 		p.core.EnqueueCommand(uint64(i), payload)
 	}
-	if p.core.MempoolLen() != backlog {
-		t.Fatalf("MempoolLen = %d after enqueuing %d", p.core.MempoolLen(), backlog)
+	if p.core.mempoolLen() != backlog {
+		t.Fatalf("mempoolLen = %d after enqueuing %d", p.core.mempoolLen(), backlog)
 	}
 	next := uint64(0)
 	for left := backlog; left > 0; {
@@ -207,8 +207,8 @@ func TestMempoolBacklogDrains(t *testing.T) {
 		}
 		p.commit(cmds)
 		left -= len(cmds)
-		if p.core.MempoolLen() != left || len(p.core.mempool) != left {
-			t.Fatalf("after a commit: MempoolLen %d, %d entries held, want %d", p.core.MempoolLen(), len(p.core.mempool), left)
+		if p.core.mempoolLen() != left || len(p.core.mempool) != left {
+			t.Fatalf("after a commit: mempoolLen %d, %d entries held, want %d", p.core.mempoolLen(), len(p.core.mempool), left)
 		}
 	}
 	if got := p.core.CommittedCount(); got != (backlog+batch-1)/batch {

@@ -55,30 +55,12 @@ func WithEpochWords(viewsPerEpoch types.View) Option {
 	}
 }
 
-// DefaultSparsePoints is the send-series cap WithSparse applies when
-// given no explicit bound.
-const DefaultSparsePoints = 1 << 16
-
-// WithSparse caps the compressed cumulative send series at maxPoints
-// entries (0 = DefaultSparsePoints) for massive-n executions, where even
-// one series entry per distinct send instant (≈ n per view at n=4096)
-// outgrows memory across a sweep. On overflow, adjacent point pairs are
-// coalesced onto the later timestamp — deterministically, so runs remain
-// reproducible. Totals (WordsTotal, HonestSends, per-kind
-// counts, WordsByEpoch) stay exact; time-windowed queries (W_T,
-// Intervals, WordsBetween) become approximate at the coalesced
-// resolution, with sends attributed no earlier than they occurred.
-func WithSparse(maxPoints int) Option {
-	return func(c *Collector) {
-		if maxPoints <= 0 {
-			maxPoints = DefaultSparsePoints
-		}
-		if maxPoints < 2 {
-			maxPoints = 2
-		}
-		c.maxPoints = maxPoints
-	}
-}
+// WithSparse returns an option that changes nothing: the send series
+// holds about three points per decision at any n, so no cap is needed.
+//
+// Deprecated: leave it out. It remains because the repository benchmark
+// (benchmark/) calls it.
+func WithSparse(int) Option { return func(*Collector) {} }
 
 // Collector observes network traffic and decision events for one
 // execution. It is safe for concurrent use (the TCP runtime delivers from
@@ -92,7 +74,6 @@ type Collector struct {
 	prefixW     []int64     // prefixW[i] = words strictly before points[i]; len(points)+1 entries
 	pointsDirty bool        // prefixes (and possibly point order) need rebuilding
 	pointsInOrd bool        // appends observed in non-decreasing At order so far
-	maxPoints   int         // WithSparse cap on len(points); 0 = unbounded
 	// byKind counts honest sends per msg.Kind, indexed by its uint8.
 	byKind      [256]int64
 	epochLast   map[types.View]types.Time // last epoch-view send per view
@@ -150,7 +131,6 @@ func (c *Collector) Snapshot() *Collector {
 	out := &Collector{
 		pointsDirty: c.pointsDirty,
 		pointsInOrd: c.pointsInOrd,
-		maxPoints:   c.maxPoints,
 		epochLen:    c.epochLen,
 		honestTotal: c.honestTotal,
 		wordsTotal:  c.wordsTotal,
@@ -202,9 +182,6 @@ func (c *Collector) Merge(o *Collector) {
 		}
 		c.points = append(c.points, o.points...)
 		c.pointsDirty = true
-		for c.maxPoints > 0 && len(c.points) >= c.maxPoints {
-			c.coalesceLocked()
-		}
 	}
 	for k, n := range o.byKind {
 		c.byKind[k] += n
@@ -275,9 +252,6 @@ func (c *Collector) OnSend(from, _ types.NodeID, m msg.Message, at types.Time, h
 			c.pointsInOrd = false
 		}
 		c.points = append(c.points, sendPoint{at: at, count: 1, words: words})
-		if c.maxPoints > 0 && len(c.points) >= c.maxPoints {
-			c.coalesceLocked()
-		}
 	}
 	c.pointsDirty = true
 }
@@ -361,26 +335,6 @@ func (c *Collector) CommitLatencyStats(t types.Time) CommitStats {
 		s.PerSec = float64(len(win)) / span.Seconds()
 	}
 	return s
-}
-
-// coalesceLocked halves the send series by merging adjacent point pairs
-// onto the later timestamp (WithSparse). Merging neighbours in time
-// order keeps the cumulative totals exact and the timestamp drift local:
-// a send moves at most one merged-neighbour gap later.
-func (c *Collector) coalesceLocked() {
-	if !c.pointsInOrd {
-		sort.Slice(c.points, func(i, j int) bool { return c.points[i].at < c.points[j].at })
-		c.pointsInOrd = true
-	}
-	out := c.points[:0]
-	for i := 0; i+1 < len(c.points); i += 2 {
-		a, b := c.points[i], c.points[i+1]
-		out = append(out, sendPoint{at: b.at, count: a.count + b.count, words: a.words + b.words})
-	}
-	if len(c.points)%2 == 1 {
-		out = append(out, c.points[len(c.points)-1])
-	}
-	c.points = out
 }
 
 // normalizeLocked brings the cumulative send series to query form: points

@@ -316,46 +316,6 @@ func TestCollectorSnapshotIndependence(t *testing.T) {
 	}
 }
 
-// TestSparseCollectorCapsPoints: WithSparse bounds the send series while
-// keeping every total exact; full-range window queries still see all
-// traffic, and snapshots carry the cap.
-func TestSparseCollectorCapsPoints(t *testing.T) {
-	sparse := NewCollector(nil, WithSparse(16), WithEpochWords(10))
-	exact := NewCollector(nil, WithEpochWords(10))
-	m := &msg.ViewMsg{V: 3}
-	for i := 0; i < 1000; i++ {
-		at := types.Time(int64(i) * 1000)
-		sparse.OnSend(0, 1, m, at, true)
-		exact.OnSend(0, 1, m, at, true)
-	}
-	if got := len(sparse.points); got >= 32 {
-		t.Fatalf("sparse series not capped: %d points", got)
-	}
-	if sparse.HonestSends() != exact.HonestSends() ||
-		sparse.WordsTotal() != exact.WordsTotal() {
-		t.Fatal("sparse totals drifted from exact collector")
-	}
-	we := exact.WordsByEpoch()
-	ws := sparse.WordsByEpoch()
-	if len(we) != len(ws) || we[0] != ws[0] {
-		t.Fatal("epoch words drifted under sparse mode")
-	}
-	end := types.Time(int64(1000) * 1000)
-	if sparse.WordsBetween(types.Time(-1), end) != exact.WordsBetween(types.Time(-1), end) {
-		t.Fatal("full-range window lost sends under sparse mode")
-	}
-	snap := sparse.Snapshot()
-	if snap.maxPoints != sparse.maxPoints {
-		t.Fatal("snapshot dropped sparse cap")
-	}
-	// Coalescing moves sends later, never earlier: a prefix window can
-	// only undercount.
-	mid := types.Time(int64(500) * 1000)
-	if sparse.WordsBetween(types.Time(-1), mid) > exact.WordsBetween(types.Time(-1), mid) {
-		t.Fatal("sparse prefix window overcounts")
-	}
-}
-
 // TestCommitLatencyStats: the commit series answers count, throughput and
 // latency percentiles over a warmup-excluded window, and tolerates
 // out-of-order recording (the TCP runtime commits from goroutines).

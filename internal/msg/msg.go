@@ -386,10 +386,10 @@ var (
 	_ Message = (*BlockResp)(nil)
 )
 
-// WordBytes is the byte width of one accounting word: κ = 256 bits, the
+// wordBytes is the byte width of one accounting word: κ = 256 bits, the
 // size of a hash, signature share, or threshold certificate under the §2
 // assumptions. Payload bytes are charged at this granularity.
-const WordBytes = 32
+const wordBytes = 32
 
 // PayloadWords converts a payload byte length into whole accounting
 // words, rounding up (any non-empty payload costs at least one word).
@@ -397,7 +397,7 @@ func PayloadWords(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return (n + WordBytes - 1) / WordBytes
+	return (n + wordBytes - 1) / wordBytes
 }
 
 // Words returns a message's size in words, the unit of the paper's
@@ -408,7 +408,7 @@ func PayloadWords(n int) int {
 // material, so the measured word counts track the constants of Table 1.
 //
 // Messages that carry block payload (SMR Proposals and client Requests)
-// are additionally charged ⌈len(payload)/WordBytes⌉ words, so the
+// are additionally charged ⌈len(payload)/wordBytes⌉ words, so the
 // accounting separates the protocol's O(κ) view-synchronization traffic
 // from the data plane it moves. View-synchronization messages themselves
 // never carry payload, so Table 1 word counts are unaffected.

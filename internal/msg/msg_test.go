@@ -140,7 +140,7 @@ func TestWordsModel(t *testing.T) {
 }
 
 func TestWordsChargePayloadBytes(t *testing.T) {
-	// Data-plane bytes are charged at ⌈bytes/WordBytes⌉ on top of the
+	// Data-plane bytes are charged at ⌈bytes/wordBytes⌉ on top of the
 	// per-kind constant; view-synchronization kinds never carry payload
 	// so the Table 1 accounting is untouched.
 	for _, tc := range []struct {

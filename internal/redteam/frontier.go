@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"lumiere/internal/harness"
+	"lumiere/internal/viz"
 )
 
 // Entry is one protocol × objective row of the searched frontier.
@@ -55,8 +56,6 @@ type Config struct {
 	// F is the fault tolerance (n = 3F+1); Seed the search base seed.
 	F    int
 	Seed int64
-	// Workers is the sweep worker-pool size (0 = NumCPU).
-	Workers int
 	// Objectives to search (default: all of Objectives()).
 	Objectives []Objective
 	// Space is the grid space (zero F = DefaultSpace(F));
@@ -64,8 +63,6 @@ type Config struct {
 	// SlimSpace(F)).
 	Space    Space
 	SMRSpace Space
-	// Progress, when non-nil, receives one line per finished entry.
-	Progress func(string)
 }
 
 // minKeep is the fraction of the frontier objective the minimized
@@ -97,8 +94,10 @@ func (cfg Config) withDefaults() Config {
 // (Config.Seed, Config.F, spaces), so the returned frontier — including
 // every minimized candidate — is byte-identical at any worker count.
 // The scripted candidates are members of both default spaces, so each
-// entry's value dominates the scripted corpus by construction.
-func SearchFrontier(cfg Config) *Frontier {
+// entry's value dominates the scripted corpus by construction. opts
+// sizes (and reports progress of) every grid and probe batch; its seed
+// fields are ignored, as each candidate's seed derives from itself.
+func SearchFrontier(cfg Config, opts harness.SweepOptions) *Frontier {
 	cfg = cfg.withDefaults()
 	fr := &Frontier{F: cfg.F, Seed: cfg.Seed, MinKeep: minKeep}
 	for _, p := range harness.AllProtocols {
@@ -108,7 +107,7 @@ func SearchFrontier(cfg Config) *Frontier {
 				sp = cfg.SMRSpace
 			}
 			e := NewEvaluator(p, cfg.F, obj, cfg.Seed)
-			e.EvalAll(sp.Candidates(), cfg.Workers)
+			e.EvalAll(sp.Candidates(), opts)
 			best := e.Best()
 			var min Candidate
 			for {
@@ -132,26 +131,9 @@ func SearchFrontier(cfg Config) *Frontier {
 				Minimized: minEv.Candidate, MinimizedSeed: minEv.Seed, MinimizedValue: minEv.Value,
 			}
 			fr.Entries = append(fr.Entries, entry)
-			if cfg.Progress != nil {
-				cfg.Progress(fmt.Sprintf("%s/%s: %.2f%s over %d candidates — minimized to %s (%.2f%s)",
-					p, obj, entry.Value, entry.Unit, entry.Evaluated,
-					entry.Minimized, entry.MinimizedValue, entry.Unit))
-			}
 		}
 	}
 	return fr
-}
-
-// AllDecided reports whether every frontier run produced its
-// objective's event — the searched scenarios are all model-legal, so a
-// stalled entry is a protocol liveness failure.
-func (f *Frontier) AllDecided() bool {
-	for i := range f.Entries {
-		if !f.Entries[i].Decided {
-			return false
-		}
-	}
-	return true
 }
 
 // JSON serializes the frontier in its committed form (indented,
@@ -163,11 +145,6 @@ func (f *Frontier) JSON() []byte {
 		panic(fmt.Sprintf("redteam: marshal frontier: %v", err))
 	}
 	return append(b, '\n')
-}
-
-// WriteFile writes the frontier's committed form to path.
-func (f *Frontier) WriteFile(path string) error {
-	return os.WriteFile(path, f.JSON(), 0o644)
 }
 
 // ReadFrontier loads a committed frontier artifact.
@@ -187,8 +164,8 @@ func ReadFrontier(path string) (*Frontier, error) {
 // worst candidate, its objective value, and the minimized reproducer.
 // The rendering is a pure function of the search, so it is
 // byte-identical at every worker count.
-func (f *Frontier) Table() *harness.Table {
-	t := &harness.Table{Title: fmt.Sprintf("Searched worst-case frontier (f=%d, n=%d): grid + minimizer over attack × chaos axes", f.F, 3*f.F+1)}
+func (f *Frontier) Table() *viz.Table {
+	t := &viz.Table{Title: fmt.Sprintf("Searched worst-case frontier (f=%d, n=%d): grid + minimizer over attack × chaos axes", f.F, 3*f.F+1)}
 	t.Header = []string{"protocol", "objective", "worst", "candidate", "minimized", "min value"}
 	for i := range f.Entries {
 		e := &f.Entries[i]

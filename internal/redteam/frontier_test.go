@@ -1,7 +1,6 @@
 package redteam
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -124,29 +123,5 @@ func TestFrontierWANCoverage(t *testing.T) {
 			t.Errorf("protocol %s: no frontier entry on any WAN axis", e.Protocol)
 			covered[string(e.Protocol)] = true // report once
 		}
-	}
-}
-
-// TestFrontierSearchDeterminism pins the acceptance property end to
-// end: the full search — grid, evolution, minimization, serialization —
-// over a small space is byte-identical at workers 1 vs 4.
-func TestFrontierSearchDeterminism(t *testing.T) {
-	objectives := []Objective{ObjSyncLatency}
-	if !testing.Short() {
-		objectives = Objectives()
-	}
-	run := func(workers int) []byte {
-		return SearchFrontier(Config{
-			F:          1,
-			Seed:       23,
-			Workers:    workers,
-			Objectives: objectives,
-			Space:      smokeSpace(1),
-			SMRSpace:   smokeSpace(1),
-		}).JSON()
-	}
-	serial, pool := run(1), run(4)
-	if !bytes.Equal(serial, pool) {
-		t.Fatalf("frontier differs across worker counts:\nworkers=1:\n%s\nworkers=4:\n%s", serial, pool)
 	}
 }

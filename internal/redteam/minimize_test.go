@@ -66,10 +66,10 @@ func TestMinimizeMonotone(t *testing.T) {
 // byte-identical candidates — the evaluator's values are pure functions
 // of the candidate, so worker count cannot leak into the shrink path.
 func TestMinimizeDeterministicAcrossWorkers(t *testing.T) {
-	sp := smokeSpace(1)
+	sp := SmokeSpace(1)
 	minimize := func(workers int) (Candidate, float64) {
 		e := NewEvaluator(harness.ProtoLumiere, sp.F, ObjSyncLatency, 5)
-		e.EvalAll(sp.Candidates(), workers)
+		e.EvalAll(sp.Candidates(), harness.SweepOptions{Workers: workers})
 		best := e.Best()
 		floor := 0.95 * best.Value
 		m := Minimize(best.Candidate, sp.F, func(d Candidate) bool {

@@ -77,7 +77,7 @@ func TestLegalizeIdempotent(t *testing.T) {
 // must produce its objective event (the candidates are all model-legal)
 // and the grid must be byte-identical at workers 1 vs 4.
 func TestRedTeamGridSmoke(t *testing.T) {
-	sp := smokeSpace(1)
+	sp := SmokeSpace(1)
 	cands := sp.Candidates()
 	objectives := []Objective{ObjSyncLatency, ObjWGSTWords}
 	if !testing.Short() {
@@ -86,8 +86,8 @@ func TestRedTeamGridSmoke(t *testing.T) {
 	for _, p := range smokeProtocols {
 		for _, obj := range objectives {
 			e := NewEvaluator(p, sp.F, obj, 9)
-			serial := e.EvalAll(cands, 1)
-			pool := NewEvaluator(p, sp.F, obj, 9).EvalAll(cands, 4)
+			serial := e.EvalAll(cands, harness.SweepOptions{Workers: 1})
+			pool := NewEvaluator(p, sp.F, obj, 9).EvalAll(cands, harness.SweepOptions{Workers: 4})
 			for i := range serial {
 				if serial[i] != pool[i] {
 					t.Fatalf("%s/%s: cell %d differs across worker counts: %+v vs %+v",

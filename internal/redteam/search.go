@@ -51,10 +51,10 @@ func (e *Evaluator) Eval(c Candidate) Evaluated {
 }
 
 // EvalAll evaluates a candidate batch on the sweep engine (results in
-// input order). Candidates already in the cache
+// input order), sized by opts. Candidates already in the cache
 // cost nothing; the rest run in parallel with their candidate-derived
 // seeds, so the returned values are byte-identical at any worker count.
-func (e *Evaluator) EvalAll(cands []Candidate, workers int) []Evaluated {
+func (e *Evaluator) EvalAll(cands []Candidate, opts harness.SweepOptions) []Evaluated {
 	legal := make([]Candidate, len(cands))
 	var todo []Candidate
 	pending := map[string]bool{}
@@ -72,7 +72,8 @@ func (e *Evaluator) EvalAll(cands []Candidate, workers int) []Evaluated {
 		for i, c := range todo {
 			scenarios[i] = c.Scenario(e.Protocol, e.F, e.Obj, CandidateSeed(e.SearchSeed, c))
 		}
-		sr := harness.Sweep(scenarios, harness.SweepOptions{Workers: workers, KeepSeeds: true})
+		opts.KeepSeeds = true
+		sr := harness.Sweep(scenarios, opts)
 		for i := range sr.Cells {
 			val, dec := Measure(sr.Cells[i].Result, e.Obj)
 			e.cache[todo[i].Key()] = Evaluated{

@@ -1,8 +1,9 @@
-package harness
+package viz
 
 import (
 	"fmt"
 	"strings"
+	"time"
 	"unicode/utf8"
 )
 
@@ -86,4 +87,49 @@ func (t *Table) CSV() string {
 		row(r)
 	}
 	return b.String()
+}
+
+// GridTable renders a "corner | col…" table with one row per name (the
+// protocols, for all tables but the WAN one), each body cell rendered by
+// cell(row, col).
+func GridTable[R ~string](title, corner string, rows []R, cols []string, cell func(row, col int) string) *Table {
+	t := &Table{Title: title, Header: append([]string{corner}, cols...)}
+	for r, name := range rows {
+		row := []string{string(name)}
+		for c := range cols {
+			row = append(row, cell(r, c))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
+}
+
+// AxisLabels formats an axis as column headers.
+func AxisLabels[V any](axis []V, label func(V) string) []string {
+	out := make([]string, len(axis))
+	for i, v := range axis {
+		out[i] = label(v)
+	}
+	return out
+}
+
+// OrStalled renders a table cell: the formatted measure, or "stalled"
+// when the run never produced it.
+func OrStalled(ok bool, format string, args ...any) string {
+	if !ok {
+		return "stalled"
+	}
+	return fmt.Sprintf(format, args...)
+}
+
+// ShortDur renders a latency compactly (ms resolution above 10ms).
+func ShortDur(d time.Duration) string {
+	switch {
+	case d >= time.Second:
+		return fmt.Sprintf("%.1fs", d.Seconds())
+	case d >= 10*time.Millisecond:
+		return fmt.Sprintf("%dms", d.Milliseconds())
+	default:
+		return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
+	}
 }

@@ -1,4 +1,5 @@
-// Package viz renders experiment output as ASCII charts: scaling curves
+// Package viz renders experiment output: the aligned text and CSV tables
+// every section prints, and ASCII charts: scaling curves
 // for the Table 1 sweeps and per-processor timeline swimlanes that
 // reproduce Figure 1's presentation.
 package viz
