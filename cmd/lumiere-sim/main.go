@@ -82,7 +82,7 @@ func main() {
 
 	fmt.Printf("protocol:        %s (n=%d, f=%d, fa=%d)\n", *protocol, res.Cfg.N, res.Cfg.F, len(corruptions))
 	fmt.Printf("Δ=%v  δ=%v  Γ=%v  GST=%v  duration=%v  seed=%d\n",
-		res.Cfg.Delta, res.Scenario.DeltaActual, res.Gamma, *gst, *duration, *seed)
+		res.Cfg.Delta, res.Scenario.DeltaActual, res.Gamma, res.GST, res.Scenario.Duration, *seed)
 	fmt.Printf("decisions:       %d\n", res.DecisionCount())
 	fmt.Printf("honest messages: %d (byzantine: %d)\n", res.Collector.HonestSends(), res.Collector.ByzantineSends())
 	stats := res.Collector.Stats(res.GST, 5)
@@ -121,7 +121,7 @@ func main() {
 	}
 	if *lanes && res.Tracer != nil {
 		fmt.Println("---- swimlanes (middle 20Γ of the run) ----")
-		mid := types.Time(0).Add(*duration / 2)
+		mid := types.Time(0).Add(res.Scenario.Duration / 2)
 		fmt.Print(viz.Swimlane(res.Tracer.Events(), res.Cfg.N, mid, mid.Add(20*res.Gamma), 110))
 	}
 	if *withTrace && res.Tracer != nil {

@@ -183,22 +183,11 @@ type SimSuite struct {
 	vbuf []byte
 	// sorted is Aggregate's sort scratch (the suite is single-threaded).
 	sorted []Signature
-	// signed records, by identity, every signature this suite made, so a
-	// recipient of a broadcast signature pays one map lookup, not one
-	// keyed HMAC. The key is the address of the signature's first byte in
-	// its block; the entry holds the signer and the statement. A hit
-	// needs a full-length signature, an equal signer and an equal
-	// statement: whatever was relabelled, re-bound, copied, flipped,
-	// re-sliced or made by another suite takes the full check, as does a
-	// signature over a statement longer than sealedSig.stmt (never
-	// recorded). Assumed, as for the certificate seals below: block bytes
-	// are never written after Sign. A pointer key keeps its block alive,
-	// so an address cannot be reused while an entry names it. The map
-	// flushes wholesale at maxSigned(n) entries and is made without a
-	// size hint, so a suite pays nothing for signatures it never makes.
-	// The fourth identity seal, beside certificates (sealed), blocks
-	// (hotstuff.Block) and msg.Proposal.Sealed. Simulation only.
-	signed map[*byte]sealedSig
+	// known is the signature memo (sigMemo), so a recipient of a
+	// broadcast signature pays one map lookup, not one keyed HMAC. It
+	// is made without a size hint, so a suite pays nothing for
+	// signatures it never makes.
+	known sigMemo[[sha256.Size]byte]
 	// sealed records, by identity, the certificates this suite has fully
 	// checked — each one Aggregate built or VerifyAggregate passed
 	// component by component — so the n recipients of a broadcast
@@ -219,7 +208,7 @@ type SimSuite struct {
 	// 2–3.5 HMACs of Sign (0.25–0.38 µs), and the signer IDs add one
 	// 2.7 KB memcmp; still ≈ 1/250 of a full check. No size threshold: a
 	// hit is cheaper than a full check at every n. Simulation only;
-	// Ed25519Suite memoizes by content, one signature at a time (known).
+	// both suites memoize single signatures by content (known).
 	sealed map[aggKey]sealedCert
 }
 
@@ -255,6 +244,57 @@ func (c *sealedCert) holds(data []byte, agg Aggregate) bool {
 	return true
 }
 
+// sigMemo is a suite's memo of every signature it made or fully
+// checked, so each is checked at most once. K is the suite's signature:
+// the key is the signature's bytes, and the entry holds its signer and
+// statement inline. A hit needs an equal key, an equal signer and an
+// equal statement, so it repeats a fact the suite established itself;
+// HMAC and ed25519 are deterministic, so a hit always answers what the
+// full check would. A copy of a recorded signature hits; a relabelled
+// signer, a re-bound statement, bytes flipped after recording, another
+// suite's signature or a signature of the wrong length miss and take the
+// full check. A statement longer than sealedSig.stmt is never recorded.
+// The map flushes wholesale at limit entries; key and entry stay inline
+// in it (Go stores either indirectly above 128 bytes), so a lookup or a
+// record allocates nothing once the map has grown. It is not safe for
+// concurrent use: Ed25519Suite guards its memo with its mutex.
+type sigMemo[K [sha256.Size]byte | [ed25519.SignatureSize]byte] struct {
+	m     map[K]sealedSig
+	limit int
+}
+
+// newSigMemo returns a memo of at most limit entries, its map presized
+// for hint.
+func newSigMemo[K [sha256.Size]byte | [ed25519.SignatureSize]byte](limit, hint int) sigMemo[K] {
+	return sigMemo[K]{m: make(map[K]sealedSig, hint), limit: limit}
+}
+
+// key returns sig's memo key, and false when the memo cannot hold it: a
+// signature of the wrong length or a statement longer than
+// sealedSig.stmt.
+func (sigMemo[K]) key(data []byte, sig Signature) (k K, ok bool) {
+	if len(sig.Bytes) != len(k) || len(data) > len(sealedSig{}.stmt) {
+		return k, false
+	}
+	return K(sig.Bytes), true
+}
+
+// holds reports whether signature k is signer's over data.
+func (m *sigMemo[K]) holds(k K, signer types.NodeID, data []byte) bool {
+	e, hit := m.m[k]
+	return hit && e.signer == signer && bytes.Equal(e.stmt[:e.nstmt], data)
+}
+
+// record records that signature k is signer's over data.
+func (m *sigMemo[K]) record(k K, signer types.NodeID, data []byte) {
+	if len(m.m) >= m.limit {
+		clear(m.m)
+	}
+	e := sealedSig{signer: signer, nstmt: len(data)}
+	copy(e.stmt[:], data)
+	m.m[k] = e
+}
+
 // sealedSig is what a signature was made or checked over: its signer and
 // statement.
 type sealedSig struct {
@@ -263,10 +303,9 @@ type sealedSig struct {
 	nstmt  int
 }
 
-// maxSigned bounds the signature seals of an n-node suite, and an
-// Ed25519Suite's memo: four signatures per node in flight, plus slack for
-// small n. One that loses its seal costs each later recipient one full
-// check.
+// maxSigned bounds the signature memo of an n-node suite: four
+// signatures per node in flight, plus slack for small n. One that loses
+// its entry costs each later recipient one full check.
 func maxSigned(n int) int { return 4*n + 64 }
 
 // sigBlock is the byte size of one signature-output block (1024
@@ -287,7 +326,7 @@ func NewSimSuite(n int, seed int64) *SimSuite {
 	for i := range keys {
 		keys[i] = slab[32*i : 32*(i+1) : 32*(i+1)]
 	}
-	return &SimSuite{keys: keys, macs: make([]hash.Hash, n), signed: make(map[*byte]sealedSig)}
+	return &SimSuite{keys: keys, macs: make([]hash.Hash, n), known: newSigMemo[[sha256.Size]byte](maxSigned(n), 0)}
 }
 
 // N implements Suite.
@@ -317,16 +356,11 @@ func (ss simSigner) Sign(data []byte) Signature {
 	}
 	n := len(s.sigs)
 	s.sigs = h.Sum(s.sigs)
-	out := s.sigs[n:len(s.sigs):len(s.sigs)]
-	if len(data) <= len(sealedSig{}.stmt) {
-		if len(s.signed) >= maxSigned(len(s.keys)) {
-			clear(s.signed)
-		}
-		e := sealedSig{signer: ss.id, nstmt: len(data)}
-		copy(e.stmt[:], data)
-		s.signed[&out[0]] = e
+	sig := Signature{Signer: ss.id, Bytes: s.sigs[n:len(s.sigs):len(s.sigs)]}
+	if k, ok := s.known.key(data, sig); ok {
+		s.known.record(k, ss.id, data)
 	}
-	return Signature{Signer: ss.id, Bytes: out}
+	return sig
 }
 
 // macState returns node id's keyed HMAC state, reset and ready to write.
@@ -346,16 +380,18 @@ func (s *SimSuite) Verify(data []byte, sig Signature) error {
 	if int(sig.Signer) < 0 || int(sig.Signer) >= len(s.keys) {
 		return fmt.Errorf("%w: %v", ErrUnknownSigner, sig.Signer)
 	}
-	if len(sig.Bytes) == sha256.Size {
-		if e, hit := s.signed[&sig.Bytes[0]]; hit && e.signer == sig.Signer && bytes.Equal(e.stmt[:e.nstmt], data) {
-			return nil
-		}
+	k, memo := s.known.key(data, sig)
+	if memo && s.known.holds(k, sig.Signer, data) {
+		return nil
 	}
 	h := s.macState(sig.Signer)
 	h.Write(data)
 	s.vbuf = h.Sum(s.vbuf[:0])
 	if !hmac.Equal(sig.Bytes, s.vbuf) {
 		return fmt.Errorf("%w: signer %v", ErrBadSignature, sig.Signer)
+	}
+	if memo {
+		s.known.record(k, sig.Signer, data)
 	}
 	return nil
 }
@@ -430,21 +466,12 @@ type Ed25519Suite struct {
 
 	// mu guards known.
 	mu sync.Mutex
-	// known is the memo of every signature this suite has verified or
-	// made, so each is checked at most once: a leader's Aggregate over the
-	// votes Verify just accepted, its check of its own certificate and a
-	// replica's check of its own vote inside one are lookups. It is keyed
-	// by content, the 64 signature bytes, and the entry holds the signer
-	// and the statement inline, as SimSuite.signed's entries do. A hit
-	// needs an equal key, an equal signer and an equal statement, so it
-	// repeats a fact this suite established itself: relabelled, re-bound
-	// or flipped bytes, or another suite's signature, miss and take the
-	// full check. A statement longer than sealedSig.stmt, or a signature
-	// of the wrong length, is never recorded. The map is made once with
-	// maxSigned(n) entries and flushed wholesale when full; key and entry
-	// stay inline in it (Go stores either indirectly above 128 bytes), so
-	// a lookup or a record allocates nothing.
-	known map[[ed25519.SignatureSize]byte]sealedSig
+	// known is the signature memo (sigMemo): a leader's Aggregate over
+	// the votes Verify just accepted, its check of its own certificate
+	// and a replica's check of its own vote inside one are lookups. Its
+	// map is made once with maxSigned(n) entries, so no lookup or record
+	// allocates.
+	known sigMemo[[ed25519.SignatureSize]byte]
 	// verifies counts real ed25519.Verify calls (memo hits excluded).
 	verifies atomic.Int64
 }
@@ -459,7 +486,7 @@ func NewEd25519Suite(n int, seed int64) *Ed25519Suite {
 	s := &Ed25519Suite{
 		pub:   make([]ed25519.PublicKey, n),
 		priv:  make([]ed25519.PrivateKey, n),
-		known: make(map[[ed25519.SignatureSize]byte]sealedSig, maxSigned(n)),
+		known: newSigMemo[[ed25519.SignatureSize]byte](maxSigned(n), maxSigned(n)),
 	}
 	for i := 0; i < n; i++ {
 		seedBytes := make([]byte, ed25519.SeedSize)
@@ -496,9 +523,12 @@ func (es edSigner) ID() types.NodeID { return es.id }
 // Sign records its output in the memo: a signature this suite made is
 // one it need not check.
 func (es edSigner) Sign(data []byte) Signature {
-	sig := Signature{Signer: es.id, Bytes: ed25519.Sign(es.suite.priv[es.id], data)}
-	if k, ok := memoKey(data, sig); ok {
-		es.suite.remember(k, sig.Signer, data)
+	s := es.suite
+	sig := Signature{Signer: es.id, Bytes: ed25519.Sign(s.priv[es.id], data)}
+	if k, ok := s.known.key(data, sig); ok {
+		s.mu.Lock()
+		s.known.record(k, sig.Signer, data)
+		s.mu.Unlock()
 	}
 	return sig
 }
@@ -508,12 +538,12 @@ func (s *Ed25519Suite) Verify(data []byte, sig Signature) error {
 	if int(sig.Signer) < 0 || int(sig.Signer) >= len(s.pub) {
 		return fmt.Errorf("%w: %v", ErrUnknownSigner, sig.Signer)
 	}
-	k, memo := memoKey(data, sig)
+	k, memo := s.known.key(data, sig)
 	if memo {
 		s.mu.Lock()
-		e, hit := s.known[k]
+		hit := s.known.holds(k, sig.Signer, data)
 		s.mu.Unlock()
-		if hit && e.signer == sig.Signer && bytes.Equal(e.stmt[:e.nstmt], data) {
+		if hit {
 			return nil
 		}
 	}
@@ -522,32 +552,11 @@ func (s *Ed25519Suite) Verify(data []byte, sig Signature) error {
 		return fmt.Errorf("%w: signer %v", ErrBadSignature, sig.Signer)
 	}
 	if memo {
-		s.remember(k, sig.Signer, data)
+		s.mu.Lock()
+		s.known.record(k, sig.Signer, data)
+		s.mu.Unlock()
 	}
 	return nil
-}
-
-// memoKey returns sig's memo key, and false when the memo cannot hold
-// it: a signature of the wrong length or a statement longer than
-// sealedSig.stmt.
-func memoKey(data []byte, sig Signature) (k [ed25519.SignatureSize]byte, ok bool) {
-	if len(sig.Bytes) != len(k) || len(data) > len(sealedSig{}.stmt) {
-		return k, false
-	}
-	copy(k[:], sig.Bytes)
-	return k, true
-}
-
-// remember records that signature k is signer's over data.
-func (s *Ed25519Suite) remember(k [ed25519.SignatureSize]byte, signer types.NodeID, data []byte) {
-	e := sealedSig{signer: signer, nstmt: len(data)}
-	copy(e.stmt[:], data)
-	s.mu.Lock()
-	if len(s.known) >= maxSigned(len(s.pub)) {
-		clear(s.known)
-	}
-	s.known[k] = e
-	s.mu.Unlock()
 }
 
 // Aggregate implements Suite.

@@ -730,7 +730,6 @@ func deltaWaitAblation(f int, seed int64, opts harness.SweepOptions) (withWait, 
 			Seed:                 seed,
 		}
 	}
-	opts.KeepSeeds = true
 	results := harness.Sweep([]harness.Scenario{scenario(false), scenario(true)}, opts).Results()
 	count := func(res *harness.Result) int {
 		return len(res.Collector.HeavySyncViews(types.Time(0).Add(30 * time.Second)))

@@ -52,7 +52,7 @@ func TestGapShrinkageConverges(t *testing.T) {
 }
 
 // TestThroughputScenarioShape pins the wiring of a throughput cell
-// without running it: SMR mode, batch size, open-loop workload config
+// without running it: SMR mode, batch size, workload config
 // and the non-divisor load axis. Runs in -short mode (CI smoke).
 func TestThroughputScenarioShape(t *testing.T) {
 	t.Parallel()
@@ -60,7 +60,7 @@ func TestThroughputScenarioShape(t *testing.T) {
 	if !s.SMR || s.SMRBatchSize != 256 || s.Workload == nil {
 		t.Fatalf("scenario not an SMR workload cell: %+v", s)
 	}
-	if s.Workload.Rate != 1500 || s.Workload.Closed || s.Workload.Clients != throughputClients {
+	if s.Workload.Rate != 1500 || s.Workload.Clients != throughputClients {
 		t.Fatalf("workload config wrong: %+v", *s.Workload)
 	}
 	if s.Workload.PayloadPad != harness.ThroughputPayloadPad {

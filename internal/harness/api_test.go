@@ -66,10 +66,10 @@ func TestAPICorruptionHelpers(t *testing.T) {
 // TestAPIRunSweep exercises the parallel sweep.
 func TestAPIRunSweep(t *testing.T) {
 	scenarios := []harness.Scenario{
-		{Protocol: harness.ProtoLumiere, F: 1, Duration: 10 * time.Second},
-		{Protocol: harness.ProtoFever, F: 1, Duration: 10 * time.Second},
+		{Protocol: harness.ProtoLumiere, F: 1, Duration: 10 * time.Second, Seed: harness.DeriveSeed(9, 0)},
+		{Protocol: harness.ProtoFever, F: 1, Duration: 10 * time.Second, Seed: harness.DeriveSeed(9, 1)},
 	}
-	sr := harness.Sweep(scenarios, harness.SweepOptions{Workers: 2, BaseSeed: 9})
+	sr := harness.Sweep(scenarios, harness.SweepOptions{Workers: 2})
 	if len(sr.Cells) != 2 {
 		t.Fatalf("cells = %d", len(sr.Cells))
 	}
@@ -78,7 +78,7 @@ func TestAPIRunSweep(t *testing.T) {
 			t.Fatalf("cell %d: no decisions", i)
 		}
 		if cell.Scenario.Seed != harness.DeriveSeed(9, i) {
-			t.Fatalf("cell %d: seed %d not derived", i, cell.Scenario.Seed)
+			t.Fatalf("cell %d: seed %d is not the scenario's", i, cell.Scenario.Seed)
 		}
 	}
 }

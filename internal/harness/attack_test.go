@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestEventualWordsLinearInFaults(t *testing.T) {
 
 // TestStrategicNodeSelection checks the harness glue: strategy nodes
 // are the highest free IDs, the input slice is never mutated, and
-// corrupting more than f processors is rejected.
+// Validate rejects corrupting more than f processors.
 func TestStrategicNodeSelection(t *testing.T) {
 	t.Parallel()
 	cfg := types.NewConfig(2, 100*time.Millisecond) // n=7, f=2
@@ -132,12 +133,10 @@ func TestStrategicNodeSelection(t *testing.T) {
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("strategicNodes = %v", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("corrupting f+1 processors must panic")
-		}
-	}()
-	withStrategicNodes(base, cfg, 2) // crash + 2 strategic > f = 2
+	over := Scenario{F: 2, Corruptions: base, Attack: adversary.AttackSpec{Name: adversary.AttackViewDesync, Nodes: 2}}
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "3 faulty processors") {
+		t.Fatalf("crash + 2 strategic > f = 2: Validate = %v, want a rejection", err)
+	}
 }
 
 // TestSyncSpamLegality checks the spam builder per protocol: the

@@ -82,7 +82,6 @@ func ChaosSweep(count int, baseSeed int64, opts SweepOptions) *ChaosReport {
 		s.Name = fmt.Sprintf("chaos-%02d-%s", i, s.Protocol)
 		scenarios[i] = s
 	}
-	opts.KeepSeeds = true
 	sr := Sweep(scenarios, opts)
 
 	rep := &ChaosReport{Workers: sr.Workers, Elapsed: sr.Elapsed}

@@ -132,9 +132,6 @@ func StartCluster(s Scenario) (nodes []*nettcp.Node, closeAll func(), err error)
 	base := types.Config{N: s.N, F: s.F, Delta: s.Delta, X: types.DefaultX}
 	churn := make(map[types.NodeID][]adversary.Downtime, len(s.Corruptions))
 	for _, c := range s.Corruptions {
-		if int(c.Node) < 0 || int(c.Node) >= s.N {
-			return nil, nil, fmt.Errorf("harness: cluster: churn names processor %d; cluster has n=%d", c.Node, s.N)
-		}
 		churn[c.Node] = c.Downs
 	}
 	var link network.LinkPolicy

@@ -326,7 +326,7 @@ func TestClusterRejectsUnrealizedFields(t *testing.T) {
 	cases = append(cases, testCase{"Scenario.Corruptions[0]", crash})
 	outside := valid
 	outside.Corruptions = []adversary.Corruption{adversary.Churn(4)}
-	cases = append(cases, testCase{"churn names processor 4", outside})
+	cases = append(cases, testCase{"corruption names processor 4", outside})
 
 	for _, tc := range cases {
 		nodes, _, err := StartCluster(tc.s)

@@ -41,7 +41,7 @@ func TestConformanceGenerated(t *testing.T) {
 	if testing.Short() {
 		count = 18
 	}
-	sr := Sweep(conformanceScenarios(count), SweepOptions{KeepSeeds: true})
+	sr := Sweep(conformanceScenarios(count), SweepOptions{})
 	for i := range sr.Cells {
 		cell := &sr.Cells[i]
 		t.Run(cell.Scenario.Name, func(t *testing.T) {

@@ -96,7 +96,7 @@ func ExampleAttackSweep() {
 // Example_wordComplexity shows the per-word communication accounting:
 // every honest send is charged its size in words (one word per κ-bit
 // signature, certificate, hash or bounded integer), queryable as run
-// totals, post-GST windows (the paper's W_T), and per-epoch series.
+// totals and post-GST windows (the paper's W_T).
 func Example_wordComplexity() {
 	res := harness.Run(harness.Scenario{
 		Protocol: harness.ProtoLumiere,
@@ -109,11 +109,9 @@ func Example_wordComplexity() {
 	n := res.Cfg.N
 	fmt.Println("accounted words:", res.Collector.WordsTotal() > 0)
 	fmt.Println("W_GST within 8n^2 words:", words <= int64(8*n*n))
-	fmt.Println("epochs tracked:", len(res.Collector.WordsByEpoch()) > 0)
 	// Output:
 	// accounted words: true
 	// W_GST within 8n^2 words: true
-	// epochs tracked: true
 }
 
 // ExampleRun_attack arms the complexity-saturation attack: the

@@ -180,25 +180,25 @@ type Scenario struct {
 	SMRBatchSize int
 	// Workload drives the SMR layer with a simulated client population
 	// (internal/workload), the only source of simulated client commands:
-	// exact accumulator pacing, per-command commit-latency recording
-	// (Collector.CommitLatencyStats), optional closed-loop clients and
-	// custom payloads (Config.Command). SMR only; nil runs SMR with no
-	// client load.
+	// open-loop clients at an exact accumulator-paced rate, per-command
+	// commit-latency recording (Collector.CommitLatencyStats) and custom
+	// payloads (Config.Command). SMR only; nil runs SMR with no client
+	// load.
 	Workload *workload.Config
 }
 
 // withDefaults fills derived defaults.
 func (s Scenario) withDefaults() Scenario {
-	if s.Delta <= 0 {
+	if s.Delta == 0 {
 		s.Delta = 100 * time.Millisecond
 	}
-	if s.DeltaActual <= 0 {
+	if s.DeltaActual == 0 {
 		s.DeltaActual = s.Delta / 10
 	}
 	if s.N <= 0 {
 		s.N = 3*s.F + 1
 	}
-	if s.Duration <= 0 {
+	if s.Duration == 0 {
 		s.Duration = 60 * time.Second
 	}
 	if s.MaxEvents == 0 {
@@ -211,9 +211,12 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // Validate checks the scenario's declarative fields for combinations
-// that cannot mean what they say — f < 1 or n < 3f+1, a protocol the
-// harness does not know, an omission budget charging more than f
-// senders, a client workload the engine would run as something else, a
+// that cannot mean what they say — f < 1 or n < 3f+1, a negative
+// duration or a probability outside [0, 1], a protocol or attack the
+// harness does not know, a corrupted processor the scenario does not
+// have, more than f faulty processors (corruptions plus the attack's),
+// an omission budget charging more than f senders, a client workload
+// the engine would run as something else, a
 // topology latency class the §2 clamp would silently distort, partition
 // groups naming processors the scenario does not have, clock drift that
 // puts an honest Γ-long timer more than Δ off true, straggler delays
@@ -231,7 +234,25 @@ func (s Scenario) validate() error {
 	if s.F < 1 || s.N < 3*s.F+1 {
 		return fmt.Errorf("n=%d, f=%d: need f ≥ 1 and n ≥ 3f+1", s.N, s.F)
 	}
+	for _, d := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"Delta", s.Delta}, {"DeltaActual", s.DeltaActual}, {"GST", s.GST}, {"Duration", s.Duration},
+		{"StartStagger", s.StartStagger}, {"LossUntil", s.LossUntil}, {"PartitionHeal", s.PartitionHeal},
+		{"ReorderJitter", s.ReorderJitter},
+	} {
+		if d.d < 0 {
+			return fmt.Errorf("%s = %v: need ≥ 0 (0 = default)", d.name, d.d)
+		}
+	}
+	if !(s.Loss >= 0 && s.Loss <= 1) || !(s.Duplication >= 0 && s.Duplication <= 1) {
+		return fmt.Errorf("Loss = %v, Duplication = %v: need probabilities in [0, 1]", s.Loss, s.Duplication)
+	}
 	if err := s.Protocol.Validate(); err != nil {
+		return err
+	}
+	if err := s.checkFaults(); err != nil {
 		return err
 	}
 	gamma := s.Protocol.Gamma(s.Delta)
@@ -294,6 +315,37 @@ func (s Scenario) validate() error {
 	return nil
 }
 
+// checkFaults rejects a corruption naming a processor outside [0, n), an
+// unknown attack, and more faulty processors than f: the distinct
+// processors with a non-honest corruption plus the attack's (Attack.Nodes,
+// 0 = f).
+func (s Scenario) checkFaults() error {
+	faulty := make(map[types.NodeID]bool, len(s.Corruptions))
+	for _, c := range s.Corruptions {
+		if int(c.Node) < 0 || int(c.Node) >= s.N {
+			return fmt.Errorf("corruption names processor %d; scenario has n=%d", c.Node, s.N)
+		}
+		if c.Behavior != adversary.BehaviorHonest {
+			faulty[c.Node] = true
+		}
+	}
+	k := len(faulty)
+	if s.Attack.Enabled() {
+		if _, err := s.Attack.Strategy(); err != nil {
+			return err
+		}
+		nodes := s.Attack.Nodes
+		if nodes <= 0 {
+			nodes = s.F
+		}
+		k += nodes
+	}
+	if k > s.F {
+		return fmt.Errorf("%d faulty processors (corruptions plus attack) exceed f=%d", k, s.F)
+	}
+	return nil
+}
+
 // checkOmissionBudget enforces that a budget, when set, names 1..f
 // senders: post-GST omission is a processor fault and only f processors
 // may be faulty. The network treats MaxSenders 0 as "no per-sender cap",
@@ -318,12 +370,12 @@ func checkWorkload(w *workload.Config, smr bool) error {
 		return fmt.Errorf("Workload.Rate = %d: need ≥ 1 command per second", w.Rate)
 	case w.Clients < 0:
 		return fmt.Errorf("Workload.Clients = %d: need ≥ 0 (0 = one client)", w.Clients)
-	case w.Think < 0:
-		return fmt.Errorf("Workload.Think = %v: need ≥ 0", w.Think)
+	case w.Closed:
+		return fmt.Errorf("Workload.Closed is set: only open-loop clients are simulated")
 	case w.PayloadPad < 0:
 		return fmt.Errorf("Workload.PayloadPad = %d: need ≥ 0", w.PayloadPad)
-	case w.Command != nil && (w.Reads || w.PayloadPad != 0):
-		return fmt.Errorf("Workload.Command builds every payload: Workload.Reads and Workload.PayloadPad would be ignored")
+	case w.Command != nil && w.PayloadPad != 0:
+		return fmt.Errorf("Workload.Command builds every payload: Workload.PayloadPad would be ignored")
 	}
 	return nil
 }
@@ -500,11 +552,7 @@ func run(s Scenario) (*Result, []replica.Replica) {
 	baseLink := s.linkPolicy(cfg, gst, delay)
 	link := baseLink
 	if s.Attack.Enabled() {
-		st, err := s.Attack.Strategy()
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-		strat = st
+		strat, _ = s.Attack.Strategy() // validate has checked the name
 		s.Corruptions = withStrategicNodes(s.Corruptions, cfg, s.Attack.Nodes)
 		link = network.LinkFunc(strat.Link)
 	}
@@ -530,8 +578,7 @@ func run(s Scenario) (*Result, []replica.Replica) {
 			honest[c.Node] = false
 		}
 	}
-	collector := metrics.NewCollector(func(id types.NodeID) bool { return honest[id] },
-		metrics.WithEpochWords(s.Protocol.EpochLen(cfg)))
+	collector := metrics.NewCollector(func(id types.NodeID) bool { return honest[id] })
 	net.Observe(collector)
 
 	var tracer *trace.Tracer
@@ -682,43 +729,24 @@ func run(s Scenario) (*Result, []replica.Replica) {
 		}
 	}
 	if s.Workload != nil { // validate requires SMR
-		// Workload-engine injection: exact accumulator pacing, per-command
-		// commit latency via commitHook, optional closed-loop
-		// resubmission.
+		// Workload-engine injection: exact accumulator pacing and
+		// per-command commit latency via commitHook.
 		eng = workload.NewEngine(*s.Workload)
-		wcfg := eng.Config()
 		commitHook = func(b *hotstuff.Block, at types.Time) {
 			for i := range b.Cmds {
-				c, ok := eng.OnCommit(b.Cmds[i].ID, int64(at))
-				if !ok {
-					continue // foreign ID or already committed elsewhere
-				}
-				collector.RecordCommit(at, c.Latency)
-				if !wcfg.Closed {
-					continue
-				}
-				client, seq := c.Client, c.Seq+1
-				resub := func() {
-					id, pl := eng.Resubmit(client, seq, int64(sched.Now()))
-					submitAll(id, pl)
-				}
-				if wcfg.Think > 0 {
-					sched.After(wcfg.Think, resub)
-				} else {
-					resub()
+				if c, ok := eng.OnCommit(b.Cmds[i].ID, int64(at)); ok { // not foreign, first commit
+					collector.RecordCommit(at, c.Latency)
 				}
 			}
 		}
 		var pump func()
 		pump = func() {
 			now := int64(sched.Now())
-			for !eng.RampDone() && eng.NextDueNs() <= now {
+			for eng.NextDueNs() <= now {
 				id, pl := eng.SubmitNext(now)
 				submitAll(id, pl)
 			}
-			if !eng.RampDone() {
-				sched.AtTimer(types.Time(eng.NextDueNs()), pump)
-			}
+			sched.AtTimer(types.Time(eng.NextDueNs()), pump)
 		}
 		sched.AtTimer(types.Time(eng.NextDueNs()), pump)
 	}

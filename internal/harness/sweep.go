@@ -9,8 +9,9 @@ import (
 // This file implements the parallel deterministic sweep engine: the
 // substrate every experiment driver runs on (see DESIGN.md §4). A sweep
 // takes a scenario matrix, fans the executions across a worker pool, and
-// aggregates results in matrix order. Each cell's seed is derived from
-// (base seed, cell index) alone, so a sweep's results are byte-identical
+// aggregates results in matrix order. Every cell runs with its
+// scenario's own Seed, which the caller derives from (base seed, cell
+// index) alone (DeriveSeed), so a sweep's results are byte-identical
 // regardless of the worker count or the order the pool happens to
 // schedule cells in.
 
@@ -31,12 +32,11 @@ type SweepOptions struct {
 	// Workers is the worker-pool size. Zero or negative means
 	// runtime.NumCPU(); the pool never exceeds the matrix size.
 	Workers int
-	// BaseSeed is the sweep's base seed: cell i runs with seed
-	// DeriveSeed(BaseSeed, i) unless KeepSeeds is set.
-	BaseSeed int64
-	// KeepSeeds preserves each scenario's own Seed instead of deriving
-	// per-cell seeds from BaseSeed. Use it when the caller has already
-	// assigned deterministic per-cell seeds.
+	// KeepSeeds changes nothing: every cell runs with its scenario's
+	// own Seed.
+	//
+	// Deprecated: leave it unset. It remains because the repository
+	// benchmark (benchmark/) sets it.
 	KeepSeeds bool
 	// Progress, when non-nil, is called once per completed cell (in
 	// completion order, serialized — it may update a shared display
@@ -49,7 +49,7 @@ type SweepOptions struct {
 type SweepCell struct {
 	// Index is the cell's position in the scenario matrix.
 	Index int
-	// Scenario is the scenario as run, with the derived seed filled in.
+	// Scenario is the scenario as run.
 	Scenario Scenario
 	// Result is the execution's full result.
 	Result *Result
@@ -77,10 +77,9 @@ func (r *SweepResult) Results() []*Result {
 }
 
 // Sweep executes every scenario of the matrix on a worker pool and
-// returns the results in matrix order. Scenario seeds are derived from
-// (opts.BaseSeed, index) unless opts.KeepSeeds is set; either way each
-// cell's execution is a pure function of its scenario, so the aggregated
-// results are independent of worker count and scheduling.
+// returns the results in matrix order. Each cell's execution is a pure
+// function of its scenario, Seed included, so the aggregated results are
+// independent of worker count and scheduling.
 func Sweep(scenarios []Scenario, opts SweepOptions) *SweepResult {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -106,13 +105,9 @@ func Sweep(scenarios []Scenario, opts SweepOptions) *SweepResult {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				s := scenarios[i]
-				if !opts.KeepSeeds {
-					s.Seed = DeriveSeed(opts.BaseSeed, i)
-				}
 				t0 := time.Now()
-				res := Run(s)
-				cells[i] = SweepCell{Index: i, Scenario: s, Result: res, Elapsed: time.Since(t0)}
+				res := Run(scenarios[i])
+				cells[i] = SweepCell{Index: i, Scenario: scenarios[i], Result: res, Elapsed: time.Since(t0)}
 				if opts.Progress != nil {
 					mu.Lock()
 					done++
@@ -171,7 +166,6 @@ func SweepGrid(shape GridShape, seed int64, opts SweepOptions, scenario func(row
 			scenarios[i].Seed = DeriveSeed(seed, i)
 		}
 	}
-	opts.KeepSeeds = true
 	return &Grid{shape, Sweep(scenarios, opts)}
 }
 

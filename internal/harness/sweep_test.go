@@ -8,8 +8,9 @@ import (
 	"lumiere/internal/viz"
 )
 
-// sweepTestMatrix is a small protocol × f matrix of fast scenarios.
-func sweepTestMatrix() []Scenario {
+// sweepTestMatrix is a small protocol × f matrix of fast scenarios;
+// scenario i has seed DeriveSeed(base, i).
+func sweepTestMatrix(base int64) []Scenario {
 	var out []Scenario
 	for _, p := range []Protocol{ProtoLumiere, ProtoLP22, ProtoFever} {
 		for _, f := range []int{1, 2} {
@@ -19,6 +20,7 @@ func sweepTestMatrix() []Scenario {
 				F:        f,
 				Delta:    testDelta,
 				Duration: 10 * time.Second,
+				Seed:     DeriveSeed(base, len(out)),
 			})
 		}
 	}
@@ -39,14 +41,14 @@ func sweepFingerprint(t *testing.T, sr *SweepResult) string {
 	return tb.Render()
 }
 
-// TestSweepDeterministicAcrossWorkerCounts: the same matrix and base seed
-// produce byte-identical results at every worker count.
+// TestSweepDeterministicAcrossWorkerCounts: the same matrix produces
+// byte-identical results at every worker count.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
-	matrix := sweepTestMatrix()
+	matrix := sweepTestMatrix(42)
 	var want string
 	for _, workers := range []int{1, 2, 4, 16} {
-		sr := Sweep(matrix, SweepOptions{Workers: workers, BaseSeed: 42})
+		sr := Sweep(matrix, SweepOptions{Workers: workers})
 		got := sweepFingerprint(t, sr)
 		if want == "" {
 			want = got
@@ -58,12 +60,12 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSweepOrderingAndTiming: cells come back in matrix order with their
-// scenarios' derived seeds filled in and per-cell timings recorded.
+// TestSweepOrderingAndTiming: cells come back in matrix order, each run
+// with its scenario's own seed, with per-cell timings recorded.
 func TestSweepOrderingAndTiming(t *testing.T) {
 	t.Parallel()
-	matrix := sweepTestMatrix()
-	sr := Sweep(matrix, SweepOptions{Workers: 3, BaseSeed: 11})
+	matrix := sweepTestMatrix(11)
+	sr := Sweep(matrix, SweepOptions{Workers: 3})
 	if len(sr.Cells) != len(matrix) {
 		t.Fatalf("got %d cells for %d scenarios", len(sr.Cells), len(matrix))
 	}
@@ -74,8 +76,8 @@ func TestSweepOrderingAndTiming(t *testing.T) {
 		if c.Index != i {
 			t.Fatalf("cell %d has index %d", i, c.Index)
 		}
-		if want := DeriveSeed(11, i); c.Scenario.Seed != want {
-			t.Fatalf("cell %d seed = %d, want %d", i, c.Scenario.Seed, want)
+		if want := DeriveSeed(11, i); c.Scenario.Seed != want || c.Result.Scenario.Seed != want {
+			t.Fatalf("cell %d seed = %d (ran %d), want %d", i, c.Scenario.Seed, c.Result.Scenario.Seed, want)
 		}
 		if c.Result == nil || c.Result.DecisionCount() == 0 {
 			t.Fatalf("cell %d produced no decisions", i)
@@ -89,26 +91,11 @@ func TestSweepOrderingAndTiming(t *testing.T) {
 	}
 }
 
-// TestSweepKeepSeeds: KeepSeeds preserves the scenarios' own seeds.
-func TestSweepKeepSeeds(t *testing.T) {
-	t.Parallel()
-	matrix := sweepTestMatrix()
-	for i := range matrix {
-		matrix[i].Seed = int64(1000 + i)
-	}
-	sr := Sweep(matrix, SweepOptions{Workers: 2, BaseSeed: 5, KeepSeeds: true})
-	for i, c := range sr.Cells {
-		if c.Scenario.Seed != int64(1000+i) {
-			t.Fatalf("cell %d seed = %d, want %d", i, c.Scenario.Seed, 1000+i)
-		}
-	}
-}
-
 // TestSweepProgress: the progress callback fires exactly once per cell
 // with a monotonically increasing done count.
 func TestSweepProgress(t *testing.T) {
 	t.Parallel()
-	matrix := sweepTestMatrix()
+	matrix := sweepTestMatrix(7)
 	seen := make(map[int]bool)
 	last := 0
 	Sweep(matrix, SweepOptions{Workers: 4, Progress: func(done, total int, cell *SweepCell) {

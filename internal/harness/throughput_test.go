@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"lumiere/internal/allocgate"
 	"lumiere/internal/hotstuff"
-	"lumiere/internal/statemachine"
 	"lumiere/internal/workload"
 )
 
@@ -37,68 +35,6 @@ func TestInjectorExactRate(t *testing.T) {
 	if res.Injected != want {
 		t.Fatalf("injected %d commands in %v at %d/s, want exactly %d (legacy interval gave ~66711)",
 			res.Injected, horizon, rate, want)
-	}
-}
-
-// countingKV wraps the KV state machine and counts GET misses, so a test
-// can assert read-your-writes through the commit pipeline.
-type countingKV struct {
-	*statemachine.KV
-	notFound int
-}
-
-func (c *countingKV) Apply(cmd []byte) ([]byte, error) {
-	out, err := c.KV.Apply(cmd)
-	if errors.Is(err, statemachine.ErrKeyNotFound) {
-		c.notFound++
-	}
-	return out, err
-}
-
-// TestClosedLoopReadYourWrites runs a closed-loop population that
-// alternates SET and GET per client. Because a closed-loop client only
-// submits its GET after its SET committed, and commits execute in log
-// order, no replica may ever observe a GET miss — which also proves the
-// KV distinguishes "missing" from "present but empty" (satellite fix).
-func TestClosedLoopReadYourWrites(t *testing.T) {
-	skipInShort(t)
-	t.Parallel()
-	const clients = 50
-	res := Run(Scenario{
-		Protocol:        ProtoLumiere,
-		F:               1,
-		Delta:           testDelta,
-		DeltaActual:     testDelta / 10,
-		Duration:        10 * time.Second,
-		Seed:            9,
-		SMR:             true,
-		SMRBatchSize:    64,
-		NewStateMachine: func() statemachine.StateMachine { return &countingKV{KV: statemachine.NewKV()} },
-		Workload: &workload.Config{
-			Clients: clients,
-			Rate:    1000,
-			Closed:  true,
-			Reads:   true,
-		},
-	})
-	committed := requireConsistentCommits(t, res)
-	if committed < 10 {
-		t.Fatalf("committed only %d blocks", committed)
-	}
-	if res.Collector.CommitCount() < clients*4 {
-		t.Fatalf("only %d commands committed: closed loop did not cycle", res.Collector.CommitCount())
-	}
-	for i, sm := range res.SMs {
-		ckv, ok := sm.(*countingKV)
-		if !ok || ckv == nil {
-			continue
-		}
-		if ckv.notFound != 0 {
-			t.Fatalf("replica %d: %d GET misses — read-your-writes violated", i, ckv.notFound)
-		}
-		if ckv.Len() == 0 {
-			t.Fatalf("replica %d applied no SETs", i)
-		}
 	}
 }
 

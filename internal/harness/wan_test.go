@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lumiere/internal/adversary"
 	"lumiere/internal/network"
 	"lumiere/internal/types"
 	"lumiere/internal/workload"
@@ -47,7 +48,8 @@ func TestWANScenariosValid(t *testing.T) {
 }
 
 // TestScenarioValidateWAN pins the scenario validation hardening: each
-// malformed WAN axis, fault budget or client workload is rejected with
+// malformed WAN axis, duration, probability, fault set, fault budget or
+// client workload is rejected with
 // an error naming the problem, and UncheckedWAN waives exactly the
 // in-model bounds, nothing else.
 func TestScenarioValidateWAN(t *testing.T) {
@@ -103,6 +105,29 @@ func TestScenarioValidateWAN(t *testing.T) {
 			s.Topology = &network.Topology{Regions: []int{4}, ProcDelays: []time.Duration{time.Millisecond}}
 			s.ProcDelays = []time.Duration{time.Millisecond}
 		}, "both ProcDelays and Topology.ProcDelays"},
+		{"corruption out of range", func(s *Scenario) {
+			s.Corruptions = adversary.CrashSet(4)
+		}, "names processor 4; scenario has n=4"},
+		{"crashes past f", func(s *Scenario) {
+			s.Corruptions = adversary.CrashFirst(2)
+		}, "2 faulty processors"},
+		{"crash plus attack past f", func(s *Scenario) {
+			s.Corruptions = adversary.CrashFirst(1)
+			s.Attack = adversary.AttackSpec{Name: adversary.AttackViewDesync}
+		}, "2 faulty processors"},
+		{"unknown attack", func(s *Scenario) {
+			s.Attack = adversary.AttackSpec{Name: "foo"}
+		}, `unknown attack strategy "foo"`},
+		{"negative delta", func(s *Scenario) { s.Delta = -time.Millisecond }, "Delta = -1ms"},
+		{"negative actual delay", func(s *Scenario) { s.DeltaActual = -time.Millisecond }, "DeltaActual = -1ms"},
+		{"negative GST", func(s *Scenario) { s.GST = -time.Second }, "GST = -1s"},
+		{"negative duration", func(s *Scenario) { s.Duration = -time.Second }, "Duration = -1s"},
+		{"negative stagger", func(s *Scenario) { s.StartStagger = -time.Second }, "StartStagger = -1s"},
+		{"negative loss horizon", func(s *Scenario) { s.LossUntil = -time.Second }, "LossUntil = -1s"},
+		{"negative partition heal", func(s *Scenario) { s.PartitionHeal = -time.Second }, "PartitionHeal = -1s"},
+		{"negative reorder jitter", func(s *Scenario) { s.ReorderJitter = -time.Second }, "ReorderJitter = -1s"},
+		{"loss above 1", func(s *Scenario) { s.Loss = 1.5 }, "need probabilities in [0, 1]"},
+		{"negative duplication", func(s *Scenario) { s.Duplication = -0.1 }, "need probabilities in [0, 1]"},
 		{"zero f", func(s *Scenario) { s.F = 0 }, "need f ≥ 1"},
 		{"n below 3f+1", func(s *Scenario) { s.N = 3 }, "n=3, f=1"},
 		{"unknown protocol", func(s *Scenario) { s.Protocol = "foo" }, `unknown protocol "foo"`},
@@ -115,15 +140,12 @@ func TestScenarioValidateWAN(t *testing.T) {
 		{"negative clients", func(s *Scenario) {
 			s.SMR, s.Workload = true, &workload.Config{Rate: 10, Clients: -3}
 		}, "Workload.Clients = -3"},
-		{"negative think time", func(s *Scenario) {
-			s.SMR, s.Workload = true, &workload.Config{Rate: 10, Closed: true, Think: -time.Second}
-		}, "Workload.Think = -1s"},
+		{"closed-loop clients", func(s *Scenario) {
+			s.SMR, s.Workload = true, &workload.Config{Rate: 10, Closed: true}
+		}, "Workload.Closed"},
 		{"workload without SMR", func(s *Scenario) {
 			s.Workload = &workload.Config{Rate: 10}
 		}, "Workload is set but SMR is not"},
-		{"command with reads", func(s *Scenario) {
-			s.SMR, s.Workload = true, &workload.Config{Rate: 10, Closed: true, Reads: true, Command: kvCommand}
-		}, "Workload.Reads"},
 		{"command with padding", func(s *Scenario) {
 			s.SMR, s.Workload = true, &workload.Config{Rate: 10, PayloadPad: 8, Command: kvCommand}
 		}, "Workload.PayloadPad"},

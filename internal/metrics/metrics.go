@@ -39,21 +39,16 @@ type sendPoint struct {
 	words int64
 }
 
-// Option configures a Collector.
+// Option configures a Collector. The two left, WithEpochWords and
+// WithSparse, change nothing.
 type Option func(*Collector)
 
-// WithEpochWords enables the per-epoch cumulative word series: every
-// honest send is charged msg.Words to the epoch View()/viewsPerEpoch of
-// the view it refers to (see WordsByEpoch). viewsPerEpoch is the
-// protocol's epoch length — a nominal grouping for protocols without
-// epochs.
-func WithEpochWords(viewsPerEpoch types.View) Option {
-	return func(c *Collector) {
-		if viewsPerEpoch > 0 {
-			c.epochLen = viewsPerEpoch
-		}
-	}
-}
+// WithEpochWords returns an option that changes nothing: no query reads
+// a per-epoch word series, so none is kept.
+//
+// Deprecated: leave it out. It remains because the repository benchmark
+// (benchmark/) calls it.
+func WithEpochWords(types.View) Option { return func(*Collector) {} }
 
 // WithSparse returns an option that changes nothing: the send series
 // holds about three points per decision at any n, so no cap is needed.
@@ -77,8 +72,6 @@ type Collector struct {
 	// byKind counts honest sends per msg.Kind, indexed by its uint8.
 	byKind      [256]int64
 	epochLast   map[types.View]types.Time // last epoch-view send per view
-	epochLen    types.View                // views per epoch for epochWords (0 = disabled)
-	epochWords  []int64                   // honest words per epoch (WithEpochWords)
 	honestTotal int64
 	wordsTotal  int64
 	byzTotal    int64
@@ -131,7 +124,6 @@ func (c *Collector) Snapshot() *Collector {
 	out := &Collector{
 		pointsDirty: c.pointsDirty,
 		pointsInOrd: c.pointsInOrd,
-		epochLen:    c.epochLen,
 		honestTotal: c.honestTotal,
 		wordsTotal:  c.wordsTotal,
 		byzTotal:    c.byzTotal,
@@ -148,9 +140,6 @@ func (c *Collector) Snapshot() *Collector {
 		out.prefix = append([]int64(nil), c.prefix...)
 		out.prefixW = append([]int64(nil), c.prefixW...)
 	}
-	if c.epochWords != nil {
-		out.epochWords = append([]int64(nil), c.epochWords...)
-	}
 	if c.decisions != nil {
 		out.decisions = append([]Decision(nil), c.decisions...)
 	}
@@ -165,12 +154,11 @@ func (c *Collector) Snapshot() *Collector {
 
 // Merge folds o's execution into c, so that c answers every query as
 // one Collector fed both streams would — the TCP cluster merges its
-// honest nodes' snapshots this way. o must be built with c's options
-// and must not be c; o is not modified. Send points, decisions and
-// commits are appended out of order, and the queries restore time
-// order; counters and per-epoch words add up, and each epoch view
-// keeps its latest send. Decisions are taken as o recorded them: c's
-// honest function does not filter them again.
+// honest nodes' snapshots this way. o must not be c; o is not modified.
+// Send points, decisions and commits are appended out of order, and the
+// queries restore time order; counters add up, and each epoch view keeps
+// its latest send. Decisions are taken as o recorded them: c's honest
+// function does not filter them again.
 func (c *Collector) Merge(o *Collector) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -190,12 +178,6 @@ func (c *Collector) Merge(o *Collector) {
 		if last, ok := c.epochLast[v]; !ok || at > last {
 			c.epochLast[v] = at
 		}
-	}
-	for len(c.epochWords) < len(o.epochWords) {
-		c.epochWords = append(c.epochWords, 0)
-	}
-	for e, w := range o.epochWords {
-		c.epochWords[e] += w
 	}
 	c.honestTotal += o.honestTotal
 	c.wordsTotal += o.wordsTotal
@@ -233,15 +215,6 @@ func (c *Collector) OnSend(from, _ types.NodeID, m msg.Message, at types.Time, h
 		v := m.View()
 		if last, ok := c.epochLast[v]; !ok || at > last {
 			c.epochLast[v] = at
-		}
-	}
-	if c.epochLen > 0 {
-		if v := m.View(); v >= 0 {
-			e := int(v / c.epochLen)
-			for len(c.epochWords) <= e {
-				c.epochWords = append(c.epochWords, 0)
-			}
-			c.epochWords[e] += words
 		}
 	}
 	if n := len(c.points); n > 0 && c.points[n-1].at == at {
@@ -617,17 +590,4 @@ func (c *Collector) WordsBetween(a, b types.Time) int64 {
 	c.normalizeLocked()
 	_, w := c.sendsBetween(a, b)
 	return w
-}
-
-// WordsByEpoch returns a copy of the per-epoch honest word totals:
-// entry e holds the words of messages referring to views in epoch e
-// (View/viewsPerEpoch per WithEpochWords). Nil unless the Collector was
-// built WithEpochWords.
-func (c *Collector) WordsByEpoch() []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.epochLen == 0 {
-		return nil
-	}
-	return append([]int64(nil), c.epochWords...)
 }

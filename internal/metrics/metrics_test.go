@@ -227,27 +227,6 @@ func TestWordsAccounting(t *testing.T) {
 	}
 }
 
-func TestWordsByEpoch(t *testing.T) {
-	c := NewCollector(nil, WithEpochWords(2))        // epochs of 2 views
-	c.OnSend(0, 1, &msg.ViewMsg{V: 0}, 1, true)      // epoch 0: 2 words
-	c.OnSend(0, 1, &msg.ViewMsg{V: 1}, 2, true)      // epoch 0: 2 words
-	c.OnSend(0, 1, &msg.EpochViewMsg{V: 4}, 3, true) // epoch 2: 2 words
-	c.OnSend(2, 1, &msg.ViewMsg{V: 4}, 4, false)     // byzantine: not charged
-	got := c.WordsByEpoch()
-	want := []int64{4, 0, 2}
-	if len(got) != len(want) {
-		t.Fatalf("epochs = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("epochs = %v, want %v", got, want)
-		}
-	}
-	if NewCollector(nil).WordsByEpoch() != nil {
-		t.Fatal("epoch words must be nil when not enabled")
-	}
-}
-
 func TestIntervalWords(t *testing.T) {
 	c := newTestCollector()
 	fill(c) // 10 ViewMsgs (2 words each) at t=1..10; decisions at 3, 9
@@ -264,11 +243,10 @@ func TestIntervalWords(t *testing.T) {
 	}
 }
 
-// TestWordsAllocs extends the hot-path gate to the words and epoch-words
-// accounting: a warm collector with the epoch series enabled must not
-// allocate per send.
+// TestWordsAllocs extends the hot-path gate to the words accounting: a
+// warm collector must not allocate per send.
 func TestWordsAllocs(t *testing.T) {
-	c := NewCollector(nil, WithEpochWords(10))
+	c := NewCollector(nil)
 	m := &msg.ViewMsg{V: 1}
 	at := types.Time(0)
 	for i := 0; i < 100; i++ {
@@ -280,7 +258,7 @@ func TestWordsAllocs(t *testing.T) {
 		c.OnSend(0, 1, m, at, true)
 	})
 	if avg > 0.1 {
-		t.Errorf("OnSend with epoch words allocates %.3f per send, want ~0", avg)
+		t.Errorf("OnSend with words accounting allocates %.3f per send, want ~0", avg)
 	}
 }
 
@@ -292,7 +270,7 @@ func querySurface(c *Collector) string {
 	return fmt.Sprint(
 		c.HonestSends(), c.ByzantineSends(), c.WordsTotal(),
 		c.KindCount(msg.KindView), c.DecisionCount(), c.Decisions(),
-		c.WordsBetween(0, 100), c.WordsByEpoch(), c.HeavySyncViews(0),
+		c.WordsBetween(0, 100), c.HeavySyncViews(0),
 		c.Intervals(0, 0), c.Stats(0, 1), m, lat, ok, w,
 		c.CommitCount(), c.CommitLatencyStats(0),
 	)
@@ -301,7 +279,7 @@ func querySurface(c *Collector) string {
 // TestCollectorSnapshotIndependence pins Snapshot: identical answers at
 // the moment of the call, unaffected by later mutation of the original.
 func TestCollectorSnapshotIndependence(t *testing.T) {
-	c := NewCollector(func(id types.NodeID) bool { return id != 9 }, WithEpochWords(2))
+	c := NewCollector(func(id types.NodeID) bool { return id != 9 })
 	fill(c)
 	snap := c.Snapshot()
 	want := querySurface(c)
@@ -407,9 +385,9 @@ func mergeSurface(c *Collector) string {
 // exactly as one collector fed both streams. Queries run on both halves
 // before the merge, so the merge must invalidate their cached prefixes.
 func TestCollectorMerge(t *testing.T) {
-	a := NewCollector(nil, WithEpochWords(2))
-	b := NewCollector(nil, WithEpochWords(2))
-	union := NewCollector(nil, WithEpochWords(2))
+	a := NewCollector(nil)
+	b := NewCollector(nil)
+	union := NewCollector(nil)
 	type event struct {
 		to     *Collector
 		m      msg.Message
@@ -461,7 +439,7 @@ func TestCollectorMerge(t *testing.T) {
 		t.Fatalf("Merge modified its argument:\nafter:  %s\nbefore: %s", got, before)
 	}
 	// A merge into an empty collector answers as the argument does.
-	empty := NewCollector(nil, WithEpochWords(2))
+	empty := NewCollector(nil)
 	empty.Merge(union)
 	if got, want := mergeSurface(empty), mergeSurface(union); got != want {
 		t.Fatalf("merge into empty != argument:\nmerged: %s\nwant:   %s", got, want)

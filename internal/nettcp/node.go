@@ -110,8 +110,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.suite = crypto.NewEd25519Suite(cfg.Base.N, cfg.Seed)
 
 	// The collector counts every wire send in the simulator's per-kind
-	// words model, per-epoch words in the protocol's accounting epochs.
-	n.collector = metrics.NewCollector(nil, metrics.WithEpochWords(cfg.Protocol.EpochLen(cfg.Base)))
+	// words model.
+	n.collector = metrics.NewCollector(nil)
 
 	rep := replica.New(cfg.ID, nil, nil)
 	topts := []Option{WithObserver(n.collector, n.wall.Now)}

@@ -72,7 +72,6 @@ func (e *Evaluator) EvalAll(cands []Candidate, opts harness.SweepOptions) []Eval
 		for i, c := range todo {
 			scenarios[i] = c.Scenario(e.Protocol, e.F, e.Obj, CandidateSeed(e.SearchSeed, c))
 		}
-		opts.KeepSeeds = true
 		sr := harness.Sweep(scenarios, opts)
 		for i := range sr.Cells {
 			val, dec := Measure(sr.Cells[i].Result, e.Obj)

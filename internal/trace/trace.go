@@ -30,7 +30,6 @@ const (
 	QCProduced Kind = "qc_produced"
 	QCSeen     Kind = "qc_seen"
 	Success    Kind = "success"
-	Commit     Kind = "commit"
 )
 
 // Event is one timeline entry.

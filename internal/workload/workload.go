@@ -1,7 +1,6 @@
 // Package workload simulates client populations driving the SMR layer:
 // open-loop clients that offer an exact command rate regardless of system
-// speed, and closed-loop clients that each keep one command in flight and
-// submit the next only after the previous one commits.
+// speed.
 //
 // The package is runtime-agnostic: the Engine generates command payloads
 // and tracks submit→commit bookkeeping, while the caller (the harness
@@ -62,9 +61,6 @@ func (p *Pacer) Take() int64 {
 	return i
 }
 
-// Taken returns the number of commands consumed so far.
-func (p *Pacer) Taken() int64 { return p.i }
-
 // DueBy returns how many commands of the schedule are due by elapsed
 // time tNs: the count of i ≥ 0 with ⌊(i+1)·10⁹/rate⌋ ≤ tNs. The
 // computation is decomposed to stay exact without 128-bit arithmetic.
@@ -85,36 +81,28 @@ func DueBy(rate, tNs int64) int64 {
 
 // Config describes a client population.
 type Config struct {
-	// Clients is the logical population size (default 1). Open-loop
-	// commands are attributed to clients by hashing the command index,
-	// so engine state does not grow with the population.
+	// Clients is the logical population size (default 1). Commands are
+	// attributed to clients by hashing the command index, so engine
+	// state does not grow with the population.
 	Clients int64
-	// Rate is the offered load in commands per second: the exact
-	// injection rate for open-loop populations, and the initial ramp
-	// rate at which closed-loop clients issue their first command.
+	// Rate is the offered load: the exact injection rate in commands
+	// per second.
 	Rate int64
-	// Closed selects closed-loop clients: each client keeps exactly one
-	// command in flight and submits its next command when the previous
-	// one commits (plus Think). The population is capped at the number
-	// of clients the ramp has started.
+	// Closed is never honoured: every population is open loop, and
+	// harness.Scenario.Validate rejects Closed = true.
+	//
+	// Deprecated: leave it unset. It remains because the repository
+	// benchmark (benchmark/) reads it.
 	Closed bool
-	// Think is the closed-loop delay between a client's commit and its
-	// next submission (0 = immediate resubmission at commit time).
-	Think time.Duration
 	// PayloadPad appends this many filler bytes to every written
 	// command, modelling application payload; the words accounting
 	// charges proposals ⌈payload bytes/32⌉ words (msg.PayloadWords).
 	PayloadPad int
-	// Reads makes every odd-sequence closed-loop command a GET of the
-	// client's own key instead of a SET, so a replay of the committed
-	// stream asserts read-your-writes (a GET submitted only after the
-	// client's SET committed must never see "not found").
-	Reads bool
 	// Command, when set, builds every payload instead of the client
-	// SET/GET: it appends command i's bytes to b and returns the result.
+	// SET: it appends command i's bytes to b and returns the result.
 	// b is the engine's bump block, so an appender that fits allocates
 	// nothing; one that outgrows the block gets its own allocation and
-	// leaves the block untouched. Reads and PayloadPad do not apply.
+	// leaves the block untouched. PayloadPad does not apply.
 	Command func(b []byte, i int64) []byte
 }
 
@@ -129,10 +117,6 @@ func (c Config) clients() int64 {
 type Commit struct {
 	// Latency is submit→first-commit in nanoseconds.
 	Latency time.Duration
-	// Client is the logical client that submitted the command; Seq is
-	// the command's sequence number within that client (closed loop).
-	Client int64
-	Seq    int32
 }
 
 // cmdRec is the engine's per-command bookkeeping: one fixed-size record
@@ -141,8 +125,6 @@ type Commit struct {
 type cmdRec struct {
 	submitNs int64
 	latNs    int64 // -1 until first commit
-	client   int64
-	seq      int32
 }
 
 const genBlockSize = 1 << 16
@@ -169,42 +151,23 @@ func NewEngine(cfg Config) *Engine {
 func (e *Engine) Config() Config { return e.cfg }
 
 // NextDueNs returns the due time (elapsed ns) of the next paced
-// submission: the open-loop schedule, or the closed-loop initial ramp.
+// submission.
 func (e *Engine) NextDueNs() int64 { return e.pacer.NextAtNs() }
-
-// RampDone reports whether a closed-loop population has issued every
-// client's first command; paced submission stops there and all further
-// traffic is commit-driven. Open-loop populations never finish.
-func (e *Engine) RampDone() bool { return e.cfg.Closed && e.pacer.Taken() >= e.cfg.clients() }
 
 // SubmitNext issues the next paced command at elapsed time nowNs and
 // returns its ID and payload. The payload is bump-allocated and never
 // written again.
 func (e *Engine) SubmitNext(nowNs int64) (uint64, []byte) {
 	i := e.pacer.Take()
-	client := i
-	if !e.cfg.Closed {
-		client = int64(splitmix64(uint64(i)) % uint64(e.cfg.clients()))
-	}
-	return e.submit(client, 0, nowNs)
-}
-
-// Resubmit issues the next command of a closed-loop client whose
-// previous command (sequence seq-1) committed.
-func (e *Engine) Resubmit(client int64, seq int32, nowNs int64) (uint64, []byte) {
-	return e.submit(client, seq, nowNs)
-}
-
-func (e *Engine) submit(client int64, seq int32, nowNs int64) (uint64, []byte) {
-	idx := int64(len(e.recs))
-	e.recs = append(e.recs, cmdRec{submitNs: nowNs, latNs: -1, client: client, seq: seq})
-	return IDBase + uint64(idx), e.gen(idx, client, seq)
+	client := int64(splitmix64(uint64(i)) % uint64(e.cfg.clients()))
+	e.recs = append(e.recs, cmdRec{submitNs: nowNs, latNs: -1})
+	return IDBase + uint64(i), e.gen(i, client)
 }
 
 // gen builds the command payload in the current bump block, capped at
-// its own length: Config.Command's bytes when set, else GETs for
-// odd-sequence read commands and SETs of the client's key otherwise.
-func (e *Engine) gen(idx, client int64, seq int32) []byte {
+// its own length: Config.Command's bytes when set, else a SET of the
+// client's key.
+func (e *Engine) gen(idx, client int64) []byte {
 	need := 8 + 20 + 20 + len(e.pad) // the longest SET
 	if e.cfg.Command != nil {
 		need = 1 // the appender may outgrow the block
@@ -214,13 +177,9 @@ func (e *Engine) gen(idx, client int64, seq int32) []byte {
 	}
 	room := cap(e.buf) - e.off
 	b := e.buf[e.off:e.off]
-	switch {
-	case e.cfg.Command != nil:
+	if e.cfg.Command != nil {
 		b = e.cfg.Command(b, idx)
-	case e.cfg.Reads && seq%2 == 1:
-		b = append(b, "GET c"...)
-		b = strconv.AppendInt(b, client, 10)
-	default:
+	} else {
 		b = append(b, "SET c"...)
 		b = strconv.AppendInt(b, client, 10)
 		b = append(b, ' ', 'v')
@@ -254,7 +213,7 @@ func (e *Engine) OnCommit(id uint64, atNs int64) (Commit, bool) {
 	}
 	r.latNs = atNs - r.submitNs
 	e.committed++
-	return Commit{Latency: time.Duration(r.latNs), Client: r.client, Seq: r.seq}, true
+	return Commit{Latency: time.Duration(r.latNs)}, true
 }
 
 // Submitted returns the number of commands issued so far.
