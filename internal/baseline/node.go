@@ -122,15 +122,15 @@ func (n *Node) Advance(w types.View, lead bool) {
 // collected per view and the views whose certificate has been formed.
 type Certs struct {
 	suite  crypto.Suite
-	votes  quorum.VoteSets
+	n      int
+	votes  quorum.Window[types.View, *quorum.VoteSet]
+	free   []*quorum.VoteSet
 	formed quorum.Flags
 }
 
 // NewCerts returns empty bookkeeping for a system of n processors.
 func NewCerts(suite crypto.Suite, n int) Certs {
-	c := Certs{suite: suite}
-	c.votes.Reset(n)
-	return c
+	return Certs{suite: suite, n: n}
 }
 
 // Add counts from's signed synchronization message for view v and
@@ -145,7 +145,18 @@ func (c *Certs) Add(from types.NodeID, v types.View, sig crypto.Signature, stmt 
 	if c.formed.Has(v) || sig.Signer != from || c.suite.Verify(stmt, sig) != nil {
 		return 0
 	}
-	votes := c.votes.Get(v, keep)
+	votes, ok := c.votes.At(v)
+	if !ok {
+		// A processor keeps the same keep per certificate kind, so a
+		// recycled set already has the capacity it needs.
+		if k := len(c.free); k > 0 {
+			votes, c.free = c.free[k-1], c.free[:k-1]
+		} else {
+			votes = new(quorum.VoteSet)
+		}
+		votes.ResetKeep(c.n, keep)
+		c.votes.Put(v, votes)
+	}
 	if !votes.Add(sig) {
 		return 0
 	}
@@ -157,7 +168,8 @@ func (c *Certs) Add(from types.NodeID, v types.View, sig crypto.Signature, stmt 
 // dropped unverified. Callers seal a view once Add has counted its votes
 // to threshold.
 func (c *Certs) Seal(v types.View, stmt []byte) (crypto.Aggregate, bool) {
-	agg, err := c.suite.Aggregate(stmt, c.votes.Peek(v).Sigs())
+	votes, _ := c.votes.At(v)
+	agg, err := c.suite.Aggregate(stmt, votes.Sigs())
 	if err != nil {
 		return crypto.Aggregate{}, false
 	}
@@ -181,18 +193,24 @@ func (c *Certs) Formed(v types.View) bool { return c.formed.Has(v) }
 // Forget drops the bookkeeping of every view below bound and recycles
 // its vote sets, so a long execution keeps a constant working set.
 func (c *Certs) Forget(bound types.View) {
-	c.votes.DropBelow(bound)
+	c.votes.ForgetBelow(bound, c.recycle)
 	c.formed.ForgetBelow(bound)
+}
+
+// recycle releases a pruned set's signatures and returns it to the pool.
+func (c *Certs) recycle(vs *quorum.VoteSet) {
+	vs.Release()
+	c.free = append(c.free, vs)
 }
 
 // Live returns the number of views holding a vote set (tests: the
 // pruning contract).
-func (c *Certs) Live() int { return c.votes.Live() }
+func (c *Certs) Live() int { return c.votes.Len() }
 
 // Stored returns the number of signatures view v's vote set holds (tests:
 // the storage contract).
 func (c *Certs) Stored(v types.View) int {
-	if votes := c.votes.Peek(v); votes != nil {
+	if votes, ok := c.votes.At(v); ok {
 		return len(votes.Sigs())
 	}
 	return 0

@@ -40,7 +40,7 @@ type Pacemaker struct {
 	sentView      quorum.Flags
 	sentEpochView quorum.Flags
 	// vcSentAt anchors the §4 QC deadline of each VC this leader sent.
-	vcSentAt map[types.View]types.Time
+	vcSentAt quorum.Window[types.View, types.Time]
 
 	// EpochCerts counts broadcast epoch-view messages toward TCs (f+1)
 	// and ECs (2f+1) until the epoch view's EC has been acted on; it
@@ -58,7 +58,7 @@ type Pacemaker struct {
 	// and how many leaders have reached that count; success(e) holds
 	// once that count reaches 2f+1.
 	credited  quorum.Flags
-	leaderQCs map[types.Epoch]epochQCs
+	leaderQCs quorum.Window[types.Epoch, epochQCs]
 
 	violations []string
 	lastLC     types.Time
@@ -105,10 +105,8 @@ func New(cfg Config, ep network.Endpoint, rt clock.Runtime, clk *clock.Clock,
 		qcWindow:   cfg.QCWindow(),
 		epoch:      types.NoEpoch,
 		pausedAt:   types.NoView,
-		vcSentAt:   make(map[types.View]types.Time),
 		EpochCerts: baseline.NewCerts(suite, cfg.Base.N),
 		ecKeep:     ecKeep,
-		leaderQCs:  make(map[types.Epoch]epochQCs),
 	}
 }
 
@@ -132,7 +130,8 @@ func (p *Pacemaker) Leader(v types.View) types.NodeID { return p.schedule.Leader
 // for views in epoch e. Basic Lumiere credits no QCs, so it is always
 // false there.
 func (p *Pacemaker) SuccessOf(e types.Epoch) bool {
-	return p.leaderQCs[e].met >= p.Cfg.Quorum()
+	tally, _ := p.leaderQCs.At(e)
+	return tally.met >= p.Cfg.Quorum()
 }
 
 // Violations returns recorded invariant violations (empty in correct
@@ -244,7 +243,7 @@ func (p *Pacemaker) onViewMsg(from types.NodeID, vm *msg.ViewMsg) {
 	if !ok {
 		return
 	}
-	p.vcSentAt[w] = p.RT.Now()
+	p.vcSentAt.Put(w, p.RT.Now())
 	p.Tr.Emit(p.RT.Now(), p.ID, trace.FormVC, w, "")
 	p.EP.Broadcast(&msg.VC{V: w, Agg: vc})
 	// If the leader is already in view w, start driving it now; if not,
@@ -429,14 +428,14 @@ func (p *Pacemaker) creditQC(v types.View) {
 		return
 	}
 	e := p.cfg.EpochOf(v)
-	tally, ok := p.leaderQCs[e]
+	tally, ok := p.leaderQCs.At(e)
 	if e < p.epoch-1 || tally.met >= p.Cfg.Quorum() {
 		return
 	}
 	p.credited.Set(v)
 	if !ok {
 		tally.per = make([]uint8, p.Cfg.N)
-		p.leaderQCs[e] = tally
+		p.leaderQCs.Put(e, tally)
 	}
 	c := &tally.per[p.Leader(v)]
 	if int(*c) >= p.cfg.QCsPerLeaderForSuccess {
@@ -447,7 +446,7 @@ func (p *Pacemaker) creditQC(v types.View) {
 		return
 	}
 	tally.met++
-	p.leaderQCs[e] = tally
+	p.leaderQCs.Put(e, tally)
 	if tally.met < p.Cfg.Quorum() {
 		return
 	}
@@ -502,19 +501,11 @@ func (p *Pacemaker) enter(v types.View) {
 		p.tcDone.ForgetBelow(low)
 		p.ecDone.ForgetBelow(low)
 		p.credited.ForgetBelow(low)
-		for old := range p.leaderQCs {
-			if old < e-1 {
-				delete(p.leaderQCs, old)
-			}
-		}
+		p.leaderQCs.ForgetBelow(e-1, nil)
 	}
 	p.Certs.Forget(v - 2)
 	p.sentView.ForgetBelow(v - 2)
-	for w := range p.vcSentAt {
-		if w < v-2 {
-			delete(p.vcSentAt, w)
-		}
-	}
+	p.vcSentAt.ForgetBelow(v-2, nil)
 	p.Advance(v, false)
 }
 
@@ -580,7 +571,8 @@ func (p *Pacemaker) maybeLeaderStartInitial(w types.View) {
 	if p.Leader(w) != p.ID || p.CurrentView() != w || !p.Certs.Formed(w) {
 		return
 	}
-	p.Driver.LeaderStart(w, p.deadlineFrom(p.vcSentAt[w]))
+	sentAt, _ := p.vcSentAt.At(w)
+	p.Driver.LeaderStart(w, p.deadlineFrom(sentAt))
 }
 
 func (p *Pacemaker) deadlineFrom(t types.Time) types.Time {

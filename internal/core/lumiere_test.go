@@ -344,7 +344,7 @@ func TestSuccessCountSaturates(t *testing.T) {
 			u.pm.creditQC(v)
 		}
 	}
-	if got := u.pm.leaderQCs[0]; got.met != 2 || got.per[0] != 2 || got.per[1] != 2 {
+	if got, _ := u.pm.leaderQCs.At(0); got.met != 2 || got.per[0] != 2 || got.per[1] != 2 {
 		t.Fatalf("tally after two leaders' %d QCs each: met=%d per=%v, want met=2, counts saturated at 2",
 			len(ledBy(0)), got.met, got.per)
 	}
@@ -741,7 +741,7 @@ func TestUntracedNotesFormatNothing(t *testing.T) {
 	if n := allocgate.PerRun(t, 100, func() {
 		u.pm.credited.Reset()
 		per[lead] = qcs - 1
-		u.pm.leaderQCs[e] = epochQCs{per: per, met: q - 1}
+		u.pm.leaderQCs.Put(e, epochQCs{per: per, met: q - 1})
 		u.pm.creditQC(v)
 	}); n != 0 {
 		t.Errorf("untraced success flip: %v allocations, want 0", n)

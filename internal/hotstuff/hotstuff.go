@@ -24,11 +24,15 @@ type Config struct {
 	BatchSize int
 	// TwoPhase commits on a two-chain of consecutive views instead of
 	// a three-chain, in the spirit of HotStuff-2 (Malkhi-Nayak 2023,
-	// cited in §6): one fewer round of confirmation latency. The full
-	// HotStuff-2 view-change optimism is out of scope; the two-chain
-	// rule is safe here because leaders always extend the highest QC
-	// they know and the lock tracks the parent of the newest certified
-	// block.
+	// cited in §6): one fewer round of confirmation latency.
+	//
+	// The rule is unsafe as built (ROADMAP item 33): the lock tracks the
+	// parent of the newest certified block, not the block itself, and
+	// nothing makes a leader learn the highest QC before it proposes, so
+	// before GST two honest replicas can commit different blocks at one
+	// height. It is kept, unchanged, only because pinned artifacts run it:
+	// GenScenario draws it for chaos cells that benchmark/golden.json and
+	// the golden chaos conformance cells pin.
 	TwoPhase bool
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"lumiere/internal/msg"
 	"lumiere/internal/network"
+	"lumiere/internal/quorum"
 	"lumiere/internal/types"
 )
 
@@ -71,7 +72,7 @@ type Collector struct {
 	pointsInOrd bool        // appends observed in non-decreasing At order so far
 	// byKind counts honest sends per msg.Kind, indexed by its uint8.
 	byKind      [256]int64
-	epochLast   map[types.View]types.Time // last epoch-view send per view
+	epochLast   quorum.Window[types.View, types.Time] // last epoch-view send per view
 	honestTotal int64
 	wordsTotal  int64
 	byzTotal    int64
@@ -101,7 +102,6 @@ func NewCollector(honest func(types.NodeID) bool, opts ...Option) *Collector {
 		honest = func(types.NodeID) bool { return true }
 	}
 	c := &Collector{
-		epochLast:   make(map[types.View]types.Time),
 		honest:      honest,
 		pointsInOrd: true,
 		decInOrd:    true,
@@ -114,9 +114,9 @@ func NewCollector(honest func(types.NodeID) bool, opts ...Option) *Collector {
 }
 
 // Snapshot returns an independent copy of the Collector: every series,
-// counter and map is deep-copied into exactly-sized storage, so the copy
-// answers all queries identically to the original at the moment of the
-// call and shares no mutable state with it. A TCP node hands out
+// counter and window is deep-copied, so the copy answers all queries
+// identically to the original at the moment of the call and shares no
+// mutable state with it. A TCP node hands out
 // snapshots of its live collector, which Merge folds into one.
 func (c *Collector) Snapshot() *Collector {
 	c.mu.Lock()
@@ -131,7 +131,6 @@ func (c *Collector) Snapshot() *Collector {
 		commitInOrd: c.commitInOrd,
 		honest:      c.honest,
 		byKind:      c.byKind,
-		epochLast:   make(map[types.View]types.Time, len(c.epochLast)),
 	}
 	if c.points != nil {
 		out.points = append([]sendPoint(nil), c.points...)
@@ -146,9 +145,7 @@ func (c *Collector) Snapshot() *Collector {
 	if c.commits != nil {
 		out.commits = append([]commitPoint(nil), c.commits...)
 	}
-	for k, v := range c.epochLast {
-		out.epochLast[k] = v
-	}
+	c.epochLast.Each(out.epochLast.Put)
 	return out
 }
 
@@ -174,11 +171,7 @@ func (c *Collector) Merge(o *Collector) {
 	for k, n := range o.byKind {
 		c.byKind[k] += n
 	}
-	for v, at := range o.epochLast {
-		if last, ok := c.epochLast[v]; !ok || at > last {
-			c.epochLast[v] = at
-		}
-	}
+	o.epochLast.Each(c.epochSent)
 	c.honestTotal += o.honestTotal
 	c.wordsTotal += o.wordsTotal
 	c.byzTotal += o.byzTotal
@@ -193,6 +186,14 @@ func (c *Collector) Merge(o *Collector) {
 			c.commitInOrd = false
 		}
 		c.commits = append(c.commits, o.commits...)
+	}
+}
+
+// epochSent records an honest epoch-view-v send at at, keeping each
+// view's latest.
+func (c *Collector) epochSent(v types.View, at types.Time) {
+	if last, ok := c.epochLast.At(v); !ok || at > last {
+		c.epochLast.Put(v, at)
 	}
 }
 
@@ -212,10 +213,7 @@ func (c *Collector) OnSend(from, _ types.NodeID, m msg.Message, at types.Time, h
 	kind := m.Kind()
 	c.byKind[kind]++
 	if kind == msg.KindEpochView {
-		v := m.View()
-		if last, ok := c.epochLast[v]; !ok || at > last {
-			c.epochLast[v] = at
-		}
+		c.epochSent(m.View(), at)
 	}
 	if n := len(c.points); n > 0 && c.points[n-1].at == at {
 		c.points[n-1].count++
@@ -557,13 +555,12 @@ func (c *Collector) Stats(t types.Time, skip int) IntervalStats {
 func (c *Collector) HeavySyncViews(t types.Time) []types.View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]types.View, 0, len(c.epochLast))
-	for v, last := range c.epochLast {
+	out := make([]types.View, 0, c.epochLast.Len())
+	c.epochLast.Each(func(v types.View, last types.Time) {
 		if last > t {
 			out = append(out, v)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
 	return out
 }
 

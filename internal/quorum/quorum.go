@@ -1,26 +1,27 @@
-// Package quorum provides dense, allocation-recycling containers for the
-// per-view bookkeeping every engine keeps: which processors contributed a
-// vote toward a certificate (VoteSet: an n-bit set that counts distinct
-// signers, plus the signatures a seal needs in arrival order) and which
-// views have already been acted on (Flags: a windowed bitset over views).
-// They replace the map[types.NodeID]crypto.Signature vote maps and
-// map[types.View]bool seen/done maps of the original engines — at n=4096
-// a map per view costs rehashing and pointer-chasing per vote, while a
-// VoteSet is one 64-word bit array plus a signature slice sized once to
-// the threshold its certificate is sealed at (none for a set that only
-// counts), both recycled across views through a free pool within one
-// execution (a cell's engines, and so their pools, are built with the
-// cell and dropped with it). A recycled or released set keeps its
-// capacity but no signature.
+// Package quorum provides the dense containers behind every engine's
+// per-view bookkeeping, kept one way: a set of views (those acted on) is
+// a Flags, a bitset over a sliding window; a value per view or epoch is
+// a Window, its entries sorted by key in one slice; and a certificate's
+// votes are a VoteSet, an n-bit set that counts distinct signers plus
+// the signatures its seal needs, in arrival order, in a slice sized once
+// to that threshold. Vote sets are recycled across views through their
+// owner's pool; a recycled or released set keeps capacity, no signature.
+//
+// A Window is a sorted slice, not a map, because an engine reads its
+// current views' values and drops every entry below a bound as its view
+// advances: on a sorted slice that is one cut at the front, not a scan
+// of every entry, and iteration runs in key order, so no result depends
+// on map order. Engines insert at or near the top, where an insert is an
+// append; a key below the top shifts the entries above it, O(live).
 //
 // Semantics are those of the maps they replace: VoteSet.Add dedups by
-// signer, Flags.Has on a pruned view reads false (a deleted map entry),
-// and certificate bytes are unchanged because crypto.Aggregate sorts
-// component signatures by signer internally — arrival order in, same
-// aggregate out.
+// signer, a pruned view is absent from a Flags or a Window, and
+// certificate bytes are unchanged because crypto.Aggregate sorts
+// component signatures by signer — arrival order in, same aggregate out.
 package quorum
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -106,93 +107,14 @@ func (v *VoteSet) Count() int { return v.count }
 func (v *VoteSet) Sigs() []crypto.Signature { return v.sigs }
 
 // ---------------------------------------------------------------------------
-// VoteSets: per-view pool of VoteSets
-// ---------------------------------------------------------------------------
-
-// VoteSets is an engine's per-view vote storage: VoteSets materialize
-// lazily on first vote (only collectors pay the n-bit array) and return
-// to a free pool when their view is pruned, so a long execution touches
-// a bounded working set no matter how many views it advances through. An
-// engine materializes all its sets with the same keep, so a recycled set
-// already has the capacity it needs.
-type VoteSets struct {
-	n    int
-	live map[types.View]*VoteSet
-	free []*VoteSet
-}
-
-// Reset recycles every live set into the pool and re-arms the container
-// for n processors.
-func (s *VoteSets) Reset(n int) {
-	s.n = n
-	if s.live == nil {
-		s.live = make(map[types.View]*VoteSet)
-	}
-	for v, vs := range s.live {
-		s.recycle(vs)
-		delete(s.live, v)
-	}
-}
-
-// recycle releases a set's signatures and returns it to the pool.
-func (s *VoteSets) recycle(vs *VoteSet) {
-	vs.Release()
-	s.free = append(s.free, vs)
-}
-
-// Get returns the view's vote set, materializing an empty one that keeps
-// keep signatures on first use.
-func (s *VoteSets) Get(v types.View, keep int) *VoteSet {
-	if vs, ok := s.live[v]; ok {
-		return vs
-	}
-	var vs *VoteSet
-	if k := len(s.free); k > 0 {
-		vs = s.free[k-1]
-		s.free = s.free[:k-1]
-	} else {
-		vs = new(VoteSet)
-	}
-	vs.ResetKeep(s.n, keep)
-	s.live[v] = vs
-	return vs
-}
-
-// Peek returns the view's vote set or nil, without materializing one.
-func (s *VoteSets) Peek(v types.View) *VoteSet { return s.live[v] }
-
-// Drop recycles one view's set, if present.
-func (s *VoteSets) Drop(v types.View) {
-	if vs, ok := s.live[v]; ok {
-		s.recycle(vs)
-		delete(s.live, v)
-	}
-}
-
-// DropBelow recycles every set for a view strictly below bound — the
-// pruning sweep engines run as their view advances.
-func (s *VoteSets) DropBelow(bound types.View) {
-	for v, vs := range s.live {
-		if v < bound {
-			s.recycle(vs)
-			delete(s.live, v)
-		}
-	}
-}
-
-// Live returns the number of materialized views (diagnostics/tests).
-func (s *VoteSets) Live() int { return len(s.live) }
-
-// ---------------------------------------------------------------------------
 // Flags: windowed view bitset
 // ---------------------------------------------------------------------------
 
-// Flags is a set of views, stored as a bitset over a sliding window —
-// the replacement for an engine's map[types.View]bool seen/done/sent
-// maps. ForgetBelow plays the role of the pruning delete-loop: views
-// below the bound read false, and the window storage compacts so memory
-// tracks the live span (current view back to the prune bound), not the
-// whole execution.
+// Flags is a set of views — an engine's seen/done/sent views — stored
+// as a bitset over a sliding window. ForgetBelow plays the role of the
+// pruning delete-loop: views below the bound read false, and the window
+// storage compacts so memory tracks the live span (current view back to
+// the prune bound), not the whole execution.
 //
 // Setting a view below the forget bound panics: the engines' guard
 // clauses (stale-view early returns before every Set) make that
@@ -273,5 +195,80 @@ func (f *Flags) ForgetBelow(bound types.View) {
 			f.bits = f.bits[:len(f.bits)-k]
 			f.base += types.View(64 * k)
 		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Window: per-view values in key order
+// ---------------------------------------------------------------------------
+
+// Window maps views or epochs to values, its entries sorted by key in
+// one slice. The zero Window is empty and ready to use.
+type Window[K ~int64, V any] struct {
+	entries []windowEntry[K, V]
+}
+
+type windowEntry[K ~int64, V any] struct {
+	key K
+	val V
+}
+
+// windowRoom is a window's first capacity. A steady engine keeps about
+// this many keys live (views v−2 to v and one early, or epochs e−1 and
+// e), so its window allocates once, on its first Put, and rarely grows.
+const windowRoom = 4
+
+// Len returns the number of entries.
+func (w *Window[K, V]) Len() int { return len(w.entries) }
+
+// search returns where k's entry is or would be inserted, and whether it
+// is there.
+func (w *Window[K, V]) search(k K) (int, bool) {
+	return slices.BinarySearchFunc(w.entries, k, func(e windowEntry[K, V], k K) int { return cmp.Compare(e.key, k) })
+}
+
+// At returns k's value and whether k has one.
+func (w *Window[K, V]) At(k K) (v V, ok bool) {
+	if i, ok := w.search(k); ok {
+		return w.entries[i].val, true
+	}
+	return v, false
+}
+
+// Put sets k's value: an append for a key above every other, O(live)
+// for one below the top.
+func (w *Window[K, V]) Put(k K, v V) {
+	i, ok := w.search(k)
+	if ok {
+		w.entries[i].val = v
+		return
+	}
+	if w.entries == nil {
+		w.entries = make([]windowEntry[K, V], 0, windowRoom)
+	}
+	w.entries = slices.Insert(w.entries, i, windowEntry[K, V]{k, v})
+}
+
+// ForgetBelow removes every entry whose key is below bound — the pruning
+// delete-loop — and, unless drop is nil, hands each removed value to it
+// in key order. Vacated slots are zeroed, so the window pins nothing it
+// no longer holds.
+func (w *Window[K, V]) ForgetBelow(bound K, drop func(V)) {
+	i, _ := w.search(bound)
+	if drop != nil {
+		for _, e := range w.entries[:i] {
+			drop(e.val)
+		}
+	}
+	n := copy(w.entries, w.entries[i:])
+	clear(w.entries[n:])
+	w.entries = w.entries[:n]
+}
+
+// Each calls f on every entry in key order; f must not modify the
+// window.
+func (w *Window[K, V]) Each(f func(K, V)) {
+	for _, e := range w.entries {
+		f(e.key, e.val)
 	}
 }

@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lumiere/internal/allocgate"
@@ -116,35 +117,6 @@ func TestVoteSetResize(t *testing.T) {
 	}
 }
 
-func TestVoteSetsPoolRecycling(t *testing.T) {
-	var s VoteSets
-	s.Reset(64)
-	s.Get(10, 1).Add(crypto.Signature{Signer: 1})
-	s.Get(11, 1).Add(crypto.Signature{Signer: 2})
-	s.Get(12, 1)
-	if s.Live() != 3 {
-		t.Fatalf("live = %d", s.Live())
-	}
-	if s.Peek(13) != nil {
-		t.Fatal("Peek materialized")
-	}
-	s.DropBelow(12)
-	if s.Live() != 1 || s.Peek(10) != nil || s.Peek(12) == nil {
-		t.Fatal("DropBelow wrong")
-	}
-	// Recycled sets come back empty.
-	if got := s.Get(20, 1); got.Count() != 0 || len(got.Sigs()) != 0 {
-		t.Fatalf("recycled set not cleared: %d votes", got.Count())
-	}
-	s.Reset(64)
-	if s.Live() != 0 {
-		t.Fatal("Reset left live sets")
-	}
-	if got := s.Get(10, 1); got.Count() != 0 || got.Has(1) {
-		t.Fatal("post-Reset set dirty")
-	}
-}
-
 // held counts the non-zero signatures anywhere in a set's storage, up to
 // its capacity: what it would still pin for the garbage collector.
 func held(vs *VoteSet) int {
@@ -157,10 +129,11 @@ func held(vs *VoteSet) int {
 	return n
 }
 
-// TestFinishedSetsKeepNoSignature: a set recycled by Drop, DropBelow or
-// Reset, and a set Released by its owner, keeps its capacity but no
+// TestFinishedSetsKeepNoSignature: a set released as its window prunes
+// its view, and a set Released by its owner, keeps its capacity but no
 // signature anywhere in it — one stored signature would pin its whole
-// SimSuite signature block.
+// SimSuite signature block — and the window's vacated slot no longer
+// points at it.
 func TestFinishedSetsKeepNoSignature(t *testing.T) {
 	const n, keep = 64, 43
 	fill := func(vs *VoteSet) {
@@ -168,41 +141,95 @@ func TestFinishedSetsKeepNoSignature(t *testing.T) {
 			vs.Add(crypto.Signature{Signer: types.NodeID(i), Bytes: []byte{byte(i)}})
 		}
 	}
-	for _, c := range []struct {
-		name   string
-		finish func(s *VoteSets, v types.View)
-	}{
-		{"Drop", func(s *VoteSets, v types.View) { s.Drop(v) }},
-		{"DropBelow", func(s *VoteSets, v types.View) { s.DropBelow(v + 1) }},
-		{"Reset", func(s *VoteSets, _ types.View) { s.Reset(n) }},
-	} {
-		var s VoteSets
-		s.Reset(n)
-		vs := s.Get(7, keep)
-		fill(vs)
-		if held(vs) != keep {
-			t.Fatalf("%s: filled set holds %d signatures, want %d", c.name, held(vs), keep)
-		}
-		c.finish(&s, 7)
-		if s.Live() != 0 || len(vs.Sigs()) != 0 || cap(vs.Sigs()) != keep || held(vs) != 0 {
-			t.Errorf("%s: live %d, recycled set stores %d of capacity %d and holds %d; want 0, 0, %d, 0",
-				c.name, s.Live(), len(vs.Sigs()), cap(vs.Sigs()), held(vs), keep)
-		}
+	var w Window[types.View, *VoteSet]
+	vs := new(VoteSet)
+	vs.ResetKeep(n, keep)
+	fill(vs)
+	w.Put(7, vs)
+	if held(vs) != keep {
+		t.Fatalf("filled set holds %d signatures, want %d", held(vs), keep)
+	}
+	w.ForgetBelow(8, (*VoteSet).Release)
+	if w.Len() != 0 || len(vs.Sigs()) != 0 || cap(vs.Sigs()) != keep || held(vs) != 0 {
+		t.Errorf("window keeps %d, pruned set stores %d of capacity %d and holds %d; want 0, 0, %d, 0",
+			w.Len(), len(vs.Sigs()), cap(vs.Sigs()), held(vs), keep)
+	}
+	if slot := w.entries[:1][0]; slot.val != nil || slot.key != 0 {
+		t.Errorf("vacated slot still holds view %d, set %p", slot.key, slot.val)
 	}
 
-	var vs VoteSet
 	vs.ResetKeep(n, keep)
-	fill(&vs)
+	fill(vs)
 	vs.Release()
-	if len(vs.Sigs()) != 0 || held(&vs) != 0 || vs.Count() != n || !vs.Has(n-1) {
+	if len(vs.Sigs()) != 0 || held(vs) != 0 || vs.Count() != n || !vs.Has(n-1) {
 		t.Errorf("released set: stores %d, holds %d, counts %d; want 0, 0, %d with its signers kept",
-			len(vs.Sigs()), held(&vs), vs.Count(), n)
+			len(vs.Sigs()), held(vs), vs.Count(), n)
 	}
 	vs.ResetKeep(n, keep/2) // a smaller keep leaves nothing stale past it
-	fill(&vs)
-	if held(&vs) != keep/2 {
-		t.Errorf("re-armed set holds %d signatures, want %d", held(&vs), keep/2)
+	fill(vs)
+	if held(vs) != keep/2 {
+		t.Errorf("re-armed set holds %d signatures, want %d", held(vs), keep/2)
 	}
+}
+
+// TestWindowMatchesMap drives the same randomized Put/At/ForgetBelow
+// trace through a Window and a plain map with delete-below pruning and
+// requires identical answers, every pruned value handed to drop once in
+// key order, and Each to list the map's entries in key order.
+func TestWindowMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var w Window[types.View, int]
+	m := map[types.View]int{}
+	var bound types.View
+	for i := 0; i < 20000; i++ {
+		switch rng.Intn(5) {
+		case 0: // put near the live window, mostly at the top
+			v := bound + types.View(rng.Intn(300))
+			w.Put(v, i)
+			m[v] = i
+		case 1, 2: // look up anywhere, including pruned keys
+			v := types.View(rng.Intn(int(bound) + 400))
+			got, ok := w.At(v)
+			if want, wok := m[v]; got != want || ok != wok {
+				t.Fatalf("step %d: At(%d) = %d, %v; map %d, %v (bound %d)", i, v, got, ok, want, wok, bound)
+			}
+		case 3: // advance the prune bound
+			bound += types.View(rng.Intn(50))
+			var want []int
+			for _, v := range sortedKeys(m) {
+				if v < bound {
+					want = append(want, m[v])
+					delete(m, v)
+				}
+			}
+			var dropped []int
+			w.ForgetBelow(bound, func(x int) { dropped = append(dropped, x) })
+			if !slices.Equal(dropped, want) {
+				t.Fatalf("step %d: ForgetBelow(%d) dropped %v, want %v", i, bound, dropped, want)
+			}
+		case 4: // list every entry
+			var keys []types.View
+			w.Each(func(v types.View, x int) {
+				if m[v] != x {
+					t.Fatalf("step %d: Each gave %d for %d, map %d", i, x, v, m[v])
+				}
+				keys = append(keys, v)
+			})
+			if want := sortedKeys(m); !slices.Equal(keys, want) || w.Len() != len(m) {
+				t.Fatalf("step %d: Each listed %v (Len %d), want %v", i, keys, w.Len(), want)
+			}
+		}
+	}
+}
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys(m map[types.View]int) []types.View {
+	keys := make([]types.View, 0, len(m))
+	for v := range m {
+		keys = append(keys, v)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestFlagsMatchesMap drives the same randomized Set/Has/ForgetBelow
@@ -291,19 +318,26 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 
-	var sets VoteSets
-	sets.Reset(n)
+	// A window of pooled vote sets, as baseline.Certs keeps.
+	var sets Window[types.View, *VoteSet]
+	free := []*VoteSet{new(VoteSet), new(VoteSet)} // the live view's and the one just pruned
+	recycle := func(vs *VoteSet) {
+		vs.Release()
+		free = append(free, vs)
+	}
 	view := types.View(0)
-	sets.Get(view, n/3+1) // materialize the pooled set once
 	if avg := allocgate.PerRun(t, 1000, func() {
 		view += 2
-		s := sets.Get(view, n/3+1)
+		s := free[len(free)-1]
+		free = free[:len(free)-1]
+		s.ResetKeep(n, n/3+1)
+		sets.Put(view, s)
 		for _, sig := range sigs {
 			s.Add(sig)
 		}
-		sets.DropBelow(view)
+		sets.ForgetBelow(view, recycle)
 	}); avg != 0 {
-		t.Errorf("VoteSets view cycle allocates %.1f/op, want 0", avg)
+		t.Errorf("vote-set window view cycle allocates %.1f/op, want 0", avg)
 	}
 
 	var f Flags

@@ -63,7 +63,7 @@ type Round struct {
 	Obs    QCObserver                    // may be nil
 
 	view      types.View
-	proposals map[types.View]*msg.Proposal
+	proposals quorum.Window[types.View, *msg.Proposal]
 	voted     quorum.Flags
 
 	leading  types.View
@@ -76,17 +76,16 @@ type Round struct {
 func NewRound(cfg types.Config, ep network.Endpoint, rt clock.Runtime, suite crypto.Suite,
 	leader func(types.View) types.NodeID, obs QCObserver) Round {
 	return Round{
-		Cfg:       cfg,
-		ID:        ep.ID(),
-		EP:        ep,
-		RT:        rt,
-		Suite:     suite,
-		Signer:    suite.SignerFor(ep.ID()),
-		Leader:    leader,
-		Obs:       obs,
-		view:      types.NoView,
-		proposals: make(map[types.View]*msg.Proposal),
-		leading:   types.NoView,
+		Cfg:     cfg,
+		ID:      ep.ID(),
+		EP:      ep,
+		RT:      rt,
+		Suite:   suite,
+		Signer:  suite.SignerFor(ep.ID()),
+		Leader:  leader,
+		Obs:     obs,
+		view:    types.NoView,
+		leading: types.NoView,
 	}
 }
 
@@ -102,13 +101,10 @@ func (r *Round) Enter(v types.View) (pending *msg.Proposal, entered bool) {
 		return nil, false
 	}
 	r.view = v
-	for w := range r.proposals {
-		if w < v-2 {
-			delete(r.proposals, w)
-		}
-	}
+	r.proposals.ForgetBelow(v-2, nil)
 	r.voted.ForgetBelow(v - 2)
-	return r.proposals[v], true
+	pending, _ = r.proposals.At(v)
+	return pending, true
 }
 
 // Lead starts collecting votes for view v under the pacemaker's QC
@@ -134,13 +130,10 @@ func (r *Round) FromLeader(from types.NodeID, p *msg.Proposal) bool {
 // and reports whether it did. A kept proposal need not be current: read
 // View afterwards, and after anything that may have entered p.V.
 func (r *Round) Keep(p *msg.Proposal) bool {
-	if p.V < r.view {
+	if _, dup := r.proposals.At(p.V); dup || p.V < r.view {
 		return false
 	}
-	if _, dup := r.proposals[p.V]; dup {
-		return false
-	}
-	r.proposals[p.V] = p
+	r.proposals.Put(p.V, p)
 	return true
 }
 
